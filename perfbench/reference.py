@@ -25,6 +25,15 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v).reshape((d, d), order="F")
 
 
+def min_bohr_gap(hamiltonian: np.ndarray) -> float:
+    """Smallest gap between distinct Bohr frequencies ``|E_i - E_j|``, ``inf`` if all are equal."""
+    energies = np.linalg.eigvalsh(np.asarray(hamiltonian, dtype=np.complex128))
+    freqs = np.sort(np.abs(energies[:, None] - energies[None, :]).ravel())
+    gaps = np.diff(freqs)
+    gaps = gaps[gaps > 1e-9 * max(1.0, freqs[-1])]  # equal frequencies up to rounding
+    return float(gaps.min()) if gaps.size else math.inf
+
+
 def gibbs_state(hamiltonian: np.ndarray) -> np.ndarray:
     """``e^{-H} / tr e^{-H}`` by dense ``expm``."""
     rho = expm(-np.asarray(hamiltonian, dtype=np.complex128))

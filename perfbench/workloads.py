@@ -35,6 +35,11 @@ TORUS12 = {"name": "torus", "n_grid": 12}
 LINE16 = {"name": "line", "n_grid": 16}
 LINE24 = {"name": "line", "n_grid": 24}
 LINE32 = {"name": "line", "n_grid": 32}
+# Spectra of the seeded random models of sigma_ladder.  Their Bohr
+# frequencies are at least 0.25 apart: near-degenerate ones make the distance
+# to the unfiltered limit stop falling once sigma is below their gap.
+SPECTRUM3 = [0.0, 0.8, 2.0]
+SPECTRUM5 = [0.0, 1.14, 1.69, 3.11, 4.0]
 
 # The sigma=0.01 qubit rung fails on every run: oft._definitional_entry, the
 # QUADPACK cross-check inside every overlap_table build, integrates over a
@@ -220,23 +225,6 @@ class CliBattery(Workload):
         return problems
 
 
-def separated_spectrum(rng, dim: int, min_gap: float = 0.25) -> list[float]:
-    """Random energies of width ``dim - 1`` whose Bohr frequencies differ by >= ``min_gap``.
-
-    The width is fixed because the cost of the smoothed-weight tables and
-    the cross-check grows with it, and runs with different seeds must do
-    the same work.  Near-degenerate Bohr frequencies make the distance to
-    the unfiltered limit plateau once sigma falls below their gap, so such
-    spectra are redrawn.
-    """
-    while True:
-        gaps = rng.uniform(0.5, 1.5, dim - 1)
-        energies = np.round(np.concatenate([[0.0], np.cumsum(gaps * (dim - 1) / gaps.sum())]), 6)
-        freqs = np.unique(np.abs(energies[:, None] - energies[None, :]))
-        if np.min(np.diff(freqs)) >= min_gap:
-            return [float(e) for e in energies]
-
-
 class SigmaLadder(Workload):
     """One-rung ``sweep-sigma`` runs along bandwidth ladders toward sigma -> 0."""
 
@@ -251,10 +239,14 @@ class SigmaLadder(Workload):
             "line16": (LINE16, "gaussian", halvings),
             "random4_sech": (RANDOM4, "sech", halvings + (0.0625,)),
         }
-        for dim, phi in ((3, "gaussian"), (5, "exp_abs")):
-            model_seed = int(self.rng.integers(1, 2**31))
-            spectrum = separated_spectrum(self.rng, dim)
-            cfg = {"name": "random", "dim": dim, "seed": model_seed, "spectrum": spectrum}
+        # The seed draws the Haar eigenbasis of two random models.  Their
+        # spectra are fixed: the cost of the smoothed-weight tables and the
+        # cross-check depends on the Bohr frequencies (an exp_abs spectrum
+        # drawn per seed made a rung cost 0.14 s on one seed and 0.25 s on
+        # another), and runs with different seeds must do the same work.
+        for spectrum, phi in ((SPECTRUM3, "gaussian"), (SPECTRUM5, "exp_abs")):
+            dim = len(spectrum)
+            cfg = {"name": "random", "dim": dim, "seed": int(self.rng.integers(1, 2**31)), "spectrum": spectrum}
             self.ladders[f"random{dim}_{phi}"] = (cfg, phi, halvings)
         self.ladders["qubit"] = (QUBIT, "gaussian", (0.01,))
         for name, (model, phi, sigmas) in self.ladders.items():
@@ -291,16 +283,26 @@ class SigmaLadder(Workload):
             stat = row["stationarity_residual"]
             self.expect(problems, stat <= 1e-9, f"{o.op.label}: stationarity residual {stat:.3e} > 1e-9")
             ladders.setdefault((o.op.group, o.round), []).append(row)
+        # The distance to the unfiltered limit falls as sigma falls only while
+        # sigma stays above the gaps between Bohr frequencies.  Pairs closer
+        # than sigma stay coupled at every rung and the distance plateaus,
+        # strictly falling or not depending on the seeded test operators:
+        # line16 has 58 of its 132 gaps below 0.125, the smallest 1.8e-5.
+        approaches_limit = {
+            name: ref.min_bohr_gap(models.model_from_config(cfg).hamiltonian) >= min(sigmas)
+            for name, (cfg, _, sigmas) in self.ladders.items()
+        }
         for (name, round_index), rows in ladders.items():
             rows.sort(key=lambda r: -r["sigma"])
             dist = [r["davies_distance_p1"] for r in rows]
             norm_b = [r["coherent_norm_B"] for r in rows]
             floor = 1e-12 * max(norm_b)
-            self.expect(
-                problems,
-                all(b < a for a, b in zip(dist, dist[1:])),
-                f"{name} (round {round_index}): distance to the unfiltered limit not strictly decreasing: {dist}",
-            )
+            if approaches_limit[name]:
+                self.expect(
+                    problems,
+                    all(b < a for a, b in zip(dist, dist[1:])),
+                    f"{name} (round {round_index}): distance to the unfiltered limit not strictly decreasing: {dist}",
+                )
             self.expect(
                 problems,
                 all(b <= a + floor for a, b in zip(norm_b, norm_b[1:])),
