@@ -79,7 +79,6 @@ from .generators import (
     StationarityReport,
     coherent_calibration_report,
     coherent_matrix_bohr,
-    coherent_matrix_time_quadrature,
     davies_generator,
     davies_limit_report,
     drift_dissipativity_defect,
@@ -171,7 +170,6 @@ __all__ = [
     "StationarityReport",
     "coherent_calibration_report",
     "coherent_matrix_bohr",
-    "coherent_matrix_time_quadrature",
     "davies_generator",
     "davies_limit_report",
     "drift_dissipativity_defect",

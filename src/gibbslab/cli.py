@@ -527,7 +527,7 @@ def cmd_verify_stationarity(config: dict, args) -> int:
     if bundle.kind == "localised" and not broken:
         available["dual_path"] = lambda: _check(
             "dual_path",
-            dual_path_residual(bundle.model, bundle.weight, bundle.sigma),
+            dual_path_residual(bundle),
             _tolerance(config, "dual_path"),
             "upper",
         )
@@ -752,16 +752,16 @@ def _selftest_checks(seed: int) -> list[dict]:
         )
 
     w_dense = balanced_gamma("gaussian", 0.9)
+    clean = localised_generator(dense, w_dense, 0.9)
     checks.append(
         _check(
             "dual_path_dense_model",
-            dual_path_residual(dense, w_dense, 0.9),
+            dual_path_residual(clean),
             1e-8,
             "upper",
         )
     )
 
-    clean = localised_generator(dense, w_dense, 0.9)
     corrupt = localised_generator(
         dense, w_dense, 0.9, cross_check=False, _corrupt_overlap_sign=True
     )

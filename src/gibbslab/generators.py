@@ -7,34 +7,36 @@ Both generator kinds act on density matrices as
            + sum_A sum_{nu, nu'} C(nu, nu') ( A_nu T A_nu'^dag
                                               - (1/2) { A_nu^dag A_nu', T } ),
 
-differing in the coupling ``C`` and the coherent matrix ``B``:
+differing only in the coupling ``C`` and the coherent matrix ``B``:
 
 * the unfiltered (``davies``) generator couples only equal frequencies,
-  ``C(nu, nu') = gamma(nu) delta(nu, nu')`` with ``gamma`` satisfying
-  detailed balance, and has ``B = 0``;
+  ``C = diag(gamma)`` with ``gamma`` satisfying detailed balance, and has
+  ``B = 0``;
 
 * the filtered (``localised``) generator uses the full overlap table
   ``C = G`` of a balanced weight together with the coherent matrix
 
       B = sum_A sum_{nu, nu'} b(nu, nu') A_nu^dag A_nu',
 
-  where ``b`` is the coherent pair coefficient.  The orientation of the
-  coefficient's odd factor (argument ``nu - nu'``) is the one that makes
-  ``L(e^{-P}) = 0``; it is fixed here once and verified against an
-  independent time-domain assembly by the calibration report.
+  where ``b`` is the coherent pair table that ``oft.overlap_table`` builds
+  alongside ``G`` from one evaluation of the smoothed weight.  The
+  orientation of its odd factor (argument ``nu - nu'``) is the one that
+  makes ``L(e^{-P}) = 0``; it is verified against an independent
+  time-domain assembly by the calibration report.
 
-The filtered dissipator supports two assembly paths: ``bohr_sum`` contracts
-the precomputed overlap table against Bohr components, while
-``omega_quadrature`` builds explicit jump operators ``sqrt(gamma(w_k) w_k)
-A_f(w_k)`` on quadrature nodes (manifestly completely positive) and sums
-their contributions.  Agreement of the two paths is a standing consistency
-check; a deliberate fault hook can flip one overlap sign after construction
-so self-tests can demonstrate the check has teeth.
+Both families share one assembly: the ``bohr_sum`` dissipator contracts a
+coupling table over the Bohr pair map, and one tail rotates it to the
+original basis, adds ``-i[P + B, .]`` and forms the effective drift.  The
+filtered dissipator has a second path, ``omega_quadrature``, which builds
+explicit jump operators ``sqrt(gamma(w_k) w_k) A_f(w_k)`` on quadrature nodes
+(manifestly completely positive) and sums their contributions.  Agreement of
+the two paths is a standing consistency check; a deliberate fault hook can
+flip one overlap sign after construction so self-tests can demonstrate the
+check has teeth.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +50,8 @@ from .operator_core import (
     dagger,
     devectorize,
     schatten_norm,
+    superop_left,
+    superop_right,
     vectorize,
 )
 from .weights import (
@@ -55,11 +59,11 @@ from .weights import (
     GaussianFilter,
     QuadratureRule,
     WeightFunction,
-    coherent_difference_factor,
+    _kink_panel_edges,
+    _panel_quadrature,
     coherent_time_envelope,
     coherent_time_kernel,
     kms_defect,
-    smoothed_weight_table,
 )
 
 __all__ = [
@@ -67,7 +71,6 @@ __all__ = [
     "StationarityReport",
     "coherent_calibration_report",
     "coherent_matrix_bohr",
-    "coherent_matrix_time_quadrature",
     "davies_generator",
     "davies_limit_report",
     "dual_path_residual",
@@ -84,9 +87,6 @@ __all__ = [
 _KMS_GRID_TOL = 1e-12
 _B_HERMITICITY_TOL = 1e-10
 _ADJOINT_FAMILY_TOL = 1e-12
-# Pairs whose difference Gaussian exponent exceeds this are dropped from the
-# coherent table (relative contribution below e^-200).
-_PAIR_EXPONENT_CAP = 200.0
 
 
 @dataclass(frozen=True)
@@ -148,39 +148,80 @@ def _validate_jump_family(model: Model) -> dict:
     }
 
 
-def _hamiltonian_superop(h_eff: np.ndarray) -> np.ndarray:
-    """Superoperator of ``T -> -i (h_eff T - T h_eff)``."""
-    d = h_eff.shape[0]
-    eye = np.eye(d)
-    return -1j * (np.kron(eye, h_eff) - np.kron(h_eff.T, eye))
+def _pair_sum(jumps_eig: list[np.ndarray], table4: np.ndarray) -> np.ndarray:
+    """``sum_A sum_{nu, nu'} T(nu, nu') A_nu^dag A_nu'`` in the eigenbasis.
 
-
-def _dissipator_from_coupling(
-    jumps_eig: list[np.ndarray], coupling_big: np.ndarray, d: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dissipator superoperator (eigenbasis) from a 4-index coupling tensor.
-
-    ``coupling_big[i, k, j, l]`` multiplies ``A_{ik} conj(A_{jl})`` in the
-    sandwich term.  Returns ``(S_diss, M)`` where ``M = sum_A sum C A^dag A``
-    is the anticommutator kernel.
+    ``table4[p, i, k]`` is ``T`` at the frequencies of the pairs ``(p, i)``
+    and ``(p, k)``; ``A_nu^dag A_nu'`` has entries ``conj(A_pi) A_pk``.
     """
+    d = table4.shape[0]
+    out = np.zeros((d, d), dtype=np.complex128)
+    for a in jumps_eig:
+        out += np.einsum("pi,pk,pik->ik", a.conj(), a, table4, optimize=True)
+    return out
+
+
+def _bohr_sum_dissipator(
+    jumps_eig: list[np.ndarray], coupling: np.ndarray, pair_index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sandwich superoperator and anticommutator kernel (eigenbasis) of a
+    coupling table ``C(nu, nu')`` contracted over the Bohr pair map.
+
+    Returns ``(S, M)``: ``S`` is the superoperator of
+    ``T -> sum_A sum C(nu, nu') A_nu T A_nu'^dag`` and
+    ``M = sum_A sum C(nu, nu') A_nu^dag A_nu'``.
+    """
+    d = pair_index.shape[0]
     d2 = d * d
+    coupling_big = coupling[pair_index[:, :, None, None], pair_index[None, None, :, :]]
     s_sandwich = np.zeros((d2, d2), dtype=np.complex128)
-    m_kernel = np.zeros((d, d), dtype=np.complex128)
-    diag_view = np.einsum("pipk->pik", coupling_big)
     for a in jumps_eig:
         t1 = a[:, :, None, None] * a.conj()[None, None, :, :] * coupling_big
         s_sandwich += t1.transpose(2, 0, 3, 1).reshape(d2, d2)
-        m_kernel += np.einsum("pi,pk,pik->ik", a.conj(), a, diag_view, optimize=True)
-    eye = np.eye(d)
-    s_diss = s_sandwich - 0.5 * (np.kron(eye, m_kernel) + np.kron(m_kernel.T, eye))
-    return s_diss, m_kernel
+    return s_sandwich, _pair_sum(jumps_eig, np.einsum("pipk->pik", coupling_big))
 
 
 def _rotate_superop(system: EigenSystem, s_eig: np.ndarray) -> np.ndarray:
     """Rotate a superoperator from the eigenbasis to the original basis."""
     w = np.kron(system.eigenvectors.conj(), system.eigenvectors)
     return w @ s_eig @ dagger(w)
+
+
+def _bundle(
+    kind: str,
+    path: str,
+    model: Model,
+    weight: WeightFunction,
+    sigma: float | None,
+    system: EigenSystem,
+    spectrum: BohrSpectrum,
+    s_sandwich_eig: np.ndarray,
+    m_kernel_eig: np.ndarray,
+    b_mat: np.ndarray,
+    diag: dict,
+) -> GeneratorBundle:
+    """The assembly tail shared by both families: the dissipator
+    ``S - (1/2){M, .}`` rotated to the original basis, the Hamiltonian part
+    ``-i[P + B, .]`` and the drift ``i(P + B) - M/2``."""
+    anti = superop_left(m_kernel_eig) + superop_right(m_kernel_eig)
+    s_diss = _rotate_superop(system, s_sandwich_eig - 0.5 * anti)
+    h_eff = model.hamiltonian + b_mat
+    s_ham = -1j * (superop_left(h_eff) - superop_right(h_eff))
+    drift = 1j * h_eff - 0.5 * system.from_eigenbasis(m_kernel_eig)
+    return GeneratorBundle(
+        kind=kind,
+        assembly_path=path,
+        model=model,
+        weight=weight,
+        sigma=sigma,
+        superoperator=s_ham + s_diss,
+        hamiltonian_part=s_ham,
+        dissipator_part=s_diss,
+        coherent_matrix=b_mat,
+        effective_drift=drift,
+        spectrum=spectrum,
+        diagnostics=diag,
+    )
 
 
 def davies_generator(
@@ -204,76 +245,26 @@ def davies_generator(
             f"weight {weight.kind!r} violates detailed balance on the Bohr grid: "
             f"defect {grid_defect:.3e} exceeds {_KMS_GRID_TOL:g}"
         )
-    d = model.dim
-    idx = spectrum.pair_index
-    gamma_vals = weight(spectrum.frequencies)
-    same_cluster = idx[:, :, None, None] == idx[None, None, :, :]
-    coupling_big = gamma_vals[idx][:, :, None, None] * same_cluster
-
     jumps_eig = [system.to_eigenbasis(a) for a in model.jumps]
-    s_diss_eig, m_kernel_eig = _dissipator_from_coupling(jumps_eig, coupling_big, d)
-    s_diss = _rotate_superop(system, s_diss_eig)
-    s_ham = _hamiltonian_superop(model.hamiltonian)
-    b_zero = np.zeros((d, d), dtype=np.complex128)
-    m_kernel = system.from_eigenbasis(m_kernel_eig)
-    drift = 1j * model.hamiltonian - 0.5 * m_kernel
-    diag.update({"kms_grid_defect": grid_defect, "n_frequencies": spectrum.size})
-    return GeneratorBundle(
-        kind="davies",
-        assembly_path="bohr_sum",
-        model=model,
-        weight=weight,
-        sigma=None,
-        superoperator=s_ham + s_diss,
-        hamiltonian_part=s_ham,
-        dissipator_part=s_diss,
-        coherent_matrix=b_zero,
-        effective_drift=drift,
-        spectrum=spectrum,
-        diagnostics=diag,
+    s_sandwich_eig, m_kernel_eig = _bohr_sum_dissipator(
+        jumps_eig, np.diag(weight(spectrum.frequencies)), spectrum.pair_index
     )
-
-
-def _coherent_table(
-    spectrum: BohrSpectrum,
-    weight: WeightFunction,
-    sigma: float,
-    *,
-    rule: QuadratureRule,
-) -> np.ndarray:
-    """Pair-coefficient table ``b(nu, nu')`` over the Bohr spectrum."""
-    freqs = spectrum.frequencies
-    xi = freqs[:, None] - freqs[None, :]
-    zeta = freqs[:, None] + freqs[None, :]
-    live = np.square(xi) / (4.0 * sigma * sigma) <= _PAIR_EXPONENT_CAP
-    table = np.zeros(xi.shape, dtype=np.complex128)
-    if not np.any(live):
-        return table
-    mids = -0.5 * zeta[live]
-    uniq, inverse = np.unique(mids, return_inverse=True)
-    h_vals = smoothed_weight_table(weight, sigma, uniq, rule=rule)
-    with np.errstate(over="ignore", under="ignore"):
-        sum_factor = np.exp(-0.5 * zeta[live]) * h_vals[inverse]
-    diff_factor = coherent_difference_factor(xi[live], sigma)
-    table[live] = 2.0 * math.pi * diff_factor * sum_factor
-    if not np.all(np.isfinite(table[live])):
-        raise ValidationError(
-            "coherent pair table has non-finite entries; the spectral width "
-            "likely exceeds the supported range"
-        )
-    return table
+    diag.update({"kms_grid_defect": grid_defect, "n_frequencies": spectrum.size})
+    b_zero = np.zeros((model.dim, model.dim), dtype=np.complex128)
+    return _bundle(
+        "davies", "bohr_sum", model, weight, None, system, spectrum,
+        s_sandwich_eig, m_kernel_eig, b_zero, diag,
+    )
 
 
 def coherent_matrix_bohr(
     model: Model,
-    weight: WeightFunction,
-    sigma: float,
+    table: OverlapTable,
     *,
-    rule: QuadratureRule = DEFAULT_RULE,
     system: EigenSystem | None = None,
-    spectrum: BohrSpectrum | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Coherent matrix ``B`` assembled from the frequency-pair table.
+    """Coherent matrix ``B = sum_A sum_{nu, nu'} b(nu, nu') A_nu^dag A_nu'``
+    from the coherent pair table of an overlap table.
 
     Returns ``(B, diagnostics)`` with ``B`` in the original basis.  ``B`` is
     Hermitian by the pairing symmetry of the table; the realised hermiticity
@@ -281,15 +272,9 @@ def coherent_matrix_bohr(
     """
     if system is None:
         system = model.eigensystem()
-    if spectrum is None:
-        spectrum = bohr_spectrum(system)
-    d = model.dim
-    btable = _coherent_table(spectrum, weight, sigma, rule=rule)
-    idx = spectrum.pair_index
-    b4 = btable[idx[:, :, None], idx[:, None, :]]
-    b_eig = np.zeros((d, d), dtype=np.complex128)
-    for a in (system.to_eigenbasis(j) for j in model.jumps):
-        b_eig += np.einsum("pi,pk,pik->ik", a.conj(), a, b4, optimize=True)
+    idx = table.spectrum.pair_index
+    b4 = table.coherent[idx[:, :, None], idx[:, None, :]]
+    b_eig = _pair_sum([system.to_eigenbasis(j) for j in model.jumps], b4)
     b_mat = system.from_eigenbasis(b_eig)
     defect = float(np.linalg.norm(b_mat - dagger(b_mat))) / max(
         1.0, float(np.linalg.norm(b_mat))
@@ -324,17 +309,41 @@ def _omega_quadrature_nodes(
     live = probe[gvals >= peak * 1e-24]
     lo = max(lo_f, float(live[0]) - (rule.window_radius + 2.0) * sigma)
     hi = min(hi_f, float(live[-1]) + (rule.window_radius + 2.0) * sigma)
-    panel_width = sigma * rule.panel_width_fraction
     bps = [float(b) for b in weight.breakpoints if lo < float(b) < hi]
-    anchor = bps[0] if bps else lo
-    k0 = math.floor((lo - anchor) / panel_width)
-    k1 = math.ceil((hi - anchor) / panel_width)
-    edges = anchor + panel_width * np.arange(k0, k1 + 1)
+    edges = _kink_panel_edges(lo, hi, bps[0] if bps else lo, sigma * rule.panel_width_fraction)
     if bps:
         edges = np.unique(np.concatenate([edges, np.asarray(bps)]))
-    from .weights import _panel_quadrature  # same panel helper as the tables
-
     return _panel_quadrature(edges, rule.panel_order)
+
+
+def _omega_quadrature_dissipator(
+    jumps_eig: list[np.ndarray],
+    weight: WeightFunction,
+    sigma: float,
+    spectrum: BohrSpectrum,
+    rule: QuadratureRule,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sandwich superoperator and anticommutator kernel (eigenbasis) summed
+    over explicit filtered jumps on quadrature nodes; also the node count."""
+    freqs = spectrum.frequencies
+    idx = spectrum.pair_index
+    d = idx.shape[0]
+    d2 = d * d
+    nodes, wts = _omega_quadrature_nodes(weight, sigma, freqs, rule)
+    gw = weight(nodes) * wts
+    keep = gw > 0.0
+    nodes, gw = nodes[keep], gw[keep]
+    profile = GaussianFilter(sigma).frequency_profile(nodes[:, None] - freqs[None, :])
+    s_sandwich = np.zeros((d2, d2), dtype=np.complex128)
+    m_kernel = np.zeros((d, d), dtype=np.complex128)
+    for a in jumps_eig:
+        filtered = profile[:, idx] * a[None, :, :]  # (n, d, d)
+        flat = filtered.transpose(0, 2, 1).reshape(nodes.size, d2)  # vec layout
+        outer = (flat * gw[:, None]).T @ flat.conj()
+        o4 = outer.reshape(d, d, d, d)
+        s_sandwich += o4.transpose(3, 1, 2, 0).reshape(d2, d2)
+        m_kernel += np.einsum("n,nip,nik->pk", gw, filtered.conj(), filtered, optimize=True)
+    return s_sandwich, m_kernel, int(nodes.size)
 
 
 def localised_generator(
@@ -386,9 +395,6 @@ def localised_generator(
     diag = _validate_jump_family(model)
     system = model.eigensystem()
     spectrum = bohr_spectrum(system, cluster_tol)
-    d = model.dim
-    idx = spectrum.pair_index
-    freqs = spectrum.frequencies
     jumps_eig = [system.to_eigenbasis(a) for a in model.jumps]
 
     table = overlap_table(spectrum, weight, sigma, rule=rule, cross_check=cross_check)
@@ -399,36 +405,16 @@ def localised_generator(
         diag["fault_injected"] = "all off-diagonal overlap signs flipped"
 
     if path == "bohr_sum":
-        coupling_big = g_values[idx[:, :, None, None], idx[None, None, :, :]]
-        s_diss_eig, m_kernel_eig = _dissipator_from_coupling(jumps_eig, coupling_big, d)
-    else:
-        nodes, wts = _omega_quadrature_nodes(weight, sigma, freqs, rule)
-        gw = weight(nodes) * wts
-        keep = gw > 0.0
-        nodes, gw = nodes[keep], gw[keep]
-        filt = GaussianFilter(sigma)
-        profile = filt.frequency_profile(nodes[:, None] - freqs[None, :])
-        d2 = d * d
-        s_sandwich = np.zeros((d2, d2), dtype=np.complex128)
-        m_kernel_eig = np.zeros((d, d), dtype=np.complex128)
-        for a in jumps_eig:
-            filtered = profile[:, idx] * a[None, :, :]  # (n, d, d)
-            flat = filtered.transpose(0, 2, 1).reshape(nodes.size, d2)  # vec layout
-            outer = (flat * gw[:, None]).T @ flat.conj()
-            o4 = outer.reshape(d, d, d, d)
-            s_sandwich += o4.transpose(3, 1, 2, 0).reshape(d2, d2)
-            m_kernel_eig += np.einsum(
-                "n,nip,nik->pk", gw, filtered.conj(), filtered, optimize=True
-            )
-        eye = np.eye(d)
-        s_diss_eig = s_sandwich - 0.5 * (
-            np.kron(eye, m_kernel_eig) + np.kron(m_kernel_eig.T, eye)
+        s_sandwich_eig, m_kernel_eig = _bohr_sum_dissipator(
+            jumps_eig, g_values, spectrum.pair_index
         )
-        diag["omega_nodes"] = int(nodes.size)
+    else:
+        s_sandwich_eig, m_kernel_eig, n_nodes = _omega_quadrature_dissipator(
+            jumps_eig, weight, sigma, spectrum, rule
+        )
+        diag["omega_nodes"] = n_nodes
 
-    b_mat, b_diag = coherent_matrix_bohr(
-        model, weight, sigma, rule=rule, system=system, spectrum=spectrum
-    )
+    b_mat, b_diag = coherent_matrix_bohr(model, table, system=system)
     diag.update(b_diag)
     diag.update(
         {
@@ -438,25 +424,9 @@ def localised_generator(
             "max_cluster_diameter": spectrum.max_cluster_diameter,
         }
     )
-
-    s_diss = _rotate_superop(system, s_diss_eig)
-    h_eff = model.hamiltonian + b_mat
-    s_ham = _hamiltonian_superop(h_eff)
-    m_kernel = system.from_eigenbasis(m_kernel_eig)
-    drift = 1j * h_eff - 0.5 * m_kernel
-    return GeneratorBundle(
-        kind="localised",
-        assembly_path=path,
-        model=model,
-        weight=weight,
-        sigma=float(sigma),
-        superoperator=s_ham + s_diss,
-        hamiltonian_part=s_ham,
-        dissipator_part=s_diss,
-        coherent_matrix=b_mat,
-        effective_drift=drift,
-        spectrum=spectrum,
-        diagnostics=diag,
+    return _bundle(
+        "localised", path, model, weight, float(sigma), system, spectrum,
+        s_sandwich_eig, m_kernel_eig, b_mat, diag,
     )
 
 
@@ -555,21 +525,31 @@ def drift_dissipativity_defect(bundle: GeneratorBundle, n_samples: int = 50, see
 
 
 def dual_path_residual(
-    model: Model,
-    weight: WeightFunction,
-    sigma: float,
+    bundle: GeneratorBundle,
     *,
     rule: QuadratureRule = DEFAULT_RULE,
 ) -> float:
-    """Relative Frobenius distance between the two assembly paths."""
-    s_bohr = localised_generator(
-        model, weight, sigma, path="bohr_sum", rule=rule, cross_check=False
+    """Relative Frobenius distance between the two assembly paths.
+
+    Assembles only the path the filtered ``bundle`` was not built on, with
+    the bundle's model, weight, bandwidth and clustering; ``rule`` must be
+    the quadrature recipe the bundle was built with.
+    """
+    if bundle.kind != "localised":
+        raise ValidationError("the dual-path check applies to filtered generators only")
+    other = "omega_quadrature" if bundle.assembly_path == "bohr_sum" else "bohr_sum"
+    s_built = bundle.superoperator
+    s_other = localised_generator(
+        bundle.model,
+        bundle.weight,
+        bundle.sigma,
+        path=other,
+        rule=rule,
+        cluster_tol=bundle.spectrum.cluster_tol,
+        cross_check=False,
     ).superoperator
-    s_omega = localised_generator(
-        model, weight, sigma, path="omega_quadrature", rule=rule, cross_check=False
-    ).superoperator
-    scale = max(float(np.linalg.norm(s_bohr)), float(np.linalg.norm(s_omega)), 1e-300)
-    return float(np.linalg.norm(s_bohr - s_omega)) / scale
+    scale = max(float(np.linalg.norm(s_built)), float(np.linalg.norm(s_other)), 1e-300)
+    return float(np.linalg.norm(s_built - s_other)) / scale
 
 
 def davies_limit_report(
@@ -683,34 +663,6 @@ def _time_quadrature_close(system: EigenSystem, ts, wt_k1, inner, orientation: s
     return system.from_eigenbasis(outer_kernel * inner)
 
 
-def coherent_matrix_time_quadrature(
-    model: Model,
-    weight: WeightFunction,
-    sigma: float,
-    *,
-    orientation: str = "outward",
-    n_time_nodes: int = 2048,
-    n_envelope_nodes: int = 2048,
-) -> np.ndarray:
-    """Coherent matrix by double time quadrature (independent oracle).
-
-    Evaluates ``sum_A integral dt k1(t) U(t) [ integral ds b2(s)
-    e^{iPs} A^dag e^{-2iPs} A e^{iPs} ] U(t)^dag`` with trapezoid grids,
-    where ``k1`` is the coherent time kernel (spectral normalisation) and
-    ``b2`` the coherent time envelope.  ``orientation="outward"`` uses
-    ``U(t) = e^{+iPt}``, which matches the frequency-domain assembly;
-    ``"literal"`` uses ``e^{-iPt}`` and lands on the negated matrix.  Only
-    practical for small dimensions; the envelope requires an exponentially
-    tilted integrable weight.
-    """
-    if orientation not in ("outward", "literal"):
-        raise ValidationError(f"unknown orientation {orientation!r}")
-    system, ts, wt_k1, inner = _time_quadrature_inner(
-        model, weight, sigma, n_time_nodes, n_envelope_nodes
-    )
-    return _time_quadrature_close(system, ts, wt_k1, inner, orientation)
-
-
 def coherent_calibration_report(
     model: Model,
     weight: WeightFunction,
@@ -729,11 +681,12 @@ def coherent_calibration_report(
     silently absorbed.  Relative distances are taken against the coherent
     norm when it is meaningfully nonzero, else against 1.
     """
-    b_freq, diag = coherent_matrix_bohr(model, weight, sigma, rule=rule)
-    report = {"coherent_norm": float(np.linalg.norm(b_freq)), **diag}
     system, ts, wt_k1, inner = _time_quadrature_inner(
         model, weight, sigma, n_time_nodes, n_envelope_nodes
     )
+    table = overlap_table(bohr_spectrum(system), weight, sigma, rule=rule, cross_check=False)
+    b_freq, diag = coherent_matrix_bohr(model, table, system=system)
+    report = {"coherent_norm": float(np.linalg.norm(b_freq)), **diag}
     for orientation in ("outward", "literal"):
         b_time = _time_quadrature_close(system, ts, wt_k1, inner, orientation)
         report[f"distance_{orientation}"] = float(np.linalg.norm(b_time - b_freq))

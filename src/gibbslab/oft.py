@@ -20,6 +20,14 @@ positive semidefinite (it is the Gram matrix of the functions
 ``pi * gamma(nu)`` as ``sigma -> 0`` -- the factor ``pi`` being the squared
 mass of the frequency profile -- while off-diagonal entries die off at the
 Gaussian rate ``e^{-gap^2/(4 sigma^2)}``.
+
+The same build yields the coherent pair table
+
+    b(nu, nu') = 2 pi c(nu - nu') e^{-(nu + nu')/2} H(-(nu + nu')/2),
+
+with ``c`` the odd difference factor of ``weights.coherent_difference_factor``.
+The Bohr frequencies are closed under negation, so ``-(nu + nu')/2`` is the
+midpoint of the negated pair and both tables read one evaluation of ``H``.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from .weights import (
     ORACLE_RULE,
     QuadratureRule,
     WeightFunction,
+    coherent_difference_factor,
     smoothed_weight_table,
 )
 
@@ -132,11 +141,13 @@ def oft_eval_time_quadrature(
 
 @dataclass(frozen=True)
 class OverlapTable:
-    """Symmetric coupling table ``G(nu, nu')`` over a Bohr spectrum.
+    """Symmetric coupling table ``G(nu, nu')`` over a Bohr spectrum, with the
+    coherent pair table ``b(nu, nu')`` built from the same smoothed weight.
 
     Attributes:
         spectrum: the Bohr spectrum indexing rows and columns.
         values: real symmetric ``(m, m)`` array of couplings.
+        coherent: complex ``(m, m)`` array of coherent pair coefficients.
         sigma: filter bandwidth.
         weight: the weight function integrated against.
         cross_check_defect: worst relative disagreement of the sampled
@@ -146,6 +157,7 @@ class OverlapTable:
 
     spectrum: BohrSpectrum
     values: np.ndarray
+    coherent: np.ndarray
     sigma: float
     weight: WeightFunction
     cross_check_defect: float = 0.0
@@ -229,14 +241,17 @@ def overlap_table(
     rule: QuadratureRule = DEFAULT_RULE,
     cross_check: bool = True,
 ) -> OverlapTable:
-    """Build the full coupling table over a Bohr spectrum.
+    """Build the full coupling table and the coherent pair table over a Bohr
+    spectrum.
 
     Entries are assembled from the smoothed weight,
-    ``(sqrt(pi)/sigma) e^{-gap^2/(4 sigma^2)} H(midpoint)``; pairs whose
-    Gaussian factor is below ``e^{-200}`` are left at zero.  A deterministic
-    sample of entries (extreme and central pairs) is re-derived by direct
-    definitional quadrature; disagreement beyond ``1e-8`` relative raises,
-    signalling a regression in either path.
+    ``(sqrt(pi)/sigma) e^{-gap^2/(4 sigma^2)} H(midpoint)`` and
+    ``2 pi c(gap) e^{-midpoint} H(-midpoint)``, with ``H`` evaluated once on
+    the distinct midpoints; pairs whose Gaussian factor is below ``e^{-200}``
+    are left at zero.  A deterministic sample of overlap entries (extreme and
+    central pairs) is re-derived by direct definitional quadrature;
+    disagreement beyond ``1e-8`` relative raises, signalling a regression in
+    either path.
     """
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise ValidationError(f"bandwidth must be a finite positive number, got {sigma!r}")
@@ -257,17 +272,25 @@ def overlap_table(
     live = exponents <= _PAIR_EXPONENT_CAP
     mids = 0.5 * (freqs[:, None] + freqs[None, :])
 
-    # Upper triangle (including diagonal) of live pairs; mirror afterwards.
-    iu, ju = np.nonzero(np.triu(live))
-    centers = mids[iu, ju]
-    uniq_centers, inverse = np.unique(centers, return_inverse=True)
-    h_vals = smoothed_weight_table(weight, sigma, uniq_centers, rule=rule)
+    uniq_centers, inverse = np.unique(mids[live], return_inverse=True)
+    h_mid = np.zeros((m, m))
+    h_mid[live] = smoothed_weight_table(weight, sigma, uniq_centers, rule=rule)[inverse]
 
     values = np.zeros((m, m))
-    front = math.sqrt(math.pi) / sigma
-    values[iu, ju] = front * np.exp(-exponents[iu, ju]) * h_vals[inverse]
-    lower = np.tril_indices(m, k=-1)
-    values[lower] = values.T[lower]
+    values[live] = math.sqrt(math.pi) / sigma * np.exp(-exponents[live]) * h_mid[live]
+
+    # H(-midpoint) is H at the midpoint of the negated pair.
+    neg = spectrum.negation_index()
+    h_neg = h_mid[np.ix_(neg, neg)][live]
+    coherent = np.zeros((m, m), dtype=np.complex128)
+    with np.errstate(over="ignore", under="ignore"):
+        sum_factor = np.exp(-mids[live]) * h_neg
+    coherent[live] = 2.0 * math.pi * coherent_difference_factor(gaps[live], sigma) * sum_factor
+    if not np.all(np.isfinite(coherent)):
+        raise ValidationError(
+            "coherent pair table has non-finite entries; the spectral width "
+            "likely exceeds the supported range"
+        )
 
     defect = 0.0
     if cross_check and m:
@@ -297,6 +320,7 @@ def overlap_table(
     return OverlapTable(
         spectrum=spectrum,
         values=values,
+        coherent=coherent,
         sigma=float(sigma),
         weight=weight,
         cross_check_defect=defect,

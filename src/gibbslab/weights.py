@@ -81,7 +81,6 @@ __all__ = [
     "gaussian_weighted_integral",
     "smoothed_weight",
     "smoothed_weight_table",
-    "smoothed_balance_residual",
     "tilted_weight_moment",
     "tilt_balance_residual",
     "coherent_difference_factor",
@@ -193,16 +192,6 @@ class WeightFunction:
         omega = np.asarray(omega, dtype=np.float64)
         out = np.asarray(self.evaluate(omega), dtype=np.float64)
         return out
-
-    @property
-    def satisfies_kms(self) -> bool:
-        """Whether the weight is of a detailed-balance kind by construction."""
-        return self.kind in ("kms_glauber", "kms_metropolis", "delocalised_limit")
-
-    @property
-    def balanced(self) -> bool:
-        """Whether the weight is of the balanced (filter-compatible) kind."""
-        return self.kind == "balanced_from_phi"
 
 
 @dataclass(frozen=True)
@@ -699,25 +688,6 @@ def smoothed_weight_table(
     result = np.empty_like(out)
     result[order] = out
     return result
-
-
-def smoothed_balance_residual(
-    tau: float,
-    sigma: float,
-    weight: WeightFunction,
-    *,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> float:
-    """Relative defect of the smoothing balance identity ``H(t) = e^{-t} H(-t)``."""
-    h_plus = smoothed_weight(tau, sigma, weight, rule=rule)
-    h_minus = smoothed_weight(-tau, sigma, weight, rule=rule)
-    if abs(tau) > MAX_SPECTRAL_WIDTH:
-        raise ValidationError(
-            f"|tau| = {abs(tau):g} exceeds the supported spectral width {MAX_SPECTRAL_WIDTH:g}"
-        )
-    expected = math.exp(-tau) * h_minus
-    scale = max(abs(h_plus), abs(expected), 1e-300)
-    return abs(h_plus - expected) / scale
 
 
 def tilted_weight_moment(

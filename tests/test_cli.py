@@ -14,6 +14,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gibbslab.cli
+import gibbslab.generators
+import gibbslab.oft
+import gibbslab.weights
 from gibbslab.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_EXPECTED_FAILURES,
@@ -105,6 +109,36 @@ def test_verify_passes_on_the_qubit(tmp_path, capsys):
     assert {"stationarity_residual", "trace_functional", "dual_path"} <= names
     assert report["config"]["generator"]["kind"] == "localised"
     assert report["environment"]["package_version"]
+
+
+@pytest.mark.parametrize("path", ["bohr_sum", "omega_quadrature"])
+def test_filtered_verify_builds_each_path_once(tmp_path, monkeypatch, path):
+    builds = []
+    smoothing_calls = []
+    build = gibbslab.generators.localised_generator
+    smooth = gibbslab.weights.smoothed_weight_table
+
+    def counting_build(*args, **kwargs):
+        before = len(smoothing_calls)
+        bundle = build(*args, **kwargs)
+        builds.append((bundle.assembly_path, len(smoothing_calls) - before))
+        return bundle
+
+    def counting_smooth(*args, **kwargs):
+        smoothing_calls.append(1)
+        return smooth(*args, **kwargs)
+
+    for module in (gibbslab.cli, gibbslab.generators):
+        monkeypatch.setattr(module, "localised_generator", counting_build)
+    for module in (gibbslab.weights, gibbslab.oft, gibbslab.generators):
+        if getattr(module, "smoothed_weight_table", None) is smooth:
+            monkeypatch.setattr(module, "smoothed_weight_table", counting_smooth)
+
+    config = write_config(tmp_path, qubit_config(generator={"kind": "localised", "path": path}))
+    code = main(["verify-stationarity", "--config", config, "--report", str(tmp_path / "r.json")])
+    assert code == EXIT_OK
+    other = "omega_quadrature" if path == "bohr_sum" else "bohr_sum"
+    assert builds == [(path, 1), (other, 1)]
 
 
 def test_verify_check_filter_and_failure_exit(tmp_path):

@@ -123,7 +123,20 @@ def test_assembly_paths_agree(dense_model):
     assert resolved.assembly_path == "omega_quadrature"
     scale = np.linalg.norm(direct.superoperator)
     assert np.linalg.norm(resolved.superoperator - direct.superoperator) < 1e-10 * scale
-    assert dual_path_residual(dense_model, weight, 0.9) < 1e-8
+    assert dual_path_residual(direct) < 1e-8
+
+
+def test_dual_path_residual_from_either_path(dense_model):
+    weight = balanced_gamma("gaussian", 0.9)
+    direct = localised_generator(dense_model, weight, 0.9, cross_check=False)
+    resolved = localised_generator(
+        dense_model, weight, 0.9, path="omega_quadrature", cross_check=False
+    )
+    # Each side assembles only the other path, so both see the same pair.
+    assert dual_path_residual(resolved) == dual_path_residual(direct)
+    assert dual_path_residual(resolved) < 1e-8
+    with pytest.raises(ValidationError):
+        dual_path_residual(davies_generator(dense_model, kms_gamma("glauber")))
 
 
 # ---------------------------------------------------------------------------
