@@ -92,6 +92,7 @@ from .generators import (
     trace_functional_defect,
 )
 from .evolution import (
+    Propagator,
     Trajectory,
     choi_matrix,
     choi_min_eigenvalue,
@@ -181,6 +182,7 @@ __all__ = [
     "localised_generator",
     "stationarity_report",
     "trace_functional_defect",
+    "Propagator",
     "Trajectory",
     "choi_matrix",
     "choi_min_eigenvalue",

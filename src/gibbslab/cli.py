@@ -459,7 +459,11 @@ def _finish(
     started: float,
     data: dict | None = None,
     report_path: str | None = None,
+    stages: dict | None = None,
 ) -> int:
+    timing = {"elapsed_seconds": round(time.perf_counter() - started, 6)}
+    if stages:
+        timing["stages"] = {k: round(v, 6) for k, v in stages.items()}
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -467,7 +471,7 @@ def _finish(
         "checks": checks,
         "overall_pass": all(c["pass"] for c in checks),
         "environment": _environment(seed),
-        "timing": {"elapsed_seconds": round(time.perf_counter() - started, 6)},
+        "timing": timing,
     }
     if data:
         report["data"] = data
@@ -653,10 +657,13 @@ def cmd_evolve(config: dict, args) -> int:
     started = time.perf_counter()
     seed = args.seed if args.seed is not None else config["run"]["seeds"][0]
     bundle = build_generator(config)
+    stages = {"build_s": time.perf_counter() - started}
     model = bundle.model
     times = config["run"]["times"]
     rho0 = _initial_state(config["run"]["initial_state"], model, seed)
+    mark = time.perf_counter()
     trajectory = evolve(bundle, rho0, times)
+    stages["evolve_s"] = time.perf_counter() - mark
 
     columns = ["t", "trace", "min_eig", "gibbs_distance"]
     table = []
@@ -699,6 +706,7 @@ def cmd_evolve(config: dict, args) -> int:
             "upper",
         ),
     ]
+    mark = time.perf_counter()
     if bundle.dim <= 8:
         t_choi = times[-1] if times[-1] > 0.0 else 1.0
         checks.append(
@@ -709,10 +717,15 @@ def cmd_evolve(config: dict, args) -> int:
                 "floor",
             )
         )
-    data = {"n_snapshots": len(times), "final_time": times[-1]}
+    stages["choi_s"] = time.perf_counter() - mark
+    data = {
+        "n_snapshots": len(times),
+        "final_time": times[-1],
+        "step_exponentials": bundle.propagator.computed,
+    }
     return _finish(
         "evolve", config, checks, seed=seed, started=started, data=data,
-        report_path=args.report,
+        report_path=args.report, stages=stages,
     )
 
 

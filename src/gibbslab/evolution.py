@@ -1,11 +1,16 @@
 """Semigroup evolution ``rho(t) = e^{tL} rho(0)`` and its health diagnostics.
 
 States are propagated with dense matrix exponentials of the assembled
-superoperator (one per distinct time step).  Every snapshot carries
-diagnostics -- trace deviation, hermiticity defect, most negative
-eigenvalue, and trace distance to the Gibbs density -- which are recorded
-as measured and never silently corrected: a broken generator shows up in
-the numbers, not in doctored states.
+superoperator.  A :class:`Propagator` computes each step exponential
+``e^{dt S}`` once and caches it by ``dt`` (least recently used entries are
+dropped beyond a fixed byte budget); a generator bundle carries one
+propagator, so ``evolve``, the contraction report, the semigroup check and
+the Choi analysis on the same bundle share every exponential.
+
+Every snapshot carries diagnostics -- trace deviation, hermiticity defect,
+most negative eigenvalue, and trace distance to the Gibbs density -- which
+are recorded as measured and never silently corrected: a broken generator
+shows up in the numbers, not in doctored states.
 
 Complete positivity of the time-``t`` channel is checked through its Choi
 matrix: the channel superoperator ``E = e^{tS}`` (column-stacking
@@ -17,6 +22,7 @@ output factor is the identity.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,14 +30,10 @@ from scipy.linalg import expm
 
 from .errors import ValidationError
 from .models import Model, gibbs_state
-from .operator_core import (
-    dagger,
-    devectorize,
-    trace_distance,
-    vectorize,
-)
+from .operator_core import dagger, devectorize, vectorize
 
 __all__ = [
+    "Propagator",
     "Trajectory",
     "choi_matrix",
     "choi_min_eigenvalue",
@@ -58,6 +60,62 @@ SNAPSHOT_HERMITICITY_TOL = 1e-10
 CHOI_HARD_FLOOR = -1e-6
 CHOI_WARNING_FLOOR = -1e-8
 _CHOI_MAX_DIM = 8
+
+# Bytes of step exponentials one propagator keeps.  The entry just computed
+# is always kept, so a single step larger than the budget still works.
+_STEP_CACHE_BYTES = 64 * 2**20
+
+
+class Propagator:
+    """Step exponentials ``e^{dt S}`` of one superoperator, cached by ``dt``.
+
+    The cache is keyed on the exact float ``dt`` and holds at most
+    ``_STEP_CACHE_BYTES`` of exponentials, evicting the least recently used.
+    Returned matrices are read-only; they are the same arrays on every hit,
+    so a trajectory is bit-identical to one built from fresh exponentials.
+    """
+
+    def __init__(self, superoperator) -> None:
+        self.superoperator = np.asarray(superoperator, dtype=np.complex128)
+        self.computed = 0  # exponentials computed so far (cache misses)
+        self._steps: OrderedDict[float, np.ndarray] = OrderedDict()
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the cached step exponentials."""
+        return sum(e.nbytes for e in self._steps.values())
+
+    def step(self, dt: float) -> np.ndarray:
+        """The channel ``e^{dt S}``."""
+        dt = float(dt)
+        channel = self._steps.get(dt)
+        if channel is not None:
+            self._steps.move_to_end(dt)
+            return channel
+        channel = expm(self.superoperator * dt)
+        channel.flags.writeable = False
+        self.computed += 1
+        self._steps[dt] = channel
+        while len(self._steps) > 1 and self.nbytes > _STEP_CACHE_BYTES:
+            self._steps.popitem(last=False)
+        return channel
+
+
+def _propagator(generator) -> Propagator:
+    """The bundle's shared propagator, or a fresh one for a bare matrix."""
+    if isinstance(generator, Propagator):
+        return generator
+    shared = getattr(generator, "propagator", None)
+    if shared is not None:
+        return shared
+    return Propagator(getattr(generator, "superoperator", generator))
+
+
+def _hermitian_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace distance ``0.5 * sum |eig|`` of the Hermitised ``a - b``."""
+    diff = a - b
+    diff = 0.5 * (diff + dagger(diff))
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
 def random_density_matrix(
@@ -105,7 +163,7 @@ def snapshot_diagnostics(state: np.ndarray, reference: np.ndarray | None) -> dic
         and row["min_eigenvalue"] >= -SNAPSHOT_EIG_TOL
     )
     if reference is not None:
-        row["gibbs_distance"] = trace_distance(herm, reference)
+        row["gibbs_distance"] = _hermitian_trace_distance(herm, reference)
     return row
 
 
@@ -141,15 +199,14 @@ def evolve(
 ) -> Trajectory:
     """Propagate a state to each requested time with step exponentials.
 
-    ``generator`` is a bundle with a ``superoperator`` attribute or a bare
-    ``(d^2, d^2)`` superoperator matrix.  ``times`` must be non-negative and
-    strictly increasing; a leading ``0.0`` snapshot is allowed.  The Gibbs
-    distance diagnostic is filled when the model is known (taken from the
-    bundle when present).
+    ``generator`` is a bundle (its cached propagator is used), a
+    :class:`Propagator`, or a bare ``(d^2, d^2)`` superoperator matrix.
+    ``times`` must be non-negative and strictly increasing; a leading
+    ``0.0`` snapshot is allowed.  The Gibbs distance diagnostic is filled
+    when the model is known (taken from the bundle when present).
     """
-    superop = getattr(generator, "superoperator", None)
-    if superop is None:
-        superop = np.asarray(generator, dtype=np.complex128)
+    propagator = _propagator(generator)
+    superop = propagator.superoperator
     if model is None:
         model = getattr(generator, "model", None)
 
@@ -178,7 +235,7 @@ def evolve(
     for k, t in enumerate(ts):
         step = float(t - previous_t)
         if step > 0.0:
-            vec = expm(superop * step) @ vec
+            vec = propagator.step(step) @ vec
         previous_t = float(t)
         snap = devectorize(vec, d)
         states[k] = snap
@@ -188,10 +245,9 @@ def evolve(
 
 def semigroup_defect(generator, t: float, s: float) -> float:
     """Relative defect of ``e^{(t+s)L} = e^{tL} e^{sL}``."""
-    superop = getattr(generator, "superoperator", generator)
-    superop = np.asarray(superop, dtype=np.complex128)
-    whole = expm(superop * (t + s))
-    split = expm(superop * t) @ expm(superop * s)
+    propagator = _propagator(generator)
+    whole = propagator.step(t + s)
+    split = propagator.step(t) @ propagator.step(s)
     return float(np.linalg.norm(whole - split)) / max(1.0, float(np.linalg.norm(whole)))
 
 
@@ -207,14 +263,13 @@ def contraction_report(
     each row must be non-increasing (up to numerical tolerance -- asserted
     by callers, reported here).
     """
+    propagator = _propagator(generator)
     rows = []
     for idx, (rho_a, rho_b) in enumerate(state_pairs):
-        traj_a = evolve(generator, rho_a, times)
-        traj_b = evolve(generator, rho_b, times)
+        traj_a = evolve(propagator, rho_a, times)
+        traj_b = evolve(propagator, rho_b, times)
         distances = [
-            trace_distance(
-                0.5 * (sa + dagger(sa)), 0.5 * (sb + dagger(sb))
-            )
+            _hermitian_trace_distance(sa, sb)
             for sa, sb in zip(traj_a.states, traj_b.states)
         ]
         rows.append({"pair": idx, "distances": distances})
@@ -252,20 +307,20 @@ def choi_matrix(channel: np.ndarray) -> np.ndarray:
     return e.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d2, d2)
 
 
+def _hermitian_choi(generator, t: float) -> np.ndarray:
+    """Hermitised Choi matrix of the cached time-``t`` channel."""
+    j = choi_matrix(_propagator(generator).step(t))
+    return 0.5 * (j + dagger(j))
+
+
 def choi_min_eigenvalue(generator, t: float) -> float:
     """Most negative Choi eigenvalue of the time-``t`` channel."""
-    superop = getattr(generator, "superoperator", generator)
-    channel = expm(np.asarray(superop, dtype=np.complex128) * t)
-    j = choi_matrix(channel)
-    j = 0.5 * (j + dagger(j))
-    return float(np.min(np.linalg.eigvalsh(j)))
+    return float(np.min(np.linalg.eigvalsh(_hermitian_choi(generator, t))))
 
 
 def choi_trace_preservation_defect(generator, t: float) -> float:
     """Distance of the Choi partial trace from the identity."""
-    superop = getattr(generator, "superoperator", generator)
-    channel = expm(np.asarray(superop, dtype=np.complex128) * t)
-    j = choi_matrix(channel)
+    j = _hermitian_choi(generator, t)
     d = int(round(j.shape[0] ** 0.5))
     partial = np.einsum("iaja->ij", j.reshape(d, d, d, d))
     return float(np.linalg.norm(partial - np.eye(d)))
@@ -279,19 +334,14 @@ def choi_report(generator, t: float) -> dict:
     floor, ``"warning"`` for slightly negative eigenvalues attributable to
     roundoff, and a hard failure (raised) below the failure floor.
     """
-    superop = getattr(generator, "superoperator", generator)
-    superop = np.asarray(superop, dtype=np.complex128)
-    d = int(round(superop.shape[0] ** 0.5))
+    propagator = _propagator(generator)
+    d = int(round(propagator.superoperator.shape[0] ** 0.5))
     if d > _CHOI_MAX_DIM:
         raise ValidationError(
             f"Choi analysis is dense and limited to dimension {_CHOI_MAX_DIM}, got {d}"
         )
-    channel = expm(superop * t)
-    j = choi_matrix(channel)
-    j = 0.5 * (j + dagger(j))
-    min_eig = float(np.min(np.linalg.eigvalsh(j)))
-    partial = np.einsum("iaja->ij", j.reshape(d, d, d, d))
-    tp_defect = float(np.linalg.norm(partial - np.eye(d)))
+    min_eig = choi_min_eigenvalue(propagator, t)
+    tp_defect = choi_trace_preservation_defect(propagator, t)
     if min_eig < CHOI_HARD_FLOOR:
         raise ValidationError(
             f"channel at t={t:g} is not completely positive "

@@ -38,11 +38,13 @@ check has teeth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .bohr import BohrSpectrum, bohr_spectrum
 from .errors import ValidationError
+from .evolution import Propagator
 from .models import Model, gibbs_state
 from .oft import OverlapTable, overlap_table
 from .operator_core import (
@@ -96,7 +98,8 @@ class GeneratorBundle:
     The superoperator acts on column-stacked operators,
     ``vec(L(T)) = superoperator @ vec(T)``, in the model's original basis.
     ``hamiltonian_part`` is ``-i[P + B, .]`` and ``dissipator_part`` the
-    rest; they sum to ``superoperator`` exactly.
+    rest; they sum to ``superoperator`` exactly.  The three are read-only,
+    so the cached step exponentials of :attr:`propagator` cannot go stale.
     """
 
     kind: str  # "davies" | "localised"
@@ -115,6 +118,13 @@ class GeneratorBundle:
     @property
     def dim(self) -> int:
         return self.model.dim
+
+    @cached_property
+    def propagator(self) -> Propagator:
+        """Step exponentials of this generator, shared by every evolution
+        function called on the bundle (``dataclasses.replace`` starts a new
+        cache)."""
+        return Propagator(self.superoperator)
 
     def apply(self, operator: np.ndarray) -> np.ndarray:
         """Act on an operator: ``L(T)``."""
@@ -208,13 +218,16 @@ def _bundle(
     h_eff = model.hamiltonian + b_mat
     s_ham = -1j * (superop_left(h_eff) - superop_right(h_eff))
     drift = 1j * h_eff - 0.5 * system.from_eigenbasis(m_kernel_eig)
+    superop = s_ham + s_diss
+    for part in (superop, s_ham, s_diss):
+        part.flags.writeable = False
     return GeneratorBundle(
         kind=kind,
         assembly_path=path,
         model=model,
         weight=weight,
         sigma=sigma,
-        superoperator=s_ham + s_diss,
+        superoperator=superop,
         hamiltonian_part=s_ham,
         dissipator_part=s_diss,
         coherent_matrix=b_mat,

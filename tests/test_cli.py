@@ -282,6 +282,21 @@ def test_evolve_excited_qubit_reaches_gibbs(tmp_path):
     assert len(lines) - 1 == 4
 
 
+def test_evolve_report_times_stages_and_counts_exponentials(tmp_path):
+    payload = qubit_config(
+        run={"times": [0.0, 5.0, 10.0, 20.0], "initial_state": "excited"}
+    )
+    config = write_config(tmp_path, payload)
+    report_path = tmp_path / "report.json"
+    code = main(["evolve", "--config", config, "--report", str(report_path)])
+    assert code == EXIT_OK
+    report = json.loads(report_path.read_text())
+    assert set(report["timing"]["stages"]) == {"build_s", "evolve_s", "choi_s"}
+    assert all(v >= 0.0 for v in report["timing"]["stages"].values())
+    # Steps 5, 5 and 10; the Choi check at t = 20 needs one more.
+    assert report["data"]["step_exponentials"] == 3
+
+
 def test_evolve_time_zero_only(tmp_path):
     payload = qubit_config(run={"times": [0.0], "initial_state": "gibbs"})
     config = write_config(tmp_path, payload)

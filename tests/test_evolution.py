@@ -8,12 +8,16 @@ build.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import gibbslab.evolution
 from gibbslab.errors import ValidationError
 from gibbslab.evolution import (
+    Propagator,
     Trajectory,
     choi_matrix,
     choi_min_eigenvalue,
@@ -27,10 +31,12 @@ from gibbslab.evolution import (
 )
 from gibbslab.generators import davies_generator, localised_generator
 from gibbslab.models import gibbs_state, qubit_model, random_model
-from gibbslab.operator_core import trace_distance
+from gibbslab.operator_core import dagger, devectorize, trace_distance, vectorize
 from gibbslab.weights import balanced_gamma, kms_gamma
 
 import oracles
+
+TIME_GRID_TO_20 = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +125,119 @@ def test_snapshot_diagnostics_flags_a_bad_state():
     row = snapshot_diagnostics(bad, None)
     assert not row["within_tolerance"]
     assert row["min_eigenvalue"] == pytest.approx(-0.2, abs=1e-12)
+
+
+def test_snapshot_distances_match_the_svd_route(dense_model, dense_bundle):
+    pairs = [
+        (random_density_matrix(4, seed=30 + k), random_density_matrix(4, seed=40 + k))
+        for k in range(3)
+    ]
+    report = contraction_report(dense_bundle, pairs, TIME_GRID_TO_20)
+    reference = gibbs_state(dense_model)
+    hermitised = lambda s: 0.5 * (s + dagger(s))
+    for (rho_a, rho_b), row in zip(pairs, report["rows"]):
+        traj_a = evolve(dense_bundle, rho_a, TIME_GRID_TO_20, model=dense_model)
+        traj_b = evolve(dense_bundle, rho_b, TIME_GRID_TO_20)
+        for sa, sb, got in zip(traj_a.states, traj_b.states, row["distances"]):
+            assert abs(got - trace_distance(hermitised(sa), hermitised(sb))) <= 1e-12
+        for sa, diag in zip(traj_a.states, traj_a.diagnostics):
+            svd = trace_distance(hermitised(sa), reference)
+            assert abs(diag["gibbs_distance"] - svd) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The cached propagator
+# ---------------------------------------------------------------------------
+
+
+def _count_expm(monkeypatch) -> list:
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return expm(matrix)
+
+    monkeypatch.setattr(gibbslab.evolution, "expm", counting)
+    return calls
+
+
+def test_one_bundle_shares_its_step_exponentials(monkeypatch, dense_bundle):
+    bundle = dataclasses.replace(dense_bundle)  # a bundle with an empty cache
+    calls = _count_expm(monkeypatch)
+    pair = (random_density_matrix(4, seed=11), random_density_matrix(4, seed=12))
+    contraction_report(bundle, [pair], TIME_GRID_TO_20)
+    evolve(bundle, pair[0], TIME_GRID_TO_20)
+    evolve(bundle, pair[1], TIME_GRID_TO_20)
+    for t in (0.1, 1.0, 10.0):
+        choi_min_eigenvalue(bundle, t)
+    # Seven distinct steps on the grid; the Choi times are among them.
+    assert len(calls) == 7
+    assert bundle.propagator.computed == 7
+    assert dataclasses.replace(bundle).propagator.computed == 0
+
+
+def test_evolve_equals_a_direct_exponential_loop(dense_bundle):
+    initial = random_density_matrix(4, seed=6)
+    trajectory = evolve(dense_bundle, initial, TIME_GRID_TO_20)
+    vec = vectorize(initial)
+    previous = 0.0
+    for t, state in zip(TIME_GRID_TO_20, trajectory.states):
+        if t > previous:
+            vec = expm(dense_bundle.superoperator * float(t - previous)) @ vec
+        previous = t
+        assert np.array_equal(state, devectorize(vec, 4))
+
+
+def test_step_cache_stays_within_its_byte_budget(monkeypatch, dense_bundle):
+    initial = random_density_matrix(4, seed=7)
+    unbounded = evolve(Propagator(dense_bundle.superoperator), initial, TIME_GRID_TO_20)
+    step_bytes = dense_bundle.superoperator.nbytes
+    monkeypatch.setattr(gibbslab.evolution, "_STEP_CACHE_BYTES", 3 * step_bytes)
+    propagator = Propagator(dense_bundle.superoperator)
+    bounded = evolve(propagator, initial, TIME_GRID_TO_20)
+    assert propagator.computed == 7
+    assert propagator.nbytes == 3 * step_bytes
+    assert np.array_equal(bounded.states, unbounded.states)
+    # Evicted steps are recomputed, not lost.
+    again = evolve(propagator, initial, TIME_GRID_TO_20)
+    assert np.array_equal(again.states, unbounded.states)
+    assert propagator.nbytes <= 3 * step_bytes
+    # A budget below one step still keeps the entry in use.
+    monkeypatch.setattr(gibbslab.evolution, "_STEP_CACHE_BYTES", 1)
+    tiny = Propagator(dense_bundle.superoperator)
+    assert np.array_equal(evolve(tiny, initial, TIME_GRID_TO_20).states, unbounded.states)
+    assert tiny.nbytes == step_bytes
+
+
+def test_bare_matrix_generator_keeps_no_state(monkeypatch, dense_bundle):
+    superop = np.array(dense_bundle.superoperator)
+    initial = random_density_matrix(4, seed=8)
+    expected = evolve(dense_bundle, initial, TIME_GRID_TO_20)
+    calls = _count_expm(monkeypatch)
+    first = evolve(superop, initial, TIME_GRID_TO_20)
+    second = evolve(superop, initial, TIME_GRID_TO_20)
+    assert np.array_equal(first.states, expected.states)
+    assert np.array_equal(second.states, expected.states)
+    assert len(calls) == 14  # no exponential survives a call
+    del calls[:]
+    contraction_report(superop, [(initial, random_density_matrix(4, seed=9))], TIME_GRID_TO_20)
+    assert len(calls) == 7  # shared by both states within the call
+    assert semigroup_defect(superop, 0.7, 0.7) < 1e-12
+    assert len(calls) == 9
+
+
+def test_bundle_parts_are_read_only(dense_bundle):
+    for part in (
+        dense_bundle.superoperator,
+        dense_bundle.hamiltonian_part,
+        dense_bundle.dissipator_part,
+    ):
+        with pytest.raises(ValueError):
+            part[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        dense_bundle.superoperator *= 2.0
+    with pytest.raises(ValueError):
+        dense_bundle.propagator.step(0.3)[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
