@@ -488,6 +488,7 @@ def cmd_verify_stationarity(config: dict, args) -> int:
         config = normalised_config(config, "verify-stationarity")
     seed = args.seed if args.seed is not None else config["run"]["seeds"][0]
     bundle = build_generator(config)
+    stages = {"build_s": time.perf_counter() - started}
     broken = config["weight"]["balance_broken"] or config["weight"]["kind"] == "unshifted"
 
     available: dict[str, callable] = {}
@@ -544,7 +545,11 @@ def cmd_verify_stationarity(config: dict, args) -> int:
         names = [args.check]
     else:
         names = list(available)
-    checks = [available[name]() for name in names]
+    checks = []
+    for name in names:
+        mark = time.perf_counter()
+        checks.append(available[name]())
+        stages[f"{name}_s"] = time.perf_counter() - mark
 
     if args.export_bundle:
         export_bundle(bundle, args.export_bundle)
@@ -566,6 +571,7 @@ def cmd_verify_stationarity(config: dict, args) -> int:
         started=started,
         data=data,
         report_path=args.report,
+        stages=stages,
     )
 
 

@@ -189,27 +189,19 @@ class Trajectory:
         return np.array([row[key] for row in self.diagnostics])
 
 
-def evolve(
-    generator,
+def _propagate(
+    propagator: Propagator,
     initial_state: np.ndarray,
     times,
     *,
-    model: Model | None = None,
     validate_initial: bool = True,
-) -> Trajectory:
-    """Propagate a state to each requested time with step exponentials.
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Validated time grid and the state at each of its times.
 
-    ``generator`` is a bundle (its cached propagator is used), a
-    :class:`Propagator`, or a bare ``(d^2, d^2)`` superoperator matrix.
     ``times`` must be non-negative and strictly increasing; a leading
-    ``0.0`` snapshot is allowed.  The Gibbs distance diagnostic is filled
-    when the model is known (taken from the bundle when present).
+    ``0.0`` snapshot is allowed.  No snapshot diagnostics are computed.
     """
-    propagator = _propagator(generator)
     superop = propagator.superoperator
-    if model is None:
-        model = getattr(generator, "model", None)
-
     ts = np.asarray(times, dtype=np.float64)
     if ts.ndim != 1 or ts.size == 0:
         raise ValidationError("times must be a non-empty 1-D sequence")
@@ -227,20 +219,42 @@ def evolve(
     if validate_initial:
         _validate_state(state)
 
-    reference = gibbs_state(model) if model is not None else None
     vec = vectorize(state)
-    states = np.empty((ts.size, d, d), dtype=np.complex128)
-    diagnostics = []
+    snapshots = []
     previous_t = 0.0
-    for k, t in enumerate(ts):
+    for t in ts:
         step = float(t - previous_t)
         if step > 0.0:
             vec = propagator.step(step) @ vec
         previous_t = float(t)
-        snap = devectorize(vec, d)
-        states[k] = snap
-        diagnostics.append(snapshot_diagnostics(snap, reference))
-    return Trajectory(times=ts, states=states, diagnostics=tuple(diagnostics))
+        snapshots.append(devectorize(vec, d))
+    return ts, snapshots
+
+
+def evolve(
+    generator,
+    initial_state: np.ndarray,
+    times,
+    *,
+    model: Model | None = None,
+    validate_initial: bool = True,
+) -> Trajectory:
+    """Propagate a state to each requested time with step exponentials.
+
+    ``generator`` is a bundle (its cached propagator is used), a
+    :class:`Propagator`, or a bare ``(d^2, d^2)`` superoperator matrix.
+    ``times`` must be non-negative and strictly increasing; a leading
+    ``0.0`` snapshot is allowed.  The Gibbs distance diagnostic is filled
+    when the model is known (taken from the bundle when present).
+    """
+    if model is None:
+        model = getattr(generator, "model", None)
+    ts, snapshots = _propagate(
+        _propagator(generator), initial_state, times, validate_initial=validate_initial
+    )
+    reference = gibbs_state(model) if model is not None else None
+    diagnostics = tuple(snapshot_diagnostics(snap, reference) for snap in snapshots)
+    return Trajectory(times=ts, states=np.array(snapshots), diagnostics=diagnostics)
 
 
 def semigroup_defect(generator, t: float, s: float) -> float:
@@ -266,11 +280,10 @@ def contraction_report(
     propagator = _propagator(generator)
     rows = []
     for idx, (rho_a, rho_b) in enumerate(state_pairs):
-        traj_a = evolve(propagator, rho_a, times)
-        traj_b = evolve(propagator, rho_b, times)
+        states_a = _propagate(propagator, rho_a, times)[1]
+        states_b = _propagate(propagator, rho_b, times)[1]
         distances = [
-            _hermitian_trace_distance(sa, sb)
-            for sa, sb in zip(traj_a.states, traj_b.states)
+            _hermitian_trace_distance(sa, sb) for sa, sb in zip(states_a, states_b)
         ]
         rows.append({"pair": idx, "distances": distances})
     worst_increase = 0.0

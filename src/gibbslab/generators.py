@@ -26,13 +26,18 @@ differing only in the coupling ``C`` and the coherent matrix ``B``:
 
 Both families share one assembly: the ``bohr_sum`` dissipator contracts a
 coupling table over the Bohr pair map, and one tail rotates it to the
-original basis, adds ``-i[P + B, .]`` and forms the effective drift.  The
-filtered dissipator has a second path, ``omega_quadrature``, which builds
-explicit jump operators ``sqrt(gamma(w_k) w_k) A_f(w_k)`` on quadrature nodes
-(manifestly completely positive) and sums their contributions.  Agreement of
-the two paths is a standing consistency check; a deliberate fault hook can
-flip one overlap sign after construction so self-tests can demonstrate the
-check has teeth.
+original basis (a conjugation of the four tensor modes of the eigenbasis
+superoperator, O(d^5)), adds ``-i[P + B, .]`` and forms the effective drift.
+The filtered dissipator has a second path, ``omega_quadrature``, which never
+reads the overlap table: it puts its own quadrature nodes ``w_n`` with
+weights ``gw_n = gamma(w_n) q_n`` (``q_n`` the panel rule's weights) on the
+filtered transform, factorises the node sum
+``sum_n gw_n fhat(w_n - nu) fhat(w_n - nu')`` by a thin SVD cut at
+numerical rank, and sums the outer products of the resulting explicit jumps
+``J_r = sum_nu s_r V[nu, r] A_nu`` (manifestly completely positive; r is far
+below the node count).  Agreement of the two paths is a standing
+consistency check; a deliberate fault hook can flip one overlap sign after
+construction so self-tests can demonstrate the check has teeth.
 """
 
 from __future__ import annotations
@@ -192,9 +197,18 @@ def _bohr_sum_dissipator(
 
 
 def _rotate_superop(system: EigenSystem, s_eig: np.ndarray) -> np.ndarray:
-    """Rotate a superoperator from the eigenbasis to the original basis."""
-    w = np.kron(system.eigenvectors.conj(), system.eigenvectors)
-    return w @ s_eig @ dagger(w)
+    """Rotate a superoperator from the eigenbasis to the original basis.
+
+    ``W S W^dag`` with ``W = kron(conj(U), U)``, computed as a conjugation of
+    the four modes of ``S.reshape(d, d, d, d)`` by ``conj(U)``, ``U``, ``U``
+    and ``conj(U)``: four O(d^5) products instead of two O(d^6) ones.
+    """
+    u = system.eigenvectors
+    d = u.shape[0]
+    t = (u.conj() @ s_eig.reshape(d, d**3)).reshape(d, d, d * d)
+    t = np.matmul(u, t).reshape(d * d, d, d)
+    t = np.matmul(u, t).reshape(d**3, d)
+    return (t @ dagger(u)).reshape(d * d, d * d)
 
 
 def _bundle(
@@ -335,9 +349,17 @@ def _omega_quadrature_dissipator(
     sigma: float,
     spectrum: BohrSpectrum,
     rule: QuadratureRule,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, dict]:
     """Sandwich superoperator and anticommutator kernel (eigenbasis) summed
-    over explicit filtered jumps on quadrature nodes; also the node count."""
+    over explicit filtered jumps, with the node and jump counts.
+
+    The node quadrature ``sum_n gw_n f_n(nu) f_n(nu')`` is the Gram matrix
+    of ``W = sqrt(gw) * profile`` (nodes x frequencies).  Its thin SVD keeps
+    the singular values above the numerical-rank cut
+    ``s_max * max(n, m) * eps``; each kept triple gives one explicit jump
+    ``J_r = sum_nu s_r V[nu, r] A_nu``, so the sum runs over r jumps instead
+    of n nodes and stays a manifestly completely positive jump sum.
+    """
     freqs = spectrum.frequencies
     idx = spectrum.pair_index
     d = idx.shape[0]
@@ -347,16 +369,24 @@ def _omega_quadrature_dissipator(
     keep = gw > 0.0
     nodes, gw = nodes[keep], gw[keep]
     profile = GaussianFilter(sigma).frequency_profile(nodes[:, None] - freqs[None, :])
-    s_sandwich = np.zeros((d2, d2), dtype=np.complex128)
+    sv, vt = np.linalg.svd(np.sqrt(gw)[:, None] * profile, full_matrices=False)[1:]
+    rank = int(np.count_nonzero(sv > sv[0] * max(profile.shape) * np.finfo(float).eps))
+    coeffs = sv[:rank, None] * vt[:rank]  # (r, m): jump r's weight on each frequency
+    outer = np.zeros((d2, d2), dtype=np.complex128)
     m_kernel = np.zeros((d, d), dtype=np.complex128)
     for a in jumps_eig:
-        filtered = profile[:, idx] * a[None, :, :]  # (n, d, d)
-        flat = filtered.transpose(0, 2, 1).reshape(nodes.size, d2)  # vec layout
-        outer = (flat * gw[:, None]).T @ flat.conj()
-        o4 = outer.reshape(d, d, d, d)
-        s_sandwich += o4.transpose(3, 1, 2, 0).reshape(d2, d2)
-        m_kernel += np.einsum("n,nip,nik->pk", gw, filtered.conj(), filtered, optimize=True)
-    return s_sandwich, m_kernel, int(nodes.size)
+        filtered = coeffs[:, idx] * a[None, :, :]  # (r, d, d)
+        flat = filtered.transpose(0, 2, 1).reshape(rank, d2)  # vec layout
+        outer += flat.T @ flat.conj()
+        stacked = filtered.reshape(rank * d, d)
+        m_kernel += dagger(stacked) @ stacked
+    s_sandwich = outer.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d2, d2)
+    info = {
+        "omega_nodes": int(nodes.size),
+        "omega_jumps": rank,
+        "omega_discarded_weight": float(np.sum(sv[rank:] ** 2) / np.sum(sv**2)),
+    }
+    return s_sandwich, m_kernel, info
 
 
 def localised_generator(
@@ -422,10 +452,10 @@ def localised_generator(
             jumps_eig, g_values, spectrum.pair_index
         )
     else:
-        s_sandwich_eig, m_kernel_eig, n_nodes = _omega_quadrature_dissipator(
+        s_sandwich_eig, m_kernel_eig, omega_diag = _omega_quadrature_dissipator(
             jumps_eig, weight, sigma, spectrum, rule
         )
-        diag["omega_nodes"] = n_nodes
+        diag.update(omega_diag)
 
     b_mat, b_diag = coherent_matrix_bohr(model, table, system=system)
     diag.update(b_diag)

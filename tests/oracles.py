@@ -63,6 +63,41 @@ def lindblad_action_loops(hamiltonian: np.ndarray, terms, operator: np.ndarray) 
     return out
 
 
+def rotate_superop_kron(u: np.ndarray, superoperator: np.ndarray) -> np.ndarray:
+    """``W S W^dag`` with ``W = kron(conj(U), U)``: a column-stacked
+    superoperator moved from the basis of ``U``'s columns to the original
+    one, with the dense Kronecker product."""
+    w = np.kron(np.conj(u), u)
+    return w @ np.asarray(superoperator, dtype=np.complex128) @ w.conj().T
+
+
+def omega_node_sum_dissipator(
+    jumps_eig, frequencies, pair_index, nodes, node_weights, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node-by-node sum over explicit filtered jumps on quadrature nodes.
+
+    Node ``w_n`` with weight ``gw_n`` gives, for each jump ``A`` (eigenbasis
+    entries ``A[i, k]`` at Bohr frequency ``nu = frequencies[pair_index[i,
+    k]]``), the jump ``F_n[i, k] = fhat(w_n - nu) A[i, k]`` with the closed
+    form ``fhat(x) = (sqrt(pi)/sigma)^{1/2} e^{-x^2/(2 sigma^2)}``.  Returns
+    ``(S, M)``: ``S = sum gw_n kron(conj(F_n), F_n)``, the superoperator of
+    ``T -> sum gw_n F_n T F_n^dag``, and ``M = sum gw_n F_n^dag F_n``.
+    """
+    root = math.sqrt(math.sqrt(math.pi) / sigma)
+    x = np.asarray(nodes)[:, None] - np.asarray(frequencies)[None, :]
+    profile = root * np.exp(-(x * x) / (2.0 * sigma * sigma))
+    gw = np.asarray(node_weights, dtype=np.float64)
+    d = pair_index.shape[0]
+    s = np.zeros((d, d, d, d), dtype=np.complex128)
+    m = np.zeros((d, d), dtype=np.complex128)
+    for a in jumps_eig:
+        f = profile[:, pair_index] * a[None, :, :]
+        # kron(conj(F), F)[(j, i), (l, k)] = conj(F[j, l]) F[i, k]
+        s += np.einsum("n,njl,nik->jilk", gw, f.conj(), f, optimize=True)
+        m += np.einsum("n,nip,nik->pk", gw, f.conj(), f, optimize=True)
+    return s.reshape(d * d, d * d), m
+
+
 # ---------------------------------------------------------------------------
 # Frequency splitting through grouped spectral projectors
 # ---------------------------------------------------------------------------

@@ -141,6 +141,38 @@ def test_filtered_verify_builds_each_path_once(tmp_path, monkeypatch, path):
     assert builds == [(path, 1), (other, 1)]
 
 
+def test_verify_report_times_each_check(tmp_path):
+    config = write_config(tmp_path, qubit_config())
+    report_path = tmp_path / "r.json"
+    assert main(["verify-stationarity", "--config", config, "--report", str(report_path)]) == EXIT_OK
+    report = json.loads(report_path.read_text())
+    stages = report["timing"]["stages"]
+    assert set(stages) == {"build_s"} | {f"{check['name']}_s" for check in report["checks"]}
+    assert "dual_path_s" in stages
+    assert all(v >= 0.0 for v in stages.values())
+    code = main(
+        ["verify-stationarity", "--config", config, "--check", "trace_functional",
+         "--report", str(report_path)]
+    )
+    assert code == EXIT_OK
+    assert set(json.loads(report_path.read_text())["timing"]["stages"]) == {
+        "build_s", "trace_functional_s"
+    }
+
+
+def test_verify_reports_the_omega_factorisation(tmp_path):
+    payload = qubit_config(generator={"kind": "localised", "path": "omega_quadrature"})
+    config = write_config(tmp_path, payload)
+    report_path = tmp_path / "r.json"
+    assert main(["verify-stationarity", "--config", config, "--report", str(report_path)]) == EXIT_OK
+    diagnostics = json.loads(report_path.read_text())["data"]["diagnostics"]
+    nodes, freqs = diagnostics["omega_nodes"], diagnostics["n_frequencies"]
+    assert 1 <= diagnostics["omega_jumps"] <= min(nodes, freqs)
+    # Every dropped singular value is below s_max * max(n, m) * eps.
+    cut = (max(nodes, freqs) * np.finfo(float).eps) ** 2
+    assert 0.0 <= diagnostics["omega_discarded_weight"] <= freqs * cut
+
+
 def test_verify_check_filter_and_failure_exit(tmp_path):
     config_payload = qubit_config(run={"tolerances": {"dual_path": 1e-30}})
     config = write_config(tmp_path, config_payload)

@@ -99,6 +99,30 @@ def test_trace_distance_contracts(dense_bundle):
     assert report["worst_time"] is None
 
 
+def test_contraction_report_computes_no_snapshot_diagnostics(monkeypatch, dense_bundle):
+    calls = []
+    diagnostics = gibbslab.evolution.snapshot_diagnostics
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return diagnostics(*args, **kwargs)
+
+    monkeypatch.setattr(gibbslab.evolution, "snapshot_diagnostics", counting)
+    pairs = [(random_density_matrix(4, seed=50), random_density_matrix(4, seed=51))]
+    times = (0.0, 0.5, 1.5, 5.0)
+    report = contraction_report(dense_bundle, pairs, times)
+    assert calls == []
+    traj_a = evolve(dense_bundle, pairs[0][0], times)
+    traj_b = evolve(dense_bundle, pairs[0][1], times)
+    assert len(calls) == 2 * len(times)
+    # Same states as two full evolves, so the distances are bit-identical.
+    expected = [
+        gibbslab.evolution._hermitian_trace_distance(a, b)
+        for a, b in zip(traj_a.states, traj_b.states)
+    ]
+    assert report["rows"][0]["distances"] == expected
+
+
 def test_trajectory_diagnostics_and_accessors(dense_model, dense_bundle):
     initial = random_density_matrix(4, seed=2)
     times = (0.0, 0.5, 2.0)

@@ -16,6 +16,9 @@ import pytest
 from gibbslab.bohr import bohr_spectrum, decompose
 from gibbslab.errors import ValidationError
 from gibbslab.generators import (
+    _omega_quadrature_dissipator,
+    _omega_quadrature_nodes,
+    _rotate_superop,
     coherent_calibration_report,
     davies_generator,
     davies_limit_report,
@@ -36,9 +39,12 @@ from gibbslab.models import (
     oscillator_model,
     qubit_model,
     random_model,
+    schrodinger_line_model,
 )
 from gibbslab.oft import overlap_table
+from gibbslab.operator_core import EigenSystem
 from gibbslab.weights import (
+    DEFAULT_RULE,
     WeightFunction,
     balanced_gamma,
     coherent_pair_coefficient,
@@ -137,6 +143,47 @@ def test_dual_path_residual_from_either_path(dense_model):
     assert dual_path_residual(resolved) < 1e-8
     with pytest.raises(ValidationError):
         dual_path_residual(davies_generator(dense_model, kms_gamma("glauber")))
+
+
+_NODE_SUM_MODELS = {
+    "qubit": qubit_model,
+    "oscillator6": lambda: oscillator_model(6),
+    "random4": lambda: random_model(dim=4, seed=5, spectrum=(1.0, 1.7, 3.1, 4.6)),
+    "line16": lambda: schrodinger_line_model(16),
+}
+
+
+@pytest.mark.parametrize("phi, sigma", [("gaussian", 1.0), ("exp_abs", 0.5), ("sech", 0.25)])
+@pytest.mark.parametrize("model_name", sorted(_NODE_SUM_MODELS))
+def test_omega_quadrature_matches_node_sum_oracle(model_name, phi, sigma):
+    model = _NODE_SUM_MODELS[model_name]()
+    weight = balanced_gamma(phi, sigma)
+    system = model.eigensystem()
+    spectrum = bohr_spectrum(system)
+    jumps = [system.to_eigenbasis(a) for a in model.jumps]
+    s_got, m_got, info = _omega_quadrature_dissipator(
+        jumps, weight, sigma, spectrum, DEFAULT_RULE
+    )
+    nodes, wts = _omega_quadrature_nodes(weight, sigma, spectrum.frequencies, DEFAULT_RULE)
+    gw = weight(nodes) * wts
+    s_ref, m_ref = oracles.omega_node_sum_dissipator(
+        jumps, spectrum.frequencies, spectrum.pair_index, nodes, gw, sigma
+    )
+    assert info["omega_nodes"] == int(np.count_nonzero(gw > 0.0))
+    assert 1 <= info["omega_jumps"] <= min(info["omega_nodes"], spectrum.size)
+    assert np.max(np.abs(s_got - s_ref)) <= 1e-13 * np.max(np.abs(s_ref))
+    assert np.max(np.abs(m_got - m_ref)) <= 1e-13 * np.max(np.abs(m_ref))
+
+
+@pytest.mark.parametrize("d", [2, 5, 16])
+def test_rotation_matches_kron_oracle(d):
+    rng = np.random.default_rng(d)
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    s_eig = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    system = EigenSystem(eigenvalues=np.arange(float(d)), eigenvectors=u)
+    got = _rotate_superop(system, s_eig)
+    want = oracles.rotate_superop_kron(u, s_eig)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
