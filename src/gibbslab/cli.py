@@ -40,6 +40,7 @@ import math
 import platform
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import scipy
@@ -450,6 +451,14 @@ def export_bundle(bundle: GeneratorBundle, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _timing(started: float, stages: dict | None) -> dict:
+    """The report's non-deterministic ``timing`` section."""
+    timing = {"elapsed_seconds": round(time.perf_counter() - started, 6)}
+    if stages:
+        timing["stages"] = {k: round(v, 6) for k, v in stages.items()}
+    return timing
+
+
 def _finish(
     command: str,
     config: dict | None,
@@ -461,9 +470,6 @@ def _finish(
     report_path: str | None = None,
     stages: dict | None = None,
 ) -> int:
-    timing = {"elapsed_seconds": round(time.perf_counter() - started, 6)}
-    if stages:
-        timing["stages"] = {k: round(v, 6) for k, v in stages.items()}
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -471,7 +477,7 @@ def _finish(
         "checks": checks,
         "overall_pass": all(c["pass"] for c in checks),
         "environment": _environment(seed),
-        "timing": timing,
+        "timing": _timing(started, stages),
     }
     if data:
         report["data"] = data
@@ -740,145 +746,162 @@ def cmd_evolve(config: dict, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _selftest_checks(seed: int) -> list[dict]:
+def _selftest_checks(seed: int, stages: dict) -> list[dict]:
+    """The fixed battery; ``stages`` receives the seconds spent in each check
+    group (``davies_s``, ``filtered_s``, ``dual_path_s``, ``calibration_s``,
+    ``evolution_s``), summed over the group's runs."""
     from .models import oscillator_model, qubit_model
+
+    @contextmanager
+    def group(name: str):
+        mark = time.perf_counter()
+        yield
+        stages[f"{name}_s"] = stages.get(f"{name}_s", 0.0) + time.perf_counter() - mark
 
     checks: list[dict] = []
     qubit = qubit_model()
     ladder = oscillator_model(6)
     dense = random_model(dim=4, seed=5, spectrum=(1.0, 1.7, 3.1, 4.6))
 
-    for model, kms_kind in ((qubit, "glauber"), (ladder, "metropolis")):
-        bundle = davies_generator(model, kms_gamma(kms_kind))
+    with group("davies"):
+        for model, kms_kind in ((qubit, "glauber"), (ladder, "metropolis")):
+            bundle = davies_generator(model, kms_gamma(kms_kind))
+            checks.append(
+                _check(
+                    f"davies_stationarity_{model.model_id}_{kms_kind}",
+                    stationarity_report(bundle).residual_fro,
+                    1e-12,
+                    "upper",
+                )
+            )
+
+    with group("filtered"):
+        for model, phi, sigma in ((qubit, "gaussian", 1.0), (dense, "sech", 0.7)):
+            bundle = localised_generator(model, balanced_gamma(phi, sigma), sigma)
+            if model is qubit:
+                qubit_bundle = bundle  # reused by the evolution checks
+            checks.append(
+                _check(
+                    f"filtered_stationarity_{model.model_id}_{phi}",
+                    stationarity_report(bundle).residual_fro,
+                    1e-9,
+                    "upper",
+                )
+            )
+
+    with group("dual_path"):
+        w_dense = balanced_gamma("gaussian", 0.9)
+        clean = localised_generator(dense, w_dense, 0.9)
         checks.append(
             _check(
-                f"davies_stationarity_{model.model_id}_{kms_kind}",
-                stationarity_report(bundle).residual_fro,
+                "dual_path_dense_model",
+                dual_path_residual(clean),
+                1e-8,
+                "upper",
+            )
+        )
+
+        corrupt = localised_generator(
+            dense, w_dense, 0.9, cross_check=False, _corrupt_overlap_sign=True
+        )
+        fault_size = float(
+            np.linalg.norm(corrupt.superoperator - clean.superoperator)
+            / np.linalg.norm(clean.superoperator)
+        )
+        checks.append(_check("fault_injection_detected", fault_size, 1e-3, "lower"))
+
+    with group("filtered"):
+        near = localised_generator(qubit, unshifted_gamma("gaussian", 1.0), 1.0)
+        checks.append(
+            _check(
+                "negative_control_residual",
+                stationarity_report(near).residual_fro,
+                1e-4,
+                "lower",
+            )
+        )
+
+    with group("calibration"):
+        calibration = coherent_calibration_report(dense, w_dense, 0.9)
+        checks.append(
+            _check(
+                "coherent_orientation_agreement",
+                calibration["relative_distance_outward"],
+                1e-6,
+                "upper",
+            )
+        )
+
+        checks.append(
+            _check(
+                "coherent_l1_limit",
+                abs(coherent_time_kernel_l1(0.0625) - COHERENT_L1_LIMIT),
+                1e-3,
+                "upper",
+            )
+        )
+
+    with group("filtered"):
+        checks.append(
+            _check(
+                "drift_abscissa_dense_model",
+                effective_drift_abscissa(clean),
+                1e-10,
+                "upper",
+            )
+        )
+        checks.append(
+            _check(
+                "trace_functional_dense_model",
+                trace_functional_defect(clean),
+                1e-12,
+                "upper",
+            )
+        )
+        checks.append(
+            _check(
+                "hermiticity_preservation_dense_model",
+                hermiticity_preservation_defect(clean, seed=seed),
                 1e-12,
                 "upper",
             )
         )
 
-    for model, phi, sigma in ((qubit, "gaussian", 1.0), (dense, "sech", 0.7)):
-        bundle = localised_generator(model, balanced_gamma(phi, sigma), sigma)
+    with group("evolution"):
+        excited = _initial_state("excited", qubit, seed)
+        trajectory = evolve(qubit_bundle, excited, [0.0, 1.0, 20.0])
         checks.append(
             _check(
-                f"filtered_stationarity_{model.model_id}_{phi}",
-                stationarity_report(bundle).residual_fro,
-                1e-9,
+                "qubit_convergence_t20",
+                trajectory.diagnostics[-1]["gibbs_distance"],
+                1e-6,
                 "upper",
             )
         )
-
-    w_dense = balanced_gamma("gaussian", 0.9)
-    clean = localised_generator(dense, w_dense, 0.9)
-    checks.append(
-        _check(
-            "dual_path_dense_model",
-            dual_path_residual(clean),
-            1e-8,
-            "upper",
+        checks.append(
+            _check(
+                "choi_min_eigenvalue_qubit_t1",
+                choi_min_eigenvalue(qubit_bundle, 1.0),
+                1e-8,
+                "floor",
+            )
         )
-    )
-
-    corrupt = localised_generator(
-        dense, w_dense, 0.9, cross_check=False, _corrupt_overlap_sign=True
-    )
-    fault_size = float(
-        np.linalg.norm(corrupt.superoperator - clean.superoperator)
-        / np.linalg.norm(clean.superoperator)
-    )
-    checks.append(_check("fault_injection_detected", fault_size, 1e-3, "lower"))
-
-    near = localised_generator(qubit, unshifted_gamma("gaussian", 1.0), 1.0)
-    checks.append(
-        _check(
-            "negative_control_residual",
-            stationarity_report(near).residual_fro,
-            1e-4,
-            "lower",
+        checks.append(
+            _check(
+                "semigroup_split_qubit",
+                semigroup_defect(qubit_bundle, 0.7, 1.3),
+                1e-10,
+                "upper",
+            )
         )
-    )
-
-    calibration = coherent_calibration_report(dense, w_dense, 0.9)
-    checks.append(
-        _check(
-            "coherent_orientation_agreement",
-            calibration["relative_distance_outward"],
-            1e-6,
-            "upper",
+        pairs = [
+            (random_density_matrix(2, seed=seed + k), random_density_matrix(2, seed=seed + 50 + k))
+            for k in range(3)
+        ]
+        report = contraction_report(qubit_bundle, pairs, [0.0, 0.5, 1.0, 2.0])
+        checks.append(
+            _check("contraction_worst_increase", report["worst_increase"], 1e-9, "upper")
         )
-    )
-
-    checks.append(
-        _check(
-            "coherent_l1_limit",
-            abs(coherent_time_kernel_l1(0.0625) - COHERENT_L1_LIMIT),
-            1e-3,
-            "upper",
-        )
-    )
-
-    checks.append(
-        _check(
-            "drift_abscissa_dense_model",
-            effective_drift_abscissa(clean),
-            1e-10,
-            "upper",
-        )
-    )
-    checks.append(
-        _check(
-            "trace_functional_dense_model",
-            trace_functional_defect(clean),
-            1e-12,
-            "upper",
-        )
-    )
-    checks.append(
-        _check(
-            "hermiticity_preservation_dense_model",
-            hermiticity_preservation_defect(clean, seed=seed),
-            1e-12,
-            "upper",
-        )
-    )
-
-    qubit_bundle = localised_generator(qubit, balanced_gamma("gaussian", 1.0), 1.0)
-    excited = _initial_state("excited", qubit, seed)
-    trajectory = evolve(qubit_bundle, excited, [0.0, 1.0, 20.0])
-    checks.append(
-        _check(
-            "qubit_convergence_t20",
-            trajectory.diagnostics[-1]["gibbs_distance"],
-            1e-6,
-            "upper",
-        )
-    )
-    checks.append(
-        _check(
-            "choi_min_eigenvalue_qubit_t1",
-            choi_min_eigenvalue(qubit_bundle, 1.0),
-            1e-8,
-            "floor",
-        )
-    )
-    checks.append(
-        _check(
-            "semigroup_split_qubit",
-            semigroup_defect(qubit_bundle, 0.7, 1.3),
-            1e-10,
-            "upper",
-        )
-    )
-    pairs = [
-        (random_density_matrix(2, seed=seed + k), random_density_matrix(2, seed=seed + 50 + k))
-        for k in range(3)
-    ]
-    report = contraction_report(qubit_bundle, pairs, [0.0, 0.5, 1.0, 2.0])
-    checks.append(
-        _check("contraction_worst_increase", report["worst_increase"], 1e-9, "upper")
-    )
     return checks
 
 
@@ -895,7 +918,8 @@ def cmd_selftest(args) -> int:
     """Fixed cross-check battery; ``--tighten`` stresses the tolerances."""
     started = time.perf_counter()
     seed = args.seed if args.seed is not None else 2024
-    checks = _selftest_checks(seed)
+    stages: dict[str, float] = {}
+    checks = _selftest_checks(seed, stages)
 
     factor = args.tighten
     expected_failures: list[str] = []
@@ -914,7 +938,7 @@ def cmd_selftest(args) -> int:
         "checks": checks,
         "overall_pass": all(c["pass"] for c in checks),
         "environment": _environment(seed),
-        "timing": {"elapsed_seconds": round(time.perf_counter() - started, 6)},
+        "timing": _timing(started, stages),
     }
     if factor is not None:
         report["tighten_factor"] = factor

@@ -462,6 +462,8 @@ def localised_generator(
     diag.update(
         {
             "overlap_cross_check_defect": table.cross_check_defect,
+            "overlap_cross_check_entries": table.cross_check_entries,
+            "overlap_cross_check_evaluations": table.cross_check_evaluations,
             "overlap_min_eigenvalue": table.min_eigenvalue(),
             "n_frequencies": spectrum.size,
             "max_cluster_diameter": spectrum.max_cluster_diameter,

@@ -150,10 +150,16 @@ def bohr_components_projectors(
 # ---------------------------------------------------------------------------
 
 
-def _split_points(weight, lo: float, hi: float, extra=()) -> list[float]:
-    pts = sorted(
+def _split_points(weight, lo: float, hi: float, extra=(), min_gap: float = 0.0) -> list[float]:
+    """Sorted break points inside ``(lo, hi)``; points within ``min_gap`` of
+    the previous one are dropped, since QUADPACK rejects sub-roundoff
+    intervals."""
+    pts: list[float] = []
+    for p in sorted(
         {float(p) for p in (*getattr(weight, "breakpoints", ()), *extra) if lo < float(p) < hi}
-    )
+    ):
+        if not pts or p - pts[-1] > min_gap:
+            pts.append(p)
     return pts
 
 
@@ -202,7 +208,10 @@ def overlap_entry_quad(nu: float, nu_prime: float, sigma: float, weight) -> floa
     ``fhat`` is the filter's frequency profile ``(sqrt(pi)/sigma)^{1/2}
     e^{-(.)^2/(2 sigma^2)}``; the product completes to a Gaussian of width
     ``sigma/sqrt(2)`` centred between the two frequencies, but this oracle
-    does not use that closed form.
+    does not use that closed form.  It only places break points at
+    ``mid +- k sigma`` (``k`` = 1, 2, 4, 8) about that centre ``mid``, so
+    that QUADPACK's first subdivision lands on the peak however narrow it
+    is next to the ``+-60`` window.
     """
     n1, n2 = float(nu), float(nu_prime)
     root = math.sqrt(math.sqrt(math.pi) / sigma)
@@ -216,7 +225,9 @@ def overlap_entry_quad(nu: float, nu_prime: float, sigma: float, weight) -> floa
     def integrand(w):
         return float(weight(w)) * fhat(w - n1) * fhat(w - n2)
 
-    points = _split_points(weight, lo, hi, extra=(n1, n2, 0.5 * (n1 + n2), 0.0))
+    mid = 0.5 * (n1 + n2)
+    peak = [mid + sign * k * sigma for k in (1.0, 2.0, 4.0, 8.0) for sign in (-1.0, 1.0)]
+    points = _split_points(weight, lo, hi, extra=(n1, n2, mid, 0.0, *peak), min_gap=1e-6 * sigma)
     value, _ = quad(
         integrand, lo, hi, points=points or None, limit=400, epsabs=1e-300, epsrel=1e-12
     )

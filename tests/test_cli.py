@@ -160,6 +160,20 @@ def test_verify_report_times_each_check(tmp_path):
     }
 
 
+def test_verify_reports_the_cross_check_cost(tmp_path):
+    config = write_config(tmp_path, qubit_config())
+    report_path = tmp_path / "r.json"
+    assert main(["verify-stationarity", "--config", config, "--report", str(report_path)]) == EXIT_OK
+    diagnostics = json.loads(report_path.read_text())["data"]["diagnostics"]
+    entries = diagnostics["overlap_cross_check_entries"]
+    evaluations = diagnostics["overlap_cross_check_evaluations"]
+    assert entries > 0 and evaluations > 0
+    # QUADPACK spends at most one 21-node Kronrod rule per subinterval, and
+    # each entry's integral is capped at 400 subintervals.
+    assert evaluations <= entries * 21 * 400
+    assert diagnostics["overlap_cross_check_defect"] <= 1e-8
+
+
 def test_verify_reports_the_omega_factorisation(tmp_path):
     payload = qubit_config(generator={"kind": "localised", "path": "omega_quadrature"})
     config = write_config(tmp_path, payload)
@@ -243,6 +257,16 @@ def test_sweep_produces_monotone_columns(tmp_path):
     b1_column = [float(row[header.index("b1_l1")]) for row in rows]
     assert b1_column[0] < b1_column[1] < b1_column[2]
     assert b1_column[-1] < math.sqrt(math.pi) / 32.0
+
+
+def test_sweep_runs_below_the_old_oracle_limit(tmp_path):
+    """At sigma=0.01 the filter product is 1/12000 of the cross-check's
+    window; the sweep's overlap table must still pass its cross-check."""
+    payload = qubit_config(run={"sigma_sweep": [0.01]}, output={"format": "json"})
+    config = write_config(tmp_path, payload)
+    out_path = tmp_path / "sweep.json"
+    assert main(["sweep-sigma", "--config", config, "--out", str(out_path)]) == EXIT_OK
+    assert [row[0] for row in json.loads(out_path.read_text())["rows"]] == [0.01]
 
 
 def test_sweep_is_byte_deterministic(tmp_path):
@@ -407,6 +431,25 @@ def test_selftest_passes(tmp_path):
     names = {c["name"] for c in report["checks"]}
     assert "fault_injection_detected" in names
     assert "negative_control_residual" in names
+
+
+def test_selftest_times_each_group_and_builds_the_qubit_once(tmp_path, monkeypatch):
+    builds = []
+    original = gibbslab.cli.localised_generator
+
+    def counting(model, weight, sigma, **kwargs):
+        builds.append((model.model_id, weight.kind, weight.phi_name, sigma))
+        return original(model, weight, sigma, **kwargs)
+
+    monkeypatch.setattr(gibbslab.cli, "localised_generator", counting)
+    report_path = tmp_path / "selftest.json"
+    assert main(["selftest", "--report", str(report_path)]) == EXIT_OK
+    assert builds.count(("qubit", "balanced_from_phi", "gaussian", 1.0)) == 1
+    timing = json.loads(report_path.read_text())["timing"]
+    stages = timing["stages"]
+    assert set(stages) == {"davies_s", "filtered_s", "dual_path_s", "calibration_s", "evolution_s"}
+    assert all(v >= 0.0 for v in stages.values())
+    assert sum(stages.values()) <= timing["elapsed_seconds"]
 
 
 def test_selftest_tighten_reports_expected_failures(tmp_path):

@@ -54,6 +54,27 @@ def test_overlap_entries_match_quadpack(dense_table):
         assert got == pytest.approx(want, rel=1e-9, abs=1e-14)
 
 
+@pytest.mark.parametrize("sigma", [0.01, 0.003, 0.001])
+@pytest.mark.parametrize(
+    "model",
+    [qubit_model(), random_model(dim=3, seed=1, spectrum=(0.0, 0.8, 2.0))],
+    ids=["qubit", "random3"],
+)
+def test_cross_check_and_oracle_hold_at_small_bandwidth(model, sigma):
+    """The filter product is far narrower than the quadrature window here;
+    both QUADPACK routes must still find its peak."""
+    spectrum = bohr_spectrum(model.eigensystem())
+    weight = balanced_gamma("gaussian", sigma)
+    table = overlap_table(spectrum, weight, sigma)
+    assert table.cross_check_defect <= 1e-10
+    assert table.cross_check_entries > 0
+    assert 0 < table.cross_check_evaluations <= table.cross_check_entries * 21 * 400
+    nus = spectrum.frequencies
+    for i, j in zip(*np.nonzero(table.values)):
+        want = oracles.overlap_entry_quad(nus[i], nus[j], sigma, weight)
+        assert abs(table.values[i, j] - want) <= 1e-10 * abs(want)
+
+
 def test_overlap_table_is_symmetric_and_psd(dense_table):
     _, _, table = dense_table
     assert table.symmetry_defect() < 1e-13
@@ -86,6 +107,7 @@ def test_cross_check_can_be_skipped(dense_model):
     weight = balanced_gamma("gaussian", 0.9)
     table = overlap_table(spectrum, weight, 0.9, cross_check=False)
     assert table.cross_check_defect == 0.0
+    assert table.cross_check_entries == table.cross_check_evaluations == 0
     assert table.recomputation_defect() < 1e-10
 
 
