@@ -47,23 +47,18 @@ from .bohr import (
 )
 from .weights import (
     COHERENT_L1_LIMIT,
-    DEFAULT_RULE,
     FILTER_SQUARED_MASS,
     MAX_SPECTRAL_WIDTH,
-    ORACLE_RULE,
     PHI_LIBRARY,
     GaussianFilter,
-    QuadratureRule,
     WeightFunction,
     balanced_gamma,
-    coherent_pair_coefficient,
     coherent_time_kernel,
     coherent_time_kernel_l1,
     delocalised_limit_gamma,
     kms_defect,
     kms_gamma,
     resolve_phi,
-    smoothed_weight,
     unshifted_gamma,
 )
 from .oft import (
@@ -143,23 +138,18 @@ __all__ = [
     "bohr_spectrum",
     "decompose",
     "COHERENT_L1_LIMIT",
-    "DEFAULT_RULE",
     "FILTER_SQUARED_MASS",
     "MAX_SPECTRAL_WIDTH",
-    "ORACLE_RULE",
     "PHI_LIBRARY",
     "GaussianFilter",
-    "QuadratureRule",
     "WeightFunction",
     "balanced_gamma",
-    "coherent_pair_coefficient",
     "coherent_time_kernel",
     "coherent_time_kernel_l1",
     "delocalised_limit_gamma",
     "kms_defect",
     "kms_gamma",
     "resolve_phi",
-    "smoothed_weight",
     "unshifted_gamma",
     "OftEvaluation",
     "OverlapTable",

@@ -62,9 +62,9 @@ from .operator_core import (
     vectorize,
 )
 from .weights import (
-    DEFAULT_RULE,
+    PANEL_WIDTH_FRACTION,
+    WINDOW_RADIUS,
     GaussianFilter,
-    QuadratureRule,
     WeightFunction,
     _kink_panel_edges,
     _panel_quadrature,
@@ -318,7 +318,6 @@ def _omega_quadrature_nodes(
     weight: WeightFunction,
     sigma: float,
     freqs: np.ndarray,
-    rule: QuadratureRule,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes/weights covering the live support of the weight.
 
@@ -326,21 +325,21 @@ def _omega_quadrature_nodes(
     by the filter's window radius, intersected with the reach of the Bohr
     frequencies; panels are aligned to the weight's breakpoints.
     """
-    lo_f = float(freqs[0]) - rule.window_radius * sigma
-    hi_f = float(freqs[-1]) + rule.window_radius * sigma
+    lo_f = float(freqs[0]) - WINDOW_RADIUS * sigma
+    hi_f = float(freqs[-1]) + WINDOW_RADIUS * sigma
     probe = np.linspace(lo_f, hi_f, 4001)
     gvals = weight(probe)
     peak = float(np.max(gvals))
     if peak <= 0.0:
         raise ValidationError("weight vanishes identically on the probe window")
     live = probe[gvals >= peak * 1e-24]
-    lo = max(lo_f, float(live[0]) - (rule.window_radius + 2.0) * sigma)
-    hi = min(hi_f, float(live[-1]) + (rule.window_radius + 2.0) * sigma)
+    lo = max(lo_f, float(live[0]) - (WINDOW_RADIUS + 2.0) * sigma)
+    hi = min(hi_f, float(live[-1]) + (WINDOW_RADIUS + 2.0) * sigma)
     bps = [float(b) for b in weight.breakpoints if lo < float(b) < hi]
-    edges = _kink_panel_edges(lo, hi, bps[0] if bps else lo, sigma * rule.panel_width_fraction)
+    edges = _kink_panel_edges(lo, hi, bps[0] if bps else lo, sigma * PANEL_WIDTH_FRACTION)
     if bps:
         edges = np.unique(np.concatenate([edges, np.asarray(bps)]))
-    return _panel_quadrature(edges, rule.panel_order)
+    return _panel_quadrature(edges)
 
 
 def _omega_quadrature_dissipator(
@@ -348,7 +347,6 @@ def _omega_quadrature_dissipator(
     weight: WeightFunction,
     sigma: float,
     spectrum: BohrSpectrum,
-    rule: QuadratureRule,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Sandwich superoperator and anticommutator kernel (eigenbasis) summed
     over explicit filtered jumps, with the node and jump counts.
@@ -364,7 +362,7 @@ def _omega_quadrature_dissipator(
     idx = spectrum.pair_index
     d = idx.shape[0]
     d2 = d * d
-    nodes, wts = _omega_quadrature_nodes(weight, sigma, freqs, rule)
+    nodes, wts = _omega_quadrature_nodes(weight, sigma, freqs)
     gw = weight(nodes) * wts
     keep = gw > 0.0
     nodes, gw = nodes[keep], gw[keep]
@@ -395,7 +393,6 @@ def localised_generator(
     sigma: float,
     *,
     path: str = "bohr_sum",
-    rule: QuadratureRule = DEFAULT_RULE,
     cluster_tol: float | None = None,
     cross_check: bool = True,
     _corrupt_overlap_sign: bool = False,
@@ -410,7 +407,6 @@ def localised_generator(
         sigma: filter bandwidth; must equal ``weight.sigma``.
         path: ``"bohr_sum"`` contracts the overlap table against Bohr
             components; ``"omega_quadrature"`` sums explicit node jumps.
-        rule: quadrature recipe for the smoothed-weight evaluations.
         cluster_tol: Bohr clustering tolerance override.
         cross_check: sample-check the overlap table against definitional
             quadrature (a standing regression check; on by default).
@@ -440,7 +436,7 @@ def localised_generator(
     spectrum = bohr_spectrum(system, cluster_tol)
     jumps_eig = [system.to_eigenbasis(a) for a in model.jumps]
 
-    table = overlap_table(spectrum, weight, sigma, rule=rule, cross_check=cross_check)
+    table = overlap_table(spectrum, weight, sigma, cross_check=cross_check)
     g_values = table.values
     if _corrupt_overlap_sign:
         diagonal = np.diag(np.diag(g_values))
@@ -453,7 +449,7 @@ def localised_generator(
         )
     else:
         s_sandwich_eig, m_kernel_eig, omega_diag = _omega_quadrature_dissipator(
-            jumps_eig, weight, sigma, spectrum, rule
+            jumps_eig, weight, sigma, spectrum
         )
         diag.update(omega_diag)
 
@@ -569,16 +565,11 @@ def drift_dissipativity_defect(bundle: GeneratorBundle, n_samples: int = 50, see
     return worst
 
 
-def dual_path_residual(
-    bundle: GeneratorBundle,
-    *,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> float:
+def dual_path_residual(bundle: GeneratorBundle) -> float:
     """Relative Frobenius distance between the two assembly paths.
 
     Assembles only the path the filtered ``bundle`` was not built on, with
-    the bundle's model, weight, bandwidth and clustering; ``rule`` must be
-    the quadrature recipe the bundle was built with.
+    the bundle's model, weight, bandwidth and clustering.
     """
     if bundle.kind != "localised":
         raise ValidationError("the dual-path check applies to filtered generators only")
@@ -589,7 +580,6 @@ def dual_path_residual(
         bundle.weight,
         bundle.sigma,
         path=other,
-        rule=rule,
         cluster_tol=bundle.spectrum.cluster_tol,
         cross_check=False,
     ).superoperator
@@ -605,7 +595,6 @@ def davies_limit_report(
     n_test_ops: int = 5,
     seed: int = 2024,
     p: float = 1.0,
-    rule: QuadratureRule = DEFAULT_RULE,
 ) -> dict:
     """Distance of the filtered generator from its delocalised limit.
 
@@ -630,7 +619,7 @@ def davies_limit_report(
     rows = []
     for s in sigmas:
         w = balanced_gamma(phi, float(s))
-        bundle = localised_generator(model, w, float(s), rule=rule)
+        bundle = localised_generator(model, w, float(s))
         distances = []
         for t in test_ops:
             delta = bundle.apply(t) - limit_bundle.apply(t)
@@ -713,7 +702,6 @@ def coherent_calibration_report(
     weight: WeightFunction,
     sigma: float,
     *,
-    rule: QuadratureRule = DEFAULT_RULE,
     n_time_nodes: int = 2048,
     n_envelope_nodes: int = 2048,
 ) -> dict:
@@ -729,7 +717,7 @@ def coherent_calibration_report(
     system, ts, wt_k1, inner = _time_quadrature_inner(
         model, weight, sigma, n_time_nodes, n_envelope_nodes
     )
-    table = overlap_table(bohr_spectrum(system), weight, sigma, rule=rule, cross_check=False)
+    table = overlap_table(bohr_spectrum(system), weight, sigma, cross_check=False)
     b_freq, diag = coherent_matrix_bohr(model, table, system=system)
     report = {"coherent_norm": float(np.linalg.norm(b_freq)), **diag}
     for orientation in ("outward", "literal"):

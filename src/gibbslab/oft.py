@@ -40,11 +40,9 @@ import numpy as np
 from .bohr import BohrDecomposition, BohrSpectrum
 from .errors import ValidationError
 from .weights import (
-    DEFAULT_RULE,
-    GaussianFilter,
     MAX_SPECTRAL_WIDTH,
-    ORACLE_RULE,
-    QuadratureRule,
+    WINDOW_RADIUS,
+    GaussianFilter,
     WeightFunction,
     coherent_difference_factor,
     smoothed_weight_table,
@@ -180,13 +178,6 @@ class OverlapTable:
         sym = 0.5 * (self.values + self.values.T)
         return float(np.linalg.eigvalsh(sym)[0])
 
-    def recomputation_defect(self, *, rule: QuadratureRule = DEFAULT_RULE) -> float:
-        """Max absolute deviation from a freshly built table."""
-        fresh = overlap_table(
-            self.spectrum, self.weight, self.sigma, rule=rule, cross_check=False
-        )
-        return float(np.max(np.abs(self.values - fresh.values)))
-
 
 def _definitional_entry(
     nu: float,
@@ -209,7 +200,7 @@ def _definitional_entry(
 
     Anchor rule: the window is split at the two frequencies, the origin, the
     weight's breakpoints, ``mid`` and at ``mid +- k sigma`` for ``k`` in 1,
-    2, 4 and the oracle window radius.  The filter product is a Gaussian of
+    2, 4 and ``WINDOW_RADIUS``.  The filter product is a Gaussian of
     width ``sigma/sqrt(2)`` about ``mid``, so QUADPACK's first subdivision
     already lays intervals of width ``sigma`` to ``4 sigma`` over the peak
     at every bandwidth: a peak far narrower than the window cannot fall
@@ -230,11 +221,11 @@ def _definitional_entry(
         b = u - offset_prime
         return float(weight(mid + u)) * amplitude * math.exp(-(a * a + b * b) * inv_two_var)
 
-    pad = ORACLE_RULE.window_radius * sigma + 60.0
+    pad = WINDOW_RADIUS * sigma + 60.0
     lo = min(nu, nu_prime, 0.0) - pad - mid
     hi = max(nu, nu_prime, 0.0) + pad - mid
     anchors = {offset, offset_prime, 0.0, -mid}
-    for k in (1.0, 2.0, 4.0, ORACLE_RULE.window_radius):
+    for k in (1.0, 2.0, 4.0, WINDOW_RADIUS):
         anchors.update((-k * sigma, k * sigma))
     anchors.update(float(b) - mid for b in weight.breakpoints)
     # Anchors that coincide up to rounding (nu and mid - 8 sigma when
@@ -266,7 +257,6 @@ def overlap_table(
     weight: WeightFunction,
     sigma: float,
     *,
-    rule: QuadratureRule = DEFAULT_RULE,
     cross_check: bool = True,
 ) -> OverlapTable:
     """Build the full coupling table and the coherent pair table over a Bohr
@@ -302,7 +292,7 @@ def overlap_table(
 
     uniq_centers, inverse = np.unique(mids[live], return_inverse=True)
     h_mid = np.zeros((m, m))
-    h_mid[live] = smoothed_weight_table(weight, sigma, uniq_centers, rule=rule)[inverse]
+    h_mid[live] = smoothed_weight_table(weight, sigma, uniq_centers)[inverse]
 
     values = np.zeros((m, m))
     values[live] = math.sqrt(math.pi) / sigma * np.exp(-exponents[live]) * h_mid[live]
@@ -364,8 +354,6 @@ def delocalisation_profile(
     spectrum: BohrSpectrum,
     phi,
     sigmas,
-    *,
-    rule: QuadratureRule = DEFAULT_RULE,
 ) -> dict:
     """Track the coupling table's approach to its small-bandwidth limit.
 
@@ -382,7 +370,7 @@ def delocalisation_profile(
     rows = []
     for s in sigmas:
         w = balanced_gamma(phi, float(s))
-        table = overlap_table(spectrum, w, float(s), rule=rule, cross_check=False)
+        table = overlap_table(spectrum, w, float(s), cross_check=False)
         diag = np.diag(table.values)
         rel = np.abs(diag - target) / np.maximum(np.abs(target), 1e-300)
         off = table.values - np.diag(diag)

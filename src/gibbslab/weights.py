@@ -30,26 +30,29 @@ This module owns every scalar ingredient of the generator assembly:
 
   .. math:: H(c) = \\int \\gamma(\\omega) e^{-(\\omega - c)^2/\\sigma^2}\\,d\\omega,
 
-  the single quadrature family from which the overlap couplings, the coherent
-  couplings and the stationarity identity are all built.  Balance of the
-  weight is equivalent to ``H(c) = e^{-c} H(-c)``.
+  the single quadrature family from which the overlap couplings and the
+  coherent couplings are both built.  Balance of the weight is equivalent to
+  ``H(c) = e^{-c} H(-c)``.
 
-* Coherent-term kernels: the odd difference factor, the smoothed sum factor,
-  their product (the pair coefficient), the matching time-domain kernel and
-  envelope, and the closed-form ``L^1`` mass of the time kernel.
+* Coherent-term kernels: the odd difference factor, the matching
+  time-domain kernel and envelope, and the closed-form ``L^1`` mass of the
+  time kernel.
 
-* A small quadrature engine: shifted Gauss-Hermite rules for smooth
-  integrands, kink-aligned Gauss-Legendre panels when the weight has
-  breakpoints, and a deliberately independent adaptive-trapezoid path used as
-  the cross-checking oracle.
+* One fixed quadrature recipe, named by four constants: the shifted
+  Gauss-Hermite rule of order :data:`HERMITE_ORDER` for smooth integrands;
+  kink-aligned Gauss-Legendre panels of :data:`PANEL_ORDER` nodes and width
+  :data:`PANEL_WIDTH_FRACTION` times ``sigma`` when the weight has
+  breakpoints; and a window of :data:`WINDOW_RADIUS` widths about each
+  center.  The independent QUADPACK references for every scalar quantity
+  live with the tests, not here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -64,6 +67,10 @@ __all__ = [
     "TIME_KERNEL_ENVELOPE_SCALE",
     "TIME_KERNEL_SPECTRAL_SCALE",
     "MAX_SPECTRAL_WIDTH",
+    "HERMITE_ORDER",
+    "PANEL_ORDER",
+    "PANEL_WIDTH_FRACTION",
+    "WINDOW_RADIUS",
     "GaussianFilter",
     "WeightFunction",
     "PHI_LIBRARY",
@@ -73,21 +80,8 @@ __all__ = [
     "unshifted_gamma",
     "delocalised_limit_gamma",
     "kms_defect",
-    "QuadratureRule",
-    "DEFAULT_RULE",
-    "ORACLE_RULE",
-    "refined",
-    "adaptive_trapezoid",
-    "gaussian_weighted_integral",
-    "smoothed_weight",
     "smoothed_weight_table",
-    "tilted_weight_moment",
-    "tilt_balance_residual",
     "coherent_difference_factor",
-    "coherent_sum_factor",
-    "coherent_pair_coefficient",
-    "dissipator_gibbs_coefficient",
-    "stationarity_identity_residual",
     "coherent_time_kernel",
     "coherent_time_envelope",
     "coherent_time_kernel_l1",
@@ -115,6 +109,19 @@ TIME_KERNEL_SPECTRAL_SCALE = 1.0 / math.sqrt(2.0 * math.pi)
 #: frequency differences appear throughout; this cap keeps them inside the
 #: double-precision range with a wide safety margin.
 MAX_SPECTRAL_WIDTH = 600.0
+
+#: Order of the shifted Gauss-Hermite rule used when the weight is smooth.
+HERMITE_ORDER = 180
+
+#: Gauss-Legendre nodes per panel wherever the package tiles a window.
+PANEL_ORDER = 16
+
+#: Width of the kink-aligned panels, in units of the bandwidth ``sigma``.
+PANEL_WIDTH_FRACTION = 0.5
+
+#: Half-width of every Gaussian window, in units of its width: the mass
+#: outside is below ``e^{-64}`` of the peak.
+WINDOW_RADIUS = 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -416,134 +423,20 @@ def kms_defect(weight: WeightFunction, omegas) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _gauss_hermite(order: int):
-    x, w = hermgauss(order)
-    return x, w
+@lru_cache(maxsize=1)
+def _gauss_hermite():
+    return hermgauss(HERMITE_ORDER)
 
 
-@lru_cache(maxsize=32)
-def _gauss_legendre(order: int):
-    x, w = leggauss(order)
-    return x, w
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    return leggauss(PANEL_ORDER)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Recipe for the weighted integrals used throughout the package.
-
-    ``gauss_hermite_shifted`` integrates ``fn(w) e^{-((w-c)/width)^2}`` by the
-    shifted-and-scaled Gauss-Hermite rule of the given order when the
-    integrand is smooth inside the window, and falls back to Gauss-Legendre
-    panels aligned to the weight's breakpoints otherwise.
-
-    ``adaptive_trapezoid`` is the deliberately independent oracle path: plain
-    trapezoid sums on the window (split at breakpoints), doubling the node
-    count until two successive refinements agree to ``rel_tol``.
-    """
-
-    kind: str = "gauss_hermite_shifted"
-    order: int = 180
-    panel_order: int = 16
-    panel_width_fraction: float = 0.5
-    window_radius: float = 8.0
-    rel_tol: float = 1e-11
-    max_doublings: int = 18
-    initial_nodes: int = 65
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("gauss_hermite_shifted", "adaptive_trapezoid"):
-            raise ValidationError(f"unknown quadrature kind {self.kind!r}")
-        if self.order < 2 or self.panel_order < 2:
-            raise ValidationError("quadrature orders must be at least 2")
-        if not (0.0 < self.panel_width_fraction <= 2.0):
-            raise ValidationError("panel width fraction must lie in (0, 2]")
-        if self.window_radius < 4.0:
-            raise ValidationError("window radius below 4 standard widths loses tail mass")
-
-    def reference_nodes(self) -> np.ndarray:
-        if self.kind == "gauss_hermite_shifted":
-            return _gauss_hermite(self.order)[0].copy()
-        return np.linspace(-1.0, 1.0, self.initial_nodes)
-
-    def reference_weights(self) -> np.ndarray:
-        if self.kind == "gauss_hermite_shifted":
-            return _gauss_hermite(self.order)[1].copy()
-        n = self.initial_nodes
-        w = np.full(n, 2.0 / (n - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
-
-
-DEFAULT_RULE = QuadratureRule()
-ORACLE_RULE = QuadratureRule(kind="adaptive_trapezoid")
-
-
-def refined(rule: QuadratureRule) -> QuadratureRule:
-    """A strictly finer version of ``rule``, used for convergence estimates."""
-    return replace(
-        rule,
-        order=rule.order * 2,
-        panel_order=rule.panel_order + 8,
-        panel_width_fraction=rule.panel_width_fraction * 0.5,
-        rel_tol=rule.rel_tol * 0.1,
-        initial_nodes=2 * rule.initial_nodes - 1,
-    )
-
-
-def adaptive_trapezoid(
-    fn: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    *,
-    breakpoints: Sequence[float] = (),
-    rel_tol: float = 1e-11,
-    max_doublings: int = 18,
-    initial_nodes: int = 65,
-    cancellation_floor: float = 0.0,
-):
-    """Trapezoid quadrature of ``fn`` on ``[lo, hi]`` with doubling refinement.
-
-    The interval is split at interior breakpoints; within each segment the
-    node count doubles until two successive totals agree to ``rel_tol`` in
-    relative terms.  Raises if the refinement never settles.
-
-    ``cancellation_floor``, when positive, also accepts a refinement step
-    once successive totals agree to ``cancellation_floor`` times the
-    integral of ``|fn|``: an integrand whose positive and negative parts
-    cancel that many digits has hit its roundoff accuracy floor, and no
-    further refinement can improve the answer.
-    """
-    if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
-        raise ValidationError(f"invalid integration window [{lo!r}, {hi!r}]")
-    edges = [lo] + sorted(float(b) for b in breakpoints if lo < b < hi) + [hi]
-    prev = None
-    n = max(int(initial_nodes), 9)
-    for _ in range(max_doublings + 1):
-        total = 0.0
-        mass = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            xs = np.linspace(a, b, n)
-            ys = np.asarray(fn(xs))
-            total = total + np.trapezoid(ys, xs)
-            if cancellation_floor > 0.0:
-                mass = mass + np.trapezoid(np.abs(ys), xs)
-        if prev is not None:
-            scale = max(abs(total), abs(prev), 1e-300)
-            if abs(total - prev) <= rel_tol * scale + cancellation_floor * mass:
-                return total
-        prev = total
-        n = 2 * n - 1
-    raise ValidationError(
-        f"trapezoid refinement did not settle to rel_tol={rel_tol:g} "
-        f"within {max_doublings} doublings on [{lo:g}, {hi:g}]"
-    )
-
-
-def _panel_quadrature(edges: np.ndarray, order: int):
-    """Gauss-Legendre nodes/weights tiling the consecutive segments of ``edges``."""
-    x_ref, w_ref = _gauss_legendre(order)
+def _panel_quadrature(edges: np.ndarray):
+    """Gauss-Legendre nodes/weights (``PANEL_ORDER`` per segment) tiling the
+    consecutive segments of ``edges``."""
+    x_ref, w_ref = _gauss_legendre()
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     nodes = (mids[:, None] + half[:, None] * x_ref[None, :]).ravel()
@@ -558,84 +451,23 @@ def _kink_panel_edges(lo: float, hi: float, anchor: float, width: float) -> np.n
     return anchor + width * np.arange(k0, k1 + 1)
 
 
-def gaussian_weighted_integral(
-    fn: Callable[[np.ndarray], np.ndarray],
-    center: float,
-    width: float,
-    *,
-    rule: QuadratureRule = DEFAULT_RULE,
-    breakpoints: Sequence[float] = (),
-) -> float:
-    """Evaluate ``integral fn(w) * exp(-((w - center)/width)^2) dw``.
-
-    The Gaussian factor is supplied by the quadrature, not by ``fn``.  The
-    window spans ``rule.window_radius`` widths on both sides of the center;
-    mass outside is below ``e^{-64}`` of the peak and ignored.
-    """
-    if not (np.isfinite(center) and np.isfinite(width) and width > 0.0):
-        raise ValidationError(f"invalid Gaussian window (center={center!r}, width={width!r})")
-    lo = center - rule.window_radius * width
-    hi = center + rule.window_radius * width
-    bps = [float(b) for b in breakpoints if lo < float(b) < hi]
-    if rule.kind == "adaptive_trapezoid":
-        def integrand(w):
-            return np.asarray(fn(w)) * np.exp(-(((w - center) / width) ** 2))
-
-        return adaptive_trapezoid(
-            integrand,
-            lo,
-            hi,
-            breakpoints=bps,
-            rel_tol=rule.rel_tol,
-            max_doublings=rule.max_doublings,
-            initial_nodes=rule.initial_nodes,
-        )
-    if not bps:
-        x, w = _gauss_hermite(rule.order)
-        vals = np.asarray(fn(center + width * x))
-        return float(width * np.sum(w * vals))
-    panel_width = width * rule.panel_width_fraction
-    edges = _kink_panel_edges(lo, hi, bps[0], panel_width)
-    edges = np.unique(np.concatenate([edges, np.asarray(bps, dtype=np.float64)]))
-    nodes, weights = _panel_quadrature(edges, rule.panel_order)
-    vals = np.asarray(fn(nodes))
-    gauss = np.exp(-(((nodes - center) / width) ** 2))
-    return float(np.sum(weights * vals * gauss))
-
-
 # ---------------------------------------------------------------------------
-# Smoothed weight H and its table
+# Smoothed weight H
 # ---------------------------------------------------------------------------
 
 
-def smoothed_weight(
-    center: float,
-    sigma: float,
-    weight: WeightFunction,
-    *,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> float:
-    """Gaussian smoothing ``H(c) = integral gamma(w) e^{-(w-c)^2/sigma^2} dw``."""
-    return gaussian_weighted_integral(
-        weight, float(center), float(sigma), rule=rule, breakpoints=weight.breakpoints
-    )
+def smoothed_weight_table(weight: WeightFunction, sigma: float, centers) -> np.ndarray:
+    """Gaussian smoothing ``H(c) = integral gamma(w) e^{-(w-c)^2/sigma^2} dw``
+    at every entry of ``centers``.
 
-
-def smoothed_weight_table(
-    weight: WeightFunction,
-    sigma: float,
-    centers,
-    *,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> np.ndarray:
-    """Vectorised :func:`smoothed_weight` over an array of centers.
-
-    Smooth weights use the shifted Gauss-Hermite rule per center.  Weights
-    with breakpoints share one global kink-aligned Gauss-Legendre panel
-    lattice: the weight is evaluated once on all lattice nodes and each
-    center reads its ``window_radius``-width slice, so the same node set
-    serves every center and the balance identity ``H(c) = e^{-c} H(-c)``
-    is preserved at quadrature accuracy.
+    Smooth weights use the shifted Gauss-Hermite rule of order
+    ``HERMITE_ORDER`` per center.  Weights with breakpoints share one global
+    kink-aligned Gauss-Legendre panel lattice (``PANEL_ORDER`` nodes per
+    panel of width ``PANEL_WIDTH_FRACTION * sigma``): the weight is
+    evaluated once on all lattice nodes and each center reads its
+    ``WINDOW_RADIUS * sigma`` slice, so the same node set serves every
+    center and the balance identity ``H(c) = e^{-c} H(-c)`` is preserved at
+    quadrature accuracy.
     """
     centers = np.asarray(centers, dtype=np.float64).ravel()
     if centers.size == 0:
@@ -644,13 +476,11 @@ def smoothed_weight_table(
         raise ValidationError(f"bandwidth must be a finite positive number, got {sigma!r}")
     if not np.all(np.isfinite(centers)):
         raise ValidationError("smoothing centers must be finite")
-    if rule.kind == "adaptive_trapezoid":
-        return np.array([smoothed_weight(c, sigma, weight, rule=rule) for c in centers])
 
     order = np.argsort(centers, kind="stable")
     sorted_c = centers[order]
     out = np.empty_like(sorted_c)
-    radius = rule.window_radius * sigma
+    radius = WINDOW_RADIUS * sigma
 
     span_bps = [
         float(b)
@@ -658,19 +488,19 @@ def smoothed_weight_table(
         if sorted_c[0] - radius < float(b) < sorted_c[-1] + radius
     ]
     if not span_bps:
-        x, w = _gauss_hermite(rule.order)
-        chunk = max(1, int(4_000_000 // max(rule.order, 1)))
+        x, w = _gauss_hermite()
+        chunk = 4_000_000 // HERMITE_ORDER
         for start in range(0, sorted_c.size, chunk):
             c = sorted_c[start : start + chunk]
             omegas = c[:, None] + sigma * x[None, :]
             out[start : start + chunk] = sigma * (weight(omegas) @ w)
     else:
-        panel_width = sigma * rule.panel_width_fraction
+        panel_width = sigma * PANEL_WIDTH_FRACTION
         lo = sorted_c[0] - radius - panel_width
         hi = sorted_c[-1] + radius + panel_width
         edges = _kink_panel_edges(lo, hi, span_bps[0], panel_width)
         edges = np.unique(np.concatenate([edges, np.asarray(span_bps)]))
-        nodes, wts = _panel_quadrature(edges, rule.panel_order)
+        nodes, wts = _panel_quadrature(edges)
         sort_n = np.argsort(nodes, kind="stable")
         nodes = nodes[sort_n]
         wts = wts[sort_n]
@@ -690,48 +520,6 @@ def smoothed_weight_table(
     return result
 
 
-def tilted_weight_moment(
-    zeta: float,
-    sigma: float,
-    weight: WeightFunction,
-    *,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> float:
-    """Gaussian-tilted moment ``integral gamma(w) e^{-w^2/sigma^2} e^{-zeta w / sigma^2} dw``.
-
-    Completing the square gives ``e^{zeta^2/(4 sigma^2)} H(-zeta/2)``, which is
-    how it is evaluated.  For balanced weights it obeys the divisibility
-    identity ``A(-zeta) = e^{-zeta/2} A(zeta)``.
-    """
-    zeta = float(zeta)
-    if zeta * zeta / (4.0 * sigma * sigma) > 700.0:
-        raise ValidationError(
-            f"tilt zeta={zeta:g} overflows the Gaussian completion at bandwidth {sigma:g}"
-        )
-    return math.exp(zeta * zeta / (4.0 * sigma * sigma)) * smoothed_weight(
-        -0.5 * zeta, sigma, weight, rule=rule
-    )
-
-
-def tilt_balance_residual(
-    zeta: float,
-    sigma: float,
-    weight: WeightFunction,
-    *,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> float:
-    """Relative defect of ``A(-zeta) = e^{-zeta/2} A(zeta)`` for the tilted moment."""
-    a_minus = tilted_weight_moment(-zeta, sigma, weight, rule=rule)
-    a_plus = tilted_weight_moment(zeta, sigma, weight, rule=rule)
-    if abs(zeta) > MAX_SPECTRAL_WIDTH:
-        raise ValidationError(
-            f"|zeta| = {abs(zeta):g} exceeds the supported spectral width {MAX_SPECTRAL_WIDTH:g}"
-        )
-    expected = math.exp(-0.5 * zeta) * a_plus
-    scale = max(abs(a_minus), abs(expected), 1e-300)
-    return abs(a_minus - expected) / scale
-
-
 # ---------------------------------------------------------------------------
 # Coherent-term kernels
 # ---------------------------------------------------------------------------
@@ -743,181 +531,13 @@ def coherent_difference_factor(xi, sigma: float):
     ``-(i / (4 sigma sqrt(pi))) e^{-xi^2/(4 sigma^2)} tanh(xi/4)`` as a
     function of the frequency difference ``xi``.  The sign is fixed by the
     requirement that the assembled coherent part cancel the dissipator's
-    action on the Gibbs density; see ``coherent_pair_coefficient``.
+    action on the Gibbs density.  ``oft.overlap_table`` multiplies it by
+    the smoothed sum factor ``e^{-zeta/2} H(-zeta/2)``, ``zeta = nu + nu'``,
+    into the coherent pair table.
     """
     xi = np.asarray(xi, dtype=np.float64)
     mag = np.exp(-np.square(xi) / (4.0 * sigma * sigma)) * np.tanh(0.25 * xi)
     return -1j / (4.0 * sigma * math.sqrt(math.pi)) * mag
-
-
-def _check_scalar_refinement(value: float, value_fine: float, what: str) -> None:
-    scale = max(abs(value), abs(value_fine), 1e-300)
-    if abs(value - value_fine) > 1e-10 * scale:
-        raise ValidationError(
-            f"{what} is under-resolved: refinement changed the value by "
-            f"{abs(value - value_fine) / scale:.3e} (relative), above 1e-10"
-        )
-
-
-def coherent_sum_factor(
-    zeta,
-    sigma: float,
-    weight: WeightFunction,
-    *,
-    rule: QuadratureRule = DEFAULT_RULE,
-    check_resolution: bool = True,
-):
-    """Real factor ``e^{-zeta/2} H(-zeta/2)`` of the coherent pair coefficient.
-
-    A function of the frequency sum ``zeta``.  Scalar inputs are recomputed
-    with a refined rule and rejected if the two values disagree beyond 1e-10
-    relative; array inputs skip that check (the table construction carries
-    its own convergence diagnostics).
-    """
-    zeta_arr = np.asarray(zeta, dtype=np.float64)
-    if np.any(np.abs(zeta_arr) > 2.0 * MAX_SPECTRAL_WIDTH):
-        raise ValidationError(
-            f"frequency sum exceeds the supported spectral width {MAX_SPECTRAL_WIDTH:g}"
-        )
-    if zeta_arr.ndim == 0:
-        z = float(zeta_arr)
-        h = smoothed_weight(-0.5 * z, sigma, weight, rule=rule)
-        value = math.exp(-0.5 * z) * h
-        if check_resolution and rule.kind == "gauss_hermite_shifted":
-            h_fine = smoothed_weight(-0.5 * z, sigma, weight, rule=refined(rule))
-            _check_scalar_refinement(value, math.exp(-0.5 * z) * h_fine, "coherent sum factor")
-        return value
-    h = smoothed_weight_table(weight, sigma, -0.5 * zeta_arr, rule=rule)
-    return np.exp(-0.5 * zeta_arr) * h
-
-
-def coherent_pair_coefficient(
-    nu,
-    nu_prime,
-    sigma: float,
-    weight: WeightFunction,
-    *,
-    rule: QuadratureRule = DEFAULT_RULE,
-):
-    """Coefficient of ``A_nu^dagger A_nu'`` in the coherent part.
-
-    ``2 pi * coherent_difference_factor(nu - nu') * coherent_sum_factor(nu + nu')``.
-    The difference factor's argument order (``nu - nu'``) is the one under
-    which the coherent part cancels the dissipator's action on the Gibbs
-    density; the opposite order flips the sign of the whole term.
-    Hermiticity of the assembled matrix follows from ``conj(b(nu, nu')) =
-    b(nu', nu)`` term by term.
-    """
-    diff = coherent_difference_factor(np.asarray(nu) - np.asarray(nu_prime), sigma)
-    total = coherent_sum_factor(
-        np.asarray(nu) + np.asarray(nu_prime), sigma, weight, rule=rule, check_resolution=False
-    )
-    return 2.0 * math.pi * diff * total
-
-
-def dissipator_gibbs_coefficient(
-    tau: float,
-    tau_prime: float,
-    sigma: float,
-    weight: WeightFunction,
-    *,
-    method: str = "closed_form",
-    rule: QuadratureRule | None = None,
-) -> float:
-    """Coefficient of ``A_tau^dagger A_tau' e^{-P}`` in the dissipator's Gibbs action.
-
-    ``closed_form`` assembles it from the Gaussian-tilted moment:
-
-    ``sigma^-1 sqrt(pi) e^{-(zeta^2+xi^2)/(4 sigma^2)} [ e^{-(zeta-xi)/2} A(zeta)
-    - (1/2)(1 + e^xi) A(-zeta) ]`` with ``xi = tau - tau'``, ``zeta = tau + tau'``.
-
-    ``quadrature`` integrates the definition directly against the filter's
-    frequency profile on an adaptive trapezoid grid, making the two methods
-    genuinely independent evaluation paths.
-    """
-    xi = float(tau) - float(tau_prime)
-    zeta = float(tau) + float(tau_prime)
-    if max(abs(xi), abs(zeta)) > 2.0 * MAX_SPECTRAL_WIDTH:
-        raise ValidationError(
-            f"frequency pair ({tau:g}, {tau_prime:g}) exceeds the supported spectral width"
-        )
-    if method == "closed_form":
-        use_rule = rule if rule is not None else DEFAULT_RULE
-        a_plus = tilted_weight_moment(zeta, sigma, weight, rule=use_rule)
-        a_minus = tilted_weight_moment(-zeta, sigma, weight, rule=use_rule)
-        front = math.sqrt(math.pi) / sigma * math.exp(
-            -(zeta * zeta + xi * xi) / (4.0 * sigma * sigma)
-        )
-        value = front * (
-            math.exp(-0.5 * (zeta - xi)) * a_plus - 0.5 * (1.0 + math.exp(xi)) * a_minus
-        )
-        if use_rule.kind == "gauss_hermite_shifted":
-            a_plus_f = tilted_weight_moment(zeta, sigma, weight, rule=refined(use_rule))
-            a_minus_f = tilted_weight_moment(-zeta, sigma, weight, rule=refined(use_rule))
-            fine = front * (
-                math.exp(-0.5 * (zeta - xi)) * a_plus_f - 0.5 * (1.0 + math.exp(xi)) * a_minus_f
-            )
-            scale = max(abs(value), abs(fine), 1e-300)
-            if abs(value - fine) > 1e-9 * scale + 1e-18:
-                raise ValidationError(
-                    "dissipator Gibbs coefficient is under-resolved: "
-                    f"refinement moved it by {abs(value - fine) / scale:.3e} relative"
-                )
-        return value
-    if method == "quadrature":
-        use_rule = rule if rule is not None else ORACLE_RULE
-        filt = GaussianFilter(sigma)
-        t, tp = float(tau), float(tau_prime)
-
-        def integrand(w):
-            g = weight(w)
-            first = math.exp(-tp) * filt.frequency_profile(w + t) * filt.frequency_profile(w + tp)
-            second = (
-                0.5
-                * (1.0 + math.exp(t - tp))
-                * filt.frequency_profile(w - t)
-                * filt.frequency_profile(w - tp)
-            )
-            return g * (first - second)
-
-        half_span = 0.5 * (abs(t) + abs(tp)) + use_rule.window_radius * sigma
-        lo, hi = -half_span - 1.0, half_span + 1.0
-        return adaptive_trapezoid(
-            integrand,
-            lo,
-            hi,
-            breakpoints=weight.breakpoints,
-            rel_tol=use_rule.rel_tol,
-            max_doublings=use_rule.max_doublings,
-            initial_nodes=max(use_rule.initial_nodes, 257),
-            cancellation_floor=1e-13,
-        )
-    raise ValidationError(f"unknown evaluation method {method!r}")
-
-
-def stationarity_identity_residual(
-    tau: float,
-    tau_prime: float,
-    sigma: float,
-    weight: WeightFunction,
-) -> float:
-    """Scalar identity behind Gibbs stationarity, checked by two independent paths.
-
-    Compares the dissipator's Gibbs-action coefficient, integrated directly
-    on an adaptive trapezoid grid, against ``i (1 - e^{tau - tau'}) *
-    coherent_pair_coefficient(tau, tau')`` evaluated through the smoothed
-    weight.  Returns ``|lhs - rhs| / (1 + |lhs|)``.
-    """
-    lhs = dissipator_gibbs_coefficient(
-        tau, tau_prime, sigma, weight, method="quadrature", rule=ORACLE_RULE
-    )
-    factor = 1.0 - math.exp(float(tau) - float(tau_prime))
-    rhs = 1j * factor * coherent_pair_coefficient(tau, tau_prime, sigma, weight)
-    if abs(rhs.imag) > 1e-13 * (1.0 + abs(rhs.real)):
-        raise ValidationError(
-            f"coherent side of the stationarity identity is not real: {rhs!r}"
-        )
-    return abs(lhs - rhs.real) / (1.0 + abs(lhs))
 
 
 # ---------------------------------------------------------------------------
@@ -930,7 +550,6 @@ def coherent_time_kernel(
     sigma: float,
     *,
     scale: float = TIME_KERNEL_SPECTRAL_SCALE,
-    panel_order: int = 16,
 ) -> np.ndarray:
     """Time profile paired with the odd difference factor.
 
@@ -947,7 +566,7 @@ def coherent_time_kernel(
     panel = min(0.5 / sigma, 0.25)
     n_panels = int(math.ceil(s_max / panel))
     edges = np.linspace(0.0, n_panels * panel, n_panels + 1)
-    nodes, wts = _panel_quadrature(edges, panel_order)
+    nodes, wts = _panel_quadrature(edges)
     with np.errstate(over="ignore"):
         csch = wts / np.sinh(2.0 * math.pi * nodes)
     diff = np.exp(-(sigma * (t_arr[:, None] - nodes[None, :])) ** 2) - np.exp(
@@ -963,8 +582,6 @@ def coherent_time_envelope(
     s,
     sigma: float,
     weight: WeightFunction,
-    *,
-    rule: QuadratureRule = DEFAULT_RULE,
 ) -> np.ndarray:
     """Complex time envelope paired with the smoothed sum factor.
 
@@ -979,10 +596,10 @@ def coherent_time_envelope(
     ``e^{w} gamma(w)`` tends to a constant) are rejected.
 
     Panel rule: the ``w`` window is cut at the weight's breakpoints and into
-    Gauss-Legendre panels of ``rule.panel_order`` nodes, each at most
+    Gauss-Legendre panels of ``PANEL_ORDER`` nodes, each at most
     ``min(0.5 pi / max(|s|, 1), 0.5)`` wide -- half a period of
     ``e^{-2iws}`` at the largest requested ``|s|``.  The tilted weight is
-    smooth on each panel, so the default 16 nodes per half period resolve
+    smooth on each panel, so 16 nodes per half period resolve
     the oscillation to machine precision: on the selftest grid the values
     agree with those of ten times narrower panels to 1.5e-15 of the
     largest.
@@ -1018,7 +635,7 @@ def coherent_time_envelope(
         seg_edges.append(np.linspace(a, b, k + 1)[:-1])
     seg_edges.append(np.array([hi]))
     all_edges = np.concatenate(seg_edges)
-    nodes, wts = _panel_quadrature(all_edges, rule.panel_order)
+    nodes, wts = _panel_quadrature(all_edges)
     gvals = tilted(nodes) * wts
     ghat = np.empty(s_arr.size, dtype=np.complex128)
     chunk = max(1, 4_000_000 // max(nodes.size, 1))
@@ -1039,7 +656,6 @@ def coherent_time_kernel_l1(
     sigma: float,
     *,
     scale: float = TIME_KERNEL_ENVELOPE_SCALE,
-    panel_order: int = 16,
 ) -> float:
     """``L^1`` mass of the coherent time kernel.
 
@@ -1059,7 +675,7 @@ def coherent_time_kernel_l1(
     panel = 0.125
     n_panels = int(math.ceil(s_max / panel))
     edges = np.linspace(0.0, n_panels * panel, n_panels + 1)
-    nodes, wts = _panel_quadrature(edges, panel_order)
+    nodes, wts = _panel_quadrature(edges)
     integrand = erf(sigma * nodes) / np.sinh(2.0 * math.pi * nodes)
     reduced = float(np.sum(wts * integrand))
     return scale * 2.0 * math.sqrt(math.pi) / sigma * reduced

@@ -9,6 +9,14 @@ rules, propagation goes through an adaptive ODE solver instead of matrix
 exponentials, and Choi matrices are assembled by pushing the d^2 matrix
 units through the channel instead of reshuffling.  Agreement between these
 and the package is therefore evidence, not tautology.
+
+The scalar QUADPACK references are ``smoothed_weight_quad`` (the smoothed
+weight ``H``), ``pair_coefficient_quad`` (one coherent pair coefficient),
+``overlap_entry_quad`` (one overlap coupling ``G``),
+``gibbs_coefficient_table_quad`` (the dissipator's Gibbs-action coefficient
+of the scalar stationarity identity, built from ``G`` over every frequency
+pair), ``time_kernel_quad``, ``time_kernel_l1_quad`` and
+``tilted_envelope_quad``.
 """
 
 from __future__ import annotations
@@ -232,6 +240,28 @@ def overlap_entry_quad(nu: float, nu_prime: float, sigma: float, weight) -> floa
         integrand, lo, hi, points=points or None, limit=400, epsabs=1e-300, epsrel=1e-12
     )
     return value
+
+
+def gibbs_coefficient_table_quad(freqs, sigma: float, weight) -> np.ndarray:
+    """Coefficient of ``A_tau^dag A_tau' e^{-P}`` in the dissipator's Gibbs
+    action at every pair of ``freqs``, from QUADPACK overlaps.
+
+    ``e^{-tau'} G(-tau, -tau') - (1/2)(1 + e^{tau - tau'}) G(tau, tau')`` with
+    ``G`` from :func:`overlap_entry_quad`, integrated once per unordered pair
+    of ``freqs`` and their negations.  The scalar identity behind Gibbs
+    stationarity equates it with ``i (1 - e^{tau - tau'}) b(tau, tau')``.
+    """
+    taus = [float(t) for t in freqs]
+    grid = sorted({*taus, *(-t for t in taus)})
+    g = {}
+    for i, a in enumerate(grid):
+        for b in grid[i:]:
+            g[a, b] = g[b, a] = overlap_entry_quad(a, b, sigma, weight)
+    out = np.empty((len(taus), len(taus)))
+    for i, t in enumerate(taus):
+        for j, tp in enumerate(taus):
+            out[i, j] = math.exp(-tp) * g[-t, -tp] - 0.5 * (1.0 + math.exp(t - tp)) * g[t, tp]
+    return out
 
 
 def time_kernel_quad(t: float, sigma: float) -> float:

@@ -28,21 +28,22 @@ from gibbslab.generators import (
     localised_generator,
     stationarity_report,
 )
-from gibbslab.bohr import decompose
+from gibbslab.bohr import bohr_spectrum, decompose
 from gibbslab.models import (
     WELL_SEPARATED_SPECTRUM_6,
     benchmark_models,
     qubit_model,
     random_model,
 )
-from gibbslab.oft import oft_eval, oft_eval_time_quadrature
+from gibbslab.oft import oft_eval, oft_eval_time_quadrature, overlap_table
 from gibbslab.weights import (
     COHERENT_L1_LIMIT,
     balanced_gamma,
     coherent_time_kernel_l1,
-    stationarity_identity_residual,
     unshifted_gamma,
 )
+
+import oracles
 
 TIME_GRID_TO_20 = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 
@@ -94,19 +95,26 @@ def test_criterion_03_unfiltered_generators_fix_the_gibbs_state(davies_battery):
 
 
 def test_criterion_04_scalar_balance_identity_on_the_grid():
+    """The dissipator's Gibbs-action coefficient (QUADPACK overlaps) equals
+    ``i (1 - e^{tau - tau'}) b(tau, tau')`` with ``b`` the production
+    coherent pair table."""
     start = time.monotonic()
-    taus = np.linspace(-2.0, 2.0, 9)
+    # Energies 0, 0.5, ..., 2: the Bohr frequencies are the 9-point grid on [-2, 2].
+    spectrum = bohr_spectrum(np.diag(np.linspace(0.0, 2.0, 5)))
+    taus = spectrum.frequencies
+    assert np.array_equal(taus, np.linspace(-2.0, 2.0, 9))
+    factor = 1.0 - np.exp(taus[:, None] - taus[None, :])
     worst = 0.0
     worst_at = None
     for sigma in (0.5, 1.0, 2.0):
         weight = balanced_gamma("gaussian", sigma)
-        for tau in taus:
-            for tau_prime in taus:
-                residual = stationarity_identity_residual(
-                    float(tau), float(tau_prime), sigma, weight
-                )
-                if residual > worst:
-                    worst, worst_at = residual, (sigma, float(tau), float(tau_prime))
+        lhs = oracles.gibbs_coefficient_table_quad(taus, sigma, weight)
+        rhs = 1j * factor * overlap_table(spectrum, weight, sigma, cross_check=False).coherent
+        assert np.all(np.abs(rhs.imag) <= 1e-13 * (1.0 + np.abs(rhs.real))), sigma
+        residual = np.abs(lhs - rhs.real) / (1.0 + np.abs(lhs))
+        i, j = np.unravel_index(np.argmax(residual), residual.shape)
+        if residual[i, j] > worst:
+            worst, worst_at = float(residual[i, j]), (sigma, float(taus[i]), float(taus[j]))
     elapsed = time.monotonic() - start
     assert worst <= 1e-9, (worst_at, worst)
     assert elapsed <= 5.0

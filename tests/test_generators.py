@@ -44,10 +44,8 @@ from gibbslab.models import (
 from gibbslab.oft import overlap_table
 from gibbslab.operator_core import EigenSystem
 from gibbslab.weights import (
-    DEFAULT_RULE,
     WeightFunction,
     balanced_gamma,
-    coherent_pair_coefficient,
     kms_gamma,
     unshifted_gamma,
 )
@@ -105,10 +103,7 @@ def test_localised_superoperator_matches_loop_assembly(dense_model, dense_bundle
         for i in range(len(nus)):
             for j in range(len(nus)):
                 terms.append((table.values[i, j], components[i], components[j]))
-                pair = complex(
-                    coherent_pair_coefficient(nus[i], nus[j], sigma, weight)
-                )
-                coherent += pair * components[i].conj().T @ components[j]
+                coherent += table.coherent[i, j] * components[i].conj().T @ components[j]
 
     assert np.linalg.norm(coherent - dense_bundle.coherent_matrix) < 1e-13
 
@@ -161,10 +156,8 @@ def test_omega_quadrature_matches_node_sum_oracle(model_name, phi, sigma):
     system = model.eigensystem()
     spectrum = bohr_spectrum(system)
     jumps = [system.to_eigenbasis(a) for a in model.jumps]
-    s_got, m_got, info = _omega_quadrature_dissipator(
-        jumps, weight, sigma, spectrum, DEFAULT_RULE
-    )
-    nodes, wts = _omega_quadrature_nodes(weight, sigma, spectrum.frequencies, DEFAULT_RULE)
+    s_got, m_got, info = _omega_quadrature_dissipator(jumps, weight, sigma, spectrum)
+    nodes, wts = _omega_quadrature_nodes(weight, sigma, spectrum.frequencies)
     gw = weight(nodes) * wts
     s_ref, m_ref = oracles.omega_node_sum_dissipator(
         jumps, spectrum.frequencies, spectrum.pair_index, nodes, gw, sigma

@@ -14,28 +14,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gibbslab.bohr import bohr_spectrum
 from gibbslab.errors import ValidationError
+from gibbslab.oft import overlap_table
 from gibbslab.weights import (
     COHERENT_L1_LIMIT,
     FILTER_SQUARED_MASS,
-    MAX_SPECTRAL_WIDTH,
     PHI_LIBRARY,
     GaussianFilter,
     TIME_KERNEL_ENVELOPE_SCALE,
     WeightFunction,
     balanced_gamma,
-    coherent_pair_coefficient,
-    coherent_sum_factor,
     coherent_time_envelope,
     coherent_time_kernel,
     coherent_time_kernel_l1,
     delocalised_limit_gamma,
-    dissipator_gibbs_coefficient,
     kms_defect,
     kms_gamma,
-    smoothed_weight,
-    stationarity_identity_residual,
-    tilt_balance_residual,
+    smoothed_weight_table,
     unshifted_gamma,
 )
 
@@ -65,6 +61,13 @@ PAIR_COEFFICIENT_AT_0P9 = {
     (2.3, 1.1): -0.01986206667688525j,
     (-4.0, -3.2): 0.00093510123668170541j,
 }
+
+# Every frozen pair above is a pair of Bohr frequencies of this spectrum.
+PAIR_SPECTRUM_ENERGIES = (0.0, 1.0, 1.1, 2.3, 3.2, 4.0)
+
+# Bohr frequencies 0, +-0.5, +-1.5, +-2 (closed under negation): the pairs
+# on which the scalar stationarity identity is checked.
+IDENTITY_SPECTRUM_ENERGIES = (0.0, 0.5, 2.0)
 
 TIME_KERNEL_AT = (0.4, 0.9, 0.026149028951795081)
 
@@ -161,90 +164,96 @@ def test_bad_bandwidth_rejected():
 @pytest.mark.parametrize("phi", ["gaussian", "sech", "exp_abs"])
 def test_smoothed_weight_matches_quadpack(phi):
     w = balanced_gamma(phi, 0.9)
-    for center in (-3.0, 0.0, 1.3, 7.5):
+    centers = (-3.0, 0.0, 1.3, 7.5)
+    table = smoothed_weight_table(w, 0.9, centers)
+    for center, got in zip(centers, table):
         frozen = SMOOTHED_AT_0P9[(phi, center)]
         live = oracles.smoothed_weight_quad(center, 0.9, w)
         assert live == pytest.approx(frozen, rel=1e-10)
-        assert smoothed_weight(center, 0.9, w) == pytest.approx(frozen, rel=1e-10)
+        assert got == pytest.approx(frozen, rel=1e-10)
+
+
+def _balance_defects(weight, sigma: float, centers) -> np.ndarray:
+    """Relative defects of ``H(c) = e^{-c} H(-c)`` at each center."""
+    c = np.asarray(centers)
+    h = smoothed_weight_table(weight, sigma, np.concatenate([c, -c]))
+    h_plus, expected = h[: c.size], np.exp(-c) * h[c.size :]
+    return np.abs(h_plus - expected) / np.maximum(np.abs(h_plus), np.abs(expected))
 
 
 def test_smoothed_weight_balance_identity():
-    """The tilted profile turns Gaussian smoothing into an exact symmetry."""
-    w = balanced_gamma("gaussian", 1.1)
-    for tau in (0.3, 1.0, 2.7, 6.0):
-        h_plus = smoothed_weight(tau, 1.1, w)
-        h_minus = smoothed_weight(-tau, 1.1, w)
-        assert h_plus == pytest.approx(math.exp(-tau) * h_minus, rel=1e-11)
-
-
-def test_tilt_balance_residual_flags_broken_weight():
-    sigma = 1.0
-    balanced = balanced_gamma("gaussian", sigma)
-    broken = unshifted_gamma("gaussian", sigma)
-    for zeta in (0.5, 1.5, 3.0):
-        assert tilt_balance_residual(zeta, sigma, balanced) < 1e-11
-        assert tilt_balance_residual(zeta, sigma, broken) > 1e-3
-
-
-def test_spectral_width_guard():
-    w = balanced_gamma("gaussian", 1.0)
-    with pytest.raises(ValidationError):
-        coherent_sum_factor(2.0 * MAX_SPECTRAL_WIDTH + 1.0, 1.0, w)
+    """The tilted profile turns Gaussian smoothing into an exact symmetry;
+    without the ``sigma^2/4`` shift the symmetry fails visibly."""
+    taus = (0.3, 1.0, 2.7, 6.0)
+    assert np.all(_balance_defects(balanced_gamma("gaussian", 1.1), 1.1, taus) < 1e-11)
+    # Half the frequency sums of the tilted-moment identity
+    # A(-zeta) = e^{-zeta/2} A(zeta), which is this symmetry at c = zeta/2.
+    centers = (0.25, 0.75, 1.5)
+    assert np.all(_balance_defects(balanced_gamma("gaussian", 1.0), 1.0, centers) < 1e-11)
+    assert np.all(_balance_defects(unshifted_gamma("gaussian", 1.0), 1.0, centers) > 1e-3)
 
 
 # ---------------------------------------------------------------------------
-# Coherent pair coefficients
+# Coherent pair coefficients, read from the overlap table's coherent table
 # ---------------------------------------------------------------------------
+
+
+def _coherent_table(phi: str, sigma: float):
+    spectrum = bohr_spectrum(np.diag(PAIR_SPECTRUM_ENERGIES))
+    weight = balanced_gamma(phi, sigma)
+    return spectrum, overlap_table(spectrum, weight, sigma, cross_check=False).coherent
 
 
 def test_pair_coefficient_matches_quadpack():
     w = balanced_gamma("gaussian", 0.9)
+    spectrum, coherent = _coherent_table("gaussian", 0.9)
     for (nu, nup), frozen in PAIR_COEFFICIENT_AT_0P9.items():
         live = oracles.pair_coefficient_quad(nu, nup, 0.9, w)
         assert abs(live - frozen) < 1e-10 * abs(frozen)
-        got = complex(coherent_pair_coefficient(nu, nup, 0.9, w))
+        got = coherent[spectrum.index_of(nu), spectrum.index_of(nup)]
         assert abs(got - frozen) < 1e-10 * abs(frozen)
 
 
 def test_pair_coefficient_hermitian_symmetry():
-    w = balanced_gamma("sech", 0.7)
-    for nu, nup in ((1.3, -0.4), (2.0, 2.0), (-1.1, 0.6)):
-        b = complex(coherent_pair_coefficient(nu, nup, 0.7, w))
-        b_swapped = complex(coherent_pair_coefficient(nup, nu, 0.7, w))
-        assert abs(b - b_swapped.conjugate()) < 1e-13 * max(abs(b), 1e-300)
+    _, coherent = _coherent_table("sech", 0.7)
+    assert np.all(np.abs(coherent - coherent.conj().T) <= 1e-13 * np.abs(coherent))
 
 
 def test_pair_coefficient_vanishes_on_diagonal():
-    w = balanced_gamma("gaussian", 1.0)
-    for nu in (-2.0, 0.0, 1.7):
-        assert abs(complex(coherent_pair_coefficient(nu, nu, 1.0, w))) == 0.0
+    _, coherent = _coherent_table("gaussian", 1.0)
+    assert np.all(np.diag(coherent) == 0.0)
 
 
-def test_dissipator_gibbs_coefficient_two_methods_agree():
-    w = balanced_gamma("gaussian", 1.0)
-    for tau, tau_prime in ((0.5, -0.5), (1.0, 0.25), (-2.0, 1.0)):
-        closed = dissipator_gibbs_coefficient(tau, tau_prime, 1.0, w, method="closed_form")
-        direct = dissipator_gibbs_coefficient(tau, tau_prime, 1.0, w, method="quadrature")
-        assert closed == pytest.approx(direct, rel=1e-9, abs=1e-12)
+def _identity_residuals(weight, sigma: float) -> np.ndarray:
+    """``|lhs - rhs| / (1 + |lhs|)`` of the scalar stationarity identity at
+    every pair of Bohr frequencies of the identity spectrum: ``lhs`` is the
+    QUADPACK Gibbs-action coefficient, ``rhs = i (1 - e^{tau - tau'}) b``
+    with ``b`` the production coherent pair table."""
+    spectrum = bohr_spectrum(np.diag(IDENTITY_SPECTRUM_ENERGIES))
+    taus = spectrum.frequencies
+    lhs = oracles.gibbs_coefficient_table_quad(taus, sigma, weight)
+    coherent = overlap_table(spectrum, weight, sigma, cross_check=False).coherent
+    rhs = 1j * (1.0 - np.exp(taus[:, None] - taus[None, :])) * coherent
+    assert np.all(np.abs(rhs.imag) <= 1e-13 * (1.0 + np.abs(rhs.real)))
+    return np.abs(lhs - rhs.real) / (1.0 + np.abs(lhs))
+
+
+def _assert_identity_balanced_vs_broken(phi: str, sigma: float) -> None:
+    assert np.max(_identity_residuals(balanced_gamma(phi, sigma), sigma)) < 1e-9
+    broken = _identity_residuals(unshifted_gamma(phi, sigma), sigma)
+    assert np.max(broken[~np.eye(broken.shape[0], dtype=bool)]) > 1e-4
 
 
 def test_stationarity_identity_residual_balanced_vs_broken():
-    sigma = 1.0
-    balanced = balanced_gamma("gaussian", sigma)
-    broken = unshifted_gamma("gaussian", sigma)
-    worst_balanced = max(
-        stationarity_identity_residual(t, tp, sigma, balanced)
-        for t in (-1.0, 0.5, 2.0)
-        for tp in (-0.5, 1.5)
-    )
-    assert worst_balanced < 1e-9
-    worst_broken = max(
-        stationarity_identity_residual(t, tp, sigma, broken)
-        for t in (-1.0, 0.5, 2.0)
-        for tp in (-0.5, 1.5)
-        if t != tp
-    )
-    assert worst_broken > 1e-4
+    _assert_identity_balanced_vs_broken("gaussian", 1.0)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.5])
+@pytest.mark.parametrize("phi", ["sech", "exp_abs"])
+def test_stationarity_identity_for_other_profiles(phi, sigma):
+    """Smooth heavy-tailed (sech) and kinked (exp_abs, which takes the
+    panel branch of the smoothed-weight table) profiles balance too."""
+    _assert_identity_balanced_vs_broken(phi, sigma)
 
 
 # ---------------------------------------------------------------------------
