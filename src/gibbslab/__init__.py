@@ -21,7 +21,7 @@ Layering (each module depends only on the ones above it):
     cli           -- experiment configs, reports, and file formats
 """
 
-from .errors import GibbsLabError, ValidationError
+from .errors import GibbsLabError, NumericalGuardError, ValidationError
 from .operator_core import (
     EigenSystem,
     anticommutator,
@@ -117,6 +117,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GibbsLabError",
+    "NumericalGuardError",
     "ValidationError",
     "EigenSystem",
     "anticommutator",

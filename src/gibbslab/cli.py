@@ -28,7 +28,8 @@ digit floats, LF line endings, and no timestamps, so identical inputs
 produce identical bytes (modulo the version metadata line).  Exit codes:
 0 all checks passed, 1 at least one check failed, 2 usage or config
 error, 3 (selftest with ``--tighten``) only the expected tightened checks
-failed.
+failed, 4 a numerical guard fired (an overlap table disagreed with its
+QUADPACK cross-check).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import ValidationError
+from .errors import NumericalGuardError, ValidationError
 from .evolution import (
     choi_min_eigenvalue,
     contraction_report,
@@ -78,6 +79,7 @@ from .weights import (
 __all__ = [
     "EXIT_CHECK_FAILURE",
     "EXIT_EXPECTED_FAILURES",
+    "EXIT_NUMERICAL_GUARD",
     "EXIT_OK",
     "EXIT_USAGE",
     "SCHEMA_VERSION",
@@ -97,6 +99,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_EXPECTED_FAILURES = 3
+EXIT_NUMERICAL_GUARD = 4
 
 _WEIGHT_KINDS = ("balanced", "unshifted", "glauber", "metropolis")
 _GENERATOR_KINDS = ("davies", "localised")
@@ -617,6 +620,8 @@ def cmd_sweep_sigma(config: dict, args) -> int:
                 "coherent_norm_B": row["coherent_norm"],
                 "b1_l1": coherent_time_kernel_l1(row["sigma"]),
                 "stationarity_residual": row["stationarity_residual"],
+                "overlap_cross_check_defect": row["overlap_cross_check_defect"],
+                "overlap_cross_check_evaluations": row["overlap_cross_check_evaluations"],
             }
         )
 
@@ -1033,6 +1038,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NumericalGuardError as exc:
+        print(f"numerical guard: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_GUARD
 
 
 if __name__ == "__main__":

@@ -211,6 +211,14 @@ def _rotate_superop(system: EigenSystem, s_eig: np.ndarray) -> np.ndarray:
     return (t @ dagger(u)).reshape(d * d, d * d)
 
 
+def _rotated_dissipator(
+    system: EigenSystem, s_sandwich_eig: np.ndarray, m_kernel_eig: np.ndarray
+) -> np.ndarray:
+    """The dissipator ``S - (1/2){M, .}`` in the original basis."""
+    anti = superop_left(m_kernel_eig) + superop_right(m_kernel_eig)
+    return _rotate_superop(system, s_sandwich_eig - 0.5 * anti)
+
+
 def _bundle(
     kind: str,
     path: str,
@@ -227,8 +235,7 @@ def _bundle(
     """The assembly tail shared by both families: the dissipator
     ``S - (1/2){M, .}`` rotated to the original basis, the Hamiltonian part
     ``-i[P + B, .]`` and the drift ``i(P + B) - M/2``."""
-    anti = superop_left(m_kernel_eig) + superop_right(m_kernel_eig)
-    s_diss = _rotate_superop(system, s_sandwich_eig - 0.5 * anti)
+    s_diss = _rotated_dissipator(system, s_sandwich_eig, m_kernel_eig)
     h_eff = model.hamiltonian + b_mat
     s_ham = -1j * (superop_left(h_eff) - superop_right(h_eff))
     drift = 1j * h_eff - 0.5 * system.from_eigenbasis(m_kernel_eig)
@@ -387,6 +394,28 @@ def _omega_quadrature_dissipator(
     return s_sandwich, m_kernel, info
 
 
+def _filtered_dissipator(
+    path: str,
+    jumps_eig: list[np.ndarray],
+    weight: WeightFunction,
+    sigma: float,
+    spectrum: BohrSpectrum,
+    g_values: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Sandwich superoperator, anticommutator kernel (eigenbasis) and
+    diagnostics of the filtered dissipator on one assembly path.
+
+    ``bohr_sum`` contracts the overlap values ``g_values``;
+    ``omega_quadrature`` never reads them (pass ``None``).
+    """
+    if path == "bohr_sum":
+        s_sandwich_eig, m_kernel_eig = _bohr_sum_dissipator(
+            jumps_eig, g_values, spectrum.pair_index
+        )
+        return s_sandwich_eig, m_kernel_eig, {}
+    return _omega_quadrature_dissipator(jumps_eig, weight, sigma, spectrum)
+
+
 def localised_generator(
     model: Model,
     weight: WeightFunction,
@@ -443,15 +472,10 @@ def localised_generator(
         g_values = 2.0 * diagonal - g_values  # flip every off-diagonal sign
         diag["fault_injected"] = "all off-diagonal overlap signs flipped"
 
-    if path == "bohr_sum":
-        s_sandwich_eig, m_kernel_eig = _bohr_sum_dissipator(
-            jumps_eig, g_values, spectrum.pair_index
-        )
-    else:
-        s_sandwich_eig, m_kernel_eig, omega_diag = _omega_quadrature_dissipator(
-            jumps_eig, weight, sigma, spectrum
-        )
-        diag.update(omega_diag)
+    s_sandwich_eig, m_kernel_eig, path_diag = _filtered_dissipator(
+        path, jumps_eig, weight, sigma, spectrum, g_values
+    )
+    diag.update(path_diag)
 
     b_mat, b_diag = coherent_matrix_bohr(model, table, system=system)
     diag.update(b_diag)
@@ -568,21 +592,31 @@ def drift_dissipativity_defect(bundle: GeneratorBundle, n_samples: int = 50, see
 def dual_path_residual(bundle: GeneratorBundle) -> float:
     """Relative Frobenius distance between the two assembly paths.
 
-    Assembles only the path the filtered ``bundle`` was not built on, with
-    the bundle's model, weight, bandwidth and clustering.
+    Assembles only the dissipator of the path the filtered ``bundle`` was
+    not built on, over the bundle's model, weight, bandwidth and Bohr
+    spectrum, and adds the bundle's own Hamiltonian part (the coherent
+    matrix is the same on both paths).  Only the ``bohr_sum`` dissipator
+    reads the overlap table, so only an ``omega_quadrature`` bundle builds
+    one here, without the cross-check.
     """
     if bundle.kind != "localised":
         raise ValidationError("the dual-path check applies to filtered generators only")
     other = "omega_quadrature" if bundle.assembly_path == "bohr_sum" else "bohr_sum"
-    s_built = bundle.superoperator
-    s_other = localised_generator(
-        bundle.model,
+    system = bundle.model.eigensystem()
+    spectrum = bundle.spectrum
+    g_values = None
+    if other == "bohr_sum":
+        g_values = overlap_table(spectrum, bundle.weight, bundle.sigma, cross_check=False).values
+    s_sandwich_eig, m_kernel_eig, _ = _filtered_dissipator(
+        other,
+        [system.to_eigenbasis(a) for a in bundle.model.jumps],
         bundle.weight,
         bundle.sigma,
-        path=other,
-        cluster_tol=bundle.spectrum.cluster_tol,
-        cross_check=False,
-    ).superoperator
+        spectrum,
+        g_values,
+    )
+    s_built = bundle.superoperator
+    s_other = bundle.hamiltonian_part + _rotated_dissipator(system, s_sandwich_eig, m_kernel_eig)
     scale = max(float(np.linalg.norm(s_built)), float(np.linalg.norm(s_other)), 1e-300)
     return float(np.linalg.norm(s_built - s_other)) / scale
 
@@ -603,7 +637,8 @@ def davies_limit_report(
     with the delocalised-limit weight ``pi e^{-omega/2} phi(omega)`` (the
     factor ``pi`` is the squared filter mass; without it the limit would not
     close).  Distances are Schatten-``p`` norms of the action difference on
-    seeded unit-Frobenius Hermitian test operators.
+    seeded unit-Frobenius Hermitian test operators.  Each row also carries
+    the rung's overlap cross-check defect and QUADPACK evaluation count.
     """
     from .weights import balanced_gamma, delocalised_limit_gamma
 
@@ -631,6 +666,10 @@ def davies_limit_report(
                 "max_distance": max(distances),
                 "coherent_norm": float(np.linalg.norm(bundle.coherent_matrix)),
                 "stationarity_residual": stationarity_report(bundle).residual_fro,
+                "overlap_cross_check_defect": bundle.diagnostics["overlap_cross_check_defect"],
+                "overlap_cross_check_evaluations": bundle.diagnostics[
+                    "overlap_cross_check_evaluations"
+                ],
             }
         )
     return {"rows": rows, "p": p, "n_test_ops": n_test_ops, "seed": seed}

@@ -26,6 +26,16 @@ This module owns every scalar ingredient of the generator assembly:
     filtered generator's diagonal coupling actually converges to as
     ``sigma -> 0`` (the factor ``pi`` is exactly the squared filter mass).
 
+  The balanced and unshifted weights of a library profile also carry a
+  plain-float twin, ``WeightFunction.scalar``, written from the profile's
+  log formula (``PhiProfile.log_scalar``) with ``math.exp``.  It agrees with
+  the vectorised weight to a few ulps and costs about 0.4 us a call against
+  16 us; the QUADPACK cross-check of ``oft.overlap_table``, which calls the
+  weight once per integrand node, reads it.  Tables are built from the
+  vectorised weight only.  A user-supplied profile has no log formula, so
+  its weights have ``scalar=None`` and are cross-checked through the
+  vectorised call.
+
 * The Gaussian-smoothed weight
 
   .. math:: H(c) = \\int \\gamma(\\omega) e^{-(\\omega - c)^2/\\sigma^2}\\,d\\omega,
@@ -186,6 +196,10 @@ class WeightFunction:
     breakpoints:
         Points where ``gamma`` is continuous but not smooth; every quadrature
         in the package splits its panels there.
+    scalar:
+        The same ``gamma`` on one plain float, for callers that evaluate it
+        point by point (the QUADPACK cross-check), or ``None`` when there is
+        no scalar formula and those callers fall back to ``evaluate``.
     """
 
     kind: str
@@ -194,6 +208,7 @@ class WeightFunction:
     phi_name: str | None = None
     breakpoints: tuple[float, ...] = ()
     description: str = ""
+    scalar: Callable[[float], float] | None = None
 
     def __call__(self, omega):
         omega = np.asarray(omega, dtype=np.float64)
@@ -203,11 +218,14 @@ class WeightFunction:
 
 @dataclass(frozen=True)
 class PhiProfile:
-    """A named even profile ``phi >= 0`` with its non-smooth points."""
+    """A named even profile ``phi >= 0`` with its non-smooth points, and
+    ``log_scalar``, the log of ``phi`` on one plain float (``None`` when no
+    such formula is known)."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     breakpoints: tuple[float, ...] = ()
+    log_scalar: Callable[[float], float] | None = None
 
 
 def _phi_gaussian(x):
@@ -224,10 +242,21 @@ def _phi_exp_abs(x):
     return np.exp(-np.abs(x))
 
 
+_LOG_2 = math.log(2.0)
+
+
+def _log_phi_sech(x: float) -> float:
+    # log of 2 e^{-a} / (1 + e^{-2a}), a = |x|/2, as in _phi_sech.
+    a = abs(x) * 0.5
+    return _LOG_2 - a - math.log1p(math.exp(-2.0 * a))
+
+
 PHI_LIBRARY: dict[str, PhiProfile] = {
-    "gaussian": PhiProfile("gaussian", _phi_gaussian),
-    "sech": PhiProfile("sech", _phi_sech),
-    "exp_abs": PhiProfile("exp_abs", _phi_exp_abs, breakpoints=(0.0,)),
+    "gaussian": PhiProfile("gaussian", _phi_gaussian, log_scalar=lambda x: -x * x),
+    "sech": PhiProfile("sech", _phi_sech, log_scalar=_log_phi_sech),
+    "exp_abs": PhiProfile(
+        "exp_abs", _phi_exp_abs, breakpoints=(0.0,), log_scalar=lambda x: -abs(x)
+    ),
 }
 
 
@@ -335,6 +364,15 @@ def _shifted_profile_weight(profile: PhiProfile, shift: float) -> Callable:
     return evaluate
 
 
+def _shifted_profile_scalar(profile: PhiProfile, shift: float) -> Callable | None:
+    """Plain-float twin of :func:`_shifted_profile_weight`, in the same log
+    space: ``exp(-w/2 + log phi(w + shift))``."""
+    log_phi = profile.log_scalar
+    if log_phi is None:
+        return None
+    return lambda w: math.exp(-0.5 * w + log_phi(w + shift))
+
+
 def balanced_gamma(phi, sigma: float) -> WeightFunction:
     """Balanced weight ``e^{-omega/2} phi(omega + sigma^2/4)`` for bandwidth ``sigma``.
 
@@ -354,6 +392,7 @@ def balanced_gamma(phi, sigma: float) -> WeightFunction:
         phi_name=profile.name,
         breakpoints=tuple(sorted(b - shift for b in profile.breakpoints)),
         description=f"e^(-omega/2) {profile.name}(omega + {shift:.6g})",
+        scalar=_shifted_profile_scalar(profile, shift),
     )
 
 
@@ -375,6 +414,7 @@ def unshifted_gamma(phi, sigma: float) -> WeightFunction:
         phi_name=profile.name,
         breakpoints=tuple(sorted(profile.breakpoints)),
         description=f"e^(-omega/2) {profile.name}(omega)  [balance intentionally broken]",
+        scalar=_shifted_profile_scalar(profile, 0.0),
     )
 
 

@@ -21,6 +21,7 @@ import gibbslab.weights
 from gibbslab.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_EXPECTED_FAILURES,
+    EXIT_NUMERICAL_GUARD,
     EXIT_OK,
     EXIT_USAGE,
     SCHEMA_VERSION,
@@ -113,6 +114,10 @@ def test_verify_passes_on_the_qubit(tmp_path, capsys):
 
 @pytest.mark.parametrize("path", ["bohr_sum", "omega_quadrature"])
 def test_filtered_verify_builds_each_path_once(tmp_path, monkeypatch, path):
+    """One generator build per verify: the dual-path check assembles only the
+    other path's dissipator.  Only the bohr_sum dissipator reads the overlap
+    table, so an omega_quadrature verify smooths the weight once more for it
+    and a bohr_sum verify does not."""
     builds = []
     smoothing_calls = []
     build = gibbslab.generators.localised_generator
@@ -137,8 +142,8 @@ def test_filtered_verify_builds_each_path_once(tmp_path, monkeypatch, path):
     config = write_config(tmp_path, qubit_config(generator={"kind": "localised", "path": path}))
     code = main(["verify-stationarity", "--config", config, "--report", str(tmp_path / "r.json")])
     assert code == EXIT_OK
-    other = "omega_quadrature" if path == "bohr_sum" else "bohr_sum"
-    assert builds == [(path, 1), (other, 1)]
+    assert builds == [(path, 1)]
+    assert len(smoothing_calls) == (1 if path == "bohr_sum" else 2)
 
 
 def test_verify_report_times_each_check(tmp_path):
@@ -225,9 +230,41 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["verify-stationarity", "--config", missing]) == EXIT_USAGE
 
 
+def test_cross_check_failure_exits_four(tmp_path, monkeypatch, capsys):
+    """A fired numerical guard is told apart from a usage error and from a
+    failed check."""
+    smooth = gibbslab.oft.smoothed_weight_table
+    monkeypatch.setattr(
+        gibbslab.oft,
+        "smoothed_weight_table",
+        lambda *args, **kwargs: smooth(*args, **kwargs) * (1.0 + 1e-6),
+    )
+    config = write_config(tmp_path, qubit_config())
+    assert EXIT_NUMERICAL_GUARD == 4
+    assert main(["verify-stationarity", "--config", config]) == EXIT_NUMERICAL_GUARD
+    assert "definitional quadrature" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Bandwidth sweep
 # ---------------------------------------------------------------------------
+
+
+def test_sweep_rows_report_the_cross_check(tmp_path):
+    payload = qubit_config(run={"sigma_sweep": [1.0, 0.1]}, output={"format": "json"})
+    config = write_config(tmp_path, payload)
+    report_path = tmp_path / "r.json"
+    out_path = tmp_path / "sweep.json"
+    assert main(
+        ["sweep-sigma", "--config", config, "--report", str(report_path), "--out", str(out_path)]
+    ) == EXIT_OK
+    rows = json.loads(report_path.read_text())["data"]["rows"]
+    assert len(rows) == 2
+    for row in rows:
+        assert 0.0 <= row["overlap_cross_check_defect"] <= 1e-8
+        assert row["overlap_cross_check_evaluations"] > 0
+    # The data artifact keeps its columns.
+    assert "overlap_cross_check_defect" not in json.loads(out_path.read_text())["columns"]
 
 
 def test_sweep_produces_monotone_columns(tmp_path):
