@@ -24,30 +24,24 @@ Layering (each module depends only on the ones above it):
 from .errors import GibbsLabError, NumericalGuardError, ValidationError
 from .operator_core import (
     EigenSystem,
-    anticommutator,
-    commutator,
     dagger,
     devectorize,
     eig_hermitian,
-    is_hermitian,
-    matrix_function,
     schatten_norm,
-    superop_conjugation,
     superop_left,
     superop_right,
-    trace_distance,
     vectorize,
 )
 from .bohr import (
     BohrDecomposition,
     BohrSpectrum,
-    adjoint_pairing_residual,
     bohr_spectrum,
     decompose,
 )
 from .weights import (
     COHERENT_L1_LIMIT,
     FILTER_SQUARED_MASS,
+    MAX_BANDWIDTH,
     MAX_SPECTRAL_WIDTH,
     PHI_LIBRARY,
     GaussianFilter,
@@ -62,11 +56,8 @@ from .weights import (
     unshifted_gamma,
 )
 from .oft import (
-    OftEvaluation,
     OverlapTable,
-    delocalisation_profile,
     oft_eval,
-    oft_eval_time_quadrature,
     overlap_table,
 )
 from .generators import (
@@ -76,11 +67,9 @@ from .generators import (
     coherent_matrix_bohr,
     davies_generator,
     davies_limit_report,
-    drift_dissipativity_defect,
     dual_path_residual,
     effective_drift_abscissa,
     generator_action,
-    gibbs_action_identity_defect,
     hermiticity_preservation_defect,
     localised_generator,
     stationarity_report,
@@ -101,8 +90,6 @@ from .evolution import (
 )
 from .models import (
     Model,
-    WELL_SEPARATED_SPECTRUM_6,
-    benchmark_models,
     gibbs_state,
     model_from_config,
     named_potential,
@@ -120,26 +107,20 @@ __all__ = [
     "NumericalGuardError",
     "ValidationError",
     "EigenSystem",
-    "anticommutator",
-    "commutator",
     "dagger",
     "devectorize",
     "eig_hermitian",
-    "is_hermitian",
-    "matrix_function",
     "schatten_norm",
-    "superop_conjugation",
     "superop_left",
     "superop_right",
-    "trace_distance",
     "vectorize",
     "BohrDecomposition",
     "BohrSpectrum",
-    "adjoint_pairing_residual",
     "bohr_spectrum",
     "decompose",
     "COHERENT_L1_LIMIT",
     "FILTER_SQUARED_MASS",
+    "MAX_BANDWIDTH",
     "MAX_SPECTRAL_WIDTH",
     "PHI_LIBRARY",
     "GaussianFilter",
@@ -152,11 +133,8 @@ __all__ = [
     "kms_gamma",
     "resolve_phi",
     "unshifted_gamma",
-    "OftEvaluation",
     "OverlapTable",
-    "delocalisation_profile",
     "oft_eval",
-    "oft_eval_time_quadrature",
     "overlap_table",
     "GeneratorBundle",
     "StationarityReport",
@@ -164,11 +142,9 @@ __all__ = [
     "coherent_matrix_bohr",
     "davies_generator",
     "davies_limit_report",
-    "drift_dissipativity_defect",
     "dual_path_residual",
     "effective_drift_abscissa",
     "generator_action",
-    "gibbs_action_identity_defect",
     "hermiticity_preservation_defect",
     "localised_generator",
     "stationarity_report",
@@ -185,8 +161,6 @@ __all__ = [
     "semigroup_defect",
     "snapshot_diagnostics",
     "Model",
-    "WELL_SEPARATED_SPECTRUM_6",
-    "benchmark_models",
     "gibbs_state",
     "model_from_config",
     "named_potential",

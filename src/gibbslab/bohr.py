@@ -35,7 +35,6 @@ __all__ = [
     "BohrSpectrum",
     "COMPONENT_DROP_SCALE",
     "DEFAULT_CLUSTER_SCALE",
-    "adjoint_pairing_residual",
     "bohr_spectrum",
     "decompose",
 ]
@@ -73,10 +72,6 @@ class BohrSpectrum:
     @property
     def size(self) -> int:
         return self.frequencies.shape[0]
-
-    @property
-    def zero_index(self) -> int:
-        return int(np.searchsorted(self.frequencies, 0.0))
 
     def index_of(self, frequency: float) -> int:
         """Index of the representative closest to ``frequency``.
@@ -275,21 +270,3 @@ def decompose(
         frequency_indices=keep,
         components=components[keep],
     )
-
-
-def adjoint_pairing_residual(
-    operator: np.ndarray,
-    system: EigenSystem,
-    spectrum: BohrSpectrum | None = None,
-) -> float:
-    """Largest deviation in ``(A^dag)_(-nu) = (A_nu)^dag`` over all frequencies.
-
-    Returns the raw maximum Frobenius norm of the mismatch.
-    """
-    if spectrum is None:
-        spectrum = bohr_spectrum(system)
-    direct = decompose(operator, system, spectrum).dense_components()
-    adjoint = decompose(dagger(operator), system, spectrum).dense_components()
-    flip = spectrum.negation_index()
-    mismatch = adjoint[flip] - np.conj(np.transpose(direct, (0, 2, 1)))
-    return float(np.max(np.linalg.norm(mismatch, axis=(1, 2))))

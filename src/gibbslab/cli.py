@@ -29,7 +29,8 @@ produce identical bytes (modulo the version metadata line).  Exit codes:
 0 all checks passed, 1 at least one check failed, 2 usage or config
 error, 3 (selftest with ``--tighten``) only the expected tightened checks
 failed, 4 a numerical guard fired (an overlap table disagreed with its
-QUADPACK cross-check).
+QUADPACK cross-check), 5 the program crashed (any other exception; the
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import math
 import platform
 import sys
 import time
+import traceback
 from contextlib import contextmanager
 
 import numpy as np
@@ -49,6 +51,7 @@ import scipy
 from . import __version__
 from .errors import NumericalGuardError, ValidationError
 from .evolution import (
+    CHOI_MAX_DIM,
     choi_min_eigenvalue,
     contraction_report,
     evolve,
@@ -70,6 +73,7 @@ from .generators import (
 from .models import Model, gibbs_state, model_from_config, random_model
 from .weights import (
     COHERENT_L1_LIMIT,
+    MAX_BANDWIDTH,
     balanced_gamma,
     coherent_time_kernel_l1,
     kms_gamma,
@@ -78,6 +82,7 @@ from .weights import (
 
 __all__ = [
     "EXIT_CHECK_FAILURE",
+    "EXIT_CRASH",
     "EXIT_EXPECTED_FAILURES",
     "EXIT_NUMERICAL_GUARD",
     "EXIT_OK",
@@ -100,6 +105,7 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_EXPECTED_FAILURES = 3
 EXIT_NUMERICAL_GUARD = 4
+EXIT_CRASH = 5
 
 _WEIGHT_KINDS = ("balanced", "unshifted", "glauber", "metropolis")
 _GENERATOR_KINDS = ("davies", "localised")
@@ -148,6 +154,16 @@ def _as_positive_float(value, context: str) -> float:
     return x
 
 
+def _as_bandwidth(value, context: str) -> float:
+    sigma = _as_positive_float(value, context)
+    if sigma > MAX_BANDWIDTH:
+        raise ValidationError(
+            f"{context} must be at most {MAX_BANDWIDTH:g}, got {sigma!r}; the "
+            "smoothing rule does not resolve wider filters"
+        )
+    return sigma
+
+
 def normalised_config(config: dict | None, command: str) -> dict:
     """Validate a config mapping and fill defaults; idempotent.
 
@@ -183,7 +199,7 @@ def normalised_config(config: dict | None, command: str) -> dict:
         raise ValidationError("weight.balance_broken must be a boolean")
     if weight["kind"] in ("balanced", "unshifted"):
         weight.setdefault("phi_name", "gaussian")
-        weight["sigma"] = _as_positive_float(weight.get("sigma", 1.0), "weight.sigma")
+        weight["sigma"] = _as_bandwidth(weight.get("sigma", 1.0), "weight.sigma")
     else:
         for key in ("phi_name", "sigma"):
             if key in weight:
@@ -244,7 +260,7 @@ def normalised_config(config: dict | None, command: str) -> dict:
         run["times"] = times
     if command == "sweep-sigma" or "sigma_sweep" in run:
         sweep = [
-            _as_positive_float(s, "run.sigma_sweep entry")
+            _as_bandwidth(s, "run.sigma_sweep entry")
             for s in run.get("sigma_sweep", _DEFAULT_SWEEP)
         ]
         if any(b >= a for a, b in zip(sweep[:-1], sweep[1:])):
@@ -472,7 +488,10 @@ def _finish(
     data: dict | None = None,
     report_path: str | None = None,
     stages: dict | None = None,
+    extra: dict | None = None,
 ) -> int:
+    """Write the run report and return its exit code; ``data`` goes under
+    the ``data`` key and ``extra`` at the top level."""
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -484,6 +503,8 @@ def _finish(
     }
     if data:
         report["data"] = data
+    if extra:
+        report.update(extra)
     _write_text(report_path, render_report(report))
     return EXIT_OK if report["overall_pass"] else EXIT_CHECK_FAILURE
 
@@ -610,7 +631,7 @@ def cmd_sweep_sigma(config: dict, args) -> int:
     sigmas = config["run"]["sigma_sweep"]
     phi = config["weight"]["phi_name"]
 
-    limit = davies_limit_report(model, phi, sigmas, seed=seed, p=1.0)
+    limit = davies_limit_report(model, phi, sigmas, seed=seed)
     rows = []
     for row in limit["rows"]:
         rows.append(
@@ -724,7 +745,7 @@ def cmd_evolve(config: dict, args) -> int:
         ),
     ]
     mark = time.perf_counter()
-    if bundle.dim <= 8:
+    if bundle.dim <= CHOI_MAX_DIM:
         t_choi = times[-1] if times[-1] > 0.0 else 1.0
         checks.append(
             _check(
@@ -775,7 +796,7 @@ def _selftest_checks(seed: int, stages: dict) -> list[dict]:
                 _check(
                     f"davies_stationarity_{model.model_id}_{kms_kind}",
                     stationarity_report(bundle).residual_fro,
-                    1e-12,
+                    _DEFAULT_TOLERANCES["davies_stationarity"],
                     "upper",
                 )
             )
@@ -789,7 +810,7 @@ def _selftest_checks(seed: int, stages: dict) -> list[dict]:
                 _check(
                     f"filtered_stationarity_{model.model_id}_{phi}",
                     stationarity_report(bundle).residual_fro,
-                    1e-9,
+                    _DEFAULT_TOLERANCES["stationarity"],
                     "upper",
                 )
             )
@@ -801,7 +822,7 @@ def _selftest_checks(seed: int, stages: dict) -> list[dict]:
             _check(
                 "dual_path_dense_model",
                 dual_path_residual(clean),
-                1e-8,
+                _DEFAULT_TOLERANCES["dual_path"],
                 "upper",
             )
         )
@@ -821,7 +842,7 @@ def _selftest_checks(seed: int, stages: dict) -> list[dict]:
             _check(
                 "negative_control_residual",
                 stationarity_report(near).residual_fro,
-                1e-4,
+                _DEFAULT_TOLERANCES["negative_control"],
                 "lower",
             )
         )
@@ -851,7 +872,7 @@ def _selftest_checks(seed: int, stages: dict) -> list[dict]:
             _check(
                 "drift_abscissa_dense_model",
                 effective_drift_abscissa(clean),
-                1e-10,
+                _DEFAULT_TOLERANCES["drift_abscissa"],
                 "upper",
             )
         )
@@ -859,7 +880,7 @@ def _selftest_checks(seed: int, stages: dict) -> list[dict]:
             _check(
                 "trace_functional_dense_model",
                 trace_functional_defect(clean),
-                1e-12,
+                _DEFAULT_TOLERANCES["trace_functional"],
                 "upper",
             )
         )
@@ -867,7 +888,7 @@ def _selftest_checks(seed: int, stages: dict) -> list[dict]:
             _check(
                 "hermiticity_preservation_dense_model",
                 hermiticity_preservation_defect(clean, seed=seed),
-                1e-12,
+                _DEFAULT_TOLERANCES["hermiticity_preservation"],
                 "upper",
             )
         )
@@ -879,7 +900,7 @@ def _selftest_checks(seed: int, stages: dict) -> list[dict]:
             _check(
                 "qubit_convergence_t20",
                 trajectory.diagnostics[-1]["gibbs_distance"],
-                1e-6,
+                _DEFAULT_TOLERANCES["final_gibbs_distance"],
                 "upper",
             )
         )
@@ -887,7 +908,7 @@ def _selftest_checks(seed: int, stages: dict) -> list[dict]:
             _check(
                 "choi_min_eigenvalue_qubit_t1",
                 choi_min_eigenvalue(qubit_bundle, 1.0),
-                1e-8,
+                _DEFAULT_TOLERANCES["choi_min_eigenvalue"],
                 "floor",
             )
         )
@@ -923,40 +944,30 @@ def cmd_selftest(args) -> int:
     """Fixed cross-check battery; ``--tighten`` stresses the tolerances."""
     started = time.perf_counter()
     seed = args.seed if args.seed is not None else 2024
+    factor = args.tighten
+    if factor is not None and factor <= 1.0:
+        raise ValidationError("--tighten expects a factor > 1")
     stages: dict[str, float] = {}
     checks = _selftest_checks(seed, stages)
 
-    factor = args.tighten
-    expected_failures: list[str] = []
+    extra = None
     if factor is not None:
-        if factor <= 1.0:
-            raise ValidationError("--tighten expects a factor > 1")
         checks = [_tightened(c, factor) for c in checks]
-        expected_failures = [
-            c["name"] for c in checks if not c["pass"] and c["pass_at_standard"]
-        ]
-
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "selftest",
-        "config": None,
-        "checks": checks,
-        "overall_pass": all(c["pass"] for c in checks),
-        "environment": _environment(seed),
-        "timing": _timing(started, stages),
-    }
-    if factor is not None:
-        report["tighten_factor"] = factor
-        report["expected_failures"] = expected_failures
-    _write_text(args.report, render_report(report))
-
-    if report["overall_pass"]:
-        return EXIT_OK
-    if factor is not None and all(
+        extra = {
+            "tighten_factor": factor,
+            "expected_failures": [
+                c["name"] for c in checks if not c["pass"] and c["pass_at_standard"]
+            ],
+        }
+    code = _finish(
+        "selftest", None, checks, seed=seed, started=started,
+        report_path=args.report, stages=stages, extra=extra,
+    )
+    if code == EXIT_CHECK_FAILURE and factor is not None and all(
         c["pass"] or c["pass_at_standard"] for c in checks
     ):
         return EXIT_EXPECTED_FAILURES
-    return EXIT_CHECK_FAILURE
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -1041,6 +1052,9 @@ def main(argv=None) -> int:
     except NumericalGuardError as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_GUARD
+    except Exception:
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_CRASH
 
 
 if __name__ == "__main__":

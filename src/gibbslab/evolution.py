@@ -24,13 +24,17 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import expm
 
 from .errors import ValidationError
-from .models import Model, gibbs_state
+from .models import gibbs_state
 from .operator_core import dagger, devectorize, vectorize
+
+if TYPE_CHECKING:
+    from .generators import GeneratorBundle
 
 __all__ = [
     "Propagator",
@@ -59,7 +63,8 @@ SNAPSHOT_HERMITICITY_TOL = 1e-10
 # treated as numerical noise worth a warning.
 CHOI_HARD_FLOOR = -1e-6
 CHOI_WARNING_FLOOR = -1e-8
-_CHOI_MAX_DIM = 8
+# Largest model dimension the dense Choi analysis accepts.
+CHOI_MAX_DIM = 8
 
 # Bytes of step exponentials one propagator keeps.  The entry just computed
 # is always kept, so a single step larger than the budget still works.
@@ -101,16 +106,6 @@ class Propagator:
         return channel
 
 
-def _propagator(generator) -> Propagator:
-    """The bundle's shared propagator, or a fresh one for a bare matrix."""
-    if isinstance(generator, Propagator):
-        return generator
-    shared = getattr(generator, "propagator", None)
-    if shared is not None:
-        return shared
-    return Propagator(getattr(generator, "superoperator", generator))
-
-
 def _hermitian_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Trace distance ``0.5 * sum |eig|`` of the Hermitised ``a - b``."""
     diff = a - b
@@ -118,16 +113,11 @@ def _hermitian_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def random_density_matrix(
-    dim: int, *, seed: int, rank: int | None = None
-) -> np.ndarray:
-    """A random density matrix ``G G^dag / tr`` with complex Gaussian ``G``."""
-    if rank is None:
-        rank = dim
-    if not 1 <= rank <= dim:
-        raise ValidationError(f"rank must be in [1, {dim}], got {rank}")
+def random_density_matrix(dim: int, *, seed: int) -> np.ndarray:
+    """A random full-rank density matrix ``G G^dag / tr`` with square complex
+    Gaussian ``G``."""
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ dagger(g)
     return rho / np.trace(rho).real
 
@@ -190,11 +180,7 @@ class Trajectory:
 
 
 def _propagate(
-    propagator: Propagator,
-    initial_state: np.ndarray,
-    times,
-    *,
-    validate_initial: bool = True,
+    propagator: Propagator, initial_state: np.ndarray, times
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Validated time grid and the state at each of its times.
 
@@ -216,8 +202,7 @@ def _propagate(
         raise ValidationError(
             f"superoperator shape {superop.shape} does not match state dimension {d}"
         )
-    if validate_initial:
-        _validate_state(state)
+    _validate_state(state)
 
     vec = vectorize(state)
     snapshots = []
@@ -231,45 +216,29 @@ def _propagate(
     return ts, snapshots
 
 
-def evolve(
-    generator,
-    initial_state: np.ndarray,
-    times,
-    *,
-    model: Model | None = None,
-    validate_initial: bool = True,
-) -> Trajectory:
-    """Propagate a state to each requested time with step exponentials.
+def evolve(bundle: GeneratorBundle, initial_state: np.ndarray, times) -> Trajectory:
+    """Propagate a state to each requested time with the bundle's cached
+    step exponentials.
 
-    ``generator`` is a bundle (its cached propagator is used), a
-    :class:`Propagator`, or a bare ``(d^2, d^2)`` superoperator matrix.
     ``times`` must be non-negative and strictly increasing; a leading
-    ``0.0`` snapshot is allowed.  The Gibbs distance diagnostic is filled
-    when the model is known (taken from the bundle when present).
+    ``0.0`` snapshot is allowed.  Each snapshot's diagnostics include the
+    trace distance to the Gibbs density of the bundle's model.
     """
-    if model is None:
-        model = getattr(generator, "model", None)
-    ts, snapshots = _propagate(
-        _propagator(generator), initial_state, times, validate_initial=validate_initial
-    )
-    reference = gibbs_state(model) if model is not None else None
+    ts, snapshots = _propagate(bundle.propagator, initial_state, times)
+    reference = gibbs_state(bundle.model)
     diagnostics = tuple(snapshot_diagnostics(snap, reference) for snap in snapshots)
     return Trajectory(times=ts, states=np.array(snapshots), diagnostics=diagnostics)
 
 
-def semigroup_defect(generator, t: float, s: float) -> float:
+def semigroup_defect(bundle: GeneratorBundle, t: float, s: float) -> float:
     """Relative defect of ``e^{(t+s)L} = e^{tL} e^{sL}``."""
-    propagator = _propagator(generator)
+    propagator = bundle.propagator
     whole = propagator.step(t + s)
     split = propagator.step(t) @ propagator.step(s)
     return float(np.linalg.norm(whole - split)) / max(1.0, float(np.linalg.norm(whole)))
 
 
-def contraction_report(
-    generator,
-    state_pairs,
-    times,
-) -> dict:
+def contraction_report(bundle: GeneratorBundle, state_pairs, times) -> dict:
     """Trace distances between evolved state pairs at increasing times.
 
     Returns rows ``{pair, distances}`` where ``distances[k]`` is the trace
@@ -277,7 +246,7 @@ def contraction_report(
     each row must be non-increasing (up to numerical tolerance -- asserted
     by callers, reported here).
     """
-    propagator = _propagator(generator)
+    propagator = bundle.propagator
     rows = []
     for idx, (rho_a, rho_b) in enumerate(state_pairs):
         states_a = _propagate(propagator, rho_a, times)[1]
@@ -320,26 +289,26 @@ def choi_matrix(channel: np.ndarray) -> np.ndarray:
     return e.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d2, d2)
 
 
-def _hermitian_choi(generator, t: float) -> np.ndarray:
+def _hermitian_choi(bundle: GeneratorBundle, t: float) -> np.ndarray:
     """Hermitised Choi matrix of the cached time-``t`` channel."""
-    j = choi_matrix(_propagator(generator).step(t))
+    j = choi_matrix(bundle.propagator.step(t))
     return 0.5 * (j + dagger(j))
 
 
-def choi_min_eigenvalue(generator, t: float) -> float:
+def choi_min_eigenvalue(bundle: GeneratorBundle, t: float) -> float:
     """Most negative Choi eigenvalue of the time-``t`` channel."""
-    return float(np.min(np.linalg.eigvalsh(_hermitian_choi(generator, t))))
+    return float(np.min(np.linalg.eigvalsh(_hermitian_choi(bundle, t))))
 
 
-def choi_trace_preservation_defect(generator, t: float) -> float:
+def choi_trace_preservation_defect(bundle: GeneratorBundle, t: float) -> float:
     """Distance of the Choi partial trace from the identity."""
-    j = _hermitian_choi(generator, t)
+    j = _hermitian_choi(bundle, t)
     d = int(round(j.shape[0] ** 0.5))
     partial = np.einsum("iaja->ij", j.reshape(d, d, d, d))
     return float(np.linalg.norm(partial - np.eye(d)))
 
 
-def choi_report(generator, t: float) -> dict:
+def choi_report(bundle: GeneratorBundle, t: float) -> dict:
     """Complete-positivity health of the time-``t`` channel (dense; d <= 8).
 
     The report carries the most negative Choi eigenvalue, the
@@ -347,14 +316,12 @@ def choi_report(generator, t: float) -> dict:
     floor, ``"warning"`` for slightly negative eigenvalues attributable to
     roundoff, and a hard failure (raised) below the failure floor.
     """
-    propagator = _propagator(generator)
-    d = int(round(propagator.superoperator.shape[0] ** 0.5))
-    if d > _CHOI_MAX_DIM:
+    if bundle.dim > CHOI_MAX_DIM:
         raise ValidationError(
-            f"Choi analysis is dense and limited to dimension {_CHOI_MAX_DIM}, got {d}"
+            f"Choi analysis is dense and limited to dimension {CHOI_MAX_DIM}, got {bundle.dim}"
         )
-    min_eig = choi_min_eigenvalue(propagator, t)
-    tp_defect = choi_trace_preservation_defect(propagator, t)
+    min_eig = choi_min_eigenvalue(bundle, t)
+    tp_defect = choi_trace_preservation_defect(bundle, t)
     if min_eig < CHOI_HARD_FLOOR:
         raise ValidationError(
             f"channel at t={t:g} is not completely positive "

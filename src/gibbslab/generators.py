@@ -81,10 +81,8 @@ __all__ = [
     "davies_generator",
     "davies_limit_report",
     "dual_path_residual",
-    "drift_dissipativity_defect",
     "effective_drift_abscissa",
     "generator_action",
-    "gibbs_action_identity_defect",
     "hermiticity_preservation_defect",
     "localised_generator",
     "stationarity_report",
@@ -258,12 +256,7 @@ def _bundle(
     )
 
 
-def davies_generator(
-    model: Model,
-    weight: WeightFunction,
-    *,
-    cluster_tol: float | None = None,
-) -> GeneratorBundle:
+def davies_generator(model: Model, weight: WeightFunction) -> GeneratorBundle:
     """Unfiltered detailed-balance generator with diagonal frequency coupling.
 
     The weight must satisfy detailed balance on the model's Bohr grid to
@@ -272,7 +265,7 @@ def davies_generator(
     """
     diag = _validate_jump_family(model)
     system = model.eigensystem()
-    spectrum = bohr_spectrum(system, cluster_tol)
+    spectrum = bohr_spectrum(system)
     grid_defect = kms_defect(weight, spectrum.frequencies)
     if grid_defect > _KMS_GRID_TOL:
         raise ValidationError(
@@ -292,20 +285,16 @@ def davies_generator(
 
 
 def coherent_matrix_bohr(
-    model: Model,
-    table: OverlapTable,
-    *,
-    system: EigenSystem | None = None,
+    model: Model, table: OverlapTable, *, system: EigenSystem
 ) -> tuple[np.ndarray, dict]:
     """Coherent matrix ``B = sum_A sum_{nu, nu'} b(nu, nu') A_nu^dag A_nu'``
-    from the coherent pair table of an overlap table.
+    from the coherent pair table of an overlap table, over the model's
+    eigensystem ``system``.
 
     Returns ``(B, diagnostics)`` with ``B`` in the original basis.  ``B`` is
     Hermitian by the pairing symmetry of the table; the realised hermiticity
     defect is recorded and must stay below ``1e-10`` relative.
     """
-    if system is None:
-        system = model.eigensystem()
     idx = table.spectrum.pair_index
     b4 = table.coherent[idx[:, :, None], idx[:, None, :]]
     b_eig = _pair_sum([system.to_eigenbasis(j) for j in model.jumps], b4)
@@ -422,7 +411,6 @@ def localised_generator(
     sigma: float,
     *,
     path: str = "bohr_sum",
-    cluster_tol: float | None = None,
     cross_check: bool = True,
     _corrupt_overlap_sign: bool = False,
 ) -> GeneratorBundle:
@@ -436,7 +424,6 @@ def localised_generator(
         sigma: filter bandwidth; must equal ``weight.sigma``.
         path: ``"bohr_sum"`` contracts the overlap table against Bohr
             components; ``"omega_quadrature"`` sums explicit node jumps.
-        cluster_tol: Bohr clustering tolerance override.
         cross_check: sample-check the overlap table against definitional
             quadrature (a standing regression check; on by default).
         _corrupt_overlap_sign: fault hook for self-tests -- flips the sign of
@@ -462,7 +449,7 @@ def localised_generator(
 
     diag = _validate_jump_family(model)
     system = model.eigensystem()
-    spectrum = bohr_spectrum(system, cluster_tol)
+    spectrum = bohr_spectrum(system)
     jumps_eig = [system.to_eigenbasis(a) for a in model.jumps]
 
     table = overlap_table(spectrum, weight, sigma, cross_check=cross_check)
@@ -533,20 +520,6 @@ def stationarity_report(bundle: GeneratorBundle) -> StationarityReport:
     )
 
 
-def gibbs_action_identity_defect(bundle: GeneratorBundle) -> float:
-    """Defect of ``D(rho_G) = i [B, rho_G]`` for a filtered bundle.
-
-    The dissipator's action on the Gibbs density must be exactly the
-    commutator action that the coherent matrix was built to cancel.
-    Returns the Frobenius defect relative to the Gibbs norm.
-    """
-    rho = gibbs_state(bundle.model)
-    lhs = bundle.apply_part("dissipator", rho)
-    b = bundle.coherent_matrix
-    rhs = 1j * (b @ rho - rho @ b)
-    return float(np.linalg.norm(lhs - rhs)) / float(np.linalg.norm(rho))
-
-
 def trace_functional_defect(bundle: GeneratorBundle) -> float:
     """Norm of ``vec(I)^dag S`` -- zero for trace-preserving generators."""
     d = bundle.dim
@@ -554,12 +527,13 @@ def trace_functional_defect(bundle: GeneratorBundle) -> float:
     return float(np.linalg.norm(left))
 
 
-def hermiticity_preservation_defect(bundle: GeneratorBundle, n_samples: int = 10, seed: int = 0) -> float:
-    """Worst ``||L(T^dag) - L(T)^dag||_F / ||T||_F`` over random operators."""
+def hermiticity_preservation_defect(bundle: GeneratorBundle, seed: int = 0) -> float:
+    """Worst ``||L(T^dag) - L(T)^dag||_F / ||T||_F`` over ten seeded random
+    operators."""
     rng = np.random.default_rng(seed)
     d = bundle.dim
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(10):
         t = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         lhs = bundle.apply(dagger(t))
         rhs = dagger(bundle.apply(t))
@@ -571,22 +545,6 @@ def effective_drift_abscissa(bundle: GeneratorBundle) -> float:
     """Spectral abscissa (largest real part of an eigenvalue) of the drift
     matrix ``Y = i(P + B) - (1/2) sum_A sum C(nu,nu') A_nu^dag A_nu'``."""
     return float(np.max(np.linalg.eigvals(bundle.effective_drift).real))
-
-
-def drift_dissipativity_defect(bundle: GeneratorBundle, n_samples: int = 50, seed: int = 7) -> float:
-    """Worst ``Re <Y u, u>`` over random unit vectors (should be <= 0).
-
-    The drift is dissipative: its numerical range lies in the closed left
-    half-plane, so the returned value is at most a small positive roundoff.
-    """
-    rng = np.random.default_rng(seed)
-    y = bundle.effective_drift
-    worst = -np.inf
-    for _ in range(n_samples):
-        u = rng.normal(size=bundle.dim) + 1j * rng.normal(size=bundle.dim)
-        u /= np.linalg.norm(u)
-        worst = max(worst, float((u.conj() @ (y @ u)).real))
-    return worst
 
 
 def dual_path_residual(bundle: GeneratorBundle) -> float:
@@ -621,22 +579,14 @@ def dual_path_residual(bundle: GeneratorBundle) -> float:
     return float(np.linalg.norm(s_built - s_other)) / scale
 
 
-def davies_limit_report(
-    model: Model,
-    phi,
-    sigmas,
-    *,
-    n_test_ops: int = 5,
-    seed: int = 2024,
-    p: float = 1.0,
-) -> dict:
+def davies_limit_report(model: Model, phi, sigmas, *, seed: int = 2024) -> dict:
     """Distance of the filtered generator from its delocalised limit.
 
     For each bandwidth, builds the filtered generator with the balanced
     weight and compares its action against the unfiltered generator built
     with the delocalised-limit weight ``pi e^{-omega/2} phi(omega)`` (the
     factor ``pi`` is the squared filter mass; without it the limit would not
-    close).  Distances are Schatten-``p`` norms of the action difference on
+    close).  Distances are trace norms of the action difference on five
     seeded unit-Frobenius Hermitian test operators.  Each row also carries
     the rung's overlap cross-check defect and QUADPACK evaluation count.
     """
@@ -645,7 +595,7 @@ def davies_limit_report(
     rng = np.random.default_rng(seed)
     d = model.dim
     test_ops = []
-    for _ in range(n_test_ops):
+    for _ in range(5):
         z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         t = 0.5 * (z + dagger(z))
         test_ops.append(t / np.linalg.norm(t))
@@ -658,7 +608,7 @@ def davies_limit_report(
         distances = []
         for t in test_ops:
             delta = bundle.apply(t) - limit_bundle.apply(t)
-            distances.append(schatten_norm(delta, p))
+            distances.append(schatten_norm(delta, 1.0))
         rows.append(
             {
                 "sigma": float(s),
@@ -672,7 +622,7 @@ def davies_limit_report(
                 ],
             }
         )
-    return {"rows": rows, "p": p, "n_test_ops": n_test_ops, "seed": seed}
+    return {"rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -680,13 +630,11 @@ def davies_limit_report(
 # ---------------------------------------------------------------------------
 
 
-def _time_quadrature_inner(
-    model: Model,
-    weight: WeightFunction,
-    sigma: float,
-    n_time_nodes: int,
-    n_envelope_nodes: int,
-):
+# Trapezoid nodes of the time-domain oracle's kernel and envelope grids.
+_TIME_ORACLE_NODES = 2048
+
+
+def _time_quadrature_inner(model: Model, weight: WeightFunction, sigma: float):
     """Shared pieces of the time-domain assembly.
 
     Returns ``(system, ts, wt_k1, inner)`` where ``inner`` is the
@@ -703,14 +651,14 @@ def _time_quadrature_inner(
     d = model.dim
 
     t_span = 12.0 + 2.0 / sigma
-    ts = np.linspace(-t_span, t_span, int(n_time_nodes))
+    ts = np.linspace(-t_span, t_span, _TIME_ORACLE_NODES)
     wt = np.full(ts.size, ts[1] - ts[0])
     wt[0] *= 0.5
     wt[-1] *= 0.5
     wt_k1 = wt * coherent_time_kernel(ts, sigma)
 
     s_span = 10.0 / sigma + 1.0
-    ss = np.linspace(-s_span, s_span, int(n_envelope_nodes))
+    ss = np.linspace(-s_span, s_span, _TIME_ORACLE_NODES)
     ws = np.full(ss.size, ss[1] - ss[0])
     ws[0] *= 0.5
     ws[-1] *= 0.5
@@ -736,14 +684,7 @@ def _time_quadrature_close(system: EigenSystem, ts, wt_k1, inner, orientation: s
     return system.from_eigenbasis(outer_kernel * inner)
 
 
-def coherent_calibration_report(
-    model: Model,
-    weight: WeightFunction,
-    sigma: float,
-    *,
-    n_time_nodes: int = 2048,
-    n_envelope_nodes: int = 2048,
-) -> dict:
+def coherent_calibration_report(model: Model, weight: WeightFunction, sigma: float) -> dict:
     """Compare the frequency-domain coherent matrix against the time oracle.
 
     Reports the distance for both conjugation orientations of the time
@@ -753,9 +694,7 @@ def coherent_calibration_report(
     silently absorbed.  Relative distances are taken against the coherent
     norm when it is meaningfully nonzero, else against 1.
     """
-    system, ts, wt_k1, inner = _time_quadrature_inner(
-        model, weight, sigma, n_time_nodes, n_envelope_nodes
-    )
+    system, ts, wt_k1, inner = _time_quadrature_inner(model, weight, sigma)
     table = overlap_table(bohr_spectrum(system), weight, sigma, cross_check=False)
     b_freq, diag = coherent_matrix_bohr(model, table, system=system)
     report = {"coherent_norm": float(np.linalg.norm(b_freq)), **diag}

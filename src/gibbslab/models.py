@@ -412,18 +412,13 @@ def benchmark_models() -> tuple[Model, ...]:
     )
 
 
-def gibbs_state(hamiltonian: np.ndarray | EigenSystem | Model) -> np.ndarray:
-    """Normalised Gibbs density ``e^{-P} / tr e^{-P}``.
+def gibbs_state(model: Model) -> np.ndarray:
+    """Normalised Gibbs density ``e^{-P} / tr e^{-P}`` of a model.
 
     Computed through the spectrum with the ground energy subtracted before
     exponentiating, so no underflow occurs for wide spectra.
     """
-    if isinstance(hamiltonian, Model):
-        system = hamiltonian.eigensystem()
-    elif isinstance(hamiltonian, EigenSystem):
-        system = hamiltonian
-    else:
-        system = eig_hermitian(hamiltonian)
+    system = model.eigensystem()
     ground = float(system.eigenvalues[0])
     rho = system.function_of(lambda e: np.exp(-(e - ground)))
     rho = 0.5 * (rho + dagger(rho))

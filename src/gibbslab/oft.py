@@ -6,7 +6,7 @@ frequency-profile-weighted sum of Bohr components,
     A_f(omega) = sum_nu fhat_sigma(omega - nu) A_nu,
 
 equivalently the time integral ``(2 pi)^{-1/2} integral f_sigma(t)
-e^{iPt} A e^{-iPt} e^{-i omega t} dt``, which this module also evaluates
+e^{iPt} A e^{-iPt} e^{-i omega t} dt``; the tests evaluate that integral
 directly on a truncated time grid as an independent cross-check.
 
 The overlap table collects the couplings
@@ -40,6 +40,7 @@ import numpy as np
 from .bohr import BohrDecomposition, BohrSpectrum
 from .errors import NumericalGuardError, ValidationError
 from .weights import (
+    MAX_BANDWIDTH,
     MAX_SPECTRAL_WIDTH,
     WINDOW_RADIUS,
     GaussianFilter,
@@ -49,12 +50,9 @@ from .weights import (
 )
 
 __all__ = [
-    "OftEvaluation",
     "OverlapTable",
     "oft_eval",
-    "oft_eval_time_quadrature",
     "overlap_table",
-    "delocalisation_profile",
 ]
 
 # Exponent cap for the Gaussian pair factor: pairs with
@@ -68,68 +66,14 @@ _CROSS_CHECK_SAMPLES = 12
 _CROSS_CHECK_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class OftEvaluation:
-    """A filtered jump operator at one probe frequency.
-
-    Attributes:
-        omega: probe frequency.
-        sigma: filter bandwidth.
-        matrix: the filtered operator in the original basis.
-        source: the Bohr decomposition it was assembled from.
-    """
-
-    omega: float
-    sigma: float
-    matrix: np.ndarray
-    source: BohrDecomposition
-
-
-def oft_eval(source: BohrDecomposition, omega: float, sigma: float) -> OftEvaluation:
-    """Assemble the filtered operator ``sum_nu fhat(omega - nu) A_nu``."""
+def oft_eval(source: BohrDecomposition, omega: float, sigma: float) -> np.ndarray:
+    """The filtered operator ``sum_nu fhat(omega - nu) A_nu`` at probe
+    frequency ``omega``, in the basis of the decomposed operator."""
     if not (np.isfinite(omega)):
         raise ValidationError(f"probe frequency must be finite, got {omega!r}")
     filt = GaussianFilter(sigma)
     weights = filt.frequency_profile(omega - source.frequencies)
-    matrix = np.tensordot(weights, source.components, axes=(0, 0))
-    return OftEvaluation(omega=float(omega), sigma=float(sigma), matrix=matrix, source=source)
-
-
-def oft_eval_time_quadrature(
-    hamiltonian_eigensystem,
-    operator: np.ndarray,
-    omega: float,
-    sigma: float,
-    *,
-    time_span_factor: float = 12.0,
-    n_nodes: int = 4096,
-) -> np.ndarray:
-    """Filtered operator via the time-domain definition, as a cross-check.
-
-    Evaluates ``(2 pi)^{-1/2} integral f_sigma(t) e^{iPt} A e^{-iPt}
-    e^{-i omega t} dt`` by trapezoid on ``|t| <= time_span_factor / sigma``.
-    The Heisenberg phases are applied in the eigenbasis, where they are
-    elementwise ``e^{i (E_a - E_b) t}`` factors.
-    """
-    if n_nodes < 512:
-        raise ValidationError(f"time grid needs at least 512 nodes, got {n_nodes}")
-    system = hamiltonian_eigensystem
-    filt = GaussianFilter(sigma)
-    a_eig = system.to_eigenbasis(np.asarray(operator, dtype=np.complex128))
-    energies = system.eigenvalues
-    diff = energies[:, None] - energies[None, :]
-    span = time_span_factor / sigma
-    ts = np.linspace(-span, span, int(n_nodes))
-    envelope = filt.time_profile(ts) * np.exp(-1j * float(omega) * ts)
-    # Accumulate sum_t w_t envelope(t) * exp(i diff t) elementwise; the phase
-    # matrix is rank-one in exponent so it factors through an outer product.
-    phase = np.exp(1j * np.multiply.outer(ts, diff))
-    trapezoid_w = np.full(ts.size, ts[1] - ts[0])
-    trapezoid_w[0] *= 0.5
-    trapezoid_w[-1] *= 0.5
-    kernel = np.tensordot(trapezoid_w * envelope, phase, axes=(0, 0))
-    out_eig = kernel * a_eig / math.sqrt(2.0 * math.pi)
-    return system.from_eigenbasis(out_eig)
+    return np.tensordot(weights, source.components, axes=(0, 0))
 
 
 @dataclass(frozen=True)
@@ -272,10 +216,15 @@ def overlap_table(
     central pairs) is re-derived by direct definitional quadrature;
     disagreement beyond ``1e-8`` relative, or a QUADPACK failure on one of
     them, raises :class:`NumericalGuardError`, signalling a regression in
-    either path.
+    either path.  Bandwidths above ``MAX_BANDWIDTH``, where the smoothing
+    rule no longer resolves the weight, raise :class:`ValidationError`.
     """
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise ValidationError(f"bandwidth must be a finite positive number, got {sigma!r}")
+    if sigma > MAX_BANDWIDTH:
+        raise ValidationError(
+            f"bandwidth {sigma!r} exceeds the supported range {MAX_BANDWIDTH:g}"
+        )
     freqs = spectrum.frequencies
     m = freqs.size
     # The representability constraint is on exponentials of single
@@ -351,37 +300,3 @@ def overlap_table(
         cross_check_entries=len(pairs),
         cross_check_evaluations=evaluations,
     )
-
-
-def delocalisation_profile(
-    spectrum: BohrSpectrum,
-    phi,
-    sigmas,
-) -> dict:
-    """Track the coupling table's approach to its small-bandwidth limit.
-
-    Rebuilds the balanced weight at every bandwidth (its argument shift is
-    bandwidth-dependent) and records, per bandwidth, the worst relative
-    deviation of diagonal entries from the delocalised-limit weight
-    ``pi e^{-nu/2} phi(nu)`` and the largest off-diagonal entry.
-    """
-    from .weights import balanced_gamma, delocalised_limit_gamma
-
-    limit_weight = delocalised_limit_gamma(phi)
-    freqs = spectrum.frequencies
-    target = limit_weight(freqs)
-    rows = []
-    for s in sigmas:
-        w = balanced_gamma(phi, float(s))
-        table = overlap_table(spectrum, w, float(s), cross_check=False)
-        diag = np.diag(table.values)
-        rel = np.abs(diag - target) / np.maximum(np.abs(target), 1e-300)
-        off = table.values - np.diag(diag)
-        rows.append(
-            {
-                "sigma": float(s),
-                "max_diagonal_deviation": float(np.max(rel)),
-                "max_off_diagonal": float(np.max(np.abs(off))) if freqs.size > 1 else 0.0,
-            }
-        )
-    return {"rows": rows}

@@ -25,18 +25,12 @@ from .errors import ValidationError
 
 __all__ = [
     "EigenSystem",
-    "anticommutator",
-    "commutator",
     "dagger",
     "devectorize",
     "eig_hermitian",
-    "is_hermitian",
-    "matrix_function",
     "schatten_norm",
-    "superop_conjugation",
     "superop_left",
     "superop_right",
-    "trace_distance",
     "vectorize",
 ]
 
@@ -44,46 +38,19 @@ HERMITICITY_TOL = 1e-12
 RECONSTRUCTION_TOL = 1e-10
 
 
-def _as_square_array(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _as_square_array(matrix: np.ndarray) -> np.ndarray:
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"{name} must be a square 2-D array, got shape {arr.shape}")
+        raise ValidationError(f"matrix must be a square 2-D array, got shape {arr.shape}")
     out = arr.astype(np.complex128, copy=False)
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-        raise ValidationError(f"{name} contains non-finite entries")
+        raise ValidationError("matrix contains non-finite entries")
     return out
 
 
 def dagger(matrix: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(matrix).conj().T
-
-
-def is_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """Whether ``matrix`` equals its conjugate transpose within a relative tolerance.
-
-    The comparison is ``||A - A^dag||_F <= tol * max(1, ||A||_F)``.
-    """
-    arr = _as_square_array(matrix)
-    scale = max(1.0, float(np.linalg.norm(arr)))
-    return float(np.linalg.norm(arr - dagger(arr))) <= tol * scale
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if np.shape(a) != np.shape(b):
-        raise ValidationError(
-            f"operands must have matching shapes, got {np.shape(a)} and {np.shape(b)}"
-        )
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_same_shape(a, b)
-    return a @ b - b @ a
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_same_shape(a, b)
-    return a @ b + b @ a
 
 
 @dataclass(frozen=True)
@@ -102,10 +69,6 @@ class EigenSystem:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
-
-    @property
-    def spectral_width(self) -> float:
-        return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
     def reconstruct(self) -> np.ndarray:
         """Return ``U diag(E) U^dag``."""
@@ -141,27 +104,27 @@ class EigenSystem:
         return u @ np.asarray(matrix, dtype=np.complex128) @ dagger(u)
 
 
-def eig_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenSystem:
+def eig_hermitian(matrix: np.ndarray) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix with validation.
 
     Args:
         matrix: square Hermitian array.
-        tol: relative tolerance for the hermiticity check.
 
     Returns:
         EigenSystem with ascending eigenvalues and orthonormal eigenvectors.
 
     Raises:
         ValidationError: if the input is not square or not Hermitian within
-            ``tol``, or if the reconstruction error is unexpectedly large.
+            ``HERMITICITY_TOL`` relative, or if the reconstruction error is
+            unexpectedly large.
     """
     arr = _as_square_array(matrix)
     scale = max(1.0, float(np.linalg.norm(arr)))
     defect = float(np.linalg.norm(arr - dagger(arr)))
-    if defect > tol * scale:
+    if defect > HERMITICITY_TOL * scale:
         raise ValidationError(
             f"matrix is not Hermitian: ||A - A^dag||_F = {defect:.3e} "
-            f"exceeds {tol:.1e} * max(1, ||A||_F) = {tol * scale:.3e}"
+            f"exceeds {HERMITICITY_TOL:.1e} * max(1, ||A||_F) = {HERMITICITY_TOL * scale:.3e}"
         )
     sym = 0.5 * (arr + dagger(arr))
     eigenvalues, eigenvectors = np.linalg.eigh(sym)
@@ -173,14 +136,6 @@ def eig_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenSyst
             f"{RECONSTRUCTION_TOL:.1e} * max(1, ||A||_F)"
         )
     return system
-
-
-def matrix_function(
-    matrix: np.ndarray | EigenSystem, fn: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum."""
-    system = matrix if isinstance(matrix, EigenSystem) else eig_hermitian(matrix)
-    return system.function_of(fn)
 
 
 def schatten_norm(matrix: np.ndarray, p: float) -> float:
@@ -198,11 +153,6 @@ def schatten_norm(matrix: np.ndarray, p: float) -> float:
     if np.isinf(p):
         return float(singular[0]) if singular.size else 0.0
     return float(np.sum(singular**p) ** (1.0 / p))
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace distance ``0.5 * ||a - b||_1``."""
-    return 0.5 * schatten_norm(np.asarray(a) - np.asarray(b), 1)
 
 
 def vectorize(matrix: np.ndarray) -> np.ndarray:
@@ -231,9 +181,3 @@ def superop_right(matrix: np.ndarray) -> np.ndarray:
     """Superoperator of ``X -> X B`` acting on column-stacked vectors."""
     arr = _as_square_array(matrix)
     return np.kron(arr.T, np.eye(arr.shape[0]))
-
-
-def superop_conjugation(matrix: np.ndarray) -> np.ndarray:
-    """Superoperator of ``X -> A X A^dag`` acting on column-stacked vectors."""
-    arr = _as_square_array(matrix)
-    return np.kron(arr.conj(), arr)

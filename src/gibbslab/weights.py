@@ -77,6 +77,7 @@ __all__ = [
     "TIME_KERNEL_ENVELOPE_SCALE",
     "TIME_KERNEL_SPECTRAL_SCALE",
     "MAX_SPECTRAL_WIDTH",
+    "MAX_BANDWIDTH",
     "HERMITE_ORDER",
     "PANEL_ORDER",
     "PANEL_WIDTH_FRACTION",
@@ -119,6 +120,13 @@ TIME_KERNEL_SPECTRAL_SCALE = 1.0 / math.sqrt(2.0 * math.pi)
 #: frequency differences appear throughout; this cap keeps them inside the
 #: double-precision range with a wide safety margin.
 MAX_SPECTRAL_WIDTH = 600.0
+
+#: Largest admissible filter bandwidth.  The smoothing rule integrates
+#: against a Gaussian of width sigma, which outgrows the weight's own body
+#: as sigma rises: on the qubit the gaussian-profile table is off its closed
+#: form by 1.3e-9 relative at sigma = 4, 1.2e-4 at 6 and 0.78 at 20, while
+#: every library profile passes its stationarity check up to sigma = 3.5.
+MAX_BANDWIDTH = 3.0
 
 #: Order of the shifted Gauss-Hermite rule used when the weight is smooth.
 HERMITE_ORDER = 180
@@ -165,10 +173,6 @@ class GaussianFilter:
     def frequency_profile(self, tau):
         tau = np.asarray(tau, dtype=np.float64)
         return math.pi**0.25 / math.sqrt(self.sigma) * np.exp(-0.5 * (tau / self.sigma) ** 2)
-
-    def frequency_profile_squared_mass(self) -> float:
-        """Exact value of ``integral frequency_profile(tau)^2 dtau``."""
-        return FILTER_SQUARED_MASS
 
 
 # ---------------------------------------------------------------------------
@@ -585,19 +589,13 @@ def coherent_difference_factor(xi, sigma: float):
 # ---------------------------------------------------------------------------
 
 
-def coherent_time_kernel(
-    t,
-    sigma: float,
-    *,
-    scale: float = TIME_KERNEL_SPECTRAL_SCALE,
-) -> np.ndarray:
+def coherent_time_kernel(t, sigma: float) -> np.ndarray:
     """Time profile paired with the odd difference factor.
 
-    ``scale * integral_0^inf [e^{-sigma^2 (t-s)^2} - e^{-sigma^2 (t+s)^2}]
-    / sinh(2 pi s) ds``.  With the spectral scale ``1/sqrt(2 pi)`` this is
-    exactly the inverse Fourier transform of the difference factor; the
-    envelope scale ``sqrt(pi)/8`` is the convention under which its ``L^1``
-    mass is bounded by ``sqrt(pi)/32``.  Odd in ``t``, positive for ``t > 0``.
+    ``(2 pi)^{-1/2} integral_0^inf [e^{-sigma^2 (t-s)^2} - e^{-sigma^2 (t+s)^2}]
+    / sinh(2 pi s) ds``: with the spectral scale ``1/sqrt(2 pi)`` this is
+    exactly the inverse Fourier transform of the difference factor.  Odd in
+    ``t``, positive for ``t > 0``.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if not (np.isfinite(sigma) and sigma > 0.0):
@@ -612,7 +610,7 @@ def coherent_time_kernel(
     diff = np.exp(-(sigma * (t_arr[:, None] - nodes[None, :])) ** 2) - np.exp(
         -(sigma * (t_arr[:, None] + nodes[None, :])) ** 2
     )
-    vals = scale * diff @ csch
+    vals = TIME_KERNEL_SPECTRAL_SCALE * diff @ csch
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return float(vals[0])
     return vals
@@ -692,22 +690,18 @@ def coherent_time_envelope(
     return vals
 
 
-def coherent_time_kernel_l1(
-    sigma: float,
-    *,
-    scale: float = TIME_KERNEL_ENVELOPE_SCALE,
-) -> float:
-    """``L^1`` mass of the coherent time kernel.
+def coherent_time_kernel_l1(sigma: float) -> float:
+    """``L^1`` mass of the coherent time kernel in the envelope normalisation.
 
     The kernel is sign-definite on each half-line, so the ``|t|`` integral of
     the Gaussian difference evaluates in closed form to
     ``(sqrt(pi)/sigma) erf(sigma s)``, leaving
 
-    ``scale * (2 sqrt(pi) / sigma) integral_0^inf erf(sigma s)/sinh(2 pi s) ds``.
+    ``scale * (2 sqrt(pi) / sigma) integral_0^inf erf(sigma s)/sinh(2 pi s) ds``
 
-    In the envelope normalisation (scale ``sqrt(pi)/8``) the value increases
-    towards ``sqrt(pi)/32`` as ``sigma -> 0`` and stays strictly below it for
-    every positive bandwidth.
+    with the envelope scale ``sqrt(pi)/8``.  The value increases towards
+    ``sqrt(pi)/32`` as ``sigma -> 0`` and stays strictly below it for every
+    positive bandwidth.
     """
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise ValidationError(f"bandwidth must be a finite positive number, got {sigma!r}")
@@ -718,4 +712,4 @@ def coherent_time_kernel_l1(
     nodes, wts = _panel_quadrature(edges)
     integrand = erf(sigma * nodes) / np.sinh(2.0 * math.pi * nodes)
     reduced = float(np.sum(wts * integrand))
-    return scale * 2.0 * math.sqrt(math.pi) / sigma * reduced
+    return TIME_KERNEL_ENVELOPE_SCALE * 2.0 * math.sqrt(math.pi) / sigma * reduced

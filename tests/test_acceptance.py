@@ -35,7 +35,7 @@ from gibbslab.models import (
     qubit_model,
     random_model,
 )
-from gibbslab.oft import oft_eval, oft_eval_time_quadrature, overlap_table
+from gibbslab.oft import oft_eval, overlap_table
 from gibbslab.weights import (
     COHERENT_L1_LIMIT,
     balanced_gamma,
@@ -145,9 +145,7 @@ def test_criterion_05_coherent_kernel_l1_anchor():
 @pytest.fixture(scope="module")
 def delocalisation_rows():
     model = random_model(dim=6, seed=3, spectrum=WELL_SEPARATED_SPECTRUM_6)
-    report = davies_limit_report(
-        model, "gaussian", (0.8, 0.4, 0.2, 0.1, 0.05), n_test_ops=5, seed=2024, p=1.0
-    )
+    report = davies_limit_report(model, "gaussian", (0.8, 0.4, 0.2, 0.1, 0.05), seed=2024)
     return report["rows"]
 
 
@@ -274,8 +272,8 @@ def test_criterion_09_independent_assembly_routes_agree():
     for jump in dense.jumps:
         decomposition = decompose(jump, system)
         for omega in (-1.4, 0.0, 0.7, 2.3):
-            direct = oft_eval(decomposition, omega, 1.0).matrix
-            quadrature = oft_eval_time_quadrature(system, jump, omega, 1.0)
+            direct = oft_eval(decomposition, omega, 1.0)
+            quadrature = oracles.oft_eval_time_quadrature(dense.hamiltonian, jump, omega, 1.0)
             worst_oft = max(worst_oft, float(np.linalg.norm(direct - quadrature)))
     elapsed = time.monotonic() - start
     assert worst_oft <= 1e-8, worst_oft
@@ -292,7 +290,7 @@ def test_criterion_10_qubit_relaxation_diagnostic():
     bundle = localised_generator(model, balanced_gamma("gaussian", 1.0), 1.0)
     system = model.eigensystem()
     excited = np.outer(system.eigenvectors[:, -1], system.eigenvectors[:, -1].conj())
-    trajectory = evolve(bundle, excited, (0.0, 20.0), model=model)
+    trajectory = evolve(bundle, excited, (0.0, 20.0))
     final_distance = float(trajectory.column("gibbs_distance")[-1])
     elapsed = time.monotonic() - start
     assert final_distance <= 1e-6, final_distance

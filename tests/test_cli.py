@@ -20,6 +20,7 @@ import gibbslab.oft
 import gibbslab.weights
 from gibbslab.cli import (
     EXIT_CHECK_FAILURE,
+    EXIT_CRASH,
     EXIT_EXPECTED_FAILURES,
     EXIT_NUMERICAL_GUARD,
     EXIT_OK,
@@ -228,6 +229,47 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert err.startswith("error:")
     missing = str(tmp_path / "missing.json")
     assert main(["verify-stationarity", "--config", missing]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("verify-stationarity", qubit_config(weight={"kind": "balanced", "sigma": 4.5})),
+        ("sweep-sigma", qubit_config(run={"sigma_sweep": [5.0, 1.0]})),
+    ],
+    ids=["weight-sigma", "sweep-rung"],
+)
+def test_unresolvable_bandwidth_exits_two_before_any_build(
+    tmp_path, monkeypatch, capsys, command, payload
+):
+    """The smoothing rule is wrong for sigma well above the weight's own
+    width (gaussian qubit verify exits 4 at sigma = 4.5 without the bound),
+    so such configs are usage errors caught before anything is built."""
+    builds = []
+    for name in ("localised_generator", "davies_limit_report"):
+        monkeypatch.setattr(gibbslab.cli, name, lambda *a, **k: builds.append(a))
+    config = write_config(tmp_path, payload)
+    assert main([command, "--config", config]) == EXIT_USAGE
+    assert "must be at most 3" in capsys.readouterr().err
+    assert builds == []
+    at_bound = qubit_config(weight={"kind": "balanced", "sigma": 3.0})
+    assert normalised_config(at_bound, command)["weight"]["sigma"] == 3.0
+
+
+def test_crash_exits_five_with_a_traceback(tmp_path, monkeypatch, capsys):
+    """An unexpected exception is told apart from a failed check (1), a usage
+    error (2) and a fired guard (4)."""
+
+    def crash(config, args):
+        raise RuntimeError("injected crash")
+
+    monkeypatch.setattr(gibbslab.cli, "cmd_verify_stationarity", crash)
+    config = write_config(tmp_path, qubit_config())
+    assert EXIT_CRASH == 5
+    assert main(["verify-stationarity", "--config", config]) == EXIT_CRASH
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback")
+    assert "RuntimeError: injected crash" in err
 
 
 def test_cross_check_failure_exits_four(tmp_path, monkeypatch, capsys):

@@ -17,7 +17,6 @@ from scipy.linalg import expm
 import gibbslab.evolution
 from gibbslab.errors import ValidationError
 from gibbslab.evolution import (
-    Propagator,
     Trajectory,
     choi_matrix,
     choi_min_eigenvalue,
@@ -31,7 +30,7 @@ from gibbslab.evolution import (
 )
 from gibbslab.generators import davies_generator, localised_generator
 from gibbslab.models import gibbs_state, qubit_model, random_model
-from gibbslab.operator_core import dagger, devectorize, trace_distance, vectorize
+from gibbslab.operator_core import dagger, devectorize, vectorize
 from gibbslab.weights import balanced_gamma, kms_gamma
 
 import oracles
@@ -65,10 +64,10 @@ def corrupt_bundle(dense_model):
 # ---------------------------------------------------------------------------
 
 
-def test_evolution_matches_adaptive_ode(dense_model, dense_bundle):
+def test_evolution_matches_adaptive_ode(dense_bundle):
     initial = random_density_matrix(4, seed=1)
     times = (0.0, 0.3, 1.0, 4.0)
-    trajectory = evolve(dense_bundle, initial, times, model=dense_model)
+    trajectory = evolve(dense_bundle, initial, times)
     assert np.array_equal(trajectory.states[0], initial)
     for index, t in enumerate(times[1:], start=1):
         reference = oracles.evolve_ivp(dense_bundle.superoperator, initial, t)
@@ -77,9 +76,9 @@ def test_evolution_matches_adaptive_ode(dense_model, dense_bundle):
 
 def test_gibbs_state_does_not_move(dense_model, dense_bundle):
     stationary = gibbs_state(dense_model)
-    trajectory = evolve(dense_bundle, stationary, (0.0, 1.0, 10.0), model=dense_model)
+    trajectory = evolve(dense_bundle, stationary, (0.0, 1.0, 10.0))
     for state in trajectory.states:
-        assert trace_distance(state, stationary) < 1e-11
+        assert oracles.trace_distance(state, stationary) < 1e-11
     assert all(row["gibbs_distance"] < 1e-11 for row in trajectory.diagnostics)
 
 
@@ -123,10 +122,10 @@ def test_contraction_report_computes_no_snapshot_diagnostics(monkeypatch, dense_
     assert report["rows"][0]["distances"] == expected
 
 
-def test_trajectory_diagnostics_and_accessors(dense_model, dense_bundle):
+def test_trajectory_diagnostics_and_accessors(dense_bundle):
     initial = random_density_matrix(4, seed=2)
     times = (0.0, 0.5, 2.0)
-    trajectory = evolve(dense_bundle, initial, times, model=dense_model)
+    trajectory = evolve(dense_bundle, initial, times)
     assert trajectory.dim == 4
     assert np.array_equal(trajectory.state_at(0.5), trajectory.states[1])
     with pytest.raises(ValidationError):
@@ -160,12 +159,12 @@ def test_snapshot_distances_match_the_svd_route(dense_model, dense_bundle):
     reference = gibbs_state(dense_model)
     hermitised = lambda s: 0.5 * (s + dagger(s))
     for (rho_a, rho_b), row in zip(pairs, report["rows"]):
-        traj_a = evolve(dense_bundle, rho_a, TIME_GRID_TO_20, model=dense_model)
+        traj_a = evolve(dense_bundle, rho_a, TIME_GRID_TO_20)
         traj_b = evolve(dense_bundle, rho_b, TIME_GRID_TO_20)
         for sa, sb, got in zip(traj_a.states, traj_b.states, row["distances"]):
-            assert abs(got - trace_distance(hermitised(sa), hermitised(sb))) <= 1e-12
+            assert abs(got - oracles.trace_distance(hermitised(sa), hermitised(sb))) <= 1e-12
         for sa, diag in zip(traj_a.states, traj_a.diagnostics):
-            svd = trace_distance(hermitised(sa), reference)
+            svd = oracles.trace_distance(hermitised(sa), reference)
             assert abs(diag["gibbs_distance"] - svd) <= 1e-12
 
 
@@ -214,40 +213,23 @@ def test_evolve_equals_a_direct_exponential_loop(dense_bundle):
 
 def test_step_cache_stays_within_its_byte_budget(monkeypatch, dense_bundle):
     initial = random_density_matrix(4, seed=7)
-    unbounded = evolve(Propagator(dense_bundle.superoperator), initial, TIME_GRID_TO_20)
+    unbounded = evolve(dataclasses.replace(dense_bundle), initial, TIME_GRID_TO_20)
     step_bytes = dense_bundle.superoperator.nbytes
     monkeypatch.setattr(gibbslab.evolution, "_STEP_CACHE_BYTES", 3 * step_bytes)
-    propagator = Propagator(dense_bundle.superoperator)
-    bounded = evolve(propagator, initial, TIME_GRID_TO_20)
-    assert propagator.computed == 7
-    assert propagator.nbytes == 3 * step_bytes
+    bundle = dataclasses.replace(dense_bundle)  # a bundle with an empty cache
+    bounded = evolve(bundle, initial, TIME_GRID_TO_20)
+    assert bundle.propagator.computed == 7
+    assert bundle.propagator.nbytes == 3 * step_bytes
     assert np.array_equal(bounded.states, unbounded.states)
     # Evicted steps are recomputed, not lost.
-    again = evolve(propagator, initial, TIME_GRID_TO_20)
+    again = evolve(bundle, initial, TIME_GRID_TO_20)
     assert np.array_equal(again.states, unbounded.states)
-    assert propagator.nbytes <= 3 * step_bytes
+    assert bundle.propagator.nbytes <= 3 * step_bytes
     # A budget below one step still keeps the entry in use.
     monkeypatch.setattr(gibbslab.evolution, "_STEP_CACHE_BYTES", 1)
-    tiny = Propagator(dense_bundle.superoperator)
+    tiny = dataclasses.replace(dense_bundle)
     assert np.array_equal(evolve(tiny, initial, TIME_GRID_TO_20).states, unbounded.states)
-    assert tiny.nbytes == step_bytes
-
-
-def test_bare_matrix_generator_keeps_no_state(monkeypatch, dense_bundle):
-    superop = np.array(dense_bundle.superoperator)
-    initial = random_density_matrix(4, seed=8)
-    expected = evolve(dense_bundle, initial, TIME_GRID_TO_20)
-    calls = _count_expm(monkeypatch)
-    first = evolve(superop, initial, TIME_GRID_TO_20)
-    second = evolve(superop, initial, TIME_GRID_TO_20)
-    assert np.array_equal(first.states, expected.states)
-    assert np.array_equal(second.states, expected.states)
-    assert len(calls) == 14  # no exponential survives a call
-    del calls[:]
-    contraction_report(superop, [(initial, random_density_matrix(4, seed=9))], TIME_GRID_TO_20)
-    assert len(calls) == 7  # shared by both states within the call
-    assert semigroup_defect(superop, 0.7, 0.7) < 1e-12
-    assert len(calls) == 9
+    assert tiny.propagator.nbytes == step_bytes
 
 
 def test_bundle_parts_are_read_only(dense_bundle):
@@ -285,24 +267,13 @@ def test_evolve_rejects_malformed_inputs(dense_bundle):
         evolve(dense_bundle, np.eye(3) / 3.0, (0.0, 1.0))
 
 
-def test_validation_bypass_for_non_state_operators(dense_bundle):
-    probe = np.diag([1.0, -0.2, 0.1, 0.1]).astype(complex)
-    trajectory = evolve(dense_bundle, probe, (0.0, 1.0), validate_initial=False)
-    assert not trajectory.diagnostics[0]["within_tolerance"]
-    assert trajectory.states[1].shape == (4, 4)
-
-
 def test_random_density_matrix_properties():
     full = random_density_matrix(4, seed=3)
     assert np.trace(full).real == pytest.approx(1.0, abs=1e-14)
     assert np.linalg.norm(full - full.conj().T) < 1e-14
     assert np.linalg.eigvalsh(full).min() > 0.0
     assert np.linalg.matrix_rank(full, tol=1e-12) == 4
-    low = random_density_matrix(4, seed=3, rank=2)
-    assert np.linalg.matrix_rank(low, tol=1e-12) == 2
     assert np.array_equal(full, random_density_matrix(4, seed=3))
-    with pytest.raises(ValidationError):
-        random_density_matrix(4, seed=0, rank=5)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +331,7 @@ def test_excited_qubit_relaxes_to_gibbs():
     bundle = localised_generator(model, balanced_gamma("gaussian", 1.0), 1.0)
     system = model.eigensystem()
     excited = np.outer(system.eigenvectors[:, -1], system.eigenvectors[:, -1].conj())
-    trajectory = evolve(bundle, excited, (0.0, 5.0, 20.0), model=model)
+    trajectory = evolve(bundle, excited, (0.0, 5.0, 20.0))
     distances = trajectory.column("gibbs_distance")
     assert distances[0] > 0.2
     assert distances[-1] < 1e-6

@@ -22,11 +22,9 @@ from gibbslab.generators import (
     coherent_calibration_report,
     davies_generator,
     davies_limit_report,
-    drift_dissipativity_defect,
     dual_path_residual,
     effective_drift_abscissa,
     generator_action,
-    gibbs_action_identity_defect,
     hermiticity_preservation_defect,
     localised_generator,
     stationarity_report,
@@ -206,7 +204,7 @@ def test_unshifted_weight_is_a_working_negative_control():
 
 
 def test_gibbs_action_matches_componentwise_identity(dense_bundle):
-    assert gibbs_action_identity_defect(dense_bundle) < 1e-12
+    assert oracles.gibbs_action_identity_defect(dense_bundle) < 1e-12
 
 
 def test_stationarity_via_explicit_gibbs_application(dense_model, dense_bundle):
@@ -231,7 +229,7 @@ def test_hermiticity_preservation(dense_bundle):
 
 
 def test_effective_drift_is_dissipative(dense_bundle, filtered_battery):
-    assert drift_dissipativity_defect(dense_bundle) <= 1e-12
+    assert oracles.drift_dissipativity_defect(dense_bundle.effective_drift) <= 1e-12
     assert effective_drift_abscissa(dense_bundle) < 0.0
     for bundle in list(filtered_battery.values())[::7]:
         assert effective_drift_abscissa(bundle) <= 1e-10
@@ -296,9 +294,7 @@ def test_sign_fault_is_caught_downstream(dense_model):
 
 
 def test_davies_limit_report_converges(dense_model):
-    report = davies_limit_report(
-        dense_model, "gaussian", (1.0, 0.5, 0.25), n_test_ops=3, seed=11
-    )
+    report = davies_limit_report(dense_model, "gaussian", (1.0, 0.5, 0.25), seed=11)
     rows = report["rows"]
     assert [row["sigma"] for row in rows] == [1.0, 0.5, 0.25]
     distances = [row["max_distance"] for row in rows]

@@ -19,13 +19,13 @@ import gibbslab.oft
 from gibbslab.bohr import bohr_spectrum, decompose
 from gibbslab.errors import NumericalGuardError, ValidationError
 from gibbslab.models import qubit_model, random_model, torus_model
-from gibbslab.oft import (
-    delocalisation_profile,
-    oft_eval,
-    oft_eval_time_quadrature,
-    overlap_table,
+from gibbslab.oft import oft_eval, overlap_table
+from gibbslab.weights import (
+    MAX_BANDWIDTH,
+    balanced_gamma,
+    delocalised_limit_gamma,
+    smoothed_weight_table,
 )
-from gibbslab.weights import balanced_gamma, delocalised_limit_gamma, smoothed_weight_table
 
 import oracles
 
@@ -197,6 +197,24 @@ def test_width_guard_rejects_oversized_spectrum():
         overlap_table(spectrum, weight, 1.0, cross_check=False)
 
 
+def test_bandwidth_guard_rejects_unresolved_filters():
+    """At the bound the smoothed weight of the gaussian profile matches its
+    closed form to roundoff; above it the table is refused (the smoothing
+    rule is off by 1.3e-9 relative at sigma = 4 and 1.2e-4 at 6)."""
+    spectrum = bohr_spectrum(qubit_model().eigensystem())
+    s = MAX_BANDWIDTH
+    centers = np.array([-1.0, 0.0, 1.0])
+    closed = np.sqrt(np.pi * s * s / (1 + s * s)) * np.exp(
+        (1 + 2 * s * s) / 16 - (centers + 0.25 + s * s / 4) ** 2 / (1 + s * s)
+    )
+    got = smoothed_weight_table(balanced_gamma("gaussian", s), s, centers)
+    assert np.max(np.abs(got / closed - 1.0)) < 1e-13
+    overlap_table(spectrum, balanced_gamma("gaussian", s), s)
+    for sigma in (np.nextafter(s, np.inf), 4.0, 20.0):
+        with pytest.raises(ValidationError, match="exceeds the supported range"):
+            overlap_table(spectrum, balanced_gamma("gaussian", sigma), sigma)
+
+
 # ---------------------------------------------------------------------------
 # Operator Fourier transform
 # ---------------------------------------------------------------------------
@@ -208,11 +226,11 @@ def test_oft_matches_time_quadrature(dense_model):
         decomposition = decompose(jump, system)
         for omega in (-1.4, 0.0, 0.7, 2.3):
             for sigma in (0.5, 1.0):
-                evaluation = oft_eval(decomposition, omega, sigma)
-                alt = oft_eval_time_quadrature(system, jump, omega, sigma)
-                assert np.linalg.norm(evaluation.matrix - alt) < 1e-8
-                assert evaluation.omega == omega
-                assert evaluation.sigma == sigma
+                direct = oft_eval(decomposition, omega, sigma)
+                alt = oracles.oft_eval_time_quadrature(
+                    dense_model.hamiltonian, jump, omega, sigma
+                )
+                assert np.linalg.norm(direct - alt) < 1e-8
 
 
 def test_oft_qubit_explicit_amplitude():
@@ -221,19 +239,18 @@ def test_oft_qubit_explicit_amplitude():
     model = qubit_model()
     decomposition = decompose(model.jumps[0], model.eigensystem())
     sigma = 0.3
-    evaluation = oft_eval(decomposition, 1.0, sigma)
+    filtered = oft_eval(decomposition, 1.0, sigma)
     amplitude = (math.sqrt(math.pi) / sigma) ** 0.5
     expected = np.zeros((2, 2), dtype=complex)
     expected[1, 0] = amplitude
     expected[0, 1] = amplitude * math.exp(-4.0 / (2.0 * sigma**2))
-    assert np.allclose(evaluation.matrix, expected, atol=1e-12)
+    assert np.allclose(filtered, expected, atol=1e-12)
 
 
 def test_oft_far_from_spectrum_vanishes(dense_model):
     system = dense_model.eigensystem()
     decomposition = decompose(dense_model.jumps[0], system)
-    evaluation = oft_eval(decomposition, 40.0, 0.9)
-    assert np.linalg.norm(evaluation.matrix) < 1e-12
+    assert np.linalg.norm(oft_eval(decomposition, 40.0, 0.9)) < 1e-12
 
 
 def test_oft_is_linear_in_the_operator(dense_model):
@@ -242,30 +259,17 @@ def test_oft_is_linear_in_the_operator(dense_model):
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     combo = 0.7 * a - 1.3j * b
-    eval_combo = oft_eval(decompose(combo, system), 0.5, 0.8).matrix
+    eval_combo = oft_eval(decompose(combo, system), 0.5, 0.8)
     eval_split = (
-        0.7 * oft_eval(decompose(a, system), 0.5, 0.8).matrix
-        - 1.3j * oft_eval(decompose(b, system), 0.5, 0.8).matrix
+        0.7 * oft_eval(decompose(a, system), 0.5, 0.8)
+        - 1.3j * oft_eval(decompose(b, system), 0.5, 0.8)
     )
     assert np.linalg.norm(eval_combo - eval_split) < 1e-11
 
 
 # ---------------------------------------------------------------------------
-# Delocalisation profile
+# Delocalisation limit
 # ---------------------------------------------------------------------------
-
-
-def test_delocalisation_profile_trends(dense_model):
-    spectrum = bohr_spectrum(dense_model.eigensystem())
-    sigmas = (1.0, 0.5, 0.25, 0.125, 0.0625)
-    profile = delocalisation_profile(spectrum, "gaussian", sigmas)
-    rows = profile["rows"]
-    assert [row["sigma"] for row in rows] == list(sigmas)
-    diagonal = [row["max_diagonal_deviation"] for row in rows]
-    off_diagonal = [row["max_off_diagonal"] for row in rows]
-    assert all(b < a for a, b in zip(diagonal[:-1], diagonal[1:]))
-    assert all(b < a for a, b in zip(off_diagonal[:-1], off_diagonal[1:]))
-    assert diagonal[-1] < 0.1
 
 
 def test_delocalisation_diagonal_limit_value(dense_model):

@@ -332,7 +332,6 @@ def test_filter_squared_mass_is_pi():
     mass = np.trapezoid(filt.frequency_profile(grid) ** 2, grid)
     assert mass == pytest.approx(FILTER_SQUARED_MASS, rel=1e-12)
     assert FILTER_SQUARED_MASS == pytest.approx(math.pi, rel=1e-15)
-    assert filt.frequency_profile_squared_mass() == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_filter_rejects_bad_bandwidth():
