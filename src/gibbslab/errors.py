@@ -11,10 +11,6 @@ class ValidationError(GibbsLabError, ValueError):
     """An input failed a mathematical precondition (shape, symmetry, closure, ...)."""
 
 
-class ConfigError(GibbsLabError, ValueError):
-    """A configuration file or CLI argument combination is invalid."""
-
-
 class NumericalGuardError(GibbsLabError):
     """A numerical guard fired: a standing cross-check of a computed quantity
     disagreed with its independent reference beyond tolerance."""

@@ -24,19 +24,18 @@ differing only in the coupling ``C`` and the coherent matrix ``B``:
   makes ``L(e^{-P}) = 0``; it is verified against an independent
   time-domain assembly by the calibration report.
 
-Both families share one assembly: the ``bohr_sum`` dissipator contracts a
-coupling table over the Bohr pair map, and one tail rotates it to the
-original basis (a conjugation of the four tensor modes of the eigenbasis
-superoperator, O(d^5)), adds ``-i[P + B, .]`` and forms the effective drift.
-The filtered dissipator has a second path, ``omega_quadrature``, which never
-reads the overlap table: it puts its own quadrature nodes ``w_n`` with
-weights ``gw_n = gamma(w_n) q_n`` (``q_n`` the panel rule's weights) on the
-filtered transform, factorises the node sum
-``sum_n gw_n fhat(w_n - nu) fhat(w_n - nu')`` by a thin SVD cut at
-numerical rank, and sums the outer products of the resulting explicit jumps
-``J_r = sum_nu s_r V[nu, r] A_nu`` (manifestly completely positive; r is far
-below the node count).  Agreement of the two paths is a standing
-consistency check; a deliberate fault hook can flip one overlap sign after
+Both families share one assembly: one contraction of a coupling table over
+the Bohr pair map, and one tail that rotates it to the original basis (a
+conjugation of the four tensor modes of the eigenbasis superoperator,
+O(d^5)), adds ``-i[P + B, .]`` and forms the effective drift.  The filtered
+dissipator has a second path, ``omega_quadrature``, which never reads the
+overlap table: it puts its own quadrature nodes ``w_n`` with weights
+``gw_n = gamma(w_n) q_n`` (``q_n`` the panel rule's weights) on the
+filtered transform and contracts the node-sum table
+``K(nu, nu') = sum_n gw_n fhat(w_n - nu) fhat(w_n - nu')`` in place of
+``G``.  ``K`` is a Gram table, so the sum is completely positive by
+construction.  Agreement of the two paths is a standing consistency check;
+a deliberate fault hook can flip the off-diagonal overlap signs after
 construction so self-tests can demonstrate the check has teeth.
 """
 
@@ -338,71 +337,24 @@ def _omega_quadrature_nodes(
     return _panel_quadrature(edges)
 
 
-def _omega_quadrature_dissipator(
-    jumps_eig: list[np.ndarray],
-    weight: WeightFunction,
-    sigma: float,
-    spectrum: BohrSpectrum,
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Sandwich superoperator and anticommutator kernel (eigenbasis) summed
-    over explicit filtered jumps, with the node and jump counts.
+def _omega_quadrature_coupling(
+    weight: WeightFunction, sigma: float, freqs: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Node-sum coupling table of the ``omega_quadrature`` path and its node
+    count.
 
-    The node quadrature ``sum_n gw_n f_n(nu) f_n(nu')`` is the Gram matrix
-    of ``W = sqrt(gw) * profile`` (nodes x frequencies).  Its thin SVD keeps
-    the singular values above the numerical-rank cut
-    ``s_max * max(n, m) * eps``; each kept triple gives one explicit jump
-    ``J_r = sum_nu s_r V[nu, r] A_nu``, so the sum runs over r jumps instead
-    of n nodes and stays a manifestly completely positive jump sum.
+    ``K(nu, nu') = sum_n gw_n fhat(w_n - nu) fhat(w_n - nu')`` is the Gram
+    table ``W^T W`` of ``W = sqrt(gw) * profile`` (nodes x frequencies) over
+    the nodes with ``gw_n > 0``, so it is positive semidefinite by
+    construction.  It never reads the overlap table.
     """
-    freqs = spectrum.frequencies
-    idx = spectrum.pair_index
-    d = idx.shape[0]
-    d2 = d * d
     nodes, wts = _omega_quadrature_nodes(weight, sigma, freqs)
     gw = weight(nodes) * wts
     keep = gw > 0.0
-    nodes, gw = nodes[keep], gw[keep]
+    nodes = nodes[keep]
     profile = GaussianFilter(sigma).frequency_profile(nodes[:, None] - freqs[None, :])
-    sv, vt = np.linalg.svd(np.sqrt(gw)[:, None] * profile, full_matrices=False)[1:]
-    rank = int(np.count_nonzero(sv > sv[0] * max(profile.shape) * np.finfo(float).eps))
-    coeffs = sv[:rank, None] * vt[:rank]  # (r, m): jump r's weight on each frequency
-    outer = np.zeros((d2, d2), dtype=np.complex128)
-    m_kernel = np.zeros((d, d), dtype=np.complex128)
-    for a in jumps_eig:
-        filtered = coeffs[:, idx] * a[None, :, :]  # (r, d, d)
-        flat = filtered.transpose(0, 2, 1).reshape(rank, d2)  # vec layout
-        outer += flat.T @ flat.conj()
-        stacked = filtered.reshape(rank * d, d)
-        m_kernel += dagger(stacked) @ stacked
-    s_sandwich = outer.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d2, d2)
-    info = {
-        "omega_nodes": int(nodes.size),
-        "omega_jumps": rank,
-        "omega_discarded_weight": float(np.sum(sv[rank:] ** 2) / np.sum(sv**2)),
-    }
-    return s_sandwich, m_kernel, info
-
-
-def _filtered_dissipator(
-    path: str,
-    jumps_eig: list[np.ndarray],
-    weight: WeightFunction,
-    sigma: float,
-    spectrum: BohrSpectrum,
-    g_values: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Sandwich superoperator, anticommutator kernel (eigenbasis) and
-    diagnostics of the filtered dissipator on one assembly path.
-
-    ``bohr_sum`` contracts the overlap values ``g_values``;
-    ``omega_quadrature`` never reads them (pass ``None``).
-    """
-    if path == "bohr_sum":
-        s_sandwich_eig, m_kernel_eig = _bohr_sum_dissipator(
-            jumps_eig, g_values, spectrum.pair_index
-        )
-        return s_sandwich_eig, m_kernel_eig, {}
-    return _omega_quadrature_dissipator(jumps_eig, weight, sigma, spectrum)
+    root = np.sqrt(gw[keep])[:, None] * profile
+    return root.T @ root, int(nodes.size)
 
 
 def localised_generator(
@@ -422,8 +374,10 @@ def localised_generator(
             (an intentionally unbalanced control weight carrying the right
             bandwidth is also accepted, for negative tests).
         sigma: filter bandwidth; must equal ``weight.sigma``.
-        path: ``"bohr_sum"`` contracts the overlap table against Bohr
-            components; ``"omega_quadrature"`` sums explicit node jumps.
+        path: the coupling table the dissipator contracts over the Bohr
+            pair map: the overlap table ``G`` (``"bohr_sum"``) or the node
+            sum ``K`` of the omega quadrature (``"omega_quadrature"``),
+            which never reads ``G``.
         cross_check: sample-check the overlap table against definitional
             quadrature (a standing regression check; on by default).
         _corrupt_overlap_sign: fault hook for self-tests -- flips the sign of
@@ -453,16 +407,18 @@ def localised_generator(
     jumps_eig = [system.to_eigenbasis(a) for a in model.jumps]
 
     table = overlap_table(spectrum, weight, sigma, cross_check=cross_check)
-    g_values = table.values
+    coupling = table.values
     if _corrupt_overlap_sign:
-        diagonal = np.diag(np.diag(g_values))
-        g_values = 2.0 * diagonal - g_values  # flip every off-diagonal sign
+        diagonal = np.diag(np.diag(coupling))
+        coupling = 2.0 * diagonal - coupling  # flip every off-diagonal sign
         diag["fault_injected"] = "all off-diagonal overlap signs flipped"
-
-    s_sandwich_eig, m_kernel_eig, path_diag = _filtered_dissipator(
-        path, jumps_eig, weight, sigma, spectrum, g_values
+    if path == "omega_quadrature":
+        coupling, diag["omega_nodes"] = _omega_quadrature_coupling(
+            weight, sigma, spectrum.frequencies
+        )
+    s_sandwich_eig, m_kernel_eig = _bohr_sum_dissipator(
+        jumps_eig, coupling, spectrum.pair_index
     )
-    diag.update(path_diag)
 
     b_mat, b_diag = coherent_matrix_bohr(model, table, system=system)
     diag.update(b_diag)
@@ -562,16 +518,12 @@ def dual_path_residual(bundle: GeneratorBundle) -> float:
     other = "omega_quadrature" if bundle.assembly_path == "bohr_sum" else "bohr_sum"
     system = bundle.model.eigensystem()
     spectrum = bundle.spectrum
-    g_values = None
     if other == "bohr_sum":
-        g_values = overlap_table(spectrum, bundle.weight, bundle.sigma, cross_check=False).values
-    s_sandwich_eig, m_kernel_eig, _ = _filtered_dissipator(
-        other,
-        [system.to_eigenbasis(a) for a in bundle.model.jumps],
-        bundle.weight,
-        bundle.sigma,
-        spectrum,
-        g_values,
+        coupling = overlap_table(spectrum, bundle.weight, bundle.sigma, cross_check=False).values
+    else:
+        coupling = _omega_quadrature_coupling(bundle.weight, bundle.sigma, spectrum.frequencies)[0]
+    s_sandwich_eig, m_kernel_eig = _bohr_sum_dissipator(
+        [system.to_eigenbasis(a) for a in bundle.model.jumps], coupling, spectrum.pair_index
     )
     s_built = bundle.superoperator
     s_other = bundle.hamiltonian_part + _rotated_dissipator(system, s_sandwich_eig, m_kernel_eig)

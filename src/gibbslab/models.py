@@ -429,28 +429,57 @@ def gibbs_state(model: Model) -> np.ndarray:
 # Config round-trip
 # ---------------------------------------------------------------------------
 
+
+def config_number(value, context: str, kind: type = float):
+    """``kind(value)`` for a config entry that must be a finite number.
+
+    Anything ``kind`` cannot convert, and NaN or an infinity (which JSON
+    readers accept as ``NaN``, ``Infinity`` or ``1e400``), is rejected with
+    a :class:`ValidationError` naming ``context``.
+    """
+    try:
+        x = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{context} must be {noun}, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ValidationError(f"{context} must be finite, got {value!r}")
+    return x
+
+
+def _param(params: dict, key: str, default, kind: type = float):
+    return config_number(params.get(key, default), f"model.{key}", kind)
+
+
+def _numbers(params: dict, key: str, default=None) -> tuple[float, ...] | None:
+    if key not in params:
+        return default
+    values = params[key]
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"model.{key} must be a list of numbers, got {values!r}")
+    return tuple(config_number(v, f"model.{key} entry") for v in values)
+
+
 _MODEL_BUILDERS: dict[str, Callable[..., Model]] = {
     "qubit": lambda params: qubit_model(),
-    "oscillator": lambda params: oscillator_model(int(params.get("dim", 6))),
+    "oscillator": lambda params: oscillator_model(_param(params, "dim", 6, int)),
     "line": lambda params: schrodinger_line_model(
-        n_grid=int(params.get("n_grid", 16)),
-        box_half_width=float(params.get("box_half_width", 8.0)),
+        n_grid=_param(params, "n_grid", 16, int),
+        box_half_width=_param(params, "box_half_width", 8.0),
         potential=_potential_from_params(params),
-        jump_coefficients=tuple(params.get("jump_coefficients", (0.35, 0.1))),
+        jump_coefficients=_numbers(params, "jump_coefficients", (0.35, 0.1)),
     ),
     "torus": lambda params: torus_model(
-        n_grid=int(params.get("n_grid", 12)),
-        p_coefficient=(
-            np.asarray(params["p_values"], dtype=np.float64) if "p_values" in params else None
-        ),
+        n_grid=_param(params, "n_grid", 12, int),
+        p_coefficient=_numbers(params, "p_values"),
         potential=_potential_from_params(params),
-        jump_coefficients=tuple(params.get("jump_coefficients", (0.25, 0.3))),
+        jump_coefficients=_numbers(params, "jump_coefficients", (0.25, 0.3)),
     ),
     "random": lambda params: random_model(
-        dim=int(params.get("dim", 4)),
-        n_jump_pairs=int(params.get("n_jump_pairs", 1)),
-        seed=int(params.get("seed", 0)),
-        spectrum=params.get("spectrum"),
+        dim=_param(params, "dim", 4, int),
+        n_jump_pairs=_param(params, "n_jump_pairs", 1, int),
+        seed=_param(params, "seed", 0, int),
+        spectrum=_numbers(params, "spectrum"),
     ),
 }
 
@@ -467,10 +496,10 @@ _KNOWN_MODEL_KEYS = {
 
 def _potential_from_params(params: dict):
     if "potential_values" in params:
-        return np.asarray(params["potential_values"], dtype=np.float64)
+        return _numbers(params, "potential_values")
     if "potential" in params:
         return named_potential(
-            str(params["potential"]), float(params.get("potential_coefficient", 1.0))
+            str(params["potential"]), _param(params, "potential_coefficient", 1.0)
         )
     return None
 

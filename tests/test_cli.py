@@ -180,17 +180,13 @@ def test_verify_reports_the_cross_check_cost(tmp_path):
     assert diagnostics["overlap_cross_check_defect"] <= 1e-8
 
 
-def test_verify_reports_the_omega_factorisation(tmp_path):
+def test_verify_reports_the_omega_node_count(tmp_path):
     payload = qubit_config(generator={"kind": "localised", "path": "omega_quadrature"})
     config = write_config(tmp_path, payload)
     report_path = tmp_path / "r.json"
     assert main(["verify-stationarity", "--config", config, "--report", str(report_path)]) == EXIT_OK
     diagnostics = json.loads(report_path.read_text())["data"]["diagnostics"]
-    nodes, freqs = diagnostics["omega_nodes"], diagnostics["n_frequencies"]
-    assert 1 <= diagnostics["omega_jumps"] <= min(nodes, freqs)
-    # Every dropped singular value is below s_max * max(n, m) * eps.
-    cut = (max(nodes, freqs) * np.finfo(float).eps) ** 2
-    assert 0.0 <= diagnostics["omega_discarded_weight"] <= freqs * cut
+    assert diagnostics["omega_nodes"] >= 1
 
 
 def test_verify_check_filter_and_failure_exit(tmp_path):
@@ -254,6 +250,42 @@ def test_unresolvable_bandwidth_exits_two_before_any_build(
     assert builds == []
     at_bound = qubit_config(weight={"kind": "balanced", "sigma": 3.0})
     assert normalised_config(at_bound, command)["weight"]["sigma"] == 3.0
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("verify-stationarity", qubit_config(run={"seeds": ["abc"]})),
+        ("evolve", qubit_config(run={"times": [0, "abc"]})),
+        ("evolve", qubit_config(run={"times": [0, math.nan]})),
+        ("evolve", qubit_config(run={"times": [0, math.inf]})),
+        ("verify-stationarity", qubit_config(model={"name": "oscillator", "dim": "x"})),
+        ("verify-stationarity", qubit_config(model={"name": "line", "jump_coefficients": ["a", 1]})),
+        ("selftest", None),
+    ],
+    ids=[
+        "seed-text", "time-text", "time-nan", "time-infinity", "model-dim-text",
+        "model-list-text", "tighten-nan",
+    ],
+)
+def test_malformed_numbers_exit_two_before_any_build(
+    tmp_path, monkeypatch, capsys, command, payload
+):
+    """JSON readers accept ``NaN`` and ``Infinity``; such numbers, and text
+    where a number belongs, are usage errors, not crashes (5) or runs that
+    crash later."""
+    builds = []
+    for name in ("localised_generator", "davies_generator", "_selftest_checks"):
+        monkeypatch.setattr(gibbslab.cli, name, lambda *a, **k: builds.append(a))
+    if payload is None:
+        argv = [command, "--tighten", "nan"]
+    else:
+        argv = [command, "--config", write_config(tmp_path, payload)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert builds == []
 
 
 def test_crash_exits_five_with_a_traceback(tmp_path, monkeypatch, capsys):

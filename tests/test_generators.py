@@ -16,7 +16,8 @@ import pytest
 from gibbslab.bohr import bohr_spectrum, decompose
 from gibbslab.errors import ValidationError
 from gibbslab.generators import (
-    _omega_quadrature_dissipator,
+    _bohr_sum_dissipator,
+    _omega_quadrature_coupling,
     _omega_quadrature_nodes,
     _rotate_superop,
     coherent_calibration_report,
@@ -154,14 +155,14 @@ def test_omega_quadrature_matches_node_sum_oracle(model_name, phi, sigma):
     system = model.eigensystem()
     spectrum = bohr_spectrum(system)
     jumps = [system.to_eigenbasis(a) for a in model.jumps]
-    s_got, m_got, info = _omega_quadrature_dissipator(jumps, weight, sigma, spectrum)
+    coupling, n_nodes = _omega_quadrature_coupling(weight, sigma, spectrum.frequencies)
+    s_got, m_got = _bohr_sum_dissipator(jumps, coupling, spectrum.pair_index)
     nodes, wts = _omega_quadrature_nodes(weight, sigma, spectrum.frequencies)
     gw = weight(nodes) * wts
     s_ref, m_ref = oracles.omega_node_sum_dissipator(
         jumps, spectrum.frequencies, spectrum.pair_index, nodes, gw, sigma
     )
-    assert info["omega_nodes"] == int(np.count_nonzero(gw > 0.0))
-    assert 1 <= info["omega_jumps"] <= min(info["omega_nodes"], spectrum.size)
+    assert n_nodes == int(np.count_nonzero(gw > 0.0))
     assert np.max(np.abs(s_got - s_ref)) <= 1e-13 * np.max(np.abs(s_ref))
     assert np.max(np.abs(m_got - m_ref)) <= 1e-13 * np.max(np.abs(m_ref))
 
@@ -286,6 +287,8 @@ def test_sign_fault_is_caught_downstream(dense_model):
     assert np.linalg.norm(corrupt.superoperator - clean.superoperator) > 1e-3 * scale
     assert stationarity_report(corrupt).residual_fro > 1e-3
     assert stationarity_report(clean).residual_fro < 1e-9
+    # The standing check sees the fault only while the other path never reads G.
+    assert dual_path_residual(corrupt) > 1e-3
 
 
 # ---------------------------------------------------------------------------
