@@ -12,12 +12,13 @@ construction as the filter width grows.
 Layering (each module depends only on the ones above it):
 
     operator_core -- dense linear-algebra primitives and conventions
+    models        -- benchmark Hamiltonians with jump families
     bohr          -- Bohr spectrum, frequency-resolved decomposition
     weights       -- weight functions, Gaussian filter, quadrature
     oft           -- filtered jump operators and overlap tables
-    generators    -- Lindblad assembly, stationarity and consistency reports
     evolution     -- semigroup propagation and channel health checks
-    models        -- benchmark Hamiltonians with jump families
+                     (names ``GeneratorBundle`` only as a type annotation)
+    generators    -- Lindblad assembly, stationarity and consistency reports
     cli           -- experiment configs, reports, and file formats
 """
 

@@ -514,10 +514,11 @@ def cmd_verify_stationarity(config: dict, args) -> int:
         config["weight"]["balance_broken"] = True
         config = normalised_config(config, "verify-stationarity")
     seed = args.seed if args.seed is not None else config["run"]["seeds"][0]
-    bundle = build_generator(config)
-    stages = {"build_s": time.perf_counter() - started}
+    kind = config["generator"]["kind"]
     broken = config["weight"]["balance_broken"] or config["weight"]["kind"] == "unshifted"
 
+    # The checks follow from the config alone, so a bad --check name is
+    # rejected before the build; each entry reads ``bundle`` when it runs.
     available: dict[str, callable] = {}
     if broken:
         available["negative_control_residual"] = lambda: _check(
@@ -529,7 +530,7 @@ def cmd_verify_stationarity(config: dict, args) -> int:
     else:
         stat_tol = (
             _tolerance(config, "davies_stationarity")
-            if bundle.kind == "davies"
+            if kind == "davies"
             else _tolerance(config, "stationarity")
         )
         available["stationarity_residual"] = lambda: _check(
@@ -556,7 +557,7 @@ def cmd_verify_stationarity(config: dict, args) -> int:
         _tolerance(config, "drift_abscissa"),
         "upper",
     )
-    if bundle.kind == "localised" and not broken:
+    if kind == "localised" and not broken:
         available["dual_path"] = lambda: _check(
             "dual_path",
             dual_path_residual(bundle),
@@ -572,6 +573,9 @@ def cmd_verify_stationarity(config: dict, args) -> int:
         names = [args.check]
     else:
         names = list(available)
+
+    bundle = build_generator(config)
+    stages = {"build_s": time.perf_counter() - started}
     checks = []
     for name in names:
         mark = time.perf_counter()
@@ -843,7 +847,7 @@ def _selftest_checks(seed: int, stages: dict) -> list[dict]:
         )
 
     with group("calibration"):
-        calibration = coherent_calibration_report(dense, w_dense, 0.9)
+        calibration = coherent_calibration_report(clean)
         checks.append(
             _check(
                 "coherent_orientation_agreement",

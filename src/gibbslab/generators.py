@@ -27,15 +27,18 @@ differing only in the coupling ``C`` and the coherent matrix ``B``:
 Both families share one assembly: one contraction of a coupling table over
 the Bohr pair map, and one tail that rotates it to the original basis (a
 conjugation of the four tensor modes of the eigenbasis superoperator,
-O(d^5)), adds ``-i[P + B, .]`` and forms the effective drift.  The filtered
-dissipator has a second path, ``omega_quadrature``, which never reads the
-overlap table: it puts its own quadrature nodes ``w_n`` with weights
-``gw_n = gamma(w_n) q_n`` (``q_n`` the panel rule's weights) on the
-filtered transform and contracts the node-sum table
+O(d^5)), adds ``-i[P + B, .]`` and forms the effective drift.  The bundle
+keeps the table it contracted as ``coupling``.  The filtered dissipator has
+a second path, ``omega_quadrature``, which never reads the overlap table:
+it puts its own quadrature nodes ``w_n`` with weights ``gw_n = gamma(w_n)
+q_n`` (``q_n`` the panel rule's weights) on the filtered transform and
+contracts the node-sum table
 ``K(nu, nu') = sum_n gw_n fhat(w_n - nu) fhat(w_n - nu')`` in place of
 ``G``.  ``K`` is a Gram table, so the sum is completely positive by
-construction.  Agreement of the two paths is a standing consistency check;
-a deliberate fault hook can flip the off-diagonal overlap signs after
+construction.  Since the two paths share the contraction, the rotation and
+the coherent matrix, they can differ only in their tables, and the
+standing consistency check compares ``G`` with ``K`` directly; a
+deliberate fault hook can flip the off-diagonal overlap signs after
 construction so self-tests can demonstrate the check has teeth.
 """
 
@@ -99,9 +102,11 @@ class GeneratorBundle:
 
     The superoperator acts on column-stacked operators,
     ``vec(L(T)) = superoperator @ vec(T)``, in the model's original basis.
-    ``hamiltonian_part`` is ``-i[P + B, .]`` and ``dissipator_part`` the
-    rest; they sum to ``superoperator`` exactly.  The three are read-only,
-    so the cached step exponentials of :attr:`propagator` cannot go stale.
+    ``dissipator_part`` is the superoperator without ``-i[P + B, .]``.  Both
+    are read-only, so the cached step exponentials of :attr:`propagator`
+    cannot go stale.  ``coupling`` is the table ``C(nu, nu')`` the
+    dissipator contracted over the Bohr pair map: ``diag(gamma)``, the
+    overlap table ``G`` or the node-sum table ``K``.
     """
 
     kind: str  # "davies" | "localised"
@@ -110,8 +115,8 @@ class GeneratorBundle:
     weight: WeightFunction
     sigma: float | None
     superoperator: np.ndarray
-    hamiltonian_part: np.ndarray
     dissipator_part: np.ndarray
+    coupling: np.ndarray
     coherent_matrix: np.ndarray
     effective_drift: np.ndarray
     spectrum: BohrSpectrum
@@ -131,14 +136,6 @@ class GeneratorBundle:
     def apply(self, operator: np.ndarray) -> np.ndarray:
         """Act on an operator: ``L(T)``."""
         return generator_action(self.superoperator, operator)
-
-    def apply_part(self, part: str, operator: np.ndarray) -> np.ndarray:
-        """Act with one part only (``"hamiltonian"`` or ``"dissipator"``)."""
-        if part == "hamiltonian":
-            return generator_action(self.hamiltonian_part, operator)
-        if part == "dissipator":
-            return generator_action(self.dissipator_part, operator)
-        raise ValidationError(f"unknown generator part {part!r}")
 
 
 def generator_action(superoperator: np.ndarray, operator: np.ndarray) -> np.ndarray:
@@ -208,14 +205,6 @@ def _rotate_superop(system: EigenSystem, s_eig: np.ndarray) -> np.ndarray:
     return (t @ dagger(u)).reshape(d * d, d * d)
 
 
-def _rotated_dissipator(
-    system: EigenSystem, s_sandwich_eig: np.ndarray, m_kernel_eig: np.ndarray
-) -> np.ndarray:
-    """The dissipator ``S - (1/2){M, .}`` in the original basis."""
-    anti = superop_left(m_kernel_eig) + superop_right(m_kernel_eig)
-    return _rotate_superop(system, s_sandwich_eig - 0.5 * anti)
-
-
 def _bundle(
     kind: str,
     path: str,
@@ -224,20 +213,25 @@ def _bundle(
     sigma: float | None,
     system: EigenSystem,
     spectrum: BohrSpectrum,
-    s_sandwich_eig: np.ndarray,
-    m_kernel_eig: np.ndarray,
+    jumps_eig: list[np.ndarray],
+    coupling: np.ndarray,
     b_mat: np.ndarray,
     diag: dict,
 ) -> GeneratorBundle:
     """The assembly tail shared by both families: the dissipator
-    ``S - (1/2){M, .}`` rotated to the original basis, the Hamiltonian part
-    ``-i[P + B, .]`` and the drift ``i(P + B) - M/2``."""
-    s_diss = _rotated_dissipator(system, s_sandwich_eig, m_kernel_eig)
+    ``S - (1/2){M, .}`` of ``coupling`` rotated to the original basis, plus
+    ``-i[P + B, .]``, and the drift ``i(P + B) - M/2``."""
+    s_sandwich_eig, m_kernel_eig = _bohr_sum_dissipator(
+        jumps_eig, coupling, spectrum.pair_index
+    )
+    anti = superop_left(m_kernel_eig) + superop_right(m_kernel_eig)
+    s_diss = _rotate_superop(system, s_sandwich_eig - 0.5 * anti)
+    del s_sandwich_eig, anti
     h_eff = model.hamiltonian + b_mat
-    s_ham = -1j * (superop_left(h_eff) - superop_right(h_eff))
+    superop = -1j * (superop_left(h_eff) - superop_right(h_eff))
+    superop += s_diss
     drift = 1j * h_eff - 0.5 * system.from_eigenbasis(m_kernel_eig)
-    superop = s_ham + s_diss
-    for part in (superop, s_ham, s_diss):
+    for part in (superop, s_diss):
         part.flags.writeable = False
     return GeneratorBundle(
         kind=kind,
@@ -246,8 +240,8 @@ def _bundle(
         weight=weight,
         sigma=sigma,
         superoperator=superop,
-        hamiltonian_part=s_ham,
         dissipator_part=s_diss,
+        coupling=coupling,
         coherent_matrix=b_mat,
         effective_drift=drift,
         spectrum=spectrum,
@@ -272,14 +266,11 @@ def davies_generator(model: Model, weight: WeightFunction) -> GeneratorBundle:
             f"defect {grid_defect:.3e} exceeds {_KMS_GRID_TOL:g}"
         )
     jumps_eig = [system.to_eigenbasis(a) for a in model.jumps]
-    s_sandwich_eig, m_kernel_eig = _bohr_sum_dissipator(
-        jumps_eig, np.diag(weight(spectrum.frequencies)), spectrum.pair_index
-    )
     diag.update({"kms_grid_defect": grid_defect, "n_frequencies": spectrum.size})
     b_zero = np.zeros((model.dim, model.dim), dtype=np.complex128)
     return _bundle(
         "davies", "bohr_sum", model, weight, None, system, spectrum,
-        s_sandwich_eig, m_kernel_eig, b_zero, diag,
+        jumps_eig, np.diag(weight(spectrum.frequencies)), b_zero, diag,
     )
 
 
@@ -384,8 +375,10 @@ def localised_generator(
             every off-diagonal overlap entry *after* the cross-check, so
             downstream path-consistency checks must detect the corruption.
 
-    The coherent matrix is assembled identically on both paths (it has no
-    frequency-integral form), so path disagreement isolates the dissipator.
+    The coherent matrix, the contraction and the rotation are the same on
+    both paths (``B`` has no frequency-integral form), so the paths can
+    disagree only through their coupling tables, which
+    :func:`dual_path_residual` compares.
     """
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise ValidationError(f"bandwidth must be a finite positive number, got {sigma!r}")
@@ -416,9 +409,6 @@ def localised_generator(
         coupling, diag["omega_nodes"] = _omega_quadrature_coupling(
             weight, sigma, spectrum.frequencies
         )
-    s_sandwich_eig, m_kernel_eig = _bohr_sum_dissipator(
-        jumps_eig, coupling, spectrum.pair_index
-    )
 
     b_mat, b_diag = coherent_matrix_bohr(model, table, system=system)
     diag.update(b_diag)
@@ -434,7 +424,7 @@ def localised_generator(
     )
     return _bundle(
         "localised", path, model, weight, float(sigma), system, spectrum,
-        s_sandwich_eig, m_kernel_eig, b_mat, diag,
+        jumps_eig, coupling, b_mat, diag,
     )
 
 
@@ -447,32 +437,20 @@ def localised_generator(
 class StationarityReport:
     """How close the Gibbs density is to being a fixed point.
 
-    All residuals are relative to the norm of the Gibbs density.
-    ``recombination_defect`` is the distance between the full action and the
-    sum of the two part actions (exactly zero up to float association).
+    Both residuals are relative to the norm of the Gibbs density.
     """
 
     residual_fro: float
     residual_trace_norm: float
-    dissipator_part_fro: float
-    hamiltonian_part_fro: float
-    recombination_defect: float
 
 
 def stationarity_report(bundle: GeneratorBundle) -> StationarityReport:
     """Evaluate ``L`` on the normalised Gibbs density of the bundle's model."""
     rho = gibbs_state(bundle.model)
     full = bundle.apply(rho)
-    part_d = bundle.apply_part("dissipator", rho)
-    part_h = bundle.apply_part("hamiltonian", rho)
-    scale_f = float(np.linalg.norm(rho))
-    scale_t = schatten_norm(rho, 1)
     return StationarityReport(
-        residual_fro=float(np.linalg.norm(full)) / scale_f,
-        residual_trace_norm=schatten_norm(full, 1) / scale_t,
-        dissipator_part_fro=float(np.linalg.norm(part_d)) / scale_f,
-        hamiltonian_part_fro=float(np.linalg.norm(part_h)) / scale_f,
-        recombination_defect=float(np.linalg.norm(full - part_d - part_h)),
+        residual_fro=float(np.linalg.norm(full)) / float(np.linalg.norm(rho)),
+        residual_trace_norm=schatten_norm(full, 1) / schatten_norm(rho, 1),
     )
 
 
@@ -504,31 +482,26 @@ def effective_drift_abscissa(bundle: GeneratorBundle) -> float:
 
 
 def dual_path_residual(bundle: GeneratorBundle) -> float:
-    """Relative Frobenius distance between the two assembly paths.
+    """Relative Frobenius distance between the coupling tables of the two
+    assembly paths, ``||C_built - C_other|| / max(||C_built||, ||C_other||)``.
 
-    Assembles only the dissipator of the path the filtered ``bundle`` was
-    not built on, over the bundle's model, weight, bandwidth and Bohr
-    spectrum, and adds the bundle's own Hamiltonian part (the coherent
-    matrix is the same on both paths).  Only the ``bohr_sum`` dissipator
-    reads the overlap table, so only an ``omega_quadrature`` bundle builds
-    one here, without the cross-check.
+    Both paths send their table through the same contraction and rotation
+    and share the coherent matrix, so the tables are where they can differ.
+    ``C_other`` is built over the filtered ``bundle``'s weight, bandwidth and
+    Bohr spectrum: the node-sum table ``K`` for a ``bohr_sum`` bundle, the
+    overlap table ``G`` (without the cross-check) for an
+    ``omega_quadrature`` one.  No dissipator is assembled.
     """
     if bundle.kind != "localised":
         raise ValidationError("the dual-path check applies to filtered generators only")
-    other = "omega_quadrature" if bundle.assembly_path == "bohr_sum" else "bohr_sum"
-    system = bundle.model.eigensystem()
-    spectrum = bundle.spectrum
-    if other == "bohr_sum":
-        coupling = overlap_table(spectrum, bundle.weight, bundle.sigma, cross_check=False).values
+    freqs = bundle.spectrum.frequencies
+    if bundle.assembly_path == "bohr_sum":
+        other = _omega_quadrature_coupling(bundle.weight, bundle.sigma, freqs)[0]
     else:
-        coupling = _omega_quadrature_coupling(bundle.weight, bundle.sigma, spectrum.frequencies)[0]
-    s_sandwich_eig, m_kernel_eig = _bohr_sum_dissipator(
-        [system.to_eigenbasis(a) for a in bundle.model.jumps], coupling, spectrum.pair_index
-    )
-    s_built = bundle.superoperator
-    s_other = bundle.hamiltonian_part + _rotated_dissipator(system, s_sandwich_eig, m_kernel_eig)
-    scale = max(float(np.linalg.norm(s_built)), float(np.linalg.norm(s_other)), 1e-300)
-    return float(np.linalg.norm(s_built - s_other)) / scale
+        other = overlap_table(bundle.spectrum, bundle.weight, bundle.sigma, cross_check=False).values
+    built = bundle.coupling
+    scale = max(float(np.linalg.norm(built)), float(np.linalg.norm(other)), 1e-300)
+    return float(np.linalg.norm(built - other)) / scale
 
 
 def davies_limit_report(model: Model, phi, sigmas, *, seed: int = 2024) -> dict:
@@ -636,20 +609,24 @@ def _time_quadrature_close(system: EigenSystem, ts, wt_k1, inner, orientation: s
     return system.from_eigenbasis(outer_kernel * inner)
 
 
-def coherent_calibration_report(model: Model, weight: WeightFunction, sigma: float) -> dict:
-    """Compare the frequency-domain coherent matrix against the time oracle.
+def coherent_calibration_report(bundle: GeneratorBundle) -> dict:
+    """Compare a filtered bundle's coherent matrix against the time oracle.
 
     Reports the distance for both conjugation orientations of the time
-    assembly.  The production orientation is the one matching the
-    frequency-domain matrix; the literal one lands on the negated matrix
-    (distance close to twice the norm) -- surfaced here as numbers, never
-    silently absorbed.  Relative distances are taken against the coherent
-    norm when it is meaningfully nonzero, else against 1.
+    assembly over the bundle's model, weight and bandwidth.  The production
+    orientation is the one matching the frequency-domain matrix; the
+    literal one lands on the negated matrix (distance close to twice the
+    norm) -- surfaced here as numbers, never silently absorbed.  Relative
+    distances are taken against the coherent norm when it is meaningfully
+    nonzero, else against 1.
     """
-    system, ts, wt_k1, inner = _time_quadrature_inner(model, weight, sigma)
-    table = overlap_table(bohr_spectrum(system), weight, sigma, cross_check=False)
-    b_freq, diag = coherent_matrix_bohr(model, table, system=system)
-    report = {"coherent_norm": float(np.linalg.norm(b_freq)), **diag}
+    if bundle.kind != "localised":
+        raise ValidationError("the coherent calibration applies to filtered generators only")
+    system, ts, wt_k1, inner = _time_quadrature_inner(bundle.model, bundle.weight, bundle.sigma)
+    b_freq = bundle.coherent_matrix
+    report = {
+        key: bundle.diagnostics[key] for key in ("coherent_norm", "coherent_hermiticity_defect")
+    }
     for orientation in ("outward", "literal"):
         b_time = _time_quadrature_close(system, ts, wt_k1, inner, orientation)
         report[f"distance_{orientation}"] = float(np.linalg.norm(b_time - b_freq))

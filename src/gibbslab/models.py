@@ -201,6 +201,15 @@ def _potential_values(potential, x: np.ndarray, name: str) -> np.ndarray:
     return v
 
 
+def _jump_pair(coefficients, name: str) -> tuple[float, float]:
+    """The two jump coefficients ``(c1, c2)`` of a grid model."""
+    if len(coefficients) != 2:
+        raise ValidationError(
+            f"{name} model needs two jump coefficients, got {len(coefficients)}"
+        )
+    return float(coefficients[0]), float(coefficients[1])
+
+
 def schrodinger_line_model(
     n_grid: int = 16,
     box_half_width: float = 8.0,
@@ -222,6 +231,7 @@ def schrodinger_line_model(
     """
     if n_grid < 16:
         raise ValidationError(f"line model needs n_grid >= 16, got {n_grid}")
+    c1, c2 = _jump_pair(jump_coefficients, "line")
     if not (np.isfinite(box_half_width) and box_half_width > 0.0):
         raise ValidationError(f"box half-width must be positive, got {box_half_width!r}")
     L = float(box_half_width)
@@ -255,7 +265,6 @@ def schrodinger_line_model(
     drift = (np.diag(np.full(n_grid - 1, 1.0), 1) - np.diag(np.full(n_grid - 1, 1.0), -1)) / (
         2.0 * h
     )
-    c1, c2 = float(jump_coefficients[0]), float(jump_coefficients[1])
     jump = (c1 * drift + c2 * np.diag(x)).astype(np.complex128)
     return Model(
         model_id=f"line{n_grid}",
@@ -290,6 +299,7 @@ def torus_model(
     """
     if n_grid < 4:
         raise ValidationError(f"torus model needs n_grid >= 4, got {n_grid}")
+    c1, c2 = _jump_pair(jump_coefficients, "torus")
     n = int(n_grid)
     h = 1.0 / n
     x = h * np.arange(n)
@@ -332,7 +342,6 @@ def torus_model(
     for k in range(n):
         shift_diff[k, (k + 1) % n] = 0.5
         shift_diff[k, (k - 1) % n] = -0.5
-    c1, c2 = float(jump_coefficients[0]), float(jump_coefficients[1])
     jump = (c1 * shift_diff + c2 * np.diag(np.cos(2.0 * math.pi * x))).astype(np.complex128)
     return Model(
         model_id=f"torus{n}",

@@ -228,6 +228,29 @@ def test_usage_errors_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "payload, extra, check",
+    [
+        (qubit_config(), [], "typo"),
+        (qubit_config(weight={"kind": "glauber"}), [], "dual_path"),
+        (qubit_config(), ["--negative-control"], "stationarity_residual"),
+        (qubit_config(weight={"kind": "unshifted"}), [], "dual_path"),
+    ],
+    ids=["typo", "davies-dual-path", "negative-control", "unshifted"],
+)
+def test_unknown_check_exits_two_before_the_build(
+    tmp_path, monkeypatch, capsys, payload, extra, check
+):
+    """The checks a config offers follow from the config, so a name it does
+    not offer is rejected without assembling the generator."""
+    builds = []
+    monkeypatch.setattr(gibbslab.cli, "build_generator", lambda *a, **k: builds.append(a))
+    argv = ["verify-stationarity", "--config", write_config(tmp_path, payload), "--check", check]
+    assert main(argv + extra) == EXIT_USAGE
+    assert f"unknown check {check!r}" in capsys.readouterr().err
+    assert builds == []
+
+
+@pytest.mark.parametrize(
     "command, payload",
     [
         ("verify-stationarity", qubit_config(weight={"kind": "balanced", "sigma": 4.5})),
@@ -261,11 +284,13 @@ def test_unresolvable_bandwidth_exits_two_before_any_build(
         ("evolve", qubit_config(run={"times": [0, math.inf]})),
         ("verify-stationarity", qubit_config(model={"name": "oscillator", "dim": "x"})),
         ("verify-stationarity", qubit_config(model={"name": "line", "jump_coefficients": ["a", 1]})),
+        ("verify-stationarity", qubit_config(model={"name": "line", "jump_coefficients": [1]})),
+        ("verify-stationarity", qubit_config(model={"name": "torus", "jump_coefficients": []})),
         ("selftest", None),
     ],
     ids=[
         "seed-text", "time-text", "time-nan", "time-infinity", "model-dim-text",
-        "model-list-text", "tighten-nan",
+        "model-list-text", "line-jumps-short", "torus-jumps-empty", "tighten-nan",
     ],
 )
 def test_malformed_numbers_exit_two_before_any_build(

@@ -235,7 +235,6 @@ def test_step_cache_stays_within_its_byte_budget(monkeypatch, dense_bundle):
 def test_bundle_parts_are_read_only(dense_bundle):
     for part in (
         dense_bundle.superoperator,
-        dense_bundle.hamiltonian_part,
         dense_bundle.dissipator_part,
     ):
         with pytest.raises(ValueError):

@@ -10,9 +10,12 @@ machine precision on dense models.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import gibbslab.generators
 from gibbslab.bohr import bohr_spectrum, decompose
 from gibbslab.errors import ValidationError
 from gibbslab.generators import (
@@ -132,11 +135,30 @@ def test_dual_path_residual_from_either_path(dense_model):
     resolved = localised_generator(
         dense_model, weight, 0.9, path="omega_quadrature", cross_check=False
     )
-    # Each side assembles only the other path, so both see the same pair.
+    # Each side builds only the other path's table, so both see the same pair.
     assert dual_path_residual(resolved) == dual_path_residual(direct)
     assert dual_path_residual(resolved) < 1e-8
     with pytest.raises(ValidationError):
         dual_path_residual(davies_generator(dense_model, kms_gamma("glauber")))
+
+
+def test_dual_path_residual_sees_a_small_table_fault(filtered_battery):
+    """A fault in the contracted table is measured against the table, not
+    diluted by the Hamiltonian part (``||S|| / ||D||`` is about 1e3 on
+    torus12, which would hide a 1e-6 fault under the 1e-8 tolerance)."""
+    bundle = filtered_battery[("torus12", "sech", 0.5)]
+    assert dual_path_residual(bundle) <= 1e-12
+    faulty = dataclasses.replace(bundle, coupling=bundle.coupling * (1 + 1e-6))
+    assert dual_path_residual(faulty) >= 1e-7
+
+
+def test_dual_path_residual_assembles_no_dissipator(monkeypatch, dense_model):
+    bundle = localised_generator(dense_model, balanced_gamma("gaussian", 0.9), 0.9)
+    calls = []
+    for name in ("_bohr_sum_dissipator", "_rotate_superop"):
+        monkeypatch.setattr(gibbslab.generators, name, lambda *a, **k: calls.append(a))
+    assert dual_path_residual(bundle) < 1e-8
+    assert calls == []
 
 
 _NODE_SUM_MODELS = {
@@ -187,7 +209,6 @@ def test_filtered_battery_fixes_the_gibbs_state(filtered_battery):
     for (model_id, phi, sigma), bundle in filtered_battery.items():
         report = stationarity_report(bundle)
         assert report.residual_fro < 1e-9, (model_id, phi, sigma, report.residual_fro)
-        assert report.recombination_defect < 1e-12
 
 
 def test_davies_battery_fixes_the_gibbs_state(davies_battery):
@@ -269,12 +290,14 @@ def test_identity_jump_produces_no_motion(dense_model):
 # ---------------------------------------------------------------------------
 
 
-def test_coherent_orientation_calibration(dense_model):
-    weight = balanced_gamma("gaussian", 0.9)
-    report = coherent_calibration_report(dense_model, weight, 0.9)
+def test_coherent_orientation_calibration(dense_model, dense_bundle):
+    report = coherent_calibration_report(dense_bundle)
     assert report["relative_distance_outward"] < 1e-10
     assert report["relative_distance_literal"] == pytest.approx(2.0, abs=0.2)
     assert report["coherent_hermiticity_defect"] < 1e-13
+    assert report["coherent_norm"] == float(np.linalg.norm(dense_bundle.coherent_matrix))
+    with pytest.raises(ValidationError):
+        coherent_calibration_report(davies_generator(dense_model, kms_gamma("glauber")))
 
 
 def test_sign_fault_is_caught_downstream(dense_model):
@@ -353,12 +376,6 @@ def test_bundle_accessors(dense_bundle):
     probe = (np.arange(16, dtype=complex) + 0.5j).reshape(4, 4)
     direct = generator_action(dense_bundle.superoperator, probe)
     assert np.linalg.norm(dense_bundle.apply(probe) - direct) == 0.0
-    recombined = dense_bundle.apply_part("hamiltonian", probe) + dense_bundle.apply_part(
-        "dissipator", probe
-    )
-    assert np.linalg.norm(recombined - dense_bundle.apply(probe)) < 1e-12
-    with pytest.raises(ValidationError):
-        dense_bundle.apply_part("anything_else", probe)
     assert dense_bundle.dim == 4
     assert dense_bundle.kind == "localised"
     for key in (
