@@ -644,6 +644,7 @@ def cmd_sweep_sigma(config: dict, args) -> int:
                 "stationarity_residual": row["stationarity_residual"],
                 "overlap_cross_check_defect": row["overlap_cross_check_defect"],
                 "overlap_cross_check_evaluations": row["overlap_cross_check_evaluations"],
+                "overlap_smoothing_rule": row["overlap_smoothing_rule"],
             }
         )
 

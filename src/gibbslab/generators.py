@@ -417,6 +417,7 @@ def localised_generator(
             "overlap_cross_check_defect": table.cross_check_defect,
             "overlap_cross_check_entries": table.cross_check_entries,
             "overlap_cross_check_evaluations": table.cross_check_evaluations,
+            "overlap_smoothing_rule": table.smoothing_rule,
             "overlap_min_eigenvalue": table.min_eigenvalue(),
             "n_frequencies": spectrum.size,
             "max_cluster_diameter": spectrum.max_cluster_diameter,
@@ -513,7 +514,8 @@ def davies_limit_report(model: Model, phi, sigmas, *, seed: int = 2024) -> dict:
     factor ``pi`` is the squared filter mass; without it the limit would not
     close).  Distances are trace norms of the action difference on five
     seeded unit-Frobenius Hermitian test operators.  Each row also carries
-    the rung's overlap cross-check defect and QUADPACK evaluation count.
+    the rung's overlap cross-check defect, QUADPACK evaluation count and
+    smoothing rule.
     """
     from .weights import balanced_gamma, delocalised_limit_gamma
 
@@ -545,6 +547,7 @@ def davies_limit_report(model: Model, phi, sigmas, *, seed: int = 2024) -> dict:
                 "overlap_cross_check_evaluations": bundle.diagnostics[
                     "overlap_cross_check_evaluations"
                 ],
+                "overlap_smoothing_rule": bundle.diagnostics["overlap_smoothing_rule"],
             }
         )
     return {"rows": rows}

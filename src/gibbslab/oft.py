@@ -47,6 +47,7 @@ from .weights import (
     WeightFunction,
     coherent_difference_factor,
     smoothed_weight_table,
+    smoothing_rule,
 )
 
 __all__ = [
@@ -87,6 +88,9 @@ class OverlapTable:
         coherent: complex ``(m, m)`` array of coherent pair coefficients.
         sigma: filter bandwidth.
         weight: the weight function integrated against.
+        smoothing_rule: the rule that evaluated the smoothed weight,
+            ``closed_form``, ``gauss_hermite`` or ``panels``
+            (:func:`gibbslab.weights.smoothing_rule`).
         cross_check_defect: worst relative disagreement of the sampled
             entries against direct definitional quadrature (recorded at
             construction).
@@ -100,6 +104,7 @@ class OverlapTable:
     coherent: np.ndarray
     sigma: float
     weight: WeightFunction
+    smoothing_rule: str
     cross_check_defect: float = 0.0
     cross_check_entries: int = 0
     cross_check_evaluations: int = 0
@@ -127,7 +132,8 @@ def _definitional_entry(
     """One coupling by direct adaptive quadrature of the definition.
 
     Uses QUADPACK (a different algorithm and code path from the table's
-    Gauss-Hermite/panel evaluation), on a window wide enough to hold both
+    closed-form, Gauss-Hermite or panel evaluation of ``H``, which it never
+    reads), on a window wide enough to hold both
     the filter pair's hull and the weight's own body -- tilted weights can
     pull the product's mass well outside the filter hull.  The integrand is
     the weight times the two frequency profiles, each written from its
@@ -216,8 +222,10 @@ def overlap_table(
     central pairs) is re-derived by direct definitional quadrature;
     disagreement beyond ``1e-8`` relative, or a QUADPACK failure on one of
     them, raises :class:`NumericalGuardError`, signalling a regression in
-    either path.  Bandwidths above ``MAX_BANDWIDTH``, where the smoothing
-    rule no longer resolves the weight, raise :class:`ValidationError`.
+    either path.  Bandwidths above ``MAX_BANDWIDTH``, where the
+    Gauss-Hermite rule no longer resolves the weight, raise
+    :class:`ValidationError`.  The table records which rule smoothed the
+    weight as ``smoothing_rule``.
     """
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise ValidationError(f"bandwidth must be a finite positive number, got {sigma!r}")
@@ -296,6 +304,7 @@ def overlap_table(
         coherent=coherent,
         sigma=float(sigma),
         weight=weight,
+        smoothing_rule=smoothing_rule(weight, sigma, uniq_centers),
         cross_check_defect=defect,
         cross_check_entries=len(pairs),
         cross_check_evaluations=evaluations,

@@ -42,7 +42,11 @@ This module owns every scalar ingredient of the generator assembly:
 
   the single quadrature family from which the overlap couplings and the
   coherent couplings are both built.  Balance of the weight is equivalent to
-  ``H(c) = e^{-c} H(-c)``.
+  ``H(c) = e^{-c} H(-c)``.  For the library ``gaussian`` profile ``H`` has a
+  closed form, which its balanced and unshifted weights carry as
+  ``WeightFunction.smoothed`` and :func:`smoothed_weight_table` returns;
+  every other profile is integrated by the quadrature recipe below, and
+  :func:`smoothing_rule` names which rule a table used.
 
 * Coherent-term kernels: the odd difference factor, the matching
   time-domain kernel and envelope, and the closed-form ``L^1`` mass of the
@@ -91,6 +95,7 @@ __all__ = [
     "unshifted_gamma",
     "delocalised_limit_gamma",
     "kms_defect",
+    "smoothing_rule",
     "smoothed_weight_table",
     "coherent_difference_factor",
     "coherent_time_kernel",
@@ -121,11 +126,14 @@ TIME_KERNEL_SPECTRAL_SCALE = 1.0 / math.sqrt(2.0 * math.pi)
 #: double-precision range with a wide safety margin.
 MAX_SPECTRAL_WIDTH = 600.0
 
-#: Largest admissible filter bandwidth.  The smoothing rule integrates
-#: against a Gaussian of width sigma, which outgrows the weight's own body
-#: as sigma rises: on the qubit the gaussian-profile table is off its closed
-#: form by 1.3e-9 relative at sigma = 4, 1.2e-4 at 6 and 0.78 at 20, while
-#: every library profile passes its stationarity check up to sigma = 3.5.
+#: Largest admissible filter bandwidth, for every weight.  It guards the
+#: Gauss-Hermite rule that smooths sech and user profiles (the gaussian
+#: profile is smoothed in closed form): that rule integrates against a
+#: Gaussian of width sigma, which outgrows the weight's own body as sigma
+#: rises.  Run on a user profile equal to the gaussian, its qubit table is
+#: off the closed form by 1.3e-9 relative at sigma = 4, 1.2e-4 at 6 and 0.78
+#: at 20, while every library profile passes its stationarity check up to
+#: sigma = 3.5.
 MAX_BANDWIDTH = 3.0
 
 #: Order of the shifted Gauss-Hermite rule used when the weight is smooth.
@@ -204,6 +212,10 @@ class WeightFunction:
         The same ``gamma`` on one plain float, for callers that evaluate it
         point by point (the QUADPACK cross-check), or ``None`` when there is
         no scalar formula and those callers fall back to ``evaluate``.
+    smoothed:
+        The Gaussian smoothing ``(sigma, centers) -> H(centers)`` of this
+        weight in closed form, which :func:`smoothed_weight_table` returns
+        in place of quadrature, or ``None`` when there is none.
     """
 
     kind: str
@@ -213,6 +225,7 @@ class WeightFunction:
     breakpoints: tuple[float, ...] = ()
     description: str = ""
     scalar: Callable[[float], float] | None = None
+    smoothed: Callable[[float, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, omega):
         omega = np.asarray(omega, dtype=np.float64)
@@ -377,6 +390,29 @@ def _shifted_profile_scalar(profile: PhiProfile, shift: float) -> Callable | Non
     return lambda w: math.exp(-0.5 * w + log_phi(w + shift))
 
 
+def _gaussian_smoothed(profile: PhiProfile, shift: float) -> Callable | None:
+    """Closed-form ``H`` of ``e^{-w/2} e^{-(w + shift)^2}``, or ``None`` for
+    any profile other than the library gaussian.
+
+    The tilt folds into the Gaussian, ``e^{-w/2 - (w + s)^2} = e^{(1 + 8s)/16}
+    e^{-(w + s + 1/4)^2}``, and Gaussians of widths 1 and ``sigma`` convolve
+    to one of width ``sqrt(1 + sigma^2)``.  Written in this completed-square
+    form only: expanding the square cancels (about 1e-10 lost at
+    ``sigma = 0.05``).
+    """
+    if profile is not PHI_LIBRARY["gaussian"]:
+        return None
+    peak = 0.25 + shift
+    log_front = (1.0 + 8.0 * shift) / 16.0
+
+    def smoothed(sigma, centers):
+        var = sigma * sigma
+        y = np.asarray(centers, dtype=np.float64) + peak
+        return math.sqrt(math.pi * var / (1.0 + var)) * np.exp(log_front - y * y / (1.0 + var))
+
+    return smoothed
+
+
 def balanced_gamma(phi, sigma: float) -> WeightFunction:
     """Balanced weight ``e^{-omega/2} phi(omega + sigma^2/4)`` for bandwidth ``sigma``.
 
@@ -397,6 +433,7 @@ def balanced_gamma(phi, sigma: float) -> WeightFunction:
         breakpoints=tuple(sorted(b - shift for b in profile.breakpoints)),
         description=f"e^(-omega/2) {profile.name}(omega + {shift:.6g})",
         scalar=_shifted_profile_scalar(profile, shift),
+        smoothed=_gaussian_smoothed(profile, shift),
     )
 
 
@@ -419,6 +456,7 @@ def unshifted_gamma(phi, sigma: float) -> WeightFunction:
         breakpoints=tuple(sorted(profile.breakpoints)),
         description=f"e^(-omega/2) {profile.name}(omega)  [balance intentionally broken]",
         scalar=_shifted_profile_scalar(profile, 0.0),
+        smoothed=_gaussian_smoothed(profile, 0.0),
     )
 
 
@@ -480,9 +518,15 @@ def _gauss_legendre():
 def _panel_quadrature(edges: np.ndarray):
     """Gauss-Legendre nodes/weights (``PANEL_ORDER`` per segment) tiling the
     consecutive segments of ``edges``."""
+    return _panel_nodes(edges[:-1], edges[1:])
+
+
+def _panel_nodes(lower: np.ndarray, upper: np.ndarray):
+    """Gauss-Legendre nodes/weights (``PANEL_ORDER`` per panel) on the panels
+    ``[lower[k], upper[k]]``."""
     x_ref, w_ref = _gauss_legendre()
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
+    mids = 0.5 * (lower + upper)
+    half = 0.5 * (upper - lower)
     nodes = (mids[:, None] + half[:, None] * x_ref[None, :]).ravel()
     weights = (half[:, None] * w_ref[None, :]).ravel()
     return nodes, weights
@@ -500,18 +544,40 @@ def _kink_panel_edges(lo: float, hi: float, anchor: float, width: float) -> np.n
 # ---------------------------------------------------------------------------
 
 
+def _breakpoints_in_reach(
+    weight: WeightFunction, sigma: float, lo: float, hi: float
+) -> list[float]:
+    """The weight's breakpoints inside some window about a center in ``[lo, hi]``."""
+    radius = WINDOW_RADIUS * sigma
+    return [float(b) for b in weight.breakpoints if lo - radius < float(b) < hi + radius]
+
+
+def smoothing_rule(weight: WeightFunction, sigma: float, centers) -> str:
+    """Which rule :func:`smoothed_weight_table` evaluates ``H`` by for these
+    arguments: ``closed_form`` when the weight carries ``smoothed``,
+    ``panels`` when a breakpoint lies within reach of the centers, else
+    ``gauss_hermite``."""
+    if weight.smoothed is not None:
+        return "closed_form"
+    centers = np.asarray(centers, dtype=np.float64).ravel()
+    if centers.size and _breakpoints_in_reach(weight, sigma, centers.min(), centers.max()):
+        return "panels"
+    return "gauss_hermite"
+
+
 def smoothed_weight_table(weight: WeightFunction, sigma: float, centers) -> np.ndarray:
     """Gaussian smoothing ``H(c) = integral gamma(w) e^{-(w-c)^2/sigma^2} dw``
-    at every entry of ``centers``.
+    at every entry of ``centers``, by the rule :func:`smoothing_rule` names.
 
-    Smooth weights use the shifted Gauss-Hermite rule of order
+    A weight with a closed form (``WeightFunction.smoothed``) is evaluated
+    by it.  Other smooth weights use the shifted Gauss-Hermite rule of order
     ``HERMITE_ORDER`` per center.  Weights with breakpoints share one global
     kink-aligned Gauss-Legendre panel lattice (``PANEL_ORDER`` nodes per
-    panel of width ``PANEL_WIDTH_FRACTION * sigma``): the weight is
-    evaluated once on all lattice nodes and each center reads its
-    ``WINDOW_RADIUS * sigma`` slice, so the same node set serves every
-    center and the balance identity ``H(c) = e^{-c} H(-c)`` is preserved at
-    quadrature accuracy.
+    panel of width ``PANEL_WIDTH_FRACTION * sigma``), kept only where it
+    meets a center's ``WINDOW_RADIUS * sigma`` window: the weight is
+    evaluated once on its nodes and each center reads its window, so the
+    same node set serves every center and the balance identity
+    ``H(c) = e^{-c} H(-c)`` is preserved at quadrature accuracy.
     """
     centers = np.asarray(centers, dtype=np.float64).ravel()
     if centers.size == 0:
@@ -520,48 +586,79 @@ def smoothed_weight_table(weight: WeightFunction, sigma: float, centers) -> np.n
         raise ValidationError(f"bandwidth must be a finite positive number, got {sigma!r}")
     if not np.all(np.isfinite(centers)):
         raise ValidationError("smoothing centers must be finite")
+    rule = smoothing_rule(weight, sigma, centers)
+    if rule == "closed_form":
+        return weight.smoothed(sigma, centers)
 
     order = np.argsort(centers, kind="stable")
     sorted_c = centers[order]
     out = np.empty_like(sorted_c)
-    radius = WINDOW_RADIUS * sigma
-
-    span_bps = [
-        float(b)
-        for b in weight.breakpoints
-        if sorted_c[0] - radius < float(b) < sorted_c[-1] + radius
-    ]
-    if not span_bps:
+    if rule == "gauss_hermite":
         x, w = _gauss_hermite()
-        chunk = 4_000_000 // HERMITE_ORDER
+        # A few hundred centers keep each (centers x nodes) temporary in
+        # cache; millions of nodes at once re-fault tens of MiB per table.
+        chunk = 256
         for start in range(0, sorted_c.size, chunk):
             c = sorted_c[start : start + chunk]
             omegas = c[:, None] + sigma * x[None, :]
             out[start : start + chunk] = sigma * (weight(omegas) @ w)
     else:
-        panel_width = sigma * PANEL_WIDTH_FRACTION
-        lo = sorted_c[0] - radius - panel_width
-        hi = sorted_c[-1] + radius + panel_width
-        edges = _kink_panel_edges(lo, hi, span_bps[0], panel_width)
-        edges = np.unique(np.concatenate([edges, np.asarray(span_bps)]))
-        nodes, wts = _panel_quadrature(edges)
-        sort_n = np.argsort(nodes, kind="stable")
-        nodes = nodes[sort_n]
-        wts = wts[sort_n]
-        weighted_vals = weight(nodes) * wts
-        chunk = 128
-        for start in range(0, sorted_c.size, chunk):
-            c = sorted_c[start : start + chunk]
-            a = np.searchsorted(nodes, c[0] - radius, side="left")
-            b = np.searchsorted(nodes, c[-1] + radius, side="right")
-            sub_nodes = nodes[a:b]
-            sub_vals = weighted_vals[a:b]
-            gauss = np.exp(-(((sub_nodes[None, :] - c[:, None]) / sigma) ** 2))
-            out[start : start + chunk] = gauss @ sub_vals
+        out = _panel_smoothing(weight, sigma, sorted_c)
 
     result = np.empty_like(out)
     result[order] = out
     return result
+
+
+def _panel_smoothing(weight: WeightFunction, sigma: float, sorted_c: np.ndarray) -> np.ndarray:
+    """``H`` at the sorted centers on the kink-aligned panel lattice.
+
+    Panel ``k`` is ``[anchor + k w, anchor + (k + 1) w]`` with the first
+    breakpoint in reach as anchor and ``w = PANEL_WIDTH_FRACTION * sigma``.
+    Only the panels that meet some center's window are built, so sparse
+    centers at small ``sigma`` cost their windows, not the span between
+    them; further breakpoints split the panel they fall in.
+    """
+    bps = _breakpoints_in_reach(weight, sigma, sorted_c[0], sorted_c[-1])
+    radius = WINDOW_RADIUS * sigma
+    width = sigma * PANEL_WIDTH_FRACTION
+    anchor = bps[0]
+    first = np.floor((sorted_c - radius - anchor) / width).astype(np.int64)
+    stop = np.ceil((sorted_c + radius - anchor) / width).astype(np.int64)
+    # Both bounds rise with the center, so windows overlap only their
+    # neighbours': merge them into runs of consecutive panels.
+    starts = np.flatnonzero(np.concatenate([[True], first[1:] > stop[:-1]]))
+    run_lo = first[starts]
+    run_len = stop[np.append(starts[1:], sorted_c.size) - 1] - run_lo
+    offsets = np.cumsum(run_len) - run_len
+    panels = np.arange(int(run_len.sum())) + np.repeat(run_lo - offsets, run_len)
+    lower = anchor + width * panels
+    upper = anchor + width * (panels + 1)
+    for b in bps[1:]:
+        k = int(np.searchsorted(lower, b, side="right")) - 1
+        if k >= 0 and lower[k] < b < upper[k]:
+            lower = np.insert(lower, k + 1, b)
+            upper = np.insert(upper, k, b)
+    nodes, wts = _panel_nodes(lower, upper)
+    weighted_vals = weight(nodes) * wts
+
+    # Each chunk multiplies its centers against every node from its first
+    # window to its last: at most 128 centers and about four windows of
+    # nodes, so sparse centers are not charged for each other's windows.
+    lo_idx = np.searchsorted(nodes, sorted_c - radius, side="left")
+    hi_idx = np.searchsorted(nodes, sorted_c + radius, side="right")
+    budget = 4 * int(np.max(hi_idx - lo_idx))
+    out = np.empty_like(sorted_c)
+    start = 0
+    while start < sorted_c.size:
+        end = int(np.searchsorted(hi_idx, lo_idx[start] + budget, side="right"))
+        end = max(start + 1, min(end, start + 128))
+        c = sorted_c[start:end]
+        a, b = lo_idx[start], hi_idx[end - 1]
+        gauss = np.exp(-(((nodes[None, a:b] - c[:, None]) / sigma) ** 2))
+        out[start:end] = gauss @ weighted_vals[a:b]
+        start = end
+    return out
 
 
 # ---------------------------------------------------------------------------

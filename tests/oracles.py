@@ -260,7 +260,11 @@ def smoothed_weight_quad(center: float, sigma: float, weight, pad: float = 60.0)
 
     The window covers the filter hull around both the center and the
     origin plus a wide tilt allowance, because exponentially tilted weights
-    push the product's mass far from the Gaussian's center.
+    push the product's mass far from the Gaussian's center.  Break points at
+    ``c +- k sigma`` (``k`` = 1, 2, 4, 8), as in :func:`overlap_entry_quad`,
+    put the peak under QUADPACK's first subdivision: without them it misses
+    a peak of width ``sigma <= 0.01`` in the ``+-60`` window and returns
+    about zero.
     """
     c = float(center)
     lo = min(c, 0.0) - 8.0 * sigma - pad
@@ -269,7 +273,8 @@ def smoothed_weight_quad(center: float, sigma: float, weight, pad: float = 60.0)
     def integrand(w):
         return float(weight(w)) * math.exp(-((w - c) ** 2) / (sigma * sigma))
 
-    points = _split_points(weight, lo, hi, extra=(c, 0.0))
+    peak = [c + sign * k * sigma for k in (1.0, 2.0, 4.0, 8.0) for sign in (-1.0, 1.0)]
+    points = _split_points(weight, lo, hi, extra=(c, 0.0, *peak), min_gap=1e-6 * sigma)
     value, _ = quad(
         integrand, lo, hi, points=points or None, limit=400, epsabs=1e-300, epsrel=1e-12
     )

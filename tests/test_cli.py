@@ -178,6 +178,7 @@ def test_verify_reports_the_cross_check_cost(tmp_path):
     # each entry's integral is capped at 400 subintervals.
     assert evaluations <= entries * 21 * 400
     assert diagnostics["overlap_cross_check_defect"] <= 1e-8
+    assert diagnostics["overlap_smoothing_rule"] == "closed_form"
 
 
 def test_verify_reports_the_omega_node_count(tmp_path):
@@ -362,6 +363,7 @@ def test_sweep_rows_report_the_cross_check(tmp_path):
     for row in rows:
         assert 0.0 <= row["overlap_cross_check_defect"] <= 1e-8
         assert row["overlap_cross_check_evaluations"] > 0
+        assert row["overlap_smoothing_rule"] == "closed_form"
     # The data artifact keeps its columns.
     assert "overlap_cross_check_defect" not in json.loads(out_path.read_text())["columns"]
 

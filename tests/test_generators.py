@@ -145,11 +145,14 @@ def test_dual_path_residual_from_either_path(dense_model):
 def test_dual_path_residual_sees_a_small_table_fault(filtered_battery):
     """A fault in the contracted table is measured against the table, not
     diluted by the Hamiltonian part (``||S|| / ||D||`` is about 1e3 on
-    torus12, which would hide a 1e-6 fault under the 1e-8 tolerance)."""
-    bundle = filtered_battery[("torus12", "sech", 0.5)]
-    assert dual_path_residual(bundle) <= 1e-12
-    faulty = dataclasses.replace(bundle, coupling=bundle.coupling * (1 + 1e-6))
-    assert dual_path_residual(faulty) >= 1e-7
+    torus12, which would hide a 1e-6 fault under the 1e-8 tolerance).  The
+    gaussian table is smoothed in closed form and the sech one by
+    Gauss-Hermite; the node-sum table checks either."""
+    for phi in ("sech", "gaussian"):
+        bundle = filtered_battery[("torus12", phi, 0.5)]
+        assert dual_path_residual(bundle) <= 1e-12
+        faulty = dataclasses.replace(bundle, coupling=bundle.coupling * (1 + 1e-6))
+        assert dual_path_residual(faulty) >= 1e-7
 
 
 def test_dual_path_residual_assembles_no_dissipator(monkeypatch, dense_model):

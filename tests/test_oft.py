@@ -25,6 +25,7 @@ from gibbslab.weights import (
     balanced_gamma,
     delocalised_limit_gamma,
     smoothed_weight_table,
+    smoothing_rule,
 )
 
 import oracles
@@ -133,6 +134,8 @@ def test_cross_check_reads_only_the_scalar_twin(dense_model, phi):
     table = overlap_table(spectrum, counted, 0.9)
     assert table.cross_check_entries > 0
     assert len(calls) == unchecked
+    rules = {"gaussian": "closed_form", "sech": "gauss_hermite", "exp_abs": "panels"}
+    assert table.smoothing_rule == rules[phi]
 
 
 def test_custom_profile_is_still_cross_checked(dense_model):
@@ -198,16 +201,19 @@ def test_width_guard_rejects_oversized_spectrum():
 
 
 def test_bandwidth_guard_rejects_unresolved_filters():
-    """At the bound the smoothed weight of the gaussian profile matches its
-    closed form to roundoff; above it the table is refused (the smoothing
-    rule is off by 1.3e-9 relative at sigma = 4 and 1.2e-4 at 6)."""
+    """At the bound the Gauss-Hermite rule, run on a user profile equal to
+    the gaussian (which has no closed form), matches the gaussian's closed
+    form to roundoff; above it the table is refused (the rule is off by
+    1.3e-9 relative at sigma = 4 and 1.2e-4 at 6)."""
     spectrum = bohr_spectrum(qubit_model().eigensystem())
     s = MAX_BANDWIDTH
     centers = np.array([-1.0, 0.0, 1.0])
     closed = np.sqrt(np.pi * s * s / (1 + s * s)) * np.exp(
         (1 + 2 * s * s) / 16 - (centers + 0.25 + s * s / 4) ** 2 / (1 + s * s)
     )
-    got = smoothed_weight_table(balanced_gamma("gaussian", s), s, centers)
+    user = balanced_gamma(lambda x: np.exp(-x**2), s)
+    assert smoothing_rule(user, s, centers) == "gauss_hermite"
+    got = smoothed_weight_table(user, s, centers)
     assert np.max(np.abs(got / closed - 1.0)) < 1e-13
     overlap_table(spectrum, balanced_gamma("gaussian", s), s)
     for sigma in (np.nextafter(s, np.inf), 4.0, 20.0):

@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 
 from gibbslab.bohr import bohr_spectrum
 from gibbslab.errors import ValidationError
+from gibbslab.models import schrodinger_line_model
 from gibbslab.oft import overlap_table
 from gibbslab.weights import (
     COHERENT_L1_LIMIT,
     FILTER_SQUARED_MASS,
     PHI_LIBRARY,
     GaussianFilter,
+    PhiProfile,
     TIME_KERNEL_ENVELOPE_SCALE,
     WeightFunction,
     balanced_gamma,
@@ -32,6 +34,7 @@ from gibbslab.weights import (
     kms_defect,
     kms_gamma,
     smoothed_weight_table,
+    smoothing_rule,
     unshifted_gamma,
 )
 
@@ -209,6 +212,94 @@ def test_smoothed_weight_balance_identity():
     centers = (0.25, 0.75, 1.5)
     assert np.all(_balance_defects(balanced_gamma("gaussian", 1.0), 1.0, centers) < 1e-11)
     assert np.all(_balance_defects(unshifted_gamma("gaussian", 1.0), 1.0, centers) > 1e-3)
+
+
+# The bandwidths the closed-form gaussian smoothing is checked at.
+CLOSED_FORM_SIGMAS = (3.0, 1.0, 0.1, 0.01, 0.001)
+SHIFT_FORMS = pytest.mark.parametrize(
+    "make", [balanced_gamma, unshifted_gamma], ids=["balanced", "unshifted"]
+)
+
+
+@SHIFT_FORMS
+@pytest.mark.parametrize("sigma", CLOSED_FORM_SIGMAS)
+def test_gaussian_closed_form_matches_quadpack(make, sigma):
+    weight = make("gaussian", sigma)
+    centers = np.array([-40.0, -5.0, -1.3, -0.25, 0.0, 0.7, 2.0, 6.0, 30.0])
+    assert smoothing_rule(weight, sigma, centers) == "closed_form"
+    got = smoothed_weight_table(weight, sigma, centers)
+    want = np.array([oracles.smoothed_weight_quad(c, sigma, weight) for c in centers])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@SHIFT_FORMS
+def test_gaussian_closed_form_matches_gauss_hermite_on_line32(make):
+    """A user profile equal to the gaussian has no closed form and is
+    smoothed by the Gauss-Hermite rule; on every distinct midpoint the
+    overlap table of line32 reads, the two agree to roundoff."""
+    freqs = bohr_spectrum(schrodinger_line_model(32).eigensystem()).frequencies
+    gaps = freqs[:, None] - freqs[None, :]
+    mids = 0.5 * (freqs[:, None] + freqs[None, :])
+    for sigma in CLOSED_FORM_SIGMAS:
+        centers = np.unique(mids[np.square(gaps) <= 800.0 * sigma * sigma])
+        user = make(lambda x: np.exp(-x**2), sigma)
+        assert smoothing_rule(user, sigma, centers) == "gauss_hermite"
+        want = smoothed_weight_table(user, sigma, centers)
+        got = smoothed_weight_table(make("gaussian", sigma), sigma, centers)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want), sigma
+
+
+@pytest.mark.parametrize("sigma", CLOSED_FORM_SIGMAS)
+def test_gaussian_closed_form_balance(sigma):
+    """``H(c) = e^{-c} H(-c)`` holds to roundoff on |c| <= 70 wherever ``H``
+    is above 1e-12 of its maximum; the unshifted control breaks it."""
+    c = np.linspace(-70.0, 70.0, 2801)
+    for make, balanced in ((balanced_gamma, True), (unshifted_gamma, False)):
+        weight = make("gaussian", sigma)
+        h = smoothed_weight_table(weight, sigma, c)
+        with np.errstate(invalid="ignore"):
+            defects = _balance_defects(weight, sigma, c)[h > 1e-12 * np.max(h)]
+        if balanced:
+            assert np.max(defects) < 1e-13
+        else:
+            assert np.max(defects) > 1e-6
+
+
+def test_smoothing_rule_follows_the_profile():
+    centers = np.array([-2.0, 0.5, 3.0])
+    assert smoothing_rule(balanced_gamma("gaussian", 0.9), 0.9, centers) == "closed_form"
+    assert smoothing_rule(unshifted_gamma("gaussian", 0.9), 0.9, centers) == "closed_form"
+    assert smoothing_rule(balanced_gamma("sech", 0.9), 0.9, centers) == "gauss_hermite"
+    custom = balanced_gamma(lambda x: np.exp(-x**2), 0.9)
+    assert custom.smoothed is None
+    assert smoothing_rule(custom, 0.9, centers) == "gauss_hermite"
+    kinked = balanced_gamma("exp_abs", 0.9)
+    assert smoothing_rule(kinked, 0.9, centers) == "panels"
+    # Centers beyond reach of the kink are smoothed by Gauss-Hermite.
+    assert smoothing_rule(kinked, 0.9, centers + 20.0) == "gauss_hermite"
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        "exp_abs",
+        PhiProfile(
+            "flat_top", lambda x: np.exp(-np.maximum(np.abs(x), 0.61803)), (-0.61803, 0.61803)
+        ),
+    ],
+    ids=["exp_abs", "two_kinks"],
+)
+def test_panel_smoothing_reads_only_the_windows(phi):
+    """Sparse centers at a small bandwidth: the lattice is built only where
+    it meets a window, further kinks split their panels, and each center
+    matches QUADPACK."""
+    sigma = 0.001
+    weight = balanced_gamma(phi, sigma)
+    centers = np.array([-30.0, -2.5, -0.61803, -0.01, 0.0, 0.0007, 0.61803, 1.2, 4.0, 25.0])
+    assert smoothing_rule(weight, sigma, centers) == "panels"
+    got = smoothed_weight_table(weight, sigma, centers)
+    want = np.array([oracles.smoothed_weight_quad(c, sigma, weight) for c in centers])
+    assert np.all(np.abs(got - want) <= 1e-11 * np.max(want))
 
 
 # ---------------------------------------------------------------------------
