@@ -592,8 +592,10 @@ def smoothed_weight_table(weight: WeightFunction, sigma: float, centers) -> np.n
 
     order = np.argsort(centers, kind="stable")
     sorted_c = centers[order]
-    out = np.empty_like(sorted_c)
-    if rule == "gauss_hermite":
+    if rule == "panels":
+        out = _panel_smoothing(weight, sigma, sorted_c)
+    else:
+        out = np.empty_like(sorted_c)
         x, w = _gauss_hermite()
         # A few hundred centers keep each (centers x nodes) temporary in
         # cache; millions of nodes at once re-fault tens of MiB per table.
@@ -602,8 +604,6 @@ def smoothed_weight_table(weight: WeightFunction, sigma: float, centers) -> np.n
             c = sorted_c[start : start + chunk]
             omegas = c[:, None] + sigma * x[None, :]
             out[start : start + chunk] = sigma * (weight(omegas) @ w)
-    else:
-        out = _panel_smoothing(weight, sigma, sorted_c)
 
     result = np.empty_like(out)
     result[order] = out
@@ -625,8 +625,8 @@ def _panel_smoothing(weight: WeightFunction, sigma: float, sorted_c: np.ndarray)
     anchor = bps[0]
     first = np.floor((sorted_c - radius - anchor) / width).astype(np.int64)
     stop = np.ceil((sorted_c + radius - anchor) / width).astype(np.int64)
-    # Both bounds rise with the center, so windows overlap only their
-    # neighbours': merge them into runs of consecutive panels.
+    # Both bounds rise with the center, so a run of consecutive panels
+    # ends exactly where the next window starts past the previous one's end.
     starts = np.flatnonzero(np.concatenate([[True], first[1:] > stop[:-1]]))
     run_lo = first[starts]
     run_len = stop[np.append(starts[1:], sorted_c.size) - 1] - run_lo
@@ -634,27 +634,25 @@ def _panel_smoothing(weight: WeightFunction, sigma: float, sorted_c: np.ndarray)
     panels = np.arange(int(run_len.sum())) + np.repeat(run_lo - offsets, run_len)
     lower = anchor + width * panels
     upper = anchor + width * (panels + 1)
-    for b in bps[1:]:
-        k = int(np.searchsorted(lower, b, side="right")) - 1
-        if k >= 0 and lower[k] < b < upper[k]:
-            lower = np.insert(lower, k + 1, b)
-            upper = np.insert(upper, k, b)
+    for kink in bps[1:]:
+        k = int(np.searchsorted(lower, kink, side="right")) - 1
+        if k >= 0 and lower[k] < kink < upper[k]:
+            lower = np.insert(lower, k + 1, kink)
+            upper = np.insert(upper, k, kink)
     nodes, wts = _panel_nodes(lower, upper)
     weighted_vals = weight(nodes) * wts
 
     # Each chunk multiplies its centers against every node from its first
-    # window to its last: at most 128 centers and about four windows of
-    # nodes, so sparse centers are not charged for each other's windows.
-    lo_idx = np.searchsorted(nodes, sorted_c - radius, side="left")
-    hi_idx = np.searchsorted(nodes, sorted_c + radius, side="right")
-    budget = 4 * int(np.max(hi_idx - lo_idx))
+    # window to its last: at most 128 centers spanning three window widths,
+    # so no chunk reads more than four windows of nodes and sparse centers
+    # are not charged for each other's windows.
     out = np.empty_like(sorted_c)
     start = 0
     while start < sorted_c.size:
-        end = int(np.searchsorted(hi_idx, lo_idx[start] + budget, side="right"))
-        end = max(start + 1, min(end, start + 128))
+        end = min(start + 128, sorted_c.searchsorted(sorted_c[start] + 6.0 * radius, "right"))
         c = sorted_c[start:end]
-        a, b = lo_idx[start], hi_idx[end - 1]
+        a = nodes.searchsorted(c[0] - radius, "left")
+        b = nodes.searchsorted(c[-1] + radius, "right")
         gauss = np.exp(-(((nodes[None, a:b] - c[:, None]) / sigma) ** 2))
         out[start:end] = gauss @ weighted_vals[a:b]
         start = end
