@@ -311,24 +311,14 @@ def build_weight(config: dict):
     return balanced_gamma(w["phi_name"], w["sigma"])
 
 
-def build_generator(config: dict, *, sigma: float | None = None) -> GeneratorBundle:
-    """Assemble the generator described by a normalised config.
-
-    ``sigma`` overrides the weight bandwidth (used by the sweep).
-    """
+def build_generator(config: dict) -> GeneratorBundle:
+    """Assemble the generator described by a normalised config."""
     model = model_from_config(config["model"])
+    weight = build_weight(config)
     if config["generator"]["kind"] == "davies":
-        return davies_generator(model, build_weight(config))
-    w = dict(config["weight"])
-    if sigma is not None:
-        w["sigma"] = float(sigma)
-    sub = dict(config)
-    sub["weight"] = w
+        return davies_generator(model, weight)
     return localised_generator(
-        model,
-        build_weight(sub),
-        w["sigma"],
-        path=config["generator"]["path"],
+        model, weight, config["weight"]["sigma"], path=config["generator"]["path"]
     )
 
 

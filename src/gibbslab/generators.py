@@ -24,15 +24,17 @@ differing only in the coupling ``C`` and the coherent matrix ``B``:
   makes ``L(e^{-P}) = 0``; it is verified against an independent
   time-domain assembly by the calibration report.
 
-Both families share one assembly: one contraction of a coupling table over
-the Bohr pair map, and one tail that rotates it to the original basis (a
-conjugation of the four tensor modes of the eigenbasis superoperator,
-O(d^5)), adds ``-i[P + B, .]`` and forms the effective drift.  The bundle
-keeps the table it contracted as ``coupling``.  The filtered dissipator has
-a second path, ``omega_quadrature``, which never reads the overlap table:
-it puts its own quadrature nodes ``w_n`` with weights ``gw_n = gamma(w_n)
-q_n`` (``q_n`` the panel rule's weights) on the filtered transform and
-contracts the node-sum table
+Every non-sandwich term of ``L`` is ``Y^dag T + T Y`` with the effective
+drift ``Y = i(P + B) - (1/2) sum_A sum C(nu, nu') A_nu^dag A_nu'``, so both
+families share one assembly: the sandwich of a coupling table contracted
+over the Bohr pair map, rotated to the original basis (a conjugation of the
+four tensor modes of the eigenbasis superoperator, O(d^5)), plus
+``Y^dag T + T Y``.  One pair contraction gives ``B`` and the drift's kernel.
+The bundle keeps the table it contracted as ``coupling``.  The filtered
+dissipator has a second path, ``omega_quadrature``, which never reads the
+overlap table: it puts its own quadrature nodes ``w_n`` with weights
+``gw_n = gamma(w_n) q_n`` (``q_n`` the panel rule's weights) on the filtered
+transform and contracts the node-sum table
 ``K(nu, nu') = sum_n gw_n fhat(w_n - nu) fhat(w_n - nu')`` in place of
 ``G``.  ``K`` is a Gram table, so the sum is completely positive by
 construction.  Since the two paths share the contraction, the rotation and
@@ -94,6 +96,9 @@ __all__ = [
 _KMS_GRID_TOL = 1e-12
 _B_HERMITICITY_TOL = 1e-10
 _ADJOINT_FAMILY_TOL = 1e-12
+# Nodes per block of the node-sum table.  The shipped models need at most
+# 1600 nodes at bandwidths of 0.5 or more: one block.
+_NODE_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -101,12 +106,12 @@ class GeneratorBundle:
     """An assembled generator with its parts and assembly provenance.
 
     The superoperator acts on column-stacked operators,
-    ``vec(L(T)) = superoperator @ vec(T)``, in the model's original basis.
-    ``dissipator_part`` is the superoperator without ``-i[P + B, .]``.  Both
-    are read-only, so the cached step exponentials of :attr:`propagator`
-    cannot go stale.  ``coupling`` is the table ``C(nu, nu')`` the
-    dissipator contracted over the Bohr pair map: ``diag(gamma)``, the
-    overlap table ``G`` or the node-sum table ``K``.
+    ``vec(L(T)) = superoperator @ vec(T)``, in the model's original basis:
+    the rotated sandwich plus ``T -> Y^dag T + T Y``, ``Y = effective_drift``.
+    It is read-only, so the cached step exponentials of :attr:`propagator`
+    cannot go stale.  ``coupling`` is the table ``C(nu, nu')`` contracted over
+    the Bohr pair map: ``diag(gamma)``, the overlap table ``G`` or the
+    node-sum table ``K``.
     """
 
     kind: str  # "davies" | "localised"
@@ -115,7 +120,6 @@ class GeneratorBundle:
     weight: WeightFunction
     sigma: float | None
     superoperator: np.ndarray
-    dissipator_part: np.ndarray
     coupling: np.ndarray
     coherent_matrix: np.ndarray
     effective_drift: np.ndarray
@@ -157,29 +161,28 @@ def _validate_jump_family(model: Model) -> dict:
     }
 
 
-def _pair_sum(jumps_eig: list[np.ndarray], table4: np.ndarray) -> np.ndarray:
+def _pair_sum(
+    jumps_eig: list[np.ndarray], table: np.ndarray, pair_index: np.ndarray
+) -> np.ndarray:
     """``sum_A sum_{nu, nu'} T(nu, nu') A_nu^dag A_nu'`` in the eigenbasis.
 
-    ``table4[p, i, k]`` is ``T`` at the frequencies of the pairs ``(p, i)``
-    and ``(p, k)``; ``A_nu^dag A_nu'`` has entries ``conj(A_pi) A_pk``.
+    ``T`` is gathered at the frequencies of the pairs ``(p, i)`` and
+    ``(p, k)``; ``A_nu^dag A_nu'`` has entries ``conj(A_pi) A_pk``.
     """
-    d = table4.shape[0]
+    table3 = table[pair_index[:, :, None], pair_index[:, None, :]]
+    d = pair_index.shape[0]
     out = np.zeros((d, d), dtype=np.complex128)
     for a in jumps_eig:
-        out += np.einsum("pi,pk,pik->ik", a.conj(), a, table4, optimize=True)
+        out += np.einsum("pi,pk,pik->ik", a.conj(), a, table3, optimize=True)
     return out
 
 
 def _bohr_sum_dissipator(
     jumps_eig: list[np.ndarray], coupling: np.ndarray, pair_index: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sandwich superoperator and anticommutator kernel (eigenbasis) of a
-    coupling table ``C(nu, nu')`` contracted over the Bohr pair map.
-
-    Returns ``(S, M)``: ``S`` is the superoperator of
-    ``T -> sum_A sum C(nu, nu') A_nu T A_nu'^dag`` and
-    ``M = sum_A sum C(nu, nu') A_nu^dag A_nu'``.
-    """
+) -> np.ndarray:
+    """Eigenbasis superoperator of the sandwich
+    ``T -> sum_A sum_{nu, nu'} C(nu, nu') A_nu T A_nu'^dag`` of a coupling
+    table contracted over the Bohr pair map."""
     d = pair_index.shape[0]
     d2 = d * d
     coupling_big = coupling[pair_index[:, :, None, None], pair_index[None, None, :, :]]
@@ -187,7 +190,7 @@ def _bohr_sum_dissipator(
     for a in jumps_eig:
         t1 = a[:, :, None, None] * a.conj()[None, None, :, :] * coupling_big
         s_sandwich += t1.transpose(2, 0, 3, 1).reshape(d2, d2)
-    return s_sandwich, _pair_sum(jumps_eig, np.einsum("pipk->pik", coupling_big))
+    return s_sandwich
 
 
 def _rotate_superop(system: EigenSystem, s_eig: np.ndarray) -> np.ndarray:
@@ -218,21 +221,16 @@ def _bundle(
     b_mat: np.ndarray,
     diag: dict,
 ) -> GeneratorBundle:
-    """The assembly tail shared by both families: the dissipator
-    ``S - (1/2){M, .}`` of ``coupling`` rotated to the original basis, plus
-    ``-i[P + B, .]``, and the drift ``i(P + B) - M/2``."""
-    s_sandwich_eig, m_kernel_eig = _bohr_sum_dissipator(
-        jumps_eig, coupling, spectrum.pair_index
-    )
-    anti = superop_left(m_kernel_eig) + superop_right(m_kernel_eig)
-    s_diss = _rotate_superop(system, s_sandwich_eig - 0.5 * anti)
-    del s_sandwich_eig, anti
-    h_eff = model.hamiltonian + b_mat
-    superop = -1j * (superop_left(h_eff) - superop_right(h_eff))
-    superop += s_diss
-    drift = 1j * h_eff - 0.5 * system.from_eigenbasis(m_kernel_eig)
-    for part in (superop, s_diss):
-        part.flags.writeable = False
+    """The assembly tail shared by both families: the sandwich of
+    ``coupling`` rotated to the original basis plus ``T -> Y^dag T + T Y``
+    with the effective drift ``Y = i(P + B) - M/2``."""
+    idx = spectrum.pair_index
+    m_kernel = system.from_eigenbasis(_pair_sum(jumps_eig, coupling, idx))
+    drift = 1j * (model.hamiltonian + b_mat) - 0.5 * m_kernel
+    superop = _rotate_superop(system, _bohr_sum_dissipator(jumps_eig, coupling, idx))
+    superop += superop_left(dagger(drift))
+    superop += superop_right(drift)
+    superop.flags.writeable = False
     return GeneratorBundle(
         kind=kind,
         assembly_path=path,
@@ -240,7 +238,6 @@ def _bundle(
         weight=weight,
         sigma=sigma,
         superoperator=superop,
-        dissipator_part=s_diss,
         coupling=coupling,
         coherent_matrix=b_mat,
         effective_drift=drift,
@@ -275,20 +272,19 @@ def davies_generator(model: Model, weight: WeightFunction) -> GeneratorBundle:
 
 
 def coherent_matrix_bohr(
-    model: Model, table: OverlapTable, *, system: EigenSystem
+    jumps_eig: list[np.ndarray], table: OverlapTable, *, system: EigenSystem
 ) -> tuple[np.ndarray, dict]:
     """Coherent matrix ``B = sum_A sum_{nu, nu'} b(nu, nu') A_nu^dag A_nu'``
-    from the coherent pair table of an overlap table, over the model's
-    eigensystem ``system``.
+    from the coherent pair table of an overlap table, over the jumps
+    ``jumps_eig`` in the eigenbasis of ``system``.
 
     Returns ``(B, diagnostics)`` with ``B`` in the original basis.  ``B`` is
     Hermitian by the pairing symmetry of the table; the realised hermiticity
     defect is recorded and must stay below ``1e-10`` relative.
     """
-    idx = table.spectrum.pair_index
-    b4 = table.coherent[idx[:, :, None], idx[:, None, :]]
-    b_eig = _pair_sum([system.to_eigenbasis(j) for j in model.jumps], b4)
-    b_mat = system.from_eigenbasis(b_eig)
+    b_mat = system.from_eigenbasis(
+        _pair_sum(jumps_eig, table.coherent, table.spectrum.pair_index)
+    )
     defect = float(np.linalg.norm(b_mat - dagger(b_mat))) / max(
         1.0, float(np.linalg.norm(b_mat))
     )
@@ -337,15 +333,20 @@ def _omega_quadrature_coupling(
     ``K(nu, nu') = sum_n gw_n fhat(w_n - nu) fhat(w_n - nu')`` is the Gram
     table ``W^T W`` of ``W = sqrt(gw) * profile`` (nodes x frequencies) over
     the nodes with ``gw_n > 0``, so it is positive semidefinite by
-    construction.  It never reads the overlap table.
+    construction.  Summing it over blocks of ``_NODE_CHUNK`` nodes bounds its
+    temporaries.  It never reads the overlap table.
     """
     nodes, wts = _omega_quadrature_nodes(weight, sigma, freqs)
     gw = weight(nodes) * wts
     keep = gw > 0.0
-    nodes = nodes[keep]
-    profile = GaussianFilter(sigma).frequency_profile(nodes[:, None] - freqs[None, :])
-    root = np.sqrt(gw[keep])[:, None] * profile
-    return root.T @ root, int(nodes.size)
+    nodes, root_gw = nodes[keep], np.sqrt(gw[keep])
+    profile = GaussianFilter(sigma).frequency_profile
+    table = np.zeros((freqs.size, freqs.size))
+    for start in range(0, nodes.size, _NODE_CHUNK):
+        block = slice(start, start + _NODE_CHUNK)
+        root = root_gw[block, None] * profile(nodes[block, None] - freqs[None, :])
+        table += root.T @ root
+    return table, int(nodes.size)
 
 
 def localised_generator(
@@ -410,7 +411,7 @@ def localised_generator(
             weight, sigma, spectrum.frequencies
         )
 
-    b_mat, b_diag = coherent_matrix_bohr(model, table, system=system)
+    b_mat, b_diag = coherent_matrix_bohr(jumps_eig, table, system=system)
     diag.update(b_diag)
     diag.update(
         {

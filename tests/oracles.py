@@ -15,7 +15,9 @@ The filtered operator has a time-domain route, ``oft_eval_time_quadrature``
 compared by ``trace_distance`` through singular values.  Three structural
 checks read only what a bundle or decomposition exposes:
 ``gibbs_action_identity_defect`` and ``drift_dissipativity_defect`` for
-generators, ``adjoint_pairing_residual`` for Bohr decompositions.
+generators, ``adjoint_pairing_residual`` for Bohr decompositions.  A
+bundle's dissipator is its superoperator less the commutator part,
+``dissipator_superop``.
 
 The scalar QUADPACK references are ``smoothed_weight_quad`` (the smoothed
 weight ``H``), ``pair_coefficient_quad`` (one coherent pair coefficient),
@@ -86,6 +88,22 @@ def rotate_superop_kron(u: np.ndarray, superoperator: np.ndarray) -> np.ndarray:
     return w @ np.asarray(superoperator, dtype=np.complex128) @ w.conj().T
 
 
+def _filter_profile(nodes, frequencies, sigma: float) -> np.ndarray:
+    """``fhat(w_n - nu)`` (nodes x frequencies) with the closed form
+    ``fhat(x) = (sqrt(pi)/sigma)^{1/2} e^{-x^2/(2 sigma^2)}``."""
+    root = math.sqrt(math.sqrt(math.pi) / sigma)
+    x = np.asarray(nodes)[:, None] - np.asarray(frequencies)[None, :]
+    return root * np.exp(-(x * x) / (2.0 * sigma * sigma))
+
+
+def node_sum_table(frequencies, nodes, node_weights, sigma: float) -> np.ndarray:
+    """``K(nu, nu') = sum_n gw_n fhat(w_n - nu) fhat(w_n - nu')`` from one
+    whole nodes x frequencies profile."""
+    gw = np.asarray(node_weights, dtype=np.float64)
+    profile = _filter_profile(nodes, frequencies, sigma)
+    return np.einsum("n,ni,nk->ik", gw, profile, profile, optimize=True)
+
+
 def omega_node_sum_dissipator(
     jumps_eig, frequencies, pair_index, nodes, node_weights, sigma: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -98,9 +116,7 @@ def omega_node_sum_dissipator(
     ``(S, M)``: ``S = sum gw_n kron(conj(F_n), F_n)``, the superoperator of
     ``T -> sum gw_n F_n T F_n^dag``, and ``M = sum gw_n F_n^dag F_n``.
     """
-    root = math.sqrt(math.sqrt(math.pi) / sigma)
-    x = np.asarray(nodes)[:, None] - np.asarray(frequencies)[None, :]
-    profile = root * np.exp(-(x * x) / (2.0 * sigma * sigma))
+    profile = _filter_profile(nodes, frequencies, sigma)
     gw = np.asarray(node_weights, dtype=np.float64)
     d = pair_index.shape[0]
     s = np.zeros((d, d, d, d), dtype=np.complex128)
@@ -119,18 +135,30 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.linalg.svd(diff, compute_uv=False)))
 
 
+def dissipator_superop(bundle) -> np.ndarray:
+    """A bundle's superoperator less its commutator part ``-i[P + B, .]``.
+
+    The commutator part is assembled column by column from the model's
+    Hamiltonian and the bundle's coherent matrix; what remains is the
+    dissipator ``sum C (A_nu T A_nu'^dag - (1/2){A_nu^dag A_nu', T})``.
+    """
+    h = bundle.model.hamiltonian + bundle.coherent_matrix
+    commutator = superoperator_by_columns(lambda t: -1j * (h @ t - t @ h), bundle.dim)
+    return np.asarray(bundle.superoperator) - commutator
+
+
 def gibbs_action_identity_defect(bundle) -> float:
     """Defect of ``D(rho_G) = i [B, rho_G]`` for a filtered bundle.
 
     The dissipator's action on the Gibbs density must be exactly the
     commutator action that the coherent matrix was built to cancel.  The
-    Gibbs density comes from the dense exponential and the action from the
-    bundle's dissipator matrix; returns the Frobenius defect relative to the
+    Gibbs density comes from the dense exponential and the action from
+    :func:`dissipator_superop`; returns the Frobenius defect relative to the
     Gibbs norm.
     """
     rho = gibbs_expm(bundle.model.hamiltonian)
     d = rho.shape[0]
-    lhs = unvec_column(np.asarray(bundle.dissipator_part) @ vec_column(rho), d)
+    lhs = unvec_column(dissipator_superop(bundle) @ vec_column(rho), d)
     b = bundle.coherent_matrix
     rhs = 1j * (b @ rho - rho @ b)
     return float(np.linalg.norm(lhs - rhs)) / float(np.linalg.norm(rho))
