@@ -29,8 +29,6 @@ from .operator_core import (
     devectorize,
     eig_hermitian,
     schatten_norm,
-    superop_left,
-    superop_right,
     vectorize,
 )
 from .bohr import (
@@ -112,8 +110,6 @@ __all__ = [
     "devectorize",
     "eig_hermitian",
     "schatten_norm",
-    "superop_left",
-    "superop_right",
     "vectorize",
     "BohrDecomposition",
     "BohrSpectrum",

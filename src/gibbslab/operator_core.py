@@ -29,8 +29,6 @@ __all__ = [
     "devectorize",
     "eig_hermitian",
     "schatten_norm",
-    "superop_left",
-    "superop_right",
     "vectorize",
 ]
 
@@ -169,15 +167,3 @@ def devectorize(vector: np.ndarray, dim: int | None = None) -> np.ndarray:
     if dim * dim != vec.size:
         raise ValidationError(f"vector of length {vec.size} is not a flattened square matrix")
     return vec.reshape((dim, dim), order="F")
-
-
-def superop_left(matrix: np.ndarray) -> np.ndarray:
-    """Superoperator of ``X -> A X`` acting on column-stacked vectors."""
-    arr = _as_square_array(matrix)
-    return np.kron(np.eye(arr.shape[0]), arr)
-
-
-def superop_right(matrix: np.ndarray) -> np.ndarray:
-    """Superoperator of ``X -> X B`` acting on column-stacked vectors."""
-    arr = _as_square_array(matrix)
-    return np.kron(arr.T, np.eye(arr.shape[0]))

@@ -695,17 +695,20 @@ def coherent_time_kernel(t, sigma: float) -> np.ndarray:
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise ValidationError(f"bandwidth must be a finite positive number, got {sigma!r}")
-    s_max = float(np.max(np.abs(t_arr))) + 12.0 / sigma + 2.0
+    # Odd in t: evaluate once per distinct |t| and restore the sign, so
+    # K(-t) = -K(t) holds bit for bit and a mirrored grid costs half.
+    mags, where = np.unique(np.abs(t_arr), return_inverse=True)
+    s_max = float(mags[-1]) + 12.0 / sigma + 2.0
     panel = min(0.5 / sigma, 0.25)
     n_panels = int(math.ceil(s_max / panel))
     edges = np.linspace(0.0, n_panels * panel, n_panels + 1)
     nodes, wts = _panel_quadrature(edges)
     with np.errstate(over="ignore"):
         csch = wts / np.sinh(2.0 * math.pi * nodes)
-    diff = np.exp(-(sigma * (t_arr[:, None] - nodes[None, :])) ** 2) - np.exp(
-        -(sigma * (t_arr[:, None] + nodes[None, :])) ** 2
+    diff = np.exp(-(sigma * (mags[:, None] - nodes[None, :])) ** 2) - np.exp(
+        -(sigma * (mags[:, None] + nodes[None, :])) ** 2
     )
-    vals = TIME_KERNEL_SPECTRAL_SCALE * diff @ csch
+    vals = np.sign(t_arr) * (TIME_KERNEL_SPECTRAL_SCALE * diff @ csch)[where]
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return float(vals[0])
     return vals
@@ -736,6 +739,15 @@ def coherent_time_envelope(
     the oscillation to machine precision: on the selftest grid the values
     agree with those of ten times narrower panels to 1.5e-15 of the
     largest.
+
+    Panel-centre split: the panels of one segment share their half-width
+    ``h``, so every node is ``w = c_p + h x_j`` and
+    ``e^{-2isw} = e^{-2is c_p} e^{-2is h x_j}``.  Each segment is one
+    complex matrix product of the ``(s x 16)`` node phases with the
+    ``(16 x panels)`` weighted tilted values, and then a phase per panel
+    centre: ``n_s (panels + 16)`` complex exponentials instead of
+    ``16 n_s panels``.  The tilted weight is real, so
+    ``ghat(-s) = conj(ghat(s))`` and each distinct ``|s|`` is summed once.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
     if not (np.isfinite(sigma) and sigma > 0.0):
@@ -761,21 +773,25 @@ def coherent_time_envelope(
     hi = float(live[-1]) + 5.0
     bps = [float(b) for b in weight.breakpoints if lo < float(b) < hi]
     edges = np.unique(np.concatenate([np.array([lo, hi]), np.asarray(bps, dtype=np.float64)]))
-    seg_edges = []
-    max_step = min(0.5 * math.pi / max(float(np.max(np.abs(s_arr))), 1.0), 0.5)
+    mags, where = np.unique(np.abs(s_arr), return_inverse=True)
+    max_step = min(0.5 * math.pi / max(float(mags[-1]), 1.0), 0.5)
+    x_ref, w_ref = _gauss_legendre()
+    ghat = np.zeros(mags.size, dtype=np.complex128)
     for a, b in zip(edges[:-1], edges[1:]):
         k = max(1, int(math.ceil((b - a) / max_step)))
-        seg_edges.append(np.linspace(a, b, k + 1)[:-1])
-    seg_edges.append(np.array([hi]))
-    all_edges = np.concatenate(seg_edges)
-    nodes, wts = _panel_quadrature(all_edges)
-    gvals = tilted(nodes) * wts
-    ghat = np.empty(s_arr.size, dtype=np.complex128)
-    chunk = max(1, 4_000_000 // max(nodes.size, 1))
-    for start in range(0, s_arr.size, chunk):
-        block = s_arr[start : start + chunk]
-        ghat[start : start + chunk] = np.exp(-2j * np.outer(block, nodes)) @ gvals
-    ghat /= math.sqrt(2.0 * math.pi)
+        seg = np.linspace(a, b, k + 1)
+        centres = 0.5 * (seg[:-1] + seg[1:])
+        half = 0.5 * (b - a) / k
+        gvals = tilted(centres[:, None] + half * x_ref[None, :]) * (half * w_ref)
+        local = np.exp(-2j * half * np.outer(mags, x_ref)) @ gvals.T
+        # One s-chunk keeps its (s x centres) phase table near 16 MiB.
+        chunk = max(1, 1_000_000 // k)
+        for start in range(0, mags.size, chunk):
+            rows = slice(start, start + chunk)
+            phase = np.exp(-2j * np.outer(mags[rows], centres))
+            ghat[rows] += np.einsum("sp,sp->s", phase, local[rows])
+    ghat = ghat[where] / math.sqrt(2.0 * math.pi)
+    ghat = np.where(s_arr < 0.0, ghat.conj(), ghat)
     front = 2.0 * math.sqrt(math.pi) * sigma * np.exp(
         -0.25 * sigma * sigma * (2.0 * s_arr + 1j) ** 2
     )

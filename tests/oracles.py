@@ -25,7 +25,10 @@ weight ``H``), ``pair_coefficient_quad`` (one coherent pair coefficient),
 ``gibbs_coefficient_table_quad`` (the dissipator's Gibbs-action coefficient
 of the scalar stationarity identity, built from ``G`` over every frequency
 pair), ``time_kernel_quad``, ``time_kernel_l1_quad`` and
-``tilted_envelope_quad``.
+``tilted_envelope_quad``.  The time-domain oracle's sums have direct
+forms: ``time_envelope_direct`` sums ``e^{-2isw}`` over every panel node
+without the package's panel-centre split, and ``envelope_sum_loop`` sums
+its inner envelope integral one trapezoid node at a time.
 """
 
 from __future__ import annotations
@@ -447,6 +450,53 @@ def tilted_envelope_quad(s: float, sigma: float, weight) -> complex:
     ghat = (re - 1j * im) / math.sqrt(2.0 * math.pi)
     z = 2.0 * ss + 1j
     return 2.0 * math.sqrt(math.pi) * sigma * np.exp(-(sigma * sigma) * z * z / 4.0) * ghat
+
+
+def time_envelope_direct(s, sigma: float, weight) -> np.ndarray:
+    """The complex time envelope of ``weights.coherent_time_envelope`` on
+    the same panel nodes, as one direct sum of ``e^{-2isw}`` over every node
+    (``n_s x n_nodes`` complex exponentials)."""
+    s_arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
+
+    def tilted(w):
+        return weight(w) * np.exp(w)
+
+    probe = np.linspace(-80.0, 80.0, 2001)
+    tilted_vals = tilted(probe)
+    live = probe[tilted_vals >= np.max(tilted_vals) * 1e-26]
+    lo, hi = float(live[0]) - 5.0, float(live[-1]) + 5.0
+    bps = [float(b) for b in weight.breakpoints if lo < float(b) < hi]
+    edges = np.unique(np.concatenate([[lo, hi], bps]))
+    max_step = min(0.5 * math.pi / max(float(np.max(np.abs(s_arr))), 1.0), 0.5)
+    panel_edges = np.concatenate(
+        [
+            np.linspace(a, b, max(1, math.ceil((b - a) / max_step)) + 1)[:-1]
+            for a, b in zip(edges[:-1], edges[1:])
+        ]
+        + [[hi]]
+    )
+    x_ref, w_ref = np.polynomial.legendre.leggauss(16)
+    mids = 0.5 * (panel_edges[:-1] + panel_edges[1:])
+    half = 0.5 * (panel_edges[1:] - panel_edges[:-1])
+    nodes = (mids[:, None] + half[:, None] * x_ref[None, :]).ravel()
+    wts = (half[:, None] * w_ref[None, :]).ravel()
+    ghat = np.exp(-2j * np.outer(s_arr, nodes)) @ (tilted(nodes) * wts) / math.sqrt(2.0 * math.pi)
+    z = 2.0 * s_arr + 1j
+    return 2.0 * math.sqrt(math.pi) * sigma * np.exp(-(sigma * sigma) * z * z / 4.0) * ghat
+
+
+def envelope_sum_loop(energies, jumps_eig, ss, wb2) -> np.ndarray:
+    """``sum_A sum_s wb2_s e^{iEs} A^dag e^{-2iEs} A e^{iEs}`` in the
+    eigenbasis, one jump and one node at a time."""
+    d = len(energies)
+    inner = np.zeros((d, d), dtype=np.complex128)
+    for a in jumps_eig:
+        ad = a.conj().T
+        for s_val, w_val in zip(ss, wb2):
+            ph = np.exp(1j * energies * s_val)
+            core = ad @ (np.exp(-2j * energies * s_val)[:, None] * a)
+            inner += w_val * (ph[:, None] * core * ph[None, :])
+    return inner
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from gibbslab.bohr import bohr_spectrum, decompose
 from gibbslab.errors import ValidationError
 from gibbslab.generators import (
     _bohr_sum_dissipator,
+    _envelope_sum,
     _omega_quadrature_coupling,
     _omega_quadrature_nodes,
     _pair_sum,
@@ -50,6 +51,7 @@ from gibbslab.operator_core import EigenSystem
 from gibbslab.weights import (
     WeightFunction,
     balanced_gamma,
+    coherent_time_envelope,
     kms_gamma,
     unshifted_gamma,
 )
@@ -335,6 +337,28 @@ def test_coherent_orientation_calibration(dense_model, dense_bundle):
     assert report["coherent_norm"] == float(np.linalg.norm(dense_bundle.coherent_matrix))
     with pytest.raises(ValidationError):
         coherent_calibration_report(davies_generator(dense_model, kms_gamma("glauber")))
+
+
+def test_calibration_rejects_bandwidths_below_its_grid(dense_model):
+    """The oracle's fixed grids resolve sigma >= 0.3 only; below, it is
+    refused before any quadrature instead of reporting a wrong distance."""
+    low = localised_generator(dense_model, balanced_gamma("gaussian", 0.25), 0.25)
+    with pytest.raises(ValidationError, match="sigma >= 0.3"):
+        coherent_calibration_report(low)
+    edge = localised_generator(dense_model, balanced_gamma("gaussian", 0.3), 0.3)
+    assert coherent_calibration_report(edge)["relative_distance_outward"] < 1e-10
+
+
+def test_envelope_sum_matches_node_loop(dense_model):
+    """The d^3 frequency sum of the oracle's inner integral against the
+    loop over its trapezoid nodes."""
+    system = dense_model.eigensystem()
+    jumps_eig = [system.to_eigenbasis(j) for j in dense_model.jumps]
+    ss, ws = gibbslab.generators._oracle_trapezoid(10.0 / 0.9 + 1.0)
+    wb2 = ws * coherent_time_envelope(ss, 0.9, balanced_gamma("gaussian", 0.9))
+    got = _envelope_sum(system.eigenvalues, jumps_eig, ss, wb2)
+    ref = oracles.envelope_sum_loop(system.eigenvalues, jumps_eig, ss, wb2)
+    assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
 
 
 def test_sign_fault_is_caught_downstream(dense_model):

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from gibbslab.errors import ValidationError
+from gibbslab.generators import _add_drift
 from gibbslab.operator_core import (
     dagger,
     devectorize,
     eig_hermitian,
     schatten_norm,
-    superop_left,
-    superop_right,
     vectorize,
 )
 
@@ -51,22 +50,29 @@ def test_vectorize_is_column_stacking(d, seed):
 
 @given(dims, seeds)
 def test_superop_factors_act_like_matmul(d, seed):
+    """The in-place drift add is the superoperator of ``T -> Y^dag T + T Y``."""
     rng = np.random.default_rng(seed)
-    a, b, t = (_random_complex(rng, d) for _ in range(3))
-    left = devectorize(superop_left(a) @ vectorize(t), d)
-    right = devectorize(superop_right(b) @ vectorize(t), d)
-    both = devectorize((superop_left(a) @ superop_right(b)) @ vectorize(t), d)
-    assert np.linalg.norm(left - a @ t) < 1e-12 * max(1.0, np.linalg.norm(a @ t))
-    assert np.linalg.norm(right - t @ b) < 1e-12 * max(1.0, np.linalg.norm(t @ b))
-    assert np.linalg.norm(both - a @ t @ b) < 1e-11 * max(1.0, np.linalg.norm(a @ t @ b))
+    y, t = (_random_complex(rng, d) for _ in range(2))
+    superop = np.zeros((d * d, d * d), dtype=np.complex128)
+    _add_drift(superop, y)
+    by_columns = oracles.superoperator_by_columns(lambda x: dagger(y) @ x + x @ y, d)
+    assert np.linalg.norm(superop - by_columns) < 1e-14 * np.linalg.norm(by_columns)
+    moved = devectorize(superop @ vectorize(t), d)
+    expected = dagger(y) @ t + t @ y
+    assert np.linalg.norm(moved - expected) < 1e-12 * max(1.0, np.linalg.norm(expected))
 
 
 def test_superop_matrices_match_column_assembly():
+    """Added onto a full superoperator, the drift lands only where
+    ``T -> Y^dag T + T Y`` has entries."""
     rng = np.random.default_rng(7)
-    a = _random_complex(rng, 4)
-    by_columns = oracles.superoperator_by_columns(lambda t: a @ t @ dagger(a), 4)
-    sandwich = superop_left(a) @ superop_right(dagger(a))
-    assert np.linalg.norm(sandwich - by_columns) < 1e-12
+    y = _random_complex(rng, 4)
+    base = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    superop = base.copy()
+    _add_drift(superop, y)
+    by_columns = oracles.superoperator_by_columns(lambda t: dagger(y) @ t + t @ y, 4)
+    assert np.linalg.norm(superop - (base + by_columns)) < 1e-12
+    assert np.array_equal(superop[by_columns == 0], base[by_columns == 0])
 
 
 def test_eig_hermitian_reconstructs_and_orders():

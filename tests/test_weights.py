@@ -393,6 +393,29 @@ def test_envelope_matches_tilted_fourier_oracle():
     assert abs(got - frozen) < 1e-10 * abs(frozen)
 
 
+def test_time_kernel_is_exactly_odd():
+    """``K(-t) = -K(t)`` bit for bit on a grid that is not its own mirror."""
+    t = np.array([-2.5, 0.4, 19.0, -0.013, 0.0, 7.25, -1.0])
+    vals = coherent_time_kernel(t, 0.9)
+    assert np.array_equal(coherent_time_kernel(-t, 0.9), -vals)
+    assert vals[4] == 0.0
+
+
+@pytest.mark.parametrize("phi", ["gaussian", "exp_abs"])
+def test_envelope_phase_split_matches_direct_sum(phi):
+    """The panel-centre phase split against the direct sum over every node,
+    on a non-uniform ``s`` with both signs and 0, and on a scalar."""
+    w = balanced_gamma(phi, 0.9)
+    s = np.array([-11.7, -4.0, -0.3, 0.0, 0.05, 0.3, 1.9, 6.6, 12.1])
+    ref = oracles.time_envelope_direct(s, 0.9, w)
+    got = coherent_time_envelope(s, 0.9, w)
+    assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
+    scalar = coherent_time_envelope(0.3, 0.9, w)
+    assert isinstance(scalar, complex)
+    ref_scalar = oracles.time_envelope_direct(0.3, 0.9, w)[0]
+    assert abs(scalar - ref_scalar) < 1e-14 * abs(ref_scalar)
+
+
 def test_envelope_rejects_untiltable_weight():
     # e^{omega} gamma(omega) tends to a constant for the sech profile, so the
     # tilted transform does not exist and must be refused loudly
