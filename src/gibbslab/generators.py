@@ -56,7 +56,7 @@ from .bohr import BohrSpectrum, bohr_spectrum
 from .errors import ValidationError
 from .evolution import Propagator
 from .models import Model, gibbs_state
-from .oft import OverlapTable, overlap_table
+from .oft import OverlapTable, _drop_underflow, overlap_table
 from .operator_core import (
     EigenSystem,
     dagger,
@@ -183,13 +183,20 @@ def _bohr_sum_dissipator(
     ``T -> sum_A sum_{nu, nu'} C(nu, nu') A_nu T A_nu'^dag`` of a coupling
     table contracted over the Bohr pair map."""
     d = pair_index.shape[0]
-    d2 = d * d
-    coupling_big = coupling[pair_index[:, :, None, None], pair_index[None, None, :, :]]
-    s_sandwich = np.zeros((d2, d2), dtype=np.complex128)
-    for a in jumps_eig:
-        t1 = a[:, :, None, None] * a.conj()[None, None, :, :] * coupling_big
-        s_sandwich += t1.transpose(2, 0, 3, 1).reshape(d2, d2)
-    return s_sandwich
+    conj = [a.conj() for a in jumps_eig]
+    s_sandwich = np.zeros((d, d, d, d), dtype=np.complex128)
+    term = np.empty((d, d, d), dtype=np.complex128)
+    # Block j of S.reshape(d, d, d, d) holds the column-stacked rows (i, j);
+    # its entry [i, l, k], in column (k, l), is
+    # sum_A A_ik conj(A_jl) C(nu_ik, nu_jl).  Built one block at a time, the
+    # temporaries stay in cache.
+    for j in range(d):
+        coupling_j = coupling[pair_index[:, None, :], pair_index[j][None, :, None]]
+        for a, a_conj in zip(jumps_eig, conj):
+            np.multiply(a[:, None, :], a_conj[j][None, :, None], out=term)
+            term *= coupling_j
+            s_sandwich[j] += term
+    return s_sandwich.reshape(d * d, d * d)
 
 
 def _rotate_superop(system: EigenSystem, s_eig: np.ndarray) -> np.ndarray:
@@ -347,7 +354,10 @@ def _omega_quadrature_coupling(
     table ``W^T W`` of ``W = sqrt(gw) * profile`` (nodes x frequencies) over
     the nodes with ``gw_n > 0``, so it is positive semidefinite by
     construction.  Summing it over blocks of ``_NODE_CHUNK`` nodes bounds its
-    temporaries.  It never reads the overlap table.
+    temporaries.  Entries of each block of ``W`` below ``sqrt(tiny)`` (about
+    ``1.5e-154``) times ``max(1, max|W|)`` are zeroed first, as in the
+    overlap table, so that no product in ``W^T W`` underflows.  It never
+    reads the overlap table.
     """
     nodes, wts = _omega_quadrature_nodes(weight, sigma, freqs)
     gw = weight(nodes) * wts
@@ -358,6 +368,7 @@ def _omega_quadrature_coupling(
     for start in range(0, nodes.size, _NODE_CHUNK):
         block = slice(start, start + _NODE_CHUNK)
         root = root_gw[block, None] * profile(nodes[block, None] - freqs[None, :])
+        _drop_underflow(root)
         table += root.T @ root
     return table, int(nodes.size)
 
@@ -433,6 +444,7 @@ def localised_generator(
             "overlap_cross_check_evaluations": table.cross_check_evaluations,
             "overlap_smoothing_rule": table.smoothing_rule,
             "overlap_min_eigenvalue": table.min_eigenvalue(),
+            "overlap_dropped_entries": table.dropped_entries,
             "n_frequencies": spectrum.size,
             "max_cluster_diameter": spectrum.max_cluster_diameter,
         }

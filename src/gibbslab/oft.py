@@ -28,6 +28,14 @@ The same build yields the coherent pair table
 with ``c`` the odd difference factor of ``weights.coherent_difference_factor``.
 The Bohr frequencies are closed under negation, so ``-(nu + nu')/2`` is the
 midpoint of the negated pair and both tables read one evaluation of ``H``.
+
+Both tables are left at zero on pairs whose Gaussian factor is below
+``e^{-200}``, and on entries below ``sqrt(tiny) max(1, max|x|)`` (about
+``1.5e-154`` of the table's scale, ``tiny`` the smallest normal double):
+such entries are more than 138 orders of magnitude below double precision,
+but products of two of them underflow, and on common x86 processors every
+subnormal operation in the dense kernels that read the tables costs a
+microcode assist.
 """
 
 from __future__ import annotations
@@ -60,6 +68,10 @@ __all__ = [
 # (gap/(2 sigma))^2 above this contribute below 1e-87 relatively and are
 # skipped outright.
 _PAIR_EXPONENT_CAP = 200.0
+
+# Entries below this fraction of a table's scale are zeroed, so that no
+# product of two kept entries underflows (``_drop_underflow``).
+_UNDERFLOW_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 # Number of table entries re-derived by direct definitional quadrature at
 # construction time (a standing regression check).
@@ -97,6 +109,8 @@ class OverlapTable:
         cross_check_entries: number of entries re-derived by that quadrature.
         cross_check_evaluations: integrand evaluations it spent on them (the
             sum of QUADPACK's ``neval``).
+        dropped_entries: entries of ``values`` left at zero by the exponent
+            cap or the underflow floor.
     """
 
     spectrum: BohrSpectrum
@@ -108,6 +122,7 @@ class OverlapTable:
     cross_check_defect: float = 0.0
     cross_check_entries: int = 0
     cross_check_evaluations: int = 0
+    dropped_entries: int = 0
 
     def entry(self, nu: float, nu_prime: float) -> float:
         i = self.spectrum.index_of(nu)
@@ -121,6 +136,19 @@ class OverlapTable:
         """Smallest eigenvalue of the symmetrised table (PSD diagnostic)."""
         sym = 0.5 * (self.values + self.values.T)
         return float(np.linalg.eigvalsh(sym)[0])
+
+
+def _drop_underflow(table: np.ndarray) -> None:
+    """Zero, in place, every entry of ``table`` below
+    ``_UNDERFLOW_FLOOR * max(1, max|table|)``.
+
+    A product of two kept entries is then a normal number, so BLAS and
+    LAPACK never underflow on them.  On a table of scale 1 or more, each
+    dropped entry is more than 138 orders of magnitude below roundoff.
+    """
+    magnitude = np.abs(table)
+    floor = _UNDERFLOW_FLOOR * max(1.0, float(magnitude.max(initial=0.0)))
+    table[magnitude < floor] = 0.0
 
 
 def _definitional_entry(
@@ -218,8 +246,12 @@ def overlap_table(
     ``(sqrt(pi)/sigma) e^{-gap^2/(4 sigma^2)} H(midpoint)`` and
     ``2 pi c(gap) e^{-midpoint} H(-midpoint)``, with ``H`` evaluated once on
     the distinct midpoints; pairs whose Gaussian factor is below ``e^{-200}``
-    are left at zero.  A deterministic sample of overlap entries (extreme and
-    central pairs) is re-derived by direct definitional quadrature;
+    are left at zero, and so is every entry below ``sqrt(tiny)`` (about
+    ``1.5e-154``) times ``max(1, max|x|)`` of its table, so that no product
+    of two entries underflows in the kernels that read them; the number of
+    overlap entries left at zero is recorded as ``dropped_entries``.  A
+    deterministic sample of overlap entries (extreme and central pairs) is
+    re-derived by direct definitional quadrature;
     disagreement beyond ``1e-8`` relative, or a QUADPACK failure on one of
     them, raises :class:`NumericalGuardError`, signalling a regression in
     either path.  Bandwidths above ``MAX_BANDWIDTH``, where the
@@ -254,21 +286,26 @@ def overlap_table(
     h_mid = np.zeros((m, m))
     h_mid[live] = smoothed_weight_table(weight, sigma, uniq_centers)[inverse]
 
-    values = np.zeros((m, m))
-    values[live] = math.sqrt(math.pi) / sigma * np.exp(-exponents[live]) * h_mid[live]
+    overlap = math.sqrt(math.pi) / sigma * np.exp(-exponents[live]) * h_mid[live]
 
     # H(-midpoint) is H at the midpoint of the negated pair.
     neg = spectrum.negation_index()
     h_neg = h_mid[np.ix_(neg, neg)][live]
-    coherent = np.zeros((m, m), dtype=np.complex128)
     with np.errstate(over="ignore", under="ignore"):
         sum_factor = np.exp(-mids[live]) * h_neg
-    coherent[live] = 2.0 * math.pi * coherent_difference_factor(gaps[live], sigma) * sum_factor
-    if not np.all(np.isfinite(coherent)):
+    pair = 2.0 * math.pi * coherent_difference_factor(gaps[live], sigma) * sum_factor
+    if not np.all(np.isfinite(pair)):
         raise ValidationError(
             "coherent pair table has non-finite entries; the spectral width "
             "likely exceeds the supported range"
         )
+    # The pairs past the cap are zero already; floor the live ones.
+    _drop_underflow(overlap)
+    _drop_underflow(pair)
+    values = np.zeros((m, m))
+    values[live] = overlap
+    coherent = np.zeros((m, m), dtype=np.complex128)
+    coherent[live] = pair
 
     defect = 0.0
     evaluations = 0
@@ -308,4 +345,5 @@ def overlap_table(
         cross_check_defect=defect,
         cross_check_entries=len(pairs),
         cross_check_evaluations=evaluations,
+        dropped_entries=int(values.size - np.count_nonzero(values)),
     )

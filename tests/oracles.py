@@ -29,6 +29,12 @@ pair), ``time_kernel_quad``, ``time_kernel_l1_quad`` and
 forms: ``time_envelope_direct`` sums ``e^{-2isw}`` over every panel node
 without the package's panel-centre split, and ``envelope_sum_loop`` sums
 its inner envelope integral one trapezoid node at a time.
+
+Three references keep the package's arithmetic and drop one of its
+shortcuts: ``sandwich_transposed`` builds the eigenbasis sandwich in
+row-major order and transposes it into column-stacked layout, and
+``overlap_tables_unfloored`` and ``node_sum_gram_unfloored`` keep the
+entries below the underflow floor that the package zeroes.
 """
 
 from __future__ import annotations
@@ -130,6 +136,68 @@ def omega_node_sum_dissipator(
         s += np.einsum("n,njl,nik->jilk", gw, f.conj(), f, optimize=True)
         m += np.einsum("n,nip,nik->pk", gw, f.conj(), f, optimize=True)
     return s.reshape(d * d, d * d), m
+
+
+def sandwich_transposed(jumps_eig, coupling, pair_index) -> np.ndarray:
+    """The sandwich ``T -> sum_A sum C(nu, nu') A_nu T A_nu'^dag`` in the
+    eigenbasis, one ``(d, d, d, d)`` product ``A_ik conj(A_jl) C`` per jump
+    in row-major order, moved to column-stacked layout by a transposed
+    copy.  The package writes the column-stacked layout directly and must
+    match this bit for bit."""
+    d = pair_index.shape[0]
+    coupling_big = coupling[pair_index[:, :, None, None], pair_index[None, None, :, :]]
+    s = np.zeros((d * d, d * d), dtype=np.complex128)
+    for a in jumps_eig:
+        t = a[:, :, None, None] * a.conj()[None, None, :, :] * coupling_big
+        s += t.transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    return s
+
+
+# The package zeroes table entries below this fraction of max(1, max|x|):
+# the square root of the smallest normal double, so that no product of two
+# kept entries underflows.
+UNDERFLOW_FLOOR = math.sqrt(np.finfo(float).tiny)
+
+
+def node_sum_gram_unfloored(frequencies, nodes, node_weights, profile) -> np.ndarray:
+    """``W^T W`` with ``W = sqrt(gw_n) profile(w_n - nu)`` over the nodes
+    with ``gw_n > 0``, as one block and with every underflowing entry of
+    ``W`` kept: the node-sum table with the package's own arithmetic but
+    without its underflow floor."""
+    gw = np.asarray(node_weights, dtype=np.float64)
+    keep = gw > 0.0
+    root = np.sqrt(gw[keep])[:, None] * profile(
+        np.asarray(nodes)[keep, None] - np.asarray(frequencies)[None, :]
+    )
+    return root.T @ root
+
+
+def overlap_tables_unfloored(spectrum, weight, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The overlap table ``G`` and the coherent pair table ``b`` with the
+    package's own arithmetic -- the smoothed weight ``H`` from
+    ``weights.smoothed_weight_table`` on the distinct midpoints, pairs past
+    the exponent cap ``e^{-200}`` left at zero -- but with every entry below
+    the underflow floor kept."""
+    from gibbslab.oft import _PAIR_EXPONENT_CAP
+    from gibbslab.weights import coherent_difference_factor, smoothed_weight_table
+
+    freqs = spectrum.frequencies
+    m = freqs.size
+    gaps = freqs[:, None] - freqs[None, :]
+    exponents = np.square(gaps) / (4.0 * sigma * sigma)
+    live = exponents <= _PAIR_EXPONENT_CAP
+    mids = 0.5 * (freqs[:, None] + freqs[None, :])
+    centers, inverse = np.unique(mids[live], return_inverse=True)
+    h_mid = np.zeros((m, m))
+    h_mid[live] = smoothed_weight_table(weight, sigma, centers)[inverse]
+    values = np.zeros((m, m))
+    values[live] = math.sqrt(math.pi) / sigma * np.exp(-exponents[live]) * h_mid[live]
+    neg = spectrum.negation_index()
+    coherent = np.zeros((m, m), dtype=np.complex128)
+    with np.errstate(over="ignore", under="ignore"):
+        sum_factor = np.exp(-mids[live]) * h_mid[np.ix_(neg, neg)][live]
+    coherent[live] = 2.0 * math.pi * coherent_difference_factor(gaps[live], sigma) * sum_factor
+    return values, coherent
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

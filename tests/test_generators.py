@@ -21,12 +21,14 @@ from gibbslab.bohr import bohr_spectrum, decompose
 from gibbslab.errors import ValidationError
 from gibbslab.generators import (
     _bohr_sum_dissipator,
+    _bundle,
     _envelope_sum,
     _omega_quadrature_coupling,
     _omega_quadrature_nodes,
     _pair_sum,
     _rotate_superop,
     coherent_calibration_report,
+    coherent_matrix_bohr,
     davies_generator,
     davies_limit_report,
     dual_path_residual,
@@ -49,6 +51,7 @@ from gibbslab.models import (
 from gibbslab.oft import overlap_table
 from gibbslab.operator_core import EigenSystem
 from gibbslab.weights import (
+    GaussianFilter,
     WeightFunction,
     balanced_gamma,
     coherent_time_envelope,
@@ -237,6 +240,86 @@ def test_rotation_matches_kron_oracle(d):
     got = _rotate_superop(system, s_eig)
     want = oracles.rotate_superop_kron(u, s_eig)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "model, coupling_of",
+    [
+        (random_model(dim=4, seed=5, spectrum=(1.0, 1.7, 3.1, 4.6)), "overlap"),
+        (schrodinger_line_model(16), "overlap"),
+        (oscillator_model(6), "diagonal"),
+        (qubit_model(), "sign_flipped"),
+    ],
+    ids=["random4", "line16", "oscillator6-davies", "qubit-flipped"],
+)
+def test_sandwich_layout_matches_transposed_oracle(model, coupling_of):
+    """The column-stacked sandwich is bit for bit the row-major product
+    moved by a transposed copy."""
+    system = model.eigensystem()
+    spectrum = bohr_spectrum(system)
+    jumps = [system.to_eigenbasis(a) for a in model.jumps]
+    if coupling_of == "diagonal":
+        coupling = np.diag(kms_gamma("glauber")(spectrum.frequencies))
+    else:
+        coupling = overlap_table(spectrum, balanced_gamma("sech", 0.7), 0.7).values
+        if coupling_of == "sign_flipped":
+            coupling = 2.0 * np.diag(np.diag(coupling)) - coupling
+    got = _bohr_sum_dissipator(jumps, coupling, spectrum.pair_index)
+    want = oracles.sandwich_transposed(jumps, coupling, spectrum.pair_index)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def line24():
+    model = schrodinger_line_model(24)
+    system = model.eigensystem()
+    return model, system, bohr_spectrum(system), balanced_gamma("gaussian", 1.0)
+
+
+def test_node_sum_floor_drops_only_negligible_entries(line24, monkeypatch):
+    """The floor zeroes entries of the node-sum factor ``W`` before
+    ``W^T W``: no kept entry lies below it, and ``K`` moves by at most
+    1e-150 of its max."""
+    _, _, spectrum, weight = line24
+    freqs = spectrum.frequencies
+    roots = []
+    drop = gibbslab.generators._drop_underflow
+
+    def recording(table):
+        drop(table)
+        roots.append(table.copy())
+
+    monkeypatch.setattr(gibbslab.generators, "_drop_underflow", recording)
+    got, n_nodes = _omega_quadrature_coupling(weight, 1.0, freqs)
+    assert [root.shape for root in roots] == [(n_nodes, freqs.size)]
+    root = roots[0]
+    floor = oracles.UNDERFLOW_FLOOR * max(1.0, float(np.max(root)))
+    assert np.min(np.abs(root[root != 0.0])) >= floor
+
+    nodes, wts = _omega_quadrature_nodes(weight, 1.0, freqs)
+    want = oracles.node_sum_gram_unfloored(
+        freqs, nodes, weight(nodes) * wts, GaussianFilter(1.0).frequency_profile
+    )
+    assert np.max(np.abs(got - want)) <= 1e-150 * np.max(np.abs(want))
+
+
+def test_underflow_floor_leaves_the_superoperator_bit_identical(line24):
+    """The line24 generator assembled from the unfloored ``G`` and ``b`` is
+    the floored one bit for bit."""
+    model, system, spectrum, weight = line24
+    bundle = localised_generator(model, weight, 1.0)
+    values, coherent = oracles.overlap_tables_unfloored(spectrum, weight, 1.0)
+    table = dataclasses.replace(
+        overlap_table(spectrum, weight, 1.0, cross_check=False), values=values, coherent=coherent
+    )
+    jumps = [system.to_eigenbasis(a) for a in model.jumps]
+    b_mat, _ = coherent_matrix_bohr(jumps, table, system=system)
+    unfloored = _bundle(
+        "localised", "bohr_sum", model, weight, 1.0, system, spectrum, jumps, values, b_mat, {}
+    )
+    assert bundle.diagnostics["overlap_dropped_entries"] > 0
+    assert unfloored.superoperator.tobytes() == bundle.superoperator.tobytes()
+    assert unfloored.effective_drift.tobytes() == bundle.effective_drift.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +524,7 @@ def test_bundle_accessors(dense_bundle):
     assert dense_bundle.kind == "localised"
     for key in (
         "overlap_min_eigenvalue",
+        "overlap_dropped_entries",
         "coherent_norm",
         "adjoint_closure_defect",
         "jump_norm_squared_sum",

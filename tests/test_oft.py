@@ -18,7 +18,7 @@ import scipy.integrate
 import gibbslab.oft
 from gibbslab.bohr import bohr_spectrum, decompose
 from gibbslab.errors import NumericalGuardError, ValidationError
-from gibbslab.models import qubit_model, random_model, torus_model
+from gibbslab.models import qubit_model, random_model, schrodinger_line_model, torus_model
 from gibbslab.oft import oft_eval, overlap_table
 from gibbslab.weights import (
     MAX_BANDWIDTH,
@@ -98,6 +98,25 @@ def test_overlap_table_factorises_into_envelope_and_midpoint(dense_table):
         midpoint = smoothed_weight_table(weight, sigma, [(nu + nu_prime) / 2.0])[0]
         want = (math.sqrt(math.pi) / sigma) * envelope * midpoint
         assert table.entry(nu, nu_prime) == pytest.approx(want, rel=1e-9, abs=1e-14)
+
+
+def test_underflow_floor_drops_only_negligible_entries():
+    """On line24 the floor zeroes entries of ``G`` and ``b`` that the
+    exponent cap keeps; each table moves by at most 1e-150 of its max, no
+    kept entry lies below the floor, and ``dropped_entries`` counts every
+    zero of ``G``."""
+    spectrum = bohr_spectrum(schrodinger_line_model(24).eigensystem())
+    weight = balanced_gamma("gaussian", 1.0)
+    table = overlap_table(spectrum, weight, 1.0, cross_check=False)
+    values, coherent = oracles.overlap_tables_unfloored(spectrum, weight, 1.0)
+    for got, want in ((table.values, values), (table.coherent, coherent)):
+        floor = oracles.UNDERFLOW_FLOOR * max(1.0, float(np.max(np.abs(want))))
+        assert np.count_nonzero((want != 0.0) & (np.abs(want) < floor)) > 0
+        assert np.max(np.abs(got - want)) <= 1e-150 * np.max(np.abs(want))
+        kept = np.abs(got[got != 0.0])
+        assert np.min(kept) >= floor
+    assert table.dropped_entries == values.size - np.count_nonzero(table.values)
+    assert table.dropped_entries > values.size - np.count_nonzero(values)
 
 
 def test_entry_rejects_non_frequency(dense_table):
