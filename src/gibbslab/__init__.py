@@ -61,7 +61,6 @@ from .oft import (
 )
 from .generators import (
     GeneratorBundle,
-    StationarityReport,
     coherent_calibration_report,
     coherent_matrix_bohr,
     davies_generator,
@@ -134,7 +133,6 @@ __all__ = [
     "oft_eval",
     "overlap_table",
     "GeneratorBundle",
-    "StationarityReport",
     "coherent_calibration_report",
     "coherent_matrix_bohr",
     "davies_generator",

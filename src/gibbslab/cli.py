@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import dataclasses
 import json
 import math
 import platform
@@ -513,7 +514,7 @@ def cmd_verify_stationarity(config: dict, args) -> int:
     if broken:
         available["negative_control_residual"] = lambda: _check(
             "negative_control_residual",
-            stationarity_report(bundle).residual_fro,
+            stationarity_report(bundle),
             _tolerance(config, "negative_control"),
             "lower",
         )
@@ -525,7 +526,7 @@ def cmd_verify_stationarity(config: dict, args) -> int:
         )
         available["stationarity_residual"] = lambda: _check(
             "stationarity_residual",
-            stationarity_report(bundle).residual_fro,
+            stationarity_report(bundle),
             stat_tol,
             "upper",
         )
@@ -622,22 +623,7 @@ def cmd_sweep_sigma(config: dict, args) -> int:
     sigmas = config["run"]["sigma_sweep"]
     phi = config["weight"]["phi_name"]
 
-    limit = davies_limit_report(model, phi, sigmas, seed=seed)
-    rows = []
-    for row in limit["rows"]:
-        rows.append(
-            {
-                "sigma": row["sigma"],
-                "davies_distance_p1": row["max_distance"],
-                "coherent_norm_B": row["coherent_norm"],
-                "b1_l1": coherent_time_kernel_l1(row["sigma"]),
-                "stationarity_residual": row["stationarity_residual"],
-                "overlap_cross_check_defect": row["overlap_cross_check_defect"],
-                "overlap_cross_check_evaluations": row["overlap_cross_check_evaluations"],
-                "overlap_smoothing_rule": row["overlap_smoothing_rule"],
-            }
-        )
-
+    rows = davies_limit_report(model, phi, sigmas, seed=seed)["rows"]
     columns = ["sigma", "davies_distance_p1", "coherent_norm_B", "b1_l1", "stationarity_residual"]
     flags = _monotone_flags(rows) if len(rows) >= 2 else {}
     metadata = {
@@ -787,7 +773,7 @@ def _selftest_checks(seed: int, stages: dict) -> list[dict]:
             checks.append(
                 _check(
                     f"davies_stationarity_{model.model_id}_{kms_kind}",
-                    stationarity_report(bundle).residual_fro,
+                    stationarity_report(bundle),
                     _DEFAULT_TOLERANCES["davies_stationarity"],
                     "upper",
                 )
@@ -801,7 +787,7 @@ def _selftest_checks(seed: int, stages: dict) -> list[dict]:
             checks.append(
                 _check(
                     f"filtered_stationarity_{model.model_id}_{phi}",
-                    stationarity_report(bundle).residual_fro,
+                    stationarity_report(bundle),
                     _DEFAULT_TOLERANCES["stationarity"],
                     "upper",
                 )
@@ -819,9 +805,10 @@ def _selftest_checks(seed: int, stages: dict) -> list[dict]:
             )
         )
 
-        corrupt = localised_generator(
-            dense, w_dense, 0.9, cross_check=False, _corrupt_overlap_sign=True
-        )
+        # Every off-diagonal sign of the coupling table flipped: the fault
+        # the dual-path check must catch.
+        coupling = clean.coupling
+        corrupt = dataclasses.replace(clean, coupling=2.0 * np.diag(np.diag(coupling)) - coupling)
         checks.append(
             _check("fault_injection_detected", dual_path_residual(corrupt), 1e-3, "lower")
         )
@@ -831,7 +818,7 @@ def _selftest_checks(seed: int, stages: dict) -> list[dict]:
         checks.append(
             _check(
                 "negative_control_residual",
-                stationarity_report(near).residual_fro,
+                stationarity_report(near),
                 _DEFAULT_TOLERANCES["negative_control"],
                 "lower",
             )

@@ -103,20 +103,6 @@ def _shift_spectrum_to_one(h: np.ndarray) -> tuple[np.ndarray, float]:
     return h + shift * np.eye(h.shape[0]), shift
 
 
-def _validated_jumps(jumps: Sequence[np.ndarray], dim: int) -> tuple[np.ndarray, ...]:
-    out = []
-    for k, j in enumerate(jumps):
-        arr = np.asarray(j, dtype=np.complex128)
-        if arr.shape != (dim, dim):
-            raise ValidationError(f"jump {k} has shape {arr.shape}, expected ({dim}, {dim})")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise ValidationError(f"jump {k} contains non-finite entries")
-        out.append(arr)
-    if not out:
-        raise ValidationError("a model needs at least one jump operator")
-    return tuple(out)
-
-
 def _close_under_adjoint(jumps: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     """Append missing adjoints so the family is exactly closed."""
     closed = [np.asarray(j, dtype=np.complex128) for j in jumps]

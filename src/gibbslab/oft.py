@@ -53,6 +53,7 @@ from .weights import (
     WINDOW_RADIUS,
     GaussianFilter,
     WeightFunction,
+    _require_bandwidth,
     coherent_difference_factor,
     smoothed_weight_table,
     smoothing_rule,
@@ -259,8 +260,7 @@ def overlap_table(
     :class:`ValidationError`.  The table records which rule smoothed the
     weight as ``smoothing_rule``.
     """
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ValidationError(f"bandwidth must be a finite positive number, got {sigma!r}")
+    _require_bandwidth(sigma)
     if sigma > MAX_BANDWIDTH:
         raise ValidationError(
             f"bandwidth {sigma!r} exceeds the supported range {MAX_BANDWIDTH:g}"

@@ -64,7 +64,7 @@ This module owns every scalar ingredient of the generator assembly:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -150,6 +150,12 @@ PANEL_WIDTH_FRACTION = 0.5
 WINDOW_RADIUS = 8.0
 
 
+def _require_bandwidth(sigma) -> None:
+    """Reject a bandwidth that is not a finite positive number."""
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        raise ValidationError(f"bandwidth must be a finite positive number, got {sigma!r}")
+
+
 # ---------------------------------------------------------------------------
 # Gaussian filter
 # ---------------------------------------------------------------------------
@@ -159,11 +165,9 @@ WINDOW_RADIUS = 8.0
 class GaussianFilter:
     """Gaussian time-localisation profile of bandwidth ``sigma``.
 
-    ``time_profile`` is ``sigma^{1/2} pi^{1/4} exp(-t^2 sigma^2 / 2)``; its
-    Fourier transform, ``frequency_profile``, equals the time profile with
-    ``sigma -> 1/sigma``.  Both are implemented directly from their own
-    formulas so that the exchange identity is a testable statement, not a
-    definition.
+    The time profile is ``sigma^{1/2} pi^{1/4} exp(-t^2 sigma^2 / 2)``;
+    ``frequency_profile`` is its Fourier transform, the same Gaussian with
+    ``sigma -> 1/sigma``, written from its own formula.
     """
 
     sigma: float
@@ -173,10 +177,6 @@ class GaussianFilter:
             raise ValidationError(
                 f"filter bandwidth must be a finite positive number, got {self.sigma!r}"
             )
-
-    def time_profile(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        return math.sqrt(self.sigma) * math.pi**0.25 * np.exp(-0.5 * (t * self.sigma) ** 2)
 
     def frequency_profile(self, tau):
         tau = np.asarray(tau, dtype=np.float64)
@@ -223,7 +223,6 @@ class WeightFunction:
     sigma: float | None = None
     phi_name: str | None = None
     breakpoints: tuple[float, ...] = ()
-    description: str = ""
     scalar: Callable[[float], float] | None = None
     smoothed: Callable[[float, np.ndarray], np.ndarray] | None = None
 
@@ -355,14 +354,12 @@ def kms_gamma(kind: str) -> WeightFunction:
         return WeightFunction(
             kind="kms_glauber",
             evaluate=lambda w: expit(-np.asarray(w, dtype=np.float64)),
-            description="1/(1+e^omega)",
         )
     if kind == "metropolis":
         return WeightFunction(
             kind="kms_metropolis",
             evaluate=lambda w: np.exp(np.minimum(0.0, -np.asarray(w, dtype=np.float64))),
             breakpoints=(0.0,),
-            description="min(1, e^-omega)",
         )
     raise ValidationError(f"unknown detailed-balance weight kind {kind!r}")
 
@@ -413,6 +410,24 @@ def _gaussian_smoothed(profile: PhiProfile, shift: float) -> Callable | None:
     return smoothed
 
 
+def _profile_weight(kind: str, phi, sigma: float | None, shift: float) -> WeightFunction:
+    """The weight ``e^{-omega/2} phi(omega + shift)`` of a resolved and
+    validated profile, built for bandwidth ``sigma`` (``None`` for none),
+    with its scalar twin, its closed-form smoothing where the profile has
+    one, and the profile's breakpoints moved by the shift."""
+    profile = resolve_phi(phi)
+    _validate_phi(profile)
+    return WeightFunction(
+        kind=kind,
+        evaluate=_shifted_profile_weight(profile, shift),
+        sigma=sigma,
+        phi_name=profile.name,
+        breakpoints=tuple(sorted(b - shift for b in profile.breakpoints)),
+        scalar=_shifted_profile_scalar(profile, shift),
+        smoothed=_gaussian_smoothed(profile, shift),
+    )
+
+
 def balanced_gamma(phi, sigma: float) -> WeightFunction:
     """Balanced weight ``e^{-omega/2} phi(omega + sigma^2/4)`` for bandwidth ``sigma``.
 
@@ -420,21 +435,8 @@ def balanced_gamma(phi, sigma: float) -> WeightFunction:
     smoothing of the weight satisfy ``H(c) = e^{-c} H(-c)``, and hence the
     filtered generator stationary on the Gibbs density.
     """
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ValidationError(f"bandwidth must be a finite positive number, got {sigma!r}")
-    profile = resolve_phi(phi)
-    _validate_phi(profile)
-    shift = 0.25 * sigma * sigma
-    return WeightFunction(
-        kind="balanced_from_phi",
-        evaluate=_shifted_profile_weight(profile, shift),
-        sigma=float(sigma),
-        phi_name=profile.name,
-        breakpoints=tuple(sorted(b - shift for b in profile.breakpoints)),
-        description=f"e^(-omega/2) {profile.name}(omega + {shift:.6g})",
-        scalar=_shifted_profile_scalar(profile, shift),
-        smoothed=_gaussian_smoothed(profile, shift),
-    )
+    _require_bandwidth(sigma)
+    return _profile_weight("balanced_from_phi", phi, float(sigma), 0.25 * sigma * sigma)
 
 
 def unshifted_gamma(phi, sigma: float) -> WeightFunction:
@@ -444,20 +446,8 @@ def unshifted_gamma(phi, sigma: float) -> WeightFunction:
     identity fails by a factor ``~ e^{sigma^2/4}`` scale, so the filtered
     generator visibly does not fix the Gibbs density.
     """
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ValidationError(f"bandwidth must be a finite positive number, got {sigma!r}")
-    profile = resolve_phi(phi)
-    _validate_phi(profile)
-    return WeightFunction(
-        kind="unshifted_control",
-        evaluate=_shifted_profile_weight(profile, 0.0),
-        sigma=float(sigma),
-        phi_name=profile.name,
-        breakpoints=tuple(sorted(profile.breakpoints)),
-        description=f"e^(-omega/2) {profile.name}(omega)  [balance intentionally broken]",
-        scalar=_shifted_profile_scalar(profile, 0.0),
-        smoothed=_gaussian_smoothed(profile, 0.0),
-    )
+    _require_bandwidth(sigma)
+    return _profile_weight("unshifted_control", phi, float(sigma), 0.0)
 
 
 def delocalised_limit_gamma(phi) -> WeightFunction:
@@ -466,26 +456,16 @@ def delocalised_limit_gamma(phi) -> WeightFunction:
     The diagonal of the overlap table tends to ``pi * e^{-omega/2} phi(omega)``
     -- the factor ``pi`` is the squared mass of the frequency profile under
     the printed normalisation.  The result satisfies detailed balance
-    exactly, so it is a valid unfiltered-generator weight.
+    exactly, so it is a valid unfiltered-generator weight.  It is ``pi``
+    times the unshifted weight, bandwidth-free, with no scalar twin and no
+    closed-form smoothing.
     """
-    profile = resolve_phi(phi)
-    _validate_phi(profile)
-    fn = profile.fn
-
-    def evaluate(w):
-        w = np.asarray(w, dtype=np.float64)
-        p = np.asarray(fn(w), dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            logp = np.log(p)
-        out = FILTER_SQUARED_MASS * np.exp(-0.5 * w + logp)
-        return np.where(p > 0.0, out, 0.0)
-
-    return WeightFunction(
-        kind="delocalised_limit",
-        evaluate=evaluate,
-        phi_name=profile.name,
-        breakpoints=tuple(sorted(profile.breakpoints)),
-        description=f"pi e^(-omega/2) {profile.name}(omega)",
+    base = _profile_weight("delocalised_limit", phi, None, 0.0)
+    return replace(
+        base,
+        evaluate=lambda w: FILTER_SQUARED_MASS * base.evaluate(w),
+        scalar=None,
+        smoothed=None,
     )
 
 
@@ -582,8 +562,7 @@ def smoothed_weight_table(weight: WeightFunction, sigma: float, centers) -> np.n
     centers = np.asarray(centers, dtype=np.float64).ravel()
     if centers.size == 0:
         return np.zeros(0)
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ValidationError(f"bandwidth must be a finite positive number, got {sigma!r}")
+    _require_bandwidth(sigma)
     if not np.all(np.isfinite(centers)):
         raise ValidationError("smoothing centers must be finite")
     rule = smoothing_rule(weight, sigma, centers)
@@ -693,8 +672,7 @@ def coherent_time_kernel(t, sigma: float) -> np.ndarray:
     ``t``, positive for ``t > 0``.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ValidationError(f"bandwidth must be a finite positive number, got {sigma!r}")
+    _require_bandwidth(sigma)
     # Odd in t: evaluate once per distinct |t| and restore the sign, so
     # K(-t) = -K(t) holds bit for bit and a mirrored grid costs half.
     mags, where = np.unique(np.abs(t_arr), return_inverse=True)
@@ -750,8 +728,7 @@ def coherent_time_envelope(
     ``ghat(-s) = conj(ghat(s))`` and each distinct ``|s|`` is summed once.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ValidationError(f"bandwidth must be a finite positive number, got {sigma!r}")
+    _require_bandwidth(sigma)
 
     def tilted(w):
         w = np.asarray(w, dtype=np.float64)
@@ -814,8 +791,7 @@ def coherent_time_kernel_l1(sigma: float) -> float:
     ``sqrt(pi)/32`` as ``sigma -> 0`` and stays strictly below it for every
     positive bandwidth.
     """
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ValidationError(f"bandwidth must be a finite positive number, got {sigma!r}")
+    _require_bandwidth(sigma)
     s_max = 12.0
     panel = 0.125
     n_panels = int(math.ceil(s_max / panel))

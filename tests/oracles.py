@@ -35,6 +35,10 @@ shortcuts: ``sandwich_transposed`` builds the eigenbasis sandwich in
 row-major order and transposes it into column-stacked layout, and
 ``overlap_tables_unfloored`` and ``node_sum_gram_unfloored`` keep the
 entries below the underflow floor that the package zeroes.
+
+One helper is a fault, not a reference: ``sign_flipped_bundle`` reassembles
+a filtered bundle with the off-diagonal signs of its coupling table flipped,
+for the tests that show the standing checks catch it.
 """
 
 from __future__ import annotations
@@ -216,6 +220,27 @@ def dissipator_superop(bundle) -> np.ndarray:
     h = bundle.model.hamiltonian + bundle.coherent_matrix
     commutator = superoperator_by_columns(lambda t: -1j * (h @ t - t @ h), bundle.dim)
     return np.asarray(bundle.superoperator) - commutator
+
+
+def sign_flipped_bundle(bundle):
+    """A deliberately wrong generator: the filtered ``bundle`` reassembled
+    with every off-diagonal sign of its coupling table flipped,
+    ``2 diag(diag(C)) - C``, through the package's own assembly tail
+    (``generators._bundle``).  Its coherent matrix and spectrum are the
+    bundle's, so only the coupling is at fault; the checks that must catch
+    it (stationarity, the dual-path residual, complete positivity) are what
+    the tests exercise."""
+    from gibbslab.generators import _bundle
+
+    coupling = bundle.coupling
+    flipped = 2.0 * np.diag(np.diag(coupling)) - coupling
+    system = bundle.model.eigensystem()
+    jumps_eig = [system.to_eigenbasis(a) for a in bundle.model.jumps]
+    return _bundle(
+        bundle.kind, bundle.assembly_path, bundle.model, bundle.weight, bundle.sigma,
+        system, bundle.spectrum, jumps_eig, flipped, bundle.coherent_matrix,
+        dict(bundle.diagnostics),
+    )
 
 
 def gibbs_action_identity_defect(bundle) -> float:

@@ -49,14 +49,8 @@ def dense_bundle(dense_model):
 
 
 @pytest.fixture(scope="module")
-def corrupt_bundle(dense_model):
-    return localised_generator(
-        dense_model,
-        balanced_gamma("gaussian", 0.9),
-        0.9,
-        cross_check=False,
-        _corrupt_overlap_sign=True,
-    )
+def corrupt_bundle(dense_bundle):
+    return oracles.sign_flipped_bundle(dense_bundle)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The exported surface: every name resolves, every package export is
-reached, and the benchmark's layer tracer still finds what it wraps.
+reached, every private module-level name is used, and the benchmark's layer
+tracer still finds what it wraps.
 
 A stale ``__all__`` entry breaks only ``from gibbslab import *``, which
 nothing else in the suite runs, so it is checked here directly.
@@ -7,10 +8,13 @@ nothing else in the suite runs, so it is checked here directly.
 
 from __future__ import annotations
 
+import ast
+import collections
 import importlib
 import importlib.util
 import pkgutil
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -33,7 +37,6 @@ ALLOWED_UNREACHED = {
     "FILTER_SQUARED_MASS": "the factor pi that delocalised_limit_gamma carries",
     "PHI_LIBRARY": "the profile names that weight.phi_name accepts",
     "resolve_phi": "turns a profile name or callable into the profile every weight function reads",
-    "StationarityReport": "return type of stationarity_report",
     "generator_action": "the superoperator action GeneratorBundle.apply runs",
     "Trajectory": "return type of evolve",
     "choi_matrix": "the reshuffle that every choi_* function reads",
@@ -75,6 +78,44 @@ def test_every_package_export_is_reached():
         if not users and not pattern.search(bench):
             unreached.append(name)
     assert sorted(unreached) == sorted(ALLOWED_UNREACHED)
+
+
+def _private_definitions(path: Path) -> list[str]:
+    """Private (single-underscore) functions, classes and constants defined
+    at the top level of a module, once per binding."""
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_private_name_is_used():
+    """Each private top-level name in ``src/gibbslab`` appears as a name
+    token (not in a comment or string) in the package or a benchmark file
+    beyond its own definitions; tests alone do not keep code alive."""
+    sources = sorted(SOURCES.glob("*.py"))
+    tokens = collections.Counter()
+    for path in sources + sorted(PERFBENCH.glob("*.py")):
+        with path.open("rb") as handle:
+            tokens.update(
+                tok.string
+                for tok in tokenize.tokenize(handle.readline)
+                if tok.type == tokenize.NAME
+            )
+    unused = []
+    for path in sources:
+        definitions = collections.Counter(_private_definitions(path))
+        unused += [
+            f"{path.stem}.{name}"
+            for name, count in definitions.items()
+            if tokens[name] <= count
+        ]
+    assert not unused
 
 
 def test_layer_tracer_finds_every_function_it_wraps():

@@ -140,6 +140,26 @@ def test_weights_are_nonnegative_and_vectorized():
         assert np.all(np.isfinite(values))
 
 
+@pytest.mark.parametrize("phi", sorted(PHI_LIBRARY))
+def test_weight_tails_stay_finite_and_vanish_where_the_profile_underflows(phi):
+    """Out to |omega| = 2000, where ``e^{-omega/2}`` overflows and every
+    library profile underflows, each profile weight is finite, exactly zero
+    where ``phi`` is zero, and the delocalised limit is ``pi`` times the
+    unshifted weight bit for bit."""
+    grid = np.concatenate([np.linspace(-2000.0, 2000.0, 8001), np.linspace(-60.0, 60.0, 24001)])
+    profile = PHI_LIBRARY[phi]
+    limit = delocalised_limit_gamma(phi)(grid)
+    for sigma in (0.1, 1.0, 3.0):
+        unshifted = unshifted_gamma(phi, sigma)(grid)
+        assert limit.tobytes() == (FILTER_SQUARED_MASS * unshifted).tobytes(), sigma
+        for values, shift in ((balanced_gamma(phi, sigma)(grid), 0.25 * sigma * sigma),
+                              (unshifted, 0.0), (limit, 0.0)):
+            assert np.all(np.isfinite(values)) and np.all(values >= 0.0), (sigma, shift)
+            underflow = profile.fn(grid + shift) == 0.0
+            assert np.count_nonzero(underflow) > 100
+            assert np.all(values[underflow] == 0.0), (sigma, shift)
+
+
 @pytest.mark.parametrize("maker", [balanced_gamma, unshifted_gamma])
 @pytest.mark.parametrize("phi", sorted(PHI_LIBRARY))
 def test_scalar_twin_matches_the_vectorised_weight(phi, maker):
