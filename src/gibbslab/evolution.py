@@ -52,12 +52,6 @@ __all__ = [
 
 _STATE_TOL = 1e-10
 
-# Per-snapshot health thresholds: a snapshot outside these bounds is flagged
-# in its diagnostics row (``within_tolerance: False``) but never corrected.
-SNAPSHOT_TRACE_TOL = 1e-9
-SNAPSHOT_EIG_TOL = 1e-9
-SNAPSHOT_HERMITICITY_TOL = 1e-10
-
 # Choi positivity bands: eigenvalues below the hard floor mean the map is
 # genuinely not completely positive; the band between the two thresholds is
 # treated as numerical noise worth a warning.
@@ -147,11 +141,6 @@ def snapshot_diagnostics(state: np.ndarray, reference: np.ndarray | None) -> dic
         "hermiticity_defect": float(np.linalg.norm(state - dagger(state))),
         "min_eigenvalue": float(np.min(np.linalg.eigvalsh(herm))),
     }
-    row["within_tolerance"] = bool(
-        row["trace_deviation"] <= SNAPSHOT_TRACE_TOL
-        and row["hermiticity_defect"] <= SNAPSHOT_HERMITICITY_TOL
-        and row["min_eigenvalue"] >= -SNAPSHOT_EIG_TOL
-    )
     if reference is not None:
         row["gibbs_distance"] = _hermitian_trace_distance(herm, reference)
     return row

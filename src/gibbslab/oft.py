@@ -282,9 +282,13 @@ def overlap_table(
     live = exponents <= _PAIR_EXPONENT_CAP
     mids = 0.5 * (freqs[:, None] + freqs[None, :])
 
-    uniq_centers, inverse = np.unique(mids[live], return_inverse=True)
+    # The midpoints and the live mask are exactly symmetric, so the distinct
+    # centres are those of the upper triangle, and its values are mirrored.
+    upper = np.triu(live)
+    uniq_centers, inverse = np.unique(mids[upper], return_inverse=True)
     h_mid = np.zeros((m, m))
-    h_mid[live] = smoothed_weight_table(weight, sigma, uniq_centers)[inverse]
+    h_mid[upper] = smoothed_weight_table(weight, sigma, uniq_centers)[inverse]
+    h_mid = np.where(upper, h_mid, h_mid.T)
 
     overlap = math.sqrt(math.pi) / sigma * np.exp(-exponents[live]) * h_mid[live]
 

@@ -74,6 +74,20 @@ def superoperator_by_columns(apply_fn, d: int) -> np.ndarray:
     return s
 
 
+def hermiticity_defect_loop(superoperator: np.ndarray, seed: int) -> float:
+    """Worst ``||L(T^dag) - L(T)^dag||_F / ||T||_F`` over ten seeded random
+    ``T``, one matrix-vector product per operator."""
+    rng = np.random.default_rng(seed)
+    d = int(round(np.sqrt(superoperator.shape[0])))
+    worst = 0.0
+    for _ in range(10):
+        t = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        lhs = unvec_column(superoperator @ vec_column(t.conj().T), d)
+        rhs = unvec_column(superoperator @ vec_column(t), d).conj().T
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)) / float(np.linalg.norm(t)))
+    return worst
+
+
 def lindblad_action_loops(hamiltonian: np.ndarray, terms, operator: np.ndarray) -> np.ndarray:
     """Explicit-loop Lindblad action.
 

@@ -201,7 +201,7 @@ def test_criterion_07_semigroup_preserves_and_contracts():
     worst_choi = np.inf
     for model in models:
         bundle = localised_generator(
-            model, balanced_gamma("gaussian", 1.0), 1.0, cross_check=False
+            model, balanced_gamma("gaussian", 1.0), 1.0
         )
         pairs = [
             (
@@ -260,7 +260,7 @@ def test_criterion_09_independent_assembly_routes_agree():
     worst_super = 0.0
     for model in benchmark_models():
         bundle = localised_generator(
-            model, balanced_gamma("gaussian", 1.0), 1.0, cross_check=False
+            model, balanced_gamma("gaussian", 1.0), 1.0
         )
         residual = dual_path_residual(bundle)
         worst_super = max(worst_super, residual)

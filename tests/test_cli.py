@@ -78,6 +78,7 @@ def test_normalised_config_rejections():
         qubit_config(run={"tolerances": {"stationarity": 0.0}}),
         qubit_config(run={"tolerances": {"mystery": 1.0}}),
         qubit_config(run={"seeds": []}),
+        qubit_config(run={"seeds": [1, 2]}),
         qubit_config(output={"format": "xml"}),
     ]
     for payload in bad_cases:
@@ -85,14 +86,19 @@ def test_normalised_config_rejections():
             normalised_config(payload, "verify-stationarity")
 
 
-def test_balance_broken_flag_controls_weight_construction():
-    config = qubit_config()
-    config["weight"]["balance_broken"] = True
-    normalised = normalised_config(config, "verify-stationarity")
-    assert normalised["weight"]["balance_broken"] is True
-    with pytest.raises(ValidationError):
-        bad = qubit_config(weight={"kind": "glauber", "balance_broken": True})
-        normalised_config(bad, "verify-stationarity")
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        (qubit_config(weight={"kind": "balanced", "balance_broken": True}), "balance_broken"),
+        (qubit_config(run={"seeds": [1, 2]}), "run.seeds"),
+    ],
+    ids=["balance-broken", "two-seeds"],
+)
+def test_retired_settings_exit_two_and_name_the_key(tmp_path, capsys, payload, key):
+    """The unshifted control weight has one spelling, ``weight.kind:
+    "unshifted"``, and every command reads one seed."""
+    assert main(["verify-stationarity", "--config", write_config(tmp_path, payload)]) == EXIT_USAGE
+    assert key in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +151,30 @@ def test_filtered_verify_builds_each_path_once(tmp_path, monkeypatch, path):
     assert code == EXIT_OK
     assert builds == [(path, 1)]
     assert len(smoothing_calls) == (1 if path == "bohr_sum" else 2)
+
+
+def test_verify_looks_its_check_functions_up_when_they_run(tmp_path, monkeypatch):
+    """The benchmark's layer tracer wraps the check functions on the module
+    attributes of ``gibbslab.cli``; the check table must reach the wrappers."""
+    names = (
+        "stationarity_report",
+        "trace_functional_defect",
+        "hermiticity_preservation_defect",
+        "effective_drift_abscissa",
+        "dual_path_residual",
+    )
+    calls = []
+    for name in names:
+        original = getattr(gibbslab.cli, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(gibbslab.cli, name, counting)
+    config = write_config(tmp_path, qubit_config())
+    assert main(["verify-stationarity", "--config", config, "--report", str(tmp_path / "r.json")]) == EXIT_OK
+    assert calls == list(names)
 
 
 def test_verify_report_times_each_check(tmp_path):
@@ -214,6 +244,57 @@ def test_verify_negative_control_flips_the_meaning(tmp_path):
     assert control["mode"] == "lower"
     assert control["value"] > 1e-4
     assert control["pass"] is True
+    assert report["config"]["weight"] == {"kind": "unshifted", "phi_name": "gaussian", "sigma": 1.0}
+
+
+def test_negative_control_of_an_unfiltered_config_exits_two(tmp_path, monkeypatch, capsys):
+    builds = []
+    monkeypatch.setattr(gibbslab.cli, "build_generator", lambda *a, **k: builds.append(a))
+    config = write_config(tmp_path, qubit_config(weight={"kind": "glauber"}))
+    assert main(["verify-stationarity", "--config", config, "--negative-control"]) == EXIT_USAGE
+    assert "--negative-control" in capsys.readouterr().err
+    assert builds == []
+
+
+_ALWAYS = [
+    ("trace_functional", "upper", 1e-12),
+    ("hermiticity_preservation", "upper", 1e-12),
+    ("drift_abscissa", "upper", 1e-10),
+]
+
+
+@pytest.mark.parametrize(
+    "payload, extra, expected",
+    [
+        (
+            qubit_config(weight={"kind": "glauber"}),
+            [],
+            [("stationarity_residual", "upper", 1e-12)] + _ALWAYS,
+        ),
+        (
+            qubit_config(),
+            [],
+            [("stationarity_residual", "upper", 1e-9)] + _ALWAYS + [("dual_path", "upper", 1e-8)],
+        ),
+        (
+            qubit_config(generator={"kind": "localised", "path": "omega_quadrature"}),
+            [],
+            [("stationarity_residual", "upper", 1e-9)] + _ALWAYS + [("dual_path", "upper", 1e-8)],
+        ),
+        (
+            qubit_config(),
+            ["--negative-control"],
+            [("negative_control_residual", "lower", 1e-4)] + _ALWAYS,
+        ),
+    ],
+    ids=["davies", "bohr_sum", "omega_quadrature", "negative-control"],
+)
+def test_verify_runs_the_checks_its_config_offers(tmp_path, payload, extra, expected):
+    report_path = tmp_path / "r.json"
+    argv = ["verify-stationarity", "--config", write_config(tmp_path, payload)]
+    assert main(argv + extra + ["--report", str(report_path)]) == EXIT_OK
+    checks = json.loads(report_path.read_text())["checks"]
+    assert [(c["name"], c["mode"], c["tolerance"]) for c in checks] == expected
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -565,10 +646,26 @@ def test_selftest_passes(tmp_path):
     assert code == EXIT_OK
     report = json.loads(report_path.read_text())
     assert report["overall_pass"] is True
-    assert len(report["checks"]) >= 12
-    names = {c["name"] for c in report["checks"]}
-    assert "fault_injection_detected" in names
-    assert "negative_control_residual" in names
+    # Labels, modes, tolerances and order of the sixteen checks.
+    checks = report["checks"]
+    assert [(c["name"], c["mode"], c["tolerance"]) for c in checks] == [
+        ("davies_stationarity_qubit_glauber", "upper", 1e-12),
+        ("davies_stationarity_oscillator6_metropolis", "upper", 1e-12),
+        ("filtered_stationarity_qubit_gaussian", "upper", 1e-9),
+        ("filtered_stationarity_random4_seed5_sech", "upper", 1e-9),
+        ("dual_path_dense_model", "upper", 1e-8),
+        ("fault_injection_detected", "lower", 1e-3),
+        ("negative_control_residual", "lower", 1e-4),
+        ("coherent_orientation_agreement", "upper", 1e-6),
+        ("coherent_l1_limit", "upper", 1e-3),
+        ("drift_abscissa_dense_model", "upper", 1e-10),
+        ("trace_functional_dense_model", "upper", 1e-12),
+        ("hermiticity_preservation_dense_model", "upper", 1e-12),
+        ("qubit_convergence_t20", "upper", 1e-6),
+        ("choi_min_eigenvalue_qubit_t1", "floor", 1e-8),
+        ("semigroup_split_qubit", "upper", 1e-10),
+        ("contraction_worst_increase", "upper", 1e-9),
+    ]
 
 
 def test_selftest_times_each_group_and_builds_the_qubit_once(tmp_path, monkeypatch):

@@ -118,6 +118,28 @@ def test_every_private_name_is_used():
     assert not unused
 
 
+def test_every_keyword_only_parameter_is_passed():
+    """Each keyword-only parameter of a public top-level function in
+    ``src/gibbslab`` is passed by name in some call in the package or a
+    benchmark file; a setting that no caller sets is dead surface."""
+    passed = set()
+    for path in sorted(SOURCES.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                passed.update((callee, kw.arg) for kw in node.keywords if kw.arg)
+    unpassed = [
+        f"{path.stem}.{node.name}({arg.arg}=)"
+        for path in sorted(SOURCES.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        for arg in node.args.kwonlyargs
+        if (node.name, arg.arg) not in passed
+    ]
+    assert not unpassed
+
+
 def test_layer_tracer_finds_every_function_it_wraps():
     """``perfbench/run.py --trace`` wraps these names; a removed or renamed
     one would fail there, not in the suite."""

@@ -146,9 +146,9 @@ def test_assembly_paths_agree(dense_model):
 
 def test_dual_path_residual_from_either_path(dense_model):
     weight = balanced_gamma("gaussian", 0.9)
-    direct = localised_generator(dense_model, weight, 0.9, cross_check=False)
+    direct = localised_generator(dense_model, weight, 0.9)
     resolved = localised_generator(
-        dense_model, weight, 0.9, path="omega_quadrature", cross_check=False
+        dense_model, weight, 0.9, path="omega_quadrature"
     )
     # Each side builds only the other path's table, so both see the same pair.
     assert dual_path_residual(resolved) == dual_path_residual(direct)
@@ -369,6 +369,15 @@ def test_trace_functional_is_annihilated(dense_bundle, davies_battery):
 
 def test_hermiticity_preservation(dense_bundle):
     assert hermiticity_preservation_defect(dense_bundle) < 1e-12
+    # On a superoperator that breaks Hermiticity, the one stacked product
+    # reads the same seeded operators as one product per operator.
+    rng = np.random.default_rng(9)
+    noise = rng.normal(size=dense_bundle.superoperator.shape) * (1.0 + 1j)
+    broken = dataclasses.replace(dense_bundle, superoperator=dense_bundle.superoperator + noise)
+    for seed in (0, 7):
+        want = oracles.hermiticity_defect_loop(broken.superoperator, seed)
+        assert want > 1e-2
+        assert hermiticity_preservation_defect(broken, seed=seed) == pytest.approx(want, rel=1e-12)
 
 
 def test_effective_drift_is_dissipative(dense_bundle, filtered_battery):
@@ -384,7 +393,7 @@ def test_zero_weight_reduces_to_pure_hamiltonian_drift(dense_model):
         evaluate=lambda om: np.zeros_like(np.asarray(om, dtype=float)),
         sigma=0.9,
     )
-    bundle = localised_generator(dense_model, weight, 0.9, cross_check=False)
+    bundle = localised_generator(dense_model, weight, 0.9)
     drift_gap = bundle.effective_drift - 1j * dense_model.hamiltonian
     assert np.linalg.norm(drift_gap) == 0.0
     assert np.linalg.norm(bundle.coherent_matrix) == 0.0
@@ -399,7 +408,7 @@ def test_identity_jump_produces_no_motion(dense_model):
         meta={},
     )
     weight = balanced_gamma("gaussian", 0.9)
-    bundle = localised_generator(model, weight, 0.9, cross_check=False)
+    bundle = localised_generator(model, weight, 0.9)
     assert np.linalg.norm(oracles.dissipator_superop(bundle)) < 1e-13
     assert np.linalg.norm(bundle.coherent_matrix) < 1e-13
     davies = davies_generator(model, kms_gamma("metropolis"))
@@ -445,7 +454,7 @@ def test_envelope_sum_matches_node_loop(dense_model):
 
 def test_sign_fault_is_caught_downstream(dense_model):
     weight = balanced_gamma("gaussian", 0.9)
-    clean = localised_generator(dense_model, weight, 0.9, cross_check=False)
+    clean = localised_generator(dense_model, weight, 0.9)
     corrupt = oracles.sign_flipped_bundle(clean)
     scale = np.linalg.norm(clean.superoperator)
     assert np.linalg.norm(corrupt.superoperator - clean.superoperator) > 1e-3 * scale
@@ -477,7 +486,7 @@ def test_coherent_norm_halving_envelope():
     norms = []
     for sigma in (2.0, 1.0, 0.5, 0.25):
         bundle = localised_generator(
-            model, balanced_gamma("gaussian", sigma), sigma, cross_check=False
+            model, balanced_gamma("gaussian", sigma), sigma
         )
         norms.append(np.linalg.norm(bundle.coherent_matrix))
     assert all(b < a for a, b in zip(norms[:-1], norms[1:]))
