@@ -52,11 +52,6 @@ __all__ = [
 
 _STATE_TOL = 1e-10
 
-# Choi positivity bands: eigenvalues below the hard floor mean the map is
-# genuinely not completely positive; the band between the two thresholds is
-# treated as numerical noise worth a warning.
-CHOI_HARD_FLOOR = -1e-6
-CHOI_WARNING_FLOOR = -1e-8
 # Largest model dimension the dense Choi analysis accepts.
 CHOI_MAX_DIM = 8
 
@@ -298,28 +293,15 @@ def choi_trace_preservation_defect(bundle: GeneratorBundle, t: float) -> float:
 
 
 def choi_report(bundle: GeneratorBundle, t: float) -> dict:
-    """Complete-positivity health of the time-``t`` channel (dense; d <= 8).
-
-    The report carries the most negative Choi eigenvalue, the
-    trace-preservation defect, and a status: ``"ok"`` above the warning
-    floor, ``"warning"`` for slightly negative eigenvalues attributable to
-    roundoff, and a hard failure (raised) below the failure floor.
-    """
+    """Complete-positivity numbers of the time-``t`` channel (dense; d <= 8):
+    the most negative Choi eigenvalue and the trace-preservation defect.
+    Whether they pass is the caller's tolerance to judge."""
     if bundle.dim > CHOI_MAX_DIM:
         raise ValidationError(
             f"Choi analysis is dense and limited to dimension {CHOI_MAX_DIM}, got {bundle.dim}"
         )
-    min_eig = choi_min_eigenvalue(bundle, t)
-    tp_defect = choi_trace_preservation_defect(bundle, t)
-    if min_eig < CHOI_HARD_FLOOR:
-        raise ValidationError(
-            f"channel at t={t:g} is not completely positive "
-            f"(Choi eigenvalue {min_eig:.3e})"
-        )
-    status = "ok" if min_eig >= CHOI_WARNING_FLOOR else "warning"
     return {
         "time": float(t),
-        "min_eigenvalue": min_eig,
-        "trace_preservation_defect": tp_defect,
-        "status": status,
+        "min_eigenvalue": choi_min_eigenvalue(bundle, t),
+        "trace_preservation_defect": choi_trace_preservation_defect(bundle, t),
     }

@@ -27,10 +27,14 @@ differing only in the coupling ``C`` and the coherent matrix ``B``:
 Every non-sandwich term of ``L`` is ``Y^dag T + T Y`` with the effective
 drift ``Y = i(P + B) - (1/2) sum_A sum C(nu, nu') A_nu^dag A_nu'``, so both
 families share one assembly: the sandwich of a coupling table contracted
-over the Bohr pair map, rotated to the original basis (a conjugation of the
-four tensor modes of the eigenbasis superoperator, O(d^5)), plus
-``Y^dag T + T Y``, added in place into the 2 d^3 entries it fills.  One
-pair contraction gives ``B`` and the drift's kernel.
+over the Bohr pair map, in the Hamiltonian's eigenbasis, plus
+``Y^dag T + T Y``.  One pair contraction gives ``B`` and the drift's kernel.
+A bundle keeps the eigenbasis sandwich and the eigenbasis drift
+``Y_eig = i(diag(E) + U^dag B U) - M_eig/2``, built from its pieces, and its
+checks act there: every identity they test holds in any unitary basis.  The
+original-basis superoperator, the sandwich rotated (a conjugation of its four
+tensor modes, O(d^5)) plus ``Y^dag T + T Y`` added in place into the 2 d^3
+entries it fills, is computed only when it is first read.
 The bundle keeps the table it contracted as ``coupling``.  The filtered
 dissipator has a second path, ``omega_quadrature``, which never reads the
 overlap table: it puts its own quadrature nodes ``w_n`` with weights
@@ -53,7 +57,7 @@ import numpy as np
 from .bohr import BohrSpectrum, bohr_spectrum
 from .errors import ValidationError
 from .evolution import Propagator
-from .models import Model, gibbs_state
+from .models import Model
 from .oft import OverlapTable, _drop_underflow, overlap_table
 from .operator_core import (
     EigenSystem,
@@ -102,13 +106,17 @@ _NODE_CHUNK = 2048
 class GeneratorBundle:
     """An assembled generator with its parts and assembly provenance.
 
-    The superoperator acts on column-stacked operators,
-    ``vec(L(T)) = superoperator @ vec(T)``, in the model's original basis:
-    the rotated sandwich plus ``T -> Y^dag T + T Y``, ``Y = effective_drift``.
-    It is read-only, so the cached step exponentials of :attr:`propagator`
-    cannot go stale.  ``coupling`` is the table ``C(nu, nu')`` contracted over
-    the Bohr pair map: ``diag(gamma)``, the overlap table ``G`` or the
-    node-sum table ``K``.
+    The generator is kept in the eigenbasis of the model's Hamiltonian
+    (``system``): ``sandwich`` is the column-stacked superoperator of
+    ``T -> sum C(nu, nu') A_nu T A_nu'^dag`` there and ``eigen_drift`` the
+    drift ``Y_eig``, so that ``L_eig(T) = sandwich(T) + Y_eig^dag T + T Y_eig``
+    (:meth:`eigen_action`).  :attr:`superoperator` is the generator in the
+    model's original basis, ``vec(L(T)) = superoperator @ vec(T)``: the
+    rotated sandwich plus ``T -> Y^dag T + T Y``, ``Y = effective_drift``.  It
+    is rotated when first read and cached read-only, so the cached step
+    exponentials of :attr:`propagator` cannot go stale.  ``coupling`` is the
+    table ``C(nu, nu')`` contracted over the Bohr pair map:
+    ``diag(gamma)``, the overlap table ``G`` or the node-sum table ``K``.
     """
 
     kind: str  # "davies" | "localised"
@@ -116,7 +124,9 @@ class GeneratorBundle:
     model: Model
     weight: WeightFunction
     sigma: float | None
-    superoperator: np.ndarray
+    system: EigenSystem
+    sandwich: np.ndarray
+    eigen_drift: np.ndarray
     coupling: np.ndarray
     coherent_matrix: np.ndarray
     effective_drift: np.ndarray
@@ -128,6 +138,14 @@ class GeneratorBundle:
         return self.model.dim
 
     @cached_property
+    def superoperator(self) -> np.ndarray:
+        """The generator in the original basis (rotated on first read)."""
+        superop = _rotate_superop(self.system, self.sandwich)
+        _add_drift(superop, self.effective_drift)
+        superop.flags.writeable = False
+        return superop
+
+    @cached_property
     def propagator(self) -> Propagator:
         """Step exponentials of this generator, shared by every evolution
         function called on the bundle (``dataclasses.replace`` starts a new
@@ -137,6 +155,17 @@ class GeneratorBundle:
     def apply(self, operator: np.ndarray) -> np.ndarray:
         """Act on an operator: ``L(T)``."""
         return generator_action(self.superoperator, operator)
+
+    def eigen_action(self, operators: np.ndarray) -> np.ndarray:
+        """``L_eig`` on a stack ``(n, d, d)`` of eigenbasis operators: one
+        ``(d^2, n)`` product with the sandwich plus ``Y_eig^dag T + T Y_eig``."""
+        ts = np.asarray(operators, dtype=np.complex128)
+        n, d = ts.shape[0], self.dim
+        # vec(T) is T^T read in row order, and each image is read back the same way.
+        columns = ts.transpose(0, 2, 1).reshape(n, d * d)
+        images = (self.sandwich @ columns.T).T.reshape(n, d, d).transpose(0, 2, 1)
+        y = self.eigen_drift
+        return images + dagger(y) @ ts + ts @ y
 
 
 def generator_action(superoperator: np.ndarray, operator: np.ndarray) -> np.ndarray:
@@ -240,22 +269,28 @@ def _bundle(
     b_mat: np.ndarray,
     diag: dict,
 ) -> GeneratorBundle:
-    """The assembly tail shared by both families: the sandwich of
-    ``coupling`` rotated to the original basis plus ``T -> Y^dag T + T Y``
-    with the effective drift ``Y = i(P + B) - M/2``."""
+    """The assembly tail shared by both families: the eigenbasis sandwich of
+    ``coupling`` and the effective drift ``Y = i(P + B) - M/2`` in both bases.
+
+    ``Y_eig = i(diag(E) + U^dag B U) - M_eig/2`` is built from its pieces, not
+    rotated from ``Y``: ``U^dag P U`` would carry the Hamiltonian's roundoff
+    (1.5e-13 in the torus12 trace functional, against 5.6e-17).
+    """
     idx = spectrum.pair_index
-    m_kernel = system.from_eigenbasis(_pair_sum(jumps_eig, coupling, idx))
-    drift = 1j * (model.hamiltonian + b_mat) - 0.5 * m_kernel
-    superop = _rotate_superop(system, _bohr_sum_dissipator(jumps_eig, coupling, idx))
-    _add_drift(superop, drift)
-    superop.flags.writeable = False
+    m_eig = _pair_sum(jumps_eig, coupling, idx)
+    drift = 1j * (model.hamiltonian + b_mat) - 0.5 * system.from_eigenbasis(m_eig)
+    eigen_drift = 1j * (np.diag(system.eigenvalues) + system.to_eigenbasis(b_mat)) - 0.5 * m_eig
+    sandwich = _bohr_sum_dissipator(jumps_eig, coupling, idx)
+    sandwich.flags.writeable = False
     return GeneratorBundle(
         kind=kind,
         assembly_path=path,
         model=model,
         weight=weight,
         sigma=sigma,
-        superoperator=superop,
+        system=system,
+        sandwich=sandwich,
+        eigen_drift=eigen_drift,
         coupling=coupling,
         coherent_matrix=b_mat,
         effective_drift=drift,
@@ -448,15 +483,32 @@ def localised_generator(
 
 def stationarity_report(bundle: GeneratorBundle) -> float:
     """``||L(rho)||_F / ||rho||_F`` on the normalised Gibbs density ``rho``
-    of the bundle's model."""
-    rho = gibbs_state(bundle.model)
-    return float(np.linalg.norm(bundle.apply(rho))) / float(np.linalg.norm(rho))
+    of the bundle's model.
+
+    Measured in the eigenbasis, where ``rho = diag(p)``,
+    ``p = e^{-(E - E_0)} / Z``: the sandwich reads only the ``d`` columns of
+    the nonzero entries of ``vec(rho)``.
+    """
+    energies = bundle.system.eigenvalues
+    p = np.exp(-(energies - energies[0]))
+    p /= p.sum()
+    d = bundle.dim
+    image = devectorize(bundle.sandwich[:, :: d + 1] @ p, d)
+    y = bundle.eigen_drift
+    image += dagger(y) * p + p[:, None] * y
+    return float(np.linalg.norm(image)) / float(np.linalg.norm(p))
 
 
 def trace_functional_defect(bundle: GeneratorBundle) -> float:
-    """Norm of ``vec(I)^dag S`` -- zero for trace-preserving generators."""
+    """Norm of ``vec(I)^dag S`` -- zero for trace-preserving generators.
+
+    ``vec(I)`` is invariant under the rotation, so this is read in the
+    eigenbasis: the sum of the sandwich's rows at the ``d`` diagonal entries
+    plus the drift's ``tr((Y^dag + Y) T)``, which is ``vec((Y + Y^dag)^T)``.
+    """
     d = bundle.dim
-    left = vectorize(np.eye(d)).conj() @ bundle.superoperator
+    y = bundle.eigen_drift
+    left = bundle.sandwich[:: d + 1].sum(axis=0) + vectorize((y + dagger(y)).T)
     return float(np.linalg.norm(left))
 
 
@@ -464,19 +516,19 @@ def hermiticity_preservation_defect(bundle: GeneratorBundle, seed: int = 0) -> f
     """Worst ``||L(T^dag) - L(T)^dag||_F / ||T||_F`` over ten seeded random
     operators.
 
-    The superoperator is read once: its product with the twenty column-
-    stacked operators ``T^dag`` and ``T`` is one matrix product.
+    The operators are drawn in the original basis and rotated into the
+    eigenbasis, where the twenty operators ``T^dag`` and ``T`` go through
+    one stacked :meth:`GeneratorBundle.eigen_action`; the Frobenius norms
+    are unchanged by the rotation.
     """
     rng = np.random.default_rng(seed)
     d = bundle.dim
     ts = np.stack([rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(10)])
-    # vec(T^dag) is conj(T) read in row order; vec(T) is T^T read in row order.
-    columns = np.concatenate([ts.conj(), ts.transpose(0, 2, 1)]).reshape(20, d * d)
-    images = (bundle.superoperator @ columns.T).T.reshape(20, d, d)
-    # Row-order reads of the column-stacked images: images[k] is L(.)^T, so
-    # L(T^dag) is images[k]^T and L(T)^dag is conj(images[10 + k]).
-    lhs = images[:10].transpose(0, 2, 1)
-    rhs = images[10:].conj()
+    u = bundle.system.eigenvectors
+    ts_eig = dagger(u) @ ts @ u
+    images = bundle.eigen_action(np.concatenate([ts_eig.conj().transpose(0, 2, 1), ts_eig]))
+    lhs = images[:10]
+    rhs = images[10:].conj().transpose(0, 2, 1)
     return float(np.max(np.linalg.norm(lhs - rhs, axis=(1, 2)) / np.linalg.norm(ts, axis=(1, 2))))
 
 
@@ -518,7 +570,9 @@ def davies_limit_report(model: Model, phi, sigmas, *, seed: int = 2024) -> dict:
     factor ``pi`` is the squared filter mass; without it the limit would not
     close).  Each row holds the rung's ``sweep-sigma`` columns:
     ``davies_distance_p1``, the largest trace norm of the action difference
-    over five seeded unit-Frobenius Hermitian test operators; the norm
+    over five seeded unit-Frobenius Hermitian test operators (rotated into
+    the eigenbasis once; both generators act there, on the model's one
+    eigenbasis, and the trace norm is unitarily invariant); the norm
     ``coherent_norm_B`` of the coherent matrix; the time-kernel mass
     ``b1_l1``; and ``stationarity_residual``.  It also carries the rung's
     overlap cross-check defect, QUADPACK evaluation count and smoothing rule.
@@ -536,13 +590,15 @@ def davies_limit_report(model: Model, phi, sigmas, *, seed: int = 2024) -> dict:
         test_ops.append(t / np.linalg.norm(t))
 
     limit_bundle = davies_generator(model, delocalised_limit_gamma(phi))
+    u = limit_bundle.system.eigenvectors
+    ops_eig = dagger(u) @ np.stack(test_ops) @ u
+    limit_images = limit_bundle.eigen_action(ops_eig)
     rows = []
     for s in sigmas:
         w = balanced_gamma(phi, float(s))
         bundle = localised_generator(model, w, float(s))
-        distances = [
-            schatten_norm(bundle.apply(t) - limit_bundle.apply(t), 1.0) for t in test_ops
-        ]
+        images = bundle.eigen_action(ops_eig)
+        distances = [schatten_norm(a - b, 1.0) for a, b in zip(images, limit_images)]
         rows.append(
             {
                 "sigma": float(s),

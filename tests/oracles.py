@@ -36,6 +36,13 @@ row-major order and transposes it into column-stacked layout, and
 ``overlap_tables_unfloored`` and ``node_sum_gram_unfloored`` keep the
 entries below the underflow floor that the package zeroes.
 
+``parent_tail`` also keeps the package's arithmetic: it is the assembly
+tail done eagerly (the sandwich rotated to the original basis, then
+``Y^dag T + T Y`` added), which the bundle's lazily rotated superoperator
+must reproduce byte for byte.  ``davies_limit_rows_original_basis``
+recomputes the delocalisation report's distances with the original-basis
+superoperators and trace norms through singular values.
+
 One helper is a fault, not a reference: ``sign_flipped_bundle`` reassembles
 a filtered bundle with the off-diagonal signs of its coupling table flipped,
 for the tests that show the standing checks catch it.
@@ -234,6 +241,57 @@ def dissipator_superop(bundle) -> np.ndarray:
     h = bundle.model.hamiltonian + bundle.coherent_matrix
     commutator = superoperator_by_columns(lambda t: -1j * (h @ t - t @ h), bundle.dim)
     return np.asarray(bundle.superoperator) - commutator
+
+
+def parent_tail(bundle) -> tuple[np.ndarray, np.ndarray]:
+    """``(superoperator, effective_drift)`` of ``bundle`` assembled eagerly in
+    the original basis: the drift ``Y = i(P + B) - M/2`` with ``M`` rotated
+    out of the eigenbasis, the eigenbasis sandwich of the bundle's coupling
+    table rotated, then ``Y^dag T + T Y`` added in place.  The eigensystem
+    and the eigenbasis jumps are recomputed from the model."""
+    from gibbslab.generators import _add_drift, _bohr_sum_dissipator, _pair_sum, _rotate_superop
+
+    system = bundle.model.eigensystem()
+    jumps_eig = [system.to_eigenbasis(a) for a in bundle.model.jumps]
+    idx = bundle.spectrum.pair_index
+    m_kernel = system.from_eigenbasis(_pair_sum(jumps_eig, bundle.coupling, idx))
+    drift = 1j * (bundle.model.hamiltonian + bundle.coherent_matrix) - 0.5 * m_kernel
+    superop = _rotate_superop(system, _bohr_sum_dissipator(jumps_eig, bundle.coupling, idx))
+    _add_drift(superop, drift)
+    return superop, drift
+
+
+def davies_limit_rows_original_basis(model, phi, sigmas, seed: int) -> list[dict]:
+    """``davies_distance_p1`` and ``stationarity_residual`` per bandwidth,
+    from the original-basis superoperators of the filtered generators and of
+    the delocalised limit: the same five seeded unit-Frobenius Hermitian test
+    operators, applied by column-stacked products, the largest trace norm of
+    the difference through singular values, and the residual on the Gibbs
+    density of ``gibbs_expm``."""
+    from gibbslab.generators import davies_generator, localised_generator
+    from gibbslab.weights import balanced_gamma, delocalised_limit_gamma
+
+    rng = np.random.default_rng(seed)
+    d = model.dim
+    test_ops = []
+    for _ in range(5):
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        t = 0.5 * (z + z.conj().T)
+        test_ops.append(t / np.linalg.norm(t))
+    limit = davies_generator(model, delocalised_limit_gamma(phi)).superoperator
+    rho = gibbs_expm(model.hamiltonian)
+    rows = []
+    for s in sigmas:
+        superop = localised_generator(model, balanced_gamma(phi, float(s)), float(s)).superoperator
+        distances = [
+            2.0 * trace_distance(
+                unvec_column(superop @ vec_column(t), d), unvec_column(limit @ vec_column(t), d)
+            )
+            for t in test_ops
+        ]
+        residual = np.linalg.norm(superop @ vec_column(rho)) / np.linalg.norm(rho)
+        rows.append({"davies_distance_p1": max(distances), "stationarity_residual": float(residual)})
+    return rows
 
 
 def sign_flipped_bundle(bundle):

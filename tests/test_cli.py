@@ -196,6 +196,79 @@ def test_verify_report_times_each_check(tmp_path):
     }
 
 
+def test_export_bundle_is_timed_as_its_own_stage(tmp_path):
+    config = write_config(tmp_path, qubit_config())
+    report_path = tmp_path / "r.json"
+    code = main([
+        "verify-stationarity", "--config", config, "--report", str(report_path),
+        "--export-bundle", str(tmp_path / "bundle.json"),
+    ])
+    assert code == EXIT_OK
+    report = json.loads(report_path.read_text())
+    stages = report["timing"]["stages"]
+    assert set(stages) == {"build_s", "export_bundle_s"} | {
+        f"{check['name']}_s" for check in report["checks"]
+    }
+    assert stages["export_bundle_s"] >= 0.0
+
+
+@pytest.fixture
+def rotations(monkeypatch):
+    """Counts the rotations of a superoperator to the original basis."""
+    calls = []
+    original = gibbslab.generators._rotate_superop
+
+    def counting(*args):
+        calls.append(args[0].dim)
+        return original(*args)
+
+    monkeypatch.setattr(gibbslab.generators, "_rotate_superop", counting)
+    return calls
+
+
+LINE16 = {"name": "line", "n_grid": 16}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("verify-stationarity", {"model": LINE16}),
+        (
+            "verify-stationarity",
+            {"model": LINE16, "generator": {"kind": "localised", "path": "omega_quadrature"}},
+        ),
+        ("sweep-sigma", {"model": LINE16, "run": {"sigma_sweep": [0.5]}}),
+    ],
+    ids=["verify", "verify-omega-quadrature", "sweep-one-rung"],
+)
+def test_checks_never_rotate_the_generator(tmp_path, rotations, command, payload):
+    """The checks and the delocalisation report act in the eigenbasis: no
+    build is rotated to the original basis unless its superoperator is read."""
+    config = write_config(tmp_path, {"schema_version": SCHEMA_VERSION, **payload})
+    argv = [command, "--config", config, "--report", str(tmp_path / "r.json")]
+    if command == "sweep-sigma":
+        argv += ["--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == EXIT_OK
+    assert rotations == []
+
+
+def test_evolve_rotates_the_generator_once(tmp_path, rotations):
+    payload = {"schema_version": SCHEMA_VERSION, "model": {"name": "oscillator", "dim": 6}}
+    config = write_config(tmp_path, payload)
+    argv = ["evolve", "--config", config, "--report", str(tmp_path / "r.json"),
+            "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == EXIT_OK
+    assert rotations == [6]
+
+
+def test_superoperator_is_rotated_on_first_read_only(rotations):
+    bundle = localised_generator(model_from_config(LINE16), balanced_gamma("gaussian", 1.0), 1.0)
+    assert rotations == []
+    first = bundle.superoperator
+    assert bundle.superoperator is first
+    assert rotations == [16]
+
+
 def test_verify_reports_the_cross_check_cost(tmp_path):
     config = write_config(tmp_path, qubit_config())
     report_path = tmp_path / "r.json"

@@ -296,14 +296,14 @@ def test_generated_channels_are_completely_positive(dense_bundle, davies_battery
         assert choi_trace_preservation_defect(dense_bundle, t) < 1e-10
     qubit_davies = davies_battery[("qubit", "glauber")]
     report = choi_report(qubit_davies, 1.0)
-    assert report["status"] == "ok"
+    assert set(report) == {"time", "min_eigenvalue", "trace_preservation_defect"}
     assert report["min_eigenvalue"] > -1e-8
+    assert report["trace_preservation_defect"] < 1e-10
 
 
 def test_sign_fault_breaks_complete_positivity(corrupt_bundle):
     assert choi_min_eigenvalue(corrupt_bundle, 0.1) < -1e-3
-    with pytest.raises(ValidationError):
-        choi_report(corrupt_bundle, 1.0)
+    assert choi_report(corrupt_bundle, 1.0)["min_eigenvalue"] < -1e-6
 
 
 def test_choi_analysis_rejects_large_dimensions():

@@ -47,6 +47,7 @@ from gibbslab.models import (
     qubit_model,
     random_model,
     schrodinger_line_model,
+    torus_model,
 )
 from gibbslab.oft import overlap_table
 from gibbslab.operator_core import EigenSystem
@@ -322,6 +323,27 @@ def test_underflow_floor_leaves_the_superoperator_bit_identical(line24):
     assert unfloored.effective_drift.tobytes() == bundle.effective_drift.tobytes()
 
 
+_TAIL_MODELS = {
+    "qubit": qubit_model,
+    "oscillator6": lambda: oscillator_model(6),
+    "random4": lambda: random_model(dim=4, seed=5, spectrum=(1.0, 1.7, 3.1, 4.6)),
+    "torus12": lambda: torus_model(12),
+    "line16": lambda: schrodinger_line_model(16),
+    "line24": lambda: schrodinger_line_model(24),
+}
+
+
+@pytest.mark.parametrize("phi", ["gaussian", "sech"])
+@pytest.mark.parametrize("model_name", sorted(_TAIL_MODELS))
+def test_lazy_superoperator_is_the_eager_tail_bit_for_bit(model_name, phi):
+    """The superoperator rotated on first read, and the original-basis
+    drift, are the eagerly assembled ones byte for byte."""
+    bundle = localised_generator(_TAIL_MODELS[model_name](), balanced_gamma(phi, 1.0), 1.0)
+    superop, drift = oracles.parent_tail(bundle)
+    assert bundle.superoperator.tobytes() == superop.tobytes()
+    assert bundle.effective_drift.tobytes() == drift.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Stationarity
 # ---------------------------------------------------------------------------
@@ -344,6 +366,29 @@ def test_unshifted_weight_is_a_working_negative_control():
     weight = unshifted_gamma("gaussian", 1.0)
     bundle = localised_generator(model, weight, 1.0)
     assert stationarity_report(bundle) > 1e-4
+
+
+@pytest.mark.parametrize(
+    "model",
+    [random_model(dim=4, seed=5, spectrum=(1.0, 1.7, 3.1, 4.6)), schrodinger_line_model(16)],
+    ids=["random4", "line16"],
+)
+def test_eigenbasis_stationarity_keeps_its_bite(model):
+    """On the unshifted control and on the sign-flipped coupling table the
+    eigenbasis residual fails the filtered tolerance (1e-9), clears the
+    negative-control floor (1e-4) and is the original-basis residual."""
+    rho = gibbs_state(model)
+    clean = localised_generator(model, balanced_gamma("gaussian", 1.0), 1.0)
+    faults = {
+        "unshifted": localised_generator(model, unshifted_gamma("gaussian", 1.0), 1.0),
+        "sign_flipped": oracles.sign_flipped_bundle(clean),
+    }
+    assert stationarity_report(clean) < 1e-9
+    for name, bundle in faults.items():
+        residual = stationarity_report(bundle)
+        original = np.linalg.norm(bundle.apply(rho)) / np.linalg.norm(rho)
+        assert residual > 1e-4, name
+        assert residual == pytest.approx(original, rel=1e-10), name
 
 
 def test_gibbs_action_matches_componentwise_identity(dense_bundle):
@@ -369,11 +414,12 @@ def test_trace_functional_is_annihilated(dense_bundle, davies_battery):
 
 def test_hermiticity_preservation(dense_bundle):
     assert hermiticity_preservation_defect(dense_bundle) < 1e-12
-    # On a superoperator that breaks Hermiticity, the one stacked product
-    # reads the same seeded operators as one product per operator.
+    # On a sandwich that breaks Hermiticity, the one stacked product in the
+    # eigenbasis reads the same seeded operators as one product per operator
+    # with the original-basis superoperator.
     rng = np.random.default_rng(9)
-    noise = rng.normal(size=dense_bundle.superoperator.shape) * (1.0 + 1j)
-    broken = dataclasses.replace(dense_bundle, superoperator=dense_bundle.superoperator + noise)
+    noise = rng.normal(size=dense_bundle.sandwich.shape) * (1.0 + 1j)
+    broken = dataclasses.replace(dense_bundle, sandwich=dense_bundle.sandwich + noise)
     for seed in (0, 7):
         want = oracles.hermiticity_defect_loop(broken.superoperator, seed)
         assert want > 1e-2
@@ -479,6 +525,20 @@ def test_davies_limit_report_converges(dense_model):
     assert all(b < a for a, b in zip(coherent_norms[:-1], coherent_norms[1:]))
     for row in rows:
         assert row["stationarity_residual"] < 1e-9
+
+
+@pytest.mark.parametrize(
+    "model",
+    [random_model(dim=4, seed=5, spectrum=(1.0, 1.7, 3.1, 4.6)), schrodinger_line_model(16)],
+    ids=["random4", "line16"],
+)
+def test_davies_limit_report_matches_the_original_basis(model):
+    sigmas = (1.0, 0.5, 0.25)
+    rows = davies_limit_report(model, "gaussian", sigmas, seed=11)["rows"]
+    want = oracles.davies_limit_rows_original_basis(model, "gaussian", sigmas, seed=11)
+    for row, ref in zip(rows, want, strict=True):
+        assert row["davies_distance_p1"] == pytest.approx(ref["davies_distance_p1"], rel=1e-12)
+        assert abs(row["stationarity_residual"] - ref["stationarity_residual"]) <= 1e-12
 
 
 def test_coherent_norm_halving_envelope():
