@@ -29,7 +29,8 @@ produce identical bytes (modulo the version metadata line).  Exit codes:
 0 all checks passed, 1 at least one check failed, 2 usage or config
 error, 3 (selftest with ``--tighten``) only the expected tightened checks
 failed, 4 a numerical guard fired (an overlap table disagreed with its
-QUADPACK cross-check), 5 the program crashed (any other exception; the
+batched Gauss-Legendre cross-check, or that quadrature failed), 5 the
+program crashed (any other exception; the
 traceback goes to stderr).
 """
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 import argparse
 import base64
 import dataclasses
+import functools
 import json
 import math
 import platform
@@ -909,7 +911,10 @@ def _load_config(path: str | None, command: str) -> dict:
     return normalised_config(raw, command)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: ``parse_args`` keeps no state
+    between calls, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="gibbslab",
         description="Numerical laboratory for Gibbs-stationary quantum Markov generators.",

@@ -575,7 +575,7 @@ def davies_limit_report(model: Model, phi, sigmas, *, seed: int = 2024) -> dict:
     eigenbasis, and the trace norm is unitarily invariant); the norm
     ``coherent_norm_B`` of the coherent matrix; the time-kernel mass
     ``b1_l1``; and ``stationarity_residual``.  It also carries the rung's
-    overlap cross-check defect, QUADPACK evaluation count and smoothing rule.
+    overlap cross-check defect, integrand node count and smoothing rule.
     """
     # Looked up at call time, so a wrapper installed on the weights module
     # (the benchmark's layer tracer) sees these calls.

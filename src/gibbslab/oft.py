@@ -53,6 +53,7 @@ from .weights import (
     WINDOW_RADIUS,
     GaussianFilter,
     WeightFunction,
+    _gauss_legendre,
     _require_bandwidth,
     coherent_difference_factor,
     smoothed_weight_table,
@@ -78,6 +79,15 @@ _UNDERFLOW_FLOOR = math.sqrt(np.finfo(float).tiny)
 # construction time (a standing regression check).
 _CROSS_CHECK_SAMPLES = 12
 _CROSS_CHECK_TOL = 1e-8
+
+# Stopping rule of that quadrature: an entry is done when its estimated
+# error is below this fraction of its value, or below the absolute floor.
+_QUADRATURE_RTOL = 1e-13
+_QUADRATURE_ATOL = 1e-300
+# Most panels one table's quadrature may evaluate, over all its passes (the
+# library profiles on qubit to line32 at sigma 0.001 to 3 need at most 229):
+# at 48 nodes a panel, no temporary of a pass exceeds 384 KiB.
+_QUADRATURE_PANEL_CAP = 1024
 
 
 def oft_eval(source: BohrDecomposition, omega: float, sigma: float) -> np.ndarray:
@@ -108,8 +118,8 @@ class OverlapTable:
             entries against direct definitional quadrature (recorded at
             construction).
         cross_check_entries: number of entries re-derived by that quadrature.
-        cross_check_evaluations: integrand evaluations it spent on them (the
-            sum of QUADPACK's ``neval``).
+        cross_check_evaluations: integrand nodes it evaluated for them, over
+            all passes of the batched rule (48 per panel).
         dropped_entries: entries of ``values`` left at zero by the exponent
             cap or the underflow floor.
     """
@@ -152,85 +162,132 @@ def _drop_underflow(table: np.ndarray) -> None:
     table[magnitude < floor] = 0.0
 
 
-def _definitional_entry(
-    nu: float,
-    nu_prime: float,
+def _definitional_entries(
+    pairs: list[tuple[float, float]],
     weight: WeightFunction,
     sigma: float,
-) -> tuple[float, int]:
-    """One coupling by direct adaptive quadrature of the definition.
+) -> tuple[np.ndarray, int]:
+    """Couplings ``G(nu, nu')`` of ``pairs`` by direct adaptive quadrature of
+    the definition, all entries integrated together.
 
-    Uses QUADPACK (a different algorithm and code path from the table's
-    closed-form, Gauss-Hermite or panel evaluation of ``H``, which it never
-    reads), on a window wide enough to hold both
-    the filter pair's hull and the weight's own body -- tilted weights can
-    pull the product's mass well outside the filter hull.  The integrand is
-    the weight times the two frequency profiles, each written from its
-    formula ``(sqrt(pi)/sigma)^{1/2} e^{-x^2/(2 sigma^2)}``.  The weight is
-    read through its plain-float form ``weight.scalar`` when it has one
-    (library profiles; it agrees with the vectorised weight to a few ulps
-    at some 40 times less cost per call), else through ``float(weight(w))``,
-    so user profiles are cross-checked too.  The integrand is
-    integrated over ``u = w - mid`` with ``mid = (nu + nu')/2``, so the
-    profile arguments ``u - (nu - mid)`` carry no rounding from ``|w|``
-    (at ``sigma = 0.001`` and ``|nu| = 60`` that rounding alone costs about
-    3e-12 relative).
+    The rule is a batched, vectorised adaptive Gauss-Legendre quadrature, a
+    different algorithm and code path from the table's closed-form,
+    Gauss-Hermite or panel evaluation of ``H``, which it never reads.  The
+    integrand is the weight times the two frequency profiles, each written
+    from its formula ``(sqrt(pi)/sigma)^{1/2} e^{-x^2/(2 sigma^2)}``, on a
+    window wide enough to hold both the filter pair's hull and the weight's
+    own body -- tilted weights can pull the product's mass well outside the
+    filter hull.  Each entry is integrated over ``u = w - mid`` with
+    ``mid = (nu + nu')/2``, so the profile arguments ``u - (nu - mid)``
+    carry no rounding from ``|w|`` (at ``sigma = 0.001`` and ``|nu| = 60``
+    that rounding alone costs about 3e-12 relative).
 
-    Anchor rule: the window is split at the two frequencies, the origin, the
-    weight's breakpoints, ``mid`` and at ``mid +- k sigma`` for ``k`` in 1,
-    2, 4 and ``WINDOW_RADIUS``.  The filter product is a Gaussian of
-    width ``sigma/sqrt(2)`` about ``mid``, so QUADPACK's first subdivision
-    already lays intervals of width ``sigma`` to ``4 sigma`` over the peak
-    at every bandwidth: a peak far narrower than the window cannot fall
-    between the 21 Kronrod nodes of one wide interval, and wide bandwidths
-    need fewer bisections.
+    Anchor rule: each window is split at the two frequencies, the origin,
+    the weight's breakpoints, ``mid`` and at ``mid +- k sigma`` for ``k`` in
+    1, 2, 4 and ``WINDOW_RADIUS``, with anchors closer than ``1e-6 sigma``
+    merged.  The filter product is a Gaussian of width ``sigma/sqrt(2)``
+    about ``mid``, so the first panels already have widths ``sigma`` to
+    ``4 sigma`` over the peak at every bandwidth: a peak far narrower than
+    the window cannot fall between the nodes of one wide panel.
 
-    Returns the value and the number of integrand evaluations QUADPACK made.
+    Every entry's panels are stacked, and each pass calls the vectorised
+    weight once, on the ``PANEL_ORDER``-point rule over every new panel and
+    over each of its halves.  A panel's value is the sum over its halves and
+    its error ``|whole - halves|``.  An entry is done when its summed error
+    is at most ``_QUADRATURE_RTOL`` of its integral (or below
+    ``_QUADRATURE_ATOL``, for integrals lost to underflow); within an
+    unfinished entry, the panels whose error exceeds their equal share of
+    that budget are bisected.  More than ``_QUADRATURE_PANEL_CAP`` panels
+    evaluated in all, or a non-finite integrand, raises
+    :class:`NumericalGuardError`.
+
+    Returns the values and the number of integrand evaluations spent.
     """
-    from scipy.integrate import quad
+    x_ref, w_ref = _gauss_legendre()
+    # Nodes in units of a panel's half-width about its centre, and the two
+    # rules on them as columns: over the whole panel, and over its halves.
+    nodes = np.concatenate([x_ref, 0.5 * (x_ref - 1.0), 0.5 * (x_ref + 1.0)])
+    zeros = np.zeros_like(w_ref)
+    rules = np.column_stack(
+        [np.concatenate([w_ref, zeros, zeros]), np.concatenate([zeros, 0.5 * w_ref, 0.5 * w_ref])]
+    )
 
     amplitude = math.sqrt(math.pi) / sigma  # product of the two profile prefactors
     inv_two_var = 0.5 / (sigma * sigma)
-    mid = 0.5 * (nu + nu_prime)
-    offset, offset_prime = nu - mid, nu_prime - mid
-    gamma = weight.scalar
-    if gamma is None:
-        gamma = lambda w: float(weight(w))
-
-    def integrand(u: float) -> float:
-        a = u - offset
-        b = u - offset_prime
-        return gamma(mid + u) * amplitude * math.exp(-(a * a + b * b) * inv_two_var)
-
     pad = WINDOW_RADIUS * sigma + 60.0
-    lo = min(nu, nu_prime, 0.0) - pad - mid
-    hi = max(nu, nu_prime, 0.0) + pad - mid
-    anchors = {offset, offset_prime, 0.0, -mid}
-    for k in (1.0, 2.0, 4.0, WINDOW_RADIUS):
-        anchors.update((-k * sigma, k * sigma))
-    anchors.update(float(b) - mid for b in weight.breakpoints)
-    # Anchors that coincide up to rounding (nu and mid - 8 sigma when
-    # nu' = -nu = 4 sigma, say) would leave a sliver QUADPACK rejects as
-    # "extremely bad integrand behavior"; keep one of each such cluster.
-    points: list[float] = []
-    for a in sorted(a for a in anchors if lo < a < hi):
-        if not points or a - points[-1] > 1e-6 * sigma:
-            points.append(a)
-    value, _, info, *tail = quad(
-        integrand,
-        lo,
-        hi,
-        points=points,
-        limit=400,
-        epsabs=1e-300,
-        epsrel=1e-12,
-        full_output=True,
-    )
-    if tail:  # non-empty only when QUADPACK reports a failure message
-        raise NumericalGuardError(
-            f"definitional quadrature failed for pair ({nu:g}, {nu_prime:g}): {tail[0]}"
+    steps = [k * sigma for k in (1.0, 2.0, 4.0, WINDOW_RADIUS)]
+    mids, shift, shift_prime, owner, lower, upper = [], [], [], [], [], []
+    for entry, (nu, nu_prime) in enumerate(pairs):
+        mid = 0.5 * (nu + nu_prime)
+        offset, offset_prime = nu - mid, nu_prime - mid
+        lo = min(nu, nu_prime, 0.0) - pad - mid
+        hi = max(nu, nu_prime, 0.0) + pad - mid
+        anchors = {offset, offset_prime, 0.0, -mid, *steps, *(-k for k in steps)}
+        anchors.update(float(b) - mid for b in weight.breakpoints)
+        # Anchors that coincide up to rounding (nu and mid - 8 sigma when
+        # nu' = -nu = 4 sigma, say) would leave a sliver panel; keep one of
+        # each such cluster.
+        edges = [lo]
+        for a in sorted(a for a in anchors if lo < a < hi):
+            if a - edges[-1] > 1e-6 * sigma:
+                edges.append(a)
+        edges.append(hi)
+        mids.append(mid)
+        shift.append(offset)
+        shift_prime.append(offset_prime)
+        owner += [entry] * (len(edges) - 1)
+        lower += edges[:-1]
+        upper += edges[1:]
+    mids, shift, shift_prime = np.array(mids), np.array(shift), np.array(shift_prime)
+    n = len(pairs)
+
+    def evaluate(owner, lower, upper):
+        """Each panel's value (over its halves) and error ``|whole - halves|``."""
+        half = 0.5 * (upper - lower)
+        u = 0.5 * (lower + upper)[:, None] + half[:, None] * nodes
+        a = u - shift[owner, None]
+        b = u - shift_prime[owner, None]
+        f = weight(mids[owner, None] + u) * np.exp(-(a * a + b * b) * inv_two_var)
+        whole, halves = ((amplitude * half)[:, None] * (f @ rules)).T
+        return halves, np.abs(whole - halves)
+
+    def failure(entry, reason):
+        nu, nu_prime = pairs[entry]
+        return NumericalGuardError(
+            f"definitional quadrature failed for pair ({nu:g}, {nu_prime:g}): {reason}"
         )
-    return float(value), int(info["neval"])
+
+    owner, lower, upper = np.array(owner, dtype=np.intp), np.array(lower), np.array(upper)
+    value, error = evaluate(owner, lower, upper)
+    panels = owner.size
+    while True:
+        total = np.bincount(owner, value, minlength=n)
+        spread = np.bincount(owner, error, minlength=n)
+        broken = ~np.isfinite(total + spread)
+        if broken.any():
+            raise failure(int(np.argmax(broken)), "the integrand is not finite")
+        budget = np.maximum(_QUADRATURE_RTOL * np.abs(total), _QUADRATURE_ATOL)
+        unfinished = spread > budget
+        if not unfinished.any():
+            return total, panels * nodes.size
+        share = budget / np.bincount(owner, minlength=n)
+        split = unfinished[owner] & (error > share[owner])
+        panels += 2 * int(np.count_nonzero(split))
+        if panels > _QUADRATURE_PANEL_CAP:
+            raise failure(
+                int(np.argmax(unfinished)), f"more than {_QUADRATURE_PANEL_CAP} panels needed"
+            )
+        centre = 0.5 * (lower[split] + upper[split])
+        child_owner = np.repeat(owner[split], 2)
+        child_lower = np.column_stack([lower[split], centre]).ravel()
+        child_upper = np.column_stack([centre, upper[split]]).ravel()
+        child_value, child_error = evaluate(child_owner, child_lower, child_upper)
+        keep = ~split
+        owner = np.concatenate([owner[keep], child_owner])
+        lower = np.concatenate([lower[keep], child_lower])
+        upper = np.concatenate([upper[keep], child_upper])
+        value = np.concatenate([value[keep], child_value])
+        error = np.concatenate([error[keep], child_error])
 
 
 def overlap_table(
@@ -252,13 +309,13 @@ def overlap_table(
     of two entries underflows in the kernels that read them; the number of
     overlap entries left at zero is recorded as ``dropped_entries``.  A
     deterministic sample of overlap entries (extreme and central pairs) is
-    re-derived by direct definitional quadrature;
-    disagreement beyond ``1e-8`` relative, or a QUADPACK failure on one of
-    them, raises :class:`NumericalGuardError`, signalling a regression in
-    either path.  Bandwidths above ``MAX_BANDWIDTH``, where the
-    Gauss-Hermite rule no longer resolves the weight, raise
-    :class:`ValidationError`.  The table records which rule smoothed the
-    weight as ``smoothing_rule``.
+    re-derived together by direct definitional quadrature
+    (:func:`_definitional_entries`); disagreement beyond ``1e-8`` relative,
+    or a failure of that quadrature, raises :class:`NumericalGuardError`,
+    signalling a regression in either path.  Bandwidths above
+    ``MAX_BANDWIDTH``, where the Gauss-Hermite rule no longer resolves the
+    weight, raise :class:`ValidationError`.  The table records which rule
+    smoothed the weight as ``smoothing_rule``.
     """
     _require_bandwidth(sigma)
     if sigma > MAX_BANDWIDTH:
@@ -324,9 +381,11 @@ def overlap_table(
         )
         pairs = {divmod(int(order[t]), m) for t in take}
         pairs |= {(i, i) for i in (0, m // 2, m - 1)}
-        for i, j in sorted(pairs):
-            direct, neval = _definitional_entry(float(freqs[i]), float(freqs[j]), weight, sigma)
-            evaluations += neval
+        pairs = sorted(pairs)
+        directs, evaluations = _definitional_entries(
+            [(float(freqs[i]), float(freqs[j])) for i, j in pairs], weight, sigma
+        )
+        for (i, j), direct in zip(pairs, directs):
             scale = max(abs(values[i, j]), abs(direct), 1e-300)
             rel = abs(values[i, j] - direct) / scale
             if max(abs(direct), abs(values[i, j])) < max(vmax, 1e-300) * 1e-30:

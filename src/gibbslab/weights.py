@@ -26,16 +26,6 @@ This module owns every scalar ingredient of the generator assembly:
     filtered generator's diagonal coupling actually converges to as
     ``sigma -> 0`` (the factor ``pi`` is exactly the squared filter mass).
 
-  The balanced and unshifted weights of a library profile also carry a
-  plain-float twin, ``WeightFunction.scalar``, written from the profile's
-  log formula (``PhiProfile.log_scalar``) with ``math.exp``.  It agrees with
-  the vectorised weight to a few ulps and costs about 0.4 us a call against
-  16 us; the QUADPACK cross-check of ``oft.overlap_table``, which calls the
-  weight once per integrand node, reads it.  Tables are built from the
-  vectorised weight only.  A user-supplied profile has no log formula, so
-  its weights have ``scalar=None`` and are cross-checked through the
-  vectorised call.
-
 * The Gaussian-smoothed weight
 
   .. math:: H(c) = \\int \\gamma(\\omega) e^{-(\\omega - c)^2/\\sigma^2}\\,d\\omega,
@@ -208,10 +198,6 @@ class WeightFunction:
     breakpoints:
         Points where ``gamma`` is continuous but not smooth; every quadrature
         in the package splits its panels there.
-    scalar:
-        The same ``gamma`` on one plain float, for callers that evaluate it
-        point by point (the QUADPACK cross-check), or ``None`` when there is
-        no scalar formula and those callers fall back to ``evaluate``.
     smoothed:
         The Gaussian smoothing ``(sigma, centers) -> H(centers)`` of this
         weight in closed form, which :func:`smoothed_weight_table` returns
@@ -223,7 +209,6 @@ class WeightFunction:
     sigma: float | None = None
     phi_name: str | None = None
     breakpoints: tuple[float, ...] = ()
-    scalar: Callable[[float], float] | None = None
     smoothed: Callable[[float, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, omega):
@@ -234,14 +219,11 @@ class WeightFunction:
 
 @dataclass(frozen=True)
 class PhiProfile:
-    """A named even profile ``phi >= 0`` with its non-smooth points, and
-    ``log_scalar``, the log of ``phi`` on one plain float (``None`` when no
-    such formula is known)."""
+    """A named even profile ``phi >= 0`` with its non-smooth points."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     breakpoints: tuple[float, ...] = ()
-    log_scalar: Callable[[float], float] | None = None
 
 
 def _phi_gaussian(x):
@@ -258,21 +240,10 @@ def _phi_exp_abs(x):
     return np.exp(-np.abs(x))
 
 
-_LOG_2 = math.log(2.0)
-
-
-def _log_phi_sech(x: float) -> float:
-    # log of 2 e^{-a} / (1 + e^{-2a}), a = |x|/2, as in _phi_sech.
-    a = abs(x) * 0.5
-    return _LOG_2 - a - math.log1p(math.exp(-2.0 * a))
-
-
 PHI_LIBRARY: dict[str, PhiProfile] = {
-    "gaussian": PhiProfile("gaussian", _phi_gaussian, log_scalar=lambda x: -x * x),
-    "sech": PhiProfile("sech", _phi_sech, log_scalar=_log_phi_sech),
-    "exp_abs": PhiProfile(
-        "exp_abs", _phi_exp_abs, breakpoints=(0.0,), log_scalar=lambda x: -abs(x)
-    ),
+    "gaussian": PhiProfile("gaussian", _phi_gaussian),
+    "sech": PhiProfile("sech", _phi_sech),
+    "exp_abs": PhiProfile("exp_abs", _phi_exp_abs, breakpoints=(0.0,)),
 }
 
 
@@ -378,15 +349,6 @@ def _shifted_profile_weight(profile: PhiProfile, shift: float) -> Callable:
     return evaluate
 
 
-def _shifted_profile_scalar(profile: PhiProfile, shift: float) -> Callable | None:
-    """Plain-float twin of :func:`_shifted_profile_weight`, in the same log
-    space: ``exp(-w/2 + log phi(w + shift))``."""
-    log_phi = profile.log_scalar
-    if log_phi is None:
-        return None
-    return lambda w: math.exp(-0.5 * w + log_phi(w + shift))
-
-
 def _gaussian_smoothed(profile: PhiProfile, shift: float) -> Callable | None:
     """Closed-form ``H`` of ``e^{-w/2} e^{-(w + shift)^2}``, or ``None`` for
     any profile other than the library gaussian.
@@ -413,8 +375,8 @@ def _gaussian_smoothed(profile: PhiProfile, shift: float) -> Callable | None:
 def _profile_weight(kind: str, phi, sigma: float | None, shift: float) -> WeightFunction:
     """The weight ``e^{-omega/2} phi(omega + shift)`` of a resolved and
     validated profile, built for bandwidth ``sigma`` (``None`` for none),
-    with its scalar twin, its closed-form smoothing where the profile has
-    one, and the profile's breakpoints moved by the shift."""
+    with its closed-form smoothing where the profile has one, and the
+    profile's breakpoints moved by the shift."""
     profile = resolve_phi(phi)
     _validate_phi(profile)
     return WeightFunction(
@@ -423,7 +385,6 @@ def _profile_weight(kind: str, phi, sigma: float | None, shift: float) -> Weight
         sigma=sigma,
         phi_name=profile.name,
         breakpoints=tuple(sorted(b - shift for b in profile.breakpoints)),
-        scalar=_shifted_profile_scalar(profile, shift),
         smoothed=_gaussian_smoothed(profile, shift),
     )
 
@@ -457,14 +418,13 @@ def delocalised_limit_gamma(phi) -> WeightFunction:
     -- the factor ``pi`` is the squared mass of the frequency profile under
     the printed normalisation.  The result satisfies detailed balance
     exactly, so it is a valid unfiltered-generator weight.  It is ``pi``
-    times the unshifted weight, bandwidth-free, with no scalar twin and no
-    closed-form smoothing.
+    times the unshifted weight, bandwidth-free, with no closed-form
+    smoothing.
     """
     base = _profile_weight("delocalised_limit", phi, None, 0.0)
     return replace(
         base,
         evaluate=lambda w: FILTER_SQUARED_MASS * base.evaluate(w),
-        scalar=None,
         smoothed=None,
     )
 

@@ -8,6 +8,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,9 +281,10 @@ def test_verify_reports_the_cross_check_cost(tmp_path):
     entries = diagnostics["overlap_cross_check_entries"]
     evaluations = diagnostics["overlap_cross_check_evaluations"]
     assert entries > 0 and evaluations > 0
-    # QUADPACK spends at most one 21-node Kronrod rule per subinterval, and
-    # each entry's integral is capped at 400 subintervals.
-    assert evaluations <= entries * 21 * 400
+    # The batched rule spends 48 nodes on each panel it evaluates, and
+    # evaluates at most its panel cap of them for the whole table.
+    assert evaluations <= 48 * gibbslab.oft._QUADRATURE_PANEL_CAP
+    assert evaluations % 48 == 0
     assert diagnostics["overlap_cross_check_defect"] <= 1e-8
     assert diagnostics["overlap_smoothing_rule"] == "closed_form"
 
@@ -497,6 +502,76 @@ def test_cross_check_failure_exits_four(tmp_path, monkeypatch, capsys):
     assert EXIT_NUMERICAL_GUARD == 4
     assert main(["verify-stationarity", "--config", config]) == EXIT_NUMERICAL_GUARD
     assert "definitional quadrature" in capsys.readouterr().err
+
+
+def test_main_parses_each_call_afresh(tmp_path, monkeypatch):
+    """The parser is built once, and consecutive calls with different
+    subcommands and flags each see only their own arguments."""
+    seen = []
+
+    def recorder(name):
+        def command(*args):
+            seen.append((name, vars(args[-1]).copy()))
+            return EXIT_OK
+
+        return command
+
+    for name in ("cmd_verify_stationarity", "cmd_sweep_sigma", "cmd_evolve", "cmd_selftest"):
+        monkeypatch.setattr(gibbslab.cli, name, recorder(name))
+    config = write_config(tmp_path, qubit_config())
+    verify = ["verify-stationarity", "--config", config]
+    calls = [
+        verify + ["--seed", "3", "--check", "trace_functional", "--negative-control"],
+        ["sweep-sigma", "--config", config, "--out", "table.csv"],
+        verify,
+        ["selftest", "--tighten", "10"],
+        ["selftest"],
+    ]
+    for argv in calls:
+        assert main(argv) == EXIT_OK
+    assert gibbslab.cli._build_parser() is gibbslab.cli._build_parser()
+    common = {"config": config, "seed": None, "report": None}
+    plain_verify = {
+        "command": "verify-stationarity",
+        **common,
+        "check": None,
+        "negative_control": False,
+        "export_bundle": None,
+    }
+    flagged_verify = {**plain_verify, "seed": 3, "check": "trace_functional", "negative_control": True}
+    plain_selftest = {"command": "selftest", "seed": None, "report": None, "tighten": None}
+    assert seen == [
+        ("cmd_verify_stationarity", flagged_verify),
+        ("cmd_sweep_sigma", {"command": "sweep-sigma", **common, "out": "table.csv"}),
+        ("cmd_verify_stationarity", plain_verify),
+        ("cmd_selftest", {**plain_selftest, "tighten": 10.0}),
+        ("cmd_selftest", plain_selftest),
+    ]
+
+
+def test_filtered_commands_leave_scipy_integrate_and_optimize_unloaded(tmp_path):
+    """A fresh interpreter runs ``verify-stationarity`` and ``sweep-sigma``
+    on the qubit without importing ``scipy.integrate`` or
+    ``scipy.optimize``: the cross-check is numpy-only."""
+    config = write_config(tmp_path, qubit_config())
+    report, table = str(tmp_path / "r.json"), str(tmp_path / "t.csv")
+    script = (
+        "import json, sys\n"
+        "from gibbslab.cli import main\n"
+        f"codes = [main(['verify-stationarity', '--config', {config!r}, '--report', {report!r}]),\n"
+        f"         main(['sweep-sigma', '--config', {config!r}, '--report', {report!r},\n"
+        f"               '--out', {table!r}])]\n"
+        "loaded = [m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules]\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
+    )
+    package_root = str(Path(gibbslab.cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"codes": [EXIT_OK, EXIT_OK], "loaded": []}
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ import math
 
 import numpy as np
 import pytest
-import scipy.integrate
 
 import gibbslab.oft
+import gibbslab.weights
 from gibbslab.bohr import bohr_spectrum, decompose
 from gibbslab.errors import NumericalGuardError, ValidationError
 from gibbslab.models import qubit_model, random_model, schrodinger_line_model, torus_model
@@ -66,13 +66,14 @@ def test_overlap_entries_match_quadpack(dense_table):
 )
 def test_cross_check_and_oracle_hold_at_small_bandwidth(model, sigma):
     """The filter product is far narrower than the quadrature window here;
-    both QUADPACK routes must still find its peak."""
+    both the batched cross-check and the QUADPACK oracle must still find
+    its peak."""
     spectrum = bohr_spectrum(model.eigensystem())
     weight = balanced_gamma("gaussian", sigma)
     table = overlap_table(spectrum, weight, sigma)
     assert table.cross_check_defect <= 1e-10
     assert table.cross_check_entries > 0
-    assert 0 < table.cross_check_evaluations <= table.cross_check_entries * 21 * 400
+    assert 0 < table.cross_check_evaluations <= 48 * gibbslab.oft._QUADRATURE_PANEL_CAP
     nus = spectrum.frequencies
     for i, j in zip(*np.nonzero(table.values)):
         want = oracles.overlap_entry_quad(nus[i], nus[j], sigma, weight)
@@ -134,35 +135,46 @@ def test_cross_check_can_be_skipped(dense_model):
 
 
 @pytest.mark.parametrize("phi", ["gaussian", "sech", "exp_abs"])
-def test_cross_check_reads_only_the_scalar_twin(dense_model, phi):
-    """With a library profile the cross-check calls the weight's plain-float
-    form, never the vectorised one: a cross-checked build makes exactly as
-    many vectorised calls as an unchecked one."""
+def test_cross_check_is_batched_and_never_reads_the_table_rule(dense_model, phi, monkeypatch):
+    """The cross-check integrates every sampled entry together: a checked
+    build makes at most one extra vectorised weight call per pass of the
+    batched rule (eight at most here), and never calls
+    ``smoothed_weight_table``, the rule the table itself is built by."""
     spectrum = bohr_spectrum(dense_model.eigensystem())
     weight = balanced_gamma(phi, 0.9)
-    calls = []
+    calls, smoothings = [], []
 
     def counting(w):
         calls.append(1)
         return weight.evaluate(w)
 
+    smooth = gibbslab.oft.smoothed_weight_table
+
+    def counting_smooth(*args, **kwargs):
+        smoothings.append(1)
+        return smooth(*args, **kwargs)
+
+    monkeypatch.setattr(gibbslab.oft, "smoothed_weight_table", counting_smooth)
+    monkeypatch.setattr(gibbslab.weights, "smoothed_weight_table", counting_smooth)
     counted = dataclasses.replace(weight, evaluate=counting)
     overlap_table(spectrum, counted, 0.9, cross_check=False)
     unchecked = len(calls)
+    assert smoothings == [1]
     calls.clear()
+    smoothings.clear()
     table = overlap_table(spectrum, counted, 0.9)
     assert table.cross_check_entries > 0
-    assert len(calls) == unchecked
+    assert 1 <= len(calls) - unchecked <= 8
+    assert smoothings == [1]
     rules = {"gaussian": "closed_form", "sech": "gauss_hermite", "exp_abs": "panels"}
     assert table.smoothing_rule == rules[phi]
 
 
 def test_custom_profile_is_still_cross_checked(dense_model):
-    """A user profile has no scalar twin; its table is cross-checked through
-    the vectorised weight."""
+    """A user profile has no closed form; its table is cross-checked all
+    the same."""
     spectrum = bohr_spectrum(dense_model.eigensystem())
     weight = balanced_gamma(lambda x: np.exp(-x**2), 0.9)
-    assert weight.scalar is None
     table = overlap_table(spectrum, weight, 0.9)
     assert table.cross_check_entries > 0
     assert table.cross_check_evaluations > 0
@@ -185,17 +197,51 @@ def test_cross_check_catches_a_perturbed_table(dense_model, monkeypatch):
     assert overlap_table(spectrum, weight, 0.9, cross_check=False).cross_check_entries == 0
 
 
-def test_quadpack_failure_is_a_numerical_guard(dense_model, monkeypatch):
+@pytest.mark.parametrize(
+    "flaw, reason",
+    [
+        # One part in a million of fast ripple: no panel of the window ever
+        # resolves it, so the rule bisects until its panel cap.
+        (lambda w: 1.0 + 1e-6 * np.sin(1e6 * w), "panels needed"),
+        (lambda w: np.where(w > 30.0, np.nan, 1.0), "not finite"),
+    ],
+    ids=["panel_cap", "non_finite"],
+)
+def test_quadrature_failure_is_a_numerical_guard(dense_model, flaw, reason):
+    """The closed-form gaussian table never reads ``evaluate``, so only the
+    cross-check meets the flawed weight."""
     spectrum = bohr_spectrum(dense_model.eigensystem())
     weight = balanced_gamma("gaussian", 0.9)
-    quad = scipy.integrate.quad
+    flawed = dataclasses.replace(weight, evaluate=lambda w: weight.evaluate(w) * flaw(w))
+    with pytest.raises(NumericalGuardError, match="definitional quadrature failed") as info:
+        overlap_table(spectrum, flawed, 0.9)
+    assert reason in str(info.value)
 
-    def failing_quad(*args, **kwargs):
-        return (*quad(*args, **kwargs), "The maximum number of subdivisions has been achieved.")
 
-    monkeypatch.setattr(scipy.integrate, "quad", failing_quad)
-    with pytest.raises(NumericalGuardError, match="definitional quadrature failed"):
-        overlap_table(spectrum, weight, 0.9)
+ORACLE_MODELS = {
+    "qubit": qubit_model(),
+    "random4": random_model(dim=4, seed=5, spectrum=(1.0, 1.7, 3.1, 4.6)),
+    "line16": schrodinger_line_model(16),
+    "torus12": torus_model(12),
+}
+
+
+@pytest.mark.parametrize("sigma", [2.0, 0.3, 0.01, 0.001])
+@pytest.mark.parametrize("model", sorted(ORACLE_MODELS))
+def test_definitional_entries_match_the_quadpack_oracle(model, sigma):
+    """The batched rule agrees with QUADPACK to 1e-13 relative, for every
+    library profile and a user one, on the lowest frequency's diagonal
+    entry (the largest ``|w|``) and the closest pair of frequencies."""
+    nus = bohr_spectrum(ORACLE_MODELS[model].eigensystem()).frequencies
+    k = int(np.argmin(np.diff(nus)))
+    pairs = [(float(nus[0]), float(nus[0])), (float(nus[k]), float(nus[k + 1]))]
+    for phi in ("gaussian", "sech", "exp_abs", lambda x: 1.0 / np.cosh(x)):
+        weight = balanced_gamma(phi, sigma)
+        got, evaluations = gibbslab.oft._definitional_entries(pairs, weight, sigma)
+        assert 0 < evaluations <= 48 * gibbslab.oft._QUADRATURE_PANEL_CAP
+        for (nu, nu_prime), value in zip(pairs, got):
+            want = oracles.overlap_entry_quad(nu, nu_prime, sigma, weight)
+            assert abs(value - want) <= 1e-13 * abs(want), (phi, nu, nu_prime)
 
 
 # ---------------------------------------------------------------------------

@@ -160,24 +160,6 @@ def test_weight_tails_stay_finite_and_vanish_where_the_profile_underflows(phi):
             assert np.all(values[underflow] == 0.0), (sigma, shift)
 
 
-@pytest.mark.parametrize("maker", [balanced_gamma, unshifted_gamma])
-@pytest.mark.parametrize("phi", sorted(PHI_LIBRARY))
-def test_scalar_twin_matches_the_vectorised_weight(phi, maker):
-    """The plain-float form that the QUADPACK cross-check reads agrees with
-    the vectorised weight to a few ulps wherever the weight is not
-    negligible, over the whole admissible frequency range."""
-    grid = np.linspace(-700.0, 700.0, 14001)
-    for sigma in (1.0, 0.1, 0.001):
-        weight = maker(phi, sigma)
-        assert weight.scalar is not None
-        vectorised = weight(grid)
-        twin = np.array([weight.scalar(float(w)) for w in grid])
-        live = vectorised > 1e-290
-        assert np.count_nonzero(live) > 50
-        rel = np.abs(twin[live] - vectorised[live]) / vectorised[live]
-        assert np.max(rel) <= 1e-14, (phi, sigma)
-
-
 def test_phi_profiles_are_even():
     grid = np.linspace(0.0, 15.0, 61)
     for profile in PHI_LIBRARY.values():
