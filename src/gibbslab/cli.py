@@ -73,7 +73,7 @@ from .generators import (
     stationarity_report,
     trace_functional_defect,
 )
-from .models import Model, config_number, gibbs_state, model_from_config, random_model
+from .models import config_number, model_from_config, random_model
 from .weights import (
     COHERENT_L1_LIMIT,
     MAX_BANDWIDTH,
@@ -642,9 +642,11 @@ def cmd_sweep_sigma(config: dict, args) -> int:
     )
 
 
-def _initial_state(kind: str, model: Model, seed: int) -> np.ndarray:
-    system = model.eigensystem()
-    d = model.dim
+def _initial_state(kind: str, bundle: GeneratorBundle, seed: int) -> np.ndarray:
+    """The named initial state, from the bundle's eigensystem and cached
+    Gibbs density."""
+    system = bundle.system
+    d = bundle.dim
     if kind == "excited":
         v = system.eigenvectors[:, -1]
         return np.outer(v, v.conj())
@@ -652,7 +654,7 @@ def _initial_state(kind: str, model: Model, seed: int) -> np.ndarray:
         v = system.eigenvectors[:, 0]
         return np.outer(v, v.conj())
     if kind == "gibbs":
-        return gibbs_state(model)
+        return bundle.gibbs_state
     if kind == "maximally_mixed":
         return np.eye(d, dtype=np.complex128) / d
     return random_density_matrix(d, seed=seed)
@@ -666,7 +668,7 @@ def cmd_evolve(config: dict, args) -> int:
     stages = {"build_s": time.perf_counter() - started}
     model = bundle.model
     times = config["run"]["times"]
-    rho0 = _initial_state(config["run"]["initial_state"], model, seed)
+    rho0 = _initial_state(config["run"]["initial_state"], bundle, seed)
     mark = time.perf_counter()
     trajectory = evolve(bundle, rho0, times)
     stages["evolve_s"] = time.perf_counter() - mark
@@ -817,7 +819,7 @@ def _selftest_checks(seed: int, stages: dict) -> list[dict]:
             checks.append(bundle_check(name, clean, f"{name}_dense_model"))
 
     with group("evolution"):
-        excited = _initial_state("excited", qubit, seed)
+        excited = _initial_state("excited", qubit_bundle, seed)
         trajectory = evolve(qubit_bundle, excited, [0.0, 1.0, 20.0])
         checks.append(
             _check(

@@ -10,7 +10,14 @@ the Choi analysis on the same bundle share every exponential.
 Every snapshot carries diagnostics -- trace deviation, hermiticity defect,
 most negative eigenvalue, and trace distance to the Gibbs density -- which
 are recorded as measured and never silently corrected: a broken generator
-shows up in the numbers, not in doctored states.
+shows up in the numbers, not in doctored states.  They are computed once
+per trajectory, in one stacked pass over its ``(n, d, d)`` snapshots (one
+``eigvalsh`` for the eigenvalues, one for the Gibbs distances), against the
+Gibbs density the bundle caches (:attr:`GeneratorBundle.gibbs_state`); a
+contraction report takes all its trace distances from one stacked
+``eigvalsh`` likewise.  States are still propagated one at a time, each
+with the same matrix-vector product, so every number equals the
+per-snapshot formulas bit for bit.
 
 Complete positivity of the time-``t`` channel is checked through its Choi
 matrix: the channel superoperator ``E = e^{tS}`` (column-stacking
@@ -30,7 +37,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ValidationError
-from .models import gibbs_state
 from .operator_core import dagger, devectorize, vectorize
 
 if TYPE_CHECKING:
@@ -95,11 +101,13 @@ class Propagator:
         return channel
 
 
-def _hermitian_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace distance ``0.5 * sum |eig|`` of the Hermitised ``a - b``."""
+def _trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Trace distance ``0.5 * sum |eig|`` of each Hermitised ``a - b``, for
+    stacks ``(..., d, d)`` (broadcast against each other), from one stacked
+    ``eigvalsh``."""
     diff = a - b
     diff = 0.5 * (diff + dagger(diff))
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
 
 
 def random_density_matrix(dim: int, *, seed: int) -> np.ndarray:
@@ -109,6 +117,10 @@ def random_density_matrix(dim: int, *, seed: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ dagger(g)
     return rho / np.trace(rho).real
+
+
+def _min_eigenvalue(matrix: np.ndarray) -> float:
+    return float(np.min(np.linalg.eigvalsh(matrix)))
 
 
 def _validate_state(state: np.ndarray) -> None:
@@ -121,24 +133,46 @@ def _validate_state(state: np.ndarray) -> None:
     tr = complex(np.trace(state))
     if abs(tr - 1.0) > _STATE_TOL:
         raise ValidationError(f"initial state has trace {tr:.6g}, expected 1")
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (state + dagger(state)))))
+    min_eig = _min_eigenvalue(0.5 * (state + dagger(state)))
     if min_eig < -_STATE_TOL:
         raise ValidationError(
             f"initial state has negative eigenvalue {min_eig:.3e}"
         )
 
 
-def snapshot_diagnostics(state: np.ndarray, reference: np.ndarray | None) -> dict:
-    """Health numbers for one evolved snapshot (recorded, never corrected)."""
-    herm = 0.5 * (state + dagger(state))
-    row = {
-        "trace_deviation": abs(complex(np.trace(state)) - 1.0),
-        "hermiticity_defect": float(np.linalg.norm(state - dagger(state))),
-        "min_eigenvalue": float(np.min(np.linalg.eigvalsh(herm))),
+def _row_dots(rows: np.ndarray) -> np.ndarray:
+    """``x . x`` of every row of a real ``(n, k)`` array, each as one BLAS
+    dot product (a vector-by-vector ``matmul``), the summation
+    ``np.linalg.norm`` uses for one flattened matrix."""
+    return (rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+
+
+def snapshot_diagnostics(states: np.ndarray, reference: np.ndarray | None) -> tuple[dict, ...]:
+    """Health numbers of each snapshot of an ``(n, d, d)`` stack, one row per
+    snapshot (recorded, never corrected).
+
+    One pass over the whole stack: the Hermitised snapshots' eigenvalues come
+    from one ``eigvalsh``, their trace distances to ``reference`` from
+    another.  Each number equals the one-snapshot formula bit for bit: the
+    deviation ``|tr rho - 1|`` is taken with ``np.hypot``, as Python's
+    ``abs`` of a complex takes it (NumPy's complex ``abs`` rounds
+    differently), and the hermiticity defect ``||rho - rho^dag||_F`` with
+    the dot products of ``np.linalg.norm``.
+    """
+    states = np.asarray(states, dtype=np.complex128)
+    adjoints = dagger(states)
+    herm = 0.5 * (states + adjoints)
+    skew = (states - adjoints).reshape(states.shape[0], -1)
+    deviation = np.trace(states, axis1=1, axis2=2) - 1.0
+    columns = {
+        "trace_deviation": np.hypot(deviation.real, deviation.imag),
+        "hermiticity_defect": np.sqrt(_row_dots(skew.real) + _row_dots(skew.imag)),
+        "min_eigenvalue": np.min(np.linalg.eigvalsh(herm), axis=-1),
     }
     if reference is not None:
-        row["gibbs_distance"] = _hermitian_trace_distance(herm, reference)
-    return row
+        columns["gibbs_distance"] = _trace_distances(herm, reference)
+    rows = zip(*(column.tolist() for column in columns.values()))
+    return tuple(dict(zip(columns, row)) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -165,8 +199,9 @@ class Trajectory:
 
 def _propagate(
     propagator: Propagator, initial_state: np.ndarray, times
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Validated time grid and the state at each of its times.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validated time grid and the ``(n_times, d, d)`` stack of the states
+    at its times.
 
     ``times`` must be non-negative and strictly increasing; a leading
     ``0.0`` snapshot is allowed.  No snapshot diagnostics are computed.
@@ -197,7 +232,7 @@ def _propagate(
             vec = propagator.step(step) @ vec
         previous_t = float(t)
         snapshots.append(devectorize(vec, d))
-    return ts, snapshots
+    return ts, np.array(snapshots)
 
 
 def evolve(bundle: GeneratorBundle, initial_state: np.ndarray, times) -> Trajectory:
@@ -206,12 +241,12 @@ def evolve(bundle: GeneratorBundle, initial_state: np.ndarray, times) -> Traject
 
     ``times`` must be non-negative and strictly increasing; a leading
     ``0.0`` snapshot is allowed.  Each snapshot's diagnostics include the
-    trace distance to the Gibbs density of the bundle's model.
+    trace distance to the bundle's cached Gibbs density; all of them come
+    from one :func:`snapshot_diagnostics` call on the whole trajectory.
     """
-    ts, snapshots = _propagate(bundle.propagator, initial_state, times)
-    reference = gibbs_state(bundle.model)
-    diagnostics = tuple(snapshot_diagnostics(snap, reference) for snap in snapshots)
-    return Trajectory(times=ts, states=np.array(snapshots), diagnostics=diagnostics)
+    ts, states = _propagate(bundle.propagator, initial_state, times)
+    diagnostics = snapshot_diagnostics(states, bundle.gibbs_state)
+    return Trajectory(times=ts, states=states, diagnostics=diagnostics)
 
 
 def semigroup_defect(bundle: GeneratorBundle, t: float, s: float) -> float:
@@ -228,17 +263,18 @@ def contraction_report(bundle: GeneratorBundle, state_pairs, times) -> dict:
     Returns rows ``{pair, distances}`` where ``distances[k]`` is the trace
     distance at ``times[k]``; under a trace-preserving positive semigroup
     each row must be non-increasing (up to numerical tolerance -- asserted
-    by callers, reported here).
+    by callers, reported here).  Each state is propagated on its own; the
+    distances of all pairs and times come from one stacked ``eigvalsh``.
     """
     propagator = bundle.propagator
+    states_a, states_b = [], []
+    for rho_a, rho_b in state_pairs:
+        states_a.append(_propagate(propagator, rho_a, times)[1])
+        states_b.append(_propagate(propagator, rho_b, times)[1])
     rows = []
-    for idx, (rho_a, rho_b) in enumerate(state_pairs):
-        states_a = _propagate(propagator, rho_a, times)[1]
-        states_b = _propagate(propagator, rho_b, times)[1]
-        distances = [
-            _hermitian_trace_distance(sa, sb) for sa, sb in zip(states_a, states_b)
-        ]
-        rows.append({"pair": idx, "distances": distances})
+    if states_a:
+        distances = _trace_distances(np.array(states_a), np.array(states_b)).tolist()
+        rows = [{"pair": idx, "distances": row} for idx, row in enumerate(distances)]
     worst_increase = 0.0
     worst_pair = None
     worst_time = None
@@ -279,17 +315,20 @@ def _hermitian_choi(bundle: GeneratorBundle, t: float) -> np.ndarray:
     return 0.5 * (j + dagger(j))
 
 
+def _partial_trace_defect(j: np.ndarray) -> float:
+    d = int(round(j.shape[0] ** 0.5))
+    partial = np.einsum("iaja->ij", j.reshape(d, d, d, d))
+    return float(np.linalg.norm(partial - np.eye(d)))
+
+
 def choi_min_eigenvalue(bundle: GeneratorBundle, t: float) -> float:
     """Most negative Choi eigenvalue of the time-``t`` channel."""
-    return float(np.min(np.linalg.eigvalsh(_hermitian_choi(bundle, t))))
+    return _min_eigenvalue(_hermitian_choi(bundle, t))
 
 
 def choi_trace_preservation_defect(bundle: GeneratorBundle, t: float) -> float:
     """Distance of the Choi partial trace from the identity."""
-    j = _hermitian_choi(bundle, t)
-    d = int(round(j.shape[0] ** 0.5))
-    partial = np.einsum("iaja->ij", j.reshape(d, d, d, d))
-    return float(np.linalg.norm(partial - np.eye(d)))
+    return _partial_trace_defect(_hermitian_choi(bundle, t))
 
 
 def choi_report(bundle: GeneratorBundle, t: float) -> dict:
@@ -300,8 +339,9 @@ def choi_report(bundle: GeneratorBundle, t: float) -> dict:
         raise ValidationError(
             f"Choi analysis is dense and limited to dimension {CHOI_MAX_DIM}, got {bundle.dim}"
         )
+    j = _hermitian_choi(bundle, t)
     return {
         "time": float(t),
-        "min_eigenvalue": choi_min_eigenvalue(bundle, t),
-        "trace_preservation_defect": choi_trace_preservation_defect(bundle, t),
+        "min_eigenvalue": _min_eigenvalue(j),
+        "trace_preservation_defect": _partial_trace_defect(j),
     }

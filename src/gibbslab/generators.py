@@ -146,6 +146,15 @@ class GeneratorBundle:
         return superop
 
     @cached_property
+    def gibbs_state(self) -> np.ndarray:
+        """The model's Gibbs density ``e^{-P} / tr e^{-P}`` from ``system``,
+        computed on first read and cached read-only: the reference of every
+        trajectory's Gibbs distance."""
+        rho = self.system.gibbs_state()
+        rho.flags.writeable = False
+        return rho
+
+    @cached_property
     def propagator(self) -> Propagator:
         """Step exponentials of this generator, shared by every evolution
         function called on the bundle (``dataclasses.replace`` starts a new

@@ -408,16 +408,9 @@ def benchmark_models() -> tuple[Model, ...]:
 
 
 def gibbs_state(model: Model) -> np.ndarray:
-    """Normalised Gibbs density ``e^{-P} / tr e^{-P}`` of a model.
-
-    Computed through the spectrum with the ground energy subtracted before
-    exponentiating, so no underflow occurs for wide spectra.
-    """
-    system = model.eigensystem()
-    ground = float(system.eigenvalues[0])
-    rho = system.function_of(lambda e: np.exp(-(e - ground)))
-    rho = 0.5 * (rho + dagger(rho))
-    return rho / np.trace(rho).real
+    """Normalised Gibbs density ``e^{-P} / tr e^{-P}`` of a model
+    (:meth:`EigenSystem.gibbs_state` of its Hamiltonian)."""
+    return model.eigensystem().gibbs_state()
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,8 @@ def _as_square_array(matrix: np.ndarray) -> np.ndarray:
 
 
 def dagger(matrix: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(matrix).conj().T
+    """Conjugate transpose, of each matrix of a stack ``(..., d, d)``."""
+    return np.swapaxes(np.asarray(matrix).conj(), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,18 @@ class EigenSystem:
                 + (f" (and {bad.size - 1} more)" if bad.size > 1 else "")
             )
         return (u * values) @ dagger(u)
+
+    def gibbs_state(self) -> np.ndarray:
+        """Normalised Gibbs density ``e^{-A} / tr e^{-A}`` of the matrix.
+
+        Computed through the spectrum with the smallest eigenvalue
+        subtracted before exponentiating, so no underflow occurs for wide
+        spectra.
+        """
+        ground = float(self.eigenvalues[0])
+        rho = self.function_of(lambda e: np.exp(-(e - ground)))
+        rho = 0.5 * (rho + dagger(rho))
+        return rho / np.trace(rho).real
 
     def to_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
         """Rotate an operator into the eigenbasis: ``U^dag A U``."""

@@ -721,3 +721,57 @@ def gibbs_expm(hamiltonian: np.ndarray) -> np.ndarray:
     rho = expm(-np.asarray(hamiltonian, dtype=np.complex128))
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
+
+
+# ---------------------------------------------------------------------------
+# Single-snapshot diagnostics, one matrix at a time
+# ---------------------------------------------------------------------------
+
+
+def hermitian_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace distance ``0.5 * sum |eig|`` of the Hermitised ``a - b``, one
+    pair of matrices per ``eigvalsh`` call."""
+    diff = a - b
+    diff = 0.5 * (diff + diff.conj().T)
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+
+def snapshot_diagnostics_row(state: np.ndarray, reference: np.ndarray | None) -> dict:
+    """One snapshot's health numbers by the one-state formulas the package's
+    stacked pass must reproduce bit for bit."""
+    herm = 0.5 * (state + state.conj().T)
+    row = {
+        "trace_deviation": abs(complex(np.trace(state)) - 1.0),
+        "hermiticity_defect": float(np.linalg.norm(state - state.conj().T)),
+        "min_eigenvalue": float(np.min(np.linalg.eigvalsh(herm))),
+    }
+    if reference is not None:
+        row["gibbs_distance"] = hermitian_trace_distance(herm, reference)
+    return row
+
+
+# ---------------------------------------------------------------------------
+# Closed forms
+# ---------------------------------------------------------------------------
+
+
+def exp_abs_smoothed(centers, sigma: float, shift: float) -> np.ndarray:
+    """``H(c) = integral e^{-w/2} e^{-|w + shift|} e^{-(w - c)^2 / sigma^2} dw``
+    in closed form.
+
+    With ``a = c + shift`` and ``u = w + shift`` the integrand is
+    ``e^{shift/2} e^{-u/2 - |u|} e^{-(u - a)^2 / sigma^2}``.  Completing the
+    square on each side of the kink ``u = 0`` gives
+    ``e^{shift/2} (sigma sqrt(pi) / 2) [e^{9 sigma^2/16 - 3a/2}
+    erfc((3 sigma^2/4 - a) / sigma) + e^{sigma^2/16 + a/2}
+    erfc((a + sigma^2/4) / sigma)]`` (``u > 0`` first).  Away from the kink
+    the half that matters has an ``erfc`` near 2 and the other underflows
+    harmlessly to zero.
+    """
+    from scipy.special import erfc
+
+    var = sigma * sigma
+    a = np.asarray(centers, dtype=np.float64) + shift
+    right = np.exp(0.5625 * var - 1.5 * a) * erfc((0.75 * var - a) / sigma)
+    left = np.exp(0.0625 * var + 0.5 * a) * erfc((a + 0.25 * var) / sigma)
+    return math.exp(0.5 * shift) * 0.5 * sigma * math.sqrt(math.pi) * (right + left)

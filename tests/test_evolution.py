@@ -15,6 +15,8 @@ import pytest
 from scipy.linalg import expm
 
 import gibbslab.evolution
+import gibbslab.models
+import gibbslab.operator_core
 from gibbslab.errors import ValidationError
 from gibbslab.evolution import (
     Trajectory,
@@ -107,13 +109,68 @@ def test_contraction_report_computes_no_snapshot_diagnostics(monkeypatch, dense_
     assert calls == []
     traj_a = evolve(dense_bundle, pairs[0][0], times)
     traj_b = evolve(dense_bundle, pairs[0][1], times)
-    assert len(calls) == 2 * len(times)
+    # One stacked call per trajectory, through the module attribute.
+    assert len(calls) == 2
     # Same states as two full evolves, so the distances are bit-identical.
     expected = [
-        gibbslab.evolution._hermitian_trace_distance(a, b)
-        for a, b in zip(traj_a.states, traj_b.states)
+        oracles.hermitian_trace_distance(a, b) for a, b in zip(traj_a.states, traj_b.states)
     ]
     assert report["rows"][0]["distances"] == expected
+
+
+def test_contraction_report_equals_the_per_pair_reference(dense_bundle):
+    """Three pairs, all distances from one stacked ``eigvalsh``: each equals
+    the one-pair-at-a-time formula bit for bit."""
+    pairs = [
+        (random_density_matrix(4, seed=60 + k), random_density_matrix(4, seed=70 + k))
+        for k in range(3)
+    ]
+    report = contraction_report(dense_bundle, pairs, TIME_GRID_TO_20)
+    assert [row["pair"] for row in report["rows"]] == [0, 1, 2]
+    for (rho_a, rho_b), row in zip(pairs, report["rows"]):
+        states_a = evolve(dense_bundle, rho_a, TIME_GRID_TO_20).states
+        states_b = evolve(dense_bundle, rho_b, TIME_GRID_TO_20).states
+        expected = [oracles.hermitian_trace_distance(a, b) for a, b in zip(states_a, states_b)]
+        assert row["distances"] == expected
+    assert contraction_report(dense_bundle, [], TIME_GRID_TO_20)["rows"] == []
+
+
+@pytest.mark.parametrize("which", ["dense", "line16"])
+def test_stacked_diagnostics_equal_the_one_snapshot_formulas(which, dense_bundle, filtered_battery):
+    bundle = dense_bundle if which == "dense" else filtered_battery[("line16", "gaussian", 1.0)]
+    initial = random_density_matrix(bundle.dim, seed=8)
+    trajectory = evolve(bundle, initial, TIME_GRID_TO_20)
+    assert len(trajectory.diagnostics) == len(TIME_GRID_TO_20)
+    for state, row in zip(trajectory.states, trajectory.diagnostics):
+        want = oracles.snapshot_diagnostics_row(state, gibbs_state(bundle.model))
+        assert list(row) == list(want)
+        for key in ("trace_deviation", "min_eigenvalue", "gibbs_distance"):
+            assert row[key] == want[key], key
+        assert abs(row["hermiticity_defect"] - want["hermiticity_defect"]) <= 1e-30
+
+
+def test_bundle_caches_its_gibbs_state(monkeypatch, dense_model, dense_bundle):
+    """The Gibbs reference is read once per bundle, from its eigensystem:
+    two evolves and a contraction report diagonalise nothing more."""
+    bundle = dataclasses.replace(dense_bundle)  # a bundle with empty caches
+    calls = []
+    decompose = gibbslab.operator_core.eig_hermitian
+
+    def counting(matrix):
+        calls.append(1)
+        return decompose(matrix)
+
+    monkeypatch.setattr(gibbslab.operator_core, "eig_hermitian", counting)
+    monkeypatch.setattr(gibbslab.models, "eig_hermitian", counting)
+    pair = (random_density_matrix(4, seed=13), random_density_matrix(4, seed=14))
+    evolve(bundle, pair[0], TIME_GRID_TO_20)
+    evolve(bundle, pair[1], TIME_GRID_TO_20)
+    contraction_report(bundle, [pair], TIME_GRID_TO_20)
+    assert len(calls) <= 1
+    assert bundle.gibbs_state is bundle.gibbs_state
+    assert np.array_equal(bundle.gibbs_state, gibbs_state(dense_model))
+    with pytest.raises(ValueError):
+        bundle.gibbs_state[0, 0] = 1.0
 
 
 def test_trajectory_diagnostics_and_accessors(dense_bundle):
@@ -138,13 +195,12 @@ def test_snapshot_diagnostics_flags_a_bad_state():
     """A row records the numbers only; the pass/fail verdict is the
     command's, against its configured tolerances."""
     good = np.diag([0.6, 0.4]).astype(complex)
-    row = snapshot_diagnostics(good, None)
-    assert set(row) == {"trace_deviation", "hermiticity_defect", "min_eigenvalue"}
-    assert row["min_eigenvalue"] == pytest.approx(0.4, abs=1e-12)
     bad = np.diag([1.2, -0.2]).astype(complex)
-    row = snapshot_diagnostics(bad, None)
-    assert row["min_eigenvalue"] == pytest.approx(-0.2, abs=1e-12)
-    assert row["trace_deviation"] < 1e-12
+    row_good, row_bad = snapshot_diagnostics(np.array([good, bad]), None)
+    assert set(row_good) == {"trace_deviation", "hermiticity_defect", "min_eigenvalue"}
+    assert row_good["min_eigenvalue"] == pytest.approx(0.4, abs=1e-12)
+    assert row_bad["min_eigenvalue"] == pytest.approx(-0.2, abs=1e-12)
+    assert row_bad["trace_deviation"] < 1e-12
 
 
 def test_snapshot_distances_match_the_svd_route(dense_model, dense_bundle):
@@ -299,6 +355,9 @@ def test_generated_channels_are_completely_positive(dense_bundle, davies_battery
     assert set(report) == {"time", "min_eigenvalue", "trace_preservation_defect"}
     assert report["min_eigenvalue"] > -1e-8
     assert report["trace_preservation_defect"] < 1e-10
+    # One Hermitised Choi matrix serves both numbers, bit for bit.
+    assert report["min_eigenvalue"] == choi_min_eigenvalue(qubit_davies, 1.0)
+    assert report["trace_preservation_defect"] == choi_trace_preservation_defect(qubit_davies, 1.0)
 
 
 def test_sign_fault_breaks_complete_positivity(corrupt_bundle):

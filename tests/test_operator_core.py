@@ -138,6 +138,8 @@ def test_trace_distance_properties():
 def test_dagger_is_conjugate_transpose():
     a = np.array([[1.0 + 2j, 3.0], [4j, 5.0]])
     assert np.array_equal(dagger(a), a.conj().T)
+    stack = np.array([a, 2j * a, a.T])
+    assert np.array_equal(dagger(stack), np.array([m.conj().T for m in stack]))
 
 
 def test_shape_validation():

@@ -304,6 +304,24 @@ def test_panel_smoothing_reads_only_the_windows(phi):
     assert np.all(np.abs(got - want) <= 1e-11 * np.max(want))
 
 
+@SHIFT_FORMS
+@pytest.mark.parametrize("sigma", [2.0, 0.7, 0.1])
+def test_exp_abs_panels_match_the_erfc_closed_form(make, sigma):
+    """exp_abs's ``H`` in closed form (``oracles.exp_abs_smoothed``, checked
+    against QUADPACK here) against the panel rule, centre by centre, on a
+    wide grid and densely across the kink at ``w = 0``."""
+    weight = make("exp_abs", sigma)
+    shift = 0.25 * sigma * sigma if make is balanced_gamma else 0.0
+    centers = np.concatenate([np.linspace(-8.0, 8.0, 33), np.linspace(-2.0, 2.0, 41) * sigma])
+    assert smoothing_rule(weight, sigma, centers) == "panels"
+    want = oracles.exp_abs_smoothed(centers, sigma, shift)
+    got = smoothed_weight_table(weight, sigma, centers)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    for c in (-3.0, -0.5 * sigma, 0.0, 0.5 * sigma, 4.0):
+        quadpack = oracles.smoothed_weight_quad(c, sigma, weight)
+        assert abs(oracles.exp_abs_smoothed(c, sigma, shift) - quadpack) <= 1e-12 * quadpack
+
+
 # ---------------------------------------------------------------------------
 # Coherent pair coefficients, read from the overlap table's coherent table
 # ---------------------------------------------------------------------------
