@@ -43,6 +43,12 @@ must reproduce byte for byte.  ``davies_limit_rows_original_basis``
 recomputes the delocalisation report's distances with the original-basis
 superoperators and trace norms through singular values.
 
+``snapshot_diagnostics_row`` and ``hermitian_trace_distance`` keep the
+package's arithmetic one matrix per call: they are the one-snapshot
+formulas that the stacked diagnostics and contraction distances must
+reproduce bit for bit.  ``exp_abs_smoothed`` is the smoothed weight ``H``
+of the exp_abs profile in closed form (complementary error functions).
+
 One helper is a fault, not a reference: ``sign_flipped_bundle`` reassembles
 a filtered bundle with the off-diagonal signs of its coupling table flipped,
 for the tests that show the standing checks catch it.
