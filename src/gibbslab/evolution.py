@@ -15,9 +15,12 @@ per trajectory, in one stacked pass over its ``(n, d, d)`` snapshots (one
 ``eigvalsh`` for the eigenvalues, one for the Gibbs distances), against the
 Gibbs density the bundle caches (:attr:`GeneratorBundle.gibbs_state`); a
 contraction report takes all its trace distances from one stacked
-``eigvalsh`` likewise.  States are still propagated one at a time, each
-with the same matrix-vector product, so every number equals the
-per-snapshot formulas bit for bit.
+``eigvalsh`` likewise.  Every state of a call is propagated in one stack:
+the states are validated together (from the same health numbers the
+diagnostics report) and each time step is one product of the step
+exponential with the ``(n, d^2, 1)`` stack of vectorised states, which
+NumPy runs as one matrix-vector product per state, so every number equals
+the one-state formulas bit for bit.
 
 Complete positivity of the time-``t`` channel is checked through its Choi
 matrix: the channel superoperator ``E = e^{tS}`` (column-stacking
@@ -37,7 +40,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ValidationError
-from .operator_core import dagger, devectorize, vectorize
+from .operator_core import dagger
 
 if TYPE_CHECKING:
     from .generators import GeneratorBundle
@@ -123,52 +126,49 @@ def _min_eigenvalue(matrix: np.ndarray) -> float:
     return float(np.min(np.linalg.eigvalsh(matrix)))
 
 
-def _validate_state(state: np.ndarray) -> None:
-    d = state.shape[0]
-    if state.shape != (d, d):
-        raise ValidationError(f"state must be square, got shape {state.shape}")
-    herm = float(np.linalg.norm(state - dagger(state)))
-    if herm > _STATE_TOL * max(1.0, float(np.linalg.norm(state))):
-        raise ValidationError(f"initial state is not Hermitian (defect {herm:.3e})")
-    tr = complex(np.trace(state))
-    if abs(tr - 1.0) > _STATE_TOL:
-        raise ValidationError(f"initial state has trace {tr:.6g}, expected 1")
-    min_eig = _min_eigenvalue(0.5 * (state + dagger(state)))
-    if min_eig < -_STATE_TOL:
-        raise ValidationError(
-            f"initial state has negative eigenvalue {min_eig:.3e}"
-        )
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """``||x||_F`` of each matrix of an ``(n, d, d)`` stack, summed as
+    ``np.linalg.norm`` sums one matrix: ``re . re + im . im`` of the
+    flattened matrix, each as one BLAS dot product (a vector-by-vector
+    ``matmul``)."""
+    flat = stack.reshape(stack.shape[0], -1)
+
+    def dots(rows):
+        return (rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+
+    return np.sqrt(dots(flat.real) + dots(flat.imag))
 
 
-def _row_dots(rows: np.ndarray) -> np.ndarray:
-    """``x . x`` of every row of a real ``(n, k)`` array, each as one BLAS
-    dot product (a vector-by-vector ``matmul``), the summation
-    ``np.linalg.norm`` uses for one flattened matrix."""
-    return (rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+def _health(states: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The Hermitised ``(n, d, d)`` stack and, per state, its trace
+    deviation, hermiticity defect and smallest eigenvalue.
+
+    Each number equals the one-state formula bit for bit: the deviation
+    ``|tr rho - 1|`` is taken with ``np.hypot``, as Python's ``abs`` of a
+    complex takes it (NumPy's complex ``abs`` rounds differently), the
+    hermiticity defect ``||rho - rho^dag||_F`` with the dot products of
+    ``np.linalg.norm``, and the eigenvalues of the whole stack from one
+    ``eigvalsh``.
+    """
+    adjoints = dagger(states)
+    herm = 0.5 * (states + adjoints)
+    deviation = np.trace(states, axis1=1, axis2=2) - 1.0
+    return herm, {
+        "trace_deviation": np.hypot(deviation.real, deviation.imag),
+        "hermiticity_defect": _frobenius(states - adjoints),
+        "min_eigenvalue": np.min(np.linalg.eigvalsh(herm), axis=-1),
+    }
 
 
 def snapshot_diagnostics(states: np.ndarray, reference: np.ndarray | None) -> tuple[dict, ...]:
     """Health numbers of each snapshot of an ``(n, d, d)`` stack, one row per
     snapshot (recorded, never corrected).
 
-    One pass over the whole stack: the Hermitised snapshots' eigenvalues come
-    from one ``eigvalsh``, their trace distances to ``reference`` from
-    another.  Each number equals the one-snapshot formula bit for bit: the
-    deviation ``|tr rho - 1|`` is taken with ``np.hypot``, as Python's
-    ``abs`` of a complex takes it (NumPy's complex ``abs`` rounds
-    differently), and the hermiticity defect ``||rho - rho^dag||_F`` with
-    the dot products of ``np.linalg.norm``.
+    One pass over the whole stack (:func:`_health`), plus the trace
+    distances of the Hermitised snapshots to ``reference`` from one more
+    ``eigvalsh``; each number equals the one-snapshot formula bit for bit.
     """
-    states = np.asarray(states, dtype=np.complex128)
-    adjoints = dagger(states)
-    herm = 0.5 * (states + adjoints)
-    skew = (states - adjoints).reshape(states.shape[0], -1)
-    deviation = np.trace(states, axis1=1, axis2=2) - 1.0
-    columns = {
-        "trace_deviation": np.hypot(deviation.real, deviation.imag),
-        "hermiticity_defect": np.sqrt(_row_dots(skew.real) + _row_dots(skew.imag)),
-        "min_eigenvalue": np.min(np.linalg.eigvalsh(herm), axis=-1),
-    }
+    herm, columns = _health(np.asarray(states, dtype=np.complex128))
     if reference is not None:
         columns["gibbs_distance"] = _trace_distances(herm, reference)
     rows = zip(*(column.tolist() for column in columns.values()))
@@ -197,16 +197,9 @@ class Trajectory:
         return np.array([row[key] for row in self.diagnostics])
 
 
-def _propagate(
-    propagator: Propagator, initial_state: np.ndarray, times
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validated time grid and the ``(n_times, d, d)`` stack of the states
-    at its times.
-
-    ``times`` must be non-negative and strictly increasing; a leading
-    ``0.0`` snapshot is allowed.  No snapshot diagnostics are computed.
-    """
-    superop = propagator.superoperator
+def _time_grid(times) -> np.ndarray:
+    """``times`` as a float array, which must be non-empty, non-negative and
+    strictly increasing; a leading ``0.0`` snapshot is allowed."""
     ts = np.asarray(times, dtype=np.float64)
     if ts.ndim != 1 or ts.size == 0:
         raise ValidationError("times must be a non-empty 1-D sequence")
@@ -214,25 +207,57 @@ def _propagate(
         raise ValidationError("times must be non-negative")
     if np.any(np.diff(ts) <= 0.0):
         raise ValidationError("times must be strictly increasing")
+    return ts
 
-    state = np.asarray(initial_state, dtype=np.complex128)
-    d = state.shape[0]
-    if superop.shape != (d * d, d * d):
+
+def _propagate(propagator: Propagator, states, ts: np.ndarray) -> np.ndarray:
+    """The ``(n_times, n, d, d)`` stack of the ``n`` density matrices
+    ``states``, validated together, at each time of the checked grid ``ts``.
+
+    Each time step is one product of the step exponential with the
+    ``(n, d^2, 1)`` stack of column-stacked states.  No snapshot
+    diagnostics are computed.
+    """
+    superop = propagator.superoperator
+    for state in states:
+        shape = np.shape(state)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValidationError(f"state must be square, got shape {shape}")
+        if superop.shape != (shape[0] ** 2,) * 2:
+            raise ValidationError(
+                f"superoperator shape {superop.shape} does not match state dimension {shape[0]}"
+            )
+    states = np.asarray(states, dtype=np.complex128)
+    n, d = states.shape[:2]
+
+    # The first state that fails a check, with its first failed check.
+    _, health = _health(states)
+    defect = health["hermiticity_defect"]
+    not_hermitian = defect > _STATE_TOL * np.maximum(1.0, _frobenius(states))
+    bad_trace = health["trace_deviation"] > _STATE_TOL
+    negative = health["min_eigenvalue"] < -_STATE_TOL
+    failed = np.flatnonzero(not_hermitian | bad_trace | negative)
+    if failed.size:
+        i = failed[0]
+        if not_hermitian[i]:
+            raise ValidationError(f"initial state is not Hermitian (defect {defect[i]:.3e})")
+        if bad_trace[i]:
+            tr = complex(np.trace(states[i]))
+            raise ValidationError(f"initial state has trace {tr:.6g}, expected 1")
         raise ValidationError(
-            f"superoperator shape {superop.shape} does not match state dimension {d}"
+            f"initial state has negative eigenvalue {health['min_eigenvalue'][i]:.3e}"
         )
-    _validate_state(state)
 
-    vec = vectorize(state)
-    snapshots = []
+    vecs = states.transpose(0, 2, 1).reshape(n, d * d, 1)
+    snapshots = np.empty((ts.size, n, d, d), dtype=np.complex128)
     previous_t = 0.0
-    for t in ts:
+    for k, t in enumerate(ts):
         step = float(t - previous_t)
         if step > 0.0:
-            vec = propagator.step(step) @ vec
+            vecs = propagator.step(step) @ vecs
         previous_t = float(t)
-        snapshots.append(devectorize(vec, d))
-    return ts, np.array(snapshots)
+        snapshots[k] = vecs.reshape(n, d, d).transpose(0, 2, 1)
+    return snapshots
 
 
 def evolve(bundle: GeneratorBundle, initial_state: np.ndarray, times) -> Trajectory:
@@ -244,7 +269,8 @@ def evolve(bundle: GeneratorBundle, initial_state: np.ndarray, times) -> Traject
     trace distance to the bundle's cached Gibbs density; all of them come
     from one :func:`snapshot_diagnostics` call on the whole trajectory.
     """
-    ts, states = _propagate(bundle.propagator, initial_state, times)
+    ts = _time_grid(times)
+    states = _propagate(bundle.propagator, [initial_state], ts)[:, 0]
     diagnostics = snapshot_diagnostics(states, bundle.gibbs_state)
     return Trajectory(times=ts, states=states, diagnostics=diagnostics)
 
@@ -263,35 +289,32 @@ def contraction_report(bundle: GeneratorBundle, state_pairs, times) -> dict:
     Returns rows ``{pair, distances}`` where ``distances[k]`` is the trace
     distance at ``times[k]``; under a trace-preserving positive semigroup
     each row must be non-increasing (up to numerical tolerance -- asserted
-    by callers, reported here).  Each state is propagated on its own; the
-    distances of all pairs and times come from one stacked ``eigvalsh``.
+    by callers, reported here).  The worst increase is the first largest
+    step up between neighbouring times, if any is positive.  Both states of
+    every pair are propagated as one stack, and the distances of all pairs
+    and times come from one stacked ``eigvalsh``.
     """
-    propagator = bundle.propagator
-    states_a, states_b = [], []
-    for rho_a, rho_b in state_pairs:
-        states_a.append(_propagate(propagator, rho_a, times)[1])
-        states_b.append(_propagate(propagator, rho_b, times)[1])
-    rows = []
-    if states_a:
-        distances = _trace_distances(np.array(states_a), np.array(states_b)).tolist()
-        rows = [{"pair": idx, "distances": row} for idx, row in enumerate(distances)]
-    worst_increase = 0.0
-    worst_pair = None
-    worst_time = None
-    for row in rows:
-        d = row["distances"]
-        for k, (a, b) in enumerate(zip(d[:-1], d[1:])):
-            if b - a > worst_increase:
-                worst_increase = b - a
-                worst_pair = row["pair"]
-                worst_time = float(times[k + 1])
-    return {
-        "rows": rows,
-        "worst_increase": worst_increase,
-        "worst_pair": worst_pair,
-        "worst_time": worst_time,
-        "times": list(map(float, times)),
+    states = [state for rho_a, rho_b in state_pairs for state in (rho_a, rho_b)]
+    ts = _time_grid(times)
+    report = {
+        "rows": [],
+        "worst_increase": 0.0,
+        "worst_pair": None,
+        "worst_time": None,
+        "times": ts.tolist(),
     }
+    if not states:
+        return report
+    evolved = _propagate(bundle.propagator, states, ts).swapaxes(0, 1)
+    distances = _trace_distances(evolved[0::2], evolved[1::2])
+    report["rows"] = [{"pair": idx, "distances": row} for idx, row in enumerate(distances.tolist())]
+    increases = np.fmax(np.diff(distances, axis=1), 0.0)  # a fall or a NaN step is no increase
+    if increases.any():
+        pair, k = np.unravel_index(np.argmax(increases), increases.shape)
+        report.update(
+            worst_increase=float(increases[pair, k]), worst_pair=int(pair), worst_time=float(ts[k + 1])
+        )
+    return report
 
 
 def choi_matrix(channel: np.ndarray) -> np.ndarray:

@@ -46,7 +46,9 @@ superoperators and trace norms through singular values.
 ``snapshot_diagnostics_row`` and ``hermitian_trace_distance`` keep the
 package's arithmetic one matrix per call: they are the one-snapshot
 formulas that the stacked diagnostics and contraction distances must
-reproduce bit for bit.  ``exp_abs_smoothed`` is the smoothed weight ``H``
+reproduce bit for bit; ``worst_increase_loop`` is the contraction
+report's worst-increase scan written as an explicit loop over pairs and
+times.  ``exp_abs_smoothed`` is the smoothed weight ``H``
 of the exp_abs profile in closed form (complementary error functions).
 
 One helper is a fault, not a reference: ``sign_flipped_bundle`` reassembles
@@ -754,6 +756,21 @@ def snapshot_diagnostics_row(state: np.ndarray, reference: np.ndarray | None) ->
     if reference is not None:
         row["gibbs_distance"] = hermitian_trace_distance(herm, reference)
     return row
+
+
+def worst_increase_loop(rows, times) -> tuple[float, int | None, float | None]:
+    """``(worst_increase, worst_pair, worst_time)`` of contraction rows: the
+    first largest rise between neighbouring times, scanned pair by pair, or
+    ``(0.0, None, None)`` when no distance rises."""
+    worst_increase, worst_pair, worst_time = 0.0, None, None
+    for row in rows:
+        d = row["distances"]
+        for k, (a, b) in enumerate(zip(d[:-1], d[1:])):
+            if b - a > worst_increase:
+                worst_increase = b - a
+                worst_pair = row["pair"]
+                worst_time = float(times[k + 1])
+    return worst_increase, worst_pair, worst_time
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ build.
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ import gibbslab.models
 import gibbslab.operator_core
 from gibbslab.errors import ValidationError
 from gibbslab.evolution import (
+    Propagator,
     Trajectory,
     choi_matrix,
     choi_min_eigenvalue,
@@ -133,6 +135,53 @@ def test_contraction_report_equals_the_per_pair_reference(dense_bundle):
         expected = [oracles.hermitian_trace_distance(a, b) for a, b in zip(states_a, states_b)]
         assert row["distances"] == expected
     assert contraction_report(dense_bundle, [], TIME_GRID_TO_20)["rows"] == []
+
+
+def test_contraction_report_makes_one_step_product_per_time_step(monkeypatch, dense_bundle):
+    """Every state of every pair moves together: three pairs over four
+    positive steps take four step exponentials, not one per state."""
+    calls = []
+    step = Propagator.step
+
+    def counting(self, dt):
+        calls.append(dt)
+        return step(self, dt)
+
+    monkeypatch.setattr(Propagator, "step", counting)
+    pairs = [
+        (random_density_matrix(4, seed=60 + k), random_density_matrix(4, seed=70 + k))
+        for k in range(3)
+    ]
+    contraction_report(dense_bundle, pairs, (0.0, 0.5, 1.5, 5.0, 10.0))
+    assert calls == [0.5, 1.0, 3.5, 5.0]
+
+
+class _GrowingMap:
+    """All ``contraction_report`` reads of a bundle: a propagator, here of
+    ``e^{0.3 t}``, under which every trace distance grows."""
+
+    def __init__(self, d: int) -> None:
+        self.propagator = Propagator(0.3 * np.eye(d * d))
+
+
+def test_contraction_report_finds_the_worst_increase():
+    pairs = [
+        (random_density_matrix(3, seed=80 + k), random_density_matrix(3, seed=90 + k))
+        for k in range(3)
+    ]
+    pairs += pairs  # repeated rows: the first of equal maxima is reported
+    times = (0.0, 0.5, 1.5, 2.0, 5.0)
+    report = contraction_report(_GrowingMap(3), pairs, times)
+    for (rho_a, rho_b), row in zip(pairs, report["rows"]):
+        start = oracles.hermitian_trace_distance(rho_a, rho_b)
+        assert row["distances"] == pytest.approx(
+            [start * np.exp(0.3 * t) for t in times], rel=1e-12
+        )
+    worst = (report["worst_increase"], report["worst_pair"], report["worst_time"])
+    assert worst == oracles.worst_increase_loop(report["rows"], times)
+    assert report["worst_increase"] > 0.0
+    assert report["worst_pair"] < 3
+    assert report["worst_time"] == 5.0
 
 
 @pytest.mark.parametrize("which", ["dense", "line16"])
@@ -313,6 +362,20 @@ def test_evolve_rejects_malformed_inputs(dense_bundle):
         evolve(dense_bundle, np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex), (0.0, 1.0))
     with pytest.raises(ValidationError):
         evolve(dense_bundle, np.eye(3) / 3.0, (0.0, 1.0))
+    # Not a square matrix: refused by its shape, before its size is read.
+    for bad in (2.0, np.ones((3, 4)) / 3.0, np.array([state, state])):
+        with pytest.raises(ValidationError, match=re.escape(f"got shape {np.shape(bad)}")):
+            evolve(dense_bundle, bad, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("times", [(1.0, 0.5), (-1.0, 0.0), ()])
+def test_contraction_report_checks_its_times_without_pairs(dense_bundle, times):
+    state = random_density_matrix(4, seed=1)
+    with pytest.raises(ValidationError) as from_evolve:
+        evolve(dense_bundle, state, times)
+    for pairs in ([], [(state, state)]):
+        with pytest.raises(ValidationError, match=re.escape(str(from_evolve.value))):
+            contraction_report(dense_bundle, pairs, times)
 
 
 def test_random_density_matrix_properties():

@@ -18,8 +18,13 @@ import tokenize
 from pathlib import Path
 
 import pytest
+import scipy.integrate
 
 import gibbslab
+import gibbslab.evolution
+import gibbslab.generators
+import gibbslab.models
+import gibbslab.weights
 
 MODULES = ["gibbslab"] + [
     f"gibbslab.{info.name}" for info in pkgutil.iter_modules(gibbslab.__path__)
@@ -141,8 +146,10 @@ def test_every_keyword_only_parameter_is_passed():
 
 
 def test_layer_tracer_finds_every_function_it_wraps():
-    """``perfbench/run.py --trace`` wraps these names; a removed or renamed
-    one would fail there, not in the suite."""
+    """``perfbench/run.py --trace`` wraps these names, and ``expm`` by its
+    name in ``gibbslab.evolution``; a removed, renamed or moved one would
+    fail there, not in the suite.  An installed tracer records a fresh
+    evolution's spans and puts every original back when it is removed."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -151,3 +158,18 @@ def test_layer_tracer_finds_every_function_it_wraps():
     for fn, name in layers:
         assert callable(fn)
         assert callable(name) or isinstance(name, str)
+
+    modules = [importlib.import_module(name) for name in MODULES] + [scipy.integrate]
+    before = [dict(vars(module)) for module in modules]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        model = gibbslab.models.qubit_model()
+        weight = gibbslab.weights.balanced_gamma("gaussian", 1.0)
+        bundle = gibbslab.generators.localised_generator(model, weight, 1.0)
+        state = gibbslab.evolution.random_density_matrix(2, seed=0)
+        gibbslab.evolution.evolve(bundle, state, (0.0, 1.0))
+    names = {span[0] for span in tracer.spans}
+    assert {"evolution.evolve", "evolution.expm"} <= names
+    for module, attributes in zip(modules, before):
+        moved = [key for key, value in attributes.items() if vars(module).get(key) is not value]
+        assert not moved, (module.__name__, moved)

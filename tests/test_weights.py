@@ -179,6 +179,29 @@ def test_bad_bandwidth_rejected():
             balanced_gamma("gaussian", bad)
 
 
+def _infinite_beyond_20(x):
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return np.where(np.abs(x) > 20.0, np.inf, np.exp(-np.square(x)))
+
+
+@pytest.mark.parametrize(
+    "phi, message",
+    [
+        (lambda x: np.full(np.shape(x), np.nan), "is not finite on the test grid"),
+        (lambda x: np.exp(-np.square(x)) * (1.0 + 0.1 * x), "is not even"),
+        (lambda x: np.exp(-np.square(x)) - 0.5, "is negative"),
+        (_infinite_beyond_20, "has a non-finite tilted tail"),
+        (lambda x: 1.0 / (1.0 + np.square(x)), "decays too slowly"),
+    ],
+    ids=["nan", "odd_part", "negative", "infinite_tail", "polynomial_tail"],
+)
+def test_inadmissible_user_profiles_rejected(phi, message):
+    """Each of the profile checks refuses a user callable, naming the fault."""
+    with pytest.raises(ValidationError, match=f"profile 'custom' {message}"):
+        balanced_gamma(phi, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Smoothing quadrature
 # ---------------------------------------------------------------------------
