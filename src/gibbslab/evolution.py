@@ -131,12 +131,8 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     ``np.linalg.norm`` sums one matrix: ``re . re + im . im`` of the
     flattened matrix, each as one BLAS dot product (a vector-by-vector
     ``matmul``)."""
-    flat = stack.reshape(stack.shape[0], -1)
-
-    def dots(rows):
-        return (rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
-
-    return np.sqrt(dots(flat.real) + dots(flat.imag))
+    flat = stack.reshape(stack.shape[0], 1, -1)
+    return np.sqrt(sum((part @ part.swapaxes(1, 2))[:, 0, 0] for part in (flat.real, flat.imag)))
 
 
 def _health(states: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -307,7 +303,7 @@ def contraction_report(bundle: GeneratorBundle, state_pairs, times) -> dict:
         return report
     evolved = _propagate(bundle.propagator, states, ts).swapaxes(0, 1)
     distances = _trace_distances(evolved[0::2], evolved[1::2])
-    report["rows"] = [{"pair": idx, "distances": row} for idx, row in enumerate(distances.tolist())]
+    report["rows"] = [{"pair": i, "distances": row} for i, row in enumerate(distances.tolist())]
     increases = np.fmax(np.diff(distances, axis=1), 0.0)  # a fall or a NaN step is no increase
     if increases.any():
         pair, k = np.unravel_index(np.argmax(increases), increases.shape)
