@@ -225,6 +225,10 @@ def _propagate(propagator: Propagator, states, ts: np.ndarray) -> np.ndarray:
             )
     states = np.asarray(states, dtype=np.complex128)
     n, d = states.shape[:2]
+    # A NaN or an infinity would stop the stacked eigvalsh of the checks below.
+    if not np.isfinite(states).all():
+        i, r, c = np.argwhere(~np.isfinite(states))[0]
+        raise ValidationError(f"initial state {i} has a non-finite entry at ({r}, {c})")
 
     # The first state that fails a check, with its first failed check.
     _, health = _health(states)

@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .bohr import BohrSpectrum, bohr_spectrum
 from .errors import ValidationError
 from .operator_core import EigenSystem, dagger, eig_hermitian
 
@@ -54,6 +56,23 @@ WELL_SEPARATED_SPECTRUM_6 = (0.0, 0.5, 1.5, 3.5, 6.0, 10.0)
 _ADJOINT_CLOSURE_TOL = 1e-12
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """The spectral data every generator of a model is built on: the Bohr
+    spectrum of its Hamiltonian, its jumps in the eigenbasis, and the jump
+    family's adjoint-closure defect and squared-norm sum."""
+
+    spectrum: BohrSpectrum
+    jumps_eig: tuple[np.ndarray, ...]
+    adjoint_closure_defect: float
+    jump_norm_squared_sum: float
+
+
 @dataclass(frozen=True)
 class Model:
     """A Hamiltonian with an adjoint-closed jump family.
@@ -65,6 +84,10 @@ class Model:
         meta: construction record (grid sizes, potentials, shifts, seeds).
         truncation_note: human-readable caveat when the model is a finite
             truncation of an unbounded one.
+
+    The Hamiltonian and the jumps are made read-only on construction, so the
+    eigensystem and the :attr:`frame`, cached read-only on first use, cannot
+    go stale (``dataclasses.replace`` starts a new cache).
     """
 
     model_id: str
@@ -73,12 +96,32 @@ class Model:
     meta: dict = field(default_factory=dict)
     truncation_note: str | None = None
 
+    def __post_init__(self) -> None:
+        _read_only(self.hamiltonian, *self.jumps)
+
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
 
     def eigensystem(self) -> EigenSystem:
-        return eig_hermitian(self.hamiltonian)
+        """The Hamiltonian's eigensystem (computed once, read-only)."""
+        return self._system
+
+    @cached_property
+    def _system(self) -> EigenSystem:
+        system = eig_hermitian(self.hamiltonian)
+        _read_only(system.eigenvalues, system.eigenvectors)
+        return system
+
+    @cached_property
+    def frame(self) -> _Frame:
+        """The model's spectral frame, computed on first read; read-only and
+        shared by every generator built on the model."""
+        system = self.eigensystem()
+        spectrum = bohr_spectrum(system)
+        jumps_eig = tuple(system.to_eigenbasis(a) for a in self.jumps)
+        _read_only(spectrum.frequencies, spectrum.pair_index, spectrum.eigenvalues, *jumps_eig)
+        return _Frame(spectrum, jumps_eig, self.adjoint_closure_defect(), self.jump_norm_squared_sum())
 
     def jump_norm_squared_sum(self) -> float:
         return float(sum(np.linalg.norm(j) ** 2 for j in self.jumps))
@@ -409,7 +452,7 @@ def benchmark_models() -> tuple[Model, ...]:
 
 def gibbs_state(model: Model) -> np.ndarray:
     """Normalised Gibbs density ``e^{-P} / tr e^{-P}`` of a model
-    (:meth:`EigenSystem.gibbs_state` of its Hamiltonian)."""
+    (:meth:`EigenSystem.gibbs_state` of its cached eigensystem)."""
     return model.eigensystem().gibbs_state()
 
 

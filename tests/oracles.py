@@ -42,6 +42,11 @@ tail done eagerly (the sandwich rotated to the original basis, then
 must reproduce byte for byte.  ``davies_limit_rows_original_basis``
 recomputes the delocalisation report's distances with the original-basis
 superoperators and trace norms through singular values.
+``pair_sum_optimized`` is the pair contraction as
+``einsum(..., optimize=True)``, which searches for its contraction path on
+every call, and ``davies_distances_loop`` takes the report's trace norms
+one operator at a time with ``schatten_norm``; the package's written-out
+contraction and stacked singular values must reproduce both bit for bit.
 
 ``snapshot_diagnostics_row`` and ``hermitian_trace_distance`` keep the
 package's arithmetic one matrix per call: they are the one-snapshot
@@ -300,6 +305,39 @@ def davies_limit_rows_original_basis(model, phi, sigmas, seed: int) -> list[dict
         residual = np.linalg.norm(superop @ vec_column(rho)) / np.linalg.norm(rho)
         rows.append({"davies_distance_p1": max(distances), "stationarity_residual": float(residual)})
     return rows
+
+
+def pair_sum_optimized(jumps_eig, table: np.ndarray, pair_index: np.ndarray) -> np.ndarray:
+    """``sum_A sum_{nu, nu'} T(nu, nu') A_nu^dag A_nu'`` in the eigenbasis,
+    one ``einsum(optimize=True)`` per jump over the gathered table."""
+    table3 = table[pair_index[:, :, None], pair_index[:, None, :]]
+    d = pair_index.shape[0]
+    out = np.zeros((d, d), dtype=np.complex128)
+    for a in jumps_eig:
+        out += np.einsum("pi,pk,pik->ik", a.conj(), a, table3, optimize=True)
+    return out
+
+
+def davies_distances_loop(model, phi, sigma: float, seed: int) -> list[float]:
+    """The trace norms behind one ``davies_limit_report`` row: the report's
+    five seeded test operators and eigenbasis actions, each difference's
+    norm from its own ``schatten_norm(., 1)``."""
+    from gibbslab.generators import davies_generator, localised_generator
+    from gibbslab.operator_core import schatten_norm
+    from gibbslab.weights import balanced_gamma, delocalised_limit_gamma
+
+    rng = np.random.default_rng(seed)
+    d = model.dim
+    test_ops = []
+    for _ in range(5):
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        t = 0.5 * (z + z.conj().T)
+        test_ops.append(t / np.linalg.norm(t))
+    u = model.eigensystem().eigenvectors
+    ops_eig = u.conj().T @ np.stack(test_ops) @ u
+    limit = davies_generator(model, delocalised_limit_gamma(phi)).eigen_action(ops_eig)
+    images = localised_generator(model, balanced_gamma(phi, sigma), sigma).eigen_action(ops_eig)
+    return [schatten_norm(a - b, 1.0) for a, b in zip(images, limit)]
 
 
 def sign_flipped_bundle(bundle):

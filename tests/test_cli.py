@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gibbslab.bohr
 import gibbslab.cli
 import gibbslab.generators
 import gibbslab.oft
@@ -271,6 +272,27 @@ def test_superoperator_is_rotated_on_first_read_only(rotations):
     first = bundle.superoperator
     assert bundle.superoperator is first
     assert rotations == [16]
+
+
+def test_one_rung_sweep_computes_the_bohr_spectrum_once(tmp_path, monkeypatch):
+    """The filtered rung and the delocalised limit read one spectral frame of
+    their model: one Bohr clustering, wherever the name is looked up."""
+    original = gibbslab.bohr.bohr_spectrum
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "gibbslab" or name.startswith("gibbslab."):
+            if getattr(module, "bohr_spectrum", None) is original:
+                monkeypatch.setattr(module, "bohr_spectrum", counting)
+    payload = {"schema_version": SCHEMA_VERSION, "model": LINE16, "run": {"sigma_sweep": [0.5]}}
+    argv = ["sweep-sigma", "--config", write_config(tmp_path, payload),
+            "--report", str(tmp_path / "r.json"), "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_verify_reports_the_cross_check_cost(tmp_path):

@@ -348,6 +348,17 @@ def test_bundle_parts_are_read_only(dense_bundle):
 # ---------------------------------------------------------------------------
 
 
+def _non_finite_states(state):
+    """``state`` with a NaN off and on the diagonal, and an infinity on and
+    off the diagonal: each stops the stacked ``eigvalsh`` of the checks."""
+    bad = []
+    for entry, value in (((0, 1), np.nan), ((2, 2), np.nan), ((1, 1), np.inf), ((3, 0), np.inf)):
+        broken = state.copy()
+        broken[entry] = value
+        bad.append(broken)
+    return bad
+
+
 def test_evolve_rejects_malformed_inputs(dense_bundle):
     state = random_density_matrix(4, seed=1)
     with pytest.raises(ValidationError):
@@ -362,10 +373,20 @@ def test_evolve_rejects_malformed_inputs(dense_bundle):
         evolve(dense_bundle, np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex), (0.0, 1.0))
     with pytest.raises(ValidationError):
         evolve(dense_bundle, np.eye(3) / 3.0, (0.0, 1.0))
+    for bad in _non_finite_states(state):
+        with pytest.raises(ValidationError, match="initial state 0 has a non-finite entry"):
+            evolve(dense_bundle, bad, (0.0, 1.0))
     # Not a square matrix: refused by its shape, before its size is read.
     for bad in (2.0, np.ones((3, 4)) / 3.0, np.array([state, state])):
         with pytest.raises(ValidationError, match=re.escape(f"got shape {np.shape(bad)}")):
             evolve(dense_bundle, bad, (0.0, 1.0))
+
+
+def test_contraction_report_rejects_non_finite_states(dense_bundle):
+    state = random_density_matrix(4, seed=1)
+    for bad in _non_finite_states(state):
+        with pytest.raises(ValidationError, match="initial state 3 has a non-finite entry"):
+            contraction_report(dense_bundle, [(state, state), (state, bad)], (0.0, 1.0))
 
 
 @pytest.mark.parametrize("times", [(1.0, 0.5), (-1.0, 0.0), ()])

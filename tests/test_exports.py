@@ -12,6 +12,7 @@ import ast
 import collections
 import importlib
 import importlib.util
+import json
 import pkgutil
 import re
 import tokenize
@@ -21,6 +22,7 @@ import pytest
 import scipy.integrate
 
 import gibbslab
+import gibbslab.cli
 import gibbslab.evolution
 import gibbslab.generators
 import gibbslab.models
@@ -46,6 +48,7 @@ ALLOWED_UNREACHED = {
     "Trajectory": "return type of evolve",
     "choi_matrix": "the reshuffle that every choi_* function reads",
     "named_potential": "the potential key of a line model config",
+    "schatten_norm": "the Schatten p-norm of one operator, library API",
 }
 
 
@@ -145,11 +148,13 @@ def test_every_keyword_only_parameter_is_passed():
     assert not unpassed
 
 
-def test_layer_tracer_finds_every_function_it_wraps():
+def test_layer_tracer_finds_every_function_it_wraps(tmp_path):
     """``perfbench/run.py --trace`` wraps these names, and ``expm`` by its
     name in ``gibbslab.evolution``; a removed, renamed or moved one would
     fail there, not in the suite.  An installed tracer records a fresh
-    evolution's spans and puts every original back when it is removed."""
+    evolution's spans, and a one-rung sweep's single Bohr clustering (made
+    by the model's frame) and two builds, and puts every original back when
+    it is removed."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -170,6 +175,19 @@ def test_layer_tracer_finds_every_function_it_wraps():
         gibbslab.evolution.evolve(bundle, state, (0.0, 1.0))
     names = {span[0] for span in tracer.spans}
     assert {"evolution.evolve", "evolution.expm"} <= names
+
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"model": {"name": "line", "n_grid": 16},
+                                  "run": {"sigma_sweep": [0.5]}}))
+    sweep = tracing.Tracer()
+    with sweep.installed():
+        code = gibbslab.cli.main(["sweep-sigma", "--config", str(config),
+                                  "--report", str(tmp_path / "r.json"),
+                                  "--out", str(tmp_path / "rows.csv")])
+    assert code == 0
+    counts = collections.Counter(span[0] for span in sweep.spans)
+    assert counts["bohr.spectrum"] == 1
+    assert counts["generators.assembly"] == 2
     for module, attributes in zip(modules, before):
         moved = [key for key, value in attributes.items() if vars(module).get(key) is not value]
         assert not moved, (module.__name__, moved)

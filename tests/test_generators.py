@@ -209,6 +209,35 @@ def test_omega_quadrature_matches_node_sum_oracle(model_name, phi, sigma):
     assert np.max(np.abs(m_got - m_ref)) <= 1e-13 * np.max(np.abs(m_ref))
 
 
+_PAIR_SUM_MODELS = {
+    "qubit": qubit_model,
+    "oscillator6": lambda: oscillator_model(6),
+    "random4": lambda: random_model(dim=4),
+    "random5": lambda: random_model(dim=5, n_jump_pairs=3, seed=1),
+    "random6": lambda: random_model(dim=6, seed=3, spectrum=WELL_SEPARATED_SPECTRUM_6),
+    "line16": lambda: schrodinger_line_model(16),
+    "line24": lambda: schrodinger_line_model(24),
+    "line32": lambda: schrodinger_line_model(32),
+    "torus12": lambda: torus_model(12),
+}
+
+
+@pytest.mark.parametrize("phi, sigma", [("gaussian", 1.0), ("sech", 0.3), ("exp_abs", 0.5)])
+@pytest.mark.parametrize("model_name", sorted(_PAIR_SUM_MODELS))
+def test_pair_sum_is_the_optimised_einsum_bit_for_bit(model_name, phi, sigma):
+    """The written-out pair contraction equals ``einsum(optimize=True)``
+    byte for byte on the overlap table ``G``, the coherent table ``b`` and
+    a Davies coupling ``diag(gamma)``."""
+    model = _PAIR_SUM_MODELS[model_name]()
+    frame = model.frame
+    weight = balanced_gamma(phi, sigma)
+    table = overlap_table(frame.spectrum, weight, sigma, cross_check=False)
+    idx = frame.spectrum.pair_index
+    for coupling in (table.values, table.coherent, np.diag(weight(frame.spectrum.frequencies))):
+        got = _pair_sum(frame.jumps_eig, coupling, idx)
+        assert got.tobytes() == oracles.pair_sum_optimized(frame.jumps_eig, coupling, idx).tobytes()
+
+
 def test_node_sum_table_is_summed_in_bounded_blocks(monkeypatch):
     """line16 at sigma = 0.01 puts 48k quadrature nodes on 133 frequencies;
     as one nodes x frequencies profile its table peaked at 148 MiB.  Summed
@@ -446,6 +475,16 @@ def test_zero_weight_reduces_to_pure_hamiltonian_drift(dense_model):
     assert np.linalg.norm(oracles.dissipator_superop(bundle)) < 1e-14
 
 
+def test_bundles_on_one_model_share_its_frame():
+    model = random_model(dim=4)
+    davies = davies_generator(model, kms_gamma("metropolis"))
+    filtered = localised_generator(model, balanced_gamma("gaussian", 1.0), 1.0)
+    assert davies.system is filtered.system is model.eigensystem()
+    assert davies.spectrum is filtered.spectrum is model.frame.spectrum
+    with pytest.raises(ValueError):
+        filtered.system.eigenvectors[0, 0] = 1.0
+
+
 def test_identity_jump_produces_no_motion(dense_model):
     model = Model(
         model_id="identity_probe",
@@ -539,6 +578,22 @@ def test_davies_limit_report_matches_the_original_basis(model):
     for row, ref in zip(rows, want, strict=True):
         assert row["davies_distance_p1"] == pytest.approx(ref["davies_distance_p1"], rel=1e-12)
         assert abs(row["stationarity_residual"] - ref["stationarity_residual"]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "model",
+    [qubit_model(), random_model(dim=4), oscillator_model(6), schrodinger_line_model(24)],
+    ids=["qubit", "random4", "oscillator6", "line24"],
+)
+def test_davies_limit_distance_is_the_schatten_norm_loop(model):
+    """The report's stacked singular values give each row's distance
+    exactly as one ``schatten_norm(a - b, 1)`` per test operator does."""
+    sigmas = (1.0, 0.5)
+    rows = davies_limit_report(model, "gaussian", sigmas, seed=7)["rows"]
+    for row, sigma in zip(rows, sigmas, strict=True):
+        assert row["davies_distance_p1"] == max(
+            oracles.davies_distances_loop(model, "gaussian", sigma, seed=7)
+        )
 
 
 def test_coherent_norm_halving_envelope():

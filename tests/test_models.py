@@ -9,6 +9,7 @@ levels at the stencil's quadratic rate.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -212,3 +213,41 @@ def test_model_from_config_rejections():
 def test_benchmark_models_cover_the_four_families():
     ids = [model.model_id for model in benchmark_models()]
     assert ids == ["qubit", "oscillator6", "line16", "torus12"]
+
+
+# ---------------------------------------------------------------------------
+# One cached, read-only spectral frame per model
+# ---------------------------------------------------------------------------
+
+
+def test_eigensystem_is_computed_once():
+    model = random_model(dim=4)
+    assert model.eigensystem() is model.eigensystem()
+    assert model.frame is model.frame
+    assert model.frame.spectrum.eigenvalues.tobytes() == model.eigensystem().eigenvalues.tobytes()
+
+
+def test_model_and_frame_arrays_are_read_only():
+    model = oscillator_model(6)
+    frame = model.frame
+    for array in (
+        model.hamiltonian,
+        model.jumps[0],
+        model.eigensystem().eigenvectors,
+        frame.jumps_eig[0],
+        frame.spectrum.pair_index,
+    ):
+        with pytest.raises(ValueError):
+            array[0, 0] = 7.0
+
+
+def test_replace_gets_a_fresh_frame():
+    model = random_model(dim=4, n_jump_pairs=2)
+    frame = model.frame
+    doubled = dataclasses.replace(model, jumps=tuple(2.0 * a for a in model.jumps))
+    assert doubled.frame is not frame
+    assert doubled.eigensystem() is not model.eigensystem()
+    for got, jump in zip(doubled.frame.jumps_eig, frame.jumps_eig, strict=True):
+        assert np.array_equal(got, 2.0 * jump)
+    assert doubled.frame.jump_norm_squared_sum == pytest.approx(4.0 * frame.jump_norm_squared_sum)
+    assert model.frame is frame
