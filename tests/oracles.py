@@ -260,8 +260,8 @@ def parent_tail(bundle) -> tuple[np.ndarray, np.ndarray]:
     """``(superoperator, effective_drift)`` of ``bundle`` assembled eagerly in
     the original basis: the drift ``Y = i(P + B) - M/2`` with ``M`` rotated
     out of the eigenbasis, the eigenbasis sandwich of the bundle's coupling
-    table rotated, then ``Y^dag T + T Y`` added in place.  The eigensystem
-    and the eigenbasis jumps are recomputed from the model."""
+    table rotated, then ``Y^dag T + T Y`` added in place.  The eigenbasis
+    jumps are recomputed from the model's eigensystem."""
     from gibbslab.generators import _add_drift, _bohr_sum_dissipator, _pair_sum, _rotate_superop
 
     system = bundle.model.eigensystem()
