@@ -42,6 +42,7 @@ from .weights import (
     FILTER_SQUARED_MASS,
     MAX_BANDWIDTH,
     MAX_SPECTRAL_WIDTH,
+    MIN_BANDWIDTH,
     PHI_LIBRARY,
     GaussianFilter,
     WeightFunction,
@@ -118,6 +119,7 @@ __all__ = [
     "FILTER_SQUARED_MASS",
     "MAX_BANDWIDTH",
     "MAX_SPECTRAL_WIDTH",
+    "MIN_BANDWIDTH",
     "PHI_LIBRARY",
     "GaussianFilter",
     "WeightFunction",

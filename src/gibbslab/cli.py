@@ -29,9 +29,9 @@ produce identical bytes (modulo the version metadata line).  Exit codes:
 0 all checks passed, 1 at least one check failed, 2 usage or config
 error, 3 (selftest with ``--tighten``) only the expected tightened checks
 failed, 4 a numerical guard fired (an overlap table disagreed with its
-batched Gauss-Legendre cross-check, or that quadrature failed), 5 the
-program crashed (any other exception; the
-traceback goes to stderr).
+batched Gauss-Legendre cross-check, that quadrature failed, or a step
+exponential of an evolution was not finite), 5 the program crashed (any
+other exception; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ from .models import config_number, model_from_config, random_model
 from .weights import (
     COHERENT_L1_LIMIT,
     MAX_BANDWIDTH,
+    MIN_BANDWIDTH,
     balanced_gamma,
     coherent_time_kernel_l1,
     kms_gamma,
@@ -156,10 +157,10 @@ def _as_positive_float(value, context: str) -> float:
 
 def _as_bandwidth(value, context: str) -> float:
     sigma = _as_positive_float(value, context)
-    if sigma > MAX_BANDWIDTH:
+    if not MIN_BANDWIDTH <= sigma <= MAX_BANDWIDTH:
         raise ValidationError(
-            f"{context} must be at most {MAX_BANDWIDTH:g}, got {sigma!r}; the "
-            "smoothing rule does not resolve wider filters"
+            f"{context} must be in [{MIN_BANDWIDTH:g}, {MAX_BANDWIDTH:g}], got {sigma!r}; "
+            "the quadratures do not resolve narrower or wider filters"
         )
     return sigma
 
@@ -168,9 +169,10 @@ def normalised_config(config: dict | None, command: str) -> dict:
     """Validate a config mapping and fill defaults; idempotent.
 
     Unknown keys anywhere in the tree are rejected, ``schema_version`` must
-    match, and all tolerances must be positive.  The returned mapping is
-    plain JSON data (no arrays, no callables) and normalising it again
-    returns an equal mapping.
+    match, and all tolerances must be positive; ``model`` need only be a
+    mapping with a ``name``, as the command's one model build validates the
+    rest.  The returned mapping is plain JSON data (no arrays, no callables)
+    and normalising it again returns an equal mapping.
     """
     cfg = dict(config) if config else {}
     _reject_unknown(
@@ -182,10 +184,10 @@ def normalised_config(config: dict | None, command: str) -> dict:
             f"unsupported schema_version {version!r}; this build reads {SCHEMA_VERSION}"
         )
 
-    model = dict(cfg.get("model") or {"name": "qubit"})
-    if "name" not in model:
-        raise ValidationError("model config requires a 'name'")
-    model_from_config(model)  # full validation, including unknown-key rejection
+    model = cfg.get("model") or {"name": "qubit"}
+    if not isinstance(model, dict) or "name" not in model:
+        raise ValidationError("model config must be a mapping with a 'name'")
+    model = dict(model)
 
     weight = dict(cfg.get("weight") or {})
     _reject_unknown(weight, {"kind", "phi_name", "sigma"}, "weight")

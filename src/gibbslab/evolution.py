@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ValidationError
+from .errors import NumericalGuardError, ValidationError
 from .operator_core import dagger
 
 if TYPE_CHECKING:
@@ -89,13 +89,17 @@ class Propagator:
         return sum(e.nbytes for e in self._steps.values())
 
     def step(self, dt: float) -> np.ndarray:
-        """The channel ``e^{dt S}``."""
+        """The channel ``e^{dt S}``; :class:`NumericalGuardError` when it is
+        not finite."""
         dt = float(dt)
         channel = self._steps.get(dt)
         if channel is not None:
             self._steps.move_to_end(dt)
             return channel
         channel = expm(self.superoperator * dt)
+        # At huge steps (t = 1e40 on the qubit) the squaring overflows to NaN.
+        if not np.isfinite(channel).all():
+            raise NumericalGuardError(f"the step exponential at dt = {dt!r} is not finite")
         channel.flags.writeable = False
         self.computed += 1
         self._steps[dt] = channel

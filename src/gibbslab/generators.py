@@ -41,7 +41,9 @@ overlap table: it puts its own quadrature nodes ``w_n`` with weights
 ``gw_n = gamma(w_n) q_n`` (``q_n`` the panel rule's weights) on the filtered
 transform and contracts the node-sum table
 ``K(nu, nu') = sum_n gw_n fhat(w_n - nu) fhat(w_n - nu')`` in place of
-``G``.  ``K`` is a Gram table, so the sum is completely positive by
+``G``.  Its nodes sit on the window lattice of the panel smoothing of ``H``,
+laid about the Bohr frequencies only, so their count does not grow as
+``sigma`` falls.  ``K`` is a Gram table, so the sum is completely positive by
 construction.  Since the two paths share the contraction, the rotation and
 the coherent matrix, they can differ only in their tables, and the
 standing consistency check compares ``G`` with ``K`` directly.
@@ -66,13 +68,10 @@ from .operator_core import (
     vectorize,
 )
 from .weights import (
-    PANEL_WIDTH_FRACTION,
-    WINDOW_RADIUS,
     GaussianFilter,
     WeightFunction,
-    _kink_panel_edges,
-    _panel_quadrature,
     _require_bandwidth,
+    _window_quadrature,
     coherent_time_envelope,
     coherent_time_kernel,
     kms_defect,
@@ -96,8 +95,9 @@ __all__ = [
 _KMS_GRID_TOL = 1e-12
 _B_HERMITICITY_TOL = 1e-10
 _ADJOINT_FAMILY_TOL = 1e-12
-# Nodes per block of the node-sum table.  The shipped models need at most
-# 1600 nodes at bandwidths of 0.5 or more: one block.
+# Nodes per block of the node-sum table, which bounds its nodes x frequencies
+# temporaries.  The window lattice lays at most 528 nodes a Bohr frequency;
+# the line models at sigma = 1 need 472 in all: one block.
 _NODE_CHUNK = 2048
 
 
@@ -364,27 +364,13 @@ def _omega_quadrature_nodes(
     sigma: float,
     freqs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes/weights covering the live support of the weight.
-
-    The window is where ``gamma`` is at least ``1e-24`` of its peak, dilated
-    by the filter's window radius, intersected with the reach of the Bohr
-    frequencies; panels are aligned to the weight's breakpoints.
-    """
-    lo_f = float(freqs[0]) - WINDOW_RADIUS * sigma
-    hi_f = float(freqs[-1]) + WINDOW_RADIUS * sigma
-    probe = np.linspace(lo_f, hi_f, 4001)
-    gvals = weight(probe)
-    peak = float(np.max(gvals))
-    if peak <= 0.0:
-        raise ValidationError("weight vanishes identically on the probe window")
-    live = probe[gvals >= peak * 1e-24]
-    lo = max(lo_f, float(live[0]) - (WINDOW_RADIUS + 2.0) * sigma)
-    hi = min(hi_f, float(live[-1]) + (WINDOW_RADIUS + 2.0) * sigma)
-    bps = [float(b) for b in weight.breakpoints if lo < float(b) < hi]
-    edges = _kink_panel_edges(lo, hi, bps[0] if bps else lo, sigma * PANEL_WIDTH_FRACTION)
-    if bps:
-        edges = np.unique(np.concatenate([edges, np.asarray(bps)]))
-    return _panel_quadrature(edges)
+    """Quadrature nodes/weights of the node sum: the window lattice of the
+    sorted Bohr frequencies (``weights._window_quadrature``), kept where
+    ``gamma`` is at least ``1e-24`` of its peak on the lattice."""
+    nodes, wts = _window_quadrature(weight, sigma, freqs)
+    gamma = weight(nodes)
+    live = gamma >= 1e-24 * np.max(gamma)
+    return nodes[live], wts[live]
 
 
 def _omega_quadrature_coupling(
@@ -394,18 +380,15 @@ def _omega_quadrature_coupling(
     count.
 
     ``K(nu, nu') = sum_n gw_n fhat(w_n - nu) fhat(w_n - nu')`` is the Gram
-    table ``W^T W`` of ``W = sqrt(gw) * profile`` (nodes x frequencies) over
-    the nodes with ``gw_n > 0``, so it is positive semidefinite by
-    construction.  Summing it over blocks of ``_NODE_CHUNK`` nodes bounds its
-    temporaries.  Entries of each block of ``W`` below ``sqrt(tiny)`` (about
-    ``1.5e-154``) times ``max(1, max|W|)`` are zeroed first, as in the
-    overlap table, so that no product in ``W^T W`` underflows.  It never
-    reads the overlap table.
+    table ``W^T W`` of ``W = sqrt(gw) * profile`` (nodes x frequencies), so
+    it is positive semidefinite by construction.  Summing it over blocks of
+    ``_NODE_CHUNK`` nodes bounds its temporaries.  Entries of each block of
+    ``W`` below ``sqrt(tiny)`` (about ``1.5e-154``) times ``max(1, max|W|)``
+    are zeroed first, as in the overlap table, so that no product in
+    ``W^T W`` underflows.  It never reads the overlap table.
     """
     nodes, wts = _omega_quadrature_nodes(weight, sigma, freqs)
-    gw = weight(nodes) * wts
-    keep = gw > 0.0
-    nodes, root_gw = nodes[keep], np.sqrt(gw[keep])
+    root_gw = np.sqrt(weight(nodes) * wts)
     profile = GaussianFilter(sigma).frequency_profile
     table = np.zeros((freqs.size, freqs.size))
     for start in range(0, nodes.size, _NODE_CHUNK):

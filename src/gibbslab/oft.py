@@ -50,6 +50,7 @@ from .errors import NumericalGuardError, ValidationError
 from .weights import (
     MAX_BANDWIDTH,
     MAX_SPECTRAL_WIDTH,
+    MIN_BANDWIDTH,
     WINDOW_RADIUS,
     GaussianFilter,
     WeightFunction,
@@ -314,13 +315,16 @@ def overlap_table(
     or a failure of that quadrature, raises :class:`NumericalGuardError`,
     signalling a regression in either path.  Bandwidths above
     ``MAX_BANDWIDTH``, where the Gauss-Hermite rule no longer resolves the
-    weight, raise :class:`ValidationError`.  The table records which rule
+    weight, or below ``MIN_BANDWIDTH``, where the rounding of absolute
+    quadrature nodes reaches the cross-check tolerance, raise
+    :class:`ValidationError`.  The table records which rule
     smoothed the weight as ``smoothing_rule``.
     """
     _require_bandwidth(sigma)
-    if sigma > MAX_BANDWIDTH:
+    if not MIN_BANDWIDTH <= sigma <= MAX_BANDWIDTH:
         raise ValidationError(
-            f"bandwidth {sigma!r} exceeds the supported range {MAX_BANDWIDTH:g}"
+            f"bandwidth {sigma!r} is outside the supported range "
+            f"[{MIN_BANDWIDTH:g}, {MAX_BANDWIDTH:g}]"
         )
     freqs = spectrum.frequencies
     m = freqs.size

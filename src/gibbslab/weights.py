@@ -47,8 +47,9 @@ This module owns every scalar ingredient of the generator assembly:
   kink-aligned Gauss-Legendre panels of :data:`PANEL_ORDER` nodes and width
   :data:`PANEL_WIDTH_FRACTION` times ``sigma`` when the weight has
   breakpoints; and a window of :data:`WINDOW_RADIUS` widths about each
-  center.  The independent QUADPACK references for every scalar quantity
-  live with the tests, not here.
+  center, laid as one window lattice that also carries the node sum of the
+  ``omega_quadrature`` generator path.  The independent QUADPACK references
+  for every scalar quantity live with the tests, not here.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ __all__ = [
     "TIME_KERNEL_SPECTRAL_SCALE",
     "MAX_SPECTRAL_WIDTH",
     "MAX_BANDWIDTH",
+    "MIN_BANDWIDTH",
     "HERMITE_ORDER",
     "PANEL_ORDER",
     "PANEL_WIDTH_FRACTION",
@@ -125,6 +127,12 @@ MAX_SPECTRAL_WIDTH = 600.0
 #: at 20, while every library profile passes its stationarity check up to
 #: sigma = 3.5.
 MAX_BANDWIDTH = 3.0
+
+#: Smallest admissible filter bandwidth, for every weight.  The quadratures
+#: place their nodes at absolute frequencies, whose rounding grows relative to
+#: ``sigma`` as it falls: the library profiles pass every verify check at
+#: 1e-6, and at 1e-7 the exp_abs tables miss their 1e-8 cross-check.
+MIN_BANDWIDTH = 1e-6
 
 #: Order of the shifted Gauss-Hermite rule used when the weight is smooth.
 HERMITE_ORDER = 180
@@ -455,12 +463,6 @@ def _gauss_legendre():
     return leggauss(PANEL_ORDER)
 
 
-def _panel_quadrature(edges: np.ndarray):
-    """Gauss-Legendre nodes/weights (``PANEL_ORDER`` per segment) tiling the
-    consecutive segments of ``edges``."""
-    return _panel_nodes(edges[:-1], edges[1:])
-
-
 def _panel_nodes(lower: np.ndarray, upper: np.ndarray):
     """Gauss-Legendre nodes/weights (``PANEL_ORDER`` per panel) on the panels
     ``[lower[k], upper[k]]``."""
@@ -470,13 +472,6 @@ def _panel_nodes(lower: np.ndarray, upper: np.ndarray):
     nodes = (mids[:, None] + half[:, None] * x_ref[None, :]).ravel()
     weights = (half[:, None] * w_ref[None, :]).ravel()
     return nodes, weights
-
-
-def _kink_panel_edges(lo: float, hi: float, anchor: float, width: float) -> np.ndarray:
-    """A lattice of panel edges of step ``width`` containing ``anchor`` as an edge."""
-    k0 = math.floor((lo - anchor) / width)
-    k1 = math.ceil((hi - anchor) / width)
-    return anchor + width * np.arange(k0, k1 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -549,19 +544,19 @@ def smoothed_weight_table(weight: WeightFunction, sigma: float, centers) -> np.n
     return result
 
 
-def _panel_smoothing(weight: WeightFunction, sigma: float, sorted_c: np.ndarray) -> np.ndarray:
-    """``H`` at the sorted centers on the kink-aligned panel lattice.
+def _window_quadrature(weight: WeightFunction, sigma: float, sorted_c: np.ndarray):
+    """Gauss-Legendre nodes/weights on the window lattice of the sorted centers.
 
     Panel ``k`` is ``[anchor + k w, anchor + (k + 1) w]`` with the first
-    breakpoint in reach as anchor and ``w = PANEL_WIDTH_FRACTION * sigma``.
-    Only the panels that meet some center's window are built, so sparse
-    centers at small ``sigma`` cost their windows, not the span between
-    them; further breakpoints split the panel they fall in.
+    breakpoint in reach as anchor (else 0) and ``w = PANEL_WIDTH_FRACTION *
+    sigma``.  Only the panels that meet some center's window are laid: at most
+    33 a center, however sparse the centers.  Further breakpoints split the
+    panel they fall in.
     """
     bps = _breakpoints_in_reach(weight, sigma, sorted_c[0], sorted_c[-1])
     radius = WINDOW_RADIUS * sigma
     width = sigma * PANEL_WIDTH_FRACTION
-    anchor = bps[0]
+    anchor = bps[0] if bps else 0.0
     first = np.floor((sorted_c - radius - anchor) / width).astype(np.int64)
     stop = np.ceil((sorted_c + radius - anchor) / width).astype(np.int64)
     # Both bounds rise with the center, so a run of consecutive panels
@@ -578,7 +573,14 @@ def _panel_smoothing(weight: WeightFunction, sigma: float, sorted_c: np.ndarray)
         if k >= 0 and lower[k] < kink < upper[k]:
             lower = np.insert(lower, k + 1, kink)
             upper = np.insert(upper, k, kink)
-    nodes, wts = _panel_nodes(lower, upper)
+    return _panel_nodes(lower, upper)
+
+
+def _panel_smoothing(weight: WeightFunction, sigma: float, sorted_c: np.ndarray) -> np.ndarray:
+    """``H`` at the sorted centers from one evaluation of the weight on their
+    window lattice, each center reading the nodes of its own window."""
+    radius = WINDOW_RADIUS * sigma
+    nodes, wts = _window_quadrature(weight, sigma, sorted_c)
     weighted_vals = weight(nodes) * wts
 
     # Each chunk multiplies its centers against every node from its first
@@ -640,7 +642,7 @@ def coherent_time_kernel(t, sigma: float) -> np.ndarray:
     panel = min(0.5 / sigma, 0.25)
     n_panels = int(math.ceil(s_max / panel))
     edges = np.linspace(0.0, n_panels * panel, n_panels + 1)
-    nodes, wts = _panel_quadrature(edges)
+    nodes, wts = _panel_nodes(edges[:-1], edges[1:])
     with np.errstate(over="ignore"):
         csch = wts / np.sinh(2.0 * math.pi * nodes)
     diff = np.exp(-(sigma * (mags[:, None] - nodes[None, :])) ** 2) - np.exp(
@@ -756,7 +758,7 @@ def coherent_time_kernel_l1(sigma: float) -> float:
     panel = 0.125
     n_panels = int(math.ceil(s_max / panel))
     edges = np.linspace(0.0, n_panels * panel, n_panels + 1)
-    nodes, wts = _panel_quadrature(edges)
+    nodes, wts = _panel_nodes(edges[:-1], edges[1:])
     integrand = erf(sigma * nodes) / np.sinh(2.0 * math.pi * nodes)
     reduced = float(np.sum(wts * integrand))
     return TIME_KERNEL_ENVELOPE_SCALE * 2.0 * math.sqrt(math.pi) / sigma * reduced

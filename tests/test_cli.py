@@ -38,7 +38,7 @@ from gibbslab.cli import (
 )
 from gibbslab.errors import ValidationError
 from gibbslab.generators import localised_generator
-from gibbslab.weights import balanced_gamma
+from gibbslab.weights import MIN_BANDWIDTH, balanced_gamma
 from gibbslab.models import model_from_config
 
 
@@ -85,6 +85,7 @@ def test_normalised_config_rejections():
         qubit_config(run={"seeds": []}),
         qubit_config(run={"seeds": [1, 2]}),
         qubit_config(output={"format": "xml"}),
+        qubit_config(model="qubit"),
     ]
     for payload in bad_cases:
         with pytest.raises(ValidationError):
@@ -437,24 +438,28 @@ def test_unknown_check_exits_two_before_the_build(
     [
         ("verify-stationarity", qubit_config(weight={"kind": "balanced", "sigma": 4.5})),
         ("sweep-sigma", qubit_config(run={"sigma_sweep": [5.0, 1.0]})),
+        ("verify-stationarity", qubit_config(weight={"kind": "balanced", "sigma": 1e-300})),
     ],
-    ids=["weight-sigma", "sweep-rung"],
+    ids=["weight-sigma", "sweep-rung", "below-floor"],
 )
 def test_unresolvable_bandwidth_exits_two_before_any_build(
     tmp_path, monkeypatch, capsys, command, payload
 ):
     """The smoothing rule is wrong for sigma well above the weight's own
     width (gaussian qubit verify exits 4 at sigma = 4.5 without the bound),
-    so such configs are usage errors caught before anything is built."""
+    and below the floor the quadratures lose their nodes to rounding (at
+    sigma = 1e-300 the table build divided by zero), so such configs are
+    usage errors caught before anything is built."""
     builds = []
     for name in ("localised_generator", "davies_limit_report"):
         monkeypatch.setattr(gibbslab.cli, name, lambda *a, **k: builds.append(a))
     config = write_config(tmp_path, payload)
     assert main([command, "--config", config]) == EXIT_USAGE
-    assert "must be at most 3" in capsys.readouterr().err
+    assert "must be in [1e-06, 3]" in capsys.readouterr().err
     assert builds == []
-    at_bound = qubit_config(weight={"kind": "balanced", "sigma": 3.0})
-    assert normalised_config(at_bound, command)["weight"]["sigma"] == 3.0
+    for bound in (3.0, MIN_BANDWIDTH):
+        at_bound = qubit_config(weight={"kind": "balanced", "sigma": bound})
+        assert normalised_config(at_bound, command)["weight"]["sigma"] == bound
 
 
 @pytest.mark.parametrize(
@@ -524,6 +529,46 @@ def test_cross_check_failure_exits_four(tmp_path, monkeypatch, capsys):
     assert EXIT_NUMERICAL_GUARD == 4
     assert main(["verify-stationarity", "--config", config]) == EXIT_NUMERICAL_GUARD
     assert "definitional quadrature" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model, time",
+    [({"name": "qubit"}, 1e50), ({"name": "oscillator", "dim": 4}, 1e300)],
+    ids=["qubit", "oscillator4"],
+)
+def test_non_finite_step_exponential_exits_four(tmp_path, capsys, model, time):
+    """``expm(t S)`` is NaN from about t = 1e40; the step guard names the
+    step instead of letting the snapshot eigensolver crash on it."""
+    config = write_config(tmp_path, qubit_config(model=model, run={"times": [time]}))
+    assert main(["evolve", "--config", config]) == EXIT_NUMERICAL_GUARD
+    err = capsys.readouterr().err
+    assert err.startswith("numerical guard:")
+    assert f"dt = {time!r}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["verify-stationarity"], qubit_config()),
+        (["evolve"], qubit_config()),
+        (["sweep-sigma"], qubit_config(run={"sigma_sweep": [0.5]})),
+    ],
+    ids=["verify", "evolve", "sweep"],
+)
+def test_each_command_builds_its_model_once(tmp_path, monkeypatch, argv, payload):
+    """The command's one build validates the model section; normalising
+    the config builds nothing."""
+    builds = []
+    build = gibbslab.cli.model_from_config
+
+    def counting(config):
+        builds.append(config)
+        return build(config)
+
+    monkeypatch.setattr(gibbslab.cli, "model_from_config", counting)
+    config = write_config(tmp_path, payload)
+    assert main(argv + ["--config", config, "--report", str(tmp_path / "r.json")]) == EXIT_OK
+    assert builds == [payload["model"]]
 
 
 def test_main_parses_each_call_afresh(tmp_path, monkeypatch):

@@ -52,6 +52,8 @@ from gibbslab.models import (
 from gibbslab.oft import overlap_table
 from gibbslab.operator_core import EigenSystem
 from gibbslab.weights import (
+    MIN_BANDWIDTH,
+    PANEL_ORDER,
     GaussianFilter,
     WeightFunction,
     balanced_gamma,
@@ -239,10 +241,10 @@ def test_pair_sum_is_the_optimised_einsum_bit_for_bit(model_name, phi, sigma):
 
 
 def test_node_sum_table_is_summed_in_bounded_blocks(monkeypatch):
-    """line16 at sigma = 0.01 puts 48k quadrature nodes on 133 frequencies;
-    as one nodes x frequencies profile its table peaked at 148 MiB.  Summed
-    in blocks it stays small, and many small blocks give the whole-profile
-    table."""
+    """line16 at sigma = 0.01 puts 11k quadrature nodes on 133 frequencies
+    (48k when the nodes tiled the whole span, whose single nodes x
+    frequencies profile peaked at 148 MiB).  Summed in blocks the table
+    stays small, and many small blocks give the whole-profile table."""
     freqs = bohr_spectrum(schrodinger_line_model(16).eigensystem()).frequencies
     tracemalloc.start()
     try:
@@ -259,6 +261,35 @@ def test_node_sum_table_is_summed_in_bounded_blocks(monkeypatch):
     got, n_nodes = _omega_quadrature_coupling(weight, 1.0, freqs)
     assert n_nodes == int(np.count_nonzero(weight(nodes) * wts > 0.0))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("phi", ["gaussian", "exp_abs"])
+@pytest.mark.parametrize("sigma", [1.0, 1e-2, 1e-4])
+def test_node_sum_lays_only_the_frequency_windows(phi, sigma):
+    """The node sum sits on the window lattice of the Bohr frequencies: at
+    most 33 panels a frequency, plus one panel a breakpoint splits, however
+    far apart the frequencies are against ``sigma`` (line16 at 1e-4 used to
+    tile its whole span: 4.75 M nodes for 133 frequencies)."""
+    freqs = bohr_spectrum(schrodinger_line_model(16).eigensystem()).frequencies
+    weight = balanced_gamma(phi, sigma)
+    nodes, wts = _omega_quadrature_nodes(weight, sigma, freqs)
+    bound = PANEL_ORDER * (33 * freqs.size + len(weight.breakpoints))
+    assert nodes.size == wts.size <= bound
+    assert np.all(np.diff(nodes) > 0.0)
+
+
+@pytest.mark.parametrize(
+    "sigma, bound",
+    # Nodes sit at absolute frequencies, where a node near |omega| = 1
+    # rounds by about 1e-16: 1e-10 of sigma at the floor of 1e-6.
+    [(1e-3, 1e-12), (MIN_BANDWIDTH, 1e-10)],
+)
+@pytest.mark.parametrize("model_name", ["qubit", "random4"])
+def test_dual_path_holds_at_small_bandwidths(model_name, sigma, bound):
+    model = _NODE_SUM_MODELS[model_name]()
+    for phi in ("gaussian", "sech", "exp_abs"):
+        bundle = localised_generator(model, balanced_gamma(phi, sigma), sigma)
+        assert dual_path_residual(bundle) <= bound, phi
 
 
 @pytest.mark.parametrize("d", [2, 5, 16])

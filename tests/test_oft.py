@@ -22,6 +22,7 @@ from gibbslab.models import qubit_model, random_model, schrodinger_line_model, t
 from gibbslab.oft import oft_eval, overlap_table
 from gibbslab.weights import (
     MAX_BANDWIDTH,
+    MIN_BANDWIDTH,
     balanced_gamma,
     delocalised_limit_gamma,
     smoothed_weight_table,
@@ -269,7 +270,8 @@ def test_bandwidth_guard_rejects_unresolved_filters():
     """At the bound the Gauss-Hermite rule, run on a user profile equal to
     the gaussian (which has no closed form), matches the gaussian's closed
     form to roundoff; above it the table is refused (the rule is off by
-    1.3e-9 relative at sigma = 4 and 1.2e-4 at 6)."""
+    1.3e-9 relative at sigma = 4 and 1.2e-4 at 6), and so it is below
+    ``MIN_BANDWIDTH``."""
     spectrum = bohr_spectrum(qubit_model().eigensystem())
     s = MAX_BANDWIDTH
     centers = np.array([-1.0, 0.0, 1.0])
@@ -281,8 +283,8 @@ def test_bandwidth_guard_rejects_unresolved_filters():
     got = smoothed_weight_table(user, s, centers)
     assert np.max(np.abs(got / closed - 1.0)) < 1e-13
     overlap_table(spectrum, balanced_gamma("gaussian", s), s)
-    for sigma in (np.nextafter(s, np.inf), 4.0, 20.0):
-        with pytest.raises(ValidationError, match="exceeds the supported range"):
+    for sigma in (np.nextafter(s, np.inf), 4.0, 20.0, np.nextafter(MIN_BANDWIDTH, 0.0), 1e-300):
+        with pytest.raises(ValidationError, match="outside the supported range"):
             overlap_table(spectrum, balanced_gamma("gaussian", sigma), sigma)
 
 
