@@ -42,6 +42,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import platform
 import sys
 import time
@@ -383,11 +384,16 @@ def _bundle_check(
 
 
 def _environment(seed: int) -> dict:
+    """Versions, the seed and the BLAS thread settings the process sees
+    (``null`` when unset): the thread count can move the last bits of
+    LAPACK results such as ``overlap_min_eigenvalue``."""
     return {
         "package_version": __version__,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
         "seed": int(seed),
     }
 
@@ -441,14 +447,12 @@ def _data_artifact(columns: list[str], rows: list[list], metadata: dict, fmt: st
 # ---------------------------------------------------------------------------
 
 
-def _encode_matrix(matrix: np.ndarray) -> dict:
+def _encode_matrix(matrix: np.ndarray, data: str) -> tuple[dict, str]:
+    """A matrix payload whose ``data`` field holds the placeholder string
+    ``data``, and the base64 text that replaces it."""
     m = np.ascontiguousarray(matrix, dtype=np.complex128)
-    return {
-        "dtype": "complex128",
-        "shape": list(m.shape),
-        "order": "C",
-        "data": base64.b64encode(m.tobytes()).decode("ascii"),
-    }
+    header = {"dtype": "complex128", "shape": list(m.shape), "order": "C", "data": data}
+    return header, base64.b64encode(m.tobytes()).decode("ascii")
 
 
 def decode_matrix(payload: dict) -> np.ndarray:
@@ -473,18 +477,31 @@ def export_bundle(bundle: GeneratorBundle, path: str) -> None:
             "phi_name": bundle.weight.phi_name,
             "sigma": bundle.weight.sigma,
         },
-        "matrices": {
-            "hamiltonian": _encode_matrix(bundle.model.hamiltonian),
-            "coherent_matrix": _encode_matrix(bundle.coherent_matrix),
-            "superoperator": _encode_matrix(bundle.superoperator),
-        },
+        "matrices": {},
         "diagnostics": {
             k: v
             for k, v in bundle.diagnostics.items()
             if isinstance(v, (int, float, bool, str))
         },
     }
-    _write_text(path, render_report(doc))
+    payloads = {}
+    for name, matrix in (
+        ("hamiltonian", bundle.model.hamiltonian),
+        ("coherent_matrix", bundle.coherent_matrix),
+        ("superoperator", bundle.superoperator),
+    ):
+        doc["matrices"][name], payloads[name] = _encode_matrix(matrix, name)
+    # Base64 needs no JSON escaping, so each payload is spliced in place of
+    # its placeholder rather than run through the escaper.  Keys are sorted,
+    # so past the top-level "matrices" key the placeholders follow in name
+    # order, each the first "data" value after the one before it.
+    head, key, tail = render_report(doc).partition('\n  "matrices": {')
+    parts = [head, key]
+    for name in sorted(payloads):
+        before, _, tail = tail.partition(f'"data": "{name}"')
+        parts += [before, '"data": "', payloads[name], '"']
+    parts.append(tail)
+    _write_text(path, "".join(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ standing consistency check compares ``G`` with ``K`` directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -60,7 +61,7 @@ from .bohr import BohrSpectrum
 from .errors import ValidationError
 from .evolution import Propagator
 from .models import Model
-from .oft import OverlapTable, _drop_underflow, overlap_table
+from .oft import _UNDERFLOW_FLOOR, OverlapTable, _drop_underflow, overlap_table
 from .operator_core import (
     EigenSystem,
     dagger,
@@ -97,7 +98,9 @@ _B_HERMITICITY_TOL = 1e-10
 _ADJOINT_FAMILY_TOL = 1e-12
 # Nodes per block of the node-sum table, which bounds its nodes x frequencies
 # temporaries.  The window lattice lays at most 528 nodes a Bohr frequency;
-# the line models at sigma = 1 need 472 in all: one block.
+# the line models at sigma = 1 need 472 in all: one block.  A block reads
+# only the frequencies in its reach, so at small sigma each of its Gram
+# products is a few frequencies square.
 _NODE_CHUNK = 2048
 
 
@@ -382,20 +385,34 @@ def _omega_quadrature_coupling(
     ``K(nu, nu') = sum_n gw_n fhat(w_n - nu) fhat(w_n - nu')`` is the Gram
     table ``W^T W`` of ``W = sqrt(gw) * profile`` (nodes x frequencies), so
     it is positive semidefinite by construction.  Summing it over blocks of
-    ``_NODE_CHUNK`` nodes bounds its temporaries.  Entries of each block of
-    ``W`` below ``sqrt(tiny)`` (about ``1.5e-154``) times ``max(1, max|W|)``
-    are zeroed first, as in the overlap table, so that no product in
-    ``W^T W`` underflows.  It never reads the overlap table.
+    ``_NODE_CHUNK`` sorted nodes bounds its temporaries.  Entries of each
+    block of ``W`` below ``sqrt(tiny)`` (about ``1.5e-154``) times
+    ``max(1, max|W|)`` are zeroed first, as in the overlap table, so that no
+    product in ``W^T W`` underflows.  A block is multiplied only against
+    the frequencies within its profile's reach, where
+    ``max sqrt(gw) fhat(x)`` over the block can still meet that floor;
+    every other column of the block would be zeroed, so a narrow filter
+    pays for a few frequencies a block, not for all of them.  It never
+    reads the overlap table.
     """
     nodes, wts = _omega_quadrature_nodes(weight, sigma, freqs)
     root_gw = np.sqrt(weight(nodes) * wts)
     profile = GaussianFilter(sigma).frequency_profile
+    peak = float(profile(0.0))
     table = np.zeros((freqs.size, freqs.size))
     for start in range(0, nodes.size, _NODE_CHUNK):
         block = slice(start, start + _NODE_CHUNK)
-        root = root_gw[block, None] * profile(nodes[block, None] - freqs[None, :])
+        top = peak * float(np.max(root_gw[block]))
+        if top < _UNDERFLOW_FLOOR:
+            continue
+        # fhat(x) sqrt(gw) < sqrt(tiny) past this distance, with a margin
+        # for the rounding of the exponential.
+        reach = sigma * math.sqrt(2.0 * math.log(top / _UNDERFLOW_FLOOR)) * (1.0 + 1e-6)
+        lo = int(np.searchsorted(freqs, nodes[start] - reach, side="left"))
+        hi = int(np.searchsorted(freqs, nodes[block][-1] + reach, side="right"))
+        root = root_gw[block, None] * profile(nodes[block, None] - freqs[None, lo:hi])
         _drop_underflow(root)
-        table += root.T @ root
+        table[lo:hi, lo:hi] += root.T @ root
     return table, int(nodes.size)
 
 
@@ -457,6 +474,8 @@ def localised_generator(
             "overlap_smoothing_rule": table.smoothing_rule,
             "overlap_min_eigenvalue": table.min_eigenvalue(),
             "overlap_dropped_entries": table.dropped_entries,
+            "overlap_live_pairs": table.live_pairs,
+            "overlap_largest_block": int(np.diff(table.blocks).max()),
             "n_frequencies": spectrum.size,
             "max_cluster_diameter": spectrum.max_cluster_diameter,
         }

@@ -30,8 +30,10 @@ The Bohr frequencies are closed under negation, so ``-(nu + nu')/2`` is the
 midpoint of the negated pair and both tables read one evaluation of ``H``.
 
 Both tables are left at zero on pairs whose Gaussian factor is below
-``e^{-200}``, and on entries below ``sqrt(tiny) max(1, max|x|)`` (about
-``1.5e-154`` of the table's scale, ``tiny`` the smallest normal double):
+``e^{-200}`` -- the frequencies ascend, so the rest form one band about the
+diagonal, the only pairs a build computes -- and on entries below
+``sqrt(tiny) max(1, max|x|)`` (about ``1.5e-154`` of the table's scale,
+``tiny`` the smallest normal double):
 such entries are more than 138 orders of magnitude below double precision,
 but products of two of them underflow, and on common x86 processors every
 subnormal operation in the dense kernels that read the tables costs a
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -123,6 +126,8 @@ class OverlapTable:
             all passes of the batched rule (48 per panel).
         dropped_entries: entries of ``values`` left at zero by the exponent
             cap or the underflow floor.
+        live_pairs: pairs ``nu <= nu'`` within the exponent cap, the upper
+            band the table was computed on.
     """
 
     spectrum: BohrSpectrum
@@ -135,6 +140,7 @@ class OverlapTable:
     cross_check_entries: int = 0
     cross_check_evaluations: int = 0
     dropped_entries: int = 0
+    live_pairs: int = 0
 
     def entry(self, nu: float, nu_prime: float) -> float:
         i = self.spectrum.index_of(nu)
@@ -144,10 +150,35 @@ class OverlapTable:
     def symmetry_defect(self) -> float:
         return float(np.max(np.abs(self.values - self.values.T)))
 
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """Bounds ``0 = b_0 < b_1 < ... < b_k = m`` of the diagonal blocks of
+        ``values``: each run ``[b_i, b_{i+1})`` is as short as it can be
+        with no nonzero entry coupling it to a row or column outside it."""
+        nonzero = self.values != 0.0
+        coupled = nonzero | nonzero.T
+        m = coupled.shape[0]
+        coupled.ravel()[:: m + 1] = True
+        # The furthest index each index couples to, through its row or its
+        # column; a block ends where no earlier index reaches past it.
+        reach = np.maximum.accumulate(m - 1 - np.argmax(coupled[:, ::-1], axis=1))
+        return np.concatenate([[0], np.flatnonzero(reach == np.arange(m)) + 1])
+
     def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the symmetrised table (PSD diagnostic)."""
-        sym = 0.5 * (self.values + self.values.T)
-        return float(np.linalg.eigvalsh(sym)[0])
+        """Smallest eigenvalue of the symmetrised table (PSD diagnostic), the
+        least over its diagonal blocks (:attr:`blocks`); a block of size 1
+        reads its diagonal entry.  The spectrum is the whole table's, so the
+        value differs from one ``eigvalsh`` of the table only at roundoff.
+        """
+        bounds = self.blocks.tolist()
+        lowest = math.inf
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            block = self.values[lo:hi, lo:hi]
+            if hi - lo == 1:
+                lowest = min(lowest, float(block[0, 0]))
+            else:
+                lowest = min(lowest, float(np.linalg.eigvalsh(0.5 * (block + block.T))[0]))
+        return lowest
 
 
 def _drop_underflow(table: np.ndarray) -> None:
@@ -291,6 +322,69 @@ def _definitional_entries(
         error = np.concatenate([error[keep], child_error])
 
 
+def _exponent(gaps: np.ndarray, sigma: float) -> np.ndarray:
+    """The Gaussian pair exponents ``gap^2 / (4 sigma^2)``."""
+    return np.square(gaps) / (4.0 * sigma * sigma)
+
+
+def _live_band(freqs: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The live upper band of the pair table: the pairs ``i <= j`` whose
+    exponent is at most ``_PAIR_EXPONENT_CAP``, as row and column indices in
+    row-major order.
+
+    The frequencies ascend, so each row's live pairs are one run that starts
+    on the diagonal.  A search at the cap's reach ``2 sigma sqrt(cap)`` finds
+    where each run stops up to rounding; the exponent itself, computed as on
+    the full table, then settles the stop a column at a time.
+    """
+    m = freqs.size
+    index = np.arange(m)
+    reach = 2.0 * sigma * math.sqrt(_PAIR_EXPONENT_CAP)
+    stop = np.searchsorted(freqs, freqs + reach, side="right")
+    while True:
+        grow = stop < m
+        grow[grow] = _exponent(freqs[grow] - freqs[stop[grow]], sigma) <= _PAIR_EXPONENT_CAP
+        if not grow.any():
+            break
+        stop += grow
+    while True:
+        # The diagonal is always live, so no run shrinks below one pair.
+        shrink = _exponent(freqs - freqs[stop - 1], sigma) > _PAIR_EXPONENT_CAP
+        if not shrink.any():
+            break
+        stop -= shrink
+    length = stop - index
+    rows = np.repeat(index, length)
+    cols = np.arange(rows.size) + np.repeat(index - (np.cumsum(length) - length), length)
+    return rows, cols
+
+
+def _sample_pairs(
+    magnitude: np.ndarray, upper_flat: np.ndarray, lower_flat: np.ndarray, vmax: float, m: int
+) -> list[tuple[int, int]]:
+    """The cross-check's evenly ranked pairs: of the table's entries at least
+    ``1e-30`` of its largest magnitude ``vmax``, ranked by magnitude with
+    equal magnitudes in row-major order of the full table, the ones at up to
+    ``_CROSS_CHECK_SAMPLES`` evenly spaced ranks.
+
+    ``magnitude`` holds the live upper band, whose entries sit at the flat
+    indices ``upper_flat`` of the table and, off the diagonal, again at
+    ``lower_flat``.  Complex numbers order by real part, then imaginary
+    part, so keys ``magnitude + i * flat index`` rank the entries exactly
+    as a stable sort by magnitude would, and one partition at the sampled
+    ranks finds them without sorting every entry.
+    """
+    eligible = magnitude >= max(vmax, 1e-300) * 1e-30
+    mirrored = eligible & (upper_flat != lower_flat)
+    keys = np.concatenate([magnitude[eligible], magnitude[mirrored]]) + 1j * np.concatenate(
+        [upper_flat[eligible], lower_flat[mirrored]]
+    )
+    count = min(_CROSS_CHECK_SAMPLES, keys.size)
+    ranks = np.unique(np.linspace(0, keys.size - 1, count).astype(int))
+    flat = np.partition(keys, ranks)[ranks].imag.astype(np.intp)
+    return [divmod(int(f), m) for f in flat]
+
+
 def overlap_table(
     spectrum: BohrSpectrum,
     weight: WeightFunction,
@@ -303,22 +397,26 @@ def overlap_table(
 
     Entries are assembled from the smoothed weight,
     ``(sqrt(pi)/sigma) e^{-gap^2/(4 sigma^2)} H(midpoint)`` and
-    ``2 pi c(gap) e^{-midpoint} H(-midpoint)``, with ``H`` evaluated once on
-    the distinct midpoints; pairs whose Gaussian factor is below ``e^{-200}``
-    are left at zero, and so is every entry below ``sqrt(tiny)`` (about
-    ``1.5e-154``) times ``max(1, max|x|)`` of its table, so that no product
+    ``2 pi c(gap) e^{-midpoint} H(-midpoint)``.  Pairs whose Gaussian factor
+    is below ``e^{-200}`` are left at zero, so both tables are computed on
+    the live upper band only (:func:`_live_band`, one contiguous run a row,
+    counted as ``live_pairs``) and mirrored: ``G`` is symmetric and ``b``
+    Hermitian.  ``H`` is evaluated once on the band's distinct midpoints,
+    which also serve ``H(-midpoint)``, since they are closed under
+    negation.  Every entry below ``sqrt(tiny)`` (about ``1.5e-154``) times
+    ``max(1, max|x|)`` of its table is left at zero too, so that no product
     of two entries underflows in the kernels that read them; the number of
     overlap entries left at zero is recorded as ``dropped_entries``.  A
-    deterministic sample of overlap entries (extreme and central pairs) is
-    re-derived together by direct definitional quadrature
-    (:func:`_definitional_entries`); disagreement beyond ``1e-8`` relative,
-    or a failure of that quadrature, raises :class:`NumericalGuardError`,
-    signalling a regression in either path.  Bandwidths above
-    ``MAX_BANDWIDTH``, where the Gauss-Hermite rule no longer resolves the
-    weight, or below ``MIN_BANDWIDTH``, where the rounding of absolute
-    quadrature nodes reaches the cross-check tolerance, raise
-    :class:`ValidationError`.  The table records which rule
-    smoothed the weight as ``smoothing_rule``.
+    deterministic sample of overlap entries (evenly ranked by magnitude,
+    plus three diagonal ones; :func:`_sample_pairs`) is re-derived together
+    by direct definitional quadrature (:func:`_definitional_entries`);
+    disagreement beyond ``1e-8`` relative, or a failure of that quadrature,
+    raises :class:`NumericalGuardError`, signalling a regression in either
+    path.  Bandwidths above ``MAX_BANDWIDTH``, where the Gauss-Hermite rule
+    no longer resolves the weight, or below ``MIN_BANDWIDTH``, where the
+    rounding of absolute quadrature nodes reaches the cross-check tolerance,
+    raise :class:`ValidationError`.  The table records which rule smoothed
+    the weight as ``smoothing_rule``.
     """
     _require_bandwidth(sigma)
     if not MIN_BANDWIDTH <= sigma <= MAX_BANDWIDTH:
@@ -338,27 +436,21 @@ def overlap_table(
             f"range {MAX_SPECTRAL_WIDTH:g}"
         )
 
-    gaps = freqs[:, None] - freqs[None, :]
-    exponents = np.square(gaps) / (4.0 * sigma * sigma)
-    live = exponents <= _PAIR_EXPONENT_CAP
-    mids = 0.5 * (freqs[:, None] + freqs[None, :])
+    rows, cols = _live_band(freqs, sigma)
+    nu, nu_prime = freqs[rows], freqs[cols]
+    gaps = nu - nu_prime
+    exponents = _exponent(gaps, sigma)
+    mids = 0.5 * (nu + nu_prime)
+    uniq_centers, inverse = np.unique(mids, return_inverse=True)
+    h = smoothed_weight_table(weight, sigma, uniq_centers)
+    overlap = math.sqrt(math.pi) / sigma * np.exp(-exponents) * h[inverse]
 
-    # The midpoints and the live mask are exactly symmetric, so the distinct
-    # centres are those of the upper triangle, and its values are mirrored.
-    upper = np.triu(live)
-    uniq_centers, inverse = np.unique(mids[upper], return_inverse=True)
-    h_mid = np.zeros((m, m))
-    h_mid[upper] = smoothed_weight_table(weight, sigma, uniq_centers)[inverse]
-    h_mid = np.where(upper, h_mid, h_mid.T)
-
-    overlap = math.sqrt(math.pi) / sigma * np.exp(-exponents[live]) * h_mid[live]
-
-    # H(-midpoint) is H at the midpoint of the negated pair.
-    neg = spectrum.negation_index()
-    h_neg = h_mid[np.ix_(neg, neg)][live]
+    # H(-midpoint) is H at the midpoint of the negated pair: the Bohr
+    # frequencies are exactly closed under negation, so the centre set is
+    # too, and the negated centre of uniq_centers[k] is uniq_centers[-1 - k].
     with np.errstate(over="ignore", under="ignore"):
-        sum_factor = np.exp(-mids[live]) * h_neg
-    pair = 2.0 * math.pi * coherent_difference_factor(gaps[live], sigma) * sum_factor
+        sum_factor = np.exp(-mids) * h[uniq_centers.size - 1 - inverse]
+    pair = 2.0 * math.pi * coherent_difference_factor(gaps, sigma) * sum_factor
     if not np.all(np.isfinite(pair)):
         raise ValidationError(
             "coherent pair table has non-finite entries; the spectral width "
@@ -367,25 +459,32 @@ def overlap_table(
     # The pairs past the cap are zero already; floor the live ones.
     _drop_underflow(overlap)
     _drop_underflow(pair)
+    upper_flat = rows * m + cols
+    lower_flat = cols * m + rows
     values = np.zeros((m, m))
-    values[live] = overlap
+    values.ravel()[lower_flat] = overlap
+    values.ravel()[upper_flat] = overlap
+    # The difference factor is odd and imaginary and the sum factor real, so
+    # the lower triangle is the conjugate of the upper one: with a tanh that
+    # is odd bit for bit, the formula on the gap nu' - nu gives exactly
+    # these bits (adding +0.0 turns the conjugated zeros' -0.0 back into the
+    # formula's +0.0).  The diagonal, gap +0.0, is written last from the upper.
     coherent = np.zeros((m, m), dtype=np.complex128)
-    coherent[live] = pair
+    coherent.ravel()[lower_flat] = pair.conj() + 0.0
+    coherent.ravel()[upper_flat] = pair
+    # Each kept pair off the diagonal is two entries of the table.
+    kept = 2 * np.count_nonzero(overlap) - np.count_nonzero(overlap[rows == cols])
 
     defect = 0.0
     evaluations = 0
-    pairs = set()
+    pairs = []
     if cross_check and m:
-        vmax = float(np.max(np.abs(values)))
-        flat_vals = np.abs(values.ravel())
-        eligible = np.nonzero(flat_vals >= max(vmax, 1e-300) * 1e-30)[0]
-        order = eligible[np.argsort(flat_vals[eligible], kind="stable")]
-        take = np.unique(
-            np.linspace(0, order.size - 1, min(_CROSS_CHECK_SAMPLES, order.size)).astype(int)
+        magnitude = np.abs(overlap)
+        vmax = float(np.max(magnitude))
+        pairs = sorted(
+            set(_sample_pairs(magnitude, upper_flat, lower_flat, vmax, m))
+            | {(i, i) for i in (0, m // 2, m - 1)}
         )
-        pairs = {divmod(int(order[t]), m) for t in take}
-        pairs |= {(i, i) for i in (0, m // 2, m - 1)}
-        pairs = sorted(pairs)
         directs, evaluations = _definitional_entries(
             [(float(freqs[i]), float(freqs[j])) for i, j in pairs], weight, sigma
         )
@@ -412,5 +511,6 @@ def overlap_table(
         cross_check_defect=defect,
         cross_check_entries=len(pairs),
         cross_check_evaluations=evaluations,
-        dropped_entries=int(values.size - np.count_nonzero(values)),
+        dropped_entries=int(m * m - kept),
+        live_pairs=int(rows.size),
     )

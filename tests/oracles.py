@@ -32,9 +32,13 @@ its inner envelope integral one trapezoid node at a time.
 
 Three references keep the package's arithmetic and drop one of its
 shortcuts: ``sandwich_transposed`` builds the eigenbasis sandwich in
-row-major order and transposes it into column-stacked layout, and
-``overlap_tables_unfloored`` and ``node_sum_gram_unfloored`` keep the
-entries below the underflow floor that the package zeroes.
+row-major order and transposes it into column-stacked layout,
+``overlap_table_dense`` builds the overlap tables on the full pair grid
+where the package builds them on the live band, and picks the
+cross-check's entries by a stable sort of every entry (with
+``floor=False`` it also keeps the entries below the underflow floor that
+the package zeroes), and ``node_sum_gram_unfloored`` keeps the node-sum
+factor's entries below that floor.
 
 ``parent_tail`` also keeps the package's arithmetic: it is the assembly
 tail done eagerly (the sandwich rotated to the original basis, then
@@ -210,14 +214,24 @@ def node_sum_gram_unfloored(frequencies, nodes, node_weights, profile) -> np.nda
     return root.T @ root
 
 
-def overlap_tables_unfloored(spectrum, weight, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """The overlap table ``G`` and the coherent pair table ``b`` with the
-    package's own arithmetic -- the smoothed weight ``H`` from
-    ``weights.smoothed_weight_table`` on the distinct midpoints, pairs past
-    the exponent cap ``e^{-200}`` left at zero -- but with every entry below
-    the underflow floor kept."""
-    from gibbslab.oft import _PAIR_EXPONENT_CAP
-    from gibbslab.weights import coherent_difference_factor, smoothed_weight_table
+def overlap_table_dense(spectrum, weight, sigma: float, *, cross_check=True, floor=True):
+    """The overlap table built on the full ``m x m`` pair grid: the exponent
+    cap and the midpoints of every pair, ``H`` from
+    ``weights.smoothed_weight_table`` on the distinct midpoints,
+    ``H(-midpoint)`` read through the negation permutation, both tables
+    floored (unless ``floor`` is false) and scattered through the full live
+    mask, and the cross-check's entries ranked by a stable sort of every
+    entry.  The package builds on the live upper band only and must
+    reproduce this table, its picks and its defect bit for bit; with
+    ``floor=False`` it keeps every entry below the underflow floor."""
+    from gibbslab.oft import (
+        _CROSS_CHECK_SAMPLES,
+        _PAIR_EXPONENT_CAP,
+        OverlapTable,
+        _definitional_entries,
+        _drop_underflow,
+    )
+    from gibbslab.weights import coherent_difference_factor, smoothed_weight_table, smoothing_rule
 
     freqs = spectrum.frequencies
     m = freqs.size
@@ -225,17 +239,57 @@ def overlap_tables_unfloored(spectrum, weight, sigma: float) -> tuple[np.ndarray
     exponents = np.square(gaps) / (4.0 * sigma * sigma)
     live = exponents <= _PAIR_EXPONENT_CAP
     mids = 0.5 * (freqs[:, None] + freqs[None, :])
-    centers, inverse = np.unique(mids[live], return_inverse=True)
+    upper = np.triu(live)
+    centers, inverse = np.unique(mids[upper], return_inverse=True)
     h_mid = np.zeros((m, m))
-    h_mid[live] = smoothed_weight_table(weight, sigma, centers)[inverse]
-    values = np.zeros((m, m))
-    values[live] = math.sqrt(math.pi) / sigma * np.exp(-exponents[live]) * h_mid[live]
+    h_mid[upper] = smoothed_weight_table(weight, sigma, centers)[inverse]
+    h_mid = np.where(upper, h_mid, h_mid.T)
+    overlap = math.sqrt(math.pi) / sigma * np.exp(-exponents[live]) * h_mid[live]
     neg = spectrum.negation_index()
-    coherent = np.zeros((m, m), dtype=np.complex128)
     with np.errstate(over="ignore", under="ignore"):
         sum_factor = np.exp(-mids[live]) * h_mid[np.ix_(neg, neg)][live]
-    coherent[live] = 2.0 * math.pi * coherent_difference_factor(gaps[live], sigma) * sum_factor
-    return values, coherent
+    pair = 2.0 * math.pi * coherent_difference_factor(gaps[live], sigma) * sum_factor
+    if floor:
+        _drop_underflow(overlap)
+        _drop_underflow(pair)
+    values = np.zeros((m, m))
+    values[live] = overlap
+    coherent = np.zeros((m, m), dtype=np.complex128)
+    coherent[live] = pair
+
+    defect, evaluations, pairs = 0.0, 0, []
+    if cross_check:
+        vmax = float(np.max(np.abs(values)))
+        flat_vals = np.abs(values.ravel())
+        eligible = np.nonzero(flat_vals >= max(vmax, 1e-300) * 1e-30)[0]
+        order = eligible[np.argsort(flat_vals[eligible], kind="stable")]
+        take = np.unique(
+            np.linspace(0, order.size - 1, min(_CROSS_CHECK_SAMPLES, order.size)).astype(int)
+        )
+        picked = {divmod(int(order[t]), m) for t in take}
+        pairs = sorted(picked | {(i, i) for i in (0, m // 2, m - 1)})
+        directs, evaluations = _definitional_entries(
+            [(float(freqs[i]), float(freqs[j])) for i, j in pairs], weight, sigma
+        )
+        for (i, j), direct in zip(pairs, directs):
+            scale = max(abs(values[i, j]), abs(direct), 1e-300)
+            rel = abs(values[i, j] - direct) / scale
+            if max(abs(direct), abs(values[i, j])) < max(vmax, 1e-300) * 1e-30:
+                rel = 0.0
+            defect = max(defect, rel)
+    return OverlapTable(
+        spectrum=spectrum,
+        values=values,
+        coherent=coherent,
+        sigma=float(sigma),
+        weight=weight,
+        smoothing_rule=smoothing_rule(weight, sigma, centers),
+        cross_check_defect=defect,
+        cross_check_entries=len(pairs),
+        cross_check_evaluations=evaluations,
+        dropped_entries=int(values.size - np.count_nonzero(values)),
+        live_pairs=int(np.count_nonzero(upper)),
+    )
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

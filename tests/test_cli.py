@@ -32,9 +32,11 @@ from gibbslab.cli import (
     EXIT_USAGE,
     SCHEMA_VERSION,
     decode_matrix,
+    export_bundle,
     format_float,
     main,
     normalised_config,
+    render_report,
 )
 from gibbslab.errors import ValidationError
 from gibbslab.generators import localised_generator
@@ -848,6 +850,26 @@ def test_bundle_export_round_trips(tmp_path):
     ):
         decoded = decode_matrix(payload["matrices"][key])
         assert np.allclose(decoded, reference, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [{"name": "line", "n_grid": 16}, {"name": "torus", "n_grid": 12}],
+    ids=["line16", "torus12"],
+)
+def test_exported_bundle_is_the_canonical_rendering(tmp_path, model):
+    """The payloads spliced into the rendered document give the bytes that
+    rendering the whole document, payloads included, gives: the file is
+    ``render_report`` of what it parses to."""
+    bundle = localised_generator(model_from_config(model), balanced_gamma("gaussian", 1.0), 1.0)
+    path = tmp_path / "bundle.json"
+    export_bundle(bundle, str(path))
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert render_report(doc) == text
+    assert decode_matrix(doc["matrices"]["superoperator"]).tobytes() == (
+        np.ascontiguousarray(bundle.superoperator).tobytes()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ machine precision on dense models.
 from __future__ import annotations
 
 import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
@@ -263,6 +264,34 @@ def test_node_sum_table_is_summed_in_bounded_blocks(monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("sigma", [1.0, 1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("model_name", ["qubit", "random4", "line16"])
+def test_windowed_node_sum_is_the_dense_node_sum(model_name, sigma):
+    """Each block of nodes multiplied only against the frequencies in its
+    reach gives the node sum over every node and every frequency to 1e-13
+    of its largest entry."""
+    freqs = _NODE_SUM_MODELS[model_name]().frame.spectrum.frequencies
+    weight = balanced_gamma("gaussian", sigma)
+    got, _ = _omega_quadrature_coupling(weight, sigma, freqs)
+    nodes, wts = _omega_quadrature_nodes(weight, sigma, freqs)
+    want = oracles.node_sum_table(freqs, nodes, weight(nodes) * wts, sigma)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_dual_path_on_line32_at_a_narrow_filter_stays_fast():
+    """line32 at sigma = 1e-3 lays about 300 k nodes on 601 frequencies.
+    Multiplied against every frequency, the node sum took 1.6 s of the
+    dual-path check; windowed it takes about 0.04 s (2 cores, one BLAS
+    thread), so 0.4 s leaves ten times headroom."""
+    model = schrodinger_line_model(32)
+    bundle = localised_generator(model, balanced_gamma("gaussian", 1e-3), 1e-3)
+    start = time.monotonic()
+    residual = dual_path_residual(bundle)
+    elapsed = time.monotonic() - start
+    assert residual <= 1e-12
+    assert elapsed < 0.4
+
+
 @pytest.mark.parametrize("phi", ["gaussian", "exp_abs"])
 @pytest.mark.parametrize("sigma", [1.0, 1e-2, 1e-4])
 def test_node_sum_lays_only_the_frequency_windows(phi, sigma):
@@ -339,8 +368,10 @@ def line24():
 
 def test_node_sum_floor_drops_only_negligible_entries(line24, monkeypatch):
     """The floor zeroes entries of the node-sum factor ``W`` before
-    ``W^T W``: no kept entry lies below it, and ``K`` moves by at most
-    1e-150 of its max."""
+    ``W^T W``: no kept entry lies below it, the one block of nodes is
+    multiplied only against the frequencies in its reach, which hold every
+    column of the whole ``W`` that the floor would keep, and ``K`` moves by
+    at most 1e-150 of its max."""
     _, _, spectrum, weight = line24
     freqs = spectrum.frequencies
     roots = []
@@ -352,12 +383,18 @@ def test_node_sum_floor_drops_only_negligible_entries(line24, monkeypatch):
 
     monkeypatch.setattr(gibbslab.generators, "_drop_underflow", recording)
     got, n_nodes = _omega_quadrature_coupling(weight, 1.0, freqs)
-    assert [root.shape for root in roots] == [(n_nodes, freqs.size)]
+    assert len(roots) == 1
     root = roots[0]
     floor = oracles.UNDERFLOW_FLOOR * max(1.0, float(np.max(root)))
     assert np.min(np.abs(root[root != 0.0])) >= floor
 
     nodes, wts = _omega_quadrature_nodes(weight, 1.0, freqs)
+    whole = np.sqrt(weight(nodes) * wts)[:, None] * GaussianFilter(1.0).frequency_profile(
+        nodes[:, None] - freqs[None, :]
+    )
+    kept = np.flatnonzero(np.any(whole >= floor, axis=0))
+    assert root.shape[0] == n_nodes
+    assert kept[-1] - kept[0] < root.shape[1] < freqs.size
     want = oracles.node_sum_gram_unfloored(
         freqs, nodes, weight(nodes) * wts, GaussianFilter(1.0).frequency_profile
     )
@@ -369,7 +406,8 @@ def test_underflow_floor_leaves_the_superoperator_bit_identical(line24):
     the floored one bit for bit."""
     model, system, spectrum, weight = line24
     bundle = localised_generator(model, weight, 1.0)
-    values, coherent = oracles.overlap_tables_unfloored(spectrum, weight, 1.0)
+    unfloored = oracles.overlap_table_dense(spectrum, weight, 1.0, cross_check=False, floor=False)
+    values, coherent = unfloored.values, unfloored.coherent
     table = dataclasses.replace(
         overlap_table(spectrum, weight, 1.0, cross_check=False), values=values, coherent=coherent
     )

@@ -18,7 +18,13 @@ import gibbslab.oft
 import gibbslab.weights
 from gibbslab.bohr import bohr_spectrum, decompose
 from gibbslab.errors import NumericalGuardError, ValidationError
-from gibbslab.models import qubit_model, random_model, schrodinger_line_model, torus_model
+from gibbslab.models import (
+    oscillator_model,
+    qubit_model,
+    random_model,
+    schrodinger_line_model,
+    torus_model,
+)
 from gibbslab.oft import oft_eval, overlap_table
 from gibbslab.weights import (
     MAX_BANDWIDTH,
@@ -27,6 +33,7 @@ from gibbslab.weights import (
     delocalised_limit_gamma,
     smoothed_weight_table,
     smoothing_rule,
+    unshifted_gamma,
 )
 
 import oracles
@@ -81,6 +88,127 @@ def test_cross_check_and_oracle_hold_at_small_bandwidth(model, sigma):
         assert abs(table.values[i, j] - want) <= 1e-10 * abs(want)
 
 
+# The live-band grid: every table is built twice, on the live upper band by
+# the package and on the full pair grid by ``oracles.overlap_table_dense``.
+_BAND_MODELS = {
+    "qubit": qubit_model,
+    "oscillator6": lambda: oscillator_model(6),
+    "random4": lambda: random_model(dim=4, seed=5, spectrum=(1.0, 1.7, 3.1, 4.6)),
+    "random6": lambda: random_model(dim=6, seed=3, spectrum=(0.0, 0.5, 1.5, 3.5, 6.0, 10.0)),
+    "torus12": lambda: torus_model(12),
+    "line16": lambda: schrodinger_line_model(16),
+    "line24": lambda: schrodinger_line_model(24),
+    "line32": lambda: schrodinger_line_model(32),
+}
+_BAND_SIGMAS = (3.0, 1.0, 0.25, 1e-2, 1e-4)
+
+
+@pytest.fixture(scope="module", params=sorted(_BAND_MODELS))
+def band_grid(request):
+    """``(label, band table, its picks, dense table, its picks)`` for the
+    three library profiles, five bandwidths and the balanced and unshifted
+    weights of one model: 30 tables.  The picks are the pairs each builder
+    hands to the definitional cross-check.
+
+    Both builders smooth the weight on the same distinct midpoints, so the
+    second call of ``smoothed_weight_table`` for a table reads the first
+    one's result; the fixture asserts that the centres matched byte for
+    byte, which halves the line models' smoothing time."""
+    spectrum = _BAND_MODELS[request.param]().frame.spectrum
+    picks, smoothed = [], {}
+    direct = gibbslab.oft._definitional_entries
+    smooth = gibbslab.weights.smoothed_weight_table
+
+    def recording(pairs, weight, sigma):
+        picks.append(list(pairs))
+        return direct(pairs, weight, sigma)
+
+    def shared(weight, sigma, centers):
+        key = (sigma, np.asarray(centers).tobytes())
+        if key not in smoothed:
+            smoothed[key] = smooth(weight, sigma, centers)
+        return smoothed[key].copy()
+
+    rows = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gibbslab.oft, "_definitional_entries", recording)
+        patch.setattr(gibbslab.oft, "smoothed_weight_table", shared)
+        patch.setattr(gibbslab.weights, "smoothed_weight_table", shared)
+        for phi in ("gaussian", "sech", "exp_abs"):
+            for sigma in _BAND_SIGMAS:
+                for build in (balanced_gamma, unshifted_gamma):
+                    weight = build(phi, sigma)
+                    smoothed.clear()
+                    band = overlap_table(spectrum, weight, sigma)
+                    dense = oracles.overlap_table_dense(spectrum, weight, sigma)
+                    label = f"{request.param} {phi} {sigma:g} {build.__name__}"
+                    assert len(smoothed) == 1, label
+                    rows.append((label, band, picks[-2], dense, picks[-1]))
+    return rows
+
+
+def test_band_tables_are_the_dense_tables_bit_for_bit(band_grid):
+    """On 240 tables (8 models, 3 profiles, 5 bandwidths, balanced and
+    unshifted), the live-band build reproduces the full-grid build: both
+    tables, the pairs it cross-checks, the defect and every count."""
+    for label, band, band_picks, dense, dense_picks in band_grid:
+        assert band.values.tobytes() == dense.values.tobytes(), label
+        assert band.coherent.tobytes() == dense.coherent.tobytes(), label
+        assert band_picks == dense_picks, label
+        assert band.cross_check_defect == dense.cross_check_defect, label
+        assert band.cross_check_evaluations == dense.cross_check_evaluations, label
+        assert band.dropped_entries == dense.dropped_entries, label
+        assert band.live_pairs == dense.live_pairs, label
+        assert band.smoothing_rule == dense.smoothing_rule, label
+
+
+def test_blockwise_min_eigenvalue_is_the_dense_one(band_grid):
+    """The PSD diagnostic, the least eigenvalue over the diagonal blocks,
+    sits within 1e-14 of the table's scale of one ``eigvalsh`` of the whole
+    symmetrised table; every block is closed under the table's coupling."""
+    for label, band, _, dense, _ in band_grid:
+        values = dense.values
+        want = float(np.linalg.eigvalsh(0.5 * (values + values.T))[0])
+        assert abs(band.min_eigenvalue() - want) <= 1e-14 * np.max(np.abs(values)), label
+        bounds = band.blocks
+        assert bounds[0] == 0 and bounds[-1] == values.shape[0], label
+        inside = np.zeros(values.shape, dtype=bool)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            inside[lo:hi, lo:hi] = True
+        assert not np.any(values[~inside]), label
+
+
+def test_tanh_is_odd_bit_for_bit():
+    """The band build writes the coherent table's lower triangle as the
+    conjugate of its upper one; that is the formula on the negated gap bit
+    for bit because ``np.tanh(-x)`` is ``-np.tanh(x)`` bit for bit, here
+    on two million magnitudes from 1e-320 to 1e3 and a million random
+    gaps."""
+    x = np.concatenate(
+        [np.logspace(-320.0, 3.0, 2_000_000), np.random.default_rng(7).normal(0.0, 30.0, 1_000_000)]
+    )
+    assert np.array_equal(np.tanh(-x).view(np.int64), (-np.tanh(x)).view(np.int64))
+
+
+def test_blocks_split_only_where_no_entry_couples_across():
+    """A hand-made table: the blocks are the shortest runs closed under the
+    nonzero entries, read from rows and columns alike, and size-1 blocks
+    read their diagonal entry."""
+    values = np.diag([3.0, 2.0, 5.0, 4.0, 1.0, -1.0])
+    values[0, 2] = 0.5  # couples 0..2 through a row only
+    values[4, 3] = 0.5  # couples 3..4 through a column only
+    spectrum = bohr_spectrum(qubit_model().eigensystem())
+    table = gibbslab.oft.OverlapTable(
+        spectrum, values, values.astype(complex), 1.0, balanced_gamma("gaussian", 1.0), "closed_form"
+    )
+    assert table.blocks.tolist() == [0, 3, 5, 6]
+    assert table.min_eigenvalue() == -1.0
+    values[5, 5] = 6.0
+    table = dataclasses.replace(table, values=values)
+    sym = 0.5 * (values + values.T)
+    assert table.min_eigenvalue() == pytest.approx(np.linalg.eigvalsh(sym)[0], abs=1e-15)
+
+
 def test_overlap_table_is_symmetric_and_psd(dense_table):
     _, _, table = dense_table
     assert table.symmetry_defect() < 1e-13
@@ -110,7 +238,8 @@ def test_underflow_floor_drops_only_negligible_entries():
     spectrum = bohr_spectrum(schrodinger_line_model(24).eigensystem())
     weight = balanced_gamma("gaussian", 1.0)
     table = overlap_table(spectrum, weight, 1.0, cross_check=False)
-    values, coherent = oracles.overlap_tables_unfloored(spectrum, weight, 1.0)
+    unfloored = oracles.overlap_table_dense(spectrum, weight, 1.0, cross_check=False, floor=False)
+    values, coherent = unfloored.values, unfloored.coherent
     for got, want in ((table.values, values), (table.coherent, coherent)):
         floor = oracles.UNDERFLOW_FLOOR * max(1.0, float(np.max(np.abs(want))))
         assert np.count_nonzero((want != 0.0) & (np.abs(want) < floor)) > 0
