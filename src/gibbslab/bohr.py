@@ -94,17 +94,34 @@ class BohrSpectrum:
         return np.arange(self.size)[::-1]
 
 
-def _cluster_sorted_magnitudes(values: np.ndarray, tol: float) -> list[slice]:
-    """Greedy single-linkage clusters of an ascending array with diameter cap ``tol``."""
-    slices: list[slice] = []
-    start = 0
-    for k in range(1, values.size):
-        if values[k] - values[start] > tol:
-            slices.append(slice(start, k))
-            start = k
-    if values.size:
-        slices.append(slice(start, values.size))
-    return slices
+def _cluster_starts(values: np.ndarray, tol: float) -> np.ndarray:
+    """First index of each greedy single-linkage cluster of an ascending
+    array with diameter cap ``tol``.
+
+    The greedy scan starts a cluster at ``k`` when ``values[k]`` exceeds the
+    current cluster's first member by more than ``tol``.  Every gap larger
+    than ``tol`` is such a start, since subtraction is monotone; between
+    those gaps a run whose whole diameter is within ``tol`` is one cluster,
+    so the scan runs only on the wider runs.
+    """
+    cuts = np.nonzero(values[1:] - values[:-1] > tol)[0] + 1
+    runs = np.concatenate(([0], cuts))
+    run_lasts = np.concatenate((cuts - 1, [values.size - 1]))
+    wide = values[run_lasts] - values[runs] > tol
+    if not wide.any():
+        return runs
+    extra = []
+    for first, last in zip(runs[wide].tolist(), run_lasts[wide].tolist()):
+        start = first
+        for k in range(first + 1, last + 1):
+            if values[k] - values[start] > tol:
+                extra.append(k)
+                start = k
+    return np.sort(np.concatenate((runs, extra))) if extra else runs
+
+
+# np.mean sums fewer members than this one after another, and more pairwise.
+_SEQUENTIAL_MEAN = 8
 
 
 def bohr_spectrum(
@@ -134,18 +151,29 @@ def bohr_spectrum(
     order = np.argsort(magnitudes, kind="stable")
     sorted_mags = magnitudes[order]
 
-    slices = _cluster_sorted_magnitudes(sorted_mags, cluster_tol)
-    n_clusters = len(slices)
-
-    # Cluster id per flattened |difference|, then representatives as means.
+    starts = _cluster_starts(sorted_mags, cluster_tol)
+    lasts = np.concatenate((starts[1:] - 1, [d * d - 1]))
+    sizes = lasts - starts + 1
     cluster_of_flat = np.empty(d * d, dtype=np.intp)
-    reps = np.empty(n_clusters)
-    max_diameter = 0.0
-    for cid, sl in enumerate(slices):
-        cluster_of_flat[order[sl]] = cid
-        members = sorted_mags[sl]
-        reps[cid] = float(members.mean())
-        max_diameter = max(max_diameter, float(members[-1] - members[0]))
+    cluster_of_flat[order] = np.repeat(np.arange(starts.size), sizes)
+
+    # Representatives are the clusters' np.mean, bit for bit: below
+    # _SEQUENTIAL_MEAN members summed here one member after another, as it
+    # does, for all clusters at once (padded with +0.0, which adds exactly);
+    # np.mean itself for the few larger ones.
+    offsets = np.arange(min(int(sizes.max()), _SEQUENTIAL_MEAN))
+    members = np.where(
+        offsets < sizes[:, None],
+        sorted_mags[np.minimum(starts[:, None] + offsets, lasts[:, None])],
+        0.0,
+    )
+    sums = members[:, 0]
+    for t in offsets[1:].tolist():
+        sums = sums + members[:, t]
+    reps = sums / sizes
+    for cid in np.nonzero(sizes >= _SEQUENTIAL_MEAN)[0].tolist():
+        reps[cid] = sorted_mags[starts[cid] : lasts[cid] + 1].mean()
+    max_diameter = max(0.0, float(np.max(sorted_mags[lasts] - sorted_mags[starts])))
     # The diagonal differences are exactly zero and always land in cluster 0;
     # near-degenerate transitions merged with them are treated as degenerate.
     reps[0] = 0.0

@@ -74,7 +74,7 @@ from .generators import (
     stationarity_report,
     trace_functional_defect,
 )
-from .models import config_number, model_from_config, random_model
+from .models import Model, config_number, model_from_config, random_model
 from .weights import (
     COHERENT_L1_LIMIT,
     MAX_BANDWIDTH,
@@ -309,9 +309,11 @@ def build_weight(config: dict):
     return balanced_gamma(w["phi_name"], w["sigma"])
 
 
-def build_generator(config: dict) -> GeneratorBundle:
-    """Assemble the generator described by a normalised config."""
-    model = model_from_config(config["model"])
+def build_generator(config: dict, model: Model | None = None) -> GeneratorBundle:
+    """Assemble the generator described by a normalised config, on ``model``
+    when it is given (the config's model, already built)."""
+    if model is None:
+        model = model_from_config(config["model"])
     weight = build_weight(config)
     if config["generator"]["kind"] == "davies":
         return davies_generator(model, weight)
@@ -548,6 +550,16 @@ def _finish(
     return EXIT_OK if report["overall_pass"] else EXIT_CHECK_FAILURE
 
 
+def _model_with_frame(config: dict) -> tuple[Model, dict]:
+    """The config's model with its spectral frame (eigensystem, Bohr
+    clustering, eigenbasis jumps) computed, and ``{"frame_s": seconds}``
+    spent on the frame."""
+    model = model_from_config(config["model"])
+    mark = time.perf_counter()
+    model.frame
+    return model, {"frame_s": time.perf_counter() - mark}
+
+
 def cmd_verify_stationarity(config: dict, args) -> int:
     """Invariant battery for one configured generator."""
     started = time.perf_counter()
@@ -569,8 +581,9 @@ def cmd_verify_stationarity(config: dict, args) -> int:
         raise ValidationError(f"unknown check {args.check!r}; available: {sorted(available)}")
     names = available if args.check is None else [args.check]
 
-    bundle = build_generator(config)
-    stages = {"build_s": time.perf_counter() - started}
+    model, stages = _model_with_frame(config)
+    bundle = build_generator(config, model)
+    stages["build_s"] = time.perf_counter() - started - stages["frame_s"]
     tolerances = _tolerances(config)
     checks = []
     for name in names:
@@ -628,11 +641,13 @@ def cmd_sweep_sigma(config: dict, args) -> int:
         raise ValidationError("sweep-sigma applies to the filtered generator only")
     if config["weight"]["kind"] != "balanced":
         raise ValidationError("sweep-sigma requires the balanced weight")
-    model = model_from_config(config["model"])
+    model, stages = _model_with_frame(config)
     sigmas = config["run"]["sigma_sweep"]
     phi = config["weight"]["phi_name"]
 
+    mark = time.perf_counter()
     rows = davies_limit_report(model, phi, sigmas, seed=seed)["rows"]
+    stages["ladder_s"] = time.perf_counter() - mark
     columns = ["sigma", "davies_distance_p1", "coherent_norm_B", "b1_l1", "stationarity_residual"]
     flags = _monotone_flags(rows) if len(rows) >= 2 else {}
     metadata = {
@@ -657,7 +672,7 @@ def cmd_sweep_sigma(config: dict, args) -> int:
     data = {"rows": rows, "flags": flags}
     return _finish(
         "sweep-sigma", config, checks, seed=seed, started=started, data=data,
-        report_path=args.report,
+        report_path=args.report, stages=stages,
     )
 
 

@@ -890,3 +890,71 @@ def exp_abs_smoothed(centers, sigma: float, shift: float) -> np.ndarray:
     right = np.exp(0.5625 * var - 1.5 * a) * erfc((0.75 * var - a) / sigma)
     left = np.exp(0.0625 * var + 0.5 * a) * erfc((a + 0.25 * var) / sigma)
     return math.exp(0.5 * shift) * 0.5 * sigma * math.sqrt(math.pi) * (right + left)
+
+
+def bohr_sum_dissipator_dense(jumps_eig, coupling, pair_index) -> np.ndarray:
+    """The sandwich ``T -> sum_A sum C(nu, nu') A_nu T A_nu'^dag`` in the
+    eigenbasis with every one of its d^4 entries computed: one ``(d, d, d)``
+    block of column-stacked rows ``(i, j)`` per ``j``, entry ``[i, l, k]``
+    ``sum_A (A_ik conj(A_jl)) C(nu_ik, nu_jl)``.  The package computes only
+    the coupling's live band and must match this bit for bit."""
+    d = pair_index.shape[0]
+    conj = [a.conj() for a in jumps_eig]
+    s_sandwich = np.zeros((d, d, d, d), dtype=np.complex128)
+    term = np.empty((d, d, d), dtype=np.complex128)
+    for j in range(d):
+        coupling_j = coupling[pair_index[:, None, :], pair_index[j][None, :, None]]
+        for a, a_conj in zip(jumps_eig, conj):
+            np.multiply(a[:, None, :], a_conj[j][None, :, None], out=term)
+            term *= coupling_j
+            s_sandwich[j] += term
+    return s_sandwich.reshape(d * d, d * d)
+
+
+def bohr_spectrum_loop(source, cluster_tol=None):
+    """The Bohr spectrum clustered by one greedy scan over every sorted
+    |difference| and one ``np.mean`` per cluster: the package splits at the
+    gaps wider than the tolerance, scans only the wider runs between them
+    and takes the means of one- and two-member clusters vectorised, and
+    must match this bit for bit."""
+    from gibbslab.bohr import DEFAULT_CLUSTER_SCALE, BohrSpectrum
+    from gibbslab.operator_core import EigenSystem, eig_hermitian
+
+    system = source if isinstance(source, EigenSystem) else eig_hermitian(source)
+    energies = system.eigenvalues
+    d = energies.shape[0]
+    if cluster_tol is None:
+        cluster_tol = DEFAULT_CLUSTER_SCALE * float(energies[-1] - energies[0])
+    diff = energies[:, None] - energies[None, :]
+    magnitudes = np.abs(diff).reshape(-1)
+    order = np.argsort(magnitudes, kind="stable")
+    sorted_mags = magnitudes[order]
+
+    slices = []
+    start = 0
+    for k in range(1, sorted_mags.size):
+        if sorted_mags[k] - sorted_mags[start] > cluster_tol:
+            slices.append(slice(start, k))
+            start = k
+    slices.append(slice(start, sorted_mags.size))
+
+    cluster_of_flat = np.empty(d * d, dtype=np.intp)
+    reps = np.empty(len(slices))
+    max_diameter = 0.0
+    for cid, sl in enumerate(slices):
+        cluster_of_flat[order[sl]] = cid
+        members = sorted_mags[sl]
+        reps[cid] = float(members.mean())
+        max_diameter = max(max_diameter, float(members[-1] - members[0]))
+    reps[0] = 0.0
+    positive = reps[1:]
+    frequencies = np.concatenate([-positive[::-1], [0.0], positive])
+    sign = np.sign(diff).astype(np.intp)
+    pair_index = positive.size + sign * cluster_of_flat.reshape(d, d)
+    return BohrSpectrum(
+        frequencies=frequencies,
+        pair_index=pair_index,
+        eigenvalues=energies.copy(),
+        cluster_tol=float(cluster_tol),
+        max_cluster_diameter=max_diameter,
+    )

@@ -12,6 +12,7 @@ from gibbslab.models import (
     oscillator_model,
     qubit_model,
     random_model,
+    schrodinger_line_model,
     torus_model,
 )
 from gibbslab.operator_core import dagger
@@ -154,3 +155,49 @@ def test_spectrum_pair_index_consistency():
 def test_negative_cluster_tol_rejected():
     with pytest.raises(ValidationError):
         bohr_spectrum(np.diag([0.0, 1.0]), cluster_tol=-1.0)
+
+
+def _same_spectrum(got: BohrSpectrum, want: BohrSpectrum) -> bool:
+    return (
+        got.frequencies.tobytes() == want.frequencies.tobytes()
+        and got.pair_index.tobytes() == want.pair_index.tobytes()
+        and got.pair_index.dtype == want.pair_index.dtype
+        and got.max_cluster_diameter == want.max_cluster_diameter
+        and got.cluster_tol == want.cluster_tol
+    )
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        *benchmark_models(),
+        random_model(6, seed=3),
+        random_model(dim=3, seed=2, spectrum=(1.0, 1.0, 1.0)),
+        schrodinger_line_model(24),
+        schrodinger_line_model(32),
+    ],
+    ids=lambda m: m.model_id,
+)
+@pytest.mark.parametrize("cluster_tol", [None, 1e-6, 0.05, 0.5, 3.0])
+def test_vectorised_clustering_is_the_greedy_scan_bit_for_bit(model, cluster_tol):
+    """Frequencies, pair map and cluster diameter equal one greedy scan with
+    one np.mean a cluster, also where a wide tolerance forces the scan
+    inside a run and merges clusters of many members."""
+    system = model.eigensystem()
+    got = bohr_spectrum(system, cluster_tol)
+    assert _same_spectrum(got, oracles.bohr_spectrum_loop(system, cluster_tol))
+
+
+def test_clustering_covers_the_scan_and_the_mean_orders():
+    """Seeded spectra where the greedy scan splits runs with no gap above
+    the tolerance, and clusters of two to a dozen members."""
+    rng = np.random.default_rng(7)
+    sizes = set()
+    for _ in range(100):
+        energies = np.sort(rng.uniform(0.0, 3.0, size=rng.integers(2, 9)))
+        for tol in (0.0, 0.05, 0.3, 1.0):
+            h = np.diag(np.round(energies, int(rng.integers(0, 3))))
+            got = bohr_spectrum(h, tol)
+            assert _same_spectrum(got, oracles.bohr_spectrum_loop(h, tol))
+            sizes.update(np.bincount(np.abs(got.pair_index - got.size // 2).ravel()).tolist())
+    assert {2, 3, 7, 8, 12} <= sizes

@@ -191,7 +191,9 @@ def test_verify_report_times_each_check(tmp_path):
     assert main(["verify-stationarity", "--config", config, "--report", str(report_path)]) == EXIT_OK
     report = json.loads(report_path.read_text())
     stages = report["timing"]["stages"]
-    assert set(stages) == {"build_s"} | {f"{check['name']}_s" for check in report["checks"]}
+    assert set(stages) == {"frame_s", "build_s"} | {
+        f"{check['name']}_s" for check in report["checks"]
+    }
     assert "dual_path_s" in stages
     assert all(v >= 0.0 for v in stages.values())
     code = main(
@@ -200,7 +202,7 @@ def test_verify_report_times_each_check(tmp_path):
     )
     assert code == EXIT_OK
     assert set(json.loads(report_path.read_text())["timing"]["stages"]) == {
-        "build_s", "trace_functional_s"
+        "frame_s", "build_s", "trace_functional_s"
     }
 
 
@@ -214,7 +216,7 @@ def test_export_bundle_is_timed_as_its_own_stage(tmp_path):
     assert code == EXIT_OK
     report = json.loads(report_path.read_text())
     stages = report["timing"]["stages"]
-    assert set(stages) == {"build_s", "export_bundle_s"} | {
+    assert set(stages) == {"frame_s", "build_s", "export_bundle_s"} | {
         f"{check['name']}_s" for check in report["checks"]
     }
     assert stages["export_bundle_s"] >= 0.0
@@ -312,6 +314,46 @@ def test_verify_reports_the_cross_check_cost(tmp_path):
     assert evaluations % 48 == 0
     assert diagnostics["overlap_cross_check_defect"] <= 1e-8
     assert diagnostics["overlap_smoothing_rule"] == "closed_form"
+
+
+@pytest.mark.parametrize(
+    "argv, payload, builder, later",
+    [
+        (["verify-stationarity"], {"model": LINE16}, "build_generator", "build_s"),
+        (["sweep-sigma"], {"model": LINE16, "run": {"sigma_sweep": [0.5]}}, "davies_limit_report",
+         "ladder_s"),
+    ],
+    ids=["verify", "sweep"],
+)
+def test_frame_is_timed_before_the_build(tmp_path, monkeypatch, argv, payload, builder, later):
+    """The model's spectral frame is computed before any generator is built
+    and timed as its own stage; the next stage holds the rest."""
+    framed = []
+    original = getattr(gibbslab.cli, builder)
+
+    def recording(config_or_model, *args, **kwargs):
+        model = args[0] if builder == "build_generator" else config_or_model
+        framed.append("frame" in vars(model))
+        return original(config_or_model, *args, **kwargs)
+
+    monkeypatch.setattr(gibbslab.cli, builder, recording)
+    report_path = tmp_path / "r.json"
+    config = write_config(tmp_path, {"schema_version": SCHEMA_VERSION, **payload})
+    extra = ["--out", str(tmp_path / "rows.csv")] if argv == ["sweep-sigma"] else []
+    assert main(argv + ["--config", config, "--report", str(report_path)] + extra) == EXIT_OK
+    timing = json.loads(report_path.read_text())["timing"]
+    assert framed == [True]
+    assert timing["stages"]["frame_s"] > 0.0
+    assert timing["stages"]["frame_s"] + timing["stages"][later] <= timing["elapsed_seconds"]
+
+
+def test_verify_reports_the_sandwich_entries_it_computed(tmp_path):
+    report_path = tmp_path / "r.json"
+    for payload in (qubit_config(), qubit_config(weight={"kind": "metropolis"}, generator={"kind": "davies"})):
+        assert main(["verify-stationarity", "--config", write_config(tmp_path, payload),
+                     "--report", str(report_path)]) == EXIT_OK
+        diagnostics = json.loads(report_path.read_text())["data"]["diagnostics"]
+        assert 1 <= diagnostics["sandwich_live_entries"] <= 2**4
 
 
 def test_verify_reports_the_omega_node_count(tmp_path):

@@ -23,6 +23,7 @@ from gibbslab.errors import ValidationError
 from gibbslab.generators import (
     _bohr_sum_dissipator,
     _bundle,
+    _live_band,
     _envelope_sum,
     _omega_quadrature_coupling,
     _omega_quadrature_nodes,
@@ -727,3 +728,96 @@ def test_generator_eigenvalues_sit_in_the_left_half_plane(dense_bundle):
     eigenvalues = np.linalg.eigvals(dense_bundle.superoperator)
     assert np.max(eigenvalues.real) < 1e-10
     assert np.min(np.abs(eigenvalues)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The sandwich on its coupling's live band
+# ---------------------------------------------------------------------------
+
+
+_BAND_MODELS = {
+    "qubit": qubit_model,
+    "oscillator6": lambda: oscillator_model(6),
+    "random4": lambda: random_model(dim=4, seed=5, spectrum=(1.0, 1.7, 3.1, 4.6)),
+    "torus12": lambda: torus_model(12),
+    "line16": lambda: schrodinger_line_model(16),
+    "line24": lambda: schrodinger_line_model(24),
+    # One Bohr frequency: every pair sits in the cluster at zero.
+    "degenerate3": lambda: random_model(dim=3, seed=2, spectrum=(1.0, 1.0, 1.0)),
+}
+
+
+def _band_couplings(spectrum):
+    """``(label, coupling)``: the Davies, overlap and node-sum tables a build
+    contracts over ``spectrum``."""
+    freqs = spectrum.frequencies
+    for kind in ("metropolis", "glauber"):
+        yield f"davies {kind}", np.diag(kms_gamma(kind)(freqs))
+    for phi in ("gaussian", "sech", "exp_abs"):
+        for sigma in (3.0, 1.0, 0.25, 1e-2):
+            for make in (balanced_gamma, unshifted_gamma):
+                table = overlap_table(spectrum, make(phi, sigma), sigma, cross_check=False)
+                yield f"{make.__name__} {phi} {sigma}", table.values
+    for sigma in (1.0, 0.25):
+        weight = balanced_gamma("gaussian", sigma)
+        yield f"node sum {sigma}", _omega_quadrature_coupling(weight, sigma, freqs)[0]
+
+
+@pytest.mark.parametrize("name", sorted(_BAND_MODELS))
+def test_band_sandwich_is_the_dense_sum_bit_for_bit(name):
+    """Only the live band is computed, and the sandwich is the dense sum of
+    all d^4 entries byte for byte, on every coupling a build contracts."""
+    model = _BAND_MODELS[name]()
+    spectrum = model.frame.spectrum
+    jumps = list(model.frame.jumps_eig)
+    mismatched = []
+    for label, coupling in _band_couplings(spectrum):
+        got = _bohr_sum_dissipator(jumps, coupling, spectrum.pair_index)
+        want = oracles.bohr_sum_dissipator_dense(jumps, coupling, spectrum.pair_index)
+        if got.tobytes() != want.tobytes():
+            mismatched.append(label)
+    assert mismatched == []
+
+
+def test_band_sandwich_matches_on_synthetic_couplings():
+    """Scattered symmetric nonzeros, rows without a nonzero, an all-zero
+    table and negative or negative-zero entries."""
+    model = schrodinger_line_model(16)
+    spectrum = model.frame.spectrum
+    jumps = list(model.frame.jumps_eig)
+    m = spectrum.size
+    rng = np.random.default_rng(11)
+    scattered = np.where(rng.random((m, m)) < 0.02, rng.normal(size=(m, m)), 0.0)
+    scattered = scattered + scattered.T
+    empty_rows = scattered.copy()
+    dead = rng.choice(m, size=m // 3, replace=False)
+    empty_rows[dead] = 0.0
+    empty_rows[:, dead] = 0.0
+    signed = rng.normal(size=(m, m))
+    signed[rng.random((m, m)) < 0.5] = -0.0
+    signed[: m // 2] = 0.0
+    corners = np.zeros((m, m))
+    corners[0, -1] = corners[-1, 0] = 1.0
+    couplings = {
+        "scattered": scattered,
+        "empty rows": empty_rows,
+        "zeros": np.zeros((m, m)),
+        "negative zeros": np.full((m, m), -0.0),
+        "signed": signed,
+        "corners": corners,
+    }
+    for label, coupling in couplings.items():
+        got = _bohr_sum_dissipator(jumps, coupling, spectrum.pair_index)
+        want = oracles.bohr_sum_dissipator_dense(jumps, coupling, spectrum.pair_index)
+        assert got.tobytes() == want.tobytes(), label
+    assert _live_band(np.zeros((m, m)), spectrum.pair_index).entries == 0
+    assert _live_band(np.full((m, m), -0.0), spectrum.pair_index).entries == 0
+
+
+def test_davies_sandwich_computes_under_one_percent_of_its_entries():
+    """A count, not a clock: the line32 Davies coupling is diagonal, so the
+    band is its Bohr clusters; the dense sum computes all 32^4 entries."""
+    bundle = davies_generator(schrodinger_line_model(32), kms_gamma("metropolis"))
+    assert bundle.diagnostics["sandwich_live_entries"] < 0.01 * 32**4
+    dense = localised_generator(oscillator_model(6), balanced_gamma("gaussian", 3.0), 3.0)
+    assert dense.diagnostics["sandwich_live_entries"] == 6**4
