@@ -68,7 +68,6 @@ from .generators import (
     davies_limit_report,
     dual_path_residual,
     effective_drift_abscissa,
-    generator_action,
     hermiticity_preservation_defect,
     localised_generator,
     stationarity_report,
@@ -141,7 +140,6 @@ __all__ = [
     "davies_limit_report",
     "dual_path_residual",
     "effective_drift_abscissa",
-    "generator_action",
     "hermiticity_preservation_defect",
     "localised_generator",
     "stationarity_report",

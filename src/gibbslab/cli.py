@@ -27,11 +27,12 @@ output; CSV artifacts carry ``#``-prefixed metadata lines, 17-significant-
 digit floats, LF line endings, and no timestamps, so identical inputs
 produce identical bytes (modulo the version metadata line).  Exit codes:
 0 all checks passed, 1 at least one check failed, 2 usage or config
-error, 3 (selftest with ``--tighten``) only the expected tightened checks
-failed, 4 a numerical guard fired (an overlap table disagreed with its
-batched Gauss-Legendre cross-check, that quadrature failed, or a step
-exponential of an evolution was not finite), 5 the program crashed (any
-other exception; the traceback goes to stderr).
+error (a negative seed, or an output, report or export path that cannot
+be written, included), 3 (selftest with ``--tighten``) only the expected
+tightened checks failed, 4 a numerical guard fired (an overlap table
+disagreed with its batched Gauss-Legendre cross-check, that quadrature
+failed, or a step exponential of an evolution was not finite), 5 the
+program crashed (any other exception; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -166,6 +167,14 @@ def _as_bandwidth(value, context: str) -> float:
     return sigma
 
 
+def _as_seed(value, context: str) -> int:
+    """A seed: ``np.random.default_rng`` takes non-negative integers only."""
+    seed = config_number(value, context, int)
+    if seed < 0:
+        raise ValidationError(f"{context} must be a non-negative integer, got {value!r}")
+    return seed
+
+
 def normalised_config(config: dict | None, command: str) -> dict:
     """Validate a config mapping and fill defaults; idempotent.
 
@@ -263,7 +272,7 @@ def normalised_config(config: dict | None, command: str) -> dict:
         raise ValidationError(
             "run.seeds must be a list of exactly one integer; every command reads one seed"
         )
-    run["seeds"] = [config_number(s, "run.seeds entry", int) for s in seeds]
+    run["seeds"] = [_as_seed(s, "run.seeds entry") for s in seeds]
     tolerances = dict(run.get("tolerances") or {})
     _reject_unknown(tolerances, set(_DEFAULT_TOLERANCES), "run.tolerances")
     for key, value in tolerances.items():
@@ -431,9 +440,12 @@ def render_csv(columns: list[str], rows: list[list], metadata: dict) -> str:
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _data_artifact(columns: list[str], rows: list[list], metadata: dict, fmt: str) -> str:
@@ -998,6 +1010,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None:
+            _as_seed(args.seed, "--seed")
         if args.command == "selftest":
             return cmd_selftest(args)
         config = _load_config(args.config, args.command)

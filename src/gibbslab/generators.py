@@ -29,7 +29,8 @@ drift ``Y = i(P + B) - (1/2) sum_A sum C(nu, nu') A_nu^dag A_nu'``, so both
 families share one assembly: the sandwich of a coupling table contracted
 over the Bohr pair map, in the Hamiltonian's eigenbasis, plus
 ``Y^dag T + T Y``.  One pair contraction gives ``B`` and the drift's kernel.
-The sandwich is computed only on its coupling's live band: with the
+The sandwich is computed whole, or, when its coupling's live band holds
+less than two thirds of its entries, on that band only: with the
 eigenbasis pairs sorted by frequency, each pair's live partners lie in one
 window of the coupling's row, and every entry outside the windows is the
 ``+0`` the full sum gives there (a Davies coupling is diagonal, a filtered
@@ -92,7 +93,6 @@ __all__ = [
     "davies_limit_report",
     "dual_path_residual",
     "effective_drift_abscissa",
-    "generator_action",
     "hermiticity_preservation_defect",
     "localised_generator",
     "stationarity_report",
@@ -169,10 +169,6 @@ class GeneratorBundle:
         cache)."""
         return Propagator(self.superoperator)
 
-    def apply(self, operator: np.ndarray) -> np.ndarray:
-        """Act on an operator: ``L(T)``."""
-        return generator_action(self.superoperator, operator)
-
     def eigen_action(self, operators: np.ndarray) -> np.ndarray:
         """``L_eig`` on a stack ``(n, d, d)`` of eigenbasis operators: one
         ``(d^2, n)`` product with the sandwich plus ``Y_eig^dag T + T Y_eig``."""
@@ -183,12 +179,6 @@ class GeneratorBundle:
         images = (self.sandwich @ columns.T).T.reshape(n, d, d).transpose(0, 2, 1)
         y = self.eigen_drift
         return images + dagger(y) @ ts + ts @ y
-
-
-def generator_action(superoperator: np.ndarray, operator: np.ndarray) -> np.ndarray:
-    """Apply a column-stacked superoperator to an operator."""
-    op = np.asarray(operator, dtype=np.complex128)
-    return devectorize(np.asarray(superoperator) @ vectorize(op), op.shape[0])
 
 
 def _validate_jump_family(model: Model) -> dict:
@@ -229,24 +219,17 @@ class _LiveBand(NamedTuple):
 
     ``order`` sorts the eigenbasis pairs (flat ``i d + k``) by frequency
     index, stably.  Sorted so, the live column pairs ``(j, l)`` of a row
-    pair ``(i, k)`` lie in one window, from the first to the last nonzero
-    of the coupling's row at the row pair's frequency (none if it has no
-    nonzero).  A ``slab`` (one ``j``, every ``i``, ``k`` and ``l``) whose
-    windows cover at least two thirds of its entries is computed whole, as
-    a contiguous block of the sandwich.  Over the other columns, ``cols`` in
-    the same order, each row's window is ``width`` columns from ``lo``, and
-    the rows are cut into tiles of about ``_BAND_TILE`` candidate entries.
-    A tile whose windows fill at least half of their union is computed as
-    one ``(start, stop, lo, hi)`` rectangle, and the rows of every other
-    tile, the ``(start, stop)`` runs of ``ragged``, each on its own window.
-    When the tiles would cover two thirds of the other slabs, every slab is
-    computed whole and the arrays are empty.  ``entries`` counts the
-    sandwich entries so computed.
+    pair ``(i, k)`` lie in one window, ``width`` pairs from ``lo``: from the
+    first to the last nonzero of the coupling's row at the row pair's
+    frequency (none if it has no nonzero).  The rows are cut into tiles of
+    about ``_BAND_TILE`` candidate entries.  A tile whose windows fill at
+    least half of their union is computed as one ``(start, stop, lo, hi)``
+    rectangle, and the rows of every other tile, the ``(start, stop)`` runs
+    of ``ragged``, each on its own window.  ``entries`` counts the sandwich
+    entries so computed.
     """
 
     order: np.ndarray
-    slabs: list[int]
-    cols: np.ndarray
     lo: np.ndarray
     width: np.ndarray
     rectangles: list[tuple[int, int, int, int]]
@@ -259,8 +242,17 @@ class _LiveBand(NamedTuple):
 _BAND_TILE = 1 << 13
 
 
-def _live_band(coupling: np.ndarray, pair_index: np.ndarray) -> _LiveBand:
-    """The tiles of the live band of ``coupling`` over the pair map."""
+def _live_band(coupling: np.ndarray, pair_index: np.ndarray) -> _LiveBand | None:
+    """The tiles of the live band of ``coupling`` over the pair map, or
+    ``None`` when the sandwich is cheaper computed whole.
+
+    An entry of the band costs about one and a half of the dense sum's (its
+    writes are scattered), so the sandwich is computed whole when its live
+    windows, or the tiles that would cover them, hold two thirds of its
+    ``d^4`` entries.  The live windows are counted before the pairs are
+    sorted, so a sandwich that is computed whole skips the sort and the
+    tiling.
+    """
     d = pair_index.shape[0]
     n = d * d
     m = coupling.shape[0]
@@ -269,28 +261,19 @@ def _live_band(coupling: np.ndarray, pair_index: np.ndarray) -> _LiveBand:
     has_live = live.any(axis=1)
     first = live.argmax(axis=1)
     last = m - 1 - live[:, ::-1].argmax(axis=1)
-    # How many row windows cover the columns of each frequency.  An entry of
-    # the band costs about one and a half of the dense sum's (its writes are
-    # scattered), so a slab two thirds covered is cheaper computed whole.
-    rows_of = np.bincount(freq, minlength=m) * has_live
-    cover = np.cumsum(
-        np.bincount(first, rows_of, minlength=m + 1) - np.bincount(last + 1, rows_of, minlength=m + 1)
-    )
-    dense = 3 * cover[pair_index].sum(axis=1) >= 2 * n * d
-    slabs = np.nonzero(dense)[0].tolist()
-    rectangles, ragged, entries = [], [], len(slabs) * n * d
-    empty = np.empty(0, dtype=np.intp)
-    if len(slabs) == d:
-        return _LiveBand(empty, slabs, empty, empty, empty, rectangles, ragged, entries)
+    # Sorted by frequency, the pairs of frequency f start at below[f].
+    pairs_of = np.bincount(freq, minlength=m)
+    below = np.concatenate(([0], np.cumsum(pairs_of)))
+    lo_of = below[first]
+    width_of = (below[last + 1] - lo_of) * has_live
+    if 3 * int(pairs_of @ width_of) >= 2 * n * n:
+        return None
     order = np.argsort(freq, kind="stable")
     row_freq = freq[order]
-    cols = order[~dense[order // d]] if slabs else order
-    col_freq = freq[cols]
-    lo_of = np.searchsorted(col_freq, first)
-    width_of = (np.searchsorted(col_freq, last + 1) - lo_of) * has_live
     lo, width = lo_of[row_freq], width_of[row_freq]
 
-    tile_rows = max(1, _BAND_TILE // cols.size)
+    rectangles, ragged, entries = [], [], 0
+    tile_rows = max(1, _BAND_TILE // n)
     starts = np.arange(0, n, tile_rows)
     tiles = zip(
         starts.tolist(),
@@ -307,16 +290,15 @@ def _live_band(coupling: np.ndarray, pair_index: np.ndarray) -> _LiveBand:
         elif tile_live:
             ragged.append((start, stop))
             entries += tile_live
-    if 3 * (entries - len(slabs) * n * d) >= 2 * n * cols.size:
-        # The tiles would cover two thirds of the other slabs: compute them whole.
-        return _LiveBand(empty, list(range(d)), empty, empty, empty, [], [], n * n)
-    return _LiveBand(order, slabs, cols, lo, width, rectangles, ragged, entries)
+    if 3 * entries >= 2 * n * n:
+        return None
+    return _LiveBand(order, lo, width, rectangles, ragged, entries)
 
 
 def _ragged_chunks(band: _LiveBand):
     """``(rows, cols)``: the windows of the band's ragged rows as flat pairs
-    of indices into ``band.order`` and ``band.cols``, in chunks of about
-    ``_BAND_TILE`` entries."""
+    of indices into ``band.order``, in chunks of about ``_BAND_TILE``
+    entries."""
     if not band.ragged:
         return
     rows = np.concatenate([np.arange(start, stop) for start, stop in band.ragged])
@@ -334,56 +316,51 @@ def _ragged_chunks(band: _LiveBand):
 
 
 def _bohr_sum_dissipator(
-    jumps_eig: list[np.ndarray],
-    coupling: np.ndarray,
-    pair_index: np.ndarray,
-    band: _LiveBand | None = None,
-) -> np.ndarray:
+    jumps_eig: list[np.ndarray], coupling: np.ndarray, pair_index: np.ndarray
+) -> tuple[np.ndarray, int]:
     """Eigenbasis superoperator of the sandwich
     ``T -> sum_A sum_{nu, nu'} C(nu, nu') A_nu T A_nu'^dag`` of a coupling
-    table contracted over the Bohr pair map, computed on the coupling's
-    live band (``band``, from :func:`_live_band` when not given).
+    table contracted over the Bohr pair map, and how many of its entries
+    were computed.
 
     Entry ``(j d + i, l d + k)`` of the column-stacked matrix is
     ``sum_A (A_ik conj(A_jl)) C(nu_ik, nu_jl)``, summed over the jumps in
-    order from zero.  Only the entries in the band's slabs and tiles are
-    computed, with that same sequence of operations.  Every other entry is
-    ``+0``, which is also what the sum gives where ``C`` is zero, so the
-    matrix is the dense sum's bit for bit (``tests/oracles.py``'s
-    ``bohr_sum_dissipator_dense``).  A Davies coupling is diagonal and a
-    filtered one zero past the exponent cap: a line32 Davies sandwich
-    computes 0.4 % of its entries.
+    order from zero.  The sandwich is computed either whole, or only on the
+    tiles of its coupling's live band (:func:`_live_band`), with that same
+    sequence of operations.  Every other entry is ``+0``, which is also what
+    the sum gives where ``C`` is zero, so the matrix is the dense sum's bit
+    for bit (``tests/oracles.py``'s ``bohr_sum_dissipator_dense``).  A
+    Davies coupling is diagonal and a filtered one zero past the exponent
+    cap: a line32 Davies sandwich computes 0.4 % of its entries.
     """
-    if band is None:
-        band = _live_band(coupling, pair_index)
+    band = _live_band(coupling, pair_index)
     d = pair_index.shape[0]
     n = d * d
     jumps = np.reshape(jumps_eig, (-1, d, d))
     conj = jumps.conj()
     out = np.zeros(n * n, dtype=np.complex128)
 
-    # Slab j of the sandwich holds the rows (i, j); its entry [i, l, k], in
-    # column (k, l), pairs (i, k) with (j, l).
-    blocks = out.reshape(d, d, d, d)
-    term = np.empty((d, d, d), dtype=np.complex128)
-    for j in band.slabs:
-        c = coupling.take(pair_index[j], axis=1).take(pair_index, axis=0)
-        c = np.ascontiguousarray(c.transpose(0, 2, 1))
-        for a, a_conj in zip(jumps, conj):
-            np.multiply(a[:, None, :], a_conj[j][None, :, None], out=term)
-            term *= c
-            blocks[j] += term
-    if not (band.rectangles or band.ragged):
-        return out.reshape(n, n)
+    if band is None:
+        # Slab j of the sandwich holds the rows (i, j); its entry [i, l, k],
+        # in column (k, l), pairs (i, k) with (j, l).
+        blocks = out.reshape(d, d, d, d)
+        term = np.empty((d, d, d), dtype=np.complex128)
+        for j in range(d):
+            c = coupling.take(pair_index[j], axis=1).take(pair_index, axis=0)
+            c = np.ascontiguousarray(c.transpose(0, 2, 1))
+            for a, a_conj in zip(jumps, conj):
+                np.multiply(a[:, None, :], a_conj[j][None, :, None], out=term)
+                term *= c
+                blocks[j] += term
+        return out.reshape(n, n), n * n
 
     # Flat entry (j d + i) d^2 + (l d + k) is the part i d^2 + k of the row
     # pair (i, k) plus d times that part of the column pair (j, l).
-    rows, cols = band.order, band.cols
-    row_part = rows + (rows // d) * (n - d)
-    col_part = d * (cols + (cols // d) * (n - d))
-    freq = pair_index.reshape(-1)
-    row_freq, col_freq = freq[rows], freq[cols]
-    pairs = list(zip(jumps.reshape(-1, n)[:, rows], conj.reshape(-1, n)[:, cols]))
+    order = band.order
+    row_part = order + (order // d) * (n - d)
+    col_part = d * row_part
+    sorted_freq = pair_index.reshape(-1)[order]
+    pairs = list(zip(jumps.reshape(-1, n)[:, order], conj.reshape(-1, n)[:, order]))
 
     def add_tile(at_rows, at_cols, values):
         acc = np.zeros(values.shape, dtype=np.complex128)
@@ -396,13 +373,13 @@ def _bohr_sum_dissipator(
         out[(row_part[at_rows] + col_part[at_cols]).reshape(-1)] = acc.reshape(-1)
 
     for start, stop, lo, hi in band.rectangles:
-        values = coupling.take(row_freq[start:stop], axis=0).take(col_freq[lo:hi], axis=1)
+        values = coupling.take(sorted_freq[start:stop], axis=0).take(sorted_freq[lo:hi], axis=1)
         add_tile(np.s_[start:stop, None], np.s_[None, lo:hi], values)
     flat = coupling.reshape(-1)
     for at_rows, at_cols in _ragged_chunks(band):
-        values = flat.take(row_freq[at_rows] * coupling.shape[0] + col_freq[at_cols])
+        values = flat.take(sorted_freq[at_rows] * coupling.shape[0] + sorted_freq[at_cols])
         add_tile(at_rows, at_cols, values)
-    return out.reshape(n, n)
+    return out.reshape(n, n), band.entries
 
 
 def _rotate_superop(system: EigenSystem, s_eig: np.ndarray) -> np.ndarray:
@@ -459,10 +436,8 @@ def _bundle(
     m_eig = _pair_sum(jumps_eig, coupling, idx)
     drift = 1j * (model.hamiltonian + b_mat) - 0.5 * system.from_eigenbasis(m_eig)
     eigen_drift = 1j * (np.diag(system.eigenvalues) + system.to_eigenbasis(b_mat)) - 0.5 * m_eig
-    band = _live_band(coupling, idx)
-    sandwich = _bohr_sum_dissipator(jumps_eig, coupling, idx, band)
+    sandwich, diag["sandwich_live_entries"] = _bohr_sum_dissipator(jumps_eig, coupling, idx)
     sandwich.flags.writeable = False
-    diag["sandwich_live_entries"] = band.entries
     return GeneratorBundle(
         kind=kind,
         assembly_path=path,

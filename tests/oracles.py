@@ -323,7 +323,7 @@ def parent_tail(bundle) -> tuple[np.ndarray, np.ndarray]:
     idx = bundle.spectrum.pair_index
     m_kernel = system.from_eigenbasis(_pair_sum(jumps_eig, bundle.coupling, idx))
     drift = 1j * (bundle.model.hamiltonian + bundle.coherent_matrix) - 0.5 * m_kernel
-    superop = _rotate_superop(system, _bohr_sum_dissipator(jumps_eig, bundle.coupling, idx))
+    superop = _rotate_superop(system, _bohr_sum_dissipator(jumps_eig, bundle.coupling, idx)[0])
     _add_drift(superop, drift)
     return superop, drift
 

@@ -544,6 +544,54 @@ def test_malformed_numbers_exit_two_before_any_build(
     assert builds == []
 
 
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["verify-stationarity", "--seed", "-1"], qubit_config()),
+        (["sweep-sigma", "--seed", "-1"], qubit_config(run={"sigma_sweep": [0.5]})),
+        (["evolve", "--seed", "-1"], qubit_config(run={"initial_state": "random"})),
+        (["selftest", "--seed", "-1"], None),
+        (["verify-stationarity"], qubit_config(run={"seeds": [-3]})),
+    ],
+    ids=["verify", "sweep", "evolve-random", "selftest", "config-seeds"],
+)
+def test_negative_seed_exits_two_before_any_build(tmp_path, monkeypatch, capsys, argv, payload):
+    """``np.random.default_rng`` takes non-negative seeds only: a negative
+    one is a usage error, not a crash (5) where the first draw is made."""
+    builds = []
+    for name in ("model_from_config", "_selftest_checks"):
+        monkeypatch.setattr(gibbslab.cli, name, lambda *a, **k: builds.append(a))
+    if payload is not None:
+        argv = argv + ["--config", write_config(tmp_path, payload)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "must be a non-negative integer" in err
+    assert "Traceback" not in err
+    assert builds == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-stationarity", "--report", "{missing}/report.json"],
+        ["sweep-sigma", "--out", "{missing}/table.csv"],
+        ["verify-stationarity", "--export-bundle", "{missing}/bundle.json"],
+    ],
+    ids=["report", "out", "export-bundle"],
+)
+def test_unwritable_output_path_exits_two_and_names_it(tmp_path, capsys, argv):
+    """A destination in a directory that does not exist is a usage error
+    naming the path, as an unreadable config is, not a crash (5)."""
+    missing = tmp_path / "no-such-dir"
+    config = write_config(tmp_path, qubit_config(run={"sigma_sweep": [0.5]}))
+    argv = [arg.format(missing=missing) for arg in argv] + ["--config", config]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write '{missing}/")
+    assert "Traceback" not in err
+
+
 def test_crash_exits_five_with_a_traceback(tmp_path, monkeypatch, capsys):
     """An unexpected exception is told apart from a failed check (1), a usage
     error (2) and a fired guard (4)."""

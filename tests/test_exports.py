@@ -44,7 +44,6 @@ ALLOWED_UNREACHED = {
     "FILTER_SQUARED_MASS": "the factor pi that delocalised_limit_gamma carries",
     "PHI_LIBRARY": "the profile names that weight.phi_name accepts",
     "resolve_phi": "turns a profile name or callable into the profile every weight function reads",
-    "generator_action": "the superoperator action GeneratorBundle.apply runs",
     "Trajectory": "return type of evolve",
     "choi_matrix": "the reshuffle that every choi_* function reads",
     "named_potential": "the potential key of a line model config",

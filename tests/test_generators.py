@@ -23,7 +23,6 @@ from gibbslab.errors import ValidationError
 from gibbslab.generators import (
     _bohr_sum_dissipator,
     _bundle,
-    _live_band,
     _envelope_sum,
     _omega_quadrature_coupling,
     _omega_quadrature_nodes,
@@ -35,7 +34,6 @@ from gibbslab.generators import (
     davies_limit_report,
     dual_path_residual,
     effective_drift_abscissa,
-    generator_action,
     hermiticity_preservation_defect,
     localised_generator,
     stationarity_report,
@@ -52,7 +50,7 @@ from gibbslab.models import (
     torus_model,
 )
 from gibbslab.oft import overlap_table
-from gibbslab.operator_core import EigenSystem
+from gibbslab.operator_core import EigenSystem, vectorize
 from gibbslab.weights import (
     MIN_BANDWIDTH,
     PANEL_ORDER,
@@ -201,7 +199,7 @@ def test_omega_quadrature_matches_node_sum_oracle(model_name, phi, sigma):
     spectrum = bohr_spectrum(system)
     jumps = [system.to_eigenbasis(a) for a in model.jumps]
     coupling, n_nodes = _omega_quadrature_coupling(weight, sigma, spectrum.frequencies)
-    s_got = _bohr_sum_dissipator(jumps, coupling, spectrum.pair_index)
+    s_got = _bohr_sum_dissipator(jumps, coupling, spectrum.pair_index)[0]
     m_got = _pair_sum(jumps, coupling, spectrum.pair_index)
     nodes, wts = _omega_quadrature_nodes(weight, sigma, spectrum.frequencies)
     gw = weight(nodes) * wts
@@ -355,7 +353,7 @@ def test_sandwich_layout_matches_transposed_oracle(model, coupling_of):
         coupling = overlap_table(spectrum, balanced_gamma("sech", 0.7), 0.7).values
         if coupling_of == "sign_flipped":
             coupling = 2.0 * np.diag(np.diag(coupling)) - coupling
-    got = _bohr_sum_dissipator(jumps, coupling, spectrum.pair_index)
+    got = _bohr_sum_dissipator(jumps, coupling, spectrum.pair_index)[0]
     want = oracles.sandwich_transposed(jumps, coupling, spectrum.pair_index)
     assert got.tobytes() == want.tobytes()
 
@@ -485,7 +483,7 @@ def test_eigenbasis_stationarity_keeps_its_bite(model):
     assert stationarity_report(clean) < 1e-9
     for name, bundle in faults.items():
         residual = stationarity_report(bundle)
-        original = np.linalg.norm(bundle.apply(rho)) / np.linalg.norm(rho)
+        original = np.linalg.norm(bundle.superoperator @ vectorize(rho)) / np.linalg.norm(rho)
         assert residual > 1e-4, name
         assert residual == pytest.approx(original, rel=1e-10), name
 
@@ -496,7 +494,7 @@ def test_gibbs_action_matches_componentwise_identity(dense_bundle):
 
 def test_stationarity_via_explicit_gibbs_application(dense_model, dense_bundle):
     stationary = gibbs_state(dense_model)
-    image = dense_bundle.apply(stationary)
+    image = dense_bundle.superoperator @ vectorize(stationary)
     assert np.linalg.norm(image) < 1e-12
 
 
@@ -708,9 +706,6 @@ def test_unknown_assembly_path_rejected(dense_model):
 
 
 def test_bundle_accessors(dense_bundle):
-    probe = (np.arange(16, dtype=complex) + 0.5j).reshape(4, 4)
-    direct = generator_action(dense_bundle.superoperator, probe)
-    assert np.linalg.norm(dense_bundle.apply(probe) - direct) == 0.0
     assert dense_bundle.dim == 4
     assert dense_bundle.kind == "localised"
     for key in (
@@ -747,6 +742,19 @@ _BAND_MODELS = {
 }
 
 
+def _live_window_count(coupling, pair_index):
+    """Sandwich entries inside the live windows: for each row pair, the
+    column pairs whose frequency lies from the first to the last nonzero of
+    the coupling's row at the row pair's frequency."""
+    pairs_of = np.bincount(pair_index.reshape(-1), minlength=coupling.shape[0])
+    count = 0
+    for f, row in enumerate(coupling):
+        live = np.flatnonzero(row)
+        if live.size:
+            count += int(pairs_of[f]) * int(pairs_of[live[0] : live[-1] + 1].sum())
+    return count
+
+
 def _band_couplings(spectrum):
     """``(label, coupling)``: the Davies, overlap and node-sum tables a build
     contracts over ``spectrum``."""
@@ -766,17 +774,24 @@ def _band_couplings(spectrum):
 @pytest.mark.parametrize("name", sorted(_BAND_MODELS))
 def test_band_sandwich_is_the_dense_sum_bit_for_bit(name):
     """Only the live band is computed, and the sandwich is the dense sum of
-    all d^4 entries byte for byte, on every coupling a build contracts."""
+    all d^4 entries byte for byte, on every coupling a build contracts.  A
+    count, not a clock: a band build computes at least its live windows and
+    at most twice them (a rectangle tile is at least half live); any other
+    build computes all d^4 entries."""
     model = _BAND_MODELS[name]()
     spectrum = model.frame.spectrum
     jumps = list(model.frame.jumps_eig)
-    mismatched = []
+    mismatched, miscounted = [], []
     for label, coupling in _band_couplings(spectrum):
-        got = _bohr_sum_dissipator(jumps, coupling, spectrum.pair_index)
+        got, entries = _bohr_sum_dissipator(jumps, coupling, spectrum.pair_index)
         want = oracles.bohr_sum_dissipator_dense(jumps, coupling, spectrum.pair_index)
         if got.tobytes() != want.tobytes():
             mismatched.append(label)
+        live = _live_window_count(coupling, spectrum.pair_index)
+        if not (live <= entries <= 2 * live or entries == model.dim**4):
+            miscounted.append((label, live, entries))
     assert mismatched == []
+    assert miscounted == []
 
 
 def test_band_sandwich_matches_on_synthetic_couplings():
@@ -798,6 +813,11 @@ def test_band_sandwich_matches_on_synthetic_couplings():
     signed[: m // 2] = 0.0
     corners = np.zeros((m, m))
     corners[0, -1] = corners[-1, 0] = 1.0
+    # Banded tables whose live windows hold just under and just over two
+    # thirds of the d^4 entries, where the sandwich is computed whole.
+    gap = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    banded = rng.normal(size=(m, m))
+    banded = banded + banded.T
     couplings = {
         "scattered": scattered,
         "empty rows": empty_rows,
@@ -805,13 +825,19 @@ def test_band_sandwich_matches_on_synthetic_couplings():
         "negative zeros": np.full((m, m), -0.0),
         "signed": signed,
         "corners": corners,
+        "two thirds under": np.where(gap <= 59, banded, 0.0),
+        "two thirds over": np.where(gap <= 60, banded, 0.0),
     }
+    entries = {}
     for label, coupling in couplings.items():
-        got = _bohr_sum_dissipator(jumps, coupling, spectrum.pair_index)
+        got, entries[label] = _bohr_sum_dissipator(jumps, coupling, spectrum.pair_index)
         want = oracles.bohr_sum_dissipator_dense(jumps, coupling, spectrum.pair_index)
         assert got.tobytes() == want.tobytes(), label
-    assert _live_band(np.zeros((m, m)), spectrum.pair_index).entries == 0
-    assert _live_band(np.full((m, m), -0.0), spectrum.pair_index).entries == 0
+    d4 = 16**4
+    assert 3 * _live_window_count(couplings["two thirds under"], spectrum.pair_index) < 2 * d4
+    assert 3 * _live_window_count(couplings["two thirds over"], spectrum.pair_index) >= 2 * d4
+    assert entries["two thirds over"] == d4
+    assert entries["zeros"] == entries["negative zeros"] == 0
 
 
 def test_davies_sandwich_computes_under_one_percent_of_its_entries():
