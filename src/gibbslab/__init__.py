@@ -88,7 +88,6 @@ from .evolution import (
 )
 from .models import (
     Model,
-    gibbs_state,
     model_from_config,
     named_potential,
     oscillator_model,
@@ -156,7 +155,6 @@ __all__ = [
     "semigroup_defect",
     "snapshot_diagnostics",
     "Model",
-    "gibbs_state",
     "model_from_config",
     "named_potential",
     "oscillator_model",

@@ -53,7 +53,6 @@ class BohrSpectrum:
         pair_index: integer array of shape ``(d, d)``; ``pair_index[i, j]`` is
             the index into ``frequencies`` of the cluster that the difference
             ``E_i - E_j`` belongs to.
-        eigenvalues: the ascending eigenvalues the spectrum was built from.
         cluster_tol: diameter cap used while clustering.
         max_cluster_diameter: largest spread of raw differences mapped to a
             single representative (a clustering-quality diagnostic).
@@ -61,13 +60,12 @@ class BohrSpectrum:
 
     frequencies: np.ndarray
     pair_index: np.ndarray
-    eigenvalues: np.ndarray
     cluster_tol: float
     max_cluster_diameter: float = field(default=0.0)
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.pair_index.shape[0]
 
     @property
     def size(self) -> int:
@@ -193,7 +191,6 @@ def bohr_spectrum(
     return BohrSpectrum(
         frequencies=frequencies,
         pair_index=pair_index,
-        eigenvalues=energies.copy(),
         cluster_tol=float(cluster_tol),
         max_cluster_diameter=max_diameter,
     )

@@ -27,12 +27,13 @@ output; CSV artifacts carry ``#``-prefixed metadata lines, 17-significant-
 digit floats, LF line endings, and no timestamps, so identical inputs
 produce identical bytes (modulo the version metadata line).  Exit codes:
 0 all checks passed, 1 at least one check failed, 2 usage or config
-error (a negative seed, or an output, report or export path that cannot
-be written, included), 3 (selftest with ``--tighten``) only the expected
-tightened checks failed, 4 a numerical guard fired (an overlap table
-disagreed with its batched Gauss-Legendre cross-check, that quadrature
-failed, or a step exponential of an evolution was not finite), 5 the
-program crashed (any other exception; the traceback goes to stderr).
+error (a section that is not a JSON object, a value that is not a number
+where one belongs, a negative seed, or an output, report or export path
+that cannot be written, included), 3 (selftest with ``--tighten``) only
+the expected tightened checks failed, 4 a numerical guard fired (an
+overlap table disagreed with its batched Gauss-Legendre cross-check, that
+quadrature failed, or a step exponential of an evolution was not finite),
+5 the program crashed (any other exception; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -175,16 +176,37 @@ def _as_seed(value, context: str) -> int:
     return seed
 
 
+def _section(mapping: dict, key: str, context: str) -> dict:
+    """A copy of the object ``mapping[key]``: empty when the key is missing
+    or ``null``; any other value that is not an object is rejected."""
+    value = mapping.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValidationError(f"{context} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _run_list(run: dict, key: str, default, read) -> list:
+    """The entries of the list ``run[key]`` (``default`` when the key is
+    missing), each read by ``read(entry, context)``."""
+    values = run.get(key, default)
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"run.{key} must be a list, got {values!r}")
+    return [read(v, f"run.{key} entry") for v in values]
+
+
 def normalised_config(config: dict | None, command: str) -> dict:
     """Validate a config mapping and fill defaults; idempotent.
 
     Unknown keys anywhere in the tree are rejected, ``schema_version`` must
-    match, and all tolerances must be positive; ``model`` need only be a
-    mapping with a ``name``, as the command's one model build validates the
-    rest.  The returned mapping is plain JSON data (no arrays, no callables)
-    and normalising it again returns an equal mapping.
+    match, every section is an object (a missing or ``null`` one is its
+    defaults), and all tolerances must be positive; ``model`` need only be
+    an object with a string ``name``, as the command's one model build
+    validates the rest.  The returned mapping is plain JSON data (no arrays,
+    no callables) and normalising it again returns an equal mapping.
     """
-    cfg = dict(config) if config else {}
+    cfg = _section({"config": config}, "config", "config")
     _reject_unknown(
         cfg, {"schema_version", "model", "weight", "generator", "run", "output"}, "config"
     )
@@ -194,12 +216,11 @@ def normalised_config(config: dict | None, command: str) -> dict:
             f"unsupported schema_version {version!r}; this build reads {SCHEMA_VERSION}"
         )
 
-    model = cfg.get("model") or {"name": "qubit"}
-    if not isinstance(model, dict) or "name" not in model:
-        raise ValidationError("model config must be a mapping with a 'name'")
-    model = dict(model)
+    model = {"name": "qubit"} if cfg.get("model") is None else _section(cfg, "model", "model")
+    if not isinstance(model.get("name"), str):
+        raise ValidationError(f"model must have a string 'name', got {model!r}")
 
-    weight = dict(cfg.get("weight") or {})
+    weight = _section(cfg, "weight", "weight")
     _reject_unknown(weight, {"kind", "phi_name", "sigma"}, "weight")
     weight.setdefault("kind", "balanced")
     if weight["kind"] not in _WEIGHT_KINDS:
@@ -217,7 +238,7 @@ def normalised_config(config: dict | None, command: str) -> dict:
                     f"not {weight['kind']!r}"
                 )
 
-    generator = dict(cfg.get("generator") or {})
+    generator = _section(cfg, "generator", "generator")
     _reject_unknown(generator, {"kind", "path"}, "generator")
     generator.setdefault(
         "kind", "davies" if weight["kind"] in ("glauber", "metropolis") else "localised"
@@ -246,12 +267,12 @@ def normalised_config(config: dict | None, command: str) -> dict:
                 "(kind 'glauber' or 'metropolis')"
             )
 
-    run = dict(cfg.get("run") or {})
+    run = _section(cfg, "run", "run")
     _reject_unknown(
         run, {"times", "sigma_sweep", "seeds", "tolerances", "initial_state"}, "run"
     )
     if command == "evolve" or "times" in run:
-        times = [config_number(t, "run.times entry") for t in run.get("times", _DEFAULT_TIMES)]
+        times = _run_list(run, "times", _DEFAULT_TIMES, config_number)
         if not times or any(t < 0.0 for t in times) or any(
             b <= a for a, b in zip(times[:-1], times[1:])
         ):
@@ -260,20 +281,16 @@ def normalised_config(config: dict | None, command: str) -> dict:
             )
         run["times"] = times
     if command == "sweep-sigma" or "sigma_sweep" in run:
-        sweep = [
-            _as_bandwidth(s, "run.sigma_sweep entry")
-            for s in run.get("sigma_sweep", _DEFAULT_SWEEP)
-        ]
+        sweep = _run_list(run, "sigma_sweep", _DEFAULT_SWEEP, _as_bandwidth)
         if any(b >= a for a, b in zip(sweep[:-1], sweep[1:])):
             raise ValidationError("run.sigma_sweep must be strictly decreasing")
         run["sigma_sweep"] = sweep
-    seeds = run.get("seeds", [2024])
-    if not isinstance(seeds, list) or len(seeds) != 1:
+    run["seeds"] = _run_list(run, "seeds", [2024], _as_seed)
+    if len(run["seeds"]) != 1:
         raise ValidationError(
             "run.seeds must be a list of exactly one integer; every command reads one seed"
         )
-    run["seeds"] = [_as_seed(s, "run.seeds entry") for s in seeds]
-    tolerances = dict(run.get("tolerances") or {})
+    tolerances = _section(run, "tolerances", "run.tolerances")
     _reject_unknown(tolerances, set(_DEFAULT_TOLERANCES), "run.tolerances")
     for key, value in tolerances.items():
         tolerances[key] = _as_positive_float(value, f"run.tolerances.{key}")
@@ -285,8 +302,10 @@ def normalised_config(config: dict | None, command: str) -> dict:
         )
     run["initial_state"] = initial
 
-    output = dict(cfg.get("output") or {})
+    output = _section(cfg, "output", "output")
     _reject_unknown(output, {"format", "path"}, "output")
+    if not isinstance(output.get("path", ""), (str, type(None))):
+        raise ValidationError(f"output.path must be a string, got {output['path']!r}")
     output.setdefault("format", "csv")
     if output["format"] not in _OUTPUT_FORMATS:
         raise ValidationError(

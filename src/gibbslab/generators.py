@@ -115,7 +115,7 @@ class GeneratorBundle:
     """An assembled generator with its parts and assembly provenance.
 
     The generator is kept in the eigenbasis of the model's Hamiltonian
-    (``system``): ``sandwich`` is the column-stacked superoperator of
+    (:attr:`system`): ``sandwich`` is the column-stacked superoperator of
     ``T -> sum C(nu, nu') A_nu T A_nu'^dag`` there and ``eigen_drift`` the
     drift ``Y_eig``, so that ``L_eig(T) = sandwich(T) + Y_eig^dag T + T Y_eig``
     (:meth:`eigen_action`).  :attr:`superoperator` is the generator in the
@@ -125,6 +125,8 @@ class GeneratorBundle:
     exponentials of :attr:`propagator` cannot go stale.  ``coupling`` is the
     table ``C(nu, nu')`` contracted over the Bohr pair map:
     ``diag(gamma)``, the overlap table ``G`` or the node-sum table ``K``.
+    The eigensystem and the Bohr spectrum are read from the model's frame,
+    not stored again.
     """
 
     kind: str  # "davies" | "localised"
@@ -132,18 +134,24 @@ class GeneratorBundle:
     model: Model
     weight: WeightFunction
     sigma: float | None
-    system: EigenSystem
     sandwich: np.ndarray
     eigen_drift: np.ndarray
     coupling: np.ndarray
     coherent_matrix: np.ndarray
     effective_drift: np.ndarray
-    spectrum: BohrSpectrum
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
         return self.model.dim
+
+    @property
+    def system(self) -> EigenSystem:
+        return self.model.eigensystem()
+
+    @property
+    def spectrum(self) -> BohrSpectrum:
+        return self.model.frame.spectrum
 
     @cached_property
     def superoperator(self) -> np.ndarray:
@@ -418,21 +426,20 @@ def _bundle(
     model: Model,
     weight: WeightFunction,
     sigma: float | None,
-    system: EigenSystem,
-    spectrum: BohrSpectrum,
-    jumps_eig: list[np.ndarray],
     coupling: np.ndarray,
     b_mat: np.ndarray,
     diag: dict,
 ) -> GeneratorBundle:
     """The assembly tail shared by both families: the eigenbasis sandwich of
-    ``coupling`` and the effective drift ``Y = i(P + B) - M/2`` in both bases.
+    ``coupling`` and the effective drift ``Y = i(P + B) - M/2`` in both bases,
+    over the model's frame.
 
     ``Y_eig = i(diag(E) + U^dag B U) - M_eig/2`` is built from its pieces, not
     rotated from ``Y``: ``U^dag P U`` would carry the Hamiltonian's roundoff
     (1.5e-13 in the torus12 trace functional, against 5.6e-17).
     """
-    idx = spectrum.pair_index
+    system, jumps_eig = model.eigensystem(), model.frame.jumps_eig
+    idx = model.frame.spectrum.pair_index
     m_eig = _pair_sum(jumps_eig, coupling, idx)
     drift = 1j * (model.hamiltonian + b_mat) - 0.5 * system.from_eigenbasis(m_eig)
     eigen_drift = 1j * (np.diag(system.eigenvalues) + system.to_eigenbasis(b_mat)) - 0.5 * m_eig
@@ -444,13 +451,11 @@ def _bundle(
         model=model,
         weight=weight,
         sigma=sigma,
-        system=system,
         sandwich=sandwich,
         eigen_drift=eigen_drift,
         coupling=coupling,
         coherent_matrix=b_mat,
         effective_drift=drift,
-        spectrum=spectrum,
         diagnostics=diag,
     )
 
@@ -463,7 +468,7 @@ def davies_generator(model: Model, weight: WeightFunction) -> GeneratorBundle:
     part ``-i[P, .]`` is included.
     """
     diag = _validate_jump_family(model)
-    system, spectrum = model.eigensystem(), model.frame.spectrum
+    spectrum = model.frame.spectrum
     grid_defect = kms_defect(weight, spectrum.frequencies)
     if grid_defect > _KMS_GRID_TOL:
         raise ValidationError(
@@ -472,25 +477,21 @@ def davies_generator(model: Model, weight: WeightFunction) -> GeneratorBundle:
         )
     diag.update({"kms_grid_defect": grid_defect, "n_frequencies": spectrum.size})
     b_zero = np.zeros((model.dim, model.dim), dtype=np.complex128)
-    return _bundle(
-        "davies", "bohr_sum", model, weight, None, system, spectrum,
-        model.frame.jumps_eig, np.diag(weight(spectrum.frequencies)), b_zero, diag,
-    )
+    coupling = np.diag(weight(spectrum.frequencies))
+    return _bundle("davies", "bohr_sum", model, weight, None, coupling, b_zero, diag)
 
 
-def coherent_matrix_bohr(
-    jumps_eig: list[np.ndarray], table: OverlapTable, *, system: EigenSystem
-) -> tuple[np.ndarray, dict]:
+def coherent_matrix_bohr(model: Model, table: OverlapTable) -> tuple[np.ndarray, dict]:
     """Coherent matrix ``B = sum_A sum_{nu, nu'} b(nu, nu') A_nu^dag A_nu'``
-    from the coherent pair table of an overlap table, over the jumps
-    ``jumps_eig`` in the eigenbasis of ``system``.
+    from the coherent pair table of an overlap table, over the jumps of
+    ``model`` in the eigenbasis of its frame.
 
     Returns ``(B, diagnostics)`` with ``B`` in the original basis.  ``B`` is
     Hermitian by the pairing symmetry of the table; the realised hermiticity
     defect is recorded and must stay below ``1e-10`` relative.
     """
-    b_mat = system.from_eigenbasis(
-        _pair_sum(jumps_eig, table.coherent, table.spectrum.pair_index)
+    b_mat = model.eigensystem().from_eigenbasis(
+        _pair_sum(model.frame.jumps_eig, table.coherent, table.spectrum.pair_index)
     )
     defect = float(np.linalg.norm(b_mat - dagger(b_mat))) / max(
         1.0, float(np.linalg.norm(b_mat))
@@ -596,7 +597,7 @@ def localised_generator(
         raise ValidationError(f"unknown assembly path {path!r}")
 
     diag = _validate_jump_family(model)
-    system, spectrum, jumps_eig = model.eigensystem(), model.frame.spectrum, model.frame.jumps_eig
+    spectrum = model.frame.spectrum
 
     table = overlap_table(spectrum, weight, sigma)
     coupling = table.values
@@ -605,7 +606,7 @@ def localised_generator(
             weight, sigma, spectrum.frequencies
         )
 
-    b_mat, b_diag = coherent_matrix_bohr(jumps_eig, table, system=system)
+    b_mat, b_diag = coherent_matrix_bohr(model, table)
     diag.update(b_diag)
     diag.update(
         {
@@ -621,10 +622,7 @@ def localised_generator(
             "max_cluster_diameter": spectrum.max_cluster_diameter,
         }
     )
-    return _bundle(
-        "localised", path, model, weight, float(sigma), system, spectrum,
-        jumps_eig, coupling, b_mat, diag,
-    )
+    return _bundle("localised", path, model, weight, float(sigma), coupling, b_mat, diag)
 
 
 # ---------------------------------------------------------------------------

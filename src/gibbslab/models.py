@@ -14,15 +14,14 @@ of jump operators closed under the adjoint.  The builders are:
 * ``random_model`` -- seeded Haar-basis Hamiltonian with a prescribed
   spectrum and random unit-norm jump pairs.
 
-All spectra are produced in ascending order; ``meta["spectral_shift"]``
-records the constant added to pin the ground energy at 1 (the Gibbs state and
-all Bohr frequencies are shift-invariant).
+All spectra are produced in ascending order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -36,7 +35,6 @@ __all__ = [
     "Model",
     "WELL_SEPARATED_SPECTRUM_6",
     "benchmark_models",
-    "gibbs_state",
     "model_from_config",
     "named_potential",
     "oscillator_model",
@@ -81,9 +79,6 @@ class Model:
         model_id: short, stable identifier (used in configs and reports).
         hamiltonian: Hermitian ``(d, d)`` array with smallest eigenvalue 1.
         jumps: tuple of ``(d, d)`` jump operators, closed under the adjoint.
-        meta: construction record (grid sizes, potentials, shifts, seeds).
-        truncation_note: human-readable caveat when the model is a finite
-            truncation of an unbounded one.
 
     The Hamiltonian and the jumps are made read-only on construction, so the
     eigensystem and the :attr:`frame`, cached read-only on first use, cannot
@@ -93,8 +88,6 @@ class Model:
     model_id: str
     hamiltonian: np.ndarray
     jumps: tuple[np.ndarray, ...]
-    meta: dict = field(default_factory=dict)
-    truncation_note: str | None = None
 
     def __post_init__(self) -> None:
         _read_only(self.hamiltonian, *self.jumps)
@@ -120,7 +113,7 @@ class Model:
         system = self.eigensystem()
         spectrum = bohr_spectrum(system)
         jumps_eig = tuple(system.to_eigenbasis(a) for a in self.jumps)
-        _read_only(spectrum.frequencies, spectrum.pair_index, spectrum.eigenvalues, *jumps_eig)
+        _read_only(spectrum.frequencies, spectrum.pair_index, *jumps_eig)
         return _Frame(spectrum, jumps_eig, self.adjoint_closure_defect(), self.jump_norm_squared_sum())
 
     def jump_norm_squared_sum(self) -> float:
@@ -139,11 +132,10 @@ class Model:
         return worst
 
 
-def _shift_spectrum_to_one(h: np.ndarray) -> tuple[np.ndarray, float]:
+def _shift_spectrum_to_one(h: np.ndarray) -> np.ndarray:
     """Shift a Hermitian matrix so its smallest eigenvalue is exactly 1."""
-    system = eig_hermitian(h)
-    shift = 1.0 - float(system.eigenvalues[0])
-    return h + shift * np.eye(h.shape[0]), shift
+    shift = 1.0 - float(eig_hermitian(h).eigenvalues[0])
+    return h + shift * np.eye(h.shape[0])
 
 
 def _close_under_adjoint(jumps: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -169,7 +161,6 @@ def qubit_model() -> Model:
         model_id="qubit",
         hamiltonian=h,
         jumps=(flip,),
-        meta={"spectral_shift": 1.0, "splitting": 1.0},
     )
 
 
@@ -191,11 +182,6 @@ def oscillator_model(dim: int = 6) -> Model:
         model_id=f"oscillator{dim}",
         hamiltonian=h,
         jumps=(lower, dagger(lower)),
-        meta={"spectral_shift": 0.0, "dim": dim},
-        truncation_note=(
-            "finite truncation of the harmonic ladder; the top level has no "
-            "raising transition"
-        ),
     )
 
 
@@ -289,7 +275,7 @@ def schrodinger_line_model(
     off = np.full(n_grid - 1, -1.0 / (h * h))
     kinetic = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
     ham = kinetic + np.diag(v)
-    ham, shift = _shift_spectrum_to_one(ham.astype(np.complex128))
+    ham = _shift_spectrum_to_one(ham.astype(np.complex128))
 
     drift = (np.diag(np.full(n_grid - 1, 1.0), 1) - np.diag(np.full(n_grid - 1, 1.0), -1)) / (
         2.0 * h
@@ -299,14 +285,6 @@ def schrodinger_line_model(
         model_id=f"line{n_grid}",
         hamiltonian=ham,
         jumps=_close_under_adjoint((jump,)),
-        meta={
-            "spectral_shift": shift,
-            "n_grid": n_grid,
-            "box_half_width": L,
-            "grid_step": h,
-            "jump_coefficients": (c1, c2),
-        },
-        truncation_note="finite-difference truncation of a continuum operator",
     )
 
 
@@ -363,7 +341,7 @@ def torus_model(
         ham[k, kp] -= p_vals[k] / (h * h)
         ham[kp, k] -= p_vals[k] / (h * h)
     ham += np.diag(v)
-    ham, shift = _shift_spectrum_to_one(ham.astype(np.complex128))
+    ham = _shift_spectrum_to_one(ham.astype(np.complex128))
 
     # Unit-scale centered shift difference (the h-scaled drift stencil), so
     # the jump norm stays near 1 independent of the grid resolution.
@@ -376,13 +354,6 @@ def torus_model(
         model_id=f"torus{n}",
         hamiltonian=ham,
         jumps=_close_under_adjoint((jump,)),
-        meta={
-            "spectral_shift": shift,
-            "n_grid": n,
-            "grid_step": h,
-            "jump_coefficients": (c1, c2),
-        },
-        truncation_note="finite-difference truncation of a periodic continuum operator",
     )
 
 
@@ -412,8 +383,7 @@ def random_model(
             raise ValidationError(
                 f"spectrum has {energies.shape[0]} values, expected {dim}"
             )
-    shift = 1.0 - float(energies[0])
-    energies = energies + shift
+    energies = energies + (1.0 - float(energies[0]))
 
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
@@ -430,12 +400,6 @@ def random_model(
         model_id=f"random{dim}_seed{seed}",
         hamiltonian=ham.astype(np.complex128),
         jumps=tuple(jumps),
-        meta={
-            "spectral_shift": shift,
-            "seed": seed,
-            "n_jump_pairs": n_jump_pairs,
-            "spectrum": tuple(float(e) for e in energies),
-        },
     )
 
 
@@ -450,12 +414,6 @@ def benchmark_models() -> tuple[Model, ...]:
     )
 
 
-def gibbs_state(model: Model) -> np.ndarray:
-    """Normalised Gibbs density ``e^{-P} / tr e^{-P}`` of a model
-    (:meth:`EigenSystem.gibbs_state` of its cached eigensystem)."""
-    return model.eigensystem().gibbs_state()
-
-
 # ---------------------------------------------------------------------------
 # Config round-trip
 # ---------------------------------------------------------------------------
@@ -464,17 +422,23 @@ def gibbs_state(model: Model) -> np.ndarray:
 def config_number(value, context: str, kind: type = float):
     """``kind(value)`` for a config entry that must be a finite number.
 
-    Anything ``kind`` cannot convert, and NaN or an infinity (which JSON
-    readers accept as ``NaN``, ``Infinity`` or ``1e400``), is rejected with
-    a :class:`ValidationError` naming ``context``.
+    Only numbers are read: a boolean, a string or anything else is not
+    coerced, and an ``int`` entry must be integral (``16.7`` is not read as
+    16).  NaN and the infinities (which JSON readers accept as ``NaN``,
+    ``Infinity`` or ``1e400``) are rejected too, each with a
+    :class:`ValidationError` naming ``context``.
     """
+    noun = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{context} must be {noun}, got {value!r}")
     try:
         x = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        noun = "an integer" if kind is int else "a number"
+    except (ValueError, OverflowError):
         raise ValidationError(f"{context} must be {noun}, got {value!r}") from None
     if not math.isfinite(x):
         raise ValidationError(f"{context} must be finite, got {value!r}")
+    if kind is int and x != value:
+        raise ValidationError(f"{context} must be {noun}, got {value!r}")
     return x
 
 

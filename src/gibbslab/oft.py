@@ -113,8 +113,6 @@ class OverlapTable:
         spectrum: the Bohr spectrum indexing rows and columns.
         values: real symmetric ``(m, m)`` array of couplings.
         coherent: complex ``(m, m)`` array of coherent pair coefficients.
-        sigma: filter bandwidth.
-        weight: the weight function integrated against.
         smoothing_rule: the rule that evaluated the smoothed weight,
             ``closed_form``, ``gauss_hermite`` or ``panels``
             (:func:`gibbslab.weights.smoothing_rule`).
@@ -133,8 +131,6 @@ class OverlapTable:
     spectrum: BohrSpectrum
     values: np.ndarray
     coherent: np.ndarray
-    sigma: float
-    weight: WeightFunction
     smoothing_rule: str
     cross_check_defect: float = 0.0
     cross_check_entries: int = 0
@@ -505,8 +501,6 @@ def overlap_table(
         spectrum=spectrum,
         values=values,
         coherent=coherent,
-        sigma=float(sigma),
-        weight=weight,
         smoothing_rule=smoothing_rule(weight, sigma, uniq_centers),
         cross_check_defect=defect,
         cross_check_entries=len(pairs),

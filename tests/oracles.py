@@ -281,8 +281,6 @@ def overlap_table_dense(spectrum, weight, sigma: float, *, cross_check=True, flo
         spectrum=spectrum,
         values=values,
         coherent=coherent,
-        sigma=float(sigma),
-        weight=weight,
         smoothing_rule=smoothing_rule(weight, sigma, centers),
         cross_check_defect=defect,
         cross_check_entries=len(pairs),
@@ -398,7 +396,7 @@ def sign_flipped_bundle(bundle):
     """A deliberately wrong generator: the filtered ``bundle`` reassembled
     with every off-diagonal sign of its coupling table flipped,
     ``2 diag(diag(C)) - C``, through the package's own assembly tail
-    (``generators._bundle``).  Its coherent matrix and spectrum are the
+    (``generators._bundle``).  Its coherent matrix and frame are the
     bundle's, so only the coupling is at fault; the checks that must catch
     it (stationarity, the dual-path residual, complete positivity) are what
     the tests exercise."""
@@ -406,12 +404,9 @@ def sign_flipped_bundle(bundle):
 
     coupling = bundle.coupling
     flipped = 2.0 * np.diag(np.diag(coupling)) - coupling
-    system = bundle.model.eigensystem()
-    jumps_eig = [system.to_eigenbasis(a) for a in bundle.model.jumps]
     return _bundle(
         bundle.kind, bundle.assembly_path, bundle.model, bundle.weight, bundle.sigma,
-        system, bundle.spectrum, jumps_eig, flipped, bundle.coherent_matrix,
-        dict(bundle.diagnostics),
+        flipped, bundle.coherent_matrix, dict(bundle.diagnostics),
     )
 
 
@@ -954,7 +949,6 @@ def bohr_spectrum_loop(source, cluster_tol=None):
     return BohrSpectrum(
         frequencies=frequencies,
         pair_index=pair_index,
-        eigenvalues=energies.copy(),
         cluster_tol=float(cluster_tol),
         max_cluster_diameter=max_diameter,
     )

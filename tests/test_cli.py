@@ -518,18 +518,26 @@ def test_unresolvable_bandwidth_exits_two_before_any_build(
         ("verify-stationarity", qubit_config(model={"name": "line", "jump_coefficients": [1]})),
         ("verify-stationarity", qubit_config(model={"name": "torus", "jump_coefficients": []})),
         ("selftest", None),
+        ("verify-stationarity", qubit_config(model={"name": "line", "n_grid": 16.7})),
+        ("verify-stationarity", qubit_config(model={"name": "oscillator", "dim": "6"})),
+        ("verify-stationarity", qubit_config(weight={"kind": "balanced", "sigma": True})),
+        ("verify-stationarity", qubit_config(weight={"kind": "balanced", "sigma": "0.5"})),
+        ("verify-stationarity", qubit_config(run={"seeds": [1.9]})),
     ],
     ids=[
         "seed-text", "time-text", "time-nan", "time-infinity", "model-dim-text",
         "model-list-text", "line-jumps-short", "torus-jumps-empty", "tighten-nan",
+        "n-grid-fraction", "dim-numeric-text", "sigma-boolean", "sigma-numeric-text",
+        "seed-fraction",
     ],
 )
 def test_malformed_numbers_exit_two_before_any_build(
     tmp_path, monkeypatch, capsys, command, payload
 ):
-    """JSON readers accept ``NaN`` and ``Infinity``; such numbers, and text
-    where a number belongs, are usage errors, not crashes (5) or runs that
-    crash later."""
+    """JSON readers accept ``NaN`` and ``Infinity``; such numbers, text or a
+    boolean where a number belongs, and a fraction where an integer
+    belongs, are usage errors, not crashes (5), runs that crash later, or
+    runs of a coerced value (``16.7`` ran line16, ``true`` sigma = 1)."""
     builds = []
     for name in ("localised_generator", "davies_generator", "_selftest_checks"):
         monkeypatch.setattr(gibbslab.cli, name, lambda *a, **k: builds.append(a))
@@ -542,6 +550,60 @@ def test_malformed_numbers_exit_two_before_any_build(
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert builds == []
+
+
+_MALFORMED_SECTIONS = {
+    "top-level-array": ([1, 2], "config"),
+    "weight-text": ({"weight": "balanced"}, "weight"),
+    "generator-array": ({"generator": ["x"]}, "generator"),
+    "run-number": ({"run": 5}, "run"),
+    "output-text": ({"output": "csv"}, "output"),
+    "tolerances-array": ({"run": {"tolerances": [1]}}, "run.tolerances"),
+    "times-number": ({"run": {"times": 3}}, "run.times"),
+    "sweep-text": ({"run": {"sigma_sweep": "21"}}, "run.sigma_sweep"),
+    "seeds-number": ({"run": {"seeds": 5}}, "run.seeds"),
+    "model-name-array": ({"model": {"name": ["line"]}}, "model"),
+    "model-empty": ({"model": {}}, "model"),
+    "weight-empty-array": ({"weight": []}, "weight"),
+    "output-path-number": ({"output": {"path": 3}}, "output.path"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify-stationarity", "sweep-sigma", "evolve"])
+@pytest.mark.parametrize(
+    "payload, section", _MALFORMED_SECTIONS.values(), ids=list(_MALFORMED_SECTIONS)
+)
+def test_malformed_section_exits_two_and_names_it(
+    tmp_path, monkeypatch, capsys, command, payload, section
+):
+    """A config, or a section of one, that is not a JSON object, a run list
+    that is not a list, and a model without a string name are usage errors
+    naming what is wrong, not crashes (5) or runs of the defaults."""
+    builds = []
+    monkeypatch.setattr(gibbslab.cli, "model_from_config", lambda *a, **k: builds.append(a))
+    assert main([command, "--config", write_config(tmp_path, payload)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {section} ")
+    assert "Traceback" not in err
+    assert builds == []
+
+
+@pytest.mark.parametrize("command", ["verify-stationarity", "sweep-sigma", "evolve"])
+def test_missing_or_null_section_is_its_defaults(command):
+    nulls = {key: None for key in ("model", "weight", "generator", "run", "output")}
+    nulls["run"] = {"tolerances": None}
+    defaults = normalised_config({}, command)
+    assert normalised_config(nulls, command) == defaults
+    assert normalised_config(None, command) == defaults
+    assert defaults["model"] == {"name": "qubit"}
+
+
+def test_integral_numbers_are_read_as_integers():
+    """An integer field takes an integral JSON number written as a float."""
+    integral = qubit_config(model={"name": "oscillator", "dim": 4.0}, run={"seeds": [3.0]})
+    config = normalised_config(integral, "verify-stationarity")
+    assert config["run"]["seeds"] == [3] and type(config["run"]["seeds"][0]) is int
+    assert model_from_config(config["model"]).dim == 4
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,7 @@ from gibbslab.evolution import (
     snapshot_diagnostics,
 )
 from gibbslab.generators import davies_generator, localised_generator
-from gibbslab.models import gibbs_state, qubit_model, random_model
+from gibbslab.models import qubit_model, random_model
 from gibbslab.operator_core import dagger, devectorize, vectorize
 from gibbslab.weights import balanced_gamma, kms_gamma
 
@@ -73,7 +73,7 @@ def test_evolution_matches_adaptive_ode(dense_bundle):
 
 
 def test_gibbs_state_does_not_move(dense_model, dense_bundle):
-    stationary = gibbs_state(dense_model)
+    stationary = dense_model.eigensystem().gibbs_state()
     trajectory = evolve(dense_bundle, stationary, (0.0, 1.0, 10.0))
     for state in trajectory.states:
         assert oracles.trace_distance(state, stationary) < 1e-11
@@ -191,7 +191,7 @@ def test_stacked_diagnostics_equal_the_one_snapshot_formulas(which, dense_bundle
     trajectory = evolve(bundle, initial, TIME_GRID_TO_20)
     assert len(trajectory.diagnostics) == len(TIME_GRID_TO_20)
     for state, row in zip(trajectory.states, trajectory.diagnostics):
-        want = oracles.snapshot_diagnostics_row(state, gibbs_state(bundle.model))
+        want = oracles.snapshot_diagnostics_row(state, bundle.model.eigensystem().gibbs_state())
         assert list(row) == list(want)
         for key in ("trace_deviation", "min_eigenvalue", "gibbs_distance"):
             assert row[key] == want[key], key
@@ -217,7 +217,7 @@ def test_bundle_caches_its_gibbs_state(monkeypatch, dense_model, dense_bundle):
     contraction_report(bundle, [pair], TIME_GRID_TO_20)
     assert len(calls) <= 1
     assert bundle.gibbs_state is bundle.gibbs_state
-    assert np.array_equal(bundle.gibbs_state, gibbs_state(dense_model))
+    assert np.array_equal(bundle.gibbs_state, dense_model.eigensystem().gibbs_state())
     with pytest.raises(ValueError):
         bundle.gibbs_state[0, 0] = 1.0
 
@@ -258,7 +258,7 @@ def test_snapshot_distances_match_the_svd_route(dense_model, dense_bundle):
         for k in range(3)
     ]
     report = contraction_report(dense_bundle, pairs, TIME_GRID_TO_20)
-    reference = gibbs_state(dense_model)
+    reference = dense_model.eigensystem().gibbs_state()
     hermitised = lambda s: 0.5 * (s + dagger(s))
     for (rho_a, rho_b), row in zip(pairs, report["rows"]):
         traj_a = evolve(dense_bundle, rho_a, TIME_GRID_TO_20)

@@ -1,6 +1,6 @@
 """The exported surface: every name resolves, every package export is
-reached, every private module-level name is used, and the benchmark's layer
-tracer still finds what it wraps.
+reached, every private module-level name is used, every dataclass field is
+read, and the benchmark's layer tracer still finds what it wraps.
 
 A stale ``__all__`` entry breaks only ``from gibbslab import *``, which
 nothing else in the suite runs, so it is checked here directly.
@@ -14,7 +14,6 @@ import importlib
 import importlib.util
 import json
 import pkgutil
-import re
 import tokenize
 from pathlib import Path
 
@@ -68,21 +67,49 @@ def _home_module(name: str) -> str | None:
     return None
 
 
+def _name_tokens(path: Path) -> list[str]:
+    """The name tokens of a file (no comments, no strings), with ``.`` kept
+    so that attribute access can be told apart."""
+    with path.open("rb") as handle:
+        return [
+            tok.string
+            for tok in tokenize.tokenize(handle.readline)
+            if tok.type == tokenize.NAME or tok.string == "."
+        ]
+
+
+def _uses(tokens: list[str], name: str, home: str | None) -> bool:
+    """Whether ``tokens`` use ``name``: bare, or as ``<home>.name`` or
+    ``gibbslab.name``; an attribute of any other object, or a ``def`` or
+    ``class`` of the same name, is not a use."""
+    for k, tok in enumerate(tokens):
+        if tok != name:
+            continue
+        before = tokens[k - 1] if k else ""
+        if before == ".":
+            if k >= 2 and tokens[k - 2] in (home, "gibbslab"):
+                return True
+        elif before not in ("def", "class"):
+            return True
+    return False
+
+
 def test_every_package_export_is_reached():
-    """A name in ``gibbslab.__all__`` is named by another package module or
+    """A name in ``gibbslab.__all__`` is used by another package module or
     by a benchmark file, or is allow-listed above with its reason."""
-    texts = {
-        path.stem: path.read_text(encoding="utf-8")
+    files = {
+        path: path.stem
         for path in SOURCES.glob("*.py")
         if path.stem != "__init__"
     }
-    bench = "".join(path.read_text(encoding="utf-8") for path in PERFBENCH.glob("*.py"))
+    files.update({path: None for path in PERFBENCH.glob("*.py")})
+    tokens = {path: _name_tokens(path) for path in files}
     unreached = []
     for name in gibbslab.__all__:
         home = _home_module(name)
-        pattern = re.compile(rf"\b{re.escape(name)}\b")
-        users = [stem for stem, text in texts.items() if stem != home and pattern.search(text)]
-        if not users and not pattern.search(bench):
+        if not any(
+            _uses(tokens[path], name, home) for path, stem in files.items() if stem != home
+        ):
             unreached.append(name)
     assert sorted(unreached) == sorted(ALLOWED_UNREACHED)
 
@@ -123,6 +150,50 @@ def test_every_private_name_is_used():
             if tokens[name] <= count
         ]
     assert not unused
+
+
+def _record_classes(tree: ast.Module) -> list[ast.ClassDef]:
+    """The dataclasses and ``NamedTuple`` classes defined in a module."""
+    def names(nodes):
+        for node in nodes:
+            node = node.func if isinstance(node, ast.Call) else node
+            yield node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and ("dataclass" in names(node.decorator_list) or "NamedTuple" in names(node.bases))
+    ]
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a dataclass or ``NamedTuple`` in ``src/gibbslab`` is
+    loaded as an attribute, or through ``getattr`` with a constant name,
+    somewhere in the package or a benchmark file; a field that is written
+    on every build and never read is dead state, and tests alone do not
+    keep it alive."""
+    read = set()
+    for path in sorted(SOURCES.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "getattr"
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                read.add(node.args[1].value)
+    unread = [
+        f"{cls.name}.{item.target.id}"
+        for path in sorted(SOURCES.glob("*.py"))
+        for cls in _record_classes(ast.parse(path.read_text(encoding="utf-8")))
+        for item in cls.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and item.target.id not in read
+    ]
+    assert not unread
 
 
 def test_every_keyword_only_parameter_is_passed():

