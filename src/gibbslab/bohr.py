@@ -87,10 +87,6 @@ class BohrSpectrum:
             )
         return idx
 
-    def negation_index(self) -> np.ndarray:
-        """Permutation ``perm`` with ``frequencies[perm[k]] == -frequencies[k]``."""
-        return np.arange(self.size)[::-1]
-
 
 def _cluster_starts(values: np.ndarray, tol: float) -> np.ndarray:
     """First index of each greedy single-linkage cluster of an ascending

@@ -32,7 +32,8 @@ where one belongs, a negative seed, or an output, report or export path
 that cannot be written, included), 3 (selftest with ``--tighten``) only
 the expected tightened checks failed, 4 a numerical guard fired (an
 overlap table disagreed with its batched Gauss-Legendre cross-check, that
-quadrature failed, or a step exponential of an evolution was not finite),
+quadrature failed, a step exponential of an evolution was not finite, or
+a model's generator would not fit in the host's physical memory),
 5 the program crashed (any other exception; the traceback goes to stderr).
 """
 
@@ -211,7 +212,9 @@ def normalised_config(config: dict | None, command: str) -> dict:
         cfg, {"schema_version", "model", "weight", "generator", "run", "output"}, "config"
     )
     version = cfg.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    # Compared as an integer: ``true == 1`` and ``1.0 == 1`` in Python, but
+    # neither is a schema version, as a boolean is nowhere read as a number.
+    if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported schema_version {version!r}; this build reads {SCHEMA_VERSION}"
         )

@@ -13,4 +13,6 @@ class ValidationError(GibbsLabError, ValueError):
 
 class NumericalGuardError(GibbsLabError):
     """A numerical guard fired: a standing cross-check of a computed quantity
-    disagreed with its independent reference beyond tolerance."""
+    disagreed with its independent reference beyond tolerance, or a model is
+    refused before it is built because its generator would not fit in the
+    host's memory."""

@@ -21,14 +21,16 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .bohr import BohrSpectrum, bohr_spectrum
-from .errors import ValidationError
+from .errors import NumericalGuardError, ValidationError
 from .operator_core import EigenSystem, dagger, eig_hermitian
 
 __all__ = [
@@ -52,6 +54,31 @@ WELL_SEPARATED_SPECTRUM_6 = (0.0, 0.5, 1.5, 3.5, 6.0, 10.0)
 # Jump norms are kept at unit scale so generator residual tolerances mean the
 # same thing across models.
 _ADJOINT_CLOSURE_TOL = 1e-12
+
+# A verify-stationarity build of line32 and line48 peaked at 1.97 and 1.86
+# times one d^2 x d^2 complex matrix (16 d^4 bytes) above the imports.
+_BUILD_MATRICES = 2
+
+
+def _require_buildable(dim: int) -> None:
+    """Refuse, before anything is allocated, a model whose dense generator
+    the host's physical memory cannot hold: an estimated ``_BUILD_MATRICES``
+    times ``16 d^4`` bytes against the physical memory ``os.sysconf``
+    reports (no bound where it reports none)."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    need = _BUILD_MATRICES * 16 * int(dim) ** 4
+    if 0 < physical < need:
+        # Decimal, since a dimension read from a config may be any integer
+        # and 16 d^4 bytes need not fit in a float.
+        need_gib, physical_gib = (Decimal(n) / 2**30 for n in (need, physical))
+        raise NumericalGuardError(
+            f"a model of dimension {Decimal(dim):.6g} needs an estimated {need_gib:.3g} GiB "
+            f"to build its generator ({_BUILD_MATRICES} x 16 d^4 bytes), more than the "
+            f"{physical_gib:.3g} GiB of physical memory on this host"
+        )
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -174,6 +201,7 @@ def oscillator_model(dim: int = 6) -> Model:
     """
     if dim < 3:
         raise ValidationError(f"oscillator needs dim >= 3, got {dim}")
+    _require_buildable(dim)
     h = np.diag(np.arange(1, dim + 1, dtype=np.float64)).astype(np.complex128)
     lower = np.zeros((dim, dim), dtype=np.complex128)
     for i in range(dim - 1):
@@ -249,6 +277,7 @@ def schrodinger_line_model(
     c1, c2 = _jump_pair(jump_coefficients, "line")
     if not (np.isfinite(box_half_width) and box_half_width > 0.0):
         raise ValidationError(f"box half-width must be positive, got {box_half_width!r}")
+    _require_buildable(n_grid)
     L = float(box_half_width)
     if potential is None:
         potential = named_potential("quadratic")
@@ -306,6 +335,7 @@ def torus_model(
     """
     if n_grid < 4:
         raise ValidationError(f"torus model needs n_grid >= 4, got {n_grid}")
+    _require_buildable(n_grid)
     c1, c2 = _jump_pair(jump_coefficients, "torus")
     n = int(n_grid)
     h = 1.0 / n
@@ -373,6 +403,7 @@ def random_model(
         raise ValidationError(f"random model needs dim >= 2, got {dim}")
     if n_jump_pairs < 1:
         raise ValidationError(f"need at least one jump pair, got {n_jump_pairs}")
+    _require_buildable(dim)
     rng = np.random.default_rng(seed)
     if spectrum is None:
         gaps = rng.uniform(0.5, 1.5, size=dim - 1)

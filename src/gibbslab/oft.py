@@ -138,14 +138,6 @@ class OverlapTable:
     dropped_entries: int = 0
     live_pairs: int = 0
 
-    def entry(self, nu: float, nu_prime: float) -> float:
-        i = self.spectrum.index_of(nu)
-        j = self.spectrum.index_of(nu_prime)
-        return float(self.values[i, j])
-
-    def symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.values - self.values.T)))
-
     @cached_property
     def blocks(self) -> np.ndarray:
         """Bounds ``0 = b_0 < b_1 < ... < b_k = m`` of the diagonal blocks of

@@ -26,7 +26,9 @@ weight ``H``), ``pair_coefficient_quad`` (one coherent pair coefficient),
 of the scalar stationarity identity, built from ``G`` over every frequency
 pair), ``time_kernel_quad``, ``time_kernel_l1_quad`` and
 ``tilted_envelope_quad``.  The time-domain oracle's sums have direct
-forms: ``time_envelope_direct`` sums ``e^{-2isw}`` over every panel node
+forms: ``time_kernel_all_nodes`` sums the kernel of every ``|t|`` over
+every panel node where the package sums each over its live window,
+``time_envelope_direct`` sums ``e^{-2isw}`` over every panel node
 without the package's panel-centre split, and ``envelope_sum_loop`` sums
 its inner envelope integral one trapezoid node at a time.
 
@@ -59,6 +61,11 @@ reproduce bit for bit; ``worst_increase_loop`` is the contraction
 report's worst-increase scan written as an explicit loop over pairs and
 times.  ``exp_abs_smoothed`` is the smoothed weight ``H``
 of the exp_abs profile in closed form (complementary error functions).
+
+Three lookups read what a table or spectrum holds: ``negation_index`` pairs
+each Bohr frequency with its negation by a search over every pair (the
+package reads the ascending frequencies reversed), ``table_entry`` reads
+``G(nu, nu')`` by frequency, and ``symmetry_defect`` is ``max |M - M^T|``.
 
 One helper is a fault, not a reference: ``sign_flipped_bundle`` reassembles
 a filtered bundle with the off-diagonal signs of its coupling table flipped,
@@ -214,6 +221,23 @@ def node_sum_gram_unfloored(frequencies, nodes, node_weights, profile) -> np.nda
     return root.T @ root
 
 
+def negation_index(spectrum) -> np.ndarray:
+    """Permutation ``perm`` with ``frequencies[perm[k]]`` the representative
+    nearest ``-frequencies[k]``, by a search over every pair."""
+    freqs = spectrum.frequencies
+    return np.argmin(np.abs(freqs[:, None] + freqs[None, :]), axis=1)
+
+
+def table_entry(table, nu: float, nu_prime: float) -> float:
+    """The overlap coupling ``G(nu, nu')`` of a table, looked up by frequency."""
+    return float(table.values[table.spectrum.index_of(nu), table.spectrum.index_of(nu_prime)])
+
+
+def symmetry_defect(matrix: np.ndarray) -> float:
+    """Largest entry of ``|M - M^T|``."""
+    return float(np.max(np.abs(matrix - matrix.T)))
+
+
 def overlap_table_dense(spectrum, weight, sigma: float, *, cross_check=True, floor=True):
     """The overlap table built on the full ``m x m`` pair grid: the exponent
     cap and the midpoints of every pair, ``H`` from
@@ -245,7 +269,7 @@ def overlap_table_dense(spectrum, weight, sigma: float, *, cross_check=True, flo
     h_mid[upper] = smoothed_weight_table(weight, sigma, centers)[inverse]
     h_mid = np.where(upper, h_mid, h_mid.T)
     overlap = math.sqrt(math.pi) / sigma * np.exp(-exponents[live]) * h_mid[live]
-    neg = spectrum.negation_index()
+    neg = negation_index(spectrum)
     with np.errstate(over="ignore", under="ignore"):
         sum_factor = np.exp(-mids[live]) * h_mid[np.ix_(neg, neg)][live]
     pair = 2.0 * math.pi * coherent_difference_factor(gaps[live], sigma) * sum_factor
@@ -671,6 +695,29 @@ def time_kernel_quad(t: float, sigma: float) -> float:
     )
     # integrand is even in xi (odd times odd), so the full line is twice this
     return 2.0 * value / (math.sqrt(2.0 * math.pi) * 4.0 * sigma * math.sqrt(math.pi))
+
+
+def time_kernel_all_nodes(t, sigma: float) -> np.ndarray:
+    """The coherent time kernel of ``weights.coherent_time_kernel`` on its
+    own Gauss-Legendre panels (16 nodes, width ``min(0.5/sigma, 0.25)``),
+    as one sum of every distinct ``|t|`` over every node out to
+    ``max|t| + 12/sigma + 2``: no window, ``n_t x n_nodes`` exponentials."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    mags, where = np.unique(np.abs(t_arr), return_inverse=True)
+    panel = min(0.5 / sigma, 0.25)
+    n_panels = math.ceil((float(mags[-1]) + 12.0 / sigma + 2.0) / panel)
+    edges = np.linspace(0.0, n_panels * panel, n_panels + 1)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(16)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mids[:, None] + half[:, None] * x_ref[None, :]).ravel()
+    wts = (half[:, None] * w_ref[None, :]).ravel()
+    with np.errstate(over="ignore"):
+        csch = wts / np.sinh(2.0 * math.pi * nodes)
+    diff = np.exp(-(sigma * (mags[:, None] - nodes[None, :])) ** 2) - np.exp(
+        -(sigma * (mags[:, None] + nodes[None, :])) ** 2
+    )
+    return np.sign(t_arr) * (diff @ csch / math.sqrt(2.0 * math.pi))[where]
 
 
 def time_kernel_l1_quad(sigma: float, scale: float) -> float:

@@ -685,6 +685,34 @@ def test_cross_check_failure_exits_four(tmp_path, monkeypatch, capsys):
     assert "definitional quadrature" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "one-point-zero"])
+def test_schema_version_must_be_the_integer(tmp_path, capsys, version):
+    """``true == 1`` and ``1.0 == 1`` in Python; neither is read as version 1."""
+    config = write_config(tmp_path, qubit_config(schema_version=version))
+    assert main(["verify-stationarity", "--config", config]) == EXIT_USAGE
+    assert f"unsupported schema_version {version!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"name": "oscillator", "dim": 1e300},
+        {"name": "line", "n_grid": 10**6},
+        {"name": "torus", "n_grid": 10**6},
+        {"name": "random", "dim": 10**6},
+    ],
+    ids=["oscillator-1e300", "line", "torus", "random"],
+)
+def test_model_too_large_for_the_host_exits_four(tmp_path, capsys, model):
+    """A model whose generator no host could hold is refused by the memory
+    guard before anything is allocated, naming the estimate."""
+    config = write_config(tmp_path, qubit_config(model=model))
+    assert main(["verify-stationarity", "--config", config]) == EXIT_NUMERICAL_GUARD
+    err = capsys.readouterr().err
+    assert err.startswith("numerical guard:")
+    assert "GiB to build its generator (2 x 16 d^4 bytes)" in err
+
+
 @pytest.mark.parametrize(
     "model, time",
     [({"name": "qubit"}, 1e50), ({"name": "oscillator", "dim": 4}, 1e300)],

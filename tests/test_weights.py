@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gibbslab.generators
 from gibbslab.bohr import bohr_spectrum
 from gibbslab.errors import ValidationError
 from gibbslab.models import schrodinger_line_model
@@ -442,6 +443,20 @@ def test_time_kernel_is_exactly_odd():
     vals = coherent_time_kernel(t, 0.9)
     assert np.array_equal(coherent_time_kernel(-t, 0.9), -vals)
     assert vals[4] == 0.0
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.5, 0.9, 2.0])
+def test_time_kernel_window_matches_all_node_sum(sigma):
+    """Each ``|t|`` summed over its live window against the sum over every
+    node, per point, on the oracle's kernel grid and at t = 19 and 40,
+    where the kernel lies far below 1e-40 at the larger bandwidths."""
+    ts, _ = gibbslab.generators._oracle_trapezoid(12.0 + 2.0 / sigma)
+    for t in (ts, np.array([19.0, 40.0])):
+        got = coherent_time_kernel(t, sigma)
+        ref = oracles.time_kernel_all_nodes(t, sigma)
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        live = ref != 0.0
+        assert np.max(np.abs(got[live] - ref[live]) / np.abs(ref[live])) < 1e-14
 
 
 @pytest.mark.parametrize("phi", ["gaussian", "exp_abs"])
