@@ -11,9 +11,10 @@ construction as the filter width grows.
 
 Layering (each module depends only on the ones above it):
 
+    errors        -- exception types
     operator_core -- dense linear-algebra primitives and conventions
-    models        -- benchmark Hamiltonians with jump families
     bohr          -- Bohr spectrum, frequency-resolved decomposition
+    models        -- benchmark Hamiltonians with jump families
     weights       -- weight functions, Gaussian filter, quadrature
     oft           -- filtered jump operators and overlap tables
     evolution     -- semigroup propagation and channel health checks

@@ -23,7 +23,7 @@ pinned to frequency zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,15 +53,13 @@ class BohrSpectrum:
         pair_index: integer array of shape ``(d, d)``; ``pair_index[i, j]`` is
             the index into ``frequencies`` of the cluster that the difference
             ``E_i - E_j`` belongs to.
-        cluster_tol: diameter cap used while clustering.
         max_cluster_diameter: largest spread of raw differences mapped to a
             single representative (a clustering-quality diagnostic).
     """
 
     frequencies: np.ndarray
     pair_index: np.ndarray
-    cluster_tol: float
-    max_cluster_diameter: float = field(default=0.0)
+    max_cluster_diameter: float
 
     @property
     def dim(self) -> int:
@@ -70,22 +68,6 @@ class BohrSpectrum:
     @property
     def size(self) -> int:
         return self.frequencies.shape[0]
-
-    def index_of(self, frequency: float) -> int:
-        """Index of the representative closest to ``frequency``.
-
-        Raises:
-            ValidationError: if the closest representative is farther away
-                than the clustering tolerance allows.
-        """
-        idx = int(np.argmin(np.abs(self.frequencies - frequency)))
-        gap = abs(float(self.frequencies[idx]) - frequency)
-        if gap > max(self.cluster_tol, 1e-12 * max(1.0, abs(frequency))):
-            raise ValidationError(
-                f"{frequency!r} is not a Bohr frequency of this spectrum "
-                f"(closest representative {self.frequencies[idx]!r}, gap {gap:.3e})"
-            )
-        return idx
 
 
 def _cluster_starts(values: np.ndarray, tol: float) -> np.ndarray:
@@ -187,7 +169,6 @@ def bohr_spectrum(
     return BohrSpectrum(
         frequencies=frequencies,
         pair_index=pair_index,
-        cluster_tol=float(cluster_tol),
         max_cluster_diameter=max_diameter,
     )
 
@@ -221,35 +202,6 @@ class BohrDecomposition:
     def frequencies(self) -> np.ndarray:
         """Frequencies of the retained components, ascending."""
         return self.spectrum.frequencies[self.frequency_indices]
-
-    @property
-    def size(self) -> int:
-        return self.components.shape[0]
-
-    def component(self, frequency: float) -> np.ndarray:
-        """Component at a Bohr frequency (zero matrix if it was dropped)."""
-        idx = self.spectrum.index_of(frequency)
-        pos = np.searchsorted(self.frequency_indices, idx)
-        if pos < self.frequency_indices.size and self.frequency_indices[pos] == idx:
-            return self.components[pos]
-        d = self.spectrum.dim
-        return np.zeros((d, d), dtype=np.complex128)
-
-    def total(self) -> np.ndarray:
-        """Sum of the retained components (equals the original operator up to
-        the drop threshold)."""
-        if self.size == 0:
-            d = self.spectrum.dim
-            return np.zeros((d, d), dtype=np.complex128)
-        return self.components.sum(axis=0)
-
-    def dense_components(self) -> np.ndarray:
-        """Components scattered into a full ``(m, d, d)`` array over the
-        whole spectrum, zeros where nothing was retained."""
-        d = self.spectrum.dim
-        out = np.zeros((self.spectrum.size, d, d), dtype=np.complex128)
-        out[self.frequency_indices] = self.components
-        return out
 
 
 def decompose(

@@ -27,13 +27,15 @@ output; CSV artifacts carry ``#``-prefixed metadata lines, 17-significant-
 digit floats, LF line endings, and no timestamps, so identical inputs
 produce identical bytes (modulo the version metadata line).  Exit codes:
 0 all checks passed, 1 at least one check failed, 2 usage or config
-error (a section that is not a JSON object, a value that is not a number
+error (a config file that is not UTF-8 text or nests too deeply to read,
+a section that is not a JSON object, a value that is not a number
 where one belongs, a negative seed, or an output, report or export path
 that cannot be written, included), 3 (selftest with ``--tighten``) only
 the expected tightened checks failed, 4 a numerical guard fired (an
 overlap table disagreed with its batched Gauss-Legendre cross-check, that
 quadrature failed, a step exponential of an evolution was not finite, or
-a model's generator would not fit in the host's physical memory),
+a model's generator and jumps would not fit in the host's physical
+memory),
 5 the program crashed (any other exception; the traceback goes to stderr).
 """
 
@@ -77,7 +79,14 @@ from .generators import (
     stationarity_report,
     trace_functional_defect,
 )
-from .models import Model, config_number, model_from_config, random_model
+from .models import (
+    Model,
+    config_number,
+    model_from_config,
+    oscillator_model,
+    qubit_model,
+    random_model,
+)
 from .weights import (
     COHERENT_L1_LIMIT,
     MAX_BANDWIDTH,
@@ -815,7 +824,6 @@ def _selftest_checks(seed: int, stages: dict) -> list[dict]:
     """The fixed battery; ``stages`` receives the seconds spent in each check
     group (``davies_s``, ``filtered_s``, ``dual_path_s``, ``calibration_s``,
     ``evolution_s``), summed over the group's runs."""
-    from .models import oscillator_model, qubit_model
 
     @contextmanager
     def group(name: str):
@@ -976,8 +984,12 @@ def _load_config(path: str | None, command: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config {path!r} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"config {path!r} nests too deeply to read") from exc
     return normalised_config(raw, command)
 
 

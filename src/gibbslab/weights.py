@@ -171,10 +171,7 @@ class GaussianFilter:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValidationError(
-                f"filter bandwidth must be a finite positive number, got {self.sigma!r}"
-            )
+        _require_bandwidth(self.sigma)
 
     def frequency_profile(self, tau):
         tau = np.asarray(tau, dtype=np.float64)

@@ -11,8 +11,8 @@ from hypothesis import HealthCheck, settings
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from gibbslab.generators import davies_generator, localised_generator
-from gibbslab.models import benchmark_models
 from gibbslab.weights import balanced_gamma, kms_gamma
+from oracles import benchmark_models
 
 settings.register_profile(
     "lab",

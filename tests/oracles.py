@@ -62,10 +62,19 @@ report's worst-increase scan written as an explicit loop over pairs and
 times.  ``exp_abs_smoothed`` is the smoothed weight ``H``
 of the exp_abs profile in closed form (complementary error functions).
 
-Three lookups read what a table or spectrum holds: ``negation_index`` pairs
-each Bohr frequency with its negation by a search over every pair (the
-package reads the ascending frequencies reversed), ``table_entry`` reads
-``G(nu, nu')`` by frequency, and ``symmetry_defect`` is ``max |M - M^T|``.
+Seven lookups read what a table, spectrum, decomposition or trajectory
+holds: ``negation_index`` pairs each Bohr frequency with its negation by a
+search over every pair (the package reads the ascending frequencies
+reversed), ``frequency_index`` finds the representative nearest a
+frequency, ``default_cluster_tol`` is the tolerance ``bohr_spectrum``
+clusters with when given none, ``table_entry`` reads ``G(nu, nu')`` by
+frequency, ``symmetry_defect`` is ``max |M - M^T|``, ``dense_components``
+scatters a decomposition's retained components over the whole spectrum,
+and ``diagnostic_column`` reads one diagnostic of every snapshot.
+
+``benchmark_models`` and ``WELL_SEPARATED_SPECTRUM_6`` are the shared test
+models: the four standard families, and a six-level spectrum for the
+random model whose Bohr gaps are all distinct.
 
 One helper is a fault, not a reference: ``sign_flipped_bundle`` reassembles
 a filtered bundle with the off-diagonal signs of its coupling table flipped,
@@ -228,14 +237,49 @@ def negation_index(spectrum) -> np.ndarray:
     return np.argmin(np.abs(freqs[:, None] + freqs[None, :]), axis=1)
 
 
+def frequency_index(spectrum, nu: float) -> int:
+    """Index of the Bohr frequency representative nearest ``nu``."""
+    return int(np.argmin(np.abs(spectrum.frequencies - nu)))
+
+
 def table_entry(table, nu: float, nu_prime: float) -> float:
     """The overlap coupling ``G(nu, nu')`` of a table, looked up by frequency."""
-    return float(table.values[table.spectrum.index_of(nu), table.spectrum.index_of(nu_prime)])
+    spectrum = table.spectrum
+    return float(table.values[frequency_index(spectrum, nu), frequency_index(spectrum, nu_prime)])
 
 
 def symmetry_defect(matrix: np.ndarray) -> float:
     """Largest entry of ``|M - M^T|``."""
     return float(np.max(np.abs(matrix - matrix.T)))
+
+
+def dense_components(decomposition) -> np.ndarray:
+    """A decomposition's components scattered into a full ``(m, d, d)``
+    array over its whole spectrum, zeros where nothing was retained."""
+    spectrum = decomposition.spectrum
+    d = spectrum.dim
+    out = np.zeros((spectrum.size, d, d), dtype=np.complex128)
+    out[decomposition.frequency_indices] = decomposition.components
+    return out
+
+
+def diagnostic_column(trajectory, key: str) -> np.ndarray:
+    """One diagnostic of every snapshot of a trajectory."""
+    return np.array([row[key] for row in trajectory.diagnostics])
+
+
+#: Six-level spectrum whose 15 pairwise gaps are all distinct and at least
+#: 0.5 apart, for the coherent-term and delocalisation studies that need a
+#: well-separated Bohr spectrum.
+WELL_SEPARATED_SPECTRUM_6 = (0.0, 0.5, 1.5, 3.5, 6.0, 10.0)
+
+
+def benchmark_models():
+    """The four standard models: qubit, 6-level ladder, 16-point line,
+    12-point torus."""
+    from gibbslab.models import oscillator_model, qubit_model, schrodinger_line_model, torus_model
+
+    return (qubit_model(), oscillator_model(6), schrodinger_line_model(16), torus_model(12))
 
 
 def overlap_table_dense(spectrum, weight, sigma: float, *, cross_check=True, floor=True):
@@ -515,8 +559,8 @@ def adjoint_pairing_residual(direct, adjoint) -> float:
     """
     freqs = direct.spectrum.frequencies
     flip = [int(np.argmin(np.abs(freqs + f))) for f in freqs]
-    mine = direct.dense_components()
-    theirs = adjoint.dense_components()
+    mine = dense_components(direct)
+    theirs = dense_components(adjoint)
     return max(
         float(np.linalg.norm(theirs[flip[k]] - mine[k].conj().T)) for k in range(freqs.size)
     )
@@ -878,18 +922,16 @@ def hermitian_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def snapshot_diagnostics_row(state: np.ndarray, reference: np.ndarray | None) -> dict:
+def snapshot_diagnostics_row(state: np.ndarray, reference: np.ndarray) -> dict:
     """One snapshot's health numbers by the one-state formulas the package's
     stacked pass must reproduce bit for bit."""
     herm = 0.5 * (state + state.conj().T)
-    row = {
+    return {
         "trace_deviation": abs(complex(np.trace(state)) - 1.0),
         "hermiticity_defect": float(np.linalg.norm(state - state.conj().T)),
         "min_eigenvalue": float(np.min(np.linalg.eigvalsh(herm))),
+        "gibbs_distance": hermitian_trace_distance(herm, reference),
     }
-    if reference is not None:
-        row["gibbs_distance"] = hermitian_trace_distance(herm, reference)
-    return row
 
 
 def worst_increase_loop(rows, times) -> tuple[float, int | None, float | None]:
@@ -953,20 +995,28 @@ def bohr_sum_dissipator_dense(jumps_eig, coupling, pair_index) -> np.ndarray:
     return s_sandwich.reshape(d * d, d * d)
 
 
+def default_cluster_tol(system) -> float:
+    """The clustering tolerance ``bohr_spectrum`` takes when given none:
+    ``DEFAULT_CLUSTER_SCALE`` times the spectral width."""
+    from gibbslab.bohr import DEFAULT_CLUSTER_SCALE
+
+    return DEFAULT_CLUSTER_SCALE * float(system.eigenvalues[-1] - system.eigenvalues[0])
+
+
 def bohr_spectrum_loop(source, cluster_tol=None):
     """The Bohr spectrum clustered by one greedy scan over every sorted
     |difference| and one ``np.mean`` per cluster: the package splits at the
     gaps wider than the tolerance, scans only the wider runs between them
     and takes the means of one- and two-member clusters vectorised, and
     must match this bit for bit."""
-    from gibbslab.bohr import DEFAULT_CLUSTER_SCALE, BohrSpectrum
+    from gibbslab.bohr import BohrSpectrum
     from gibbslab.operator_core import EigenSystem, eig_hermitian
 
     system = source if isinstance(source, EigenSystem) else eig_hermitian(source)
     energies = system.eigenvalues
     d = energies.shape[0]
     if cluster_tol is None:
-        cluster_tol = DEFAULT_CLUSTER_SCALE * float(energies[-1] - energies[0])
+        cluster_tol = default_cluster_tol(system)
     diff = energies[:, None] - energies[None, :]
     magnitudes = np.abs(diff).reshape(-1)
     order = np.argsort(magnitudes, kind="stable")
@@ -996,6 +1046,5 @@ def bohr_spectrum_loop(source, cluster_tol=None):
     return BohrSpectrum(
         frequencies=frequencies,
         pair_index=pair_index,
-        cluster_tol=float(cluster_tol),
         max_cluster_diameter=max_diameter,
     )

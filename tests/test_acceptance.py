@@ -29,12 +29,7 @@ from gibbslab.generators import (
     stationarity_report,
 )
 from gibbslab.bohr import bohr_spectrum, decompose
-from gibbslab.models import (
-    WELL_SEPARATED_SPECTRUM_6,
-    benchmark_models,
-    qubit_model,
-    random_model,
-)
+from gibbslab.models import qubit_model, random_model
 from gibbslab.oft import oft_eval, overlap_table
 from gibbslab.weights import (
     COHERENT_L1_LIMIT,
@@ -44,6 +39,7 @@ from gibbslab.weights import (
 )
 
 import oracles
+from oracles import WELL_SEPARATED_SPECTRUM_6, benchmark_models
 
 TIME_GRID_TO_20 = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 
@@ -220,8 +216,10 @@ def test_criterion_07_semigroup_preserves_and_contracts():
         for rho_a, rho_b in pairs:
             for state in (rho_a, rho_b):
                 trajectory = evolve(bundle, state, TIME_GRID_TO_20)
-                worst_trace = max(worst_trace, trajectory.column("trace_deviation").max())
-                worst_eig = min(worst_eig, trajectory.column("min_eigenvalue").min())
+                trace = oracles.diagnostic_column(trajectory, "trace_deviation")
+                eig = oracles.diagnostic_column(trajectory, "min_eigenvalue")
+                worst_trace = max(worst_trace, trace.max())
+                worst_eig = min(worst_eig, eig.min())
         if model.dim <= 4:
             for t in (0.1, 1.0, 10.0):
                 worst_choi = min(worst_choi, choi_min_eigenvalue(bundle, t))
@@ -291,7 +289,7 @@ def test_criterion_10_qubit_relaxation_diagnostic():
     system = model.eigensystem()
     excited = np.outer(system.eigenvectors[:, -1], system.eigenvectors[:, -1].conj())
     trajectory = evolve(bundle, excited, (0.0, 20.0))
-    final_distance = float(trajectory.column("gibbs_distance")[-1])
+    final_distance = float(oracles.diagnostic_column(trajectory, "gibbs_distance")[-1])
     elapsed = time.monotonic() - start
     assert final_distance <= 1e-6, final_distance
     print(

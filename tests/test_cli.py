@@ -654,6 +654,22 @@ def test_unwritable_output_path_exits_two_and_names_it(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [(b"\xff\xfe{}", "is not UTF-8 text"), (b"[" * 100_000, "nests too deeply to read")],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_unreadable_config_exits_two_and_names_it(tmp_path, capsys, content, reason):
+    """A config that is not UTF-8 text, or whose nesting the JSON reader
+    cannot follow, is a usage error naming the file, not a crash (5)."""
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert main(["verify-stationarity", "--config", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {str(path)!r} {reason}")
+    assert "Traceback" not in err
+
+
 def test_crash_exits_five_with_a_traceback(tmp_path, monkeypatch, capsys):
     """An unexpected exception is told apart from a failed check (1), a usage
     error (2) and a fired guard (4)."""
@@ -700,12 +716,13 @@ def test_schema_version_must_be_the_integer(tmp_path, capsys, version):
         {"name": "line", "n_grid": 10**6},
         {"name": "torus", "n_grid": 10**6},
         {"name": "random", "dim": 10**6},
+        {"name": "random", "dim": 2, "n_jump_pairs": 1e300},
     ],
-    ids=["oscillator-1e300", "line", "torus", "random"],
+    ids=["oscillator-1e300", "line", "torus", "random", "random-jumps-1e300"],
 )
 def test_model_too_large_for_the_host_exits_four(tmp_path, capsys, model):
-    """A model whose generator no host could hold is refused by the memory
-    guard before anything is allocated, naming the estimate."""
+    """A model whose generator or jumps no host could hold is refused by the
+    memory guard before anything is allocated, naming the estimate."""
     config = write_config(tmp_path, qubit_config(model=model))
     assert main(["verify-stationarity", "--config", config]) == EXIT_NUMERICAL_GUARD
     err = capsys.readouterr().err

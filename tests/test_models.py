@@ -17,8 +17,6 @@ import pytest
 
 from gibbslab.errors import ValidationError
 from gibbslab.models import (
-    WELL_SEPARATED_SPECTRUM_6,
-    benchmark_models,
     model_from_config,
     named_potential,
     oscillator_model,
@@ -29,6 +27,7 @@ from gibbslab.models import (
 )
 
 import oracles
+from oracles import WELL_SEPARATED_SPECTRUM_6, benchmark_models
 
 
 # ---------------------------------------------------------------------------

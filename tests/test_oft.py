@@ -250,12 +250,6 @@ def test_underflow_floor_drops_only_negligible_entries():
     assert table.dropped_entries > values.size - np.count_nonzero(values)
 
 
-def test_entry_rejects_non_frequency(dense_table):
-    _, _, table = dense_table
-    with pytest.raises(ValidationError):
-        table.spectrum.index_of(1.0)
-
-
 def test_cross_check_can_be_skipped(dense_model):
     spectrum = bohr_spectrum(dense_model.eigensystem())
     weight = balanced_gamma("gaussian", 0.9)
