@@ -124,7 +124,14 @@ EXIT_EXPECTED_FAILURES = 3
 EXIT_NUMERICAL_GUARD = 4
 EXIT_CRASH = 5
 
-_WEIGHT_KINDS = ("balanced", "unshifted", "glauber", "metropolis")
+# Weight kind -> the generator family it feeds: the filtered weights the
+# localised generator, the detailed-balance weights the unfiltered one.
+_WEIGHT_FAMILIES = {
+    "balanced": "localised",
+    "unshifted": "localised",
+    "glauber": "davies",
+    "metropolis": "davies",
+}
 _GENERATOR_KINDS = ("davies", "localised")
 _ASSEMBLY_PATHS = ("bohr_sum", "omega_quadrature")
 _OUTPUT_FORMATS = ("csv", "json")
@@ -235,11 +242,12 @@ def normalised_config(config: dict | None, command: str) -> dict:
     weight = _section(cfg, "weight", "weight")
     _reject_unknown(weight, {"kind", "phi_name", "sigma"}, "weight")
     weight.setdefault("kind", "balanced")
-    if weight["kind"] not in _WEIGHT_KINDS:
+    if weight["kind"] not in _WEIGHT_FAMILIES:
         raise ValidationError(
-            f"unknown weight kind {weight['kind']!r}; known: {list(_WEIGHT_KINDS)}"
+            f"unknown weight kind {weight['kind']!r}; known: {list(_WEIGHT_FAMILIES)}"
         )
-    if weight["kind"] in ("balanced", "unshifted"):
+    family = _WEIGHT_FAMILIES[weight["kind"]]
+    if family == "localised":
         weight.setdefault("phi_name", "gaussian")
         weight["sigma"] = _as_bandwidth(weight.get("sigma", 1.0), "weight.sigma")
     else:
@@ -252,9 +260,7 @@ def normalised_config(config: dict | None, command: str) -> dict:
 
     generator = _section(cfg, "generator", "generator")
     _reject_unknown(generator, {"kind", "path"}, "generator")
-    generator.setdefault(
-        "kind", "davies" if weight["kind"] in ("glauber", "metropolis") else "localised"
-    )
+    generator.setdefault("kind", family)
     if generator["kind"] not in _GENERATOR_KINDS:
         raise ValidationError(
             f"unknown generator kind {generator['kind']!r}; known: {list(_GENERATOR_KINDS)}"
@@ -265,19 +271,16 @@ def normalised_config(config: dict | None, command: str) -> dict:
             raise ValidationError(
                 f"unknown assembly path {generator['path']!r}; known: {list(_ASSEMBLY_PATHS)}"
             )
-        if weight["kind"] not in ("balanced", "unshifted"):
-            raise ValidationError(
-                "the filtered generator needs a filtered weight "
-                "(kind 'balanced' or 'unshifted')"
-            )
-    else:
-        if "path" in generator:
-            raise ValidationError("generator.path applies to the filtered family only")
-        if weight["kind"] not in ("glauber", "metropolis"):
-            raise ValidationError(
-                "the unfiltered generator needs a detailed-balance weight "
-                "(kind 'glauber' or 'metropolis')"
-            )
+    elif "path" in generator:
+        raise ValidationError("generator.path applies to the filtered family only")
+    if family != generator["kind"]:
+        needs = (
+            "filtered generator needs a filtered"
+            if generator["kind"] == "localised"
+            else "unfiltered generator needs a detailed-balance"
+        )
+        kinds = " or ".join(repr(k) for k, f in _WEIGHT_FAMILIES.items() if f == generator["kind"])
+        raise ValidationError(f"the {needs} weight (kind {kinds})")
 
     run = _section(cfg, "run", "run")
     _reject_unknown(
@@ -342,7 +345,7 @@ def _tolerances(config: dict) -> dict:
 def build_weight(config: dict):
     """Weight function described by a normalised config."""
     w = config["weight"]
-    if w["kind"] in ("glauber", "metropolis"):
+    if _WEIGHT_FAMILIES[w["kind"]] == "davies":
         return kms_gamma(w["kind"])
     if w["kind"] == "unshifted":
         return unshifted_gamma(w["phi_name"], w["sigma"])
@@ -374,10 +377,8 @@ def _check(name: str, value: float, tolerance: float, mode: str) -> dict:
         passed = value <= tolerance
     elif mode == "lower":
         passed = value >= tolerance
-    elif mode == "floor":
-        passed = value >= -tolerance
     else:
-        raise ValidationError(f"unknown check mode {mode!r}")
+        passed = value >= -tolerance
     return {
         "name": name,
         "value": float(value),
@@ -508,6 +509,13 @@ def decode_matrix(payload: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.complex128).reshape(payload["shape"]).copy()
 
 
+def _scalar_diagnostics(bundle: GeneratorBundle) -> dict:
+    """The bundle's diagnostics that are JSON scalars."""
+    return {
+        k: v for k, v in bundle.diagnostics.items() if isinstance(v, (int, float, bool, str))
+    }
+
+
 def export_bundle(bundle: GeneratorBundle, path: str) -> None:
     """Serialise an assembled generator to JSON (metadata + matrix payloads)."""
     doc = {
@@ -516,18 +524,14 @@ def export_bundle(bundle: GeneratorBundle, path: str) -> None:
         "assembly_path": bundle.assembly_path,
         "model_id": bundle.model.model_id,
         "dim": bundle.dim,
-        "sigma": bundle.sigma,
+        "sigma": bundle.weight.sigma,
         "weight": {
             "kind": bundle.weight.kind,
             "phi_name": bundle.weight.phi_name,
             "sigma": bundle.weight.sigma,
         },
         "matrices": {},
-        "diagnostics": {
-            k: v
-            for k, v in bundle.diagnostics.items()
-            if isinstance(v, (int, float, bool, str))
-        },
+        "diagnostics": _scalar_diagnostics(bundle),
     }
     payloads = {}
     for name, matrix in (
@@ -562,23 +566,35 @@ def _timing(started: float, stages: dict | None) -> dict:
     return timing
 
 
-def _finish(
-    command: str,
-    config: dict | None,
-    checks: list[dict],
-    *,
-    seed: int,
-    started: float,
-    data: dict | None = None,
-    report_path: str | None = None,
-    stages: dict | None = None,
-    extra: dict | None = None,
-) -> int:
-    """Write the run report and return its exit code; ``data`` goes under
-    the ``data`` key and ``extra`` at the top level."""
+def _tightened(check: dict, factor: float) -> dict:
+    tightened = _check(
+        check["name"], check["value"], check["tolerance"] / factor, check["mode"]
+    )
+    tightened["standard_tolerance"] = check["tolerance"]
+    tightened["pass_at_standard"] = check["pass"]
+    return tightened
+
+
+def _finish(args, config: dict | None, seed: int, started: float, result: tuple) -> int:
+    """Write a command's ``result`` and return its exit code.
+
+    ``result`` is ``(checks, data, stages, artifact)``: the check lines, the
+    report's ``data`` section, the timed stages, and the data table's text
+    (``None`` for a command without one).  The artifact goes to ``--out``,
+    else ``output.path``, else stdout, before the report goes to
+    ``--report``.  Under ``--tighten`` each check is held to its tolerance
+    over the factor, and a run whose only failures are those tightened
+    checks exits 3.
+    """
+    checks, data, stages, artifact = result
+    factor = getattr(args, "tighten", None)
+    if factor is not None:
+        checks = [_tightened(c, factor) for c in checks]
+    if artifact is not None:
+        _write_text(args.out or config["output"].get("path"), artifact)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "config": config,
         "checks": checks,
         "overall_pass": all(c["pass"] for c in checks),
@@ -587,10 +603,17 @@ def _finish(
     }
     if data:
         report["data"] = data
-    if extra:
-        report.update(extra)
-    _write_text(report_path, render_report(report))
-    return EXIT_OK if report["overall_pass"] else EXIT_CHECK_FAILURE
+    if factor is not None:
+        report["tighten_factor"] = factor
+        report["expected_failures"] = [
+            c["name"] for c in checks if not c["pass"] and c["pass_at_standard"]
+        ]
+    _write_text(args.report, render_report(report))
+    if report["overall_pass"]:
+        return EXIT_OK
+    if factor is not None and all(c["pass"] or c["pass_at_standard"] for c in checks):
+        return EXIT_EXPECTED_FAILURES
+    return EXIT_CHECK_FAILURE
 
 
 def _model_with_frame(config: dict) -> tuple[Model, dict]:
@@ -603,14 +626,23 @@ def _model_with_frame(config: dict) -> tuple[Model, dict]:
     return model, {"frame_s": time.perf_counter() - mark}
 
 
-def cmd_verify_stationarity(config: dict, args) -> int:
+def _framed_generator(config: dict) -> tuple[GeneratorBundle, dict]:
+    """The config's generator, built once its model's frame is computed, and
+    the stages ``frame_s`` and ``build_s`` (the rest of the build)."""
+    mark = time.perf_counter()
+    model, stages = _model_with_frame(config)
+    bundle = build_generator(config, model)
+    stages["build_s"] = time.perf_counter() - mark - stages["frame_s"]
+    return bundle, stages
+
+
+def cmd_verify_stationarity(config: dict, args, seed: int) -> tuple:
     """Invariant battery for one configured generator."""
-    started = time.perf_counter()
     if args.negative_control:
         if config["generator"]["kind"] != "localised":
             raise ValidationError("--negative-control applies to the filtered generator only")
-        config = {**config, "weight": {**config["weight"], "kind": "unshifted"}}
-    seed = args.seed if args.seed is not None else config["run"]["seeds"][0]
+        # Written into the config, which the report echoes.
+        config["weight"]["kind"] = "unshifted"
 
     # The checks follow from the config alone, so a bad --check name is
     # rejected before the build.  The unshifted control is not Gibbs-
@@ -624,9 +656,7 @@ def cmd_verify_stationarity(config: dict, args) -> int:
         raise ValidationError(f"unknown check {args.check!r}; available: {sorted(available)}")
     names = available if args.check is None else [args.check]
 
-    model, stages = _model_with_frame(config)
-    bundle = build_generator(config, model)
-    stages["build_s"] = time.perf_counter() - started - stages["frame_s"]
+    bundle, stages = _framed_generator(config)
     tolerances = _tolerances(config)
     checks = []
     for name in names:
@@ -644,22 +674,9 @@ def cmd_verify_stationarity(config: dict, args) -> int:
     data = {
         "model_id": bundle.model.model_id,
         "generator_kind": bundle.kind,
-        "diagnostics": {
-            k: v
-            for k, v in bundle.diagnostics.items()
-            if isinstance(v, (int, float, bool, str))
-        },
+        "diagnostics": _scalar_diagnostics(bundle),
     }
-    return _finish(
-        "verify-stationarity",
-        config,
-        checks,
-        seed=seed,
-        started=started,
-        data=data,
-        report_path=args.report,
-        stages=stages,
-    )
+    return checks, data, stages, None
 
 
 def _monotone_flags(rows: list[dict]) -> dict:
@@ -676,10 +693,8 @@ def _monotone_flags(rows: list[dict]) -> dict:
     }
 
 
-def cmd_sweep_sigma(config: dict, args) -> int:
+def cmd_sweep_sigma(config: dict, args, seed: int) -> tuple:
     """Bandwidth ladder: distance to the unfiltered limit per sigma."""
-    started = time.perf_counter()
-    seed = args.seed if args.seed is not None else config["run"]["seeds"][0]
     if config["generator"]["kind"] != "localised":
         raise ValidationError("sweep-sigma applies to the filtered generator only")
     if config["weight"]["kind"] != "balanced":
@@ -702,8 +717,6 @@ def cmd_sweep_sigma(config: dict, args) -> int:
     }
     table = [[r[c] for c in columns] for r in rows]
     artifact = _data_artifact(columns, table, metadata, config["output"]["format"])
-    _write_text(args.out or config["output"].get("path"), artifact)
-
     checks = [
         _check(
             "stationarity_residual_max",
@@ -712,11 +725,7 @@ def cmd_sweep_sigma(config: dict, args) -> int:
             "upper",
         )
     ]
-    data = {"rows": rows, "flags": flags}
-    return _finish(
-        "sweep-sigma", config, checks, seed=seed, started=started, data=data,
-        report_path=args.report, stages=stages,
-    )
+    return checks, {"rows": rows, "flags": flags}, stages, artifact
 
 
 def _initial_state(kind: str, bundle: GeneratorBundle, seed: int) -> np.ndarray:
@@ -737,13 +746,9 @@ def _initial_state(kind: str, bundle: GeneratorBundle, seed: int) -> np.ndarray:
     return random_density_matrix(d, seed=seed)
 
 
-def cmd_evolve(config: dict, args) -> int:
+def cmd_evolve(config: dict, args, seed: int) -> tuple:
     """Propagate a state and tabulate per-snapshot health columns."""
-    started = time.perf_counter()
-    seed = args.seed if args.seed is not None else config["run"]["seeds"][0]
-    bundle = build_generator(config)
-    stages = {"build_s": time.perf_counter() - started}
-    model = bundle.model
+    bundle, stages = _framed_generator(config)
     times = config["run"]["times"]
     rho0 = _initial_state(config["run"]["initial_state"], bundle, seed)
     mark = time.perf_counter()
@@ -763,14 +768,12 @@ def cmd_evolve(config: dict, args) -> int:
         )
     metadata = {
         "command": "evolve",
-        "model": model.model_id,
+        "model": bundle.model.model_id,
         "generator": bundle.kind,
         "initial_state": config["run"]["initial_state"],
         "seed": seed,
     }
     artifact = _data_artifact(columns, table, metadata, config["output"]["format"])
-    _write_text(args.out or config["output"].get("path"), artifact)
-
     tolerances = _tolerances(config)
     checks = [
         _check(
@@ -809,10 +812,7 @@ def cmd_evolve(config: dict, args) -> int:
         "final_time": times[-1],
         "step_exponentials": bundle.propagator.computed,
     }
-    return _finish(
-        "evolve", config, checks, seed=seed, started=started, data=data,
-        report_path=args.report, stages=stages,
-    )
+    return checks, data, stages, artifact
 
 
 # ---------------------------------------------------------------------------
@@ -820,10 +820,15 @@ def cmd_evolve(config: dict, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _selftest_checks(seed: int, stages: dict) -> list[dict]:
-    """The fixed battery; ``stages`` receives the seconds spent in each check
-    group (``davies_s``, ``filtered_s``, ``dual_path_s``, ``calibration_s``,
-    ``evolution_s``), summed over the group's runs."""
+def cmd_selftest(config: None, args, seed: int) -> tuple:
+    """Fixed cross-check battery; ``--tighten`` stresses the tolerances.
+    Its stages are the seconds spent in each check group (``davies_s``,
+    ``filtered_s``, ``dual_path_s``, ``calibration_s``, ``evolution_s``),
+    summed over the group's runs."""
+    factor = args.tighten
+    if factor is not None and not (math.isfinite(factor) and factor > 1.0):
+        raise ValidationError(f"--tighten expects a finite factor > 1, got {factor!r}")
+    stages: dict[str, float] = {}
 
     @contextmanager
     def group(name: str):
@@ -929,46 +934,7 @@ def _selftest_checks(seed: int, stages: dict) -> list[dict]:
         checks.append(
             _check("contraction_worst_increase", report["worst_increase"], 1e-9, "upper")
         )
-    return checks
-
-
-def _tightened(check: dict, factor: float) -> dict:
-    tightened = _check(
-        check["name"], check["value"], check["tolerance"] / factor, check["mode"]
-    )
-    tightened["standard_tolerance"] = check["tolerance"]
-    tightened["pass_at_standard"] = check["pass"]
-    return tightened
-
-
-def cmd_selftest(args) -> int:
-    """Fixed cross-check battery; ``--tighten`` stresses the tolerances."""
-    started = time.perf_counter()
-    seed = args.seed if args.seed is not None else 2024
-    factor = args.tighten
-    if factor is not None and not (math.isfinite(factor) and factor > 1.0):
-        raise ValidationError(f"--tighten expects a finite factor > 1, got {factor!r}")
-    stages: dict[str, float] = {}
-    checks = _selftest_checks(seed, stages)
-
-    extra = None
-    if factor is not None:
-        checks = [_tightened(c, factor) for c in checks]
-        extra = {
-            "tighten_factor": factor,
-            "expected_failures": [
-                c["name"] for c in checks if not c["pass"] and c["pass_at_standard"]
-            ],
-        }
-    code = _finish(
-        "selftest", None, checks, seed=seed, started=started,
-        report_path=args.report, stages=stages, extra=extra,
-    )
-    if code == EXIT_CHECK_FAILURE and factor is not None and all(
-        c["pass"] or c["pass_at_standard"] for c in checks
-    ):
-        return EXIT_EXPECTED_FAILURES
-    return code
+    return checks, None, stages, None
 
 
 # ---------------------------------------------------------------------------
@@ -1041,21 +1007,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code."""
+    args = _build_parser().parse_args(argv)
     try:
-        if args.seed is not None:
-            _as_seed(args.seed, "--seed")
-        if args.command == "selftest":
-            return cmd_selftest(args)
-        config = _load_config(args.config, args.command)
-        if args.command == "verify-stationarity":
-            return cmd_verify_stationarity(config, args)
-        if args.command == "sweep-sigma":
-            return cmd_sweep_sigma(config, args)
-        if args.command == "evolve":
-            return cmd_evolve(config, args)
-        raise ValidationError(f"unknown command {args.command!r}")
+        seed = args.seed
+        if seed is not None:
+            _as_seed(seed, "--seed")
+        config = None if args.command == "selftest" else _load_config(args.config, args.command)
+        if seed is None:
+            seed = 2024 if config is None else config["run"]["seeds"][0]
+        # Each ``cmd_*`` returns the result that ``_finish`` writes.  It is
+        # looked up when it runs, so a wrapper installed on the module
+        # attribute is the command that runs.
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        started = time.perf_counter()
+        result = command(config, args, seed)
+        return _finish(args, config, seed, started, result)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -67,7 +67,7 @@ import numpy as np
 from .bohr import BohrSpectrum
 from .errors import ValidationError
 from .evolution import Propagator
-from .models import Model
+from .models import _ADJOINT_CLOSURE_TOL, Model
 from .oft import _UNDERFLOW_FLOOR, OverlapTable, _drop_underflow, overlap_table
 from .operator_core import (
     EigenSystem,
@@ -104,7 +104,6 @@ __all__ = [
 
 _KMS_GRID_TOL = 1e-12
 _B_HERMITICITY_TOL = 1e-10
-_ADJOINT_FAMILY_TOL = 1e-12
 # Nodes per block of the node-sum table, which bounds its nodes x frequencies
 # temporaries.  The window lattice lays at most 528 nodes a Bohr frequency;
 # the line models at sigma = 1 need 472 in all: one block.  A block reads
@@ -136,7 +135,6 @@ class GeneratorBundle:
     assembly_path: str  # "bohr_sum" | "omega_quadrature"
     model: Model
     weight: WeightFunction
-    sigma: float | None
     sandwich: np.ndarray
     eigen_drift: np.ndarray
     coupling: np.ndarray
@@ -195,7 +193,7 @@ class GeneratorBundle:
 def _validate_jump_family(model: Model) -> dict:
     frame = model.frame
     defect = frame.adjoint_closure_defect
-    if defect > _ADJOINT_FAMILY_TOL:
+    if defect > _ADJOINT_CLOSURE_TOL:
         raise ValidationError(
             f"jump family of {model.model_id!r} is not closed under the adjoint "
             f"(worst distance {defect:.3e})"
@@ -428,7 +426,6 @@ def _bundle(
     path: str,
     model: Model,
     weight: WeightFunction,
-    sigma: float | None,
     coupling: np.ndarray,
     b_mat: np.ndarray,
     diag: dict,
@@ -453,7 +450,6 @@ def _bundle(
         assembly_path=path,
         model=model,
         weight=weight,
-        sigma=sigma,
         sandwich=sandwich,
         eigen_drift=eigen_drift,
         coupling=coupling,
@@ -481,7 +477,7 @@ def davies_generator(model: Model, weight: WeightFunction) -> GeneratorBundle:
     diag.update({"kms_grid_defect": grid_defect, "n_frequencies": spectrum.size})
     b_zero = np.zeros((model.dim, model.dim), dtype=np.complex128)
     coupling = np.diag(weight(spectrum.frequencies))
-    return _bundle("davies", "bohr_sum", model, weight, None, coupling, b_zero, diag)
+    return _bundle("davies", "bohr_sum", model, weight, coupling, b_zero, diag)
 
 
 def coherent_matrix_bohr(model: Model, table: OverlapTable) -> tuple[np.ndarray, dict]:
@@ -625,7 +621,7 @@ def localised_generator(
             "max_cluster_diameter": spectrum.max_cluster_diameter,
         }
     )
-    return _bundle("localised", path, model, weight, float(sigma), coupling, b_mat, diag)
+    return _bundle("localised", path, model, weight, coupling, b_mat, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -703,11 +699,11 @@ def dual_path_residual(bundle: GeneratorBundle) -> float:
     """
     if bundle.kind != "localised":
         raise ValidationError("the dual-path check applies to filtered generators only")
-    freqs = bundle.spectrum.frequencies
+    freqs, weight = bundle.spectrum.frequencies, bundle.weight
     if bundle.assembly_path == "bohr_sum":
-        other = _omega_quadrature_coupling(bundle.weight, bundle.sigma, freqs)[0]
+        other = _omega_quadrature_coupling(weight, weight.sigma, freqs)[0]
     else:
-        other = overlap_table(bundle.spectrum, bundle.weight, bundle.sigma, cross_check=False).values
+        other = overlap_table(bundle.spectrum, weight, weight.sigma, cross_check=False).values
     built = bundle.coupling
     scale = max(float(np.linalg.norm(built)), float(np.linalg.norm(other)), 1e-300)
     return float(np.linalg.norm(built - other)) / scale
@@ -848,12 +844,13 @@ def coherent_calibration_report(bundle: GeneratorBundle) -> dict:
     """
     if bundle.kind != "localised":
         raise ValidationError("the coherent calibration applies to filtered generators only")
-    if not bundle.sigma >= _TIME_ORACLE_MIN_SIGMA:
+    sigma = bundle.weight.sigma
+    if not sigma >= _TIME_ORACLE_MIN_SIGMA:
         raise ValidationError(
             f"the time-domain oracle resolves bandwidths sigma >= {_TIME_ORACLE_MIN_SIGMA} "
-            f"only, got {bundle.sigma!r}"
+            f"only, got {sigma!r}"
         )
-    system, ts, wt_k1, inner = _time_quadrature_inner(bundle.model, bundle.weight, bundle.sigma)
+    system, ts, wt_k1, inner = _time_quadrature_inner(bundle.model, bundle.weight, sigma)
     b_freq = bundle.coherent_matrix
     report = {
         key: bundle.diagnostics[key] for key in ("coherent_norm", "coherent_hermiticity_defect")

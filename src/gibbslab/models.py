@@ -45,7 +45,8 @@ __all__ = [
 ]
 
 # Jump norms are kept at unit scale so generator residual tolerances mean the
-# same thing across models.
+# same thing across models.  The distance at which a jump's adjoint counts as
+# in its family: when a family is closed, and when a generator checks it.
 _ADJOINT_CLOSURE_TOL = 1e-12
 
 # A verify-stationarity build of line32 and line48 peaked at 1.97 and 1.86
@@ -471,37 +472,39 @@ def _numbers(params: dict, key: str, default=None) -> tuple[float, ...] | None:
     return tuple(config_number(v, f"model.{key} entry") for v in values)
 
 
-_MODEL_BUILDERS: dict[str, Callable[..., Model]] = {
-    "qubit": lambda params: qubit_model(),
-    "oscillator": lambda params: oscillator_model(_param(params, "dim", 6, int)),
-    "line": lambda params: schrodinger_line_model(
-        n_grid=_param(params, "n_grid", 16, int),
-        box_half_width=_param(params, "box_half_width", 8.0),
-        potential=_potential_from_params(params),
-        jump_coefficients=_numbers(params, "jump_coefficients", (0.35, 0.1)),
-    ),
-    "torus": lambda params: torus_model(
-        n_grid=_param(params, "n_grid", 12, int),
-        p_coefficient=_numbers(params, "p_values"),
-        potential=_potential_from_params(params),
-        jump_coefficients=_numbers(params, "jump_coefficients", (0.25, 0.3)),
-    ),
-    "random": lambda params: random_model(
-        dim=_param(params, "dim", 4, int),
-        n_jump_pairs=_param(params, "n_jump_pairs", 1, int),
-        seed=_param(params, "seed", 0, int),
-        spectrum=_numbers(params, "spectrum"),
-    ),
-}
+_POTENTIAL_KEYS = ("potential", "potential_coefficient", "potential_values")
 
-_KNOWN_MODEL_KEYS = {
-    "qubit": set(),
-    "oscillator": {"dim"},
-    "line": {"n_grid", "box_half_width", "potential", "potential_coefficient",
-             "potential_values", "jump_coefficients"},
-    "torus": {"n_grid", "p_values", "potential", "potential_coefficient",
-              "potential_values", "jump_coefficients"},
-    "random": {"dim", "n_jump_pairs", "seed", "spectrum"},
+# Model name -> (the parameter keys its builder reads, the builder).
+_MODEL_BUILDERS: dict[str, tuple[tuple[str, ...], Callable[[dict], Model]]] = {
+    "qubit": ((), lambda params: qubit_model()),
+    "oscillator": (("dim",), lambda params: oscillator_model(_param(params, "dim", 6, int))),
+    "line": (
+        ("n_grid", "box_half_width", "jump_coefficients", *_POTENTIAL_KEYS),
+        lambda params: schrodinger_line_model(
+            n_grid=_param(params, "n_grid", 16, int),
+            box_half_width=_param(params, "box_half_width", 8.0),
+            potential=_potential_from_params(params),
+            jump_coefficients=_numbers(params, "jump_coefficients", (0.35, 0.1)),
+        ),
+    ),
+    "torus": (
+        ("n_grid", "p_values", "jump_coefficients", *_POTENTIAL_KEYS),
+        lambda params: torus_model(
+            n_grid=_param(params, "n_grid", 12, int),
+            p_coefficient=_numbers(params, "p_values"),
+            potential=_potential_from_params(params),
+            jump_coefficients=_numbers(params, "jump_coefficients", (0.25, 0.3)),
+        ),
+    ),
+    "random": (
+        ("dim", "n_jump_pairs", "seed", "spectrum"),
+        lambda params: random_model(
+            dim=_param(params, "dim", 4, int),
+            n_jump_pairs=_param(params, "n_jump_pairs", 1, int),
+            seed=_param(params, "seed", 0, int),
+            spectrum=_numbers(params, "spectrum"),
+        ),
+    ),
 }
 
 
@@ -529,10 +532,10 @@ def model_from_config(config: dict) -> Model:
         raise ValidationError(
             f"unknown model name {name!r}; known: {sorted(_MODEL_BUILDERS)}"
         )
-    unknown = set(params) - _KNOWN_MODEL_KEYS[name]
+    keys, build = _MODEL_BUILDERS[name]
+    unknown = set(params) - set(keys)
     if unknown:
         raise ValidationError(
-            f"unknown keys for model {name!r}: {sorted(unknown)}; "
-            f"allowed: {sorted(_KNOWN_MODEL_KEYS[name])}"
+            f"unknown keys for model {name!r}: {sorted(unknown)}; allowed: {sorted(keys)}"
         )
-    return _MODEL_BUILDERS[name](params)
+    return build(params)

@@ -253,14 +253,14 @@ PHI_LIBRARY: dict[str, PhiProfile] = {
 
 
 def resolve_phi(phi) -> PhiProfile:
-    """Return the named profile, or wrap a user-supplied even callable.
+    """Return the named profile, or validate a caller's profile or callable.
 
-    A callable is accepted as-is with no declared breakpoints; callers
-    providing kinked custom profiles should register them with explicit
-    breakpoints by constructing a :class:`PhiProfile` themselves.
+    A callable is wrapped with no declared breakpoints; callers providing
+    kinked custom profiles should register them with explicit breakpoints
+    by constructing a :class:`PhiProfile` themselves.  A caller's profile
+    is validated here, where it enters; the library's are held to the same
+    rules by the test suite.
     """
-    if isinstance(phi, PhiProfile):
-        return phi
     if isinstance(phi, str):
         try:
             return PHI_LIBRARY[phi]
@@ -269,8 +269,13 @@ def resolve_phi(phi) -> PhiProfile:
                 f"unknown profile name {phi!r}; known profiles: {sorted(PHI_LIBRARY)}"
             ) from None
     if callable(phi):
-        return PhiProfile("custom", phi)
-    raise ValidationError(f"profile must be a name, a PhiProfile, or a callable, got {type(phi)!r}")
+        phi = PhiProfile("custom", phi)
+    elif not isinstance(phi, PhiProfile):
+        raise ValidationError(
+            f"profile must be a name, a PhiProfile, or a callable, got {type(phi)!r}"
+        )
+    _validate_phi(phi)
+    return phi
 
 
 _PHI_EVEN_SAMPLES = np.linspace(0.25, 8.0, 32)
@@ -378,12 +383,11 @@ def _gaussian_smoothed(profile: PhiProfile, shift: float) -> Callable | None:
 
 
 def _profile_weight(kind: str, phi, sigma: float | None, shift: float) -> WeightFunction:
-    """The weight ``e^{-omega/2} phi(omega + shift)`` of a resolved and
-    validated profile, built for bandwidth ``sigma`` (``None`` for none),
-    with its closed-form smoothing where the profile has one, and the
-    profile's breakpoints moved by the shift."""
+    """The weight ``e^{-omega/2} phi(omega + shift)`` of a resolved profile,
+    built for bandwidth ``sigma`` (``None`` for none), with its closed-form
+    smoothing where the profile has one, and the profile's breakpoints
+    moved by the shift."""
     profile = resolve_phi(phi)
-    _validate_phi(profile)
     return WeightFunction(
         kind=kind,
         evaluate=_shifted_profile_weight(profile, shift),

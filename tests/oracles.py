@@ -473,8 +473,8 @@ def sign_flipped_bundle(bundle):
     coupling = bundle.coupling
     flipped = 2.0 * np.diag(np.diag(coupling)) - coupling
     return _bundle(
-        bundle.kind, bundle.assembly_path, bundle.model, bundle.weight, bundle.sigma,
-        flipped, bundle.coherent_matrix, dict(bundle.diagnostics),
+        bundle.kind, bundle.assembly_path, bundle.model, bundle.weight, flipped,
+        bundle.coherent_matrix, dict(bundle.diagnostics),
     )
 
 

@@ -322,8 +322,9 @@ def test_verify_reports_the_cross_check_cost(tmp_path):
         (["verify-stationarity"], {"model": LINE16}, "build_generator", "build_s"),
         (["sweep-sigma"], {"model": LINE16, "run": {"sigma_sweep": [0.5]}}, "davies_limit_report",
          "ladder_s"),
+        (["evolve"], {"model": {"name": "oscillator", "dim": 6}}, "build_generator", "build_s"),
     ],
-    ids=["verify", "sweep"],
+    ids=["verify", "sweep", "evolve"],
 )
 def test_frame_is_timed_before_the_build(tmp_path, monkeypatch, argv, payload, builder, later):
     """The model's spectral frame is computed before any generator is built
@@ -339,7 +340,7 @@ def test_frame_is_timed_before_the_build(tmp_path, monkeypatch, argv, payload, b
     monkeypatch.setattr(gibbslab.cli, builder, recording)
     report_path = tmp_path / "r.json"
     config = write_config(tmp_path, {"schema_version": SCHEMA_VERSION, **payload})
-    extra = ["--out", str(tmp_path / "rows.csv")] if argv == ["sweep-sigma"] else []
+    extra = ["--out", str(tmp_path / "rows.csv")] if argv != ["verify-stationarity"] else []
     assert main(argv + ["--config", config, "--report", str(report_path)] + extra) == EXIT_OK
     timing = json.loads(report_path.read_text())["timing"]
     assert framed == [True]
@@ -539,7 +540,7 @@ def test_malformed_numbers_exit_two_before_any_build(
     belongs, are usage errors, not crashes (5), runs that crash later, or
     runs of a coerced value (``16.7`` ran line16, ``true`` sigma = 1)."""
     builds = []
-    for name in ("localised_generator", "davies_generator", "_selftest_checks"):
+    for name in ("localised_generator", "davies_generator"):
         monkeypatch.setattr(gibbslab.cli, name, lambda *a, **k: builds.append(a))
     if payload is None:
         argv = [command, "--tighten", "nan"]
@@ -621,7 +622,7 @@ def test_negative_seed_exits_two_before_any_build(tmp_path, monkeypatch, capsys,
     """``np.random.default_rng`` takes non-negative seeds only: a negative
     one is a usage error, not a crash (5) where the first draw is made."""
     builds = []
-    for name in ("model_from_config", "_selftest_checks"):
+    for name in ("model_from_config", "qubit_model"):
         monkeypatch.setattr(gibbslab.cli, name, lambda *a, **k: builds.append(a))
     if payload is not None:
         argv = argv + ["--config", write_config(tmp_path, payload)]
@@ -674,7 +675,7 @@ def test_crash_exits_five_with_a_traceback(tmp_path, monkeypatch, capsys):
     """An unexpected exception is told apart from a failed check (1), a usage
     error (2) and a fired guard (4)."""
 
-    def crash(config, args):
+    def crash(config, args, seed):
         raise RuntimeError("injected crash")
 
     monkeypatch.setattr(gibbslab.cli, "cmd_verify_stationarity", crash)
@@ -776,9 +777,9 @@ def test_main_parses_each_call_afresh(tmp_path, monkeypatch):
     seen = []
 
     def recorder(name):
-        def command(*args):
-            seen.append((name, vars(args[-1]).copy()))
-            return EXIT_OK
+        def command(config, args, seed):
+            seen.append((name, vars(args).copy()))
+            return [], None, {}, None
 
         return command
 
@@ -980,7 +981,7 @@ def test_evolve_report_times_stages_and_counts_exponentials(tmp_path):
     code = main(["evolve", "--config", config, "--report", str(report_path)])
     assert code == EXIT_OK
     report = json.loads(report_path.read_text())
-    assert set(report["timing"]["stages"]) == {"build_s", "evolve_s", "choi_s"}
+    assert set(report["timing"]["stages"]) == {"frame_s", "build_s", "evolve_s", "choi_s"}
     assert all(v >= 0.0 for v in report["timing"]["stages"].values())
     # Steps 5, 5 and 10; the Choi check at t = 20 needs one more.
     assert report["data"]["step_exponentials"] == 3

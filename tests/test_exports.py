@@ -306,23 +306,32 @@ def test_each_module_imports_only_the_layers_above_it():
     assert upward == [("evolution", "generators", True)]
 
 
-def test_layer_tracer_finds_every_function_it_wraps(tmp_path):
-    """``perfbench/run.py --trace`` wraps these names, and ``expm`` by its
-    name in ``gibbslab.evolution``; a removed, renamed or moved one would
-    fail there, not in the suite.  An installed tracer records a fresh
-    evolution's spans; a one-rung sweep's single Bohr clustering (made by
-    the model's frame), two builds and one time-kernel mass; and a
-    selftest's three model builds; and puts every original back when it is
-    removed."""
+@pytest.fixture(scope="module")
+def tracing():
+    """``perfbench/tracing.py``, imported from its file as ``run.py`` imports it."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_layer_tracer_names_only_functions_that_exist(tracing):
+    """``perfbench/run.py --trace 1`` wraps each function ``_layer_functions``
+    lists, and ``expm`` by its name in ``gibbslab.evolution``: deleting or
+    renaming one fails here, in the suite, not in the benchmark."""
     layers = tracing._layer_functions()
     assert layers
     for fn, name in layers:
         assert callable(fn)
         assert callable(name) or isinstance(name, str)
+    assert callable(gibbslab.evolution.expm)
 
+
+def test_layer_tracer_finds_every_function_it_wraps(tmp_path, tracing):
+    """An installed tracer records a fresh evolution's spans; a one-rung
+    sweep's single Bohr clustering (made by the model's frame), two builds
+    and one time-kernel mass; and a selftest's three model builds; and puts
+    every original back when it is removed."""
     modules = [importlib.import_module(name) for name in MODULES] + [scipy.integrate]
     before = [dict(vars(module)) for module in modules]
     tracer = tracing.Tracer()

@@ -410,7 +410,7 @@ def test_underflow_floor_leaves_the_superoperator_bit_identical(line24):
         overlap_table(spectrum, weight, 1.0, cross_check=False), values=values, coherent=coherent
     )
     b_mat, _ = coherent_matrix_bohr(model, table)
-    unfloored = _bundle("localised", "bohr_sum", model, weight, 1.0, values, b_mat, {})
+    unfloored = _bundle("localised", "bohr_sum", model, weight, values, b_mat, {})
     assert bundle.diagnostics["overlap_dropped_entries"] > 0
     assert unfloored.superoperator.tobytes() == bundle.superoperator.tobytes()
     assert unfloored.effective_drift.tobytes() == bundle.effective_drift.tobytes()

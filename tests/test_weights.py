@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gibbslab.generators
+import gibbslab.weights
 from gibbslab.bohr import bohr_spectrum
 from gibbslab.errors import ValidationError
 from gibbslab.models import schrodinger_line_model
@@ -167,6 +168,14 @@ def test_phi_profiles_are_even():
         assert np.allclose(profile.fn(grid), profile.fn(-grid), rtol=1e-13)
 
 
+@pytest.mark.parametrize("name", sorted(PHI_LIBRARY))
+def test_library_profiles_pass_the_profile_checks(name):
+    """A weight built from a library name skips the profile checks, which
+    run only on a caller's profile, so each library profile is held to
+    them here."""
+    gibbslab.weights._validate_phi(PHI_LIBRARY[name])
+
+
 def test_unknown_names_rejected():
     with pytest.raises(ValidationError):
         kms_gamma("arrhenius")
@@ -198,9 +207,11 @@ def _infinite_beyond_20(x):
     ids=["nan", "odd_part", "negative", "infinite_tail", "polynomial_tail"],
 )
 def test_inadmissible_user_profiles_rejected(phi, message):
-    """Each of the profile checks refuses a user callable, naming the fault."""
-    with pytest.raises(ValidationError, match=f"profile 'custom' {message}"):
-        balanced_gamma(phi, 1.0)
+    """Each of the profile checks refuses a user callable, or a profile
+    built around it, naming the fault."""
+    for profile in (phi, PhiProfile("custom", phi)):
+        with pytest.raises(ValidationError, match=f"profile 'custom' {message}"):
+            balanced_gamma(profile, 1.0)
 
 
 # ---------------------------------------------------------------------------
