@@ -29,7 +29,6 @@ from .operator_core import (
     dagger,
     devectorize,
     eig_hermitian,
-    schatten_norm,
     vectorize,
 )
 from .bohr import (
@@ -40,11 +39,8 @@ from .bohr import (
 )
 from .weights import (
     COHERENT_L1_LIMIT,
-    FILTER_SQUARED_MASS,
     MAX_BANDWIDTH,
-    MAX_SPECTRAL_WIDTH,
     MIN_BANDWIDTH,
-    PHI_LIBRARY,
     GaussianFilter,
     WeightFunction,
     balanced_gamma,
@@ -53,7 +49,6 @@ from .weights import (
     delocalised_limit_gamma,
     kms_defect,
     kms_gamma,
-    resolve_phi,
     unshifted_gamma,
 )
 from .oft import (
@@ -76,8 +71,6 @@ from .generators import (
 )
 from .evolution import (
     Propagator,
-    Trajectory,
-    choi_matrix,
     choi_min_eigenvalue,
     choi_report,
     choi_trace_preservation_defect,
@@ -90,7 +83,6 @@ from .evolution import (
 from .models import (
     Model,
     model_from_config,
-    named_potential,
     oscillator_model,
     qubit_model,
     random_model,
@@ -108,18 +100,14 @@ __all__ = [
     "dagger",
     "devectorize",
     "eig_hermitian",
-    "schatten_norm",
     "vectorize",
     "BohrDecomposition",
     "BohrSpectrum",
     "bohr_spectrum",
     "decompose",
     "COHERENT_L1_LIMIT",
-    "FILTER_SQUARED_MASS",
     "MAX_BANDWIDTH",
-    "MAX_SPECTRAL_WIDTH",
     "MIN_BANDWIDTH",
-    "PHI_LIBRARY",
     "GaussianFilter",
     "WeightFunction",
     "balanced_gamma",
@@ -128,7 +116,6 @@ __all__ = [
     "delocalised_limit_gamma",
     "kms_defect",
     "kms_gamma",
-    "resolve_phi",
     "unshifted_gamma",
     "OverlapTable",
     "oft_eval",
@@ -145,8 +132,6 @@ __all__ = [
     "stationarity_report",
     "trace_functional_defect",
     "Propagator",
-    "Trajectory",
-    "choi_matrix",
     "choi_min_eigenvalue",
     "choi_report",
     "choi_trace_preservation_defect",
@@ -157,7 +142,6 @@ __all__ = [
     "snapshot_diagnostics",
     "Model",
     "model_from_config",
-    "named_potential",
     "oscillator_model",
     "qubit_model",
     "random_model",

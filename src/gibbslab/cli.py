@@ -94,6 +94,7 @@ from .weights import (
     balanced_gamma,
     coherent_time_kernel_l1,
     kms_gamma,
+    resolve_phi,
     unshifted_gamma,
 )
 
@@ -248,7 +249,7 @@ def normalised_config(config: dict | None, command: str) -> dict:
         )
     family = _WEIGHT_FAMILIES[weight["kind"]]
     if family == "localised":
-        weight.setdefault("phi_name", "gaussian")
+        resolve_phi(weight.setdefault("phi_name", "gaussian"))
         weight["sigma"] = _as_bandwidth(weight.get("sigma", 1.0), "weight.sigma")
     else:
         for key in ("phi_name", "sigma"):

@@ -79,6 +79,7 @@ from .weights import (
     GaussianFilter,
     WeightFunction,
     _require_bandwidth,
+    _require_spectral_width,
     _window_quadrature,
     balanced_gamma,
     coherent_time_envelope,
@@ -462,14 +463,17 @@ def _bundle(
 def davies_generator(model: Model, weight: WeightFunction) -> GeneratorBundle:
     """Unfiltered detailed-balance generator with diagonal frequency coupling.
 
-    The weight must satisfy detailed balance on the model's Bohr grid to
-    within ``1e-12`` (checked; violations are rejected).  The Hamiltonian
-    part ``-i[P, .]`` is included.
+    The spectral width is capped as for the filtered family
+    (``MAX_SPECTRAL_WIDTH``), and the weight must satisfy detailed balance
+    on the model's Bohr grid to within ``1e-12``, a non-finite defect
+    included (checked; violations are rejected).  The Hamiltonian part
+    ``-i[P, .]`` is included.
     """
     diag = _validate_jump_family(model)
     spectrum = model.frame.spectrum
+    _require_spectral_width(spectrum.frequencies)
     grid_defect = kms_defect(weight, spectrum.frequencies)
-    if grid_defect > _KMS_GRID_TOL:
+    if not grid_defect <= _KMS_GRID_TOL:
         raise ValidationError(
             f"weight {weight.kind!r} violates detailed balance on the Bohr grid: "
             f"defect {grid_defect:.3e} exceeds {_KMS_GRID_TOL:g}"

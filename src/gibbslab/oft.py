@@ -52,13 +52,13 @@ from .bohr import BohrDecomposition, BohrSpectrum
 from .errors import NumericalGuardError, ValidationError
 from .weights import (
     MAX_BANDWIDTH,
-    MAX_SPECTRAL_WIDTH,
     MIN_BANDWIDTH,
     WINDOW_RADIUS,
     GaussianFilter,
     WeightFunction,
     _gauss_legendre,
     _require_bandwidth,
+    _require_spectral_width,
     coherent_difference_factor,
     smoothed_weight_table,
     smoothing_rule,
@@ -415,14 +415,8 @@ def overlap_table(
     freqs = spectrum.frequencies
     m = freqs.size
     # The representability constraint is on exponentials of single
-    # frequencies, e^{+-nu/2}; the largest |nu| equals the Hamiltonian's
-    # spectral width (the frequency list is symmetric about zero).
-    width = float(max(abs(freqs[0]), abs(freqs[-1]))) if m else 0.0
-    if width > MAX_SPECTRAL_WIDTH:
-        raise ValidationError(
-            f"largest Bohr frequency {width:.3g} exceeds the supported "
-            f"range {MAX_SPECTRAL_WIDTH:g}"
-        )
+    # frequencies, e^{+-nu/2}.
+    _require_spectral_width(freqs)
 
     rows, cols = _live_band(freqs, sigma)
     nu, nu_prime = freqs[rows], freqs[cols]

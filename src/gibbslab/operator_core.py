@@ -17,7 +17,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "dagger",
     "devectorize",
     "eig_hermitian",
-    "schatten_norm",
     "vectorize",
 ]
 
@@ -73,24 +71,6 @@ class EigenSystem:
         u = self.eigenvectors
         return (u * self.eigenvalues) @ dagger(u)
 
-    def function_of(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Apply a scalar function to the matrix through its spectrum.
-
-        Raises:
-            ValidationError: if ``fn`` is non-finite at any eigenvalue; the
-                message names the offending eigenvalue.
-        """
-        u = self.eigenvectors
-        values = np.asarray(fn(self.eigenvalues))
-        finite = np.isfinite(values)
-        if not np.all(finite):
-            bad = self.eigenvalues[~finite]
-            raise ValidationError(
-                f"scalar function is non-finite at eigenvalue {bad[0]!r}"
-                + (f" (and {bad.size - 1} more)" if bad.size > 1 else "")
-            )
-        return (u * values) @ dagger(u)
-
     def gibbs_state(self) -> np.ndarray:
         """Normalised Gibbs density ``e^{-A} / tr e^{-A}`` of the matrix.
 
@@ -98,8 +78,9 @@ class EigenSystem:
         subtracted before exponentiating, so no underflow occurs for wide
         spectra.
         """
+        u = self.eigenvectors
         ground = float(self.eigenvalues[0])
-        rho = self.function_of(lambda e: np.exp(-(e - ground)))
+        rho = (u * np.exp(-(self.eigenvalues - ground))) @ dagger(u)
         rho = 0.5 * (rho + dagger(rho))
         return rho / np.trace(rho).real
 
@@ -148,34 +129,15 @@ def eig_hermitian(matrix: np.ndarray) -> EigenSystem:
     return system
 
 
-def schatten_norm(matrix: np.ndarray, p: float) -> float:
-    """Schatten p-norm via singular values.
-
-    ``p = 1`` is the trace norm, ``p = 2`` the Frobenius norm (computed
-    directly without an SVD), and ``p = inf`` the operator norm.
-    """
-    arr = _as_square_array(matrix)
-    if p == 2:
-        return float(np.linalg.norm(arr))
-    if not (p >= 1.0):  # also rejects NaN
-        raise ValidationError(f"Schatten norm requires p >= 1, got {p!r}")
-    singular = np.linalg.svd(arr, compute_uv=False)
-    if np.isinf(p):
-        return float(singular[0]) if singular.size else 0.0
-    return float(np.sum(singular**p) ** (1.0 / p))
-
-
 def vectorize(matrix: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization: ``vec(X)[i + d*j] = X[i, j]``."""
     arr = _as_square_array(matrix)
     return arr.reshape(-1, order="F")
 
 
-def devectorize(vector: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
+def devectorize(vector: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of :func:`vectorize` for ``dim x dim`` matrices."""
     vec = np.asarray(vector).reshape(-1)
-    if dim is None:
-        dim = int(round(np.sqrt(vec.size)))
     if dim * dim != vec.size:
         raise ValidationError(f"vector of length {vec.size} is not a flattened square matrix")
     return vec.reshape((dim, dim), order="F")

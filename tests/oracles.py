@@ -54,6 +54,11 @@ every call, and ``davies_distances_loop`` takes the report's trace norms
 one operator at a time with ``schatten_norm``; the package's written-out
 contraction and stacked singular values must reproduce both bit for bit.
 
+``schatten_norm`` is the Schatten p-norm of one operator through its
+singular values, and ``profile_fault`` holds an even profile ``phi`` to
+the admissibility rules of the balanced construction (finite, even,
+non-negative, with a tilted tail that decays).
+
 ``snapshot_diagnostics_row`` and ``hermitian_trace_distance`` keep the
 package's arithmetic one matrix per call: they are the one-snapshot
 formulas that the stacked diagnostics and contraction distances must
@@ -364,6 +369,19 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.linalg.svd(diff, compute_uv=False)))
 
 
+def schatten_norm(matrix: np.ndarray, p: float) -> float:
+    """Schatten p-norm through singular values: ``p = 1`` the trace norm,
+    ``p = 2`` the Frobenius norm (computed directly, without an SVD) and
+    ``p = inf`` the operator norm."""
+    arr = np.asarray(matrix, dtype=np.complex128)
+    if p == 2:
+        return float(np.linalg.norm(arr))
+    singular = np.linalg.svd(arr, compute_uv=False)
+    if np.isinf(p):
+        return float(singular[0])
+    return float(np.sum(singular**p) ** (1.0 / p))
+
+
 def dissipator_superop(bundle) -> np.ndarray:
     """A bundle's superoperator less its commutator part ``-i[P + B, .]``.
 
@@ -443,7 +461,6 @@ def davies_distances_loop(model, phi, sigma: float, seed: int) -> list[float]:
     five seeded test operators and eigenbasis actions, each difference's
     norm from its own ``schatten_norm(., 1)``."""
     from gibbslab.generators import davies_generator, localised_generator
-    from gibbslab.operator_core import schatten_norm
     from gibbslab.weights import balanced_gamma, delocalised_limit_gamma
 
     rng = np.random.default_rng(seed)
@@ -599,6 +616,39 @@ def oft_eval_time_quadrature(
 # ---------------------------------------------------------------------------
 # QUADPACK evaluations of the scalar building blocks
 # ---------------------------------------------------------------------------
+
+
+# Where the profile checks sample: evenness and sign on a grid out to
+# |x| = 8, the tilted tail on a ladder out to |x| = 40.
+_PHI_EVEN_SAMPLES = np.linspace(0.25, 8.0, 32)
+_PHI_TAIL_SAMPLES = (8.0, 12.0, 17.0, 23.0, 30.0, 40.0)
+
+
+def profile_fault(fn) -> str | None:
+    """The first admissibility fault of an even-profile candidate ``phi``,
+    or ``None``: it must be finite and even on a sample grid, non-negative,
+    and ``phi(x) e^{|x|/4}`` must be finite and non-increasing on a ladder
+    out to ``|x| = 40`` (both signs).  The tail rule makes every
+    Gaussian-tilted integral of the derived weights converge and keeps the
+    smoothed sum factor bounded on any admissible spectrum; profiles with
+    polynomial or constant tails fail it."""
+    xs = _PHI_EVEN_SAMPLES
+    plus = np.asarray(fn(xs), dtype=np.float64)
+    minus = np.asarray(fn(-xs), dtype=np.float64)
+    if not (np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))):
+        return "is not finite on the test grid"
+    if np.any(np.abs(plus - minus) > 1e-12 * (1.0 + np.abs(plus))):
+        return "is not even"
+    if np.any(np.asarray(fn(np.concatenate([[0.0], xs, -xs])), dtype=np.float64) < 0.0):
+        return "is negative"
+    for sign in (1.0, -1.0):
+        ts = sign * np.asarray(_PHI_TAIL_SAMPLES)
+        tail = np.asarray(fn(ts), dtype=np.float64) * np.exp(np.abs(ts) / 4.0)
+        if not np.all(np.isfinite(tail)):
+            return "has a non-finite tilted tail"
+        if np.any(np.diff(tail) > 1e-9 * (1.0 + tail[:-1])):
+            return "decays too slowly"
+    return None
 
 
 def _split_points(weight, lo: float, hi: float, extra=(), min_gap: float = 0.0) -> list[float]:

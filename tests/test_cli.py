@@ -553,6 +553,45 @@ def test_malformed_numbers_exit_two_before_any_build(
     assert builds == []
 
 
+@pytest.mark.parametrize("command", ["verify-stationarity", "sweep-sigma", "evolve"])
+@pytest.mark.parametrize(
+    "phi_name", [5, None, ["gaussian"], "Gaussian"], ids=["number", "null", "list", "capitalised"]
+)
+def test_unknown_profile_name_exits_two_before_any_build(
+    tmp_path, monkeypatch, capsys, command, phi_name
+):
+    """``weight.phi_name`` is one of the library's profile names; anything
+    else is a usage error caught before the model is built."""
+    builds = []
+    for name in ("model_from_config", "localised_generator", "davies_generator"):
+        monkeypatch.setattr(gibbslab.cli, name, lambda *a, **k: builds.append(a))
+    payload = qubit_config(weight={"kind": "balanced", "phi_name": phi_name})
+    assert main([command, "--config", write_config(tmp_path, payload)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: unknown profile name {phi_name!r}; "
+        "known profiles: ['exp_abs', 'gaussian', 'sech']\n"
+    )
+    assert builds == []
+
+
+@pytest.mark.parametrize(
+    "model, kind",
+    [
+        ({"dim": 2, "spectrum": [0, 800]}, "glauber"),
+        ({"dim": 3, "spectrum": [0, 1, 800]}, "metropolis"),
+    ],
+    ids=["glauber", "metropolis"],
+)
+def test_wide_spectrum_davies_config_exits_two(tmp_path, capsys, model, kind):
+    """A detailed-balance config past the spectral-width cap is a usage
+    error with the filtered family's message, not a crash on a NaN check
+    value (it exited 5)."""
+    payload = {"model": {"name": "random", **model}, "weight": {"kind": kind}}
+    assert main(["verify-stationarity", "--config", write_config(tmp_path, payload)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: largest Bohr frequency 800 exceeds the supported range 600\n"
+
+
 _MALFORMED_SECTIONS = {
     "top-level-array": ([1, 2], "config"),
     "weight-text": ({"weight": "balanced"}, "weight"),

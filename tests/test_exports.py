@@ -42,20 +42,12 @@ PERFBENCH = REPO / "perfbench"
 ALLOWED_UNREACHED = {
     "decompose": "the paper's Bohr decomposition primitive, library API",
     "oft_eval": "the paper's filtered jump operator, library API",
-    "FILTER_SQUARED_MASS": "the factor pi that delocalised_limit_gamma carries",
-    "PHI_LIBRARY": "the profile names that weight.phi_name accepts",
-    "resolve_phi": "turns a profile name or callable into the profile every weight function reads",
-    "Trajectory": "return type of evolve",
-    "choi_matrix": "the reshuffle that every choi_* function reads",
-    "named_potential": "the potential key of a line model config",
-    "schatten_norm": "the Schatten p-norm of one operator, library API",
 }
 
 # Module exports that nothing in the package or a benchmark file names.
 ALLOWED_UNREACHED_MODULE_EXPORTS = {
     "bohr.decompose": ALLOWED_UNREACHED["decompose"],
     "oft.oft_eval": ALLOWED_UNREACHED["oft_eval"],
-    "operator_core.schatten_norm": ALLOWED_UNREACHED["schatten_norm"],
     "cli.decode_matrix": "the reader of --export-bundle files, library API",
 }
 

@@ -684,6 +684,29 @@ def test_davies_rejects_weight_violating_detailed_balance(dense_model):
     )
     with pytest.raises(ValidationError):
         davies_generator(dense_model, flat)
+    # A defect that is not a number is a violation too, not a pass.
+    undefined = WeightFunction(
+        kind="nan_control",
+        evaluate=lambda om: np.full(np.shape(om), np.nan),
+    )
+    with pytest.raises(ValidationError, match="violates detailed balance"):
+        davies_generator(dense_model, undefined)
+
+
+@pytest.mark.parametrize("spectrum", [(0.0, 800.0), (0.0, 1.0, 800.0)])
+def test_both_families_cap_the_spectral_width(spectrum):
+    """Past the width cap both families refuse the model with one message,
+    where the unfiltered one formed ``e^{800} * 0`` in its detailed-balance
+    check and passed on the NaN; just inside it both build."""
+    wide = random_model(dim=len(spectrum), seed=5, spectrum=spectrum)
+    for build in (
+        lambda m: davies_generator(m, kms_gamma("glauber")),
+        lambda m: davies_generator(m, kms_gamma("metropolis")),
+        lambda m: localised_generator(m, balanced_gamma("gaussian", 1.0), 1.0),
+    ):
+        with pytest.raises(ValidationError, match="largest Bohr frequency 800 exceeds"):
+            build(wide)
+        assert build(random_model(dim=2, seed=5, spectrum=(0.0, 599.0))).superoperator.size
 
 
 def test_bandwidth_mismatch_is_rejected(dense_model):

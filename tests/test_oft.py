@@ -29,6 +29,7 @@ from gibbslab.oft import oft_eval, overlap_table
 from gibbslab.weights import (
     MAX_BANDWIDTH,
     MIN_BANDWIDTH,
+    WeightFunction,
     balanced_gamma,
     delocalised_limit_gamma,
     smoothed_weight_table,
@@ -295,10 +296,10 @@ def test_cross_check_is_batched_and_never_reads_the_table_rule(dense_model, phi,
 
 
 def test_custom_profile_is_still_cross_checked(dense_model):
-    """A user profile has no closed form; its table is cross-checked all
-    the same."""
+    """The gaussian weight with its closed form removed is smoothed by
+    quadrature; its table is cross-checked all the same."""
     spectrum = bohr_spectrum(dense_model.eigensystem())
-    weight = balanced_gamma(lambda x: np.exp(-x**2), 0.9)
+    weight = dataclasses.replace(balanced_gamma("gaussian", 0.9), smoothed=None)
     table = overlap_table(spectrum, weight, 0.9)
     assert table.cross_check_entries > 0
     assert table.cross_check_evaluations > 0
@@ -342,6 +343,17 @@ def test_quadrature_failure_is_a_numerical_guard(dense_model, flaw, reason):
     assert reason in str(info.value)
 
 
+def _cosh_weight(sigma: float) -> WeightFunction:
+    """The balanced weight of the profile ``1/cosh(x)``, built by hand."""
+    shift = 0.25 * sigma * sigma
+
+    def evaluate(w):
+        a = np.abs(np.asarray(w, dtype=np.float64) + shift)
+        return 2.0 * np.exp(-0.5 * w - a) / (1.0 + np.exp(-2.0 * a))
+
+    return WeightFunction(kind="balanced_from_phi", evaluate=evaluate, sigma=sigma)
+
+
 ORACLE_MODELS = {
     "qubit": qubit_model(),
     "random4": random_model(dim=4, seed=5, spectrum=(1.0, 1.7, 3.1, 4.6)),
@@ -354,13 +366,15 @@ ORACLE_MODELS = {
 @pytest.mark.parametrize("model", sorted(ORACLE_MODELS))
 def test_definitional_entries_match_the_quadpack_oracle(model, sigma):
     """The batched rule agrees with QUADPACK to 1e-13 relative, for every
-    library profile and a user one, on the lowest frequency's diagonal
-    entry (the largest ``|w|``) and the closest pair of frequencies."""
+    library profile and a hand-built weight, on the lowest frequency's
+    diagonal entry (the largest ``|w|``) and the closest pair of
+    frequencies."""
     nus = bohr_spectrum(ORACLE_MODELS[model].eigensystem()).frequencies
     k = int(np.argmin(np.diff(nus)))
     pairs = [(float(nus[0]), float(nus[0])), (float(nus[k]), float(nus[k + 1]))]
-    for phi in ("gaussian", "sech", "exp_abs", lambda x: 1.0 / np.cosh(x)):
-        weight = balanced_gamma(phi, sigma)
+    weights = {phi: balanced_gamma(phi, sigma) for phi in ("gaussian", "sech", "exp_abs")}
+    weights["cosh"] = _cosh_weight(sigma)
+    for phi, weight in weights.items():
         got, evaluations = gibbslab.oft._definitional_entries(pairs, weight, sigma)
         assert 0 < evaluations <= 48 * gibbslab.oft._QUADRATURE_PANEL_CAP
         for (nu, nu_prime), value in zip(pairs, got):
@@ -390,20 +404,19 @@ def test_width_guard_rejects_oversized_spectrum():
 
 
 def test_bandwidth_guard_rejects_unresolved_filters():
-    """At the bound the Gauss-Hermite rule, run on a user profile equal to
-    the gaussian (which has no closed form), matches the gaussian's closed
-    form to roundoff; above it the table is refused (the rule is off by
-    1.3e-9 relative at sigma = 4 and 1.2e-4 at 6), and so it is below
-    ``MIN_BANDWIDTH``."""
+    """At the bound the Gauss-Hermite rule, run on the gaussian weight with
+    its closed form removed, matches the closed form to roundoff; above it
+    the table is refused (the rule is off by 1.3e-9 relative at sigma = 4
+    and 1.2e-4 at 6), and so it is below ``MIN_BANDWIDTH``."""
     spectrum = bohr_spectrum(qubit_model().eigensystem())
     s = MAX_BANDWIDTH
     centers = np.array([-1.0, 0.0, 1.0])
     closed = np.sqrt(np.pi * s * s / (1 + s * s)) * np.exp(
         (1 + 2 * s * s) / 16 - (centers + 0.25 + s * s / 4) ** 2 / (1 + s * s)
     )
-    user = balanced_gamma(lambda x: np.exp(-x**2), s)
-    assert smoothing_rule(user, s, centers) == "gauss_hermite"
-    got = smoothed_weight_table(user, s, centers)
+    quadrature = dataclasses.replace(balanced_gamma("gaussian", s), smoothed=None)
+    assert smoothing_rule(quadrature, s, centers) == "gauss_hermite"
+    got = smoothed_weight_table(quadrature, s, centers)
     assert np.max(np.abs(got / closed - 1.0)) < 1e-13
     overlap_table(spectrum, balanced_gamma("gaussian", s), s)
     for sigma in (np.nextafter(s, np.inf), 4.0, 20.0, np.nextafter(MIN_BANDWIDTH, 0.0), 1e-300):

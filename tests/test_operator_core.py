@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from gibbslab.errors import ValidationError
 from gibbslab.generators import _add_drift
@@ -14,7 +13,6 @@ from gibbslab.operator_core import (
     dagger,
     devectorize,
     eig_hermitian,
-    schatten_norm,
     vectorize,
 )
 
@@ -104,26 +102,27 @@ def test_basis_rotation_round_trip():
 
 
 def test_matrix_function_matches_expm():
+    """The Gibbs density through the spectrum is the normalised dense
+    matrix exponential."""
     rng = np.random.default_rng(5)
     h = _random_hermitian(rng, 5)
-    via_spectrum = eig_hermitian(h).function_of(lambda e: np.exp(-e))
-    via_expm = expm(-h)
-    assert np.linalg.norm(via_spectrum - via_expm) < 1e-11
+    via_spectrum = eig_hermitian(h).gibbs_state()
+    assert np.linalg.norm(via_spectrum - oracles.gibbs_expm(h)) < 1e-11
 
 
 def test_schatten_norms_against_numpy():
     rng = np.random.default_rng(6)
     a = _random_complex(rng, 5)
     singulars = np.linalg.svd(a, compute_uv=False)
-    assert schatten_norm(a, 1) == pytest.approx(np.sum(singulars), rel=1e-12)
-    assert schatten_norm(a, 2) == pytest.approx(np.linalg.norm(a), rel=1e-12)
-    assert schatten_norm(a, np.inf) == pytest.approx(singulars[0], rel=1e-12)
+    assert oracles.schatten_norm(a, 1) == pytest.approx(np.sum(singulars), rel=1e-12)
+    assert oracles.schatten_norm(a, 2) == pytest.approx(np.linalg.norm(a), rel=1e-12)
+    assert oracles.schatten_norm(a, np.inf) == pytest.approx(singulars[0], rel=1e-12)
 
 
 def test_schatten_monotone_in_p():
     rng = np.random.default_rng(8)
     a = _random_complex(rng, 4)
-    p1, p2, pinf = (schatten_norm(a, p) for p in (1, 2, np.inf))
+    p1, p2, pinf = (oracles.schatten_norm(a, p) for p in (1, 2, np.inf))
     assert p1 >= p2 >= pinf
 
 
@@ -132,7 +131,8 @@ def test_trace_distance_properties():
     a, b = _random_hermitian(rng, 4), _random_hermitian(rng, 4)
     assert oracles.trace_distance(a, a) == 0.0
     assert oracles.trace_distance(a, b) == pytest.approx(oracles.trace_distance(b, a), rel=1e-12)
-    assert oracles.trace_distance(a, b) == pytest.approx(0.5 * schatten_norm(a - b, 1), rel=1e-12)
+    half_trace_norm = 0.5 * oracles.schatten_norm(a - b, 1)
+    assert oracles.trace_distance(a, b) == pytest.approx(half_trace_norm, rel=1e-12)
 
 
 def test_dagger_is_conjugate_transpose():
@@ -146,4 +146,4 @@ def test_shape_validation():
     with pytest.raises(ValidationError):
         vectorize(np.zeros((2, 3)))
     with pytest.raises(ValidationError):
-        devectorize(np.zeros(5), None)
+        devectorize(np.zeros(5), 2)

@@ -7,6 +7,7 @@ the live oracle and that neither side has drifted from the pinned value.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gibbslab.generators
-import gibbslab.weights
 from gibbslab.bohr import bohr_spectrum
 from gibbslab.errors import ValidationError
 from gibbslab.models import schrodinger_line_model
@@ -25,7 +25,6 @@ from gibbslab.weights import (
     FILTER_SQUARED_MASS,
     PHI_LIBRARY,
     GaussianFilter,
-    PhiProfile,
     TIME_KERNEL_ENVELOPE_SCALE,
     WeightFunction,
     balanced_gamma,
@@ -170,17 +169,17 @@ def test_phi_profiles_are_even():
 
 @pytest.mark.parametrize("name", sorted(PHI_LIBRARY))
 def test_library_profiles_pass_the_profile_checks(name):
-    """A weight built from a library name skips the profile checks, which
-    run only on a caller's profile, so each library profile is held to
-    them here."""
-    gibbslab.weights._validate_phi(PHI_LIBRARY[name])
+    """Each library profile is even, non-negative and has a decaying
+    tilted tail (``oracles.profile_fault``)."""
+    assert oracles.profile_fault(PHI_LIBRARY[name].fn) is None
 
 
 def test_unknown_names_rejected():
     with pytest.raises(ValidationError):
         kms_gamma("arrhenius")
-    with pytest.raises(ValidationError):
-        balanced_gamma("lorentzian", 1.0)
+    for phi in ("lorentzian", "Gaussian", 5, None, ["gaussian"], PHI_LIBRARY["gaussian"].fn):
+        with pytest.raises(ValidationError, match="unknown profile name"):
+            balanced_gamma(phi, 1.0)
 
 
 def test_bad_bandwidth_rejected():
@@ -207,11 +206,10 @@ def _infinite_beyond_20(x):
     ids=["nan", "odd_part", "negative", "infinite_tail", "polynomial_tail"],
 )
 def test_inadmissible_user_profiles_rejected(phi, message):
-    """Each of the profile checks refuses a user callable, or a profile
-    built around it, naming the fault."""
-    for profile in (phi, PhiProfile("custom", phi)):
-        with pytest.raises(ValidationError, match=f"profile 'custom' {message}"):
-            balanced_gamma(profile, 1.0)
+    """Each of the profile checks that the library profiles are held to
+    refuses a profile that breaks it, naming the fault, so those checks can
+    fail."""
+    assert oracles.profile_fault(phi) == message
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +269,19 @@ def test_gaussian_closed_form_matches_quadpack(make, sigma):
 
 @SHIFT_FORMS
 def test_gaussian_closed_form_matches_gauss_hermite_on_line32(make):
-    """A user profile equal to the gaussian has no closed form and is
-    smoothed by the Gauss-Hermite rule; on every distinct midpoint the
-    overlap table of line32 reads, the two agree to roundoff."""
+    """The gaussian weight with its closed form removed is smoothed by the
+    Gauss-Hermite rule; on every distinct midpoint the overlap table of
+    line32 reads, the two agree to roundoff."""
     freqs = bohr_spectrum(schrodinger_line_model(32).eigensystem()).frequencies
     gaps = freqs[:, None] - freqs[None, :]
     mids = 0.5 * (freqs[:, None] + freqs[None, :])
     for sigma in CLOSED_FORM_SIGMAS:
         centers = np.unique(mids[np.square(gaps) <= 800.0 * sigma * sigma])
-        user = make(lambda x: np.exp(-x**2), sigma)
-        assert smoothing_rule(user, sigma, centers) == "gauss_hermite"
-        want = smoothed_weight_table(user, sigma, centers)
-        got = smoothed_weight_table(make("gaussian", sigma), sigma, centers)
+        closed = make("gaussian", sigma)
+        quadrature = dataclasses.replace(closed, smoothed=None)
+        assert smoothing_rule(quadrature, sigma, centers) == "gauss_hermite"
+        want = smoothed_weight_table(quadrature, sigma, centers)
+        got = smoothed_weight_table(closed, sigma, centers)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want), sigma
 
 
@@ -307,31 +306,37 @@ def test_smoothing_rule_follows_the_profile():
     assert smoothing_rule(balanced_gamma("gaussian", 0.9), 0.9, centers) == "closed_form"
     assert smoothing_rule(unshifted_gamma("gaussian", 0.9), 0.9, centers) == "closed_form"
     assert smoothing_rule(balanced_gamma("sech", 0.9), 0.9, centers) == "gauss_hermite"
-    custom = balanced_gamma(lambda x: np.exp(-x**2), 0.9)
-    assert custom.smoothed is None
-    assert smoothing_rule(custom, 0.9, centers) == "gauss_hermite"
+    quadrature = dataclasses.replace(balanced_gamma("gaussian", 0.9), smoothed=None)
+    assert smoothing_rule(quadrature, 0.9, centers) == "gauss_hermite"
     kinked = balanced_gamma("exp_abs", 0.9)
     assert smoothing_rule(kinked, 0.9, centers) == "panels"
     # Centers beyond reach of the kink are smoothed by Gauss-Hermite.
     assert smoothing_rule(kinked, 0.9, centers + 20.0) == "gauss_hermite"
 
 
+def _flat_top_weight(sigma: float) -> WeightFunction:
+    """The balanced weight of the flat-top profile ``e^{-max(|x|, a)}``,
+    ``a = 0.61803``, built by hand: kinked at both ends of the top."""
+    a, shift = 0.61803, 0.25 * sigma * sigma
+    return WeightFunction(
+        kind="balanced_from_phi",
+        evaluate=lambda w: np.exp(-0.5 * w - np.maximum(np.abs(w + shift), a)),
+        sigma=sigma,
+        breakpoints=(-a - shift, a - shift),
+    )
+
+
 @pytest.mark.parametrize(
-    "phi",
-    [
-        "exp_abs",
-        PhiProfile(
-            "flat_top", lambda x: np.exp(-np.maximum(np.abs(x), 0.61803)), (-0.61803, 0.61803)
-        ),
-    ],
+    "make",
+    [lambda sigma: balanced_gamma("exp_abs", sigma), _flat_top_weight],
     ids=["exp_abs", "two_kinks"],
 )
-def test_panel_smoothing_reads_only_the_windows(phi):
+def test_panel_smoothing_reads_only_the_windows(make):
     """Sparse centers at a small bandwidth: the lattice is built only where
     it meets a window, further kinks split their panels, and each center
     matches QUADPACK."""
     sigma = 0.001
-    weight = balanced_gamma(phi, sigma)
+    weight = make(sigma)
     centers = np.array([-30.0, -2.5, -0.61803, -0.01, 0.0, 0.0007, 0.61803, 1.2, 4.0, 25.0])
     assert smoothing_rule(weight, sigma, centers) == "panels"
     got = smoothed_weight_table(weight, sigma, centers)
