@@ -17,21 +17,22 @@ Four subcommands drive the library:
 
 ``selftest``
     Run a fixed battery of cross-checks, including a deliberate fault
-    injection that must be caught.  ``--tighten`` shrinks every tolerance
-    to demonstrate which checks sit close to their bounds.
+    injection that must be caught.
 
 Conventions shared by all commands: configs are JSON with a
 ``schema_version`` and unknown keys rejected at every level; reports echo
-the fully normalised config so a run can be reproduced from its own
-output; CSV artifacts carry ``#``-prefixed metadata lines, 17-significant-
-digit floats, LF line endings, and no timestamps, so identical inputs
-produce identical bytes (modulo the version metadata line).  Exit codes:
+the fully normalised config, the seed it ran with included, so a run can
+be reproduced from its own output; every check line carries a ``margin``,
+the share of its tolerance the value uses, and passes exactly when that
+margin is a number no greater than 1; CSV artifacts carry ``#``-prefixed
+metadata lines, 17-significant-digit floats, LF line endings, and no
+timestamps, so identical inputs produce identical bytes (modulo the
+version metadata line).  Exit codes:
 0 all checks passed, 1 at least one check failed, 2 usage or config
 error (a config file that is not UTF-8 text or nests too deeply to read,
 a section that is not a JSON object, a value that is not a number
 where one belongs, a negative seed, or an output, report or export path
-that cannot be written, included), 3 (selftest with ``--tighten``) only
-the expected tightened checks failed, 4 a numerical guard fired (an
+that cannot be written, included), 4 a numerical guard fired (an
 overlap table disagreed with its batched Gauss-Legendre cross-check, that
 quadrature failed, a step exponential of an evolution was not finite, or
 a model's generator and jumps would not fit in the host's physical
@@ -101,7 +102,6 @@ from .weights import (
 __all__ = [
     "EXIT_CHECK_FAILURE",
     "EXIT_CRASH",
-    "EXIT_EXPECTED_FAILURES",
     "EXIT_NUMERICAL_GUARD",
     "EXIT_OK",
     "EXIT_USAGE",
@@ -121,7 +121,6 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
-EXIT_EXPECTED_FAILURES = 3
 EXIT_NUMERICAL_GUARD = 4
 EXIT_CRASH = 5
 
@@ -373,19 +372,31 @@ def build_generator(config: dict, model: Model | None = None) -> GeneratorBundle
 
 def _check(name: str, value: float, tolerance: float, mode: str) -> dict:
     """One pass/fail line.  Modes: ``upper`` passes when value <= tolerance,
-    ``lower`` when value >= tolerance, ``floor`` when value >= -tolerance."""
-    if mode == "upper":
-        passed = value <= tolerance
-    elif mode == "lower":
-        passed = value >= tolerance
+    ``lower`` when value >= tolerance, ``floor`` when value >= -tolerance.
+
+    Its ``margin`` is the share of the tolerance the value uses:
+    value / tolerance (upper), -value / tolerance (floor) or tolerance /
+    value (lower; ``None`` when the value is not positive), a ratio past
+    the largest double reading as that double.  Division rounds
+    monotonically, and the quotient of two doubles rounds to 1 only when
+    they are equal, so the line passes exactly when its margin is a number
+    no greater than 1; ``1 / margin`` is the factor by which the tolerance
+    could shrink before the line failed.
+    """
+    value, tolerance = float(value), float(tolerance)
+    if mode == "lower":
+        margin = tolerance / value if value > 0.0 else None
     else:
-        passed = value >= -tolerance
+        margin = (value if mode == "upper" else -value) / tolerance
+    if margin is not None and math.isinf(margin):
+        margin = math.copysign(sys.float_info.max, margin)
     return {
         "name": name,
-        "value": float(value),
-        "tolerance": float(tolerance),
+        "value": value,
+        "tolerance": tolerance,
         "mode": mode,
-        "pass": bool(passed),
+        "margin": margin,
+        "pass": margin is not None and margin <= 1.0,
     }
 
 
@@ -567,15 +578,6 @@ def _timing(started: float, stages: dict | None) -> dict:
     return timing
 
 
-def _tightened(check: dict, factor: float) -> dict:
-    tightened = _check(
-        check["name"], check["value"], check["tolerance"] / factor, check["mode"]
-    )
-    tightened["standard_tolerance"] = check["tolerance"]
-    tightened["pass_at_standard"] = check["pass"]
-    return tightened
-
-
 def _finish(args, config: dict | None, seed: int, started: float, result: tuple) -> int:
     """Write a command's ``result`` and return its exit code.
 
@@ -583,14 +585,9 @@ def _finish(args, config: dict | None, seed: int, started: float, result: tuple)
     report's ``data`` section, the timed stages, and the data table's text
     (``None`` for a command without one).  The artifact goes to ``--out``,
     else ``output.path``, else stdout, before the report goes to
-    ``--report``.  Under ``--tighten`` each check is held to its tolerance
-    over the factor, and a run whose only failures are those tightened
-    checks exits 3.
+    ``--report``.
     """
     checks, data, stages, artifact = result
-    factor = getattr(args, "tighten", None)
-    if factor is not None:
-        checks = [_tightened(c, factor) for c in checks]
     if artifact is not None:
         _write_text(args.out or config["output"].get("path"), artifact)
     report = {
@@ -604,17 +601,8 @@ def _finish(args, config: dict | None, seed: int, started: float, result: tuple)
     }
     if data:
         report["data"] = data
-    if factor is not None:
-        report["tighten_factor"] = factor
-        report["expected_failures"] = [
-            c["name"] for c in checks if not c["pass"] and c["pass_at_standard"]
-        ]
     _write_text(args.report, render_report(report))
-    if report["overall_pass"]:
-        return EXIT_OK
-    if factor is not None and all(c["pass"] or c["pass_at_standard"] for c in checks):
-        return EXIT_EXPECTED_FAILURES
-    return EXIT_CHECK_FAILURE
+    return EXIT_OK if report["overall_pass"] else EXIT_CHECK_FAILURE
 
 
 def _model_with_frame(config: dict) -> tuple[Model, dict]:
@@ -822,13 +810,9 @@ def cmd_evolve(config: dict, args, seed: int) -> tuple:
 
 
 def cmd_selftest(config: None, args, seed: int) -> tuple:
-    """Fixed cross-check battery; ``--tighten`` stresses the tolerances.
-    Its stages are the seconds spent in each check group (``davies_s``,
-    ``filtered_s``, ``dual_path_s``, ``calibration_s``, ``evolution_s``),
-    summed over the group's runs."""
-    factor = args.tighten
-    if factor is not None and not (math.isfinite(factor) and factor > 1.0):
-        raise ValidationError(f"--tighten expects a finite factor > 1, got {factor!r}")
+    """Fixed cross-check battery.  Its stages are the seconds spent in each
+    check group (``davies_s``, ``filtered_s``, ``dual_path_s``,
+    ``calibration_s``, ``evolution_s``), summed over the group's runs."""
     stages: dict[str, float] = {}
 
     @contextmanager
@@ -999,11 +983,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest", help="fixed cross-check battery")
     p_self.add_argument("--seed", type=int, help="seed for the random probes")
     p_self.add_argument("--report", help="write the run report here instead of stdout")
-    p_self.add_argument(
-        "--tighten",
-        type=float,
-        help="divide every tolerance by this factor to stress the battery",
-    )
     return parser
 
 
@@ -1017,6 +996,9 @@ def main(argv=None) -> int:
         config = None if args.command == "selftest" else _load_config(args.config, args.command)
         if seed is None:
             seed = 2024 if config is None else config["run"]["seeds"][0]
+        elif config is not None:
+            # Written into the config, which the report echoes.
+            config["run"]["seeds"] = [seed]
         # Each ``cmd_*`` returns the result that ``_finish`` writes.  It is
         # looked up when it runs, so a wrapper installed on the module
         # attribute is the command that runs.

@@ -509,12 +509,22 @@ _MODEL_BUILDERS: dict[str, tuple[tuple[str, ...], Callable[[dict], Model]]] = {
 
 
 def _potential_from_params(params: dict):
+    """The grid potential of a line or torus config: its ``potential_values``,
+    else its named ``potential`` times ``potential_coefficient``, else the
+    builder's default.  A key the chosen form would not read is refused."""
     if "potential_values" in params:
+        unread = [f"model.{k}" for k in ("potential", "potential_coefficient") if k in params]
+        if unread:
+            raise ValidationError(
+                f"model.potential_values gives the potential itself; drop {', '.join(unread)}"
+            )
         return _numbers(params, "potential_values")
     if "potential" in params:
         return named_potential(
             str(params["potential"]), _param(params, "potential_coefficient", 1.0)
         )
+    if "potential_coefficient" in params:
+        raise ValidationError("model.potential_coefficient needs a named model.potential")
     return None
 
 

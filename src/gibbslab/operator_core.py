@@ -62,10 +62,6 @@ class EigenSystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         """Return ``U diag(E) U^dag``."""
         u = self.eigenvectors

@@ -26,7 +26,6 @@ import gibbslab.weights
 from gibbslab.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_CRASH,
-    EXIT_EXPECTED_FAILURES,
     EXIT_NUMERICAL_GUARD,
     EXIT_OK,
     EXIT_USAGE,
@@ -48,6 +47,9 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+_RANDOM4 = {"name": "random", "dim": 4, "seed": 5, "spectrum": [1.0, 1.7, 3.1, 4.6]}
 
 
 def qubit_config(**overrides):
@@ -229,7 +231,7 @@ def rotations(monkeypatch):
     original = gibbslab.generators._rotate_superop
 
     def counting(*args):
-        calls.append(args[0].dim)
+        calls.append(args[0].eigenvalues.size)
         return original(*args)
 
     monkeypatch.setattr(gibbslab.generators, "_rotate_superop", counting)
@@ -518,7 +520,6 @@ def test_unresolvable_bandwidth_exits_two_before_any_build(
         ("verify-stationarity", qubit_config(model={"name": "line", "jump_coefficients": ["a", 1]})),
         ("verify-stationarity", qubit_config(model={"name": "line", "jump_coefficients": [1]})),
         ("verify-stationarity", qubit_config(model={"name": "torus", "jump_coefficients": []})),
-        ("selftest", None),
         ("verify-stationarity", qubit_config(model={"name": "line", "n_grid": 16.7})),
         ("verify-stationarity", qubit_config(model={"name": "oscillator", "dim": "6"})),
         ("verify-stationarity", qubit_config(weight={"kind": "balanced", "sigma": True})),
@@ -527,9 +528,8 @@ def test_unresolvable_bandwidth_exits_two_before_any_build(
     ],
     ids=[
         "seed-text", "time-text", "time-nan", "time-infinity", "model-dim-text",
-        "model-list-text", "line-jumps-short", "torus-jumps-empty", "tighten-nan",
-        "n-grid-fraction", "dim-numeric-text", "sigma-boolean", "sigma-numeric-text",
-        "seed-fraction",
+        "model-list-text", "line-jumps-short", "torus-jumps-empty", "n-grid-fraction",
+        "dim-numeric-text", "sigma-boolean", "sigma-numeric-text", "seed-fraction",
     ],
 )
 def test_malformed_numbers_exit_two_before_any_build(
@@ -542,15 +542,71 @@ def test_malformed_numbers_exit_two_before_any_build(
     builds = []
     for name in ("localised_generator", "davies_generator"):
         monkeypatch.setattr(gibbslab.cli, name, lambda *a, **k: builds.append(a))
-    if payload is None:
-        argv = [command, "--tighten", "nan"]
-    else:
-        argv = [command, "--config", write_config(tmp_path, payload)]
-    assert main(argv) == EXIT_USAGE
+    assert main([command, "--config", write_config(tmp_path, payload)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert builds == []
+
+
+_REFUSED_POTENTIALS = {
+    "line-coefficient-alone": (
+        {"name": "line", "potential_coefficient": 2.0},
+        "model.potential_coefficient needs a named model.potential",
+    ),
+    "torus-coefficient-alone": (
+        {"name": "torus", "potential_coefficient": 5.0},
+        "model.potential_coefficient needs a named model.potential",
+    ),
+    "line-values-and-named": (
+        {
+            "name": "line",
+            "potential": "quartic",
+            "potential_coefficient": 3.0,
+            "potential_values": [1.0] * 16,
+        },
+        "model.potential_values gives the potential itself; "
+        "drop model.potential, model.potential_coefficient",
+    ),
+    "torus-values-and-coefficient": (
+        {"name": "torus", "potential_coefficient": 3.0, "potential_values": [0, 1] * 6},
+        "model.potential_values gives the potential itself; drop model.potential_coefficient",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["verify-stationarity", "sweep-sigma", "evolve"])
+@pytest.mark.parametrize("case", list(_REFUSED_POTENTIALS))
+def test_unread_potential_keys_exit_two_before_any_build(
+    tmp_path, monkeypatch, capsys, command, case
+):
+    """A potential key the model would not read is refused, naming the
+    keys: a coefficient without a named potential ran the default
+    potential, and values beside a named potential or a coefficient ran
+    the values alone, each with exit 0."""
+    model, message = _REFUSED_POTENTIALS[case]
+    builds = []
+    for name in ("localised_generator", "davies_generator"):
+        monkeypatch.setattr(gibbslab.cli, name, lambda *a, **k: builds.append(a))
+    payload = qubit_config(model=model)
+    assert main([command, "--config", write_config(tmp_path, payload)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert builds == []
+
+
+def test_each_potential_form_reaches_the_model():
+    """The forms that are accepted are read: a named potential's
+    coefficient, and values in place of the default potential."""
+    def hamiltonian(**params):
+        return model_from_config(params).hamiltonian
+
+    quartic = {"name": "line", "potential": "quartic"}
+    assert not np.array_equal(
+        hamiltonian(**quartic, potential_coefficient=3.0), hamiltonian(**quartic)
+    )
+    assert not np.array_equal(
+        hamiltonian(name="torus", potential_values=[0, 1] * 6), hamiltonian(name="torus")
+    )
 
 
 @pytest.mark.parametrize("command", ["verify-stationarity", "sweep-sigma", "evolve"])
@@ -830,7 +886,7 @@ def test_main_parses_each_call_afresh(tmp_path, monkeypatch):
         verify + ["--seed", "3", "--check", "trace_functional", "--negative-control"],
         ["sweep-sigma", "--config", config, "--out", "table.csv"],
         verify,
-        ["selftest", "--tighten", "10"],
+        ["selftest", "--seed", "10"],
         ["selftest"],
     ]
     for argv in calls:
@@ -845,12 +901,12 @@ def test_main_parses_each_call_afresh(tmp_path, monkeypatch):
         "export_bundle": None,
     }
     flagged_verify = {**plain_verify, "seed": 3, "check": "trace_functional", "negative_control": True}
-    plain_selftest = {"command": "selftest", "seed": None, "report": None, "tighten": None}
+    plain_selftest = {"command": "selftest", "seed": None, "report": None}
     assert seen == [
         ("cmd_verify_stationarity", flagged_verify),
         ("cmd_sweep_sigma", {"command": "sweep-sigma", **common, "out": "table.csv"}),
         ("cmd_verify_stationarity", plain_verify),
-        ("cmd_selftest", {**plain_selftest, "tighten": 10.0}),
+        ("cmd_selftest", {**plain_selftest, "seed": 10}),
         ("cmd_selftest", plain_selftest),
     ]
 
@@ -1059,6 +1115,38 @@ def test_evolve_seeded_random_state_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command, run, artifact",
+    [
+        ("verify-stationarity", {}, False),
+        ("sweep-sigma", {"sigma_sweep": [1.0, 0.5]}, True),
+        ("evolve", {"times": [0.0, 1.0], "initial_state": "random"}, True),
+    ],
+    ids=["verify", "sweep", "evolve-random"],
+)
+def test_seeded_report_reproduces_from_its_echoed_config(tmp_path, command, run, artifact):
+    """Under ``--seed`` the report echoes the seed it ran with, so its
+    config alone reproduces the report outside ``timing`` (it echoed the
+    config's seed, and random4's Hermiticity check moved from 2.8188e-16 to
+    3.3059e-16 when the echo was run)."""
+    payload = qubit_config(model=_RANDOM4, run=run)
+    codes, reports, tables = [], [], []
+    for k, extra in enumerate((["--seed", "77"], [])):
+        config = write_config(tmp_path, payload, f"config{k}.json")
+        argv = [command, "--config", config, "--report", str(tmp_path / f"r{k}.json")]
+        if artifact:
+            argv += ["--out", str(tmp_path / f"t{k}.csv")]
+            tables.append(tmp_path / f"t{k}.csv")
+        codes.append(main(argv + extra))
+        report = json.loads((tmp_path / f"r{k}.json").read_text())
+        report["timing"] = None
+        reports.append(report)
+        payload = report["config"]
+    assert reports[0]["config"]["run"]["seeds"] == [77]
+    assert codes[0] == codes[1] and reports[0] == reports[1]
+    assert len({t.read_bytes() for t in tables}) == (1 if artifact else 0)
+
+
 # ---------------------------------------------------------------------------
 # Bundle export
 # ---------------------------------------------------------------------------
@@ -1161,18 +1249,117 @@ def test_selftest_times_each_group_and_builds_the_qubit_once(tmp_path, monkeypat
     assert sum(stages.values()) <= timing["elapsed_seconds"]
 
 
-def test_selftest_tighten_reports_expected_failures(tmp_path):
-    report_path = tmp_path / "tight.json"
-    code = main(["selftest", "--tighten", "1e3", "--report", str(report_path)])
+def test_selftest_tighten_is_a_usage_error(capsys):
+    """The margin on every check line says how far each tolerance could
+    shrink, so ``selftest`` takes no ``--tighten`` factor: argparse refuses
+    it as an unknown argument."""
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--tighten", "10"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --tighten 10" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Check lines
+# ---------------------------------------------------------------------------
+
+_MODE_HOLDS = {
+    "upper": lambda value, tolerance: value <= tolerance,
+    "lower": lambda value, tolerance: value >= tolerance,
+    "floor": lambda value, tolerance: value >= -tolerance,
+}
+
+
+def _passes_by_margin(line: dict) -> bool:
+    return line["margin"] is not None and line["margin"] <= 1
+
+
+@pytest.mark.parametrize("tolerance", [5e-324, 1e-12, 1e-3, 1.0, 3.0])
+@pytest.mark.parametrize("mode", ["upper", "lower", "floor"])
+def test_check_passes_exactly_when_its_margin_is_at_most_one(mode, tolerance):
+    """At the mode's edge (the tolerance, or its negative for ``floor``) and
+    at the doubles either side of it, a line passes exactly when its margin
+    is at most 1, which is when the mode's comparison holds; at the edge
+    the margin is 1."""
+    edge = -tolerance if mode == "floor" else tolerance
+    for value in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+        line = gibbslab.cli._check("probe", value, tolerance, mode)
+        assert line["pass"] is bool(_MODE_HOLDS[mode](value, tolerance))
+        assert line["pass"] == _passes_by_margin(line)
+    assert gibbslab.cli._check("probe", edge, tolerance, mode)["margin"] == 1.0
+
+
+@given(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.sampled_from(sorted(_MODE_HOLDS)),
+)
+def test_margin_agrees_with_the_mode_and_renders(value, tolerance, mode):
+    """For any finite value and positive tolerance the margin decides the
+    same verdict as the mode's comparison, and it renders under
+    ``allow_nan=False``: a ratio past the largest double reads as it."""
+    line = gibbslab.cli._check("probe", value, tolerance, mode)
+    assert line["pass"] is bool(_MODE_HOLDS[mode](value, tolerance))
+    assert line["pass"] == _passes_by_margin(line)
+    assert json.loads(render_report(line)) == line
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -5e-324, -2.0])
+def test_lower_check_at_or_below_zero_has_no_margin_and_fails(value):
+    line = gibbslab.cli._check("fault_injection_detected", value, 1e-3, "lower")
+    assert line["margin"] is None and line["pass"] is False
+    assert '"margin": null' in render_report(line)
+
+
+def test_margin_is_the_share_of_the_tolerance_used():
+    check = gibbslab.cli._check
+    assert check("a", 2.5e-13, 1e-12, "upper")["margin"] == 0.25
+    assert check("b", -2.5e-13, 1e-12, "upper")["margin"] == -0.25
+    assert check("c", -5e-9, 1e-8, "floor")["margin"] == 0.5
+    assert check("d", 0.25, 1e-3, "lower")["margin"] == 0.004
+
+
+@pytest.mark.parametrize(
+    "argv, payload, code",
+    [
+        (["verify-stationarity"], qubit_config(), EXIT_OK),
+        (["verify-stationarity", "--negative-control"], qubit_config(), EXIT_OK),
+        (["verify-stationarity"], {"model": _RANDOM4, "weight": {"kind": "metropolis"}}, EXIT_OK),
+        (["sweep-sigma"], qubit_config(run={"sigma_sweep": [1.0, 0.5]}), EXIT_OK),
+        (["evolve"], qubit_config(run={"times": [0.0, 20.0]}), EXIT_OK),
+        (["evolve"], qubit_config(model=_RANDOM4), EXIT_CHECK_FAILURE),
+        (
+            ["evolve"],
+            qubit_config(
+                run={
+                    "times": [0.0, 20.0],
+                    "initial_state": "maximally_mixed",
+                    "tolerances": {"min_eigenvalue": 5e-324},
+                }
+            ),
+            EXIT_OK,
+        ),
+        (["selftest"], None, EXIT_OK),
+    ],
+    ids=["verify", "verify-negative-control", "verify-davies", "sweep", "evolve",
+         "evolve-failing", "evolve-overflowing-margin", "selftest"],
+)
+def test_every_check_line_carries_its_margin(tmp_path, argv, payload, code):
+    """Each command's check lines, passing and failing, carry a margin that
+    decides their verdict, and the report renders with ``allow_nan=False``."""
+    report_path = tmp_path / "r.json"
+    argv = argv + ["--report", str(report_path)]
+    if payload is not None:
+        argv += ["--config", write_config(tmp_path, payload)]
+    if argv[0] in ("sweep-sigma", "evolve"):
+        argv += ["--out", str(tmp_path / "t.csv")]
+    assert main(argv) == code
     report = json.loads(report_path.read_text())
-    failures = [c for c in report["checks"] if not c["pass"]]
-    if failures:
-        assert code == EXIT_EXPECTED_FAILURES
-        assert all(c.get("pass_at_standard") for c in failures)
-        assert report["expected_failures"] == [c["name"] for c in failures]
-    else:
-        assert code == EXIT_OK
-    assert main(["selftest", "--tighten", "0.5"]) == EXIT_USAGE
+    assert report["checks"]
+    for line in report["checks"]:
+        assert set(line) == {"name", "value", "tolerance", "mode", "margin", "pass"}
+        assert line["pass"] == _passes_by_margin(line)
+    assert render_report(report) == report_path.read_text()
 
 
 # ---------------------------------------------------------------------------
