@@ -297,8 +297,8 @@ def normalised_config(config: dict | None, command: str) -> dict:
         run["times"] = times
     if command == "sweep-sigma" or "sigma_sweep" in run:
         sweep = _run_list(run, "sigma_sweep", _DEFAULT_SWEEP, _as_bandwidth)
-        if any(b >= a for a, b in zip(sweep[:-1], sweep[1:])):
-            raise ValidationError("run.sigma_sweep must be strictly decreasing")
+        if not sweep or any(b >= a for a, b in zip(sweep[:-1], sweep[1:])):
+            raise ValidationError("run.sigma_sweep must be non-empty, strictly decreasing")
         run["sigma_sweep"] = sweep
     run["seeds"] = _run_list(run, "seeds", [2024], _as_seed)
     if len(run["seeds"]) != 1:

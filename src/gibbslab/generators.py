@@ -47,10 +47,10 @@ overlap table: it puts its own quadrature nodes ``w_n`` with weights
 ``gw_n = gamma(w_n) q_n`` (``q_n`` the panel rule's weights) on the filtered
 transform and contracts the node-sum table
 ``K(nu, nu') = sum_n gw_n fhat(w_n - nu) fhat(w_n - nu')`` in place of
-``G``.  Its nodes sit on the window lattice of the panel smoothing of ``H``,
-laid about the Bohr frequencies only, so their count does not grow as
-``sigma`` falls.  ``K`` is a Gram table, so the sum is completely positive by
-construction.  Since the two paths share the contraction, the rotation and
+``G``.  Its nodes sit on a kink-aligned window lattice laid about the Bohr
+frequencies only, so their count does not grow as ``sigma`` falls, and
+``G``, in closed form or on Gauss-Hermite nodes, shares none of them.
+``K`` is a Gram table, so the sum is completely positive by construction.  Since the two paths share the contraction, the rotation and
 the coherent matrix, they can differ only in their tables, and the
 standing consistency check compares ``G`` with ``K`` directly.
 """

@@ -114,7 +114,7 @@ class OverlapTable:
         values: real symmetric ``(m, m)`` array of couplings.
         coherent: complex ``(m, m)`` array of coherent pair coefficients.
         smoothing_rule: the rule that evaluated the smoothed weight,
-            ``closed_form``, ``gauss_hermite`` or ``panels``
+            ``closed_form`` or ``gauss_hermite``
             (:func:`gibbslab.weights.smoothing_rule`).
         cross_check_defect: worst relative disagreement of the sampled
             entries against direct definitional quadrature (recorded at
@@ -402,9 +402,9 @@ def overlap_table(
     raises :class:`NumericalGuardError`, signalling a regression in either
     path.  Bandwidths above ``MAX_BANDWIDTH``, where the Gauss-Hermite rule
     no longer resolves the weight, or below ``MIN_BANDWIDTH``, where the
-    rounding of absolute quadrature nodes reaches the cross-check tolerance,
-    raise :class:`ValidationError`.  The table records which rule smoothed
-    the weight as ``smoothing_rule``.
+    rounding of the node sum's absolute nodes reaches its tolerance, raise
+    :class:`ValidationError`.  The table records which rule smoothed the
+    weight as ``smoothing_rule``.
     """
     _require_bandwidth(sigma)
     if not MIN_BANDWIDTH <= sigma <= MAX_BANDWIDTH:
@@ -487,7 +487,7 @@ def overlap_table(
         spectrum=spectrum,
         values=values,
         coherent=coherent,
-        smoothing_rule=smoothing_rule(weight, sigma, uniq_centers),
+        smoothing_rule=smoothing_rule(weight),
         cross_check_defect=defect,
         cross_check_entries=len(pairs),
         cross_check_evaluations=evaluations,

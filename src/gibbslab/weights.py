@@ -32,11 +32,12 @@ This module owns every scalar ingredient of the generator assembly:
 
   the single quadrature family from which the overlap couplings and the
   coherent couplings are both built.  Balance of the weight is equivalent to
-  ``H(c) = e^{-c} H(-c)``.  For the library ``gaussian`` profile ``H`` has a
-  closed form, which its balanced and unshifted weights carry as
+  ``H(c) = e^{-c} H(-c)``.  The library ``gaussian`` and ``exp_abs``
+  profiles carry ``H`` in closed form, which their weights hold as
   ``WeightFunction.smoothed`` and :func:`smoothed_weight_table` returns;
-  every other weight is integrated by the quadrature recipe below, and
-  :func:`smoothing_rule` names which rule a table used.
+  ``sech`` is integrated by the Gauss-Hermite rule below, a weight with
+  breakpoints and no closed form is refused, and :func:`smoothing_rule`
+  names which rule a table used.
 
 * Coherent-term kernels: the odd difference factor, the matching
   time-domain kernel and envelope, and the closed-form ``L^1`` mass of the
@@ -44,12 +45,11 @@ This module owns every scalar ingredient of the generator assembly:
 
 * One fixed quadrature recipe, named by four constants: the shifted
   Gauss-Hermite rule of order :data:`HERMITE_ORDER` for smooth integrands;
-  kink-aligned Gauss-Legendre panels of :data:`PANEL_ORDER` nodes and width
-  :data:`PANEL_WIDTH_FRACTION` times ``sigma`` when the weight has
-  breakpoints; and a window of :data:`WINDOW_RADIUS` widths about each
-  center, laid as one window lattice that also carries the node sum of the
-  ``omega_quadrature`` generator path.  The independent QUADPACK references
-  for every scalar quantity live with the tests, not here.
+  and the kink-aligned Gauss-Legendre panels of :data:`PANEL_ORDER` nodes
+  and width :data:`PANEL_WIDTH_FRACTION` times ``sigma`` that carry the node
+  sum of the ``omega_quadrature`` generator path, laid within
+  :data:`WINDOW_RADIUS` widths of each Bohr frequency.  The independent
+  QUADPACK references for every scalar quantity live with the tests.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erf, expit
+from scipy.special import erf, erfc, erfcx, expit
 
 from .errors import ValidationError
 
@@ -121,8 +121,8 @@ TIME_KERNEL_SPECTRAL_SCALE = 1.0 / math.sqrt(2.0 * math.pi)
 MAX_SPECTRAL_WIDTH = 600.0
 
 #: Largest admissible filter bandwidth, for every weight.  It guards the
-#: Gauss-Hermite rule that smooths the sech profile (the gaussian profile is
-#: smoothed in closed form): that rule integrates against a Gaussian of
+#: Gauss-Hermite rule that smooths the sech profile (the others are smoothed
+#: in closed form): that rule integrates against a Gaussian of
 #: width sigma, which outgrows the weight's own body as sigma rises.  Run
 #: on the gaussian weight with its closed form removed
 #: (``replace(balanced_gamma("gaussian", sigma), smoothed=None)``), the
@@ -131,10 +131,12 @@ MAX_SPECTRAL_WIDTH = 600.0
 #: passes its stationarity check up to sigma = 3.5.
 MAX_BANDWIDTH = 3.0
 
-#: Smallest admissible filter bandwidth, for every weight.  The quadratures
-#: place their nodes at absolute frequencies, whose rounding grows relative to
+#: Smallest admissible filter bandwidth, for every weight.  The node sum's
+#: lattice sits at absolute frequencies, whose rounding grows relative to
 #: ``sigma`` as it falls: the library profiles pass every verify check at
-#: 1e-6, and at 1e-7 the exp_abs tables miss their 1e-8 cross-check.
+#: 1e-6 (sech's dual path reads 5.3e-9 at width 599), and at 3e-7 sech's
+#: dual path misses its 1e-8 tolerance.  The overlap tables stay within
+#: 6e-16 of their definitional entries down to 1e-7.
 MIN_BANDWIDTH = 1e-6
 
 #: Order of the shifted Gauss-Hermite rule used when the weight is smooth.
@@ -216,8 +218,9 @@ class WeightFunction:
     phi_name:
         Name of the even profile used, if any.
     breakpoints:
-        Points where ``gamma`` is continuous but not smooth; every quadrature
-        in the package splits its panels there.
+        Points where ``gamma`` is continuous but not smooth.  A weight with
+        breakpoints must carry ``smoothed``; the node sum's panels are
+        aligned with the first.
     smoothed:
         The Gaussian smoothing ``(sigma, centers) -> H(centers)`` of this
         weight in closed form, which :func:`smoothed_weight_table` returns
@@ -239,15 +242,38 @@ class WeightFunction:
 
 @dataclass(frozen=True)
 class PhiProfile:
-    """A library profile: a named even ``phi >= 0`` with its non-smooth points."""
+    """A library profile: a named even ``phi >= 0``, its non-smooth points,
+    and ``closed_form``, ``shift -> smoothed`` for the weight
+    ``e^{-w/2} phi(w + shift)``, where ``H`` has one."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     breakpoints: tuple[float, ...] = ()
+    closed_form: Callable[[float], Callable[[float, np.ndarray], np.ndarray]] | None = None
 
 
 def _phi_gaussian(x):
     return np.exp(-np.square(x))
+
+
+def _gaussian_smoothed(shift: float) -> Callable:
+    """Closed-form ``H`` of ``e^{-w/2} e^{-(w + shift)^2}``.
+
+    The tilt folds into the Gaussian, ``e^{-w/2 - (w + s)^2} = e^{(1 + 8s)/16}
+    e^{-(w + s + 1/4)^2}``, and Gaussians of widths 1 and ``sigma`` convolve
+    to one of width ``sqrt(1 + sigma^2)``.  Written in this completed-square
+    form only: expanding the square cancels (about 1e-10 lost at
+    ``sigma = 0.05``).
+    """
+    peak = 0.25 + shift
+    log_front = (1.0 + 8.0 * shift) / 16.0
+
+    def smoothed(sigma, centers):
+        var = sigma * sigma
+        y = np.asarray(centers, dtype=np.float64) + peak
+        return math.sqrt(math.pi * var / (1.0 + var)) * np.exp(log_front - y * y / (1.0 + var))
+
+    return smoothed
 
 
 def _phi_sech(x):
@@ -260,10 +286,47 @@ def _phi_exp_abs(x):
     return np.exp(-np.abs(x))
 
 
+def _exp_abs_smoothed(shift: float) -> Callable:
+    """Closed-form ``H`` of ``e^{-w/2} e^{-|w + shift|}``.
+
+    With ``a = c + shift`` and ``u = w + shift`` the integrand is
+    ``e^{shift/2} e^{-u/2 - |u|} e^{-(u - a)^2/sigma^2}``.  Completing the
+    square on each side of the kink ``u = 0`` gives
+    ``H = e^{shift/2} (sigma sqrt(pi)/2) (R + L)`` with
+    ``R = e^{9 sigma^2/16 - 3a/2} erfc(b_R)``, ``b_R = (3 sigma^2/4 - a)/sigma``
+    (``u > 0``), and ``L = e^{sigma^2/16 + a/2} erfc(b_L)``,
+    ``b_L = (a + sigma^2/4)/sigma``.  Both terms are positive, so nothing
+    cancels.  Where a term's ``b`` is negative its exponential is below 1;
+    elsewhere the exponential can overflow while ``erfc`` underflows, so the
+    term is written ``erfcx(b) e^{-a^2/sigma^2}``, the same value.
+    """
+    front = math.exp(0.5 * shift) * 0.5 * math.sqrt(math.pi)
+
+    def smoothed(sigma, centers):
+        var = sigma * sigma
+        a = np.asarray(centers, dtype=np.float64) + shift
+        gauss = np.exp(-np.square(a / sigma))
+        total = np.zeros_like(a)
+        for b, log_scale in (
+            ((0.75 * var - a) / sigma, 0.5625 * var - 1.5 * a),
+            ((a + 0.25 * var) / sigma, 0.0625 * var + 0.5 * a),
+        ):
+            total += np.where(
+                b < 0.0,
+                np.exp(np.minimum(log_scale, 0.0)) * erfc(b),
+                erfcx(np.maximum(b, 0.0)) * gauss,
+            )
+        return front * sigma * total
+
+    return smoothed
+
+
 PHI_LIBRARY: dict[str, PhiProfile] = {
-    "gaussian": PhiProfile("gaussian", _phi_gaussian),
+    "gaussian": PhiProfile("gaussian", _phi_gaussian, closed_form=_gaussian_smoothed),
     "sech": PhiProfile("sech", _phi_sech),
-    "exp_abs": PhiProfile("exp_abs", _phi_exp_abs, breakpoints=(0.0,)),
+    "exp_abs": PhiProfile(
+        "exp_abs", _phi_exp_abs, breakpoints=(0.0,), closed_form=_exp_abs_smoothed
+    ),
 }
 
 
@@ -311,29 +374,6 @@ def _shifted_profile_weight(profile: PhiProfile, shift: float) -> Callable:
     return evaluate
 
 
-def _gaussian_smoothed(profile: PhiProfile, shift: float) -> Callable | None:
-    """Closed-form ``H`` of ``e^{-w/2} e^{-(w + shift)^2}``, or ``None`` for
-    a library profile other than the gaussian.
-
-    The tilt folds into the Gaussian, ``e^{-w/2 - (w + s)^2} = e^{(1 + 8s)/16}
-    e^{-(w + s + 1/4)^2}``, and Gaussians of widths 1 and ``sigma`` convolve
-    to one of width ``sqrt(1 + sigma^2)``.  Written in this completed-square
-    form only: expanding the square cancels (about 1e-10 lost at
-    ``sigma = 0.05``).
-    """
-    if profile is not PHI_LIBRARY["gaussian"]:
-        return None
-    peak = 0.25 + shift
-    log_front = (1.0 + 8.0 * shift) / 16.0
-
-    def smoothed(sigma, centers):
-        var = sigma * sigma
-        y = np.asarray(centers, dtype=np.float64) + peak
-        return math.sqrt(math.pi * var / (1.0 + var)) * np.exp(log_front - y * y / (1.0 + var))
-
-    return smoothed
-
-
 def _profile_weight(kind: str, phi, sigma: float | None, shift: float) -> WeightFunction:
     """The weight ``e^{-omega/2} phi(omega + shift)`` of the library profile
     named ``phi``, built for bandwidth ``sigma`` (``None`` for none), with
@@ -346,7 +386,7 @@ def _profile_weight(kind: str, phi, sigma: float | None, shift: float) -> Weight
         sigma=sigma,
         phi_name=profile.name,
         breakpoints=tuple(sorted(b - shift for b in profile.breakpoints)),
-        smoothed=_gaussian_smoothed(profile, shift),
+        smoothed=profile.closed_form(shift) if profile.closed_form else None,
     )
 
 
@@ -432,25 +472,21 @@ def _panel_nodes(lower: np.ndarray, upper: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _breakpoints_in_reach(
-    weight: WeightFunction, sigma: float, lo: float, hi: float
-) -> list[float]:
-    """The weight's breakpoints inside some window about a center in ``[lo, hi]``."""
-    radius = WINDOW_RADIUS * sigma
-    return [float(b) for b in weight.breakpoints if lo - radius < float(b) < hi + radius]
+def _require_closed_form_at_kinks(weight: WeightFunction) -> None:
+    """Refuse a weight with breakpoints but no closed-form smoothing,
+    which Gauss-Hermite would integrate straight across its kink."""
+    if weight.breakpoints and weight.smoothed is None:
+        raise ValidationError(
+            f"weight {weight.kind!r} has breakpoints {weight.breakpoints} but no "
+            "closed-form smoothing; no quadrature here integrates across a kink"
+        )
 
 
-def smoothing_rule(weight: WeightFunction, sigma: float, centers) -> str:
-    """Which rule :func:`smoothed_weight_table` evaluates ``H`` by for these
-    arguments: ``closed_form`` when the weight carries ``smoothed``,
-    ``panels`` when a breakpoint lies within reach of the centers, else
+def smoothing_rule(weight: WeightFunction) -> str:
+    """Which rule :func:`smoothed_weight_table` evaluates ``H`` of this
+    weight by: ``closed_form`` when the weight carries ``smoothed``, else
     ``gauss_hermite``."""
-    if weight.smoothed is not None:
-        return "closed_form"
-    centers = np.asarray(centers, dtype=np.float64).ravel()
-    if centers.size and _breakpoints_in_reach(weight, sigma, centers.min(), centers.max()):
-        return "panels"
-    return "gauss_hermite"
+    return "closed_form" if weight.smoothed is not None else "gauss_hermite"
 
 
 def smoothed_weight_table(weight: WeightFunction, sigma: float, centers) -> np.ndarray:
@@ -458,58 +494,46 @@ def smoothed_weight_table(weight: WeightFunction, sigma: float, centers) -> np.n
     at every entry of ``centers``, by the rule :func:`smoothing_rule` names.
 
     A weight with a closed form (``WeightFunction.smoothed``) is evaluated
-    by it.  Other smooth weights use the shifted Gauss-Hermite rule of order
-    ``HERMITE_ORDER`` per center.  Weights with breakpoints share one global
-    kink-aligned Gauss-Legendre panel lattice (``PANEL_ORDER`` nodes per
-    panel of width ``PANEL_WIDTH_FRACTION * sigma``), kept only where it
-    meets a center's ``WINDOW_RADIUS * sigma`` window: the weight is
-    evaluated once on its nodes and each center reads its window, so the
-    same node set serves every center and the balance identity
-    ``H(c) = e^{-c} H(-c)`` is preserved at quadrature accuracy.
+    by it.  A smooth weight without one uses the shifted Gauss-Hermite rule
+    of order ``HERMITE_ORDER`` per center.  A weight with breakpoints but no
+    closed form raises :class:`ValidationError`.
     """
+    _require_closed_form_at_kinks(weight)
     centers = np.asarray(centers, dtype=np.float64).ravel()
     if centers.size == 0:
         return np.zeros(0)
     _require_bandwidth(sigma)
     if not np.all(np.isfinite(centers)):
         raise ValidationError("smoothing centers must be finite")
-    rule = smoothing_rule(weight, sigma, centers)
-    if rule == "closed_form":
+    if weight.smoothed is not None:
         return weight.smoothed(sigma, centers)
 
-    order = np.argsort(centers, kind="stable")
-    sorted_c = centers[order]
-    if rule == "panels":
-        out = _panel_smoothing(weight, sigma, sorted_c)
-    else:
-        out = np.empty_like(sorted_c)
-        x, w = _gauss_hermite()
-        # A few hundred centers keep each (centers x nodes) temporary in
-        # cache; millions of nodes at once re-fault tens of MiB per table.
-        chunk = 256
-        for start in range(0, sorted_c.size, chunk):
-            c = sorted_c[start : start + chunk]
-            omegas = c[:, None] + sigma * x[None, :]
-            out[start : start + chunk] = sigma * (weight(omegas) @ w)
-
-    result = np.empty_like(out)
-    result[order] = out
-    return result
+    out = np.empty_like(centers)
+    x, w = _gauss_hermite()
+    # A few hundred centers keep each (centers x nodes) temporary in
+    # cache; millions of nodes at once re-fault tens of MiB per table.
+    chunk = 256
+    for start in range(0, centers.size, chunk):
+        c = centers[start : start + chunk]
+        omegas = c[:, None] + sigma * x[None, :]
+        out[start : start + chunk] = sigma * (weight(omegas) @ w)
+    return out
 
 
 def _window_quadrature(weight: WeightFunction, sigma: float, sorted_c: np.ndarray):
     """Gauss-Legendre nodes/weights on the window lattice of the sorted centers.
 
-    Panel ``k`` is ``[anchor + k w, anchor + (k + 1) w]`` with the first
-    breakpoint in reach as anchor (else 0) and ``w = PANEL_WIDTH_FRACTION *
-    sigma``.  Only the panels that meet some center's window are laid: at most
-    33 a center, however sparse the centers.  Further breakpoints split the
-    panel they fall in.
+    Panel ``k`` is ``[anchor + k w, anchor + (k + 1) w]`` with the weight's
+    first breakpoint as anchor (else 0) and ``w = PANEL_WIDTH_FRACTION *
+    sigma``, so no panel straddles a library profile's kink.  Only the panels
+    that meet some center's window are laid: at most 33 a center, however
+    sparse the centers.  A weight with breakpoints but no closed form raises
+    :class:`ValidationError`.
     """
-    bps = _breakpoints_in_reach(weight, sigma, sorted_c[0], sorted_c[-1])
+    _require_closed_form_at_kinks(weight)
     radius = WINDOW_RADIUS * sigma
     width = sigma * PANEL_WIDTH_FRACTION
-    anchor = bps[0] if bps else 0.0
+    anchor = float(weight.breakpoints[0]) if weight.breakpoints else 0.0
     first = np.floor((sorted_c - radius - anchor) / width).astype(np.int64)
     stop = np.ceil((sorted_c + radius - anchor) / width).astype(np.int64)
     # Both bounds rise with the center, so a run of consecutive panels
@@ -519,38 +543,7 @@ def _window_quadrature(weight: WeightFunction, sigma: float, sorted_c: np.ndarra
     run_len = stop[np.append(starts[1:], sorted_c.size) - 1] - run_lo
     offsets = np.cumsum(run_len) - run_len
     panels = np.arange(int(run_len.sum())) + np.repeat(run_lo - offsets, run_len)
-    lower = anchor + width * panels
-    upper = anchor + width * (panels + 1)
-    for kink in bps[1:]:
-        k = int(np.searchsorted(lower, kink, side="right")) - 1
-        if k >= 0 and lower[k] < kink < upper[k]:
-            lower = np.insert(lower, k + 1, kink)
-            upper = np.insert(upper, k, kink)
-    return _panel_nodes(lower, upper)
-
-
-def _panel_smoothing(weight: WeightFunction, sigma: float, sorted_c: np.ndarray) -> np.ndarray:
-    """``H`` at the sorted centers from one evaluation of the weight on their
-    window lattice, each center reading the nodes of its own window."""
-    radius = WINDOW_RADIUS * sigma
-    nodes, wts = _window_quadrature(weight, sigma, sorted_c)
-    weighted_vals = weight(nodes) * wts
-
-    # Each chunk multiplies its centers against every node from its first
-    # window to its last: at most 128 centers spanning three window widths,
-    # so no chunk reads more than four windows of nodes and sparse centers
-    # are not charged for each other's windows.
-    out = np.empty_like(sorted_c)
-    start = 0
-    while start < sorted_c.size:
-        end = min(start + 128, sorted_c.searchsorted(sorted_c[start] + 6.0 * radius, "right"))
-        c = sorted_c[start:end]
-        a = nodes.searchsorted(c[0] - radius, "left")
-        b = nodes.searchsorted(c[-1] + radius, "right")
-        gauss = np.exp(-(((nodes[None, a:b] - c[:, None]) / sigma) ** 2))
-        out[start:end] = gauss @ weighted_vals[a:b]
-        start = end
-    return out
+    return _panel_nodes(anchor + width * panels, anchor + width * (panels + 1))
 
 
 # ---------------------------------------------------------------------------

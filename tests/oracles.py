@@ -354,7 +354,7 @@ def overlap_table_dense(spectrum, weight, sigma: float, *, cross_check=True, flo
         spectrum=spectrum,
         values=values,
         coherent=coherent,
-        smoothing_rule=smoothing_rule(weight, sigma, centers),
+        smoothing_rule=smoothing_rule(weight),
         cross_check_defect=defect,
         cross_check_entries=len(pairs),
         cross_check_evaluations=evaluations,

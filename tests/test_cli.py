@@ -525,22 +525,26 @@ def test_unresolvable_bandwidth_exits_two_before_any_build(
         ("verify-stationarity", qubit_config(weight={"kind": "balanced", "sigma": True})),
         ("verify-stationarity", qubit_config(weight={"kind": "balanced", "sigma": "0.5"})),
         ("verify-stationarity", qubit_config(run={"seeds": [1.9]})),
+        ("sweep-sigma", qubit_config(run={"sigma_sweep": []})),
     ],
     ids=[
         "seed-text", "time-text", "time-nan", "time-infinity", "model-dim-text",
         "model-list-text", "line-jumps-short", "torus-jumps-empty", "n-grid-fraction",
         "dim-numeric-text", "sigma-boolean", "sigma-numeric-text", "seed-fraction",
+        "sweep-empty",
     ],
 )
 def test_malformed_numbers_exit_two_before_any_build(
     tmp_path, monkeypatch, capsys, command, payload
 ):
     """JSON readers accept ``NaN`` and ``Infinity``; such numbers, text or a
-    boolean where a number belongs, and a fraction where an integer
-    belongs, are usage errors, not crashes (5), runs that crash later, or
-    runs of a coerced value (``16.7`` ran line16, ``true`` sigma = 1)."""
+    boolean where a number belongs, a fraction where an integer belongs,
+    and an empty bandwidth ladder are usage errors, not crashes (5), runs
+    that crash later, or runs of a coerced value (``16.7`` ran line16,
+    ``true`` sigma = 1, and an empty ladder crashed on the empty ``max``
+    of its rows)."""
     builds = []
-    for name in ("localised_generator", "davies_generator"):
+    for name in ("localised_generator", "davies_generator", "davies_limit_report"):
         monkeypatch.setattr(gibbslab.cli, name, lambda *a, **k: builds.append(a))
     assert main([command, "--config", write_config(tmp_path, payload)]) == EXIT_USAGE
     err = capsys.readouterr().err

@@ -50,6 +50,7 @@ from gibbslab.models import (
 from gibbslab.oft import overlap_table
 from gibbslab.operator_core import EigenSystem, vectorize
 from gibbslab.weights import (
+    MAX_BANDWIDTH,
     MIN_BANDWIDTH,
     PANEL_ORDER,
     GaussianFilter,
@@ -294,13 +295,13 @@ def test_dual_path_on_line32_at_a_narrow_filter_stays_fast():
 @pytest.mark.parametrize("sigma", [1.0, 1e-2, 1e-4])
 def test_node_sum_lays_only_the_frequency_windows(phi, sigma):
     """The node sum sits on the window lattice of the Bohr frequencies: at
-    most 33 panels a frequency, plus one panel a breakpoint splits, however
-    far apart the frequencies are against ``sigma`` (line16 at 1e-4 used to
+    most 33 panels a frequency, aligned with exp_abs's kink, however far
+    apart the frequencies are against ``sigma`` (line16 at 1e-4 used to
     tile its whole span: 4.75 M nodes for 133 frequencies)."""
     freqs = bohr_spectrum(schrodinger_line_model(16).eigensystem()).frequencies
     weight = balanced_gamma(phi, sigma)
     nodes, wts = _omega_quadrature_nodes(weight, sigma, freqs)
-    bound = PANEL_ORDER * (33 * freqs.size + len(weight.breakpoints))
+    bound = PANEL_ORDER * 33 * freqs.size
     assert nodes.size == wts.size <= bound
     assert np.all(np.diff(nodes) > 0.0)
 
@@ -317,6 +318,31 @@ def test_dual_path_holds_at_small_bandwidths(model_name, sigma, bound):
     for phi in ("gaussian", "sech", "exp_abs"):
         bundle = localised_generator(model, balanced_gamma(phi, sigma), sigma)
         assert dual_path_residual(bundle) <= bound, phi
+
+
+@pytest.mark.parametrize("sigma", [MIN_BANDWIDTH, MAX_BANDWIDTH])
+@pytest.mark.parametrize(
+    "model",
+    [
+        qubit_model,
+        lambda: torus_model(12),
+        # Width 599, just inside the supported spectral width.
+        lambda: random_model(dim=3, seed=1, spectrum=(0.0, 300.0, 599.0)),
+    ],
+    ids=["qubit", "torus12", "width599"],
+)
+def test_bandwidth_corners_build_and_hold_the_dual_path(model, sigma):
+    """At both ends of the accepted bandwidth range every library profile,
+    balanced or unshifted, builds with its cross-check on, and the two
+    coupling tables agree to 1e-8.  The tightest is sech on the width-599
+    model at ``MIN_BANDWIDTH``, 5.3e-9 (torus12 3.1e-9), where sech weighs
+    frequencies near 599 and the node sum's lattice sits there."""
+    model = model()
+    for phi in ("gaussian", "sech", "exp_abs"):
+        for make in (balanced_gamma, unshifted_gamma):
+            bundle = localised_generator(model, make(phi, sigma), sigma)
+            assert bundle.diagnostics["overlap_cross_check_entries"] > 0
+            assert dual_path_residual(bundle) <= 1e-8, (phi, make.__name__)
 
 
 @pytest.mark.parametrize("d", [2, 5, 16])

@@ -291,8 +291,34 @@ def test_cross_check_is_batched_and_never_reads_the_table_rule(dense_model, phi,
     assert table.cross_check_entries > 0
     assert 1 <= len(calls) - unchecked <= 8
     assert smoothings == [1]
-    rules = {"gaussian": "closed_form", "sech": "gauss_hermite", "exp_abs": "panels"}
+    rules = {"gaussian": "closed_form", "sech": "gauss_hermite", "exp_abs": "closed_form"}
     assert table.smoothing_rule == rules[phi]
+
+
+@pytest.mark.parametrize("make", [balanced_gamma, unshifted_gamma], ids=["balanced", "unshifted"])
+def test_exp_abs_table_reads_no_quadrature_node(dense_model, make, monkeypatch):
+    """exp_abs's ``H`` is in closed form, so its table lays neither the node
+    sum's window lattice nor Gauss-Hermite nodes: ``G`` and the node sum
+    ``K`` it is compared with share no quadrature, and the dual-path check
+    reads ``K``'s own error."""
+    spectrum = bohr_spectrum(dense_model.eigensystem())
+    called = []
+
+    def spy(name):
+        real = getattr(gibbslab.weights, name)
+
+        def recorded(*args):
+            called.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(gibbslab.weights, name, recorded)
+
+    spy("_window_quadrature")
+    spy("_gauss_hermite")
+    table = overlap_table(spectrum, make("exp_abs", 0.9), 0.9)
+    assert called == []
+    assert table.smoothing_rule == "closed_form"
+    assert table.cross_check_defect <= 1e-12
 
 
 def test_custom_profile_is_still_cross_checked(dense_model):
@@ -415,7 +441,7 @@ def test_bandwidth_guard_rejects_unresolved_filters():
         (1 + 2 * s * s) / 16 - (centers + 0.25 + s * s / 4) ** 2 / (1 + s * s)
     )
     quadrature = dataclasses.replace(balanced_gamma("gaussian", s), smoothed=None)
-    assert smoothing_rule(quadrature, s, centers) == "gauss_hermite"
+    assert smoothing_rule(quadrature) == "gauss_hermite"
     got = smoothed_weight_table(quadrature, s, centers)
     assert np.max(np.abs(got / closed - 1.0)) < 1e-13
     overlap_table(spectrum, balanced_gamma("gaussian", s), s)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,11 +19,14 @@ from hypothesis import strategies as st
 import gibbslab.generators
 from gibbslab.bohr import bohr_spectrum
 from gibbslab.errors import ValidationError
+from gibbslab.generators import _omega_quadrature_nodes
 from gibbslab.models import schrodinger_line_model
 from gibbslab.oft import overlap_table
 from gibbslab.weights import (
     COHERENT_L1_LIMIT,
     FILTER_SQUARED_MASS,
+    MAX_BANDWIDTH,
+    MIN_BANDWIDTH,
     PHI_LIBRARY,
     GaussianFilter,
     TIME_KERNEL_ENVELOPE_SCALE,
@@ -261,7 +265,7 @@ SHIFT_FORMS = pytest.mark.parametrize(
 def test_gaussian_closed_form_matches_quadpack(make, sigma):
     weight = make("gaussian", sigma)
     centers = np.array([-40.0, -5.0, -1.3, -0.25, 0.0, 0.7, 2.0, 6.0, 30.0])
-    assert smoothing_rule(weight, sigma, centers) == "closed_form"
+    assert smoothing_rule(weight) == "closed_form"
     got = smoothed_weight_table(weight, sigma, centers)
     want = np.array([oracles.smoothed_weight_quad(c, sigma, weight) for c in centers])
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
@@ -279,7 +283,7 @@ def test_gaussian_closed_form_matches_gauss_hermite_on_line32(make):
         centers = np.unique(mids[np.square(gaps) <= 800.0 * sigma * sigma])
         closed = make("gaussian", sigma)
         quadrature = dataclasses.replace(closed, smoothed=None)
-        assert smoothing_rule(quadrature, sigma, centers) == "gauss_hermite"
+        assert smoothing_rule(quadrature) == "gauss_hermite"
         want = smoothed_weight_table(quadrature, sigma, centers)
         got = smoothed_weight_table(closed, sigma, centers)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want), sigma
@@ -302,16 +306,15 @@ def test_gaussian_closed_form_balance(sigma):
 
 
 def test_smoothing_rule_follows_the_profile():
-    centers = np.array([-2.0, 0.5, 3.0])
-    assert smoothing_rule(balanced_gamma("gaussian", 0.9), 0.9, centers) == "closed_form"
-    assert smoothing_rule(unshifted_gamma("gaussian", 0.9), 0.9, centers) == "closed_form"
-    assert smoothing_rule(balanced_gamma("sech", 0.9), 0.9, centers) == "gauss_hermite"
+    """The rule reads only the weight: the gaussian and exp_abs profiles
+    carry a closed form, sech and a weight stripped of its closed form are
+    smoothed by Gauss-Hermite."""
+    for make in (balanced_gamma, unshifted_gamma):
+        assert smoothing_rule(make("gaussian", 0.9)) == "closed_form"
+        assert smoothing_rule(make("exp_abs", 0.9)) == "closed_form"
+        assert smoothing_rule(make("sech", 0.9)) == "gauss_hermite"
     quadrature = dataclasses.replace(balanced_gamma("gaussian", 0.9), smoothed=None)
-    assert smoothing_rule(quadrature, 0.9, centers) == "gauss_hermite"
-    kinked = balanced_gamma("exp_abs", 0.9)
-    assert smoothing_rule(kinked, 0.9, centers) == "panels"
-    # Centers beyond reach of the kink are smoothed by Gauss-Hermite.
-    assert smoothing_rule(kinked, 0.9, centers + 20.0) == "gauss_hermite"
+    assert smoothing_rule(quadrature) == "gauss_hermite"
 
 
 def _flat_top_weight(sigma: float) -> WeightFunction:
@@ -326,40 +329,59 @@ def _flat_top_weight(sigma: float) -> WeightFunction:
     )
 
 
-@pytest.mark.parametrize(
-    "make",
-    [lambda sigma: balanced_gamma("exp_abs", sigma), _flat_top_weight],
-    ids=["exp_abs", "two_kinks"],
-)
-def test_panel_smoothing_reads_only_the_windows(make):
-    """Sparse centers at a small bandwidth: the lattice is built only where
-    it meets a window, further kinks split their panels, and each center
-    matches QUADPACK."""
-    sigma = 0.001
-    weight = make(sigma)
-    centers = np.array([-30.0, -2.5, -0.61803, -0.01, 0.0, 0.0007, 0.61803, 1.2, 4.0, 25.0])
-    assert smoothing_rule(weight, sigma, centers) == "panels"
-    got = smoothed_weight_table(weight, sigma, centers)
-    want = np.array([oracles.smoothed_weight_quad(c, sigma, weight) for c in centers])
-    assert np.all(np.abs(got - want) <= 1e-11 * np.max(want))
+def test_kinked_weight_without_a_closed_form_is_refused():
+    """No rule here integrates across a kink, so a hand-built weight with
+    breakpoints but no closed form is refused by the smoothing and by the
+    node sum's lattice, not integrated straight across its kinks; so is
+    exp_abs stripped of its closed form."""
+    sigma = 0.5
+    stripped = dataclasses.replace(balanced_gamma("exp_abs", sigma), smoothed=None)
+    freqs = np.array([-1.0, 0.0, 1.0])
+    for weight in (_flat_top_weight(sigma), stripped):
+        with pytest.raises(ValidationError, match="no closed-form smoothing"):
+            smoothed_weight_table(weight, sigma, freqs)
+        with pytest.raises(ValidationError, match="no closed-form smoothing"):
+            _omega_quadrature_nodes(weight, sigma, freqs)
+
+
+# The exp_abs closed form is checked over the whole accepted bandwidth range.
+EXP_ABS_SIGMAS = (MIN_BANDWIDTH, 1e-3, 0.1, 0.7, 2.0, MAX_BANDWIDTH)
 
 
 @SHIFT_FORMS
-@pytest.mark.parametrize("sigma", [2.0, 0.7, 0.1])
-def test_exp_abs_panels_match_the_erfc_closed_form(make, sigma):
-    """exp_abs's ``H`` in closed form (``oracles.exp_abs_smoothed``, checked
-    against QUADPACK here) against the panel rule, centre by centre, on a
-    wide grid and densely across the kink at ``w = 0``."""
+@pytest.mark.parametrize("sigma", EXP_ABS_SIGMAS)
+def test_exp_abs_closed_form_over_the_accepted_range(make, sigma):
+    """exp_abs's ``H`` in closed form on centres from -600 to 600 and densely
+    across the kink ``w + shift = 0``: every value is finite, none is
+    negative, and no floating-point warning escapes.  ``H(c)`` is at least
+    ``sigma e^{-3|c|/2 - 3}``, a normal double for ``|c| <= 400``, so every
+    value there is positive; past ``c`` of about 470 it falls below the
+    double range.  Each value is within 1e-12 relative of the plain ``erfc`` form
+    (``oracles.exp_abs_smoothed``) wherever that is a normal double, and of
+    QUADPACK at centres about the kink (far from the origin QUADPACK's own
+    absolute nodes round by more than that at small ``sigma``)."""
     weight = make("exp_abs", sigma)
     shift = 0.25 * sigma * sigma if make is balanced_gamma else 0.0
-    centers = np.concatenate([np.linspace(-8.0, 8.0, 33), np.linspace(-2.0, 2.0, 41) * sigma])
-    assert smoothing_rule(weight, sigma, centers) == "panels"
-    want = oracles.exp_abs_smoothed(centers, sigma, shift)
-    got = smoothed_weight_table(weight, sigma, centers)
-    assert np.all(np.abs(got - want) <= 1e-12 * want)
-    for c in (-3.0, -0.5 * sigma, 0.0, 0.5 * sigma, 4.0):
+    assert smoothing_rule(weight) == "closed_form"
+    kink = -shift
+    centers = np.concatenate(
+        [np.linspace(-600.0, 600.0, 1201), kink + sigma * np.linspace(-10.0, 10.0, 201)]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = smoothed_weight_table(weight, sigma, centers)
+    assert np.all(np.isfinite(got))
+    assert np.all(got >= 0.0)
+    assert np.all(got[centers <= 400.0] > 0.0)
+    with np.errstate(all="ignore"):
+        want = oracles.exp_abs_smoothed(centers, sigma, shift)
+    normal = np.isfinite(want) & (want >= np.finfo(float).tiny)
+    assert np.count_nonzero(normal) > 1000
+    assert np.all(np.abs(got - want)[normal] <= 1e-12 * want[normal])
+    for c in kink + sigma * np.array([-3.0, -0.5, 0.0, 0.5, 3.0]):
         quadpack = oracles.smoothed_weight_quad(c, sigma, weight)
-        assert abs(oracles.exp_abs_smoothed(c, sigma, shift) - quadpack) <= 1e-12 * quadpack
+        assert abs(smoothed_weight_table(weight, sigma, [c])[0] - quadpack) <= 1e-12 * quadpack
 
 
 # ---------------------------------------------------------------------------
