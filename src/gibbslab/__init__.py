@@ -39,8 +39,6 @@ from .bohr import (
 )
 from .weights import (
     COHERENT_L1_LIMIT,
-    MAX_BANDWIDTH,
-    MIN_BANDWIDTH,
     GaussianFilter,
     WeightFunction,
     balanced_gamma,
@@ -106,8 +104,6 @@ __all__ = [
     "bohr_spectrum",
     "decompose",
     "COHERENT_L1_LIMIT",
-    "MAX_BANDWIDTH",
-    "MIN_BANDWIDTH",
     "GaussianFilter",
     "WeightFunction",
     "balanced_gamma",

@@ -62,6 +62,7 @@ from . import __version__
 from .errors import NumericalGuardError, ValidationError
 from .evolution import (
     CHOI_MAX_DIM,
+    _time_grid,
     choi_min_eigenvalue,
     contraction_report,
     evolve,
@@ -70,6 +71,7 @@ from .evolution import (
 )
 from .generators import (
     GeneratorBundle,
+    _require_assembly_path,
     coherent_calibration_report,
     davies_generator,
     davies_limit_report,
@@ -90,8 +92,7 @@ from .models import (
 )
 from .weights import (
     COHERENT_L1_LIMIT,
-    MAX_BANDWIDTH,
-    MIN_BANDWIDTH,
+    _require_table_bandwidth,
     balanced_gamma,
     coherent_time_kernel_l1,
     kms_gamma,
@@ -133,7 +134,6 @@ _WEIGHT_FAMILIES = {
     "metropolis": "davies",
 }
 _GENERATOR_KINDS = ("davies", "localised")
-_ASSEMBLY_PATHS = ("bohr_sum", "omega_quadrature")
 _OUTPUT_FORMATS = ("csv", "json")
 _INITIAL_STATES = ("excited", "ground", "gibbs", "maximally_mixed", "random")
 
@@ -176,13 +176,7 @@ def _as_positive_float(value, context: str) -> float:
 
 
 def _as_bandwidth(value, context: str) -> float:
-    sigma = _as_positive_float(value, context)
-    if not MIN_BANDWIDTH <= sigma <= MAX_BANDWIDTH:
-        raise ValidationError(
-            f"{context} must be in [{MIN_BANDWIDTH:g}, {MAX_BANDWIDTH:g}], got {sigma!r}; "
-            "the quadratures do not resolve narrower or wider filters"
-        )
-    return sigma
+    return _require_table_bandwidth(config_number(value, context), context)
 
 
 def _as_seed(value, context: str) -> int:
@@ -266,11 +260,7 @@ def normalised_config(config: dict | None, command: str) -> dict:
             f"unknown generator kind {generator['kind']!r}; known: {list(_GENERATOR_KINDS)}"
         )
     if generator["kind"] == "localised":
-        generator.setdefault("path", "bohr_sum")
-        if generator["path"] not in _ASSEMBLY_PATHS:
-            raise ValidationError(
-                f"unknown assembly path {generator['path']!r}; known: {list(_ASSEMBLY_PATHS)}"
-            )
+        _require_assembly_path(generator.setdefault("path", "bohr_sum"))
     elif "path" in generator:
         raise ValidationError("generator.path applies to the filtered family only")
     if family != generator["kind"]:
@@ -287,14 +277,8 @@ def normalised_config(config: dict | None, command: str) -> dict:
         run, {"times", "sigma_sweep", "seeds", "tolerances", "initial_state"}, "run"
     )
     if command == "evolve" or "times" in run:
-        times = _run_list(run, "times", _DEFAULT_TIMES, config_number)
-        if not times or any(t < 0.0 for t in times) or any(
-            b <= a for a, b in zip(times[:-1], times[1:])
-        ):
-            raise ValidationError(
-                "run.times must be non-empty, non-negative, strictly increasing"
-            )
-        run["times"] = times
+        run["times"] = _run_list(run, "times", _DEFAULT_TIMES, config_number)
+        _time_grid(run["times"], "run.times")
     if command == "sweep-sigma" or "sigma_sweep" in run:
         sweep = _run_list(run, "sigma_sweep", _DEFAULT_SWEEP, _as_bandwidth)
         if not sweep or any(b >= a for a, b in zip(sweep[:-1], sweep[1:])):
@@ -744,17 +728,11 @@ def cmd_evolve(config: dict, args, seed: int) -> tuple:
     trajectory = evolve(bundle, rho0, times)
     stages["evolve_s"] = time.perf_counter() - mark
 
+    diag = trajectory.diagnostics
     columns = ["t", "trace", "min_eig", "gibbs_distance"]
-    table = []
-    for t, state, diag in zip(trajectory.times, trajectory.states, trajectory.diagnostics):
-        table.append(
-            [
-                float(t),
-                float(np.trace(state).real),
-                diag["min_eigenvalue"],
-                diag["gibbs_distance"],
-            ]
-        )
+    traces = [float(np.trace(state).real) for state in trajectory.states]
+    rows = zip(trajectory.times.tolist(), traces, diag["min_eigenvalue"], diag["gibbs_distance"])
+    table = [list(row) for row in rows]
     metadata = {
         "command": "evolve",
         "model": bundle.model.model_id,
@@ -767,19 +745,19 @@ def cmd_evolve(config: dict, args, seed: int) -> tuple:
     checks = [
         _check(
             "trace_deviation_max",
-            max(d["trace_deviation"] for d in trajectory.diagnostics),
+            max(diag["trace_deviation"]),
             tolerances["trace_deviation"],
             "upper",
         ),
         _check(
             "min_eigenvalue_worst",
-            min(d["min_eigenvalue"] for d in trajectory.diagnostics),
+            min(diag["min_eigenvalue"]),
             tolerances["min_eigenvalue"],
             "floor",
         ),
         _check(
             "final_gibbs_distance",
-            trajectory.diagnostics[-1]["gibbs_distance"],
+            diag["gibbs_distance"][-1],
             tolerances["final_gibbs_distance"],
             "upper",
         ),
@@ -890,7 +868,7 @@ def cmd_selftest(config: None, args, seed: int) -> tuple:
         checks.append(
             _check(
                 "qubit_convergence_t20",
-                trajectory.diagnostics[-1]["gibbs_distance"],
+                trajectory.diagnostics["gibbs_distance"][-1],
                 _DEFAULT_TOLERANCES["final_gibbs_distance"],
                 "upper",
             )

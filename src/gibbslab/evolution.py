@@ -89,9 +89,11 @@ class Propagator:
         return sum(e.nbytes for e in self._steps.values())
 
     def step(self, dt: float) -> np.ndarray:
-        """The channel ``e^{dt S}``; :class:`NumericalGuardError` when it is
-        not finite."""
+        """The channel ``e^{dt S}`` for a finite ``dt >= 0``;
+        :class:`NumericalGuardError` when it is not finite."""
         dt = float(dt)
+        if not (np.isfinite(dt) and dt >= 0.0):
+            raise ValidationError(f"time must be finite and non-negative, got {dt!r}")
         channel = self._steps.get(dt)
         if channel is not None:
             self._steps.move_to_end(dt)
@@ -160,9 +162,9 @@ def _health(states: np.ndarray) -> tuple[np.ndarray, dict]:
     }
 
 
-def snapshot_diagnostics(states: np.ndarray, reference: np.ndarray) -> tuple[dict, ...]:
-    """Health numbers of each snapshot of an ``(n, d, d)`` stack, one row per
-    snapshot (recorded, never corrected).
+def snapshot_diagnostics(states: np.ndarray, reference: np.ndarray) -> dict:
+    """Health numbers of the snapshots of an ``(n, d, d)`` stack (recorded,
+    never corrected): ``{name: list}``, one entry per snapshot in each list.
 
     One pass over the whole stack (:func:`_health`), plus the trace
     distances of the Hermitised snapshots to ``reference`` from one more
@@ -170,29 +172,29 @@ def snapshot_diagnostics(states: np.ndarray, reference: np.ndarray) -> tuple[dic
     """
     herm, columns = _health(np.asarray(states, dtype=np.complex128))
     columns["gibbs_distance"] = _trace_distances(herm, reference)
-    rows = zip(*(column.tolist() for column in columns.values()))
-    return tuple(dict(zip(columns, row)) for row in rows)
+    return {name: column.tolist() for name, column in columns.items()}
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Evolved states at requested times with per-snapshot diagnostics."""
+    """Evolved states at requested times with per-snapshot diagnostics
+    (:func:`snapshot_diagnostics`: one list per name)."""
 
     times: np.ndarray
     states: np.ndarray  # (n_times, d, d)
-    diagnostics: tuple
+    diagnostics: dict
 
 
-def _time_grid(times) -> np.ndarray:
-    """``times`` as a float array, which must be non-empty, non-negative and
-    strictly increasing; a leading ``0.0`` snapshot is allowed."""
+def _time_grid(times, field: str = "times") -> np.ndarray:
+    """``times`` as a float array, which must be a non-empty list of finite,
+    non-negative, strictly increasing times; a leading ``0.0`` snapshot is
+    allowed.  ``field`` names the input in the message."""
     ts = np.asarray(times, dtype=np.float64)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValidationError("times must be a non-empty 1-D sequence")
-    if np.any(ts < 0.0):
-        raise ValidationError("times must be non-negative")
-    if np.any(np.diff(ts) <= 0.0):
-        raise ValidationError("times must be strictly increasing")
+    valid = ts.ndim == 1 and ts.size and np.isfinite(ts).all() and ts[0] >= 0.0
+    if not (valid and (np.diff(ts) > 0.0).all()):
+        raise ValidationError(
+            f"{field} must be a non-empty list of finite, non-negative, strictly increasing times"
+        )
     return ts
 
 
@@ -254,10 +256,11 @@ def evolve(bundle: GeneratorBundle, initial_state: np.ndarray, times) -> Traject
     """Propagate a state to each requested time with the bundle's cached
     step exponentials.
 
-    ``times`` must be non-negative and strictly increasing; a leading
-    ``0.0`` snapshot is allowed.  Each snapshot's diagnostics include the
-    trace distance to the bundle's cached Gibbs density; all of them come
-    from one :func:`snapshot_diagnostics` call on the whole trajectory.
+    ``times`` must be finite, non-negative and strictly increasing
+    (:func:`_time_grid`); a leading ``0.0`` snapshot is allowed.  Each
+    snapshot's diagnostics include the trace distance to the bundle's cached
+    Gibbs density; all of them come from one :func:`snapshot_diagnostics`
+    call on the whole trajectory.
     """
     ts = _time_grid(times)
     states = _propagate(bundle.propagator, [initial_state], ts)[:, 0]
@@ -266,7 +269,8 @@ def evolve(bundle: GeneratorBundle, initial_state: np.ndarray, times) -> Traject
 
 
 def semigroup_defect(bundle: GeneratorBundle, t: float, s: float) -> float:
-    """Relative defect of ``e^{(t+s)L} = e^{tL} e^{sL}``."""
+    """Relative defect of ``e^{(t+s)L} = e^{tL} e^{sL}``; ``t`` and ``s``
+    must be finite and non-negative (:meth:`Propagator.step`)."""
     propagator = bundle.propagator
     whole = propagator.step(t + s)
     split = propagator.step(t) @ propagator.step(s)
@@ -274,7 +278,8 @@ def semigroup_defect(bundle: GeneratorBundle, t: float, s: float) -> float:
 
 
 def contraction_report(bundle: GeneratorBundle, state_pairs, times) -> dict:
-    """Trace distances between evolved state pairs at increasing times.
+    """Trace distances between evolved state pairs at increasing times
+    (finite, non-negative and strictly increasing, as for :func:`evolve`).
 
     Returns rows ``{pair, distances}`` where ``distances[k]`` is the trace
     distance at ``times[k]``; under a trace-preserving positive semigroup
@@ -335,7 +340,8 @@ def _partial_trace_defect(j: np.ndarray) -> float:
 
 
 def choi_min_eigenvalue(bundle: GeneratorBundle, t: float) -> float:
-    """Most negative Choi eigenvalue of the time-``t`` channel."""
+    """Most negative Choi eigenvalue of the time-``t`` channel (``t`` finite
+    and non-negative, as for every ``choi_*`` function)."""
     return _min_eigenvalue(_hermitian_choi(bundle, t))
 
 

@@ -78,7 +78,6 @@ from .operator_core import (
 from .weights import (
     GaussianFilter,
     WeightFunction,
-    _require_bandwidth,
     _require_spectral_width,
     _window_quadrature,
     balanced_gamma,
@@ -102,6 +101,9 @@ __all__ = [
     "stationarity_report",
     "trace_functional_defect",
 ]
+
+# The coupling tables a filtered generator can contract (its ``path``).
+_ASSEMBLY_PATHS = ("bohr_sum", "omega_quadrature")
 
 _KMS_GRID_TOL = 1e-12
 _B_HERMITICITY_TOL = 1e-10
@@ -189,6 +191,12 @@ class GeneratorBundle:
         images = (self.sandwich @ columns.T).T.reshape(n, d, d).transpose(0, 2, 1)
         y = self.eigen_drift
         return images + dagger(y) @ ts + ts @ y
+
+
+def _require_assembly_path(path) -> None:
+    """Refuse a ``path`` that is not one of ``_ASSEMBLY_PATHS``."""
+    if path not in _ASSEMBLY_PATHS:
+        raise ValidationError(f"unknown assembly path {path!r}; known: {list(_ASSEMBLY_PATHS)}")
 
 
 def _validate_jump_family(model: Model) -> dict:
@@ -575,7 +583,9 @@ def localised_generator(
         weight: a balanced weight built for the same bandwidth ``sigma``
             (an intentionally unbalanced control weight carrying the right
             bandwidth is also accepted, for negative tests).
-        sigma: filter bandwidth; must equal ``weight.sigma``.
+        sigma: filter bandwidth; must equal ``weight.sigma`` and lie in
+            ``[MIN_BANDWIDTH, MAX_BANDWIDTH]``, rules that
+            :func:`~gibbslab.oft.overlap_table` states for every table.
         path: the coupling table the dissipator contracts over the Bohr
             pair map: the overlap table ``G`` (``"bohr_sum"``) or the node
             sum ``K`` of the omega quadrature (``"omega_quadrature"``),
@@ -586,18 +596,11 @@ def localised_generator(
     disagree only through their coupling tables, which
     :func:`dual_path_residual` compares.
     """
-    _require_bandwidth(sigma)
-    if weight.sigma is None or abs(weight.sigma - float(sigma)) > 0.0:
-        raise ValidationError(
-            f"weight was built for bandwidth {weight.sigma!r} but the filter uses "
-            f"{sigma!r}; rebuild the weight for the filter bandwidth"
-        )
     if weight.kind not in ("balanced_from_phi", "unshifted_control"):
         raise ValidationError(
             f"filtered generator needs a balanced-family weight, got kind {weight.kind!r}"
         )
-    if path not in ("bohr_sum", "omega_quadrature"):
-        raise ValidationError(f"unknown assembly path {path!r}")
+    _require_assembly_path(path)
 
     diag = _validate_jump_family(model)
     spectrum = model.frame.spectrum

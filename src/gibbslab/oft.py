@@ -51,14 +51,12 @@ import numpy as np
 from .bohr import BohrDecomposition, BohrSpectrum
 from .errors import NumericalGuardError, ValidationError
 from .weights import (
-    MAX_BANDWIDTH,
-    MIN_BANDWIDTH,
     WINDOW_RADIUS,
     GaussianFilter,
     WeightFunction,
     _gauss_legendre,
-    _require_bandwidth,
     _require_spectral_width,
+    _require_table_bandwidth,
     coherent_difference_factor,
     smoothed_weight_table,
     smoothing_rule,
@@ -310,41 +308,27 @@ def _definitional_entries(
         error = np.concatenate([error[keep], child_error])
 
 
-def _exponent(gaps: np.ndarray, sigma: float) -> np.ndarray:
-    """The Gaussian pair exponents ``gap^2 / (4 sigma^2)``."""
-    return np.square(gaps) / (4.0 * sigma * sigma)
-
-
-def _live_band(freqs: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+def _live_band(freqs: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The live upper band of the pair table: the pairs ``i <= j`` whose
-    exponent is at most ``_PAIR_EXPONENT_CAP``, as row and column indices in
-    row-major order.
+    exponent ``gap^2 / (4 sigma^2)`` is at most ``_PAIR_EXPONENT_CAP``, as
+    row and column indices in row-major order, with those exponents.
 
     The frequencies ascend, so each row's live pairs are one run that starts
-    on the diagonal.  A search at the cap's reach ``2 sigma sqrt(cap)`` finds
-    where each run stops up to rounding; the exponent itself, computed as on
-    the full table, then settles the stop a column at a time.
+    on the diagonal.  Its candidates run to the cap's reach
+    ``2 sigma sqrt(cap)`` widened by ``1e-6`` of itself, which covers the
+    rounding of the exponent and of ``freqs + reach`` (500 times over at
+    ``|nu| = 600`` and ``sigma = 1e-6``); the pairs whose exponent is within
+    the cap are kept, and they lead each row's run.
     """
     m = freqs.size
     index = np.arange(m)
-    reach = 2.0 * sigma * math.sqrt(_PAIR_EXPONENT_CAP)
-    stop = np.searchsorted(freqs, freqs + reach, side="right")
-    while True:
-        grow = stop < m
-        grow[grow] = _exponent(freqs[grow] - freqs[stop[grow]], sigma) <= _PAIR_EXPONENT_CAP
-        if not grow.any():
-            break
-        stop += grow
-    while True:
-        # The diagonal is always live, so no run shrinks below one pair.
-        shrink = _exponent(freqs - freqs[stop - 1], sigma) > _PAIR_EXPONENT_CAP
-        if not shrink.any():
-            break
-        stop -= shrink
-    length = stop - index
+    reach = 2.0 * sigma * math.sqrt(_PAIR_EXPONENT_CAP) * (1.0 + 1e-6)
+    length = np.searchsorted(freqs, freqs + reach, side="right") - index
     rows = np.repeat(index, length)
     cols = np.arange(rows.size) + np.repeat(index - (np.cumsum(length) - length), length)
-    return rows, cols
+    exponents = np.square(freqs[rows] - freqs[cols]) / (4.0 * sigma * sigma)
+    live = exponents <= _PAIR_EXPONENT_CAP
+    return rows[live], cols[live], exponents[live]
 
 
 def _sample_pairs(
@@ -400,17 +384,18 @@ def overlap_table(
     by direct definitional quadrature (:func:`_definitional_entries`);
     disagreement beyond ``1e-8`` relative, or a failure of that quadrature,
     raises :class:`NumericalGuardError`, signalling a regression in either
-    path.  Bandwidths above ``MAX_BANDWIDTH``, where the Gauss-Hermite rule
-    no longer resolves the weight, or below ``MIN_BANDWIDTH``, where the
-    rounding of the node sum's absolute nodes reaches its tolerance, raise
-    :class:`ValidationError`.  The table records which rule smoothed the
-    weight as ``smoothing_rule``.
+    path.  The table records which rule smoothed the weight as
+    ``smoothing_rule``.  A bandwidth outside ``[MIN_BANDWIDTH,
+    MAX_BANDWIDTH]`` (:func:`~gibbslab.weights._require_table_bandwidth`),
+    or a weight built for another bandwidth than ``sigma`` (which the
+    cross-check cannot catch: it integrates that same weight), raises
+    :class:`ValidationError`; every caller meets these rules here.
     """
-    _require_bandwidth(sigma)
-    if not MIN_BANDWIDTH <= sigma <= MAX_BANDWIDTH:
+    _require_table_bandwidth(sigma)
+    if weight.sigma != sigma:
         raise ValidationError(
-            f"bandwidth {sigma!r} is outside the supported range "
-            f"[{MIN_BANDWIDTH:g}, {MAX_BANDWIDTH:g}]"
+            f"weight was built for bandwidth {weight.sigma!r} but the filter uses "
+            f"{sigma!r}; rebuild the weight for the filter bandwidth"
         )
     freqs = spectrum.frequencies
     m = freqs.size
@@ -418,10 +403,9 @@ def overlap_table(
     # frequencies, e^{+-nu/2}.
     _require_spectral_width(freqs)
 
-    rows, cols = _live_band(freqs, sigma)
+    rows, cols, exponents = _live_band(freqs, sigma)
     nu, nu_prime = freqs[rows], freqs[cols]
     gaps = nu - nu_prime
-    exponents = _exponent(gaps, sigma)
     mids = 0.5 * (nu + nu_prime)
     uniq_centers, inverse = np.unique(mids, return_inverse=True)
     h = smoothed_weight_table(weight, sigma, uniq_centers)

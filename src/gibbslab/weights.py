@@ -72,8 +72,6 @@ __all__ = [
     "TIME_KERNEL_ENVELOPE_SCALE",
     "TIME_KERNEL_SPECTRAL_SCALE",
     "MAX_SPECTRAL_WIDTH",
-    "MAX_BANDWIDTH",
-    "MIN_BANDWIDTH",
     "HERMITE_ORDER",
     "PANEL_ORDER",
     "PANEL_WIDTH_FRACTION",
@@ -157,6 +155,17 @@ def _require_bandwidth(sigma) -> None:
     """Reject a bandwidth that is not a finite positive number."""
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise ValidationError(f"bandwidth must be a finite positive number, got {sigma!r}")
+
+
+def _require_table_bandwidth(sigma, field: str = "bandwidth") -> float:
+    """``sigma``, refused unless in ``[MIN_BANDWIDTH, MAX_BANDWIDTH]``, where
+    the quadratures resolve a table; ``field`` names it in the message."""
+    if not MIN_BANDWIDTH <= sigma <= MAX_BANDWIDTH:
+        raise ValidationError(
+            f"{field} must be in [{MIN_BANDWIDTH:g}, {MAX_BANDWIDTH:g}], got {sigma!r}; "
+            "the quadratures do not resolve narrower or wider filters"
+        )
+    return sigma
 
 
 def _require_spectral_width(frequencies: np.ndarray) -> None:

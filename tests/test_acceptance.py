@@ -216,10 +216,8 @@ def test_criterion_07_semigroup_preserves_and_contracts():
         for rho_a, rho_b in pairs:
             for state in (rho_a, rho_b):
                 trajectory = evolve(bundle, state, TIME_GRID_TO_20)
-                trace = oracles.diagnostic_column(trajectory, "trace_deviation")
-                eig = oracles.diagnostic_column(trajectory, "min_eigenvalue")
-                worst_trace = max(worst_trace, trace.max())
-                worst_eig = min(worst_eig, eig.min())
+                worst_trace = max(worst_trace, *trajectory.diagnostics["trace_deviation"])
+                worst_eig = min(worst_eig, *trajectory.diagnostics["min_eigenvalue"])
         if model.dim <= 4:
             for t in (0.1, 1.0, 10.0):
                 worst_choi = min(worst_choi, choi_min_eigenvalue(bundle, t))
@@ -289,7 +287,7 @@ def test_criterion_10_qubit_relaxation_diagnostic():
     system = model.eigensystem()
     excited = np.outer(system.eigenvectors[:, -1], system.eigenvectors[:, -1].conj())
     trajectory = evolve(bundle, excited, (0.0, 20.0))
-    final_distance = float(oracles.diagnostic_column(trajectory, "gibbs_distance")[-1])
+    final_distance = trajectory.diagnostics["gibbs_distance"][-1]
     elapsed = time.monotonic() - start
     assert final_distance <= 1e-6, final_distance
     print(

@@ -38,9 +38,10 @@ from gibbslab.cli import (
     render_report,
 )
 from gibbslab.errors import ValidationError
+from gibbslab.evolution import evolve
 from gibbslab.generators import localised_generator
 from gibbslab.weights import MIN_BANDWIDTH, balanced_gamma
-from gibbslab.models import model_from_config
+from gibbslab.models import model_from_config, qubit_model
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -507,6 +508,61 @@ def test_unresolvable_bandwidth_exits_two_before_any_build(
     for bound in (3.0, MIN_BANDWIDTH):
         at_bound = qubit_config(weight={"kind": "balanced", "sigma": bound})
         assert normalised_config(at_bound, command)["weight"]["sigma"] == bound
+
+
+def _usage_error_before_any_build(tmp_path, monkeypatch, capsys, command, payload) -> str:
+    """The ``error:`` message of a config that exits 2 with no model built."""
+    builds = []
+    for name in ("model_from_config", "localised_generator", "davies_generator"):
+        monkeypatch.setattr(gibbslab.cli, name, lambda *a, **k: builds.append(a))
+    assert main([command, "--config", write_config(tmp_path, payload)]) == EXIT_USAGE
+    assert builds == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("\n")
+    return err[len("error: ") : -1]
+
+
+@pytest.mark.parametrize("times", [[], [-1.0, 0.0], [1.0, 0.5], [0.0, 0.0]])
+def test_run_times_follow_the_evolution_time_rule(tmp_path, monkeypatch, capsys, times):
+    """``run.times`` is refused before any build by the rule ``evolve``
+    states, in its words."""
+    state = np.diag([1.0, 0.0]).astype(complex)
+    bundle = localised_generator(qubit_model(), balanced_gamma("gaussian", 1.0), 1.0)
+    with pytest.raises(ValidationError) as library:
+        evolve(bundle, state, times)
+    payload = qubit_config(run={"times": times})
+    message = _usage_error_before_any_build(tmp_path, monkeypatch, capsys, "evolve", payload)
+    assert message == f"run.{library.value}"
+
+
+@pytest.mark.parametrize("sigma", [1e-7, 3.5])
+def test_bandwidths_follow_the_table_bandwidth_rule(tmp_path, monkeypatch, capsys, sigma):
+    """``weight.sigma`` and each ``run.sigma_sweep`` rung are refused before
+    any build by the rule every overlap table states, in its words."""
+    with pytest.raises(ValidationError) as library:
+        localised_generator(qubit_model(), balanced_gamma("gaussian", sigma), sigma)
+    rule = str(library.value)
+    assert rule.startswith("bandwidth must be in [1e-06, 3]")
+    weight = {"kind": "balanced", "sigma": sigma}
+    for command, payload, field in (
+        ("verify-stationarity", qubit_config(weight=weight), "weight.sigma"),
+        ("sweep-sigma", qubit_config(run={"sigma_sweep": [sigma]}), "run.sigma_sweep entry"),
+    ):
+        message = _usage_error_before_any_build(tmp_path, monkeypatch, capsys, command, payload)
+        assert message == rule.replace("bandwidth", field, 1)
+
+
+def test_assembly_path_follows_the_generator_rule(tmp_path, monkeypatch, capsys):
+    """An unknown ``generator.path`` is refused before any build with the
+    message ``localised_generator`` gives."""
+    with pytest.raises(ValidationError) as library:
+        localised_generator(qubit_model(), balanced_gamma("gaussian", 1.0), 1.0, path="bogus")
+    payload = qubit_config(generator={"kind": "localised", "path": "bogus"})
+    message = _usage_error_before_any_build(
+        tmp_path, monkeypatch, capsys, "verify-stationarity", payload
+    )
+    assert message == str(library.value)
+    assert "known: ['bohr_sum', 'omega_quadrature']" in message
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ build.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -77,7 +78,7 @@ def test_gibbs_state_does_not_move(dense_model, dense_bundle):
     trajectory = evolve(dense_bundle, stationary, (0.0, 1.0, 10.0))
     for state in trajectory.states:
         assert oracles.trace_distance(state, stationary) < 1e-11
-    assert all(row["gibbs_distance"] < 1e-11 for row in trajectory.diagnostics)
+    assert max(trajectory.diagnostics["gibbs_distance"]) < 1e-11
 
 
 def test_semigroup_property(dense_bundle):
@@ -189,13 +190,14 @@ def test_stacked_diagnostics_equal_the_one_snapshot_formulas(which, dense_bundle
     bundle = dense_bundle if which == "dense" else filtered_battery[("line16", "gaussian", 1.0)]
     initial = random_density_matrix(bundle.dim, seed=8)
     trajectory = evolve(bundle, initial, TIME_GRID_TO_20)
-    assert len(trajectory.diagnostics) == len(TIME_GRID_TO_20)
-    for state, row in zip(trajectory.states, trajectory.diagnostics):
+    columns = trajectory.diagnostics
+    assert all(len(column) == len(TIME_GRID_TO_20) for column in columns.values())
+    for k, state in enumerate(trajectory.states):
         want = oracles.snapshot_diagnostics_row(state, bundle.model.eigensystem().gibbs_state())
-        assert list(row) == list(want)
+        assert list(columns) == list(want)
         for key in ("trace_deviation", "min_eigenvalue", "gibbs_distance"):
-            assert row[key] == want[key], key
-        assert abs(row["hermiticity_defect"] - want["hermiticity_defect"]) <= 1e-30
+            assert columns[key][k] == want[key], key
+        assert abs(columns["hermiticity_defect"][k] - want["hermiticity_defect"]) <= 1e-30
 
 
 def test_bundle_caches_its_gibbs_state(monkeypatch, dense_model, dense_bundle):
@@ -227,13 +229,15 @@ def test_trajectory_diagnostics_and_accessors(dense_bundle):
     times = (0.0, 0.5, 2.0)
     trajectory = evolve(dense_bundle, initial, times)
     assert trajectory.states.shape == (3, 4, 4)
-    for key in ("trace_deviation", "min_eigenvalue", "hermiticity_defect", "gibbs_distance"):
-        column = oracles.diagnostic_column(trajectory, key)
-        assert column.shape == (3,)
-    assert np.all(oracles.diagnostic_column(trajectory, "trace_deviation") < 1e-10)
-    assert np.all(oracles.diagnostic_column(trajectory, "hermiticity_defect") <= 1e-10)
-    assert np.all(oracles.diagnostic_column(trajectory, "min_eigenvalue") > -1e-9)
-    distances = oracles.diagnostic_column(trajectory, "gibbs_distance")
+    columns = trajectory.diagnostics
+    assert set(columns) == {
+        "trace_deviation", "min_eigenvalue", "hermiticity_defect", "gibbs_distance"
+    }
+    assert all(len(column) == 3 for column in columns.values())
+    assert max(columns["trace_deviation"]) < 1e-10
+    assert max(columns["hermiticity_defect"]) <= 1e-10
+    assert min(columns["min_eigenvalue"]) > -1e-9
+    distances = columns["gibbs_distance"]
     assert distances[-1] < distances[0]
 
 
@@ -242,15 +246,15 @@ def test_snapshot_diagnostics_flags_a_bad_state():
     command's, against its configured tolerances."""
     good = np.diag([0.6, 0.4]).astype(complex)
     bad = np.diag([1.2, -0.2]).astype(complex)
-    row_good, row_bad = snapshot_diagnostics(np.array([good, bad]), good)
-    assert set(row_good) == {
+    columns = snapshot_diagnostics(np.array([good, bad]), good)
+    assert set(columns) == {
         "trace_deviation", "hermiticity_defect", "min_eigenvalue", "gibbs_distance"
     }
-    assert row_good["gibbs_distance"] == 0.0
-    assert row_bad["gibbs_distance"] == pytest.approx(0.6, abs=1e-12)
-    assert row_good["min_eigenvalue"] == pytest.approx(0.4, abs=1e-12)
-    assert row_bad["min_eigenvalue"] == pytest.approx(-0.2, abs=1e-12)
-    assert row_bad["trace_deviation"] < 1e-12
+    assert columns["gibbs_distance"][0] == 0.0
+    assert columns["gibbs_distance"][1] == pytest.approx(0.6, abs=1e-12)
+    assert columns["min_eigenvalue"][0] == pytest.approx(0.4, abs=1e-12)
+    assert columns["min_eigenvalue"][1] == pytest.approx(-0.2, abs=1e-12)
+    assert columns["trace_deviation"][1] < 1e-12
 
 
 def test_snapshot_distances_match_the_svd_route(dense_model, dense_bundle):
@@ -266,9 +270,9 @@ def test_snapshot_distances_match_the_svd_route(dense_model, dense_bundle):
         traj_b = evolve(dense_bundle, rho_b, TIME_GRID_TO_20)
         for sa, sb, got in zip(traj_a.states, traj_b.states, row["distances"]):
             assert abs(got - oracles.trace_distance(hermitised(sa), hermitised(sb))) <= 1e-12
-        for sa, diag in zip(traj_a.states, traj_a.diagnostics):
+        for sa, distance in zip(traj_a.states, traj_a.diagnostics["gibbs_distance"]):
             svd = oracles.trace_distance(hermitised(sa), reference)
-            assert abs(diag["gibbs_distance"] - svd) <= 1e-12
+            assert abs(distance - svd) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +349,34 @@ def test_bundle_parts_are_read_only(dense_bundle):
 
 
 # ---------------------------------------------------------------------------
+# The time rule
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "t", [-1.0, -1e-300, math.nan, math.inf, -math.inf], ids=["-1", "-tiny", "nan", "inf", "-inf"]
+)
+def test_channels_refuse_a_negative_or_non_finite_time(t):
+    """Every function that reads one channel ``e^{tL}`` refuses a time that
+    is negative or not finite, where ``choi_min_eigenvalue`` on the qubit
+    read -19.2 at ``t = -1``."""
+    bundle = localised_generator(qubit_model(), balanced_gamma("gaussian", 1.0), 1.0)
+    calls = [
+        lambda: choi_min_eigenvalue(bundle, t),
+        lambda: choi_report(bundle, t),
+        lambda: choi_trace_preservation_defect(bundle, t),
+        lambda: semigroup_defect(bundle, t, 1.0),
+        lambda: semigroup_defect(bundle, 1.0, t),
+        lambda: bundle.propagator.step(t),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="time must be finite and non-negative"):
+            call()
+    assert choi_min_eigenvalue(bundle, 0.0) > -1e-12
+    assert semigroup_defect(bundle, 0.0, 1.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
 # Initial-state validation
 # ---------------------------------------------------------------------------
 
@@ -390,7 +422,8 @@ def test_contraction_report_rejects_non_finite_states(dense_bundle):
             contraction_report(dense_bundle, [(state, state), (state, bad)], (0.0, 1.0))
 
 
-@pytest.mark.parametrize("times", [(1.0, 0.5), (-1.0, 0.0), ()])
+# A NaN or infinite time gave a snapshot at t = nan equal to the initial state.
+@pytest.mark.parametrize("times", [(1.0, 0.5), (-1.0, 0.0), (), (0.0, math.nan), (0.0, math.inf)])
 def test_contraction_report_checks_its_times_without_pairs(dense_bundle, times):
     state = random_density_matrix(4, seed=1)
     with pytest.raises(ValidationError) as from_evolve:
@@ -468,6 +501,6 @@ def test_excited_qubit_relaxes_to_gibbs():
     system = model.eigensystem()
     excited = np.outer(system.eigenvectors[:, -1], system.eigenvectors[:, -1].conj())
     trajectory = evolve(bundle, excited, (0.0, 5.0, 20.0))
-    distances = oracles.diagnostic_column(trajectory, "gibbs_distance")
+    distances = trajectory.diagnostics["gibbs_distance"]
     assert distances[0] > 0.2
     assert distances[-1] < 1e-6

@@ -163,6 +163,37 @@ def test_band_tables_are_the_dense_tables_bit_for_bit(band_grid):
         assert band.smoothing_rule == dense.smoothing_rule, label
 
 
+# Energies whose Bohr frequencies test the band's reach.  Two of width 599,
+# where ``freqs + reach`` rounds most, one with a gap just past the reach at
+# sigma = 1e-6 (2 * 1e-6 * sqrt(200) = 2.828e-5).  In the third, the two
+# upper levels sit one ulp past ``fl(nu + reach)`` apart at sigma = 0.01,
+# yet their exponent rounds to within the cap: the unwidened reach left that
+# live pair out of the band.
+_REACH_SPECTRA = (
+    (0.0, 300.0, 599.0),
+    (0.0, 2.83e-5, 300.0, 599.0),
+    (0.0, 0.2143947760557612, 0.49723748853038024),
+)
+
+
+@pytest.mark.parametrize("energies", _REACH_SPECTRA, ids=["wide", "reach-gap", "rounded-in"])
+@pytest.mark.parametrize("sigma", [1e-6, 2e-6, 1e-5, 0.01, 3.0])
+def test_band_reach_leaves_out_no_live_pair(energies, sigma):
+    """Where the rounding of the reach or of the exponent is largest, the
+    live band is the full-grid table bit for bit, for every library
+    profile, balanced and unshifted."""
+    spectrum = bohr_spectrum(np.diag(energies))
+    for phi in ("gaussian", "sech", "exp_abs"):
+        for build in (balanced_gamma, unshifted_gamma):
+            weight = build(phi, sigma)
+            band = overlap_table(spectrum, weight, sigma, cross_check=False)
+            dense = oracles.overlap_table_dense(spectrum, weight, sigma, cross_check=False)
+            label = (phi, build.__name__)
+            assert band.values.tobytes() == dense.values.tobytes(), label
+            assert band.coherent.tobytes() == dense.coherent.tobytes(), label
+            assert band.live_pairs == dense.live_pairs, label
+
+
 def test_blockwise_min_eigenvalue_is_the_dense_one(band_grid):
     """The PSD diagnostic, the least eigenvalue over the diagonal blocks,
     sits within 1e-14 of the table's scale of one ``eigvalsh`` of the whole
@@ -446,8 +477,20 @@ def test_bandwidth_guard_rejects_unresolved_filters():
     assert np.max(np.abs(got / closed - 1.0)) < 1e-13
     overlap_table(spectrum, balanced_gamma("gaussian", s), s)
     for sigma in (np.nextafter(s, np.inf), 4.0, 20.0, np.nextafter(MIN_BANDWIDTH, 0.0), 1e-300):
-        with pytest.raises(ValidationError, match="outside the supported range"):
+        with pytest.raises(ValidationError, match=r"bandwidth must be in \[1e-06, 3\]"):
             overlap_table(spectrum, balanced_gamma("gaussian", sigma), sigma)
+
+
+def test_table_refuses_a_weight_built_for_another_bandwidth():
+    """A weight balanced for sigma = 1 under a sigma = 0.5 filter is not
+    balanced for the filter, and the cross-check cannot tell, since it
+    integrates that same weight (it read 2.0e-16); a weight built for no
+    bandwidth is refused alike."""
+    spectrum = bohr_spectrum(qubit_model().eigensystem())
+    for weight in (balanced_gamma("gaussian", 1.0), delocalised_limit_gamma("gaussian")):
+        with pytest.raises(ValidationError, match="rebuild the weight for the filter bandwidth"):
+            overlap_table(spectrum, weight, 0.5)
+    overlap_table(spectrum, balanced_gamma("gaussian", 0.5), 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -358,8 +358,7 @@ def test_exp_abs_closed_form_over_the_accepted_range(make, sigma):
     value there is positive; past ``c`` of about 470 it falls below the
     double range.  Each value is within 1e-12 relative of the plain ``erfc`` form
     (``oracles.exp_abs_smoothed``) wherever that is a normal double, and of
-    QUADPACK at centres about the kink (far from the origin QUADPACK's own
-    absolute nodes round by more than that at small ``sigma``)."""
+    QUADPACK at centres about the kink and far from it."""
     weight = make("exp_abs", sigma)
     shift = 0.25 * sigma * sigma if make is balanced_gamma else 0.0
     assert smoothing_rule(weight) == "closed_form"
@@ -379,7 +378,8 @@ def test_exp_abs_closed_form_over_the_accepted_range(make, sigma):
     normal = np.isfinite(want) & (want >= np.finfo(float).tiny)
     assert np.count_nonzero(normal) > 1000
     assert np.all(np.abs(got - want)[normal] <= 1e-12 * want[normal])
-    for c in kink + sigma * np.array([-3.0, -0.5, 0.0, 0.5, 3.0]):
+    far = np.array([-600.0, -300.0, -3.0, 4.0, 300.0, 400.0])
+    for c in np.concatenate([kink + sigma * np.array([-3.0, -0.5, 0.0, 0.5, 3.0]), far]):
         quadpack = oracles.smoothed_weight_quad(c, sigma, weight)
         assert abs(smoothed_weight_table(weight, sigma, [c])[0] - quadpack) <= 1e-12 * quadpack
 
