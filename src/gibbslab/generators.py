@@ -34,7 +34,8 @@ less than two thirds of its entries, on that band only: with the
 eigenbasis pairs sorted by frequency, each pair's live partners lie in one
 window of the coupling's row, and every entry outside the windows is the
 ``+0`` the full sum gives there (a Davies coupling is diagonal, a filtered
-one zero past the exponent cap).
+one zero past the exponent cap).  Over a real frame (real eigenbasis jumps,
+a real coupling) the sandwich is float64, the complex sum's real part.
 A bundle keeps the eigenbasis sandwich and the eigenbasis drift
 ``Y_eig = i(diag(E) + U^dag B U) - M_eig/2``, built from its pieces, and its
 checks act there: every identity they test holds in any unitary basis.  The
@@ -123,9 +124,12 @@ class GeneratorBundle:
     (:attr:`system`): ``sandwich`` is the column-stacked superoperator of
     ``T -> sum C(nu, nu') A_nu T A_nu'^dag`` there and ``eigen_drift`` the
     drift ``Y_eig``, so that ``L_eig(T) = sandwich(T) + Y_eig^dag T + T Y_eig``
-    (:meth:`eigen_action`).  :attr:`superoperator` is the generator in the
-    model's original basis, ``vec(L(T)) = superoperator @ vec(T)``: the
-    rotated sandwich plus ``T -> Y^dag T + T Y``, ``Y = effective_drift``.  It
+    (:meth:`eigen_action`).  The sandwich is float64 when the frame's
+    eigenbasis jumps and the coupling are real (every structured model),
+    complex otherwise (:func:`_bohr_sum_dissipator`).  :attr:`superoperator`
+    is the generator in the model's original basis,
+    ``vec(L(T)) = superoperator @ vec(T)``: the rotated sandwich, read as
+    complex, plus ``T -> Y^dag T + T Y``, ``Y = effective_drift``.  It
     is rotated when first read and cached read-only, so the cached step
     exponentials of :attr:`propagator` cannot go stale.  ``coupling`` is the
     table ``C(nu, nu')`` contracted over the Bohr pair map:
@@ -183,12 +187,21 @@ class GeneratorBundle:
 
     def eigen_action(self, operators: np.ndarray) -> np.ndarray:
         """``L_eig`` on a stack ``(n, d, d)`` of eigenbasis operators: one
-        ``(d^2, n)`` product with the sandwich plus ``Y_eig^dag T + T Y_eig``."""
+        ``(d^2, n)`` product with the sandwich plus ``Y_eig^dag T + T Y_eig``.
+        A real sandwich multiplies the ``(d^2, 2n)`` float64 view of the
+        complex columns, so it is never copied to complex."""
         ts = np.asarray(operators, dtype=np.complex128)
         n, d = ts.shape[0], self.dim
-        # vec(T) is T^T read in row order, and each image is read back the same way.
-        columns = ts.transpose(0, 2, 1).reshape(n, d * d)
-        images = (self.sandwich @ columns.T).T.reshape(n, d, d).transpose(0, 2, 1)
+        # Column k of the stack is vec(T_k), T_k^T read in row order; each
+        # image is read back the same way.
+        columns = np.ascontiguousarray(ts.transpose(2, 1, 0).reshape(d * d, n))
+        if np.iscomplexobj(self.sandwich):
+            images = self.sandwich @ columns
+        else:
+            # Read as float64 the stack is (d^2, 2n), real and imaginary
+            # parts side by side: one real product applies the sandwich to both.
+            images = (self.sandwich @ columns.view(np.float64)).view(np.complex128)
+        images = images.reshape(d, d, n).transpose(2, 1, 0)
         y = self.eigen_drift
         return images + dagger(y) @ ts + ts @ y
 
@@ -350,19 +363,29 @@ def _bohr_sum_dissipator(
     for bit (``tests/oracles.py``'s ``bohr_sum_dissipator_dense``).  A
     Davies coupling is diagonal and a filtered one zero past the exponent
     cap: a line32 Davies sandwich computes 0.4 % of its entries.
+
+    The output's type follows the inputs: when no eigenbasis jump has a
+    nonzero imaginary part and the coupling is real, the sum is taken in
+    float64.  Each product then equals the real part of the complex one, and
+    every sum starts from ``+0``, so the matrix is the complex sum's real
+    part bit for bit, at half the bytes; that sum's imaginary part is ``+0``
+    in every entry.
     """
     band = _live_band(coupling, pair_index)
     d = pair_index.shape[0]
     n = d * d
     jumps = np.reshape(jumps_eig, (-1, d, d))
+    if not np.iscomplexobj(coupling) and not jumps.imag.any():
+        jumps = np.ascontiguousarray(jumps.real)
+    dtype = np.result_type(jumps, coupling)
     conj = jumps.conj()
-    out = np.zeros(n * n, dtype=np.complex128)
+    out = np.zeros(n * n, dtype=dtype)
 
     if band is None:
         # Slab j of the sandwich holds the rows (i, j); its entry [i, l, k],
         # in column (k, l), pairs (i, k) with (j, l).
         blocks = out.reshape(d, d, d, d)
-        term = np.empty((d, d, d), dtype=np.complex128)
+        term = np.empty((d, d, d), dtype=dtype)
         for j in range(d):
             c = coupling.take(pair_index[j], axis=1).take(pair_index, axis=0)
             c = np.ascontiguousarray(c.transpose(0, 2, 1))
@@ -381,7 +404,7 @@ def _bohr_sum_dissipator(
     pairs = list(zip(jumps.reshape(-1, n)[:, order], conj.reshape(-1, n)[:, order]))
 
     def add_tile(at_rows, at_cols, values):
-        acc = np.zeros(values.shape, dtype=np.complex128)
+        acc = np.zeros(values.shape, dtype=dtype)
         product = np.empty_like(acc)
         for a, a_conj in pairs:
             np.multiply(a[at_rows], a_conj[at_cols], out=product)
@@ -650,7 +673,7 @@ def stationarity_report(bundle: GeneratorBundle) -> float:
     d = bundle.dim
     image = devectorize(bundle.sandwich[:, :: d + 1] @ p, d)
     y = bundle.eigen_drift
-    image += dagger(y) * p + p[:, None] * y
+    image = image + (dagger(y) * p + p[:, None] * y)
     return float(np.linalg.norm(image)) / float(np.linalg.norm(p))
 
 
@@ -713,7 +736,9 @@ def dual_path_residual(bundle: GeneratorBundle) -> float:
         other = overlap_table(bundle.spectrum, weight, weight.sigma, cross_check=False).values
     built = bundle.coupling
     scale = max(float(np.linalg.norm(built)), float(np.linalg.norm(other)), 1e-300)
-    return float(np.linalg.norm(built - other)) / scale
+    # ``other`` is this call's own table: subtract in place, no third m x m.
+    other -= built
+    return float(np.linalg.norm(other)) / scale
 
 
 def davies_limit_report(model: Model, phi, sigmas, *, seed: int = 2024) -> dict:

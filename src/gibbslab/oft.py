@@ -427,6 +427,12 @@ def overlap_table(
     _drop_underflow(pair)
     upper_flat = rows * m + cols
     lower_flat = cols * m + rows
+    # Each kept pair off the diagonal is two entries of the table.
+    kept = 2 * np.count_nonzero(overlap) - np.count_nonzero(overlap[rows == cols])
+    live_pairs = int(rows.size)
+    # Free the band's temporaries before the tables are allocated: on line32
+    # they would otherwise set the build's peak.
+    del rows, cols, exponents, nu, nu_prime, gaps, mids, uniq_centers, inverse, h, sum_factor
     values = np.zeros((m, m))
     values.ravel()[lower_flat] = overlap
     values.ravel()[upper_flat] = overlap
@@ -438,8 +444,7 @@ def overlap_table(
     coherent = np.zeros((m, m), dtype=np.complex128)
     coherent.ravel()[lower_flat] = pair.conj() + 0.0
     coherent.ravel()[upper_flat] = pair
-    # Each kept pair off the diagonal is two entries of the table.
-    kept = 2 * np.count_nonzero(overlap) - np.count_nonzero(overlap[rows == cols])
+    del pair
 
     defect = 0.0
     evaluations = 0
@@ -476,5 +481,5 @@ def overlap_table(
         cross_check_entries=len(pairs),
         cross_check_evaluations=evaluations,
         dropped_entries=int(m * m - kept),
-        live_pairs=int(rows.size),
+        live_pairs=live_pairs,
     )

@@ -45,7 +45,9 @@ factor's entries below that floor.
 ``parent_tail`` also keeps the package's arithmetic: it is the assembly
 tail done eagerly (the sandwich rotated to the original basis, then
 ``Y^dag T + T Y`` added), which the bundle's lazily rotated superoperator
-must reproduce byte for byte.  ``davies_limit_rows_original_basis``
+must reproduce byte for byte.  ``complex_sandwich_tail`` is that tail on
+the bundle's own sandwich cast to complex, which the rotation of a real
+sandwich must reproduce byte for byte.  ``davies_limit_rows_original_basis``
 recomputes the delocalisation report's distances with the original-basis
 superoperators and trace norms through singular values.
 ``pair_sum_optimized`` is the pair contraction as
@@ -404,6 +406,17 @@ def parent_tail(bundle) -> tuple[np.ndarray, np.ndarray]:
     superop = _rotate_superop(system, _bohr_sum_dissipator(jumps_eig, bundle.coupling, idx)[0])
     _add_drift(superop, drift)
     return superop, drift
+
+
+def complex_sandwich_tail(bundle) -> np.ndarray:
+    """The original-basis superoperator of ``bundle`` from its eigenbasis
+    sandwich cast to complex: rotated, then ``Y^dag T + T Y`` added in
+    place.  A real sandwich must rotate to these bytes."""
+    from gibbslab.generators import _add_drift, _rotate_superop
+
+    superop = _rotate_superop(bundle.system, bundle.sandwich.astype(np.complex128))
+    _add_drift(superop, bundle.effective_drift)
+    return superop
 
 
 def davies_limit_rows_original_basis(model, phi, sigmas, seed: int) -> list[dict]:

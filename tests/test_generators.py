@@ -368,7 +368,7 @@ def test_rotation_matches_kron_oracle(d):
 )
 def test_sandwich_layout_matches_transposed_oracle(model, coupling_of):
     """The column-stacked sandwich is bit for bit the row-major product
-    moved by a transposed copy."""
+    moved by a transposed copy (for a real frame, its real part)."""
     system = model.eigensystem()
     spectrum = bohr_spectrum(system)
     jumps = [system.to_eigenbasis(a) for a in model.jumps]
@@ -380,7 +380,7 @@ def test_sandwich_layout_matches_transposed_oracle(model, coupling_of):
             coupling = 2.0 * np.diag(np.diag(coupling)) - coupling
     got = _bohr_sum_dissipator(jumps, coupling, spectrum.pair_index)[0]
     want = oracles.sandwich_transposed(jumps, coupling, spectrum.pair_index)
-    assert got.tobytes() == want.tobytes()
+    assert _same_sandwich(got, want, jumps)
 
 
 @pytest.fixture(scope="module")
@@ -786,6 +786,23 @@ _BAND_MODELS = {
 }
 
 
+def _same_sandwich(got, want, jumps) -> bool:
+    """Whether the package's sandwich ``got`` is the complex oracle ``want``
+    bit for bit.  Over a real frame (no eigenbasis jump with a nonzero
+    imaginary part) ``got`` is real, and must equal ``want``'s real part
+    while ``want``'s imaginary part is ``+0`` in every entry: the same
+    statement as byte equality of ``got`` cast to complex.  Otherwise
+    ``got`` is complex and byte-equal to ``want``."""
+    if any(np.any(a.imag) for a in jumps):
+        return got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+    return (
+        got.dtype == np.float64
+        and got.tobytes() == np.ascontiguousarray(want.real).tobytes()
+        and not np.any(want.imag)
+        and not np.any(np.signbit(want.imag))
+    )
+
+
 def _live_window_count(coupling, pair_index):
     """Sandwich entries inside the live windows: for each row pair, the
     column pairs whose frequency lies from the first to the last nonzero of
@@ -818,7 +835,8 @@ def _band_couplings(spectrum):
 @pytest.mark.parametrize("name", sorted(_BAND_MODELS))
 def test_band_sandwich_is_the_dense_sum_bit_for_bit(name):
     """Only the live band is computed, and the sandwich is the dense sum of
-    all d^4 entries byte for byte, on every coupling a build contracts.  A
+    all d^4 entries byte for byte (over a real frame, its real part, the
+    imaginary part being +0), on every coupling a build contracts.  A
     count, not a clock: a band build computes at least its live windows and
     at most twice them (a rectangle tile is at least half live); any other
     build computes all d^4 entries."""
@@ -829,7 +847,7 @@ def test_band_sandwich_is_the_dense_sum_bit_for_bit(name):
     for label, coupling in _band_couplings(spectrum):
         got, entries = _bohr_sum_dissipator(jumps, coupling, spectrum.pair_index)
         want = oracles.bohr_sum_dissipator_dense(jumps, coupling, spectrum.pair_index)
-        if got.tobytes() != want.tobytes():
+        if not _same_sandwich(got, want, jumps):
             mismatched.append(label)
         live = _live_window_count(coupling, spectrum.pair_index)
         if not (live <= entries <= 2 * live or entries == model.dim**4):
@@ -876,7 +894,7 @@ def test_band_sandwich_matches_on_synthetic_couplings():
     for label, coupling in couplings.items():
         got, entries[label] = _bohr_sum_dissipator(jumps, coupling, spectrum.pair_index)
         want = oracles.bohr_sum_dissipator_dense(jumps, coupling, spectrum.pair_index)
-        assert got.tobytes() == want.tobytes(), label
+        assert _same_sandwich(got, want, jumps), label
     d4 = 16**4
     assert 3 * _live_window_count(couplings["two thirds under"], spectrum.pair_index) < 2 * d4
     assert 3 * _live_window_count(couplings["two thirds over"], spectrum.pair_index) >= 2 * d4
@@ -891,3 +909,66 @@ def test_davies_sandwich_computes_under_one_percent_of_its_entries():
     assert bundle.diagnostics["sandwich_live_entries"] < 0.01 * 32**4
     dense = localised_generator(oscillator_model(6), balanced_gamma("gaussian", 3.0), 3.0)
     assert dense.diagnostics["sandwich_live_entries"] == 6**4
+
+
+# ---------------------------------------------------------------------------
+# The sandwich's type follows its frame
+# ---------------------------------------------------------------------------
+
+
+_FIXED_MODELS = {
+    "qubit": (qubit_model, np.float64),
+    "oscillator6": (lambda: oscillator_model(6), np.float64),
+    "random4": (lambda: random_model(dim=4, seed=5, spectrum=(1.0, 1.7, 3.1, 4.6)), np.complex128),
+    "torus12": (lambda: torus_model(12), np.float64),
+    "line16": (lambda: schrodinger_line_model(16), np.float64),
+}
+
+
+def _fixed_bundles(model_name):
+    """``(label, bundle)``: the filtered sech sigma = 0.7 and the Davies
+    metropolis generator of a fixed config's model."""
+    model = _FIXED_MODELS[model_name][0]()
+    yield "sech 0.7", localised_generator(model, balanced_gamma("sech", 0.7), 0.7)
+    yield "metropolis", davies_generator(model, kms_gamma("metropolis"))
+
+
+@pytest.mark.parametrize("model_name", sorted(_FIXED_MODELS))
+def test_sandwich_type_follows_the_frame(model_name):
+    """The structured models' eigenbasis jumps are exactly real and every
+    coupling table is real, so their sandwich is float64; random4's jumps
+    are complex, and so is its sandwich."""
+    for label, bundle in _fixed_bundles(model_name):
+        assert bundle.sandwich.dtype == _FIXED_MODELS[model_name][1], label
+
+
+@pytest.mark.parametrize("model_name", sorted(_FIXED_MODELS))
+def test_superoperator_is_the_complex_sandwich_rotated(model_name):
+    """The original-basis superoperator is, byte for byte, the rotation of
+    the sandwich cast to complex plus the drift."""
+    for label, bundle in _fixed_bundles(model_name):
+        want = oracles.complex_sandwich_tail(bundle)
+        assert bundle.superoperator.tobytes() == want.tobytes(), label
+
+
+@pytest.mark.parametrize("model_name", ["oscillator6", "torus12", "line16"])
+def test_real_sandwich_acts_as_its_complex_cast(model_name):
+    """``eigen_action`` applies a real sandwich by one real product on the
+    float view of the operator stack; it agrees with the same bundle whose
+    sandwich is cast to complex within 1e-15 relative, for one operator and
+    for a stack."""
+    rng = np.random.default_rng(4)
+    for label, bundle in _fixed_bundles(model_name):
+        cast = dataclasses.replace(bundle, sandwich=bundle.sandwich.astype(np.complex128))
+        d = bundle.dim
+        for n in (1, 7):
+            ops = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+            got, want = bundle.eigen_action(ops), cast.eigen_action(ops)
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want), (label, n)
+
+
+def test_line24_sandwich_holds_one_double_an_entry(line24):
+    """A real frame's sandwich holds 8 bytes an entry, half the complex one."""
+    model, _, _, weight = line24
+    bundle = localised_generator(model, weight, 1.0)
+    assert bundle.sandwich.nbytes == 8 * 24**4
