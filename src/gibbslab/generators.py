@@ -561,7 +561,9 @@ def _omega_quadrature_coupling(
     ``K(nu, nu') = sum_n gw_n fhat(w_n - nu) fhat(w_n - nu')`` is the Gram
     table ``W^T W`` of ``W = sqrt(gw) * profile`` (nodes x frequencies), so
     it is positive semidefinite by construction.  Summing it over blocks of
-    ``_NODE_CHUNK`` sorted nodes bounds its temporaries.  Entries of each
+    ``_NODE_CHUNK`` sorted nodes bounds its temporaries: each block of ``W``
+    is one array, its profile and floor evaluated in place, and the first
+    block's product is written straight into the table.  Entries of each
     block of ``W`` below ``sqrt(tiny)`` (about ``1.5e-154``) times
     ``max(1, max|W|)`` are zeroed first, as in the overlap table, so that no
     product in ``W^T W`` underflows.  A block is multiplied only against
@@ -573,9 +575,10 @@ def _omega_quadrature_coupling(
     """
     nodes, wts = _omega_quadrature_nodes(weight, sigma, freqs)
     root_gw = np.sqrt(weight(nodes) * wts)
-    profile = GaussianFilter(sigma).frequency_profile
-    peak = float(profile(0.0))
+    filt = GaussianFilter(sigma)
+    peak = float(filt.frequency_profile(0.0))
     table = np.zeros((freqs.size, freqs.size))
+    first = True
     for start in range(0, nodes.size, _NODE_CHUNK):
         block = slice(start, start + _NODE_CHUNK)
         top = peak * float(np.max(root_gw[block]))
@@ -586,9 +589,16 @@ def _omega_quadrature_coupling(
         reach = sigma * math.sqrt(2.0 * math.log(top / _UNDERFLOW_FLOOR)) * (1.0 + 1e-6)
         lo = int(np.searchsorted(freqs, nodes[start] - reach, side="left"))
         hi = int(np.searchsorted(freqs, nodes[block][-1] + reach, side="right"))
-        root = root_gw[block, None] * profile(nodes[block, None] - freqs[None, lo:hi])
+        root = filt.frequency_profile_in_place(nodes[block, None] - freqs[None, lo:hi])
+        root *= root_gw[block, None]
         _drop_underflow(root)
-        table[lo:hi, lo:hi] += root.T @ root
+        if first:
+            # Every entry of root is >= +0, so the first product written
+            # straight into the zero table is the sum 0 + product.
+            np.matmul(root.T, root, out=table[lo:hi, lo:hi])
+            first = False
+        else:
+            table[lo:hi, lo:hi] += root.T @ root
     return table, int(nodes.size)
 
 
@@ -817,14 +827,36 @@ def _oracle_trapezoid(span: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, wts
 
 
+def _phase_sums(x: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``F(x) = sum_k w_k e^{i x s_k}`` at every entry of ``x``.
+
+    Each distinct ``x`` and each distinct ``|s|`` is exponentiated once:
+    ``e^{-ixs}`` is the conjugate of ``e^{ixs}``, so with the weights summed
+    per ``|s|`` on each side of 0 into ``w_+`` and ``w_-``,
+    ``F = P w_+ + conj(P conj(w_-))`` for the phase table ``P = e^{ix|s|}``.
+    """
+    distinct, where = np.unique(x, return_inverse=True)
+    mags, at = np.unique(np.abs(s), return_inverse=True)
+    neg = s < 0.0
+    w_pos = np.zeros(mags.size, dtype=np.complex128)
+    w_neg = np.zeros(mags.size, dtype=np.complex128)
+    np.add.at(w_pos, at[~neg], w[~neg])
+    np.add.at(w_neg, at[neg], w[neg])
+    phase = np.exp(1j * np.multiply.outer(distinct, mags))
+    f = phase @ w_pos + np.conj(phase @ np.conj(w_neg))
+    return f[where].reshape(x.shape)
+
+
 def _envelope_sum(energies: np.ndarray, jumps_eig, ss: np.ndarray, wb2: np.ndarray):
     """``sum_A sum_s wb2_s e^{iEs} A^dag e^{-2iEs} A e^{iEs}`` in the eigenbasis.
 
     Entry ``(i, j)`` is ``sum_k [sum_A conj(A_ki) A_kj] F(E_i + E_j - 2 E_k)``
-    with ``F(x) = sum_s wb2_s e^{ixs}``: one d^3-by-nodes phase table.
+    with ``F(x) = sum_s wb2_s e^{ixs}``: one phase table of the distinct
+    sums (``i <-> j`` swaps and ``i = j = k`` repeat one) by the distinct
+    ``|s|``.
     """
     freq = energies[:, None, None] + energies[None, :, None] - 2.0 * energies[None, None, :]
-    f = (np.exp(1j * np.multiply.outer(freq, ss)) @ wb2).reshape(freq.shape)
+    f = _phase_sums(freq, ss, wb2)
     pairs = sum(np.einsum("ki,kj->ijk", a.conj(), a) for a in jumps_eig)
     return np.sum(pairs * f, axis=2)
 
@@ -832,34 +864,27 @@ def _envelope_sum(energies: np.ndarray, jumps_eig, ss: np.ndarray, wb2: np.ndarr
 def _time_quadrature_inner(model: Model, weight: WeightFunction, sigma: float):
     """Shared pieces of the time-domain assembly.
 
-    Returns ``(system, ts, wt_k1, inner)`` where ``inner`` is the
+    Returns ``(system, outer, inner)`` in the eigenbasis: ``inner`` is the
     orientation-independent envelope integral
-    ``sum_A integral ds b2(s) e^{iPs} A^dag e^{-2iPs} A e^{iPs}``
-    in the eigenbasis and ``wt_k1`` the weighted kernel samples.
+    ``sum_A integral ds b2(s) e^{iPs} A^dag e^{-2iPs} A e^{iPs}`` and
+    ``outer[i, j] = integral dt k1(t) e^{it(E_i - E_j)}`` the kernel's
+    outward conjugation.
     """
     if model.dim > 6:
         raise ValidationError(
             f"time-domain oracle is for small models (dim <= 6), got dim {model.dim}"
         )
     system = model.eigensystem()
+    energies = system.eigenvalues
 
     ts, wt = _oracle_trapezoid(12.0 + 2.0 / sigma)
-    wt_k1 = wt * coherent_time_kernel(ts, sigma)
+    diff = energies[:, None] - energies[None, :]
+    outer = _phase_sums(diff, ts, wt * coherent_time_kernel(ts, sigma))
 
     ss, ws = _oracle_trapezoid(10.0 / sigma + 1.0)
     wb2 = ws * coherent_time_envelope(ss, sigma, weight)
-    inner = _envelope_sum(system.eigenvalues, model.frame.jumps_eig, ss, wb2)
-    return system, ts, wt_k1, inner
-
-
-def _time_quadrature_close(system: EigenSystem, ts, wt_k1, inner, orientation: str):
-    sign = 1.0 if orientation == "outward" else -1.0
-    energies = system.eigenvalues
-    diff = energies[:, None] - energies[None, :]
-    outer_kernel = np.tensordot(
-        wt_k1, np.exp(1j * sign * np.multiply.outer(ts, diff)), axes=(0, 0)
-    )
-    return system.from_eigenbasis(outer_kernel * inner)
+    inner = _envelope_sum(energies, model.frame.jumps_eig, ss, wb2)
+    return system, outer, inner
 
 
 def coherent_calibration_report(bundle: GeneratorBundle) -> dict:
@@ -882,13 +907,15 @@ def coherent_calibration_report(bundle: GeneratorBundle) -> dict:
             f"the time-domain oracle resolves bandwidths sigma >= {_TIME_ORACLE_MIN_SIGMA} "
             f"only, got {sigma!r}"
         )
-    system, ts, wt_k1, inner = _time_quadrature_inner(bundle.model, bundle.weight, sigma)
+    system, outer, inner = _time_quadrature_inner(bundle.model, bundle.weight, sigma)
     b_freq = bundle.coherent_matrix
     report = {
         key: bundle.diagnostics[key] for key in ("coherent_norm", "coherent_hermiticity_defect")
     }
-    for orientation in ("outward", "literal"):
-        b_time = _time_quadrature_close(system, ts, wt_k1, inner, orientation)
+    # The literal orientation conjugates by e^{-iPt}: its kernel at (i, j)
+    # is the outward one at E_j - E_i, the transpose.
+    for orientation, kernel in (("outward", outer), ("literal", outer.T)):
+        b_time = system.from_eigenbasis(kernel * inner)
         report[f"distance_{orientation}"] = float(np.linalg.norm(b_time - b_freq))
     scale = report["coherent_norm"] if report["coherent_norm"] > 1e-12 else 1.0
     report["relative_distance_outward"] = report["distance_outward"] / scale

@@ -175,9 +175,17 @@ def _drop_underflow(table: np.ndarray) -> None:
     LAPACK never underflow on them.  On a table of scale 1 or more, each
     dropped entry is more than 138 orders of magnitude below roundoff.
     """
-    magnitude = np.abs(table)
-    floor = _UNDERFLOW_FLOOR * max(1.0, float(magnitude.max(initial=0.0)))
-    table[magnitude < floor] = 0.0
+    if np.iscomplexobj(table):
+        magnitude = np.abs(table)
+        floor = _UNDERFLOW_FLOOR * max(1.0, float(magnitude.max(initial=0.0)))
+        table[magnitude < floor] = 0.0
+        return
+    # A real table is compared where it lies: |x| < f is -f < x < f.
+    top = max(float(table.max(initial=0.0)), -float(table.min(initial=0.0)))
+    floor = _UNDERFLOW_FLOOR * max(1.0, top)
+    small = table < floor
+    small &= table > -floor
+    table[small] = 0.0
 
 
 def _definitional_entries(

@@ -157,6 +157,18 @@ def _require_bandwidth(sigma) -> None:
         raise ValidationError(f"bandwidth must be a finite positive number, got {sigma!r}")
 
 
+def _finite_times(t) -> np.ndarray:
+    """``t`` as a 1-d float array; refuse an empty ``t`` and any entry that
+    is not finite."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if not t_arr.size:
+        raise ValidationError("no time given")
+    bad = t_arr[~np.isfinite(t_arr)]
+    if bad.size:
+        raise ValidationError(f"time must be finite, got {float(bad[0])!r}")
+    return t_arr
+
+
 def _require_table_bandwidth(sigma, field: str = "bandwidth") -> float:
     """``sigma``, refused unless in ``[MIN_BANDWIDTH, MAX_BANDWIDTH]``, where
     the quadratures resolve a table; ``field`` names it in the message."""
@@ -199,9 +211,19 @@ class GaussianFilter:
     def __post_init__(self) -> None:
         _require_bandwidth(self.sigma)
 
-    def frequency_profile(self, tau):
-        tau = np.asarray(tau, dtype=np.float64)
-        return math.pi**0.25 / math.sqrt(self.sigma) * np.exp(-0.5 * (tau / self.sigma) ** 2)
+    def frequency_profile(self, tau) -> np.ndarray:
+        """The profile at ``tau``, a new array."""
+        return self.frequency_profile_in_place(np.array(tau, dtype=np.float64))
+
+    def frequency_profile_in_place(self, tau: np.ndarray) -> np.ndarray:
+        """Overwrite the float64 array ``tau`` with the profile at ``tau``
+        and return it: no temporary of its size."""
+        tau /= self.sigma
+        np.square(tau, out=tau)
+        tau *= -0.5
+        np.exp(tau, out=tau)
+        tau *= math.pi**0.25 / math.sqrt(self.sigma)
+        return tau
 
 
 # ---------------------------------------------------------------------------
@@ -596,17 +618,31 @@ def coherent_time_kernel(t, sigma: float) -> np.ndarray:
     relative accuracy holds at every ``t``, also where ``K`` is far below
     1e-40.  A window that reaches ``s = 0`` sums the cancelling ``(t+s)``
     term there with the ``(t-s)`` one.
+
+    Panel rule: Gauss-Legendre panels of ``PANEL_ORDER`` nodes, of width
+    ``min(0.5/sigma, 0.25)`` on ``[0, 1]`` (rounded up to whole panels) and
+    ``min(2, 3/sigma)`` beyond.  The integrand's only singularities are the
+    poles of ``csch(2 pi s)`` on the imaginary axis, the nearest at
+    ``+-i/2``.  They limit a panel that starts at ``s = 0``: a unit panel
+    there would converge only as ``2.9^{-32}``, about 2e-15.  A panel at
+    most two units wide that starts at ``s >= 1`` has them outside its
+    Bernstein ellipse of parameter 3.9 (``3.9^{-32}`` is about 1e-19), and
+    ``e^{-2 pi s}`` across two units is resolved to the same order.  Out
+    there the Gaussian sets the width: three of its widths ``1/sigma``.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    t_arr = _finite_times(t)
     _require_bandwidth(sigma)
     # Odd in t: evaluate once per distinct |t| and restore the sign, so
     # K(-t) = -K(t) holds bit for bit and a mirrored grid costs half.
     mags, where = np.unique(np.abs(t_arr), return_inverse=True)
     radius = WINDOW_RADIUS / sigma
     peaks = np.maximum(mags - math.pi / (sigma * sigma), 0.0)
-    panel = min(0.5 / sigma, 0.25)
-    n_panels = int(math.ceil((float(peaks[-1]) + radius) / panel))
-    edges = np.linspace(0.0, n_panels * panel, n_panels + 1)
+    near, far = min(0.5 / sigma, 0.25), min(2.0, 3.0 / sigma)
+    n_near = math.ceil(1.0 / near)
+    n_far = max(0, math.ceil((float(peaks[-1]) + radius - n_near * near) / far))
+    edges = np.concatenate(
+        [near * np.arange(n_near + 1), n_near * near + far * np.arange(1, n_far + 1)]
+    )
     nodes, wts = _panel_nodes(edges[:-1], edges[1:])
     with np.errstate(over="ignore"):
         csch = wts / np.sinh(2.0 * math.pi * nodes)
@@ -662,11 +698,15 @@ def coherent_time_envelope(
     ``e^{-2isw} = e^{-2is c_p} e^{-2is h x_j}``.  Each segment is one
     complex matrix product of the ``(s x 16)`` node phases with the
     ``(16 x panels)`` weighted tilted values, and then a phase per panel
-    centre: ``n_s (panels + 16)`` complex exponentials instead of
-    ``16 n_s panels``.  The tilted weight is real, so
+    centre.  The centres are uniform, ``c_p = c_0 + 2hp``: with
+    ``g = ceil(sqrt(panels))`` and ``p = q g + r``, the centre phase is
+    ``e^{-2is (c_0 + 2hgq)} e^{-4ishr}``, a coarse table of ``panels / g``
+    columns times a fine one of ``g``.  That is
+    ``n_s (2 sqrt(panels) + 16)`` complex exponentials where the direct sum
+    takes ``16 n_s panels``.  The tilted weight is real, so
     ``ghat(-s) = conj(ghat(s))`` and each distinct ``|s|`` is summed once.
     """
-    s_arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
+    s_arr = _finite_times(s)
     _require_bandwidth(sigma)
 
     def tilted(w):
@@ -698,14 +738,16 @@ def coherent_time_envelope(
         seg = np.linspace(a, b, k + 1)
         centres = 0.5 * (seg[:-1] + seg[1:])
         half = 0.5 * (b - a) / k
-        gvals = tilted(centres[:, None] + half * x_ref[None, :]) * (half * w_ref)
+        # Zero rows pad the k panels up to n_q whole groups of g.
+        g = math.ceil(math.sqrt(k))
+        n_q = -(-k // g)
+        gvals = np.zeros((n_q * g, x_ref.size))
+        gvals[:k] = tilted(centres[:, None] + half * x_ref[None, :]) * (half * w_ref)
         local = np.exp(-2j * half * np.outer(mags, x_ref)) @ gvals.T
-        # One s-chunk keeps its (s x centres) phase table near 16 MiB.
-        chunk = max(1, 1_000_000 // k)
-        for start in range(0, mags.size, chunk):
-            rows = slice(start, start + chunk)
-            phase = np.exp(-2j * np.outer(mags[rows], centres))
-            ghat[rows] += np.einsum("sp,sp->s", phase, local[rows])
+        fine = np.exp(-4j * half * np.outer(mags, np.arange(g)))
+        coarse = np.exp(-2j * np.outer(mags, centres[0] + 2.0 * half * g * np.arange(n_q)))
+        by_q = np.matmul(local.reshape(mags.size, n_q, g), fine[:, :, None])[:, :, 0]
+        ghat += np.einsum("sq,sq->s", coarse, by_q)
     ghat = ghat[where] / math.sqrt(2.0 * math.pi)
     ghat = np.where(s_arr < 0.0, ghat.conj(), ghat)
     front = 2.0 * math.sqrt(math.pi) * sigma * np.exp(

@@ -27,10 +27,11 @@ of the scalar stationarity identity, built from ``G`` over every frequency
 pair), ``time_kernel_quad``, ``time_kernel_l1_quad`` and
 ``tilted_envelope_quad``.  The time-domain oracle's sums have direct
 forms: ``time_kernel_all_nodes`` sums the kernel of every ``|t|`` over
-every panel node where the package sums each over its live window,
-``time_envelope_direct`` sums ``e^{-2isw}`` over every panel node
-without the package's panel-centre split, and ``envelope_sum_loop`` sums
-its inner envelope integral one trapezoid node at a time.
+every node of uniform narrow panels where the package sums each over its
+live window on graded panels, ``time_envelope_direct`` sums
+``e^{-2isw}`` over every panel node without the package's panel-centre
+split, and ``envelope_sum_loop`` sums its inner envelope integral one
+trapezoid node at a time.
 
 Three references keep the package's arithmetic and drop one of its
 shortcuts: ``sandwich_transposed`` builds the eigenbasis sandwich in
@@ -803,10 +804,11 @@ def time_kernel_quad(t: float, sigma: float) -> float:
 
 
 def time_kernel_all_nodes(t, sigma: float) -> np.ndarray:
-    """The coherent time kernel of ``weights.coherent_time_kernel`` on its
-    own Gauss-Legendre panels (16 nodes, width ``min(0.5/sigma, 0.25)``),
-    as one sum of every distinct ``|t|`` over every node out to
-    ``max|t| + 12/sigma + 2``: no window, ``n_t x n_nodes`` exponentials."""
+    """The coherent time kernel of ``weights.coherent_time_kernel`` on
+    uniform Gauss-Legendre panels (16 nodes, width ``min(0.5/sigma, 0.25)``
+    everywhere, the package's width on ``[0, 1]`` only), as one sum of
+    every distinct ``|t|`` over every node out to ``max|t| + 12/sigma + 2``:
+    no window, ``n_t x n_nodes`` exponentials."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     mags, where = np.unique(np.abs(t_arr), return_inverse=True)
     panel = min(0.5 / sigma, 0.25)

@@ -240,6 +240,24 @@ def test_pair_sum_is_the_optimised_einsum_bit_for_bit(model_name, phi, sigma):
         assert got.tobytes() == oracles.pair_sum_optimized(frame.jumps_eig, coupling, idx).tobytes()
 
 
+def test_node_sum_holds_one_block_beside_the_table():
+    """line32 at sigma = 1 is one block of ``W`` (472 nodes by 601
+    frequencies) beside the 601 x 601 table: the profile and the floor are
+    evaluated in place and the first product lands in the table, so no
+    second array of either size is alive at the peak."""
+    freqs = schrodinger_line_model(32).frame.spectrum.frequencies
+    weight = balanced_gamma("gaussian", 1.0)
+    one_block = 8 * _omega_quadrature_nodes(weight, 1.0, freqs)[0].size * freqs.size
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table, _ = _omega_quadrature_coupling(weight, 1.0, freqs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes + 1.5 * one_block
+
+
 def test_node_sum_table_is_summed_in_bounded_blocks(monkeypatch):
     """line16 at sigma = 0.01 puts 11k quadrature nodes on 133 frequencies
     (48k when the nodes tiled the whole span, whose single nodes x
@@ -612,6 +630,19 @@ def test_calibration_rejects_bandwidths_below_its_grid(dense_model):
         coherent_calibration_report(low)
     edge = localised_generator(dense_model, balanced_gamma("gaussian", 0.3), 0.3)
     assert coherent_calibration_report(edge)["relative_distance_outward"] < 1e-10
+
+
+@pytest.mark.parametrize("width", [10.0, 100.0, 599.0])
+def test_calibration_holds_on_wide_spectra(width):
+    """The oracle on random4 spread over ``[0, width]``: its frequency sums
+    reach ``|x s|`` of about 4e4 rad at the widest, where every phase
+    table must still be exact."""
+    model = random_model(dim=4, seed=5, spectrum=(0.0, 0.3 * width, 0.7 * width, width))
+    for phi in ("gaussian", "exp_abs"):
+        for sigma in (0.3, 0.9, 3.0):
+            bundle = localised_generator(model, balanced_gamma(phi, sigma), sigma)
+            report = coherent_calibration_report(bundle)
+            assert report["distance_outward"] <= 1e-13 * max(1.0, report["coherent_norm"])
 
 
 def test_envelope_sum_matches_node_loop(dense_model):

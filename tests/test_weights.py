@@ -484,11 +484,13 @@ def test_time_kernel_is_exactly_odd():
     assert vals[4] == 0.0
 
 
-@pytest.mark.parametrize("sigma", [0.3, 0.5, 0.9, 2.0])
+@pytest.mark.parametrize("sigma", [0.3, 0.5, 0.9, 2.0, MAX_BANDWIDTH])
 def test_time_kernel_window_matches_all_node_sum(sigma):
-    """Each ``|t|`` summed over its live window against the sum over every
-    node, per point, on the oracle's kernel grid and at t = 19 and 40,
-    where the kernel lies far below 1e-40 at the larger bandwidths."""
+    """Each ``|t|`` summed over its live window on graded panels against
+    the sum over every node of uniform narrow panels, per point, on the
+    oracle's kernel grid and at t = 19 and 40, where the kernel lies far
+    below 1e-40 at the larger bandwidths.  ``MAX_BANDWIDTH`` puts the
+    steepest Gaussian under the widest panels."""
     ts, _ = gibbslab.generators._oracle_trapezoid(12.0 + 2.0 / sigma)
     for t in (ts, np.array([19.0, 40.0])):
         got = coherent_time_kernel(t, sigma)
@@ -511,6 +513,22 @@ def test_envelope_phase_split_matches_direct_sum(phi):
     assert isinstance(scalar, complex)
     ref_scalar = oracles.time_envelope_direct(0.3, 0.9, w)[0]
     assert abs(scalar - ref_scalar) < 1e-14 * abs(ref_scalar)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_time_kernel_and_envelope_refuse_non_finite_times(bad):
+    w = balanced_gamma("gaussian", 0.9)
+    with pytest.raises(ValidationError, match="time must be finite"):
+        coherent_time_kernel(np.array([0.5, bad]), 0.9)
+    with pytest.raises(ValidationError, match="time must be finite"):
+        coherent_time_envelope(bad, 0.9, w)
+
+
+def test_time_kernel_and_envelope_refuse_no_times():
+    with pytest.raises(ValidationError, match="no time given"):
+        coherent_time_kernel([], 0.9)
+    with pytest.raises(ValidationError, match="no time given"):
+        coherent_time_envelope(np.array([]), 0.9, balanced_gamma("gaussian", 0.9))
 
 
 def test_envelope_rejects_untiltable_weight():
