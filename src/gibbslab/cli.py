@@ -425,7 +425,7 @@ def _bundle_check(
 def _environment(seed: int) -> dict:
     """Versions, the seed and the BLAS thread settings the process sees
     (``null`` when unset): the thread count can move the last bits of
-    LAPACK results such as ``overlap_min_eigenvalue``."""
+    BLAS results such as ``dual_path`` on line24 and on line32 sech."""
     return {
         "package_version": __version__,
         "python_version": platform.python_version(),

@@ -51,9 +51,10 @@ transform and contracts the node-sum table
 ``G``.  Its nodes sit on a kink-aligned window lattice laid about the Bohr
 frequencies only, so their count does not grow as ``sigma`` falls, and
 ``G``, in closed form or on Gauss-Hermite nodes, shares none of them.
-``K`` is a Gram table, so the sum is completely positive by construction.  Since the two paths share the contraction, the rotation and
-the coherent matrix, they can differ only in their tables, and the
-standing consistency check compares ``G`` with ``K`` directly.
+``K`` is a Gram table, so the sum is completely positive by construction.
+The two paths share the contraction, the rotation and the coherent matrix,
+so they differ only in their tables; ``dual_path_residual`` compares ``G``
+with ``K`` directly, and as ``K`` is PSD it bounds how far ``G`` is from PSD.
 """
 
 from __future__ import annotations
@@ -653,10 +654,8 @@ def localised_generator(
             "overlap_cross_check_entries": table.cross_check_entries,
             "overlap_cross_check_evaluations": table.cross_check_evaluations,
             "overlap_smoothing_rule": table.smoothing_rule,
-            "overlap_min_eigenvalue": table.min_eigenvalue(),
             "overlap_dropped_entries": table.dropped_entries,
             "overlap_live_pairs": table.live_pairs,
-            "overlap_largest_block": int(np.diff(table.blocks).max()),
             "n_frequencies": spectrum.size,
             "max_cluster_diameter": spectrum.max_cluster_diameter,
         }

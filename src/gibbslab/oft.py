@@ -19,7 +19,9 @@ positive semidefinite (it is the Gram matrix of the functions
 ``sqrt(gamma) fhat(. - nu)``); its diagonal converges to
 ``pi * gamma(nu)`` as ``sigma -> 0`` -- the factor ``pi`` being the squared
 mass of the frequency profile -- while off-diagonal entries die off at the
-Gaussian rate ``e^{-gap^2/(4 sigma^2)}``.
+Gaussian rate ``e^{-gap^2/(4 sigma^2)}``.  By Weyl's inequality the
+dual-path check certifies it PSD to within ``dual_path * max(||G||_F,
+||K||_F)``, plus the rounding of the node-sum Gram table ``K``.
 
 The same build yields the coherent pair table
 
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -135,36 +136,6 @@ class OverlapTable:
     cross_check_evaluations: int = 0
     dropped_entries: int = 0
     live_pairs: int = 0
-
-    @cached_property
-    def blocks(self) -> np.ndarray:
-        """Bounds ``0 = b_0 < b_1 < ... < b_k = m`` of the diagonal blocks of
-        ``values``: each run ``[b_i, b_{i+1})`` is as short as it can be
-        with no nonzero entry coupling it to a row or column outside it."""
-        nonzero = self.values != 0.0
-        coupled = nonzero | nonzero.T
-        m = coupled.shape[0]
-        coupled.ravel()[:: m + 1] = True
-        # The furthest index each index couples to, through its row or its
-        # column; a block ends where no earlier index reaches past it.
-        reach = np.maximum.accumulate(m - 1 - np.argmax(coupled[:, ::-1], axis=1))
-        return np.concatenate([[0], np.flatnonzero(reach == np.arange(m)) + 1])
-
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the symmetrised table (PSD diagnostic), the
-        least over its diagonal blocks (:attr:`blocks`); a block of size 1
-        reads its diagonal entry.  The spectrum is the whole table's, so the
-        value differs from one ``eigvalsh`` of the table only at roundoff.
-        """
-        bounds = self.blocks.tolist()
-        lowest = math.inf
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            block = self.values[lo:hi, lo:hi]
-            if hi - lo == 1:
-                lowest = min(lowest, float(block[0, 0]))
-            else:
-                lowest = min(lowest, float(np.linalg.eigvalsh(0.5 * (block + block.T))[0]))
-        return lowest
 
 
 def _drop_underflow(table: np.ndarray) -> None:

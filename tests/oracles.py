@@ -58,9 +58,12 @@ one operator at a time with ``schatten_norm``; the package's written-out
 contraction and stacked singular values must reproduce both bit for bit.
 
 ``schatten_norm`` is the Schatten p-norm of one operator through its
-singular values, and ``profile_fault`` holds an even profile ``phi`` to
-the admissibility rules of the balanced construction (finite, even,
-non-negative, with a tilted tail that decays).
+singular values, ``least_eigenvalue_sym`` is the least eigenvalue of
+``(M + M^T)/2`` from one ``eigvalsh`` of the whole matrix (the PSD test of
+a coupling table, which no build diagonalises), and ``profile_fault``
+holds an even profile ``phi`` to the admissibility rules of the balanced
+construction (finite, even, non-negative, with a tilted tail that
+decays).
 
 ``snapshot_diagnostics_row`` and ``hermitian_trace_distance`` keep the
 package's arithmetic one matrix per call: they are the one-snapshot
@@ -258,6 +261,12 @@ def table_entry(table, nu: float, nu_prime: float) -> float:
 def symmetry_defect(matrix: np.ndarray) -> float:
     """Largest entry of ``|M - M^T|``."""
     return float(np.max(np.abs(matrix - matrix.T)))
+
+
+def least_eigenvalue_sym(matrix: np.ndarray) -> float:
+    """Least eigenvalue of ``(M + M^T)/2``, one ``eigvalsh`` of the whole
+    matrix."""
+    return float(np.linalg.eigvalsh(0.5 * (matrix + matrix.T))[0])
 
 
 def dense_components(decomposition) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import collections
+import functools
 import importlib
 import importlib.util
 import json
@@ -143,9 +144,11 @@ def test_a_name_read_only_in_its_own_module_is_unreached():
     assert _home_module("__version__") == "gibbslab"
 
 
-def _definitions(path: Path) -> list[str]:
+@functools.lru_cache(maxsize=None)
+def _definitions(path: Path) -> tuple[str, ...]:
     """The functions, classes and constants defined at the top level of a
-    module, once per binding."""
+    module, once per binding.  Cached by path: ``_home_module`` asks for
+    every module once per exported name."""
     names = []
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -154,7 +157,7 @@ def _definitions(path: Path) -> list[str]:
             names += [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
-    return names
+    return tuple(names)
 
 
 def test_every_private_name_is_used():

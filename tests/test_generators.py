@@ -363,6 +363,33 @@ def test_bandwidth_corners_build_and_hold_the_dual_path(model, sigma):
             assert dual_path_residual(bundle) <= 1e-8, (phi, make.__name__)
 
 
+_PSD_MODELS = {
+    **_NODE_SUM_MODELS,
+    "torus12": lambda: torus_model(12),
+    "line24": lambda: schrodinger_line_model(24),
+}
+_PSD_GRID = [
+    (name, phi, sigma, "bohr_sum")
+    for name in ("qubit", "oscillator6", "random4", "torus12", "line16")
+    for phi in ("gaussian", "sech", "exp_abs")
+    for sigma in (1.0, 0.25)
+] + [("line24", "sech", 1.0, "bohr_sum"), ("line16", "gaussian", 1.0, "omega_quadrature")]
+
+
+@pytest.mark.parametrize("model_name, phi, sigma, path", _PSD_GRID)
+def test_dual_path_certifies_that_the_overlap_table_is_psd(model_name, phi, sigma, path):
+    """``G`` and the node sum ``K`` are Gram tables, so by Weyl's inequality
+    the least eigenvalue of ``G`` is at least ``-||G - K||_2``, less the
+    rounding of ``K``; ``-dual_path * max(||G||_F, ||K||_F)`` bounds it
+    from below here without the rounding term, from either path."""
+    weight = balanced_gamma(phi, sigma)
+    bundle = localised_generator(_PSD_MODELS[model_name](), weight, sigma, path=path)
+    overlap = overlap_table(bundle.spectrum, weight, sigma, cross_check=False).values
+    node_sum, _ = _omega_quadrature_coupling(weight, sigma, bundle.spectrum.frequencies)
+    scale = max(float(np.linalg.norm(overlap)), float(np.linalg.norm(node_sum)))
+    assert oracles.least_eigenvalue_sym(overlap) >= -dual_path_residual(bundle) * scale
+
+
 @pytest.mark.parametrize("d", [2, 5, 16])
 def test_rotation_matches_kron_oracle(d):
     rng = np.random.default_rng(d)
@@ -784,14 +811,13 @@ def test_bundle_accessors(dense_bundle):
     assert dense_bundle.dim == 4
     assert dense_bundle.kind == "localised"
     for key in (
-        "overlap_min_eigenvalue",
         "overlap_dropped_entries",
         "coherent_norm",
         "adjoint_closure_defect",
         "jump_norm_squared_sum",
     ):
         assert key in dense_bundle.diagnostics
-    assert dense_bundle.diagnostics["overlap_min_eigenvalue"] > -1e-9
+    assert oracles.least_eigenvalue_sym(dense_bundle.coupling) > -1e-9
 
 
 def test_generator_eigenvalues_sit_in_the_left_half_plane(dense_bundle):

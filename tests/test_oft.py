@@ -194,22 +194,6 @@ def test_band_reach_leaves_out_no_live_pair(energies, sigma):
             assert band.live_pairs == dense.live_pairs, label
 
 
-def test_blockwise_min_eigenvalue_is_the_dense_one(band_grid):
-    """The PSD diagnostic, the least eigenvalue over the diagonal blocks,
-    sits within 1e-14 of the table's scale of one ``eigvalsh`` of the whole
-    symmetrised table; every block is closed under the table's coupling."""
-    for label, band, _, dense, _ in band_grid:
-        values = dense.values
-        want = float(np.linalg.eigvalsh(0.5 * (values + values.T))[0])
-        assert abs(band.min_eigenvalue() - want) <= 1e-14 * np.max(np.abs(values)), label
-        bounds = band.blocks
-        assert bounds[0] == 0 and bounds[-1] == values.shape[0], label
-        inside = np.zeros(values.shape, dtype=bool)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            inside[lo:hi, lo:hi] = True
-        assert not np.any(values[~inside]), label
-
-
 def test_tanh_is_odd_bit_for_bit():
     """The band build writes the coherent table's lower triangle as the
     conjugate of its upper one; that is the formula on the negated gap bit
@@ -222,29 +206,10 @@ def test_tanh_is_odd_bit_for_bit():
     assert np.array_equal(np.tanh(-x).view(np.int64), (-np.tanh(x)).view(np.int64))
 
 
-def test_blocks_split_only_where_no_entry_couples_across():
-    """A hand-made table: the blocks are the shortest runs closed under the
-    nonzero entries, read from rows and columns alike, and size-1 blocks
-    read their diagonal entry."""
-    values = np.diag([3.0, 2.0, 5.0, 4.0, 1.0, -1.0])
-    values[0, 2] = 0.5  # couples 0..2 through a row only
-    values[4, 3] = 0.5  # couples 3..4 through a column only
-    spectrum = bohr_spectrum(qubit_model().eigensystem())
-    table = gibbslab.oft.OverlapTable(
-        spectrum, values, values.astype(complex), "closed_form"
-    )
-    assert table.blocks.tolist() == [0, 3, 5, 6]
-    assert table.min_eigenvalue() == -1.0
-    values[5, 5] = 6.0
-    table = dataclasses.replace(table, values=values)
-    sym = 0.5 * (values + values.T)
-    assert table.min_eigenvalue() == pytest.approx(np.linalg.eigvalsh(sym)[0], abs=1e-15)
-
-
 def test_overlap_table_is_symmetric_and_psd(dense_table):
     _, _, table = dense_table
     assert oracles.symmetry_defect(table.values) < 1e-13
-    assert table.min_eigenvalue() > -1e-9
+    assert oracles.least_eigenvalue_sym(table.values) > -1e-9
     assert table.cross_check_defect is not None
     assert table.cross_check_defect < 1e-10
 
@@ -450,7 +415,7 @@ def test_width_guard_accepts_wide_lattice_model():
     assert np.max(np.abs(spectrum.frequencies)) < 600.0
     weight = balanced_gamma("gaussian", 1.0)
     table = overlap_table(spectrum, weight, 1.0, cross_check=False)
-    assert table.min_eigenvalue() > -1e-9
+    assert oracles.least_eigenvalue_sym(table.values) > -1e-9
 
 
 def test_width_guard_rejects_oversized_spectrum():
