@@ -734,7 +734,10 @@ def dual_path_residual(bundle: GeneratorBundle) -> float:
     ``C_other`` is built over the filtered ``bundle``'s weight, bandwidth and
     Bohr spectrum: the node-sum table ``K`` for a ``bohr_sum`` bundle, the
     overlap table ``G`` (without the cross-check) for an
-    ``omega_quadrature`` one.  No dissipator is assembled.
+    ``omega_quadrature`` one.  No dissipator is assembled.  By Weyl's
+    inequality ``G`` is PSD to within ``dual_path * max(||G||_F, ||K||_F) +
+    gamma_n ||K||_F``, the last term the rounding of ``K`` over ``n`` nodes,
+    ``gamma_n = n u / (1 - n u)``, ``u = 2^-53``.
     """
     if bundle.kind != "localised":
         raise ValidationError("the dual-path check applies to filtered generators only")

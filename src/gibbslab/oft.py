@@ -21,7 +21,8 @@ positive semidefinite (it is the Gram matrix of the functions
 mass of the frequency profile -- while off-diagonal entries die off at the
 Gaussian rate ``e^{-gap^2/(4 sigma^2)}``.  By Weyl's inequality the
 dual-path check certifies it PSD to within ``dual_path * max(||G||_F,
-||K||_F)``, plus the rounding of the node-sum Gram table ``K``.
+||K||_F)``, plus the rounding ``gamma_n ||K||_F`` of the node-sum Gram
+table ``K`` over ``n`` nodes, ``gamma_n = n u / (1 - n u)``, ``u = 2^-53``.
 
 The same build yields the coherent pair table
 

@@ -19,7 +19,8 @@ This module owns every scalar ingredient of the generator assembly:
     for the unfiltered generator (``glauber`` and ``metropolis``),
   - the *balanced* family ``gamma(omega) = e^{-omega/2} phi(omega + sigma^2/4)``
     with ``phi`` even, which makes the Gaussian-filtered generator stationary
-    on the Gibbs density ``e^{-P}``,
+    on the Gibbs density ``e^{-P}``; each library profile writes its shifted
+    weight as one expression, and sech and glauber share one logistic,
   - an intentionally unbalanced control (the ``sigma^2/4`` argument shift
     removed) used by negative tests, and
   - the delocalised-limit weight ``pi * e^{-omega/2} phi(omega)`` that the
@@ -62,7 +63,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erf, erfc, erfcx, expit
+from scipy.special import erf, erfc, erfcx
 
 from .errors import ValidationError
 
@@ -273,18 +274,29 @@ class WeightFunction:
 
 @dataclass(frozen=True)
 class PhiProfile:
-    """A library profile: a named even ``phi >= 0``, its non-smooth points,
-    and ``closed_form``, ``shift -> smoothed`` for the weight
-    ``e^{-w/2} phi(w + shift)``, where ``H`` has one."""
+    """A library profile: a named even ``phi >= 0``, held as ``weight``,
+    ``shift -> evaluate`` of ``e^{-w/2} phi(w + shift)`` in one expression;
+    its non-smooth points; and ``closed_form``, ``shift -> smoothed``."""
 
     name: str
-    fn: Callable[[np.ndarray], np.ndarray]
+    weight: Callable[[float], Callable[[np.ndarray], np.ndarray]]
     breakpoints: tuple[float, ...] = ()
     closed_form: Callable[[float], Callable[[float, np.ndarray], np.ndarray]] | None = None
 
 
-def _phi_gaussian(x):
-    return np.exp(-np.square(x))
+def _logistic(x):
+    """``1 / (1 + e^{-x})`` from ``e = e^{-|x|}``, which never overflows:
+    ``1 / (1 + e)`` for ``x >= 0`` and ``e / (1 + e)`` below."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
+
+
+def _gaussian_weight(shift: float) -> Callable:
+    """``e^{-w/2} e^{-(w + shift)^2}`` as the completed square of
+    :func:`_gaussian_smoothed`, one exponential."""
+    peak = 0.25 + shift
+    log_front = (1.0 + 8.0 * shift) / 16.0
+    return lambda w: np.exp(log_front - np.square(w + peak))
 
 
 def _gaussian_smoothed(shift: float) -> Callable:
@@ -307,14 +319,16 @@ def _gaussian_smoothed(shift: float) -> Callable:
     return smoothed
 
 
-def _phi_sech(x):
-    # 1/cosh(x/2), computed from exponentials of -|x| to avoid overflow.
-    a = np.abs(x) * 0.5
-    return 2.0 * np.exp(-a) / (1.0 + np.exp(-2.0 * a))
+def _sech_weight(shift: float) -> Callable:
+    """``e^{-w/2} sech((w + shift)/2) = 2 e^{shift/2} / (1 + e^{w + shift})``:
+    the glauber weight moved by ``shift`` and scaled."""
+    front = 2.0 * math.exp(0.5 * shift)
+    return lambda w: front * _logistic(-(w + shift))
 
 
-def _phi_exp_abs(x):
-    return np.exp(-np.abs(x))
+def _exp_abs_weight(shift: float) -> Callable:
+    """``e^{-w/2} e^{-|w + shift|}``, one exponential."""
+    return lambda w: np.exp(-0.5 * w - np.abs(w + shift))
 
 
 def _exp_abs_smoothed(shift: float) -> Callable:
@@ -353,10 +367,10 @@ def _exp_abs_smoothed(shift: float) -> Callable:
 
 
 PHI_LIBRARY: dict[str, PhiProfile] = {
-    "gaussian": PhiProfile("gaussian", _phi_gaussian, closed_form=_gaussian_smoothed),
-    "sech": PhiProfile("sech", _phi_sech),
+    "gaussian": PhiProfile("gaussian", _gaussian_weight, closed_form=_gaussian_smoothed),
+    "sech": PhiProfile("sech", _sech_weight),
     "exp_abs": PhiProfile(
-        "exp_abs", _phi_exp_abs, breakpoints=(0.0,), closed_form=_exp_abs_smoothed
+        "exp_abs", _exp_abs_weight, breakpoints=(0.0,), closed_form=_exp_abs_smoothed
     ),
 }
 
@@ -378,10 +392,7 @@ def kms_gamma(kind: str) -> WeightFunction:
     Both satisfy ``gamma(-omega) = e^omega gamma(omega)`` exactly.
     """
     if kind == "glauber":
-        return WeightFunction(
-            kind="kms_glauber",
-            evaluate=lambda w: expit(-np.asarray(w, dtype=np.float64)),
-        )
+        return WeightFunction(kind="kms_glauber", evaluate=lambda w: _logistic(-w))
     if kind == "metropolis":
         return WeightFunction(
             kind="kms_metropolis",
@@ -389,20 +400,6 @@ def kms_gamma(kind: str) -> WeightFunction:
             breakpoints=(0.0,),
         )
     raise ValidationError(f"unknown detailed-balance weight kind {kind!r}")
-
-
-def _shifted_profile_weight(profile: PhiProfile, shift: float) -> Callable:
-    fn = profile.fn
-
-    def evaluate(w):
-        w = np.asarray(w, dtype=np.float64)
-        p = np.asarray(fn(w + shift), dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            logp = np.log(p)
-        out = np.exp(-0.5 * w + logp)
-        return np.where(p > 0.0, out, 0.0)
-
-    return evaluate
 
 
 def _profile_weight(kind: str, phi, sigma: float | None, shift: float) -> WeightFunction:
@@ -413,7 +410,7 @@ def _profile_weight(kind: str, phi, sigma: float | None, shift: float) -> Weight
     profile = resolve_phi(phi)
     return WeightFunction(
         kind=kind,
-        evaluate=_shifted_profile_weight(profile, shift),
+        evaluate=profile.weight(shift),
         sigma=sigma,
         phi_name=profile.name,
         breakpoints=tuple(sorted(b - shift for b in profile.breakpoints)),

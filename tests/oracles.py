@@ -65,6 +65,14 @@ holds an even profile ``phi`` to the admissibility rules of the balanced
 construction (finite, even, non-negative, with a tilted tail that
 decays).
 
+``PHI`` holds the three library profiles ``phi`` from their textbook
+formulas, which the package does not write: its weights are one
+expression each.  ``profile_weight_extended`` is
+``e^{-omega/2} phi(omega + shift)`` straight from the definition in 80-bit
+long double, whose exponent range holds every factor that overflows or
+underflows in double, and ``sum_rounding`` is the exact rounding error of
+one double addition (Knuth's TwoSum).
+
 ``snapshot_diagnostics_row`` and ``hermitian_trace_distance`` keep the
 package's arithmetic one matrix per call: they are the one-snapshot
 formulas that the stacked diagnostics and contraction distances must
@@ -1019,6 +1027,38 @@ def worst_increase_loop(rows, times) -> tuple[float, int | None, float | None]:
                 worst_pair = row["pair"]
                 worst_time = float(times[k + 1])
     return worst_increase, worst_pair, worst_time
+
+
+# ---------------------------------------------------------------------------
+# Library profiles from the definition
+# ---------------------------------------------------------------------------
+
+#: The library's even profiles, each from its textbook formula; float64 or
+#: long double in, the same out.
+PHI = {
+    "gaussian": lambda x: np.exp(-np.square(x)),
+    "sech": lambda x: 1.0 / np.cosh(0.5 * x),
+    "exp_abs": lambda x: np.exp(-np.abs(x)),
+}
+
+
+def profile_weight_extended(name: str, omega, shift: float) -> np.ndarray:
+    """``e^{-omega/2} phi(omega + shift)`` of the profile ``PHI[name]`` in
+    80-bit long double (64-bit significand, exponents to about +-4900), as
+    a long double array.  Nothing over- or underflows for ``|omega| <=
+    2000``, and each operation rounds at ``2^-64``, so the value is within
+    about ``1e-16`` relative of the exact weight at the double inputs."""
+    assert np.finfo(np.longdouble).nmant >= 63, "needs an 80-bit long double"
+    w = np.asarray(omega, dtype=np.longdouble)
+    return np.exp(-0.5 * w) * PHI[name](w + np.longdouble(shift))
+
+
+def sum_rounding(a, b) -> np.ndarray:
+    """``|fl(a + b) - (a + b)|`` exactly, elementwise (Knuth's TwoSum)."""
+    a = np.asarray(a, dtype=np.float64)
+    total = a + b
+    b_part = total - a
+    return np.abs((a - (total - b_part)) + (b - b_part))
 
 
 # ---------------------------------------------------------------------------

@@ -381,13 +381,19 @@ def test_dual_path_certifies_that_the_overlap_table_is_psd(model_name, phi, sigm
     """``G`` and the node sum ``K`` are Gram tables, so by Weyl's inequality
     the least eigenvalue of ``G`` is at least ``-||G - K||_2``, less the
     rounding of ``K``; ``-dual_path * max(||G||_F, ||K||_F)`` bounds it
-    from below here without the rounding term, from either path."""
+    from below here without the rounding term, from either path.  That
+    term is ``gamma_n ||K||_F`` for ``n`` nodes, ``gamma_n = n u / (1 - n
+    u)`` with ``u = 2^-53``: the computed ``K`` is within it of an exact
+    Gram table, so its least eigenvalue is at least ``-gamma_n ||K||_F``."""
     weight = balanced_gamma(phi, sigma)
     bundle = localised_generator(_PSD_MODELS[model_name](), weight, sigma, path=path)
     overlap = overlap_table(bundle.spectrum, weight, sigma, cross_check=False).values
-    node_sum, _ = _omega_quadrature_coupling(weight, sigma, bundle.spectrum.frequencies)
+    node_sum, nodes = _omega_quadrature_coupling(weight, sigma, bundle.spectrum.frequencies)
     scale = max(float(np.linalg.norm(overlap)), float(np.linalg.norm(node_sum)))
     assert oracles.least_eigenvalue_sym(overlap) >= -dual_path_residual(bundle) * scale
+    nu = nodes * 2.0**-53
+    rounding = nu / (1.0 - nu) * float(np.linalg.norm(node_sum))
+    assert oracles.least_eigenvalue_sym(node_sum) >= -rounding
 
 
 @pytest.mark.parametrize("d", [2, 5, 16])

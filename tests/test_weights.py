@@ -91,6 +91,180 @@ L1_TABLE = {
     0.0625: 0.055380172951430773,
 }
 
+# Each library weight at WEIGHT_POINTS: 40-digit mpmath values of
+# e^{-w/2} phi(w + shift), with the double w and the double shift
+# 0.25 sigma^2 taken exactly, rounded to the nearest double.  Balanced
+# weights at sigma = 1e-6, 1 and 3; the unshifted one, which is the same
+# at every sigma; and glauber, 1/(1 + e^w).  The points near -27 are where
+# the gaussian's phi(w + shift) is subnormal while its weight is normal.
+WEIGHT_POINTS = (
+    -700.0, -650.0, -600.0, -550.0, -500.0, -450.0, -400.0, -350.0, -300.0, -250.0,
+    -200.0, -150.0, -100.0, -50.0, -29.0625, -27.0625, -26.8125, -25.75, -19.5,
+    -6.5, -0.375, 0.0, 0.625, 7.25, 19.75, 26.25, 50.0, 100.0, 150.0, 200.0, 250.0,
+    300.0, 350.0, 400.0, 450.0, 500.0, 550.0, 600.0, 650.0, 700.0,
+)
+WEIGHT_VALUES = {
+    ("glauber", "kms", None): (
+        1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+        0.9999999999997611, 0.9999999999982343, 0.9999999999977328, 0.9999999999934398,
+        0.9999999966017322, 0.998498817743263, 0.5926665999540698, 0.5,
+        0.34864513533394575, 0.0007096703991005881, 2.646573631904765e-09,
+        3.978962535821408e-12, 1.9287498479639178e-22, 3.720075976020836e-44,
+        7.175095973164411e-66, 1.3838965267367376e-87, 2.6691902155412764e-109,
+        5.148200222412013e-131, 9.92959039626498e-153, 1.9151695967140057e-174,
+        3.693883068487256e-196, 7.124576406741286e-218, 1.374152566130957e-239,
+        2.6503965530043108e-261, 5.111951948651156e-283, 9.85967654375977e-305,
+    ),
+    ("gaussian", "unshifted", None): (
+        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        6.43323715504e-313, 4.01371521197783e-307, 4.2379570161708474e-283,
+        1.2413505895936936e-161, 1.1548224173015786e-17, 1.0479910020166328, 1.0,
+        0.4950358969261986, 3.9634994116425215e-25, 2.0386874235900106e-174,
+        1.1062250497462162e-305, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        0.0, 0.0, 0.0,
+    ),
+    ("gaussian", "balanced", 1e-06): (
+        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        6.43323715514e-313, 4.013715212031639e-307, 4.237957016225411e-283,
+        1.2413505896057966e-161, 1.1548224173053317e-17, 1.0479910020168293, 1.0,
+        0.4950358969260439, 3.963499411628154e-25, 2.0386874235698787e-174,
+        1.1062250497316969e-305, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        0.0, 0.0, 0.0,
+    ),
+    ("gaussian", "balanced", 1.0): (
+        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        4.5481351835034674e-307, 2.5041684947453977e-301, 1.554370684711446e-277,
+        2.0004248841356954e-157, 2.79787860206236e-16, 1.1875293827631006,
+        0.9394130628134758, 0.34023286457404905, 9.922426625012578e-27,
+        9.852563212336883e-179, 2.0729317739134e-311, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    ),
+    ("gaussian", "balanced", 3.0): (
+        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        1.2363113222692721e-306, 3.153106364708361e-262, 6.3866677242676894e-257,
+        5.654755392795046e-235, 1.0106933942453002e-125, 3.689886323573741e-07,
+        0.035860280096566576, 0.006329715427485747, 0.0001881774796065311,
+        1.7006130653966015e-41, 3.2569624386221786e-215, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    ),
+    ("sech", "unshifted", None): (
+        2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0,
+        1.9999999999995222, 1.9999999999964686, 1.9999999999954656, 1.9999999999868796,
+        1.9999999932034644, 1.996997635486526, 1.1853331999081396, 1.0,
+        0.6972902706678915, 0.0014193407982011762, 5.29314726380953e-09,
+        7.957925071642816e-12, 3.8574996959278356e-22, 7.440151952041672e-44,
+        1.4350191946328822e-65, 2.767793053473475e-87, 5.338380431082553e-109,
+        1.0296400444824027e-130, 1.985918079252996e-152, 3.8303391934280114e-174,
+        7.387766136974512e-196, 1.4249152813482571e-217, 2.748305132261914e-239,
+        5.3007931060086215e-261, 1.0223903897302312e-282, 1.971935308751954e-304,
+    ),
+    ("sech", "balanced", 1e-06): (
+        2.00000000000025, 2.00000000000025, 2.00000000000025, 2.00000000000025,
+        2.00000000000025, 2.00000000000025, 2.00000000000025, 2.00000000000025,
+        2.00000000000025, 2.00000000000025, 2.00000000000025, 2.00000000000025,
+        2.00000000000025, 2.00000000000025, 1.9999999999997722, 1.9999999999967186,
+        1.9999999999957156, 1.9999999999871296, 1.9999999932037145, 1.996997635486775,
+        1.1853331999081669, 1.0, 0.6972902706678651, 0.001419340798200999,
+        5.293147263808868e-09, 7.95792507164182e-12, 3.857499695927353e-22,
+        7.440151952040742e-44, 1.4350191946327027e-65, 2.767793053473129e-87,
+        5.338380431081885e-109, 1.029640044482274e-130, 1.9859180792527475e-152,
+        3.8303391934275324e-174, 7.387766136973589e-196, 1.424915281348079e-217,
+        2.7483051322615704e-239, 5.300793106007959e-261, 1.0223903897301035e-282,
+        1.9719353087517077e-304,
+    ),
+    ("sech", "balanced", 1.0): (
+        2.2662969061336526, 2.2662969061336526, 2.2662969061336526, 2.2662969061336526,
+        2.2662969061336526, 2.2662969061336526, 2.2662969061336526, 2.2662969061336526,
+        2.2662969061336526, 2.2662969061336526, 2.2662969061336526, 2.2662969061336526,
+        2.2662969061336526, 2.2662969061336526, 2.266296906132957, 2.2662969061285145,
+        2.2662969061270553, 2.2662969061145626, 2.266296896244752, 2.2619303533272133,
+        1.20387815938614, 0.9922380414751257, 0.6667784811511802, 0.0012527605146367313,
+        4.671186067970643e-09, 7.022844226731261e-12, 3.4042315333773333e-22,
+        6.565911052435507e-44, 1.2663999944129592e-65, 2.442568796685501e-87,
+        4.71110419524857e-109, 9.086541500327855e-131, 1.7525665537275178e-152,
+        3.3802624740485974e-174, 6.519680732899369e-196, 1.2574833222352942e-217,
+        2.425370766578486e-239, 4.677933497294385e-261, 9.022563521691864e-283,
+        1.7402268020707974e-304,
+    ),
+    ("sech", "balanced", 3.0): (
+        6.160433697836062, 6.160433697836062, 6.160433697836062, 6.160433697836062,
+        6.160433697836062, 6.160433697836062, 6.160433697836062, 6.160433697836062,
+        6.160433697836062, 6.160433697836062, 6.160433697836062, 6.160433697836062,
+        6.160433697836062, 6.160433697836062, 6.1604336978220955, 6.160433697732863,
+        6.160433697703551, 6.160433697452628, 6.160433499212183, 6.073795655885054,
+        0.8191173859218757, 0.5873940566351109, 0.32898767247549,
+        0.00046108522211227396, 1.7184333233554705e-09, 2.5835600095709086e-12,
+        1.2523467941170556e-22, 2.415463688751371e-44, 4.658825222441571e-66,
+        8.985708439474645e-88, 1.7331183786484813e-109, 3.3427518093217304e-131,
+        6.447332044010398e-153, 1.243529069965795e-174, 2.3984565046352393e-196,
+        4.626022618663288e-218, 8.922440422424461e-240, 1.7209155608218294e-261,
+        3.3192156262938435e-283, 6.401936634573711e-305,
+    ),
+    ("exp_abs", "unshifted", None): (
+        9.92959039626498e-153, 7.149791569445333e-142, 5.148200222412013e-131,
+        3.706956387834846e-120, 2.6691902155412764e-109, 1.921947727823849e-98,
+        1.3838965267367376e-87, 9.964733010103672e-77, 7.175095973164411e-66,
+        5.166420632837861e-55, 3.720075976020836e-44, 2.6786369618080778e-33,
+        1.9287498479639178e-22, 1.3887943864964021e-11, 4.888305162912579e-07,
+        1.3287791096307797e-06, 1.505703992545633e-06, 2.5612887709420388e-06,
+        5.829466373086881e-05, 0.03877420783172201, 0.8290291181804004, 1.0,
+        0.391605626676799, 1.892550641405186e-05, 1.3615261080896538e-13,
+        7.93697066318849e-18, 2.6786369618080778e-33, 7.175095973164411e-66,
+        1.921947727823849e-98, 5.148200222412013e-131, 1.3790159402541388e-163,
+        3.693883068487256e-196, 9.894571719847004e-229, 2.6503965530043108e-261,
+        7.09945017032607e-294, 0.0, 0.0, 0.0, 0.0, 0.0,
+    ),
+    ("exp_abs", "balanced", 1e-06): (
+        9.929590396267462e-153, 7.14979156944712e-142, 5.148200222413301e-131,
+        3.706956387835773e-120, 2.669190215541944e-109, 1.9219477278243296e-98,
+        1.3838965267370836e-87, 9.964733010106163e-77, 7.175095973166204e-66,
+        5.166420632839153e-55, 3.720075976021766e-44, 2.6786369618087477e-33,
+        1.9287498479644e-22, 1.3887943864967493e-11, 4.888305162913801e-07,
+        1.328779109631112e-06, 1.5057039925460092e-06, 2.5612887709426787e-06,
+        5.829466373088338e-05, 0.0387742078317317, 0.8290291181806076, 0.99999999999975,
+        0.39160562667670107, 1.8925506414047126e-05, 1.3615261080893135e-13,
+        7.936970663186506e-18, 2.6786369618074083e-33, 7.175095973162617e-66,
+        1.9219477278233687e-98, 5.148200222410727e-131, 1.379015940253794e-163,
+        3.6938830684863326e-196, 9.894571719844531e-229, 2.6503965530036482e-261,
+        7.099450170324295e-294, 0.0, 0.0, 0.0, 0.0, 0.0,
+    ),
+    ("exp_abs", "balanced", 1.0): (
+        1.2749846446102736e-152, 9.180514099187545e-142, 6.610419935774509e-131,
+        4.759826220532923e-120, 3.4273080787292297e-109, 2.4678297320710757e-98,
+        1.7769583143958575e-87, 1.279497045548046e-76, 9.213005596716968e-66,
+        6.63381540586378e-55, 4.77667210522021e-44, 3.439437941040803e-33,
+        2.4765638272182875e-22, 1.783247290814639e-11, 6.276708073705662e-07,
+        1.706186149929628e-06, 1.9333621964368023e-06, 3.2887598813664843e-06,
+        7.48518298877006e-05, 0.049787068367863944, 1.0644944589178593,
+        0.7788007830714049, 0.3049827687110593, 1.4739199215286483e-05,
+        1.0603575991523846e-13, 6.181318967705965e-18, 2.08612456342014e-33,
+        5.587970362512927e-66, 1.4968143954515208e-98, 4.009422364622857e-131,
+        1.073978694137873e-163, 2.876799026312079e-196, 7.705900203573024e-229,
+        2.0641309109295095e-261, 5.5290573520263614e-294, 0.0, 0.0, 0.0, 0.0, 0.0,
+    ),
+    ("exp_abs", "balanced", 3.0): (
+        9.420933064300469e-152, 6.783533369592056e-141, 4.884476374292739e-130,
+        3.5170622964678824e-119, 2.5324571662048504e-108, 1.8234932332882174e-97,
+        1.313004467053224e-86, 9.454275447970538e-76, 6.807541519390373e-65,
+        4.9017634183877866e-54, 3.5295098151669305e-43, 2.5414199895141027e-32,
+        1.829946905189832e-21, 1.3176514270095466e-10, 4.637894807322208e-06,
+        1.2607105177048523e-05, 1.4285721729023311e-05, 2.430083125932946e-05,
+        0.0005530843701478336, 0.36787944117144233, 0.18498139990730428,
+        0.10539922456186433, 0.04127492938579755, 1.994733700481656e-06,
+        1.435037960133826e-14, 8.365505532703331e-19, 2.823262586573196e-34,
+        7.562495517284842e-67, 2.025718001610708e-99, 5.426163113314438e-132,
+        1.4534721076123646e-164, 3.8933241104075685e-197, 1.0428801866436266e-229,
+        2.793497414680925e-262, 7.482765427679634e-295, 0.0, 0.0, 0.0, 0.0, 0.0,
+    ),
+}
+
+# Relative accuracy of each library weight where its value is normal.
+# sech and glauber take one exponential of -|x| at an exact argument.  The
+# gaussian and exp_abs take one exponential of a sum that reaches 745 in
+# magnitude where the weight is normal, and one rounding of that sum is up
+# to 8.3e-14 of the value.
+WEIGHT_BOUND = {"glauber": 1e-15, "sech": 1e-15, "gaussian": 1e-13, "exp_abs": 1e-13}
+
 
 # ---------------------------------------------------------------------------
 # Weight families
@@ -114,9 +288,9 @@ def test_delocalised_limit_weight_satisfies_detailed_balance(omegas):
 def test_delocalised_limit_value():
     for phi in PHI_LIBRARY:
         w = delocalised_limit_gamma(phi)
-        profile = PHI_LIBRARY[phi]
+        profile = oracles.PHI[phi]
         for omega in (-2.0, 0.0, 0.7, 3.5):
-            want = math.pi * math.exp(-0.5 * omega) * float(profile.fn(np.array([omega]))[0])
+            want = math.pi * math.exp(-0.5 * omega) * float(profile(np.array([omega]))[0])
             assert float(w(omega)) == pytest.approx(want, rel=1e-14)
 
 
@@ -124,11 +298,40 @@ def test_delocalised_limit_value():
 def test_balanced_weight_is_shifted_tilted_profile(omega, phi):
     sigma = 0.8
     w = balanced_gamma(phi, sigma)
-    profile = PHI_LIBRARY[phi]
-    want = math.exp(-0.5 * omega) * float(
-        profile.fn(np.array([omega + sigma * sigma / 4.0]))[0]
-    )
+    profile = oracles.PHI[phi]
+    want = math.exp(-0.5 * omega) * float(profile(np.array([omega + sigma * sigma / 4.0]))[0])
     assert float(w(omega)) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def _weight_tolerance(name: str, omega: np.ndarray, shift: float) -> np.ndarray:
+    """Relative tolerance of the weight ``name`` at each ``omega``: its
+    bound, plus what the one rounding of the argument ``omega + shift``
+    moves the weight by, ``|d log gamma / dx|`` times that rounding.  The
+    rounding is exactly 0 wherever the sum is a double."""
+    slope = 2.0 * np.abs(omega + shift) + 1.0 if name == "gaussian" else 1.0
+    return WEIGHT_BOUND[name] + slope * oracles.sum_rounding(omega, shift)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "sech", "exp_abs", "glauber"])
+def test_library_weights_match_40_digit_values(name):
+    """Where its value is normal, each library weight is within its bound
+    of the frozen 40-digit value, balanced and unshifted at every sigma."""
+    points = np.asarray(WEIGHT_POINTS)
+    if name == "glauber":
+        cases = [(kms_gamma("glauber"), 0.0, WEIGHT_VALUES[name, "kms", None])]
+    else:
+        cases = []
+        for sigma in (1e-6, 1.0, 3.0):
+            shift = 0.25 * sigma * sigma
+            cases.append((balanced_gamma(name, sigma), shift, WEIGHT_VALUES[name, "balanced", sigma]))
+            cases.append((unshifted_gamma(name, sigma), 0.0, WEIGHT_VALUES[name, "unshifted", None]))
+    for weight, shift, frozen in cases:
+        frozen = np.asarray(frozen)
+        normal = frozen >= np.finfo(float).tiny
+        assert np.count_nonzero(normal) >= 10
+        rel = np.abs(weight(points[normal]) - frozen[normal]) / frozen[normal]
+        tolerance = _weight_tolerance(name, points[normal], shift)
+        assert np.all(rel <= tolerance), (weight.kind, shift, float(np.max(rel / tolerance)))
 
 
 def test_weights_are_nonnegative_and_vectorized():
@@ -148,40 +351,59 @@ def test_weights_are_nonnegative_and_vectorized():
 @pytest.mark.parametrize("phi", sorted(PHI_LIBRARY))
 def test_weight_tails_stay_finite_and_vanish_where_the_profile_underflows(phi):
     """Out to |omega| = 2000, where ``e^{-omega/2}`` overflows and every
-    library profile underflows, each profile weight is finite, exactly zero
-    where ``phi`` is zero, and the delocalised limit is ``pi`` times the
-    unshifted weight bit for bit."""
+    library profile underflows, each profile weight is finite, and the
+    delocalised limit is ``pi`` times the unshifted weight bit for bit.
+    Against the weight in long double (``oracles.profile_weight_extended``)
+    it is exactly zero where the true weight is below half the smallest
+    subnormal, and elsewhere within the tolerance of the 40-digit test,
+    relative to the smallest normal where the weight is below it.  The
+    true weight does not underflow on the ``omega -> -infinity`` side for
+    any profile: sech tends to ``2 e^{shift/2}``, exp_abs is 1.9e-174 at
+    ``omega = -800``, and the gaussian is subnormal near ``omega = -27``
+    where ``phi`` underflows first."""
     grid = np.concatenate([np.linspace(-2000.0, 2000.0, 8001), np.linspace(-60.0, 60.0, 24001)])
-    profile = PHI_LIBRARY[phi]
+    half_subnormal = np.ldexp(np.longdouble(1.0), -1075)
     limit = delocalised_limit_gamma(phi)(grid)
     for sigma in (0.1, 1.0, 3.0):
         unshifted = unshifted_gamma(phi, sigma)(grid)
         assert limit.tobytes() == (FILTER_SQUARED_MASS * unshifted).tobytes(), sigma
-        for values, shift in ((balanced_gamma(phi, sigma)(grid), 0.25 * sigma * sigma),
-                              (unshifted, 0.0), (limit, 0.0)):
+        for values, shift, scale in ((balanced_gamma(phi, sigma)(grid), 0.25 * sigma * sigma, 1.0),
+                                     (unshifted, 0.0, 1.0), (limit, 0.0, FILTER_SQUARED_MASS)):
             assert np.all(np.isfinite(values)) and np.all(values >= 0.0), (sigma, shift)
-            underflow = profile.fn(grid + shift) == 0.0
+            true = scale * oracles.profile_weight_extended(phi, grid, shift)
+            underflow = true < half_subnormal
             assert np.count_nonzero(underflow) > 100
             assert np.all(values[underflow] == 0.0), (sigma, shift)
+            err = np.abs(values[~underflow] - true[~underflow])
+            floor = np.maximum(true[~underflow], np.finfo(float).tiny)
+            tolerance = _weight_tolerance(phi, grid[~underflow], shift)
+            assert np.all(err <= tolerance * floor), (sigma, shift)
+
+
+def _production_phi(name: str):
+    """``phi(x) = e^{x/2} gamma(x)`` of the unshifted weight ``gamma``."""
+    weight = unshifted_gamma(name, 1.0)
+    return lambda x: np.exp(0.5 * np.asarray(x, dtype=np.float64)) * weight(x)
 
 
 def test_phi_profiles_are_even():
     grid = np.linspace(0.0, 15.0, 61)
-    for profile in PHI_LIBRARY.values():
-        assert np.allclose(profile.fn(grid), profile.fn(-grid), rtol=1e-13)
+    for name in PHI_LIBRARY:
+        phi = _production_phi(name)
+        assert np.allclose(phi(grid), phi(-grid), rtol=1e-13)
 
 
 @pytest.mark.parametrize("name", sorted(PHI_LIBRARY))
 def test_library_profiles_pass_the_profile_checks(name):
-    """Each library profile is even, non-negative and has a decaying
-    tilted tail (``oracles.profile_fault``)."""
-    assert oracles.profile_fault(PHI_LIBRARY[name].fn) is None
+    """Each library profile, read off its weight, is even, non-negative and
+    has a decaying tilted tail (``oracles.profile_fault``)."""
+    assert oracles.profile_fault(_production_phi(name)) is None
 
 
 def test_unknown_names_rejected():
     with pytest.raises(ValidationError):
         kms_gamma("arrhenius")
-    for phi in ("lorentzian", "Gaussian", 5, None, ["gaussian"], PHI_LIBRARY["gaussian"].fn):
+    for phi in ("lorentzian", "Gaussian", 5, None, ["gaussian"], oracles.PHI["gaussian"]):
         with pytest.raises(ValidationError, match="unknown profile name"):
             balanced_gamma(phi, 1.0)
 
