@@ -660,6 +660,8 @@ def localised_generator(
             "max_cluster_diameter": spectrum.max_cluster_diameter,
         }
     )
+    # Free the coherent table before the sandwich: only ``coupling`` is read.
+    del table
     return _bundle("localised", path, model, weight, coupling, b_mat, diag)
 
 

@@ -28,9 +28,11 @@ The same build yields the coherent pair table
 
     b(nu, nu') = 2 pi c(nu - nu') e^{-(nu + nu')/2} H(-(nu + nu')/2),
 
-with ``c`` the odd difference factor of ``weights.coherent_difference_factor``.
-The Bohr frequencies are closed under negation, so ``-(nu + nu')/2`` is the
-midpoint of the negated pair and both tables read one evaluation of ``H``.
+with ``c`` the odd, purely imaginary difference factor, built in real
+arithmetic from ``weights.coherent_difference_factor``, its imaginary part.
+The Bohr frequencies are exactly closed under negation, so ``-(nu + nu')/2``
+is the midpoint of the mirror pair ``(-nu', -nu)`` and both tables read one
+evaluation of ``H`` on the band's midpoints.
 
 Both tables are left at zero on pairs whose Gaussian factor is below
 ``e^{-200}`` -- the frequencies ascend, so the rest form one band about the
@@ -140,19 +142,14 @@ class OverlapTable:
 
 
 def _drop_underflow(table: np.ndarray) -> None:
-    """Zero, in place, every entry of ``table`` below
+    """Zero, in place, every entry of the real ``table`` below
     ``_UNDERFLOW_FLOOR * max(1, max|table|)``.
 
     A product of two kept entries is then a normal number, so BLAS and
     LAPACK never underflow on them.  On a table of scale 1 or more, each
     dropped entry is more than 138 orders of magnitude below roundoff.
     """
-    if np.iscomplexobj(table):
-        magnitude = np.abs(table)
-        floor = _UNDERFLOW_FLOOR * max(1.0, float(magnitude.max(initial=0.0)))
-        table[magnitude < floor] = 0.0
-        return
-    # A real table is compared where it lies: |x| < f is -f < x < f.
+    # The table is compared where it lies: |x| < f is -f < x < f.
     top = max(float(table.max(initial=0.0)), -float(table.min(initial=0.0)))
     floor = _UNDERFLOW_FLOOR * max(1.0, top)
     small = table < floor
@@ -288,7 +285,7 @@ def _definitional_entries(
         error = np.concatenate([error[keep], child_error])
 
 
-def _live_band(freqs: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _live_band(freqs: np.ndarray, sigma: float) -> tuple[np.ndarray, ...]:
     """The live upper band of the pair table: the pairs ``i <= j`` whose
     exponent ``gap^2 / (4 sigma^2)`` is at most ``_PAIR_EXPONENT_CAP``, as
     row and column indices in row-major order, with those exponents.
@@ -299,6 +296,11 @@ def _live_band(freqs: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray,
     rounding of the exponent and of ``freqs + reach`` (500 times over at
     ``|nu| = 600`` and ``sigma = 1e-6``); the pairs whose exponent is within
     the cap are kept, and they lead each row's run.
+
+    Last comes each pair's mirror: ``(i, j)`` has ``(m - 1 - j, m - 1 - i)``,
+    entry ``j - i`` of row ``m - 1 - j``'s run.  The frequencies are exactly
+    closed under negation, so its exponent has the same bits and its
+    midpoint is exactly the negated one.
     """
     m = freqs.size
     index = np.arange(m)
@@ -308,7 +310,10 @@ def _live_band(freqs: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray,
     cols = np.arange(rows.size) + np.repeat(index - (np.cumsum(length) - length), length)
     exponents = np.square(freqs[rows] - freqs[cols]) / (4.0 * sigma * sigma)
     live = exponents <= _PAIR_EXPONENT_CAP
-    return rows[live], cols[live], exponents[live]
+    rows, cols = rows[live], cols[live]
+    live_length = np.bincount(rows, minlength=m)
+    mirror = (np.cumsum(live_length) - live_length)[m - 1 - cols] + (cols - rows)
+    return rows, cols, exponents[live], mirror
 
 
 def _sample_pairs(
@@ -353,12 +358,13 @@ def overlap_table(
     is below ``e^{-200}`` are left at zero, so both tables are computed on
     the live upper band only (:func:`_live_band`, one contiguous run a row,
     counted as ``live_pairs``) and mirrored: ``G`` is symmetric and ``b``
-    Hermitian.  ``H`` is evaluated once on the band's distinct midpoints,
-    which also serve ``H(-midpoint)``, since they are closed under
-    negation.  Every entry below ``sqrt(tiny)`` (about ``1.5e-154``) times
-    ``max(1, max|x|)`` of its table is left at zero too, so that no product
-    of two entries underflows in the kernels that read them; the number of
-    overlap entries left at zero is recorded as ``dropped_entries``.  A
+    Hermitian.  ``H`` is evaluated once, on the band's midpoints, and
+    ``H(-midpoint)`` read at each pair's mirror pair; ``b`` is purely
+    imaginary, and its pairs are built in real arithmetic.  Every entry
+    below ``sqrt(tiny)`` (about ``1.5e-154``) times ``max(1, max|x|)`` of
+    its table is left at zero too, so that no product of two entries
+    underflows in the kernels that read them; the number of overlap
+    entries left at zero is recorded as ``dropped_entries``.  A
     deterministic sample of overlap entries (evenly ranked by magnitude,
     plus three diagonal ones; :func:`_sample_pairs`) is re-derived together
     by direct definitional quadrature (:func:`_definitional_entries`);
@@ -383,19 +389,19 @@ def overlap_table(
     # frequencies, e^{+-nu/2}.
     _require_spectral_width(freqs)
 
-    rows, cols, exponents = _live_band(freqs, sigma)
+    rows, cols, exponents, mirror = _live_band(freqs, sigma)
     nu, nu_prime = freqs[rows], freqs[cols]
     gaps = nu - nu_prime
     mids = 0.5 * (nu + nu_prime)
-    uniq_centers, inverse = np.unique(mids, return_inverse=True)
-    h = smoothed_weight_table(weight, sigma, uniq_centers)
-    overlap = math.sqrt(math.pi) / sigma * np.exp(-exponents) * h[inverse]
+    h = smoothed_weight_table(weight, sigma, mids)
+    overlap = math.sqrt(math.pi) / sigma * np.exp(-exponents) * h
 
-    # H(-midpoint) is H at the midpoint of the negated pair: the Bohr
-    # frequencies are exactly closed under negation, so the centre set is
-    # too, and the negated centre of uniq_centers[k] is uniq_centers[-1 - k].
+    # H(-midpoint) is H at the midpoint of the mirror pair.  The pair
+    # coefficient is imaginary: ``pair`` is its imaginary part, in the
+    # complex product's order; the floor below turns its -0.0 zeros into
+    # the +0.0 of the complex product's imaginary part.
     with np.errstate(over="ignore", under="ignore"):
-        sum_factor = np.exp(-mids) * h[uniq_centers.size - 1 - inverse]
+        sum_factor = np.exp(-mids) * h[mirror]
     pair = 2.0 * math.pi * coherent_difference_factor(gaps, sigma) * sum_factor
     if not np.all(np.isfinite(pair)):
         raise ValidationError(
@@ -412,18 +418,19 @@ def overlap_table(
     live_pairs = int(rows.size)
     # Free the band's temporaries before the tables are allocated: on line32
     # they would otherwise set the build's peak.
-    del rows, cols, exponents, nu, nu_prime, gaps, mids, uniq_centers, inverse, h, sum_factor
+    del rows, cols, exponents, mirror, nu, nu_prime, gaps, mids, h, sum_factor
     values = np.zeros((m, m))
     values.ravel()[lower_flat] = overlap
     values.ravel()[upper_flat] = overlap
-    # The difference factor is odd and imaginary and the sum factor real, so
-    # the lower triangle is the conjugate of the upper one: with a tanh that
-    # is odd bit for bit, the formula on the gap nu' - nu gives exactly
-    # these bits (adding +0.0 turns the conjugated zeros' -0.0 back into the
-    # formula's +0.0).  The diagonal, gap +0.0, is written last from the upper.
+    # The difference factor is odd in the gap and the sum factor reads the
+    # midpoint only, so the lower triangle is the negated upper one: with a
+    # tanh that is odd bit for bit, the formula on the gap nu' - nu gives
+    # exactly these bits (adding +0.0 turns the negated zeros' -0.0 back
+    # into the formula's +0.0).  The diagonal, gap +0.0, is written last
+    # from the upper.  The real parts stay at the zeros' +0.0.
     coherent = np.zeros((m, m), dtype=np.complex128)
-    coherent.ravel()[lower_flat] = pair.conj() + 0.0
-    coherent.ravel()[upper_flat] = pair
+    coherent.ravel().imag[lower_flat] = -pair + 0.0
+    coherent.ravel().imag[upper_flat] = pair
     del pair
 
     defect = 0.0

@@ -327,8 +327,11 @@ def _sech_weight(shift: float) -> Callable:
 
 
 def _exp_abs_weight(shift: float) -> Callable:
-    """``e^{-w/2} e^{-|w + shift|}``, one exponential."""
-    return lambda w: np.exp(-0.5 * w - np.abs(w + shift))
+    """``e^{-w/2} e^{-|w + shift|} = e^{shift/2} e^{u/2 - 2 max(u, 0)}``,
+    ``u = w + shift``, one exponential: for ``u < 0`` its exponent rounds
+    only in ``u``, for ``u >= 0`` once more, in ``-3u/2``."""
+    front = math.exp(0.5 * shift)
+    return lambda w: front * np.exp(0.5 * (w + shift) - 2.0 * np.maximum(w + shift, 0.0))
 
 
 def _exp_abs_smoothed(shift: float) -> Callable:
@@ -522,9 +525,11 @@ def smoothed_weight_table(weight: WeightFunction, sigma: float, centers) -> np.n
     at every entry of ``centers``, by the rule :func:`smoothing_rule` names.
 
     A weight with a closed form (``WeightFunction.smoothed``) is evaluated
-    by it.  A smooth weight without one uses the shifted Gauss-Hermite rule
-    of order ``HERMITE_ORDER`` per center.  A weight with breakpoints but no
-    closed form raises :class:`ValidationError`.
+    by it, elementwise.  A smooth weight without one uses the shifted
+    Gauss-Hermite rule of order ``HERMITE_ORDER``, which costs that many
+    weight evaluations a center: it is applied once per distinct center and
+    the values are scattered back.  A weight with breakpoints but no closed
+    form raises :class:`ValidationError`.
     """
     _require_closed_form_at_kinks(weight)
     centers = np.asarray(centers, dtype=np.float64).ravel()
@@ -536,6 +541,7 @@ def smoothed_weight_table(weight: WeightFunction, sigma: float, centers) -> np.n
     if weight.smoothed is not None:
         return weight.smoothed(sigma, centers)
 
+    centers, inverse = np.unique(centers, return_inverse=True)
     out = np.empty_like(centers)
     x, w = _gauss_hermite()
     # A few hundred centers keep each (centers x nodes) temporary in
@@ -545,7 +551,7 @@ def smoothed_weight_table(weight: WeightFunction, sigma: float, centers) -> np.n
         c = centers[start : start + chunk]
         omegas = c[:, None] + sigma * x[None, :]
         out[start : start + chunk] = sigma * (weight(omegas) @ w)
-    return out
+    return out[inverse]
 
 
 def _window_quadrature(weight: WeightFunction, sigma: float, sorted_c: np.ndarray):
@@ -580,18 +586,17 @@ def _window_quadrature(weight: WeightFunction, sigma: float, sorted_c: np.ndarra
 
 
 def coherent_difference_factor(xi, sigma: float):
-    """Odd, purely imaginary factor of the coherent pair coefficient.
-
-    ``-(i / (4 sigma sqrt(pi))) e^{-xi^2/(4 sigma^2)} tanh(xi/4)`` as a
-    function of the frequency difference ``xi``.  The sign is fixed by the
-    requirement that the assembled coherent part cancel the dissipator's
+    """Imaginary part of the odd, purely imaginary factor of the coherent
+    pair coefficient: ``-(1 / (4 sigma sqrt(pi))) e^{-xi^2/(4 sigma^2)}
+    tanh(xi/4)`` of the frequency difference ``xi``.  The sign is fixed by
+    the requirement that the assembled coherent part cancel the dissipator's
     action on the Gibbs density.  ``oft.overlap_table`` multiplies it by
     the smoothed sum factor ``e^{-zeta/2} H(-zeta/2)``, ``zeta = nu + nu'``,
-    into the coherent pair table.
+    into the imaginary part of the coherent pair table.
     """
     xi = np.asarray(xi, dtype=np.float64)
     mag = np.exp(-np.square(xi) / (4.0 * sigma * sigma)) * np.tanh(0.25 * xi)
-    return -1j / (4.0 * sigma * math.sqrt(math.pi)) * mag
+    return -1.0 / (4.0 * sigma * math.sqrt(math.pi)) * mag
 
 
 # ---------------------------------------------------------------------------

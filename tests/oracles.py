@@ -305,12 +305,16 @@ def overlap_table_dense(spectrum, weight, sigma: float, *, cross_check=True, flo
     """The overlap table built on the full ``m x m`` pair grid: the exponent
     cap and the midpoints of every pair, ``H`` from
     ``weights.smoothed_weight_table`` on the distinct midpoints,
-    ``H(-midpoint)`` read through the negation permutation, both tables
-    floored (unless ``floor`` is false) and scattered through the full live
-    mask, and the cross-check's entries ranked by a stable sort of every
-    entry.  The package builds on the live upper band only and must
-    reproduce this table, its picks and its defect bit for bit; with
-    ``floor=False`` it keeps every entry below the underflow floor."""
+    ``H(-midpoint)`` read through the negation permutation, the coherent
+    pairs as complex products with the difference factor
+    ``-i/(4 sigma sqrt(pi)) e^{-xi^2/(4 sigma^2)} tanh(xi/4)`` written out
+    here, both tables floored (unless ``floor`` is false; the complex one
+    by its modulus) and scattered through the full live mask, and the
+    cross-check's entries ranked by a stable sort of every entry.  The
+    package builds on the live upper band only, with the coherent pairs in
+    real arithmetic, and must reproduce this table, its picks and its
+    defect bit for bit; with ``floor=False`` it keeps every entry below the
+    underflow floor."""
     from gibbslab.oft import (
         _CROSS_CHECK_SAMPLES,
         _PAIR_EXPONENT_CAP,
@@ -318,7 +322,7 @@ def overlap_table_dense(spectrum, weight, sigma: float, *, cross_check=True, flo
         _definitional_entries,
         _drop_underflow,
     )
-    from gibbslab.weights import coherent_difference_factor, smoothed_weight_table, smoothing_rule
+    from gibbslab.weights import smoothed_weight_table, smoothing_rule
 
     freqs = spectrum.frequencies
     m = freqs.size
@@ -335,10 +339,15 @@ def overlap_table_dense(spectrum, weight, sigma: float, *, cross_check=True, flo
     neg = negation_index(spectrum)
     with np.errstate(over="ignore", under="ignore"):
         sum_factor = np.exp(-mids[live]) * h_mid[np.ix_(neg, neg)][live]
-    pair = 2.0 * math.pi * coherent_difference_factor(gaps[live], sigma) * sum_factor
+    xi = gaps[live]
+    factor = -1j / (4.0 * sigma * math.sqrt(math.pi)) * (
+        np.exp(-np.square(xi) / (4.0 * sigma * sigma)) * np.tanh(0.25 * xi)
+    )
+    pair = 2.0 * math.pi * factor * sum_factor
     if floor:
         _drop_underflow(overlap)
-        _drop_underflow(pair)
+        modulus = np.abs(pair)
+        pair[modulus < UNDERFLOW_FLOOR * max(1.0, float(modulus.max(initial=0.0)))] = 0.0
     values = np.zeros((m, m))
     values[live] = overlap
     coherent = np.zeros((m, m), dtype=np.complex128)

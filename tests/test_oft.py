@@ -111,10 +111,14 @@ def band_grid(request):
     weights of one model: 30 tables.  The picks are the pairs each builder
     hands to the definitional cross-check.
 
-    Both builders smooth the weight on the same distinct midpoints, so the
-    second call of ``smoothed_weight_table`` for a table reads the first
-    one's result; the fixture asserts that the centres matched byte for
-    byte, which halves the line models' smoothing time."""
+    The package smooths the weight on the band's midpoints and the dense
+    builder on the distinct midpoints of the full grid: the fixture keys
+    each call on its distinct centres and scatters the cached values back,
+    so the second call for a table reads the first one's result, and
+    asserts that the distinct centres matched byte for byte, which halves
+    the line models' smoothing time.  The scattered values are the ones a
+    call on the repeated centres returns
+    (``test_smoothed_weight_table_on_repeated_centres_is_the_distinct_call_scattered``)."""
     spectrum = _BAND_MODELS[request.param]().frame.spectrum
     picks, smoothed = [], {}
     direct = gibbslab.oft._definitional_entries
@@ -125,10 +129,11 @@ def band_grid(request):
         return direct(pairs, weight, sigma)
 
     def shared(weight, sigma, centers):
-        key = (sigma, np.asarray(centers).tobytes())
+        distinct, inverse = np.unique(centers, return_inverse=True)
+        key = (sigma, distinct.tobytes())
         if key not in smoothed:
-            smoothed[key] = smooth(weight, sigma, centers)
-        return smoothed[key].copy()
+            smoothed[key] = smooth(weight, sigma, distinct)
+        return smoothed[key][inverse]
 
     rows = []
     with pytest.MonkeyPatch.context() as patch:
@@ -192,6 +197,39 @@ def test_band_reach_leaves_out_no_live_pair(energies, sigma):
             assert band.values.tobytes() == dense.values.tobytes(), label
             assert band.coherent.tobytes() == dense.coherent.tobytes(), label
             assert band.live_pairs == dense.live_pairs, label
+
+
+# Levels whose gap is past the exponent cap at sigma = 1 but within the
+# band's widened reach: each row's run then holds a dead candidate, so the
+# live runs start elsewhere than the candidate runs.
+_DEAD_CANDIDATE = 2.0 * math.sqrt(200.0) * (1.0 + 5e-7)
+_MIRROR_SPECTRA = {
+    **dict(zip(["wide", "reach-gap", "rounded-in"], _REACH_SPECTRA)),
+    "dead-candidate": (0.0, _DEAD_CANDIDATE, 2.0 * _DEAD_CANDIDATE),
+}
+
+
+@pytest.mark.parametrize("name", [*sorted(_BAND_MODELS), *_MIRROR_SPECTRA])
+def test_mirror_pair_is_live_with_the_same_exponent_and_the_negated_midpoint(name):
+    """On every band-grid spectrum and reach spectrum, and one whose band
+    holds dead candidates, at every band-grid bandwidth, the band's mirror
+    index sends each live pair ``(i, j)`` to the live pair
+    ``(m - 1 - j, m - 1 - i)``, whose exponent is the same bit for bit and
+    whose midpoint is exactly the negated one; the index is an
+    involution."""
+    if name in _BAND_MODELS:
+        freqs = _BAND_MODELS[name]().frame.spectrum.frequencies
+    else:
+        freqs = bohr_spectrum(np.diag(_MIRROR_SPECTRA[name])).frequencies
+    m = freqs.size
+    for sigma in _BAND_SIGMAS:
+        rows, cols, exponents, mirror = gibbslab.oft._live_band(freqs, sigma)
+        assert np.array_equal(rows[mirror], m - 1 - cols), sigma
+        assert np.array_equal(cols[mirror], m - 1 - rows), sigma
+        assert np.array_equal(mirror[mirror], np.arange(rows.size)), sigma
+        assert exponents[mirror].tobytes() == exponents.tobytes(), sigma
+        mids = 0.5 * (freqs[rows] + freqs[cols])
+        assert np.array_equal(mids[mirror], -mids), sigma
 
 
 def test_tanh_is_odd_bit_for_bit():

@@ -25,6 +25,7 @@ from gibbslab.oft import overlap_table
 from gibbslab.weights import (
     COHERENT_L1_LIMIT,
     FILTER_SQUARED_MASS,
+    HERMITE_ORDER,
     MAX_BANDWIDTH,
     MIN_BANDWIDTH,
     PHI_LIBRARY,
@@ -260,10 +261,13 @@ WEIGHT_VALUES = {
 
 # Relative accuracy of each library weight where its value is normal.
 # sech and glauber take one exponential of -|x| at an exact argument.  The
-# gaussian and exp_abs take one exponential of a sum that reaches 745 in
-# magnitude where the weight is normal, and one rounding of that sum is up
-# to 8.3e-14 of the value.
-WEIGHT_BOUND = {"glauber": 1e-15, "sech": 1e-15, "gaussian": 1e-13, "exp_abs": 1e-13}
+# gaussian takes one exponential of a sum that reaches 745 in magnitude
+# where the weight is normal, and one rounding of that sum is up to 8.3e-14
+# of the value.  exp_abs rounds its exponent only where w + shift >= 0,
+# once, in -3(w + shift)/2: net of the argument's rounding it reads 1.7e-14
+# at sigma = 1e-6, omega = 200 here and 3.0e-14 at sigma = 0.1, omega = 272
+# in the tail test below.
+WEIGHT_BOUND = {"glauber": 1e-15, "sech": 1e-15, "gaussian": 1e-13, "exp_abs": 3.2e-14}
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +457,42 @@ def test_smoothed_weight_matches_quadpack(phi):
         live = oracles.smoothed_weight_quad(center, 0.9, w)
         assert live == pytest.approx(frozen, rel=1e-10)
         assert got == pytest.approx(frozen, rel=1e-10)
+
+
+def _counting_gauss_hermite_weight(counts: list) -> WeightFunction:
+    """The balanced gaussian weight at sigma 0.7 with its closed form
+    removed, so the Gauss-Hermite rule smooths it; each call appends the
+    number of points it was evaluated on to ``counts``."""
+    base = balanced_gamma("gaussian", 0.7)
+
+    def evaluate(w):
+        counts.append(np.size(w))
+        return base.evaluate(w)
+
+    return dataclasses.replace(base, evaluate=evaluate, smoothed=None)
+
+
+@pytest.mark.parametrize("make", ["sech", "gauss_hermite", "gaussian", "exp_abs"])
+def test_smoothed_weight_table_on_repeated_centres_is_the_distinct_call_scattered(make):
+    """On 700 distinct centres, each repeated up to five times and shuffled,
+    ``H`` is the call on the distinct centres scattered back, bit for bit:
+    the closed forms are elementwise, and the Gauss-Hermite rule evaluates
+    each distinct centre once, in the same chunks."""
+    rng = np.random.default_rng(23)
+    distinct = np.unique(rng.uniform(-40.0, 40.0, 700))
+    repeats = rng.integers(1, 6, distinct.size)
+    inverse = rng.permutation(np.repeat(np.arange(distinct.size), repeats))
+    counts = []
+    if make == "gauss_hermite":
+        weight = _counting_gauss_hermite_weight(counts)
+    else:
+        weight = balanced_gamma(make, 0.7)
+    want = smoothed_weight_table(weight, 0.7, distinct)[inverse]
+    counts.clear()
+    got = smoothed_weight_table(weight, 0.7, distinct[inverse])
+    assert got.tobytes() == want.tobytes()
+    if make == "gauss_hermite":
+        assert sum(counts) == distinct.size * HERMITE_ORDER
 
 
 def _balance_defects(weight, sigma: float, centers) -> np.ndarray:
